@@ -959,6 +959,10 @@ mod tests {
                 "invalid NoC configuration",
             ),
             (
+                r#"{"policy":"sw","traffic":{"rate":0.1},"noc":{"vcs":33}}"#,
+                "at most 32 virtual channels",
+            ),
+            (
                 r#"{"policy":"sw","traffic":{"kind":"mix","rate":0.1}}"#,
                 "unknown traffic kind",
             ),

@@ -665,9 +665,13 @@ fn run_loop_inner<S: NbtiSensor, T: TraceSink, P: Profiler>(
             prof.record(Stage::Controller, profclock::ns_since(t));
         }
         net.finish_cycle_with(prof);
+        let t_mon = if P::ENABLED { Some(profclock::now()) } else { None };
         for &pid in &port_ids {
             net.vc_statuses_into(pid, &mut statuses);
             monitor.record_cycle(pid, &statuses);
+        }
+        if let Some(t) = t_mon {
+            prof.record(Stage::Monitor, profclock::ns_since(t));
         }
         if let Some(series) = series.as_mut() {
             if (step + 1) % sample_period == 0 {

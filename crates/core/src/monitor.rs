@@ -13,13 +13,31 @@ use nbti_model::{
     StressState, Volt,
 };
 use noc_sim::view::{PortId, VcStatus};
-use std::collections::BTreeMap;
+
+/// `index` entry of a port the monitor does not track.
+const UNMONITORED: u32 = u32::MAX;
 
 /// Per-port NBTI bookkeeping for a whole network.
 #[derive(Debug, Clone)]
 pub struct NbtiMonitor<S> {
     ports: Vec<(PortId, PortAgeTracker<S>)>,
-    index: BTreeMap<PortId, usize>,
+    /// [`PortId::dense_key`] → index into `ports`, or [`UNMONITORED`].
+    index: Vec<u32>,
+}
+
+/// The dense-key table of `port_ids`: entry `p.dense_key()` holds `p`'s
+/// position in the slice.
+fn dense_index(port_ids: &[PortId]) -> Vec<u32> {
+    let len = port_ids
+        .iter()
+        .map(|p| p.dense_key() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut index = vec![UNMONITORED; len];
+    for (i, p) in port_ids.iter().enumerate() {
+        index[p.dense_key()] = i as u32;
+    }
+    index
 }
 
 impl NbtiMonitor<IdealSensor> {
@@ -56,14 +74,18 @@ impl NbtiMonitor<IdealSensor> {
             vths.len(),
             "one Vth vector per port required"
         );
-        let mut ports = Vec::with_capacity(port_ids.len());
-        let mut index = BTreeMap::new();
-        for (&pid, port_vths) in port_ids.iter().zip(vths) {
-            let sensors = vec![IdealSensor::new(); port_vths.len()];
-            index.insert(pid, ports.len());
-            ports.push((pid, PortAgeTracker::new(port_vths, sensors, model)));
+        let ports = port_ids
+            .iter()
+            .zip(vths)
+            .map(|(&pid, port_vths)| {
+                let sensors = vec![IdealSensor::new(); port_vths.len()];
+                (pid, PortAgeTracker::new(port_vths, sensors, model))
+            })
+            .collect();
+        NbtiMonitor {
+            ports,
+            index: dense_index(port_ids),
         }
-        NbtiMonitor { ports, index }
     }
 }
 
@@ -104,23 +126,35 @@ impl<S: NbtiSensor> NbtiMonitor<S> {
     {
         assert!(num_vcs > 0, "at least one VC per port");
         let mut ports = Vec::with_capacity(port_ids.len());
-        let mut index = BTreeMap::new();
         for (i, &pid) in port_ids.iter().enumerate() {
             let vths = pv.sample_port(num_vcs);
             let sensors = (0..num_vcs).map(|v| make_sensor(i, v)).collect();
-            index.insert(pid, ports.len());
             ports.push((pid, PortAgeTracker::new(&vths, sensors, model)));
         }
-        NbtiMonitor { ports, index }
+        NbtiMonitor {
+            ports,
+            index: dense_index(port_ids),
+        }
+    }
+
+    /// The position of `port` in `ports`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not monitored.
+    fn slot(&self, port: PortId) -> usize {
+        match self.index.get(port.dense_key()) {
+            Some(&i) if i != UNMONITORED => i as usize,
+            _ => panic!("port {port} is not monitored"),
+        }
     }
 
     fn tracker(&self, port: PortId) -> &PortAgeTracker<S> {
-        let i = self.index[&port];
-        &self.ports[i].1
+        &self.ports[self.slot(port)].1
     }
 
     fn tracker_mut(&mut self, port: PortId) -> &mut PortAgeTracker<S> {
-        let i = self.index[&port];
+        let i = self.slot(port);
         &mut self.ports[i].1
     }
 
@@ -149,17 +183,14 @@ impl<S: NbtiSensor> NbtiMonitor<S> {
     /// Records one cycle of stress/recovery for `port`: a VC is stressed
     /// whenever its buffer is powered.
     pub fn record_cycle(&mut self, port: PortId, statuses: &[VcStatus]) {
-        let states: Vec<StressState> = statuses
-            .iter()
-            .map(|s| {
+        self.tracker_mut(port)
+            .record_cycle(statuses.iter().map(|s| {
                 if s.is_stressed() {
                     StressState::Stressed
                 } else {
                     StressState::Recovering
                 }
-            })
-            .collect();
-        self.tracker_mut(port).record_cycle(&states);
+            }));
     }
 
     /// Per-VC NBTI-duty-cycle percentages for `port`.
@@ -258,6 +289,13 @@ mod tests {
         let m = monitor(1);
         assert_eq!(m.num_ports(), 3);
         assert_eq!(m.port_ids().collect::<Vec<_>>(), ports());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not monitored")]
+    fn unmonitored_port_panics() {
+        let mut m = monitor(1);
+        m.record_cycle(PortId::nic_eject(NodeId(7)), &[VcStatus::Off; 4]);
     }
 
     #[test]

@@ -363,23 +363,29 @@ impl GatingPolicy for SensorWiseKPolicy {
         if !view.new_traffic {
             return GateAction::AllIdleOff;
         }
-        let mut free: Vec<usize> = (0..num_vcs)
-            .filter(|&v| view.vc_status[v].is_free())
-            .collect();
-        if free.is_empty() {
+        // Bit `v` set: VC `v` is free (ports have at most 32 VCs).
+        let mut free = view
+            .vc_status
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_free())
+            .fold(0u32, |m, (v, _)| m | 1 << v);
+        if free == 0 {
             return GateAction::AllIdleOff;
         }
         let needed = self.k;
         // Recover the most degraded VC first, unless it is needed to meet
         // the designation count.
-        if free.len() > needed {
-            free.retain(|&v| v != most_degraded);
+        if free.count_ones() as usize > needed {
+            free &= !(1 << most_degraded);
         }
         // Keep the top-index `needed` free VCs awake (Algorithm 2's
         // designation order).
         let mut mask = 0u32;
-        for &v in free.iter().rev().take(needed) {
-            mask |= 1 << v;
+        for _ in 0..needed.min(free.count_ones() as usize) {
+            let top = 1 << (31 - free.leading_zeros());
+            mask |= top;
+            free &= !top;
         }
         GateAction::KeepIdle { mask }
     }

@@ -19,6 +19,7 @@ use crate::units::Volt;
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
 /// A sensor that observes the (true) threshold voltage of one monitored
 /// buffer and produces a reading.
@@ -273,14 +274,17 @@ impl<S: NbtiSensor> NbtiSensor for FaultySensor<S> {
     }
 }
 
-/// Selects the most degraded buffer index from per-buffer sensor readings
-/// (highest reading wins; ties resolve to the lowest index, making the
-/// hardware one-hot encoding deterministic).
+/// Selects the most degraded buffer index from per-buffer sensor readings,
+/// streamed in buffer order (highest reading wins; ties resolve to the
+/// lowest index, making the hardware one-hot encoding deterministic).
 ///
-/// Returns `None` for an empty slice.
-pub fn most_degraded_by_reading(readings: &[Volt]) -> Option<usize> {
+/// Returns `None` when there are no readings.
+pub fn most_degraded_by_reading(
+    readings: impl IntoIterator<Item = impl Borrow<Volt>>,
+) -> Option<usize> {
     let mut best: Option<(usize, Volt)> = None;
-    for (i, &r) in readings.iter().enumerate() {
+    for (i, r) in readings.into_iter().enumerate() {
+        let r = *r.borrow();
         match best {
             None => best = Some((i, r)),
             Some((_, b)) if r > b => best = Some((i, r)),
@@ -356,7 +360,8 @@ mod tests {
             Volt::from_volts(0.180),
         ];
         assert_eq!(most_degraded_by_reading(&readings), Some(1));
-        assert_eq!(most_degraded_by_reading(&[]), None);
+        assert_eq!(most_degraded_by_reading(readings.into_iter()), Some(1));
+        assert_eq!(most_degraded_by_reading(Vec::<Volt>::new()), None);
     }
 
     #[test]

@@ -163,14 +163,16 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
         self.buffers.len()
     }
 
-    /// Records one cycle: `states[v]` is the stress state of VC `v`.
+    /// Records one cycle: the `v`-th state is the stress state of VC `v`.
+    /// Taking an iterator lets callers map their own per-VC status into
+    /// stress states without collecting them first.
     ///
     /// # Panics
     ///
     /// Panics if `states.len() != num_vcs()`.
-    pub fn record_cycle(&mut self, states: &[StressState]) {
+    pub fn record_cycle(&mut self, states: impl ExactSizeIterator<Item = StressState>) {
         assert_eq!(states.len(), self.buffers.len());
-        for (buf, &st) in self.buffers.iter_mut().zip(states) {
+        for (buf, st) in self.buffers.iter_mut().zip(states) {
             buf.record(st);
         }
         self.cycle += 1;
@@ -190,28 +192,21 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
     /// the value the `Down_Up` link would carry this cycle.
     pub fn most_degraded(&mut self) -> usize {
         let cycle = self.cycle;
-        let readings: Vec<Volt> = self
+        let readings = self
             .buffers
             .iter()
             .zip(self.sensors.iter_mut())
-            .map(|(buf, sensor)| sensor.sample(buf.true_vth(), cycle))
-            .collect();
+            .map(|(buf, sensor)| sensor.sample(buf.true_vth(), cycle));
         // lint:allow(no-unwrap) the constructor asserts at least one VC per port
-        most_degraded_by_reading(&readings).expect("port has at least one VC")
+        most_degraded_by_reading(readings).expect("port has at least one VC")
     }
 
     /// The most degraded VC according to *initial* `Vth` only (the paper's
     /// `MD VC` table column, fixed per scenario by process variation).
     pub fn most_degraded_initial(&self) -> usize {
-        most_degraded_by_reading(
-            &self
-                .buffers
-                .iter()
-                .map(BufferAgeTracker::initial_vth)
-                .collect::<Vec<_>>(),
-        )
-        // lint:allow(no-unwrap) the constructor asserts at least one VC per port
-        .expect("port has at least one VC")
+        most_degraded_by_reading(self.buffers.iter().map(BufferAgeTracker::initial_vth))
+            // lint:allow(no-unwrap) the constructor asserts at least one VC per port
+            .expect("port has at least one VC")
     }
 
     /// Per-VC NBTI-duty-cycle percentages.
@@ -316,8 +311,8 @@ mod tests {
     #[test]
     fn record_cycle_updates_all_buffers() {
         let mut p = port(&[0.18, 0.18]);
-        p.record_cycle(&[StressState::Stressed, StressState::Recovering]);
-        p.record_cycle(&[StressState::Stressed, StressState::Recovering]);
+        p.record_cycle([StressState::Stressed, StressState::Recovering].into_iter());
+        p.record_cycle([StressState::Stressed, StressState::Recovering].into_iter());
         let d = p.duty_cycles_percent();
         assert_eq!(d, vec![100.0, 0.0]);
     }
@@ -336,7 +331,7 @@ mod tests {
     #[should_panic]
     fn record_cycle_wrong_arity_panics() {
         let mut p = port(&[0.18, 0.18]);
-        p.record_cycle(&[StressState::Stressed]);
+        p.record_cycle([StressState::Stressed].into_iter());
     }
 
     #[test]
@@ -352,7 +347,7 @@ mod tests {
         }
         assert_eq!(p.most_degraded(), 1);
         for _ in 0..10_000 {
-            p.record_cycle(&[StressState::Stressed, StressState::Recovering]);
+            p.record_cycle([StressState::Stressed, StressState::Recovering].into_iter());
         }
         assert_eq!(p.most_degraded(), 0, "aging should overtake PV offset");
     }

@@ -82,6 +82,10 @@ pub struct NocConfig {
     pub topology: TopologyKind,
 }
 
+/// The most VCs a port may have: per-port VC state (power, allocation
+/// eligibility, designation) is kept in `u32` bit masks.
+pub const MAX_VCS_PER_PORT: usize = 32;
+
 /// Error returned by [`NocConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidConfigError(String);
@@ -122,7 +126,8 @@ impl NocConfig {
     /// # Errors
     ///
     /// Returns an error if any dimension, VC count, buffer depth or packet
-    /// length is zero, or latencies are zero.
+    /// length is zero, latencies are zero, or a port has more than
+    /// [`MAX_VCS_PER_PORT`] VCs.
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
         let fail = |msg: &str| Err(InvalidConfigError(msg.to_string()));
         if self.cols == 0 || self.rows == 0 {
@@ -130,6 +135,9 @@ impl NocConfig {
         }
         if self.vcs_per_port == 0 {
             return fail("at least one virtual channel per port is required");
+        }
+        if self.vcs_per_port > MAX_VCS_PER_PORT {
+            return fail("at most 32 virtual channels per port are supported");
         }
         if self.buffer_depth == 0 {
             return fail("buffer depth must be positive");
@@ -226,6 +234,13 @@ mod tests {
                     ..base.clone()
                 },
                 "virtual channel",
+            ),
+            (
+                NocConfig {
+                    vcs_per_port: MAX_VCS_PER_PORT + 1,
+                    ..base.clone()
+                },
+                "at most 32 virtual channels",
             ),
             (
                 NocConfig {

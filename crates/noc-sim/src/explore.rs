@@ -233,8 +233,9 @@ impl Encoder<'_> {
     fn input_unit(&mut self, unit: &InputUnit) {
         let vcs = self.relabel.vc_inv.len();
         for new_v in 0..vcs {
-            let vc = &unit.vcs[self.relabel.vc_inv[new_v]];
-            self.push(u8::from(vc.powered));
+            let old_v = self.relabel.vc_inv[new_v];
+            let vc = &unit.vcs[old_v];
+            self.push(u8::from(unit.is_powered(old_v)));
             match vc.state {
                 InVcState::Idle => {
                     self.push(0);
@@ -271,10 +272,11 @@ impl Encoder<'_> {
     fn output_unit(&mut self, unit: &OutputUnit, ports: usize) {
         let vcs = self.relabel.vc_inv.len();
         for new_v in 0..vcs {
-            let vc = &unit.vcs[self.relabel.vc_inv[new_v]];
+            let old_v = self.relabel.vc_inv[new_v];
+            let vc = &unit.vcs[old_v];
             self.push(u8::from(vc.state == OutVcState::Active));
             self.push(vc.credits as u8);
-            self.push(u8::from(vc.allocatable));
+            self.push(u8::from(unit.allocatable & (1 << old_v) != 0));
             self.delta(vc.usable_at);
         }
         self.push(unit.credit_arrivals.len() as u8);

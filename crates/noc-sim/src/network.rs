@@ -27,8 +27,8 @@ use crate::snapshot::{NetworkSnapshot, PortState, SnapshotStateError};
 use crate::stats::NetStats;
 use crate::topology::AnyTopology;
 use crate::types::{Direction, NodeId};
-use crate::unit::{Credit, InVcState, InputUnit, OutVcState};
-use crate::view::{GateAction, PortId, PortKind, PortView, VcStatus};
+use crate::unit::{all_vcs, Credit, InVcState, InputUnit, OutVcState, OutputUnit};
+use crate::view::{GateAction, PortId, PortView, VcStatus};
 use noc_telemetry::profclock;
 use noc_telemetry::{
     EventKind, NullProfiler, NullSink, Profiler, Stage, TraceEvent, TraceSink, WorkCounters,
@@ -58,6 +58,17 @@ enum Downstream {
     NicEject { node: usize },
 }
 
+/// A buffer port resolved once, at construction: the agent that allocates
+/// its VCs and the buffers it feeds.
+#[derive(Debug, Clone, Copy)]
+struct PortSlot {
+    up: Upstream,
+    down: Downstream,
+}
+
+/// `slot_of` entry of a boundary port, which has no upstream link.
+const NO_SLOT: u32 = u32::MAX;
+
 /// A simulated mesh NoC.
 ///
 /// ```
@@ -80,6 +91,11 @@ pub struct Network<T: TraceSink = NullSink> {
     stats: NetStats,
     next_packet: u64,
     port_ids: Vec<PortId>,
+    /// The port slot table: [`PortId::dense_key`] → index into `port_ids`
+    /// and `slots`, or [`NO_SLOT`] for a boundary port.
+    slot_of: Vec<u32>,
+    /// The resolved agents of `port_ids[i]`.
+    slots: Vec<PortSlot>,
     invariants: InvariantLevel,
     violations: Vec<InvariantViolation>,
     /// Lifetime flit counters for the conservation invariant; unlike the
@@ -97,8 +113,6 @@ pub struct Network<T: TraceSink = NullSink> {
     /// steady state never allocates (they keep their capacity).
     eject_credits: Vec<Credit>,
     eject_done: Vec<EjectedPacket>,
-    /// Scratch for per-cycle status scans (same rationale).
-    status_scratch: Vec<VcStatus>,
 }
 
 impl Network {
@@ -139,14 +153,45 @@ impl<T: TraceSink> Network<T> {
             .map(|node| Nic::new(node, cfg.vcs_per_port, cfg.buffer_depth))
             .collect();
         let mut port_ids = Vec::new();
-        for node in topo.node_ids().map(NodeId) {
+        let mut slots = Vec::new();
+        let mut slot_of = vec![NO_SLOT; routers.len() * PortId::KINDS_PER_NODE];
+        let mut add = |port: PortId, up: Upstream, down: Downstream| {
+            slot_of[port.dense_key()] = port_ids.len() as u32;
+            port_ids.push(port);
+            slots.push(PortSlot { up, down });
+        };
+        for node in topo.node_ids() {
             for d in Direction::MESH {
-                if topo.link_peer(node, d).is_some() {
-                    port_ids.push(PortId::router_input(node, d));
+                if let Some((up, up_port)) = topo.link_peer(NodeId(node), d) {
+                    add(
+                        PortId::router_input(NodeId(node), d),
+                        Upstream::RouterOut {
+                            node: up.index(),
+                            port: up_port.index(),
+                        },
+                        Downstream::RouterIn {
+                            node,
+                            port: d.index(),
+                        },
+                    );
                 }
             }
-            port_ids.push(PortId::router_input(node, Direction::Local));
-            port_ids.push(PortId::nic_eject(node));
+            add(
+                PortId::router_input(NodeId(node), Direction::Local),
+                Upstream::NicInject { node },
+                Downstream::RouterIn {
+                    node,
+                    port: Direction::Local.index(),
+                },
+            );
+            add(
+                PortId::nic_eject(NodeId(node)),
+                Upstream::RouterOut {
+                    node,
+                    port: Direction::Local.index(),
+                },
+                Downstream::NicEject { node },
+            );
         }
         Ok(Network {
             cfg,
@@ -158,6 +203,8 @@ impl<T: TraceSink> Network<T> {
             stats: NetStats::default(),
             next_packet: 0,
             port_ids,
+            slot_of,
+            slots,
             invariants: InvariantLevel::Off,
             violations: Vec::new(),
             flits_sent_total: 0,
@@ -166,7 +213,6 @@ impl<T: TraceSink> Network<T> {
             work: WorkCounters::default(),
             eject_credits: Vec::new(),
             eject_done: Vec::new(),
-            status_scratch: Vec::new(),
         })
     }
 
@@ -249,40 +295,49 @@ impl<T: TraceSink> Network<T> {
         &self.port_ids
     }
 
-    fn resolve(&self, port: PortId) -> (Upstream, Downstream) {
-        let node = port.node.index();
-        assert!(node < self.routers.len(), "port {port} out of range");
-        match port.kind {
-            PortKind::RouterInput(Direction::Local) => (
-                Upstream::NicInject { node },
-                Downstream::RouterIn {
-                    node,
-                    port: Direction::Local.index(),
-                },
-            ),
-            PortKind::RouterInput(d) => {
-                let (up, up_port) = self
-                    .topo
-                    .link_peer(port.node, d)
-                    .unwrap_or_else(|| panic!("port {port} has no upstream link"));
-                (
-                    Upstream::RouterOut {
-                        node: up.index(),
-                        port: up_port.index(),
-                    },
-                    Downstream::RouterIn {
-                        node,
-                        port: d.index(),
-                    },
-                )
-            }
-            PortKind::NicEject => (
-                Upstream::RouterOut {
-                    node,
-                    port: Direction::Local.index(),
-                },
-                Downstream::NicEject { node },
-            ),
+    /// Looks `port` up in the slot table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is out of range or the port has no upstream link.
+    fn resolve(&self, port: PortId) -> PortSlot {
+        assert!(
+            port.node.index() < self.routers.len(),
+            "port {port} out of range"
+        );
+        match self.slot_of[port.dense_key()] {
+            NO_SLOT => panic!("port {port} has no upstream link"),
+            slot => self.slots[slot as usize],
+        }
+    }
+
+    /// The output VC state of an upstream agent.
+    fn up_unit(&self, up: Upstream) -> &OutputUnit {
+        match up {
+            Upstream::RouterOut { node, port } => &self.routers[node].outputs[port],
+            Upstream::NicInject { node } => &self.nics[node].inject,
+        }
+    }
+
+    fn up_unit_mut(&mut self, up: Upstream) -> &mut OutputUnit {
+        match up {
+            Upstream::RouterOut { node, port } => &mut self.routers[node].outputs[port],
+            Upstream::NicInject { node } => &mut self.nics[node].inject,
+        }
+    }
+
+    /// The VC buffers of a downstream buffer set.
+    fn down_input(&self, down: Downstream) -> &InputUnit {
+        match down {
+            Downstream::RouterIn { node, port } => &self.routers[node].inputs[port],
+            Downstream::NicEject { node } => &self.nics[node].eject,
+        }
+    }
+
+    fn down_input_mut(&mut self, down: Downstream) -> &mut InputUnit {
+        match down {
+            Downstream::RouterIn { node, port } => &mut self.routers[node].inputs[port],
+            Downstream::NicEject { node } => &mut self.nics[node].eject,
         }
     }
 
@@ -313,21 +368,21 @@ impl<T: TraceSink> Network<T> {
     ///
     /// Panics if `port` does not exist (e.g. a boundary port).
     pub fn fill_port_view(&self, port: PortId, view: &mut PortView) {
-        let (up, _) = self.resolve(port);
+        let slot = self.resolve(port);
         view.port = port;
-        view.new_traffic = match up {
+        view.new_traffic = match slot.up {
             Upstream::RouterOut { node, port } => {
                 self.routers[node].has_new_traffic(Direction::from_index(port))
             }
             Upstream::NicInject { node } => self.nics[node].has_new_traffic(),
         };
-        self.vc_statuses_into(port, &mut view.vc_status);
+        self.statuses_of(slot, &mut view.vc_status);
     }
 
-    /// Per-VC statuses of a buffer port, without the (more expensive)
-    /// new-traffic predicate of [`port_view`](Self::port_view). Used for
-    /// per-cycle NBTI stress accounting: a VC is under stress exactly when
-    /// its status [is stressed](VcStatus::is_stressed).
+    /// Per-VC statuses of a buffer port, without the new-traffic predicate
+    /// of [`port_view`](Self::port_view). Used for per-cycle NBTI stress
+    /// accounting: a VC is under stress exactly when its status
+    /// [is stressed](VcStatus::is_stressed).
     ///
     /// # Panics
     ///
@@ -347,20 +402,20 @@ impl<T: TraceSink> Network<T> {
     ///
     /// Panics if `port` does not exist (e.g. a boundary port).
     pub fn vc_statuses_into(&self, port: PortId, out: &mut Vec<VcStatus>) {
+        self.statuses_of(self.resolve(port), out);
+    }
+
+    /// Fills `out` with a resolved port's per-VC statuses, read off the
+    /// upstream `active` mask and the downstream power mask.
+    fn statuses_of(&self, slot: PortSlot, out: &mut Vec<VcStatus>) {
         out.clear();
-        let (up, down) = self.resolve(port);
-        let out_vcs = match up {
-            Upstream::RouterOut { node, port } => &self.routers[node].outputs[port].vcs,
-            Upstream::NicInject { node } => &self.nics[node].inject.vcs,
-        };
-        let powered = |v: usize| match down {
-            Downstream::RouterIn { node, port } => self.routers[node].inputs[port].vcs[v].powered,
-            Downstream::NicEject { node } => self.nics[node].eject.vcs[v].powered,
-        };
-        for (v, ov) in out_vcs.iter().enumerate() {
-            let status = if ov.state == OutVcState::Active {
+        let active = self.up_unit(slot.up).active;
+        let powered = self.down_input(slot.down).powered;
+        for v in 0..self.cfg.vcs_per_port {
+            let bit = 1 << v;
+            let status = if active & bit != 0 {
                 VcStatus::Busy
-            } else if powered(v) {
+            } else if powered & bit != 0 {
                 VcStatus::IdleOn
             } else {
                 VcStatus::Off
@@ -396,28 +451,18 @@ impl<T: TraceSink> Network<T> {
             assert!(vc < num_vcs, "designated VC {vc} out of range");
         }
         assert!(
-            num_vcs >= 32 || mask >> num_vcs == 0,
+            mask & !all_vcs(num_vcs) == 0,
             "designation mask {mask:#b} names VCs beyond {num_vcs}"
         );
-        let keeps = |v: usize| mask & (1 << v) != 0;
-        let (up, down) = self.resolve(port);
+        let slot = self.resolve(port);
         self.work.gate_commands += 1;
         // Upstream allocation eligibility. The previous designation mask is
-        // read back from the eligibility bits so the `Up_Down` payload is
-        // only traced when it actually changes.
-        let prev_mask = {
-            let out_vcs = match up {
-                Upstream::RouterOut { node, port } => &mut self.routers[node].outputs[port].vcs,
-                Upstream::NicInject { node } => &mut self.nics[node].inject.vcs,
-            };
-            let mut prev = 0u32;
-            for (v, ov) in out_vcs.iter_mut().enumerate() {
-                if ov.allocatable && v < 32 {
-                    prev |= 1 << v;
-                }
-                ov.allocatable = keeps(v);
-            }
-            prev
+        // the old eligibility mask, so the `Up_Down` payload is only traced
+        // when it actually changes.
+        let (prev_mask, idle) = {
+            let out = self.up_unit_mut(slot.up);
+            let prev = std::mem::replace(&mut out.allocatable, mask);
+            (prev, !out.active & all_vcs(num_vcs))
         };
         if T::ACTIVE && prev_mask != mask {
             self.trace.emit(TraceEvent {
@@ -430,53 +475,27 @@ impl<T: TraceSink> Network<T> {
             });
         }
         // Downstream power, derived from the same out VC states the policy
-        // saw: only idle VCs are ever gated. Tracked as bitmasks (like the
-        // designation mask itself) so the per-cycle gate path never
-        // allocates.
-        let idle_mask: u32 = {
-            let out_vcs = match up {
-                Upstream::RouterOut { node, port } => &self.routers[node].outputs[port].vcs,
-                Upstream::NicInject { node } => &self.nics[node].inject.vcs,
-            };
-            let mut m = 0u32;
-            for (v, ov) in out_vcs.iter().enumerate() {
-                if v < 32 && ov.state == OutVcState::Idle {
-                    m |= 1 << v;
-                }
-            }
-            m
+        // saw: only idle VCs are ever gated, busy ones keep their power.
+        let (turned_on, turned_off) = {
+            let down_unit = self.down_input_mut(slot.down);
+            let was = down_unit.powered;
+            let now_on = (was & !idle) | (mask & idle);
+            debug_assert_eq!(
+                !idle & all_vcs(num_vcs) & !now_on,
+                0,
+                "busy VC must be powered"
+            );
+            down_unit.powered = now_on;
+            let (on, off) = (now_on & !was, was & !now_on);
+            down_unit.gate_transitions += u64::from((on | off).count_ones());
+            (on, off)
         };
-        let mut turned_on = 0u32;
-        let mut turned_off = 0u32;
-        {
-            let down_unit = match down {
-                Downstream::RouterIn { node, port } => &mut self.routers[node].inputs[port],
-                Downstream::NicEject { node } => &mut self.nics[node].eject,
-            };
-            for (v, dvc) in down_unit.vcs.iter_mut().enumerate() {
-                let is_idle = v < 32 && idle_mask & (1 << v) != 0;
-                let want_on = if is_idle { keeps(v) } else { dvc.powered };
-                if want_on != dvc.powered {
-                    if want_on {
-                        turned_on |= 1 << v;
-                    } else {
-                        turned_off |= 1 << v;
-                    }
-                }
-                dvc.powered = want_on;
-                if !is_idle {
-                    debug_assert!(dvc.powered, "busy VC must be powered");
-                }
-            }
-            down_unit.gate_transitions += u64::from((turned_on | turned_off).count_ones());
-        }
         if T::ACTIVE {
-            for v in 0..num_vcs.min(32) {
-                let bit = 1u32 << v;
-                if (turned_on | turned_off) & bit == 0 {
-                    continue;
-                }
-                let kind = if turned_on & bit != 0 {
+            let mut changed = turned_on | turned_off;
+            while changed != 0 {
+                let v = changed.trailing_zeros();
+                changed &= changed - 1;
+                let kind = if turned_on & (1 << v) != 0 {
                     EventKind::GateOn {
                         port: port.into(),
                         vc: v as u8,
@@ -497,14 +516,11 @@ impl<T: TraceSink> Network<T> {
         // allocatable only after `wakeup_latency` cycles.
         if self.cfg.wakeup_latency > 0 && turned_on != 0 {
             let usable_at = self.cycle + self.cfg.wakeup_latency;
-            let out_vcs = match up {
-                Upstream::RouterOut { node, port } => &mut self.routers[node].outputs[port].vcs,
-                Upstream::NicInject { node } => &mut self.nics[node].inject.vcs,
-            };
-            for (v, ov) in out_vcs.iter_mut().enumerate() {
-                if v < 32 && turned_on & (1 << v) != 0 {
-                    ov.usable_at = usable_at;
-                }
+            let out = self.up_unit_mut(slot.up);
+            let mut woken = turned_on;
+            while woken != 0 {
+                out.vcs[woken.trailing_zeros() as usize].usable_at = usable_at;
+                woken &= woken - 1;
             }
         }
     }
@@ -563,8 +579,7 @@ impl<T: TraceSink> Network<T> {
                             routing_ns += profclock::ns_since(t);
                         }
                         self.work.rc_computes += 1;
-                        self.routers[r_idx].inputs[p_idx].vcs[vc_idx].state =
-                            InVcState::Waiting { outport };
+                        self.routers[r_idx].route_head(p_idx, vc_idx, outport);
                     }
                 }
             }
@@ -776,24 +791,13 @@ impl<T: TraceSink> Network<T> {
             is_free: flit.is_tail(),
         };
         let credit_when = now + self.cfg.credit_latency;
-        match Direction::from_index(w.in_port) {
-            Direction::Local => {
-                self.nics[r_idx]
-                    .inject
-                    .credit_arrivals
-                    .push_back((credit_when, credit));
-            }
-            d => {
-                let (up, up_port) = self
-                    .topo
-                    .link_peer(NodeId(r_idx), d)
-                    // lint:allow(no-unwrap) flits only arrive through ports with a link
-                    .expect("traffic only arrives through connected ports");
-                self.routers[up.index()].outputs[up_port.index()]
-                    .credit_arrivals
-                    .push_back((credit_when, credit));
-            }
-        }
+        // Flits only arrive through ports with a link, so the input port
+        // has a slot.
+        let in_port = PortId::router_input(NodeId(r_idx), Direction::from_index(w.in_port));
+        let up = self.resolve(in_port).up;
+        self.up_unit_mut(up)
+            .credit_arrivals
+            .push_back((credit_when, credit));
         // Forward through switch (1 cycle) and link.
         let mut flit = flit;
         flit.vc = w.out_vc;
@@ -856,10 +860,7 @@ impl<T: TraceSink> Network<T> {
 
     /// The downstream input unit of a buffer port.
     fn down_unit(&self, port: PortId) -> &InputUnit {
-        match self.resolve(port).1 {
-            Downstream::RouterIn { node, port } => &self.routers[node].inputs[port],
-            Downstream::NicEject { node } => &self.nics[node].eject,
-        }
+        self.down_input(self.resolve(port).down)
     }
 
     /// Flits ever written into the buffers of a port (for
@@ -876,7 +877,7 @@ impl<T: TraceSink> Network<T> {
 
     /// How many of a port's VC buffers are powered right now.
     pub fn powered_vc_count(&self, port: PortId) -> usize {
-        self.down_unit(port).vcs.iter().filter(|v| v.powered).count()
+        self.down_unit(port).powered.count_ones() as usize
     }
 
     /// Lifetime power-gating transitions (on→off plus off→on) applied to a
@@ -936,12 +937,8 @@ impl<T: TraceSink> Network<T> {
         }
         let depth = self.cfg.buffer_depth;
         let mut ports = Vec::with_capacity(self.port_ids.len());
-        for &pid in &self.port_ids {
-            let (up, _) = self.resolve(pid);
-            let out = match up {
-                Upstream::RouterOut { node, port } => &self.routers[node].outputs[port],
-                Upstream::NicInject { node } => &self.nics[node].inject,
-            };
+        for (&pid, slot) in self.port_ids.iter().zip(&self.slots) {
+            let out = self.up_unit(slot.up);
             let settled = out.credit_arrivals.is_empty()
                 && out
                     .vcs
@@ -950,23 +947,14 @@ impl<T: TraceSink> Network<T> {
             if !settled {
                 return Err(SnapshotStateError::CreditsOutstanding { port: pid });
             }
-            let unit = self.down_unit(pid);
-            let mut powered_mask = 0u32;
-            for (v, vc) in unit.vcs.iter().enumerate() {
-                debug_assert!(vc.buffer.is_empty() && vc.state == InVcState::Idle);
-                if vc.powered {
-                    powered_mask |= 1 << v;
-                }
-            }
-            let mut allocatable_mask = 0u32;
-            for (v, vc) in out.vcs.iter().enumerate() {
-                if vc.allocatable {
-                    allocatable_mask |= 1 << v;
-                }
-            }
+            let unit = self.down_input(slot.down);
+            debug_assert!(unit
+                .vcs
+                .iter()
+                .all(|vc| vc.buffer.is_empty() && vc.state == InVcState::Idle));
             ports.push(PortState {
-                powered_mask,
-                allocatable_mask,
+                powered_mask: unit.powered,
+                allocatable_mask: out.allocatable,
                 usable_at: out.vcs.iter().map(|v| v.usable_at).collect(),
                 gate_transitions: unit.gate_transitions,
                 flits_received: unit.flits_received,
@@ -1029,31 +1017,14 @@ impl<T: TraceSink> Network<T> {
                     want: vcs,
                 });
             }
-            let pid = self.port_ids[i];
-            let (up, down) = self.resolve(pid);
-            match up {
-                Upstream::RouterOut { node, port } => {
-                    let out = &mut self.routers[node].outputs[port];
-                    for (v, vc) in out.vcs.iter_mut().enumerate() {
-                        vc.allocatable = ps.allocatable_mask & (1 << v) != 0;
-                        vc.usable_at = ps.usable_at[v];
-                    }
-                }
-                Upstream::NicInject { node } => {
-                    let inj = &mut self.nics[node].inject;
-                    for (v, vc) in inj.vcs.iter_mut().enumerate() {
-                        vc.allocatable = ps.allocatable_mask & (1 << v) != 0;
-                        vc.usable_at = ps.usable_at[v];
-                    }
-                }
+            let slot = self.slots[i];
+            let out = self.up_unit_mut(slot.up);
+            out.allocatable = ps.allocatable_mask & all_vcs(vcs);
+            for (vc, &usable_at) in out.vcs.iter_mut().zip(&ps.usable_at) {
+                vc.usable_at = usable_at;
             }
-            let unit = match down {
-                Downstream::RouterIn { node, port } => &mut self.routers[node].inputs[port],
-                Downstream::NicEject { node } => &mut self.nics[node].eject,
-            };
-            for (v, vc) in unit.vcs.iter_mut().enumerate() {
-                vc.powered = ps.powered_mask & (1 << v) != 0;
-            }
+            let unit = self.down_input_mut(slot.down);
+            unit.powered = ps.powered_mask & all_vcs(vcs);
             unit.gate_transitions = ps.gate_transitions;
             unit.flits_received = ps.flits_received;
         }
@@ -1135,10 +1106,9 @@ impl<T: TraceSink> Network<T> {
         if !self.invariants.is_enabled() {
             return;
         }
-        let mut statuses = std::mem::take(&mut self.status_scratch);
-        self.vc_statuses_into(port, &mut statuses);
-        let idle_on = statuses.iter().filter(|&&s| s == VcStatus::IdleOn).count();
-        self.status_scratch = statuses;
+        let slot = self.resolve(port);
+        let idle_on = (self.down_input(slot.down).powered & !self.up_unit(slot.up).active)
+            .count_ones() as usize;
         if idle_on > budget {
             let cycle = self.cycle;
             // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
@@ -1157,23 +1127,11 @@ impl<T: TraceSink> Network<T> {
     /// depth.
     fn check_credit_conservation(&self, cycle: u64, out: &mut Vec<InvariantViolation>) {
         let depth = self.cfg.buffer_depth;
-        for &pid in &self.port_ids {
-            let (up, down) = self.resolve(pid);
-            let (out_vcs, credit_q) = match up {
-                Upstream::RouterOut { node, port } => {
-                    let unit = &self.routers[node].outputs[port];
-                    (&unit.vcs, &unit.credit_arrivals)
-                }
-                Upstream::NicInject { node } => {
-                    let unit = &self.nics[node].inject;
-                    (&unit.vcs, &unit.credit_arrivals)
-                }
-            };
-            let down_unit = match down {
-                Downstream::RouterIn { node, port } => &self.routers[node].inputs[port],
-                Downstream::NicEject { node } => &self.nics[node].eject,
-            };
-            for (v, ov) in out_vcs.iter().enumerate() {
+        for (&pid, slot) in self.port_ids.iter().zip(&self.slots) {
+            let up_unit = self.up_unit(slot.up);
+            let credit_q = &up_unit.credit_arrivals;
+            let down_unit = self.down_input(slot.down);
+            for (v, ov) in up_unit.vcs.iter().enumerate() {
                 let credits_in_flight = credit_q.iter().filter(|(_, c)| c.vc == v).count();
                 let buffered = down_unit.vcs[v].buffer.len();
                 let flits_in_flight = down_unit
@@ -1236,9 +1194,9 @@ impl<T: TraceSink> Network<T> {
     pub fn fault_gate_occupied_vc(&mut self) -> Option<(NodeId, usize, usize)> {
         for (node, router) in self.routers.iter_mut().enumerate() {
             for (p, unit) in router.inputs.iter_mut().enumerate() {
-                for (v, vc) in unit.vcs.iter_mut().enumerate() {
-                    if !vc.buffer.is_empty() && vc.powered {
-                        vc.powered = false;
+                for (v, vc) in unit.vcs.iter().enumerate() {
+                    if !vc.buffer.is_empty() && unit.powered & (1 << v) != 0 {
+                        unit.powered &= !(1 << v);
                         return Some((NodeId(node), p, v));
                     }
                 }
@@ -1250,12 +1208,15 @@ impl<T: TraceSink> Network<T> {
     /// Grants one spurious credit to the upstream agent of `port` for
     /// `vc`, violating per-channel credit conservation.
     pub fn fault_double_credit(&mut self, port: PortId, vc: usize) {
-        let (up, _) = self.resolve(port);
-        let out_vcs = match up {
-            Upstream::RouterOut { node, port } => &mut self.routers[node].outputs[port].vcs,
-            Upstream::NicInject { node } => &mut self.nics[node].inject.vcs,
-        };
-        out_vcs[vc].credits += 1;
+        let up = self.resolve(port).up;
+        self.up_unit_mut(up).vcs[vc].credits += 1;
+    }
+
+    /// Adds one phantom head to router `node`'s count of heads waiting for
+    /// `outport`, so the cached count disagrees with the input VC states
+    /// (and `port_view` reports new traffic nobody sent).
+    pub fn fault_skew_waiting_count(&mut self, node: NodeId, outport: Direction) {
+        self.routers[node.index()].waiting[outport.index()] += 1;
     }
 
     /// Silently discards the first buffered flit (in deterministic scan
@@ -1278,6 +1239,7 @@ impl<T: TraceSink> Network<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::PortKind;
     use noc_telemetry::StageProfiler;
 
     fn net(cores: usize, vcs: usize) -> Network {
@@ -1364,9 +1326,10 @@ mod tests {
         assert_eq!(plain.stats(), profiled.stats());
         assert_eq!(plain.cycle(), profiled.cycle());
         for s in Stage::ALL {
-            // The controller stage belongs to the experiment loop; the
-            // network itself records the other five, once per cycle.
-            if s != Stage::Controller {
+            // The controller and monitor stages belong to the experiment
+            // loop; the network itself records the other five, once per
+            // cycle.
+            if !matches!(s, Stage::Controller | Stage::Monitor) {
                 assert_eq!(sp.stage(s).count(), 300, "{} count", s.name());
             }
         }

@@ -76,12 +76,9 @@ impl Nic {
     pub fn process_inject(&mut self, now: u64) -> Option<Flit> {
         if self.current.is_none() {
             if let Some(&head) = self.queue.front() {
-                let grant = self.inject.vcs.iter().position(|v| {
-                    v.state == OutVcState::Idle && v.allocatable && v.usable_at <= now
-                });
-                if let Some(ovc) = grant {
+                if let Some(ovc) = self.inject.free_vc(now) {
                     self.queue.pop_front();
-                    self.inject.vcs[ovc].state = OutVcState::Active;
+                    self.inject.set_active(ovc);
                     self.current = Some(TxState {
                         packet: head,
                         next_seq: 0,
@@ -193,6 +190,10 @@ impl Nic {
         if !full {
             return;
         }
+        self.eject
+            .collect_mask_violations(cycle, &format_args!("nic {node} eject"), out);
+        self.inject
+            .collect_mask_violations(cycle, &format_args!("nic {node} inject"), out);
         if let Some(tx) = self.current {
             let ovc = &self.inject.vcs[tx.out_vc];
             if ovc.state != OutVcState::Active {
@@ -249,13 +250,11 @@ mod tests {
     #[test]
     fn injection_blocked_without_allocatable_vc() {
         let mut n = nic();
-        for vc in &mut n.inject.vcs {
-            vc.allocatable = false;
-        }
+        n.inject.allocatable = 0;
         queue_packet(&mut n, 1, 2);
         assert!(n.process_inject(0).is_none());
         assert!(n.has_new_traffic(), "still waiting for a VC");
-        n.inject.vcs[1].allocatable = true;
+        n.inject.allocatable = 0b10;
         let f = n.process_inject(1).expect("granted on VC 1");
         assert_eq!(f.vc, 1);
     }

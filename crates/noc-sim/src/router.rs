@@ -19,6 +19,7 @@ use crate::invariants::{InvariantKind, InvariantViolation};
 use crate::types::{Direction, NodeId};
 use crate::unit::{InVcState, InputUnit, OutVcState, OutputUnit};
 use noc_telemetry::{EventKind, TraceEvent, TraceSink, WorkCounters};
+use std::array;
 
 /// Number of ports (N, S, E, W, Local).
 pub(crate) const NUM_PORTS: usize = 5;
@@ -36,11 +37,15 @@ pub(crate) struct SaWinner {
 #[derive(Debug, Clone)]
 pub(crate) struct Router {
     /// Input units indexed by [`Direction::index`].
-    pub inputs: Vec<InputUnit>,
+    pub inputs: [InputUnit; NUM_PORTS],
     /// Output units indexed by [`Direction::index`].
-    pub outputs: Vec<OutputUnit>,
+    pub outputs: [OutputUnit; NUM_PORTS],
     /// Per-input-port switch-allocation arbiters (over VCs).
-    pub sa_in_arbs: Vec<RoundRobinArbiter>,
+    pub sa_in_arbs: [RoundRobinArbiter; NUM_PORTS],
+    /// Per output port, the input VCs in `Waiting` state routed to it. Only
+    /// [`Router::route_head`] and the VA grant move a VC into or out of
+    /// `Waiting`, and both keep this count in step.
+    pub waiting: [u32; NUM_PORTS],
 }
 
 impl Router {
@@ -48,15 +53,10 @@ impl Router {
     /// direction `d` has a neighbour; the local port is always connected.
     pub fn new(num_vcs: usize, depth: usize, connected: [bool; NUM_PORTS]) -> Self {
         Router {
-            inputs: (0..NUM_PORTS)
-                .map(|p| InputUnit::new(num_vcs, depth, connected[p]))
-                .collect(),
-            outputs: (0..NUM_PORTS)
-                .map(|p| OutputUnit::new(num_vcs, depth, NUM_PORTS, connected[p]))
-                .collect(),
-            sa_in_arbs: (0..NUM_PORTS)
-                .map(|_| RoundRobinArbiter::new(num_vcs))
-                .collect(),
+            inputs: array::from_fn(|p| InputUnit::new(num_vcs, depth, connected[p])),
+            outputs: array::from_fn(|p| OutputUnit::new(num_vcs, depth, NUM_PORTS, connected[p])),
+            sa_in_arbs: array::from_fn(|_| RoundRobinArbiter::new(num_vcs)),
+            waiting: [0; NUM_PORTS],
         }
     }
 
@@ -65,15 +65,18 @@ impl Router {
         self.inputs[0].vcs.len()
     }
 
+    /// The RC result of a head flit buffered in VC `vc` of input `in_port`:
+    /// the VC now waits for an output VC on `outport`.
+    pub fn route_head(&mut self, in_port: usize, vc: usize, outport: Direction) {
+        self.inputs[in_port].vcs[vc].state = InVcState::Waiting { outport };
+        self.waiting[outport.index()] += 1;
+    }
+
     /// `true` when at least one buffered head flit routed to `out_dir` has
     /// no output VC allocated yet — the paper's
     /// `is_new_traffic_outport_x()` predicate.
     pub fn has_new_traffic(&self, out_dir: Direction) -> bool {
-        self.inputs.iter().any(|unit| {
-            unit.vcs
-                .iter()
-                .any(|vc| matches!(vc.state, InVcState::Waiting { outport } if outport == out_dir))
-        })
+        self.waiting[out_dir.index()] != 0
     }
 
     /// The VA stage: grants free, allocatable output VCs to waiting head
@@ -92,20 +95,18 @@ impl Router {
     ) {
         let num_vcs = self.num_vcs();
         let inputs = &mut self.inputs;
+        let waiting = &mut self.waiting;
         for (out_idx, out) in self.outputs.iter_mut().enumerate() {
             if !out.connected {
                 continue;
             }
             let out_dir = Direction::from_index(out_idx);
-            while let Some(ovc) = out
-                .vcs
-                .iter()
-                .position(|v| v.state == OutVcState::Idle && v.allocatable && v.usable_at <= now)
-            {
+            // With no waiting head the arbiter could grant nothing: skip it.
+            while waiting[out_idx] != 0 {
+                let Some(ovc) = out.free_vc(now) else { break };
                 let inputs_ref = &*inputs;
                 let grant = out.va_arb.grant(|g| {
-                    let (p, v) = (g / num_vcs, g % num_vcs);
-                    let ivc = &inputs_ref.vcs_at(p, v);
+                    let ivc = &inputs_ref[g / num_vcs].vcs[g % num_vcs];
                     ivc.va_ready_at <= now
                         && matches!(ivc.state, InVcState::Waiting { outport } if outport == out_dir)
                 });
@@ -119,11 +120,12 @@ impl Router {
                     outport,
                     out_vc: ovc,
                 };
+                waiting[out_idx] -= 1;
                 debug_assert_eq!(
                     out.vcs[ovc].credits, depth,
                     "an idle out VC must hold all its credits"
                 );
-                out.vcs[ovc].state = OutVcState::Active;
+                out.set_active(ovc);
                 work.va_grants += 1;
                 if T::ACTIVE {
                     trace.emit(TraceEvent {
@@ -191,7 +193,8 @@ impl Router {
     }
 
     /// Appends every invariant violation visible from this router's local
-    /// state to `out`: gating safety always, VC state-machine consistency
+    /// state to `out`: gating safety always; VC state-machine consistency,
+    /// including a recount of the cached `Waiting` counts and VC masks,
     /// when `full`.
     pub fn collect_violations(
         &self,
@@ -200,6 +203,7 @@ impl Router {
         full: bool,
         out: &mut Vec<InvariantViolation>,
     ) {
+        let mut waiting = [0u32; NUM_PORTS];
         for (p, unit) in self.inputs.iter().enumerate() {
             let dir = Direction::from_index(p);
             // lint:allow(alloc-in-hot-path) diagnostic pass: only runs with invariants enabled
@@ -207,7 +211,16 @@ impl Router {
             if !full {
                 continue;
             }
+            unit.collect_mask_violations(cycle, &format_args!("router {node} in-{dir}"), out);
+            self.outputs[p].collect_mask_violations(
+                cycle,
+                &format_args!("router {node} out-{dir}"),
+                out,
+            );
             for (v, vc) in unit.vcs.iter().enumerate() {
+                if let InVcState::Waiting { outport } = vc.state {
+                    waiting[outport.index()] += 1;
+                }
                 if let InVcState::Active { outport, out_vc } = vc.state {
                     let ovc = &self.outputs[outport.index()].vcs[out_vc];
                     if ovc.state != OutVcState::Active {
@@ -226,6 +239,24 @@ impl Router {
                 }
             }
         }
+        if !full {
+            return;
+        }
+        for (p, (&cached, &recount)) in self.waiting.iter().zip(&waiting).enumerate() {
+            if cached != recount {
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                out.push(InvariantViolation {
+                    cycle,
+                    kind: InvariantKind::VcStateConsistency,
+                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                    detail: format!(
+                        "router {node} out-{} counts {cached} waiting head(s), \
+                         but {recount} input VC(s) wait for it",
+                        Direction::from_index(p)
+                    ),
+                });
+            }
+        }
     }
 
     /// Total flits buffered across all input units.
@@ -236,18 +267,6 @@ impl Router {
     /// Total flits in flight on incoming links.
     pub fn in_flight_flits(&self) -> usize {
         self.inputs.iter().map(super::unit::InputUnit::in_flight_flits).sum()
-    }
-}
-
-/// Helper to express "index twice" inside the VA closure without capturing
-/// a mutable borrow.
-trait VcsAt {
-    fn vcs_at(&self, port: usize, vc: usize) -> &crate::unit::InputVc;
-}
-
-impl VcsAt for Vec<InputUnit> {
-    fn vcs_at(&self, port: usize, vc: usize) -> &crate::unit::InputVc {
-        &self[port].vcs[vc]
     }
 }
 
@@ -275,7 +294,14 @@ mod tests {
         let mut f = split_packet(PacketId(vc as u64 + 100), NodeId(0), NodeId(1), 3, 0)[0];
         f.vc = vc;
         r.inputs[in_port].write_flit(f, now, 4);
-        r.inputs[in_port].vcs[vc].state = InVcState::Waiting { outport };
+        r.route_head(in_port, vc, outport);
+    }
+
+    /// Recounts the cached state through the invariant checker.
+    fn assert_consistent(r: &Router) {
+        let mut found = Vec::new();
+        r.collect_violations(NodeId(0), 0, true, &mut found);
+        assert!(found.is_empty(), "{found:?}");
     }
 
     #[test]
@@ -285,12 +311,31 @@ mod tests {
         put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East, 0);
         assert!(r.has_new_traffic(Direction::East));
         assert!(!r.has_new_traffic(Direction::North));
+        assert_consistent(&r);
         // Allocated VCs no longer count as new traffic.
-        r.inputs[Direction::West.index()].vcs[0].state = InVcState::Active {
-            outport: Direction::East,
-            out_vc: 0,
-        };
+        va(&mut r, 1);
         assert!(!r.has_new_traffic(Direction::East));
+        assert_consistent(&r);
+    }
+
+    #[test]
+    fn skewed_waiting_count_is_a_vc_state_violation() {
+        let mut r = router(2);
+        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East, 0);
+        r.waiting[Direction::North.index()] += 1;
+        let mut found = Vec::new();
+        r.collect_violations(NodeId(0), 0, true, &mut found);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].kind, InvariantKind::VcStateConsistency);
+        assert!(
+            found[0].detail.contains("out-N counts 1 waiting"),
+            "{}",
+            found[0].detail
+        );
+        // The cheap level does not recount.
+        found.clear();
+        r.collect_violations(NodeId(0), 0, false, &mut found);
+        assert!(found.is_empty());
     }
 
     #[test]
@@ -333,16 +378,14 @@ mod tests {
     fn va_respects_allocatable_mask() {
         let mut r = router(2);
         put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East, 0);
-        for vc in &mut r.outputs[Direction::East.index()].vcs {
-            vc.allocatable = false;
-        }
+        r.outputs[Direction::East.index()].allocatable = 0;
         va(&mut r, 1);
         assert!(matches!(
             r.inputs[Direction::West.index()].vcs[0].state,
             InVcState::Waiting { .. }
         ));
         // Re-enable only VC 1: the head must land there.
-        r.outputs[Direction::East.index()].vcs[1].allocatable = true;
+        r.outputs[Direction::East.index()].allocatable = 0b10;
         va(&mut r, 2);
         assert!(matches!(
             r.inputs[Direction::West.index()].vcs[0].state,
@@ -366,6 +409,7 @@ mod tests {
             r.inputs[Direction::West.index()].vcs[0].state,
             InVcState::Active { .. }
         ));
+        assert_consistent(&r);
     }
 
     #[test]

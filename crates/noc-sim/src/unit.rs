@@ -10,6 +10,7 @@ use crate::flit::Flit;
 use crate::invariants::{InvariantKind, InvariantViolation};
 use crate::types::Direction;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// A credit returned upstream when a flit leaves a downstream buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,14 +34,22 @@ pub(crate) enum InVcState {
     Active { outport: Direction, out_vc: usize },
 }
 
+/// The mask with one bit set per VC of a `num_vcs`-VC port. Per-port VC
+/// flags are `u32` masks (bit `v` for VC `v`), which is why
+/// [`crate::config::NocConfig::validate`] caps ports at 32 VCs.
+pub(crate) const fn all_vcs(num_vcs: usize) -> u32 {
+    if num_vcs >= 32 {
+        u32::MAX
+    } else {
+        (1 << num_vcs) - 1
+    }
+}
+
 /// One virtual-channel buffer of an input port.
 #[derive(Debug, Clone)]
 pub(crate) struct InputVc {
     pub buffer: VecDeque<Flit>,
     pub state: InVcState,
-    /// Power-gating state: `false` means the buffer is switched off
-    /// (NBTI recovery). Only idle VCs may be gated.
-    pub powered: bool,
     /// Earliest cycle at which a buffered head flit may compete for VC
     /// allocation.
     pub va_ready_at: u64,
@@ -51,7 +60,6 @@ impl InputVc {
         InputVc {
             buffer: VecDeque::with_capacity(depth),
             state: InVcState::Idle,
-            powered: true,
             va_ready_at: 0,
         }
     }
@@ -62,6 +70,9 @@ impl InputVc {
 #[derive(Debug, Clone)]
 pub(crate) struct InputUnit {
     pub vcs: Vec<InputVc>,
+    /// Power-gating state, bit `v` for VC `v`: a clear bit means the
+    /// buffer is switched off (NBTI recovery). Only idle VCs may be gated.
+    pub powered: u32,
     /// Flits in flight on the incoming link: `(arrival_cycle, flit)` in
     /// FIFO order (the link is serial, so arrival cycles are monotone).
     pub arrivals: VecDeque<(u64, Flit)>,
@@ -74,21 +85,21 @@ pub(crate) struct InputUnit {
 
 impl InputUnit {
     pub fn new(num_vcs: usize, depth: usize, connected: bool) -> Self {
-        let mut unit = InputUnit {
+        InputUnit {
             vcs: (0..num_vcs).map(|_| InputVc::new(depth)).collect(),
-            arrivals: VecDeque::new(),
-            flits_received: 0,
-            gate_transitions: 0,
-        };
-        if !connected {
             // Boundary ports never receive traffic; keep them gated so they
             // do not accumulate fake NBTI stress. They are also excluded
             // from the policy interface.
-            for vc in &mut unit.vcs {
-                vc.powered = false;
-            }
+            powered: if connected { all_vcs(num_vcs) } else { 0 },
+            arrivals: VecDeque::new(),
+            flits_received: 0,
+            gate_transitions: 0,
         }
-        unit
+    }
+
+    /// Whether VC `v`'s buffer is powered.
+    pub fn is_powered(&self, v: usize) -> bool {
+        self.powered & (1 << v) != 0
     }
 
     /// Writes one delivered flit into its VC buffer (the BW stage), without
@@ -97,12 +108,13 @@ impl InputUnit {
     /// Enforces the structural invariants: the target VC must be powered,
     /// must have space, and must not mix packets.
     pub fn write_flit(&mut self, mut flit: Flit, now: u64, depth: usize) -> &mut InputVc {
-        let vc = &mut self.vcs[flit.vc];
         assert!(
-            vc.powered,
+            self.is_powered(flit.vc),
             "flit {:?} delivered to a power-gated VC {}",
-            flit.packet, flit.vc
+            flit.packet,
+            flit.vc
         );
+        let vc = &mut self.vcs[flit.vc];
         assert!(
             vc.buffer.len() < depth,
             "buffer overflow on VC {} (credit protocol violated)",
@@ -145,7 +157,7 @@ impl InputUnit {
         out: &mut Vec<InvariantViolation>,
     ) {
         for (v, vc) in self.vcs.iter().enumerate() {
-            if vc.powered {
+            if self.is_powered(v) {
                 continue;
             }
             if !vc.buffer.is_empty() {
@@ -175,6 +187,27 @@ impl InputUnit {
         }
     }
 
+    /// Appends a VC-state-consistency violation to `out` when the power
+    /// mask has bits set beyond the unit's VCs. `location` is only
+    /// formatted when there is a violation.
+    pub fn collect_mask_violations(
+        &self,
+        cycle: u64,
+        location: &dyn fmt::Display,
+        out: &mut Vec<InvariantViolation>,
+    ) {
+        let stray = self.powered & !all_vcs(self.vcs.len());
+        if stray != 0 {
+            // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+            out.push(InvariantViolation {
+                cycle,
+                kind: InvariantKind::VcStateConsistency,
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                detail: format!("{location} power mask has bits {stray:#x} beyond its VCs"),
+            });
+        }
+    }
+
     /// Count of buffered flits across all VCs.
     pub fn buffered_flits(&self) -> usize {
         self.vcs.iter().map(|v| v.buffer.len()).sum()
@@ -196,16 +229,14 @@ pub(crate) enum OutVcState {
 }
 
 /// Output VC state entry: the paper's `out_vc_state` record, extended with
-/// the allocation-eligibility flag driven by the gating policies.
+/// the wake-up deadline driven by the gating policies.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OutVc {
+    /// Written only through [`OutputUnit::set_active`] and
+    /// [`OutputUnit::set_idle`], which keep [`OutputUnit::active`] in step.
     pub state: OutVcState,
     /// Free downstream buffer slots.
     pub credits: usize,
-    /// Whether a *new* packet may be allocated to this VC this cycle. The
-    /// gating policies keep this in sync with the downstream power state:
-    /// a gated VC is never allocatable.
-    pub allocatable: bool,
     /// Earliest cycle at which the downstream buffer's virtual VDD is
     /// restored after a power-on: the sleep-transistor wake-up penalty.
     /// VC allocation must wait for it.
@@ -217,6 +248,13 @@ pub(crate) struct OutVc {
 #[derive(Debug, Clone)]
 pub(crate) struct OutputUnit {
     pub vcs: Vec<OutVc>,
+    /// Bit `v` is set exactly when `vcs[v].state` is `Active`: the busy
+    /// VCs as one word, for the per-port status and gating paths.
+    pub active: u32,
+    /// Bit `v` is set when a *new* packet may be allocated to VC `v` this
+    /// cycle. The gating policies keep this in sync with the downstream
+    /// power state: a gated VC is never allocatable.
+    pub allocatable: u32,
     pub credit_arrivals: VecDeque<(u64, Credit)>,
     /// VC-allocation arbiter over the requesting input VCs
     /// (global index `input_port * num_vcs + vc`).
@@ -233,15 +271,82 @@ impl OutputUnit {
                 OutVc {
                     state: OutVcState::Idle,
                     credits: depth,
-                    allocatable: true,
                     usable_at: 0,
                 };
                 num_vcs
             ],
+            active: 0,
+            allocatable: all_vcs(num_vcs),
             credit_arrivals: VecDeque::new(),
             va_arb: RoundRobinArbiter::new(num_vcs * num_inputs),
             sa_arb: RoundRobinArbiter::new(num_inputs),
             connected,
+        }
+    }
+
+    /// Marks VC `v` allocated to a packet.
+    pub fn set_active(&mut self, v: usize) {
+        self.vcs[v].state = OutVcState::Active;
+        self.active |= 1 << v;
+    }
+
+    /// Marks VC `v` free again.
+    pub fn set_idle(&mut self, v: usize) {
+        self.vcs[v].state = OutVcState::Idle;
+        self.active &= !(1 << v);
+    }
+
+    /// The lowest-index VC a new packet may be allocated to at `now`:
+    /// idle, allocatable and past its wake-up deadline.
+    pub fn free_vc(&self, now: u64) -> Option<usize> {
+        let mut candidates = self.allocatable & !self.active;
+        while candidates != 0 {
+            let v = candidates.trailing_zeros() as usize;
+            if self.vcs[v].usable_at <= now {
+                return Some(v);
+            }
+            candidates &= candidates - 1;
+        }
+        None
+    }
+
+    /// Appends a VC-state-consistency violation to `out` when the `active`
+    /// mask disagrees with a recount of the per-VC states, or the
+    /// allocation mask names VCs the unit does not have. `location` is
+    /// only formatted when there is a violation.
+    pub fn collect_mask_violations(
+        &self,
+        cycle: u64,
+        location: &dyn fmt::Display,
+        out: &mut Vec<InvariantViolation>,
+    ) {
+        let recount = self
+            .vcs
+            .iter()
+            .enumerate()
+            .filter(|(_, vc)| vc.state == OutVcState::Active)
+            .fold(0u32, |m, (v, _)| m | 1 << v);
+        if recount != self.active {
+            // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+            out.push(InvariantViolation {
+                cycle,
+                kind: InvariantKind::VcStateConsistency,
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                detail: format!(
+                    "{location} active mask {:#x} != {recount:#x} recounted from its VC states",
+                    self.active
+                ),
+            });
+        }
+        let stray = self.allocatable & !all_vcs(self.vcs.len());
+        if stray != 0 {
+            // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+            out.push(InvariantViolation {
+                cycle,
+                kind: InvariantKind::VcStateConsistency,
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                detail: format!("{location} allocation mask has bits {stray:#x} beyond its VCs"),
+            });
         }
     }
 
@@ -265,7 +370,7 @@ impl OutputUnit {
                     OutVcState::Active,
                     "free signal for an already idle out VC"
                 );
-                vc.state = OutVcState::Idle;
+                self.set_idle(credit.vc);
             }
         }
     }
@@ -296,7 +401,7 @@ mod tests {
     #[should_panic(expected = "power-gated")]
     fn write_to_gated_vc_panics() {
         let mut unit = InputUnit::new(2, 4, true);
-        unit.vcs[0].powered = false;
+        unit.powered &= !1;
         unit.write_flit(flit_of(1, 3, 0), 0, 4);
     }
 
@@ -338,15 +443,15 @@ mod tests {
     #[test]
     fn unconnected_units_start_gated() {
         let unit = InputUnit::new(4, 4, false);
-        assert!(unit.vcs.iter().all(|v| !v.powered));
+        assert_eq!(unit.powered, 0);
         let connected = InputUnit::new(4, 4, true);
-        assert!(connected.vcs.iter().all(|v| v.powered));
+        assert_eq!(connected.powered, 0b1111);
     }
 
     #[test]
     fn credits_absorb_in_order_and_free() {
         let mut out = OutputUnit::new(2, 4, 5, true);
-        out.vcs[1].state = OutVcState::Active;
+        out.set_active(1);
         out.vcs[1].credits = 2;
         out.credit_arrivals.push_back((
             5,
@@ -368,6 +473,35 @@ mod tests {
         out.absorb_credits(6, 4);
         assert_eq!(out.vcs[1].credits, 4);
         assert_eq!(out.vcs[1].state, OutVcState::Idle);
+        assert_eq!(out.active, 0, "the free credit clears the active bit");
+    }
+
+    #[test]
+    fn free_vc_skips_busy_gated_and_waking_vcs() {
+        let mut out = OutputUnit::new(4, 4, 5, true);
+        assert_eq!(out.free_vc(0), Some(0));
+        out.set_active(0);
+        out.allocatable = 0b1110 & !0b0010;
+        out.vcs[2].usable_at = 5;
+        assert_eq!(out.free_vc(4), Some(3));
+        assert_eq!(out.free_vc(5), Some(2));
+        out.allocatable = 0b0001;
+        assert_eq!(out.free_vc(9), None, "the only allocatable VC is busy");
+    }
+
+    #[test]
+    fn mask_recount_flags_a_stale_active_bit() {
+        let mut out = OutputUnit::new(2, 4, 5, true);
+        let mut found = Vec::new();
+        out.collect_mask_violations(0, &"here", &mut found);
+        assert!(found.is_empty());
+        out.active |= 0b10;
+        out.allocatable |= 0b100;
+        out.collect_mask_violations(0, &"here", &mut found);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found
+            .iter()
+            .all(|v| v.kind == InvariantKind::VcStateConsistency));
     }
 
     #[test]

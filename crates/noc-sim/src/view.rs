@@ -11,6 +11,7 @@
 //! `Up_Down` link payload: an `enable` bit plus a VC identifier).
 
 use crate::types::{Direction, NodeId};
+use crate::unit::all_vcs;
 use std::fmt;
 
 /// Which buffer port of the network a view/command refers to.
@@ -37,6 +38,22 @@ impl PortId {
             node,
             kind: PortKind::NicEject,
         }
+    }
+
+    /// Buffer-port kinds per tile: the five router inputs and the NIC
+    /// ejection buffers.
+    pub const KINDS_PER_NODE: usize = 6;
+
+    /// The port's dense key, `node × 6 + kind`: the router input's
+    /// direction index (0–4), or 5 for the NIC ejection buffers. A table
+    /// indexed by it resolves a port with one array load; keys of distinct
+    /// ports are distinct.
+    pub const fn dense_key(self) -> usize {
+        let kind = match self.kind {
+            PortKind::RouterInput(d) => d.index(),
+            PortKind::NicEject => Self::KINDS_PER_NODE - 1,
+        };
+        self.node.index() * Self::KINDS_PER_NODE + kind
     }
 }
 
@@ -158,11 +175,7 @@ impl GateAction {
     /// (`None` for [`GateAction::NoChange`], which has no defined set).
     pub fn kept_idle_mask(self, num_vcs: usize) -> Option<u32> {
         match self {
-            GateAction::AllOn => Some(if num_vcs >= 32 {
-                u32::MAX
-            } else {
-                (1u32 << num_vcs) - 1
-            }),
+            GateAction::AllOn => Some(all_vcs(num_vcs)),
             GateAction::AllIdleOff => Some(0),
             GateAction::KeepOneIdle { vc } => Some(1 << vc),
             GateAction::KeepIdle { mask } => Some(mask),
@@ -220,6 +233,21 @@ mod tests {
             let code: noc_telemetry::PortCode = pid.into();
             assert_eq!(code.to_string(), pid.to_string());
         }
+    }
+
+    #[test]
+    fn dense_keys_are_distinct_and_packed() {
+        let mut keys: Vec<usize> = (0..3)
+            .flat_map(|n| {
+                Direction::ALL
+                    .into_iter()
+                    .map(move |d| PortId::router_input(NodeId(n), d))
+                    .chain([PortId::nic_eject(NodeId(n))])
+            })
+            .map(PortId::dense_key)
+            .collect();
+        keys.sort_unstable();
+        assert_eq!(keys, (0..3 * PortId::KINDS_PER_NODE).collect::<Vec<_>>());
     }
 
     #[test]

@@ -100,6 +100,31 @@ fn double_crediting_a_channel_is_reported() {
 }
 
 #[test]
+fn skewing_a_waiting_count_is_reported_at_full_level_only() {
+    let mut net = Network::new(NocConfig::paper_synthetic(4, 2)).expect("valid config");
+    // The phantom head makes an idle port look as if traffic waits on it.
+    let port = PortId::router_input(NodeId(1), Direction::West);
+    assert!(!net.port_view(port).new_traffic);
+    net.fault_skew_waiting_count(NodeId(0), Direction::East);
+    assert!(net.port_view(port).new_traffic);
+    net.set_invariant_level(InvariantLevel::Cheap);
+    net.check_invariants_now();
+    assert!(
+        net.violations().is_empty(),
+        "the cheap level does not recount"
+    );
+    net.set_invariant_level(InvariantLevel::Full);
+    net.check_invariants_now();
+    assert_eq!(kinds(&net), vec![InvariantKind::VcStateConsistency]);
+    let diag = &net.violations()[0];
+    assert!(
+        diag.detail
+            .contains("router r0 out-E counts 1 waiting head(s), but 0"),
+        "diagnostic names the router, the output port and both counts: {diag}"
+    );
+}
+
+#[test]
 fn dropping_a_buffered_flit_is_reported() {
     let mut net = loaded_network();
     step_until_fault(&mut net, Network::fault_drop_buffered_flit);

@@ -135,11 +135,14 @@ pub enum Stage {
     Controller,
     /// The whole second half-cycle: VA/SA/traversal + NIC inject/eject.
     FinishCycle,
+    /// The end-of-cycle NBTI monitor update (`vc_statuses_into` +
+    /// `record_cycle` per port), timed by the experiment loop.
+    Monitor,
 }
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 7;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -149,6 +152,7 @@ impl Stage {
         Stage::Traversal,
         Stage::Controller,
         Stage::FinishCycle,
+        Stage::Monitor,
     ];
 
     /// The stage's fixed display name.
@@ -161,6 +165,7 @@ impl Stage {
             Stage::Traversal => "traversal",
             Stage::Controller => "controller",
             Stage::FinishCycle => "finish_cycle",
+            Stage::Monitor => "monitor",
         }
     }
 }

@@ -10,6 +10,12 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --all-targets --offline -- -D warnings
 
+# The benchmark is a Cargo workspace of its own (perfbench/) built against
+# these crates by path. Its self-tests include the replica-equivalence test
+# (`replica_loop_reproduces_run_experiment`), so a library change that
+# breaks the benchmark's build or its traced replica fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Overflow checks: the whole suite again with arithmetic overflow traps
 # on, so release-profile wrap-arounds cannot hide in the simulator's
 # counter and credit arithmetic. A separate target dir keeps the normal
@@ -121,7 +127,7 @@ test -s "$teldir/metrics.csv" || { echo "ci: empty telemetry metrics" >&2; exit 
 # pinned by the noc-sim and sensorwise unit tests.)
 ./target/release/nbti-noc run --cores 4 --vcs 2 --rate 0.1 --policy sw \
     --warmup 200 --measure 2000 --profile > "$teldir/profile.log" 2>&1
-for stage in begin_cycle routing allocation traversal controller finish_cycle; do
+for stage in begin_cycle routing allocation traversal controller finish_cycle monitor; do
     grep -q "^$stage " "$teldir/profile.log" || {
         cat "$teldir/profile.log" >&2
         echo "ci: run --profile missing stage $stage" >&2

@@ -369,6 +369,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .cfg
         .with_invariants(invariants)
         .with_telemetry(telemetry.spec);
+    job.cfg.noc.validate().map_err(|e| e.to_string())?;
     let topo = job.cfg.noc.build_topology().map_err(|e| e.to_string())?;
     let mut source = parse_workload_source(args, &job.cfg.noc)?;
     if source.is_some() {
@@ -782,6 +783,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let mut replay = TraceReplay::new(trace);
     let mut noc = NocConfig::paper_synthetic(cores, vcs);
     noc.topology = parse_topology(args)?;
+    noc.validate().map_err(|e| e.to_string())?;
     let topo = noc.build_topology().map_err(|e| e.to_string())?;
     let cfg = ExperimentConfig::new(noc, policy)
         .with_cycles(0, horizon + 2_000)

@@ -45,6 +45,25 @@ fn unknown_policy_fails_with_message() {
 }
 
 #[test]
+fn more_than_32_vcs_per_port_is_a_config_error() {
+    let (_, stderr, ok) = run(&[
+        "run",
+        "--cores",
+        "4",
+        "--vcs",
+        "33",
+        "--warmup",
+        "10",
+        "--measure",
+        "10",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("invalid NoC configuration"), "{stderr}");
+    assert!(stderr.contains("at most 32 virtual channels"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn run_csv_emits_one_row_per_port() {
     let (stdout, _, ok) = run(&[
         "run",

@@ -33,6 +33,32 @@ fn workload_strategy() -> impl Strategy<Value = Workload> {
     })
 }
 
+/// One fabric of each kind, as `(topology, cols, rows)`: the node count is
+/// `cols * rows`.
+fn fabric(which: u8) -> (TopologyKind, usize, usize) {
+    match which {
+        0 => (TopologyKind::Mesh, 3, 2),
+        1 => (TopologyKind::Torus, 3, 3),
+        2 => (TopologyKind::Ring, 5, 1),
+        _ => (
+            TopologyKind::Irregular {
+                edges: vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 4)],
+            },
+            5,
+            1,
+        ),
+    }
+}
+
+/// Every policy the experiment engine can run.
+const POLICIES: [PolicyKind; 5] = [
+    PolicyKind::Baseline,
+    PolicyKind::RrNoSensor,
+    PolicyKind::SensorWiseNoTraffic,
+    PolicyKind::SensorWise,
+    PolicyKind::SensorWiseK(2),
+];
+
 fn build(w: &Workload) -> Network {
     let cfg = NocConfig {
         cols: w.cols,
@@ -168,6 +194,55 @@ proptest! {
         prop_assert!(net.is_quiescent());
     }
 
+    /// The simulator's cached per-cycle state — each router's per-outport
+    /// count of `Waiting` VCs and each unit's busy/power/allocation masks
+    /// — equals a recount from the per-VC states after every
+    /// `begin_cycle` and every `finish_cycle`, on every fabric kind under
+    /// every policy. The `Full` invariant level performs the recount.
+    #[test]
+    fn cached_vc_state_matches_a_recount(
+        which in 0u8..4,
+        policy in 0usize..5,
+        vcs in 1usize..=4,
+        packets in proptest::collection::vec((0usize..9, 0usize..9, 1usize..=6, 0u64..40), 0..30),
+    ) {
+        let (topology, cols, rows) = fabric(which);
+        let n = cols * rows;
+        let cfg = NocConfig {
+            cols,
+            rows,
+            vcs_per_port: vcs,
+            topology,
+            ..NocConfig::default()
+        };
+        let mut net = Network::new(cfg).expect("valid config");
+        net.set_invariant_level(InvariantLevel::Full);
+        let kind = POLICIES[policy];
+        let ports = net.port_ids().to_vec();
+        let mut controllers: Vec<_> = ports.iter().map(|_| kind.build(1)).collect();
+        let mut view = net.port_view(ports[0]);
+        for cycle in 0..300u64 {
+            for &(s, d, len, at) in &packets {
+                if at == cycle {
+                    net.inject_packet_with_len(NodeId(s % n), NodeId(d % n), len);
+                }
+            }
+            net.begin_cycle();
+            net.check_invariants_now();
+            prop_assert!(net.violations().is_empty(), "after begin_cycle {}: {:?}", cycle, net.violations());
+            for (i, (&pid, ctrl)) in ports.iter().zip(&mut controllers).enumerate() {
+                net.fill_port_view(pid, &mut view);
+                // A most-degraded VC that moves between ports and over time.
+                let md = (i + (cycle / 16) as usize) % vcs;
+                let action = ctrl.decide(cycle, &view, md);
+                net.apply_gate(pid, action);
+            }
+            net.finish_cycle();
+            prop_assert!(net.violations().is_empty(), "after finish_cycle {}: {:?}", cycle, net.violations());
+        }
+        prop_assert!(net.stats().invariant_checks >= 600);
+    }
+
     /// Explorer/simulator agreement: for any short interleaving of
     /// injections, controller firings and control-epoch gaps, the state
     /// the explorer's path replay reaches is byte-identical (canonical
@@ -221,4 +296,18 @@ proptest! {
         prop_assert_eq!(encode(&explored), encode(&hand));
         prop_assert_eq!(encode_canonical(&explored), encode_canonical(&hand));
     }
+}
+
+/// Resolving ports through the slot table keeps the documented contract: a
+/// mesh-boundary port has no upstream link and cannot be viewed.
+#[test]
+#[should_panic(expected = "no upstream link")]
+fn boundary_port_view_panics() {
+    let net = build(&Workload {
+        cols: 2,
+        rows: 2,
+        vcs: 2,
+        packets: Vec::new(),
+    });
+    let _ = net.port_view(PortId::router_input(NodeId(0), Direction::North));
 }

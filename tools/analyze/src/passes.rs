@@ -466,9 +466,21 @@ fn evidence_path(
     hops
 }
 
+/// The files `alloc-in-hot-path` reports in: the simulator, the workload
+/// injection adapters, the NBTI model, and the monitor and policy glue the
+/// experiment loop calls every cycle (`record_cycle`, `most_degraded`,
+/// `decide`).
+fn in_alloc_scope(path: &str) -> bool {
+    path.starts_with("crates/noc-sim/")
+        || path.starts_with("crates/workload/")
+        || path.starts_with("crates/nbti/src/")
+        || path == "crates/core/src/monitor.rs"
+        || path == "crates/core/src/policy.rs"
+}
+
 /// `alloc-in-hot-path`: allocation vocabulary inside functions reachable
-/// from the per-cycle entry points, reported for `crates/noc-sim/` and
-/// `crates/workload/` (the per-cycle injection adapters).
+/// from the per-cycle entry points, reported for the files
+/// [`in_alloc_scope`] names.
 fn alloc_pass(
     ws: &Workspace,
     fns: &[FnInfo],
@@ -477,9 +489,7 @@ fn alloc_pass(
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in fns {
-        if !reach.contains_key(&f.id)
-            || !(f.file.starts_with("crates/noc-sim/") || f.file.starts_with("crates/workload/"))
-        {
+        if !reach.contains_key(&f.id) || !in_alloc_scope(&f.file) {
             continue;
         }
         let unit = &ws.files[f.id.0];
@@ -582,13 +592,20 @@ fn panic_pass(
 
 /// Loads `root` and runs the selected rule set.
 pub fn analyze_root(root: &Path, opts: &Options) -> Analysis {
-    let mut analysis = Analysis::default();
     let t0 = Instant::now();
     let ws = Workspace::load(root);
-    analysis.files = ws.files.len();
+    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut analysis = analyze_workspace(&ws, opts);
+    analysis.timings_ms.insert(0, ("load", load_ms));
     analysis
-        .timings_ms
-        .push(("load", t0.elapsed().as_secs_f64() * 1e3));
+}
+
+/// Runs the selected rule set over already-loaded files.
+fn analyze_workspace(ws: &Workspace, opts: &Options) -> Analysis {
+    let mut analysis = Analysis {
+        files: ws.files.len(),
+        ..Analysis::default()
+    };
 
     let t = Instant::now();
     for unit in &ws.files {
@@ -621,14 +638,14 @@ pub fn analyze_root(root: &Path, opts: &Options) -> Analysis {
         let t = Instant::now();
         analysis
             .findings
-            .extend(alloc_pass(&ws, &fns, &reach, &infos));
+            .extend(alloc_pass(ws, &fns, &reach, &infos));
         analysis
             .timings_ms
             .push(("alloc-in-hot-path", t.elapsed().as_secs_f64() * 1e3));
 
         let t = Instant::now();
         analysis.findings.extend(panic_pass(
-            &ws,
+            ws,
             &fns,
             &reach,
             &infos,
@@ -642,7 +659,7 @@ pub fn analyze_root(root: &Path, opts: &Options) -> Analysis {
         let t = Instant::now();
         analysis
             .findings
-            .extend(locks::lock_passes(&ws, &fns, &graph));
+            .extend(locks::lock_passes(ws, &fns, &graph));
         analysis
             .timings_ms
             .push(("lock-passes", t.elapsed().as_secs_f64() * 1e3));
@@ -652,4 +669,63 @@ pub fn analyze_root(root: &Path, opts: &Options) -> Analysis {
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     analysis
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One hot-reachable allocation per file: the files are identical up
+    /// to their path, so exactly the in-scope ones report.
+    fn findings_by_file(paths: &[&str]) -> Vec<String> {
+        let src = "impl Monitor { fn record_cycle(&mut self) { let v: Vec<u32> = self.xs.iter().collect(); } }";
+        let ws = Workspace {
+            files: paths
+                .iter()
+                .map(|p| FileUnit::parse(p.to_string(), src))
+                .collect(),
+        };
+        let a = analyze_workspace(&ws, &Options::default());
+        a.findings
+            .iter()
+            .filter(|f| f.rule == "alloc-in-hot-path")
+            .map(|f| f.file.clone())
+            .collect()
+    }
+
+    #[test]
+    fn alloc_scope_covers_the_nbti_model_and_the_monitor_and_policy_glue() {
+        let found = findings_by_file(&[
+            "crates/nbti/src/tracker.rs",
+            "crates/core/src/monitor.rs",
+            "crates/core/src/policy.rs",
+            "crates/core/src/experiment.rs",
+            "crates/campaign/src/engine.rs",
+        ]);
+        assert_eq!(
+            found,
+            [
+                "crates/core/src/monitor.rs",
+                "crates/core/src/policy.rs",
+                "crates/nbti/src/tracker.rs",
+            ]
+        );
+    }
+
+    #[test]
+    fn alloc_scope_keeps_the_simulator_and_workload_scopes() {
+        for path in [
+            "crates/noc-sim/src/network.rs",
+            "crates/workload/src/source.rs",
+        ] {
+            assert!(in_alloc_scope(path), "{path}");
+        }
+        for path in [
+            "crates/core/src/codec.rs",
+            "crates/service/src/server.rs",
+            "tests/cli.rs",
+        ] {
+            assert!(!in_alloc_scope(path), "{path}");
+        }
+    }
 }
