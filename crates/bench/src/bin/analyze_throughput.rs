@@ -10,9 +10,9 @@
 //! Usage: `cargo run --release -p nbti-noc-bench --bin analyze_throughput`
 //! `[-- --iters N]`
 
+use nbti_noc_bench::{append_entry, existing_runs};
 use noc_analyze::{analyze_root, Options};
-use noc_service::clock;
-use std::fs;
+use noc_telemetry::clock;
 use std::path::Path;
 
 fn parse_iters() -> usize {
@@ -29,26 +29,6 @@ fn parse_iters() -> usize {
         }
     }
     iters.max(1)
-}
-
-/// Appends `entry` to the JSON array in `path`, creating it on first run.
-fn append_entry(path: &Path, entry: &str) {
-    let body = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            let trimmed = trimmed.trim_end_matches(',');
-            format!("{trimmed},\n  {entry}\n]\n")
-        }
-        Err(_) => format!("[\n  {entry}\n]\n"),
-    };
-    fs::write(path, body).expect("write BENCH_analyze.json");
-}
-
-/// Entries already recorded, for the monotone run index.
-fn existing_runs(path: &Path) -> u64 {
-    fs::read_to_string(path)
-        .map(|s| s.matches("\"run\":").count() as u64)
-        .unwrap_or(0)
 }
 
 fn main() {
@@ -77,7 +57,7 @@ fn main() {
             }
         }
     }
-    let elapsed_ms = clock::millis_since(started).max(1);
+    let elapsed_ms = clock::ms_since(started).max(1);
     let files_per_sec = (files * iters) as f64 * 1_000.0 / elapsed_ms as f64;
 
     let passes_json: Vec<String> = pass_ms

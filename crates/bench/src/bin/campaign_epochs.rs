@@ -11,88 +11,25 @@
 //! Usage: `cargo run --release -p nbti-noc-bench --bin campaign_epochs`
 //! `[-- --epochs N --measure N --warmup N --rate R]`
 
-use noc_campaign::{Campaign, CampaignSpec};
-use noc_service::clock;
-use sensorwise::{ExperimentJob, PolicyKind, SyntheticScenario};
+use nbti_noc_bench::{append_entry, existing_runs, CampaignBench};
+use noc_campaign::Campaign;
+use noc_telemetry::clock;
 use std::fs;
 use std::path::Path;
 
-struct BenchConfig {
-    epochs: u32,
-    measure: u64,
-    warmup: u64,
-    rate: f64,
-}
-
-fn parse_args() -> BenchConfig {
-    let mut cfg = BenchConfig {
-        epochs: 8,
-        measure: 5_000,
-        warmup: 500,
-        rate: 0.15,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = it.next().map(|v| v.as_str()).unwrap_or("");
-        match arg.as_str() {
-            "--epochs" => cfg.epochs = value.parse().expect("--epochs"),
-            "--measure" => cfg.measure = value.parse().expect("--measure"),
-            "--warmup" => cfg.warmup = value.parse().expect("--warmup"),
-            "--rate" => cfg.rate = value.parse().expect("--rate"),
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
-    cfg
-}
-
-/// Appends `entry` to the JSON array in `path`, creating it on first run.
-fn append_entry(path: &Path, entry: &str) {
-    let body = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            let trimmed = trimmed.trim_end_matches(',');
-            format!("{trimmed},\n  {entry}\n]\n")
-        }
-        Err(_) => format!("[\n  {entry}\n]\n"),
-    };
-    fs::write(path, body).expect("write BENCH_campaign.json");
-}
-
-/// Entries already recorded, for the monotone run index.
-fn existing_runs(path: &Path) -> u64 {
-    fs::read_to_string(path)
-        .map(|s| s.matches("\"run\":").count() as u64)
-        .unwrap_or(0)
-}
-
 fn main() {
-    let bench = parse_args();
-    let scenario = SyntheticScenario {
-        cores: 4,
-        vcs: 2,
-        injection_rate: bench.rate,
-    };
-    let mut job: ExperimentJob = scenario.job(PolicyKind::SensorWise, bench.warmup, bench.measure);
-    job.traffic = job.traffic.with_seed(1);
-    let spec = CampaignSpec {
-        base: job,
-        epochs: bench.epochs,
-        age_acceleration: 1.0e9,
-        drain_limit: 10_000,
-    };
-
+    let bench = CampaignBench::from_env();
     let ckpt = std::env::temp_dir().join(format!(
         "bench-campaign-{}.ckpt",
         std::process::id()
     ));
-    let mut campaign = Campaign::new(spec).expect("bench spec is valid");
+    let mut campaign = Campaign::new(bench.spec()).expect("bench spec is valid");
 
     let started = clock::now();
     let reports = campaign
         .run_to_completion(None, Some(&ckpt))
         .expect("campaign completes");
-    let elapsed_ms = clock::millis_since(started).max(1);
+    let elapsed_ms = clock::ms_since(started).max(1);
 
     assert_eq!(reports.len() as u32, bench.epochs);
     let checkpoint_bytes = fs::metadata(&ckpt).map(|m| m.len()).unwrap_or(0);

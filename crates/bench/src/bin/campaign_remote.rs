@@ -13,78 +13,13 @@
 //! Usage: `cargo run --release -p nbti-noc-bench --bin campaign_remote`
 //! `[-- --epochs N --measure N --warmup N --rate R]`
 
-use noc_campaign::{Campaign, CampaignSpec, FsResultStore, RemoteExecutor, WorkerPool};
-use noc_service::{clock, Server, ServiceConfig};
-use noc_telemetry::SpanKind;
-use sensorwise::{ExperimentJob, PolicyKind, SyntheticScenario};
+use nbti_noc_bench::{append_entry, existing_runs, CampaignBench};
+use noc_campaign::{Campaign, FsResultStore, RemoteExecutor, WorkerPool};
+use noc_service::{Server, ServiceConfig};
+use noc_telemetry::{clock, SpanKind};
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
-
-struct BenchConfig {
-    epochs: u32,
-    measure: u64,
-    warmup: u64,
-    rate: f64,
-}
-
-fn parse_args() -> BenchConfig {
-    let mut cfg = BenchConfig {
-        epochs: 8,
-        measure: 5_000,
-        warmup: 500,
-        rate: 0.15,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = it.next().map(|v| v.as_str()).unwrap_or("");
-        match arg.as_str() {
-            "--epochs" => cfg.epochs = value.parse().expect("--epochs"),
-            "--measure" => cfg.measure = value.parse().expect("--measure"),
-            "--warmup" => cfg.warmup = value.parse().expect("--warmup"),
-            "--rate" => cfg.rate = value.parse().expect("--rate"),
-            other => panic!("unknown argument `{other}`"),
-        }
-    }
-    cfg
-}
-
-/// Appends `entry` to the JSON array in `path`, creating it on first run.
-fn append_entry(path: &Path, entry: &str) {
-    let body = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            let trimmed = trimmed.trim_end_matches(',');
-            format!("{trimmed},\n  {entry}\n]\n")
-        }
-        Err(_) => format!("[\n  {entry}\n]\n"),
-    };
-    fs::write(path, body).expect("write BENCH_campaign.json");
-}
-
-/// Entries already recorded, for the monotone run index.
-fn existing_runs(path: &Path) -> u64 {
-    fs::read_to_string(path)
-        .map(|s| s.matches("\"run\":").count() as u64)
-        .unwrap_or(0)
-}
-
-fn spec(bench: &BenchConfig) -> CampaignSpec {
-    let scenario = SyntheticScenario {
-        cores: 4,
-        vcs: 2,
-        injection_rate: bench.rate,
-    };
-    let mut job: ExperimentJob = scenario.job(PolicyKind::SensorWise, bench.warmup, bench.measure);
-    job.traffic = job.traffic.with_seed(1);
-    CampaignSpec {
-        base: job,
-        epochs: bench.epochs,
-        age_acceleration: 1.0e9,
-        drain_limit: 10_000,
-    }
-}
 
 fn start_worker(store_dir: &Path) -> Server {
     let cache = FsResultStore::open(store_dir).expect("worker opens the shared store");
@@ -110,11 +45,11 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let bench = parse_args();
+    let bench = CampaignBench::from_env();
 
     // The in-process baseline doubles as the digest oracle: a remote
     // campaign that diverges from it is a broken bench, not a data point.
-    let mut local = Campaign::new(spec(&bench)).expect("bench spec is valid");
+    let mut local = Campaign::new(bench.spec()).expect("bench spec is valid");
     while !local.is_finished() {
         local.run_next_epoch(None).expect("local epoch runs");
     }
@@ -134,14 +69,14 @@ fn main() {
     .expect("two live workers");
     let exec = RemoteExecutor::new(pool, 2).with_poll(2, 600_000);
 
-    let mut campaign = Campaign::new(spec(&bench)).expect("bench spec is valid");
+    let mut campaign = Campaign::new(bench.spec()).expect("bench spec is valid");
     let started = clock::now();
     while !campaign.is_finished() {
         campaign
             .run_next_epoch_with(&exec, Some(&store))
             .expect("remote epoch dispatches");
     }
-    let elapsed_ms = clock::millis_since(started).max(1);
+    let elapsed_ms = clock::ms_since(started).max(1);
 
     assert_eq!(
         campaign.chained_digest(),

@@ -9,9 +9,10 @@
 //! Usage: `cargo run --release -p nbti-noc-bench --bin service_throughput`
 //! `[-- --count N --workers N --queue-depth N --concurrency N --measure N]`
 
-use noc_service::{clock, Server, ServiceClient, ServiceConfig};
+use nbti_noc_bench::{append_entry, existing_runs};
+use noc_service::{Server, ServiceClient, ServiceConfig};
+use noc_telemetry::clock;
 use sensorwise::{parallel_map, spec_to_json, PolicyKind, SyntheticScenario};
-use std::fs;
 use std::path::Path;
 
 struct BenchConfig {
@@ -52,26 +53,6 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Appends `entry` to the JSON array in `path`, creating it on first run.
-fn append_entry(path: &Path, entry: &str) {
-    let body = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            let trimmed = trimmed.trim_end_matches(',');
-            format!("{trimmed},\n  {entry}\n]\n")
-        }
-        Err(_) => format!("[\n  {entry}\n]\n"),
-    };
-    fs::write(path, body).expect("write BENCH_service.json");
-}
-
-/// Entries already recorded, for the monotone run index.
-fn existing_runs(path: &Path) -> u64 {
-    fs::read_to_string(path)
-        .map(|s| s.matches("\"run\":").count() as u64)
-        .unwrap_or(0)
-}
-
 fn main() {
     let bench = parse_args();
     let server = Server::start(&ServiceConfig {
@@ -106,7 +87,7 @@ fn main() {
         loop {
             let probe = clock::now();
             let status = client.status(id).expect("status");
-            latencies.push(clock::millis_since(probe));
+            latencies.push(clock::ms_since(probe));
             if status.is_terminal() {
                 assert_eq!(status.status, "done", "bench job must complete");
                 break;
@@ -118,10 +99,10 @@ fn main() {
             .result(id)
             .expect("result")
             .expect("done job serves a result");
-        latencies.push(clock::millis_since(probe));
+        latencies.push(clock::ms_since(probe));
         latencies
     });
-    let elapsed_ms = clock::millis_since(started).max(1);
+    let elapsed_ms = clock::ms_since(started).max(1);
 
     server.request_shutdown(false);
     let report = server.wait();

@@ -12,10 +12,9 @@
 //! Usage: `cargo run --release -p nbti-noc-bench --bin sim_throughput`
 //! `[-- --cores N --vcs V --rate R --policy P --warmup N --measure N]`
 
-use noc_service::clock;
-use noc_telemetry::Stage;
+use nbti_noc_bench::{append_entry, existing_runs};
+use noc_telemetry::{clock, Stage};
 use sensorwise::{ExperimentJob, PolicyKind, SyntheticScenario};
-use std::fs;
 use std::path::Path;
 
 struct BenchConfig {
@@ -53,26 +52,6 @@ fn parse_args() -> BenchConfig {
     cfg
 }
 
-/// Appends `entry` to the JSON array in `path`, creating it on first run.
-fn append_entry(path: &Path, entry: &str) {
-    let body = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            let trimmed = trimmed.trim_end_matches(',');
-            format!("{trimmed},\n  {entry}\n]\n")
-        }
-        Err(_) => format!("[\n  {entry}\n]\n"),
-    };
-    fs::write(path, body).expect("write BENCH_sim.json");
-}
-
-/// Entries already recorded, for the monotone run index.
-fn existing_runs(path: &Path) -> u64 {
-    fs::read_to_string(path)
-        .map(|s| s.matches("\"run\":").count() as u64)
-        .unwrap_or(0)
-}
-
 fn main() {
     let bench = parse_args();
     let scenario = SyntheticScenario {
@@ -85,7 +64,7 @@ fn main() {
 
     let started = clock::now();
     let (result, prof) = job.run_profiled();
-    let elapsed_ms = clock::millis_since(started).max(1);
+    let elapsed_ms = clock::ms_since(started).max(1);
 
     let cycles = bench.warmup + bench.measure;
     let kcycles_per_sec = cycles as f64 / elapsed_ms as f64;

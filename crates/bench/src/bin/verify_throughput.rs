@@ -10,10 +10,10 @@
 //! Usage: `cargo run --release -p nbti-noc-bench --bin verify_throughput`
 //! `[-- --depth N --symmetry-only]`
 
+use nbti_noc_bench::{append_entry, existing_runs};
 use noc_modelcheck::{explore, StandardOracle};
-use noc_service::clock;
+use noc_telemetry::clock;
 use sensorwise::modelcheck::{checked_policies, controller_for, explore_config_for, DEFAULT_DEPTH};
-use std::fs;
 use std::path::Path;
 
 struct BenchConfig {
@@ -41,26 +41,6 @@ fn parse_args() -> BenchConfig {
         }
     }
     cfg
-}
-
-/// Appends `entry` to the JSON array in `path`, creating it on first run.
-fn append_entry(path: &Path, entry: &str) {
-    let body = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            let trimmed = trimmed.trim_end_matches(',');
-            format!("{trimmed},\n  {entry}\n]\n")
-        }
-        Err(_) => format!("[\n  {entry}\n]\n"),
-    };
-    fs::write(path, body).expect("write BENCH_verify.json");
-}
-
-/// Entries already recorded, for the monotone run index.
-fn existing_runs(path: &Path) -> u64 {
-    fs::read_to_string(path)
-        .map(|s| s.matches("\"run\":").count() as u64)
-        .unwrap_or(0)
 }
 
 fn main() {
@@ -107,7 +87,7 @@ fn main() {
             );
         }
     }
-    let elapsed_ms = clock::millis_since(started).max(1);
+    let elapsed_ms = clock::ms_since(started).max(1);
     let states_per_sec = total_states as f64 * 1_000.0 / elapsed_ms as f64;
 
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_verify.json");

@@ -12,11 +12,11 @@
 //! Usage: `cargo run --release -p nbti-noc-bench --bin workload_throughput`
 //! `[-- --nodes N --vcs V --rate R --cycles N --seed N]`
 
-use noc_service::clock;
+use nbti_noc_bench::{append_entry, existing_runs};
 use noc_sim::config::{NocConfig, TopologyKind};
+use noc_telemetry::clock;
 use noc_workload::{decode_trace, MixGenerator, MixKind, MixSpec, TraceSource};
 use sensorwise::{run_experiment, ExperimentConfig, PolicyKind};
-use std::fs;
 use std::path::Path;
 
 struct BenchConfig {
@@ -51,26 +51,6 @@ fn parse_args() -> BenchConfig {
     cfg
 }
 
-/// Appends `entry` to the JSON array in `path`, creating it on first run.
-fn append_entry(path: &Path, entry: &str) {
-    let body = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
-            let trimmed = trimmed.trim_end_matches(',');
-            format!("{trimmed},\n  {entry}\n]\n")
-        }
-        Err(_) => format!("[\n  {entry}\n]\n"),
-    };
-    fs::write(path, body).expect("write BENCH_workload.json");
-}
-
-/// Entries already recorded, for the monotone run index.
-fn existing_runs(path: &Path) -> u64 {
-    fs::read_to_string(path)
-        .map(|s| s.matches("\"run\":").count() as u64)
-        .unwrap_or(0)
-}
-
 fn main() {
     let bench = parse_args();
     let spec = MixSpec {
@@ -87,10 +67,10 @@ fn main() {
         .write_trace(bench.cycles)
         .expect("mix generators emit valid records")
         .finish();
-    let encode_ms = clock::millis_since(started).max(1);
+    let encode_ms = clock::ms_since(started).max(1);
     let started = clock::now();
     let (header, records) = decode_trace(&bytes).expect("own encoding decodes");
-    let decode_ms = clock::millis_since(started).max(1);
+    let decode_ms = clock::ms_since(started).max(1);
     let n_records = header.records;
     let encode_rps = n_records as f64 * 1_000.0 / encode_ms as f64;
     let decode_rps = n_records as f64 * 1_000.0 / decode_ms as f64;
@@ -110,7 +90,7 @@ fn main() {
         let mut source = TraceSource::from_records(records.clone(), "bench");
         let started = clock::now();
         let result = run_experiment(&cfg, &mut source);
-        let elapsed_ms = clock::millis_since(started).max(1);
+        let elapsed_ms = clock::ms_since(started).max(1);
         let kcps = bench.cycles as f64 / elapsed_ms as f64;
         println!(
             "{}: {} cycles in {elapsed_ms} ms ({kcps:.1} kcycles/s), {} packets",

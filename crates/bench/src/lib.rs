@@ -12,6 +12,10 @@
 //!
 //! Defaults are sized so the full table regenerates in minutes on a laptop;
 //! pass the paper's `--measure 30000000` for the full-length runs.
+//!
+//! The throughput binaries record their runs with [`append_entry`] and
+//! number them with [`existing_runs`]; the two campaign benches share
+//! [`CampaignBench`].
 
 #![deny(missing_debug_implementations)]
 #![warn(
@@ -21,7 +25,11 @@
     clippy::manual_let_else
 )]
 
+use noc_campaign::CampaignSpec;
+use sensorwise::{PolicyKind, SyntheticScenario};
 use std::fmt;
+use std::fs;
+use std::path::Path;
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,9 +125,111 @@ impl RunOptions {
     }
 }
 
+/// The campaign the `campaign_epochs` and `campaign_remote` benches run,
+/// from their shared flags `--epochs N --measure N --warmup N --rate R`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CampaignBench {
+    /// Epochs per campaign.
+    pub epochs: u32,
+    /// Measured cycles per epoch.
+    pub measure: u64,
+    /// Warm-up cycles per epoch.
+    pub warmup: u64,
+    /// Nominal injection rate.
+    pub rate: f64,
+}
+
+impl CampaignBench {
+    /// Parses the process arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown flag or a malformed value.
+    pub fn from_env() -> Self {
+        let mut cfg = CampaignBench {
+            epochs: 8,
+            measure: 5_000,
+            warmup: 500,
+            rate: 0.15,
+        };
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let value = it.next().map(|v| v.as_str()).unwrap_or("");
+            match arg.as_str() {
+                "--epochs" => cfg.epochs = value.parse().expect("--epochs"),
+                "--measure" => cfg.measure = value.parse().expect("--measure"),
+                "--warmup" => cfg.warmup = value.parse().expect("--warmup"),
+                "--rate" => cfg.rate = value.parse().expect("--rate"),
+                other => panic!("unknown argument `{other}`"),
+            }
+        }
+        cfg
+    }
+
+    /// The standard 4-core sensor-wise campaign at this configuration.
+    pub fn spec(&self) -> CampaignSpec {
+        let scenario = SyntheticScenario {
+            cores: 4,
+            vcs: 2,
+            injection_rate: self.rate,
+        };
+        let mut base = scenario.job(PolicyKind::SensorWise, self.warmup, self.measure);
+        base.traffic = base.traffic.with_seed(1);
+        CampaignSpec {
+            base,
+            epochs: self.epochs,
+            age_acceleration: 1.0e9,
+            drain_limit: 10_000,
+        }
+    }
+}
+
+/// Appends `entry` to the JSON array in the `BENCH_*.json` file at
+/// `path`, creating the file on first run.
+///
+/// # Panics
+///
+/// Panics when the file cannot be written.
+pub fn append_entry(path: &Path, entry: &str) {
+    let body = match fs::read_to_string(path) {
+        Ok(existing) => {
+            let trimmed = existing.trim_end().trim_end_matches(']').trim_end();
+            let trimmed = trimmed.trim_end_matches(',');
+            format!("{trimmed},\n  {entry}\n]\n")
+        }
+        Err(_) => format!("[\n  {entry}\n]\n"),
+    };
+    fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+}
+
+/// Entries already recorded in `path`, for the monotone run index.
+pub fn existing_runs(path: &Path) -> u64 {
+    fs::read_to_string(path)
+        .map(|s| s.matches("\"run\":").count() as u64)
+        .unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_entries_append_to_one_json_array() {
+        let dir = std::env::temp_dir().join(format!("nbti-bench-lib-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        fs::remove_file(&path).ok();
+        assert_eq!(existing_runs(&path), 0);
+        append_entry(&path, "{\"run\":1}");
+        append_entry(&path, "{\"run\":2}");
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "[\n  {\"run\":1},\n  {\"run\":2}\n]\n"
+        );
+        assert_eq!(existing_runs(&path), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
 
     fn parse(args: &[&str]) -> RunOptions {
         RunOptions::parse(args.iter().map(std::string::ToString::to_string))

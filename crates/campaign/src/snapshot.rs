@@ -40,6 +40,7 @@ use nbti_model::rd::RdState;
 use nbti_model::Volt;
 use noc_sim::snapshot::{NetworkSnapshot, PortState};
 use noc_sim::stats::{NetStats, LATENCY_BUCKETS};
+use noc_telemetry::digest::fnv1a_64;
 use noc_telemetry::WorkCounters;
 use std::fmt;
 use std::fs;
@@ -103,17 +104,6 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// FNV-1a 64 over raw bytes — same constants as the telemetry event
-/// digest and the store's content addresses.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Payload writer/reader
@@ -414,7 +404,7 @@ impl Campaign {
         out.extend_from_slice(&MAGIC);
         put_u16(&mut out, FORMAT_VERSION);
         put_len(&mut out, payload.len());
-        put_u64(&mut out, fnv64(&payload));
+        put_u64(&mut out, fnv1a_64(&payload));
         out.extend_from_slice(&payload);
         out
     }
@@ -451,7 +441,7 @@ impl Campaign {
                 body.len() as u64 - payload_len
             )));
         }
-        let computed = fnv64(body);
+        let computed = fnv1a_64(body);
         if computed != stored {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
         }
@@ -685,7 +675,7 @@ mod tests {
         v1.extend_from_slice(&MAGIC);
         put_u16(&mut v1, 1);
         put_len(&mut v1, payload.len());
-        put_u64(&mut v1, fnv64(payload));
+        put_u64(&mut v1, fnv1a_64(payload));
         v1.extend_from_slice(payload);
         let back = Campaign::decode(&v1).unwrap();
         assert_eq!(back.completed(), campaign.completed());
@@ -701,7 +691,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "nbticamp-test-{}-{:x}",
             std::process::id(),
-            fnv64(b"save_and_load")
+            fnv1a_64(b"save_and_load")
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.ckpt");

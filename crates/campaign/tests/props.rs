@@ -1,7 +1,8 @@
 //! Property tests for the `NBTICAMP` checkpoint codec: round-trips are
 //! bit-exact across the spec space, and *no* corruption — truncation,
 //! byte flips, bad headers — can panic the decoder or slip through as a
-//! silently-wrong resume.
+//! silently-wrong resume. The canonical spec JSON gets the same
+//! never-panic treatment.
 
 use noc_campaign::{Campaign, CampaignSpec, SnapshotError};
 use proptest::prelude::*;
@@ -87,6 +88,28 @@ proptest! {
                 // least one bit), so reaching Ok is a codec failure.
                 prop_assert!(false, "flip at {} (mask {:#04x}) decoded successfully", pos, mask);
             }
+        }
+    }
+
+    /// `CampaignSpec::from_json` answers random bytes, every truncation of
+    /// a canonical spec and single-byte flips of it with a value or a typed
+    /// error, never a panic; a truncated spec never decodes.
+    #[test]
+    fn campaign_spec_decoding_never_panics(
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+        cut_permille in 0usize..1000,
+        offset in 0usize..61,
+        mask in 1u8..=255,
+    ) {
+        let _ = CampaignSpec::from_json(&String::from_utf8_lossy(&noise));
+        let text = spec(3, 4, 11, 90, 5).canonical_json().expect("servable");
+        prop_assert!(text.is_ascii());
+        let cut = text.len() * cut_permille / 1000;
+        prop_assert!(CampaignSpec::from_json(&text[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+        for pos in (offset..text.len()).step_by(61) {
+            let mut bytes = text.clone().into_bytes();
+            bytes[pos] ^= mask;
+            let _ = CampaignSpec::from_json(&String::from_utf8_lossy(&bytes));
         }
     }
 }

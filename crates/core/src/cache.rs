@@ -56,12 +56,7 @@ pub trait ResultCache {
 /// FNV-1a 64-bit hash of a spec string — the address stores may file
 /// entries under. Stable across runs and platforms (no randomized state).
 pub fn spec_key(spec: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in spec.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    noc_telemetry::digest::fnv1a_64(spec.as_bytes())
 }
 
 /// An in-memory [`ResultCache`]: the reference implementation, used by

@@ -88,6 +88,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -150,9 +151,17 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// (and the tree's drop) recurse once per level, so the bound keeps a
+/// hostile document from overflowing a thread's stack; every real wire
+/// form nests fewer than ten levels.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -194,8 +203,18 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, CodecError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(CodecError::new(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') if self.eat_lit("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_lit("false") => Ok(JsonValue::Bool(false)),
@@ -886,6 +905,21 @@ mod tests {
         assert!(JsonValue::parse("{").is_err());
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("{} x").is_err());
+    }
+
+    #[test]
+    fn nesting_beyond_the_bound_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // A hostile body on a thread with the default 2 MiB stack — the
+        // size of the service's acceptor thread.
+        let hostile = std::thread::spawn(|| JsonValue::parse(&"[".repeat(200_000)).is_err())
+            .join()
+            .expect("parser thread must not overflow its stack");
+        assert!(hostile);
+        assert!(JsonValue::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

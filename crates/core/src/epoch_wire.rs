@@ -600,6 +600,37 @@ mod tests {
         assert_eq!(wire1.snapshot, local1.snapshot);
     }
 
+    /// Array/object nesting depth of a parsed document.
+    fn depth(v: &JsonValue) -> usize {
+        match v {
+            JsonValue::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            JsonValue::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn deepest_wire_forms_nest_well_under_the_json_depth_bound() {
+        let never = AtomicBool::new(false);
+        let req0 = WireEpochRequest {
+            base: epoch_job(),
+            resume: None,
+            vths_bits: None,
+            drain_limit: 10_000,
+        };
+        let wire0 = WireEpochOutcome::from(&req0.run_cancellable(&never).unwrap());
+        let req1 = WireEpochRequest {
+            base: epoch_job(),
+            resume: Some(wire0.snapshot.clone()),
+            vths_bits: Some(vec![vec![0.42f64.to_bits(), 0.43f64.to_bits()]]),
+            drain_limit: 10_000,
+        };
+        for text in [req1.to_json().unwrap(), wire0.to_json()] {
+            let d = depth(&JsonValue::parse(&text).unwrap());
+            assert!(d < 10, "depth {d}");
+        }
+    }
+
     #[test]
     fn cancelled_epoch_reports_cancelled() {
         let cancelled = AtomicBool::new(true);

@@ -28,7 +28,7 @@ use noc_sim::snapshot::{NetworkSnapshot, SnapshotStateError};
 use noc_sim::stats::NetStats;
 use noc_sim::types::{Direction, NodeId};
 use noc_sim::view::{PortId, PortView, VcStatus};
-use noc_telemetry::profclock;
+use noc_telemetry::clock;
 use noc_telemetry::{
     EventKind, MetricsSeries, NullProfiler, Profiler, RecordSink, Sample, Stage, StageProfiler,
     TelemetryReport, TelemetrySpec, TraceEvent, TraceSink, WorkCounters,
@@ -647,7 +647,7 @@ fn run_loop_inner<S: NbtiSensor, T: TraceSink, P: Profiler>(
         }
         inject_from(traffic, &mut net);
         net.begin_cycle_with(prof);
-        let t_ctl = if P::ENABLED { Some(profclock::now()) } else { None };
+        let t_ctl = if P::ENABLED { Some(clock::now()) } else { None };
         for (i, &pid) in port_ids.iter().enumerate() {
             net.fill_port_view(pid, &mut view);
             let action = policies[i].decide(now, &view, md_cache[i]);
@@ -662,16 +662,16 @@ fn run_loop_inner<S: NbtiSensor, T: TraceSink, P: Profiler>(
             }
         }
         if let Some(t) = t_ctl {
-            prof.record(Stage::Controller, profclock::ns_since(t));
+            prof.record(Stage::Controller, clock::ns_since(t));
         }
         net.finish_cycle_with(prof);
-        let t_mon = if P::ENABLED { Some(profclock::now()) } else { None };
+        let t_mon = if P::ENABLED { Some(clock::now()) } else { None };
         for &pid in &port_ids {
             net.vc_statuses_into(pid, &mut statuses);
             monitor.record_cycle(pid, &statuses);
         }
         if let Some(t) = t_mon {
-            prof.record(Stage::Monitor, profclock::ns_since(t));
+            prof.record(Stage::Monitor, clock::ns_since(t));
         }
         if let Some(series) = series.as_mut() {
             if (step + 1) % sample_period == 0 {

@@ -39,8 +39,9 @@
 
 #![deny(missing_debug_implementations)]
 
-use noc_sim::explore::{encode, encode_canonical, fnv1a_64};
+use noc_sim::explore::{encode, encode_canonical};
 use noc_sim::prelude::*;
+use noc_telemetry::digest::fnv1a_64;
 use noc_telemetry::{EventLog, NullSink, RecordSink, TraceSink};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;

@@ -63,21 +63,6 @@ use std::collections::BTreeMap;
 /// reached by a behaviour-relevant delta.
 pub const DELTA_CAP: u64 = 255;
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// 64-bit FNV-1a hash — the seen-set key of the explorer.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// A relabeling of the mesh: node, direction and VC permutations, stored
 /// as inverse maps (`*_inv[new] = old`) for the encoder's scan order plus
 /// forward maps (`*_fwd[old] = new`) for values embedded in the state.
@@ -468,12 +453,6 @@ mod tests {
         assert_eq!(orbit_size(2, 2, 2), 4 * 2);
         assert_eq!(orbit_size(2, 2, 3), 4 * 6);
         assert_eq!(orbit_size(3, 3, 5), 4);
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::topology::AnyTopology;
 use crate::types::{Direction, NodeId};
 use crate::unit::{all_vcs, Credit, InVcState, InputUnit, OutVcState, OutputUnit};
 use crate::view::{GateAction, PortId, PortView, VcStatus};
-use noc_telemetry::profclock;
+use noc_telemetry::clock;
 use noc_telemetry::{
     EventKind, NullProfiler, NullSink, Profiler, Stage, TraceEvent, TraceSink, WorkCounters,
 };
@@ -543,7 +543,7 @@ impl<T: TraceSink> Network<T> {
     /// the plain `begin_cycle`.
     pub fn begin_cycle_with<P: Profiler>(&mut self, prof: &mut P) {
         assert_eq!(self.phase, Phase::Idle, "begin_cycle called twice");
-        let t_begin = if P::ENABLED { Some(profclock::now()) } else { None };
+        let t_begin = if P::ENABLED { Some(clock::now()) } else { None };
         let mut routing_ns = 0u64;
         let now = self.cycle;
         let depth = self.cfg.buffer_depth;
@@ -573,10 +573,10 @@ impl<T: TraceSink> Network<T> {
                     unit.write_flit(flit, now, depth);
                     self.work.bw_writes += 1;
                     if is_head {
-                        let t_rc = if P::ENABLED { Some(profclock::now()) } else { None };
+                        let t_rc = if P::ENABLED { Some(clock::now()) } else { None };
                         let outport = self.compute_route(r_idx, dst);
                         if let Some(t) = t_rc {
-                            routing_ns += profclock::ns_since(t);
+                            routing_ns += clock::ns_since(t);
                         }
                         self.work.rc_computes += 1;
                         self.routers[r_idx].route_head(p_idx, vc_idx, outport);
@@ -612,7 +612,7 @@ impl<T: TraceSink> Network<T> {
         self.phase = Phase::Mid;
         if let Some(t) = t_begin {
             prof.record(Stage::Routing, routing_ns);
-            prof.record(Stage::BeginCycle, profclock::ns_since(t));
+            prof.record(Stage::BeginCycle, clock::ns_since(t));
         }
     }
 
@@ -660,14 +660,14 @@ impl<T: TraceSink> Network<T> {
     /// and this is the plain `finish_cycle`.
     pub fn finish_cycle_with<P: Profiler>(&mut self, prof: &mut P) {
         assert_eq!(self.phase, Phase::Mid, "finish_cycle before begin_cycle");
-        let t_finish = if P::ENABLED { Some(profclock::now()) } else { None };
+        let t_finish = if P::ENABLED { Some(clock::now()) } else { None };
         let mut alloc_ns = 0u64;
         let mut trav_ns = 0u64;
         let now = self.cycle;
         let depth = self.cfg.buffer_depth;
         // VA + SA + traversal per router.
         for r_idx in 0..self.routers.len() {
-            let t_alloc = if P::ENABLED { Some(profclock::now()) } else { None };
+            let t_alloc = if P::ENABLED { Some(clock::now()) } else { None };
             self.routers[r_idx].vc_allocation(
                 now,
                 depth,
@@ -677,15 +677,15 @@ impl<T: TraceSink> Network<T> {
             );
             let winners = self.routers[r_idx].switch_allocation(now);
             if let Some(t) = t_alloc {
-                alloc_ns += profclock::ns_since(t);
+                alloc_ns += clock::ns_since(t);
             }
-            let t_trav = if P::ENABLED { Some(profclock::now()) } else { None };
+            let t_trav = if P::ENABLED { Some(clock::now()) } else { None };
             for w in winners.into_iter().flatten() {
                 self.work.sa_grants += 1;
                 self.traverse(r_idx, w, now);
             }
             if let Some(t) = t_trav {
-                trav_ns += profclock::ns_since(t);
+                trav_ns += clock::ns_since(t);
             }
         }
         // NIC injection and ejection.
@@ -746,7 +746,7 @@ impl<T: TraceSink> Network<T> {
         if let Some(t) = t_finish {
             prof.record(Stage::Allocation, alloc_ns);
             prof.record(Stage::Traversal, trav_ns);
-            prof.record(Stage::FinishCycle, profclock::ns_since(t));
+            prof.record(Stage::FinishCycle, clock::ns_since(t));
         }
     }
 

@@ -6,8 +6,8 @@
 //! callers can build request-latency distributions without touching the
 //! clock themselves.
 
-use crate::clock;
 use crate::http::http_request;
+use noc_telemetry::clock;
 use sensorwise::codec::{JsonValue, WireResult};
 use sensorwise::spec_key;
 use std::thread;
@@ -109,7 +109,7 @@ impl ServiceClient {
     ) -> Result<(crate::http::ClientResponse, u64), String> {
         let start = clock::now();
         let response = http_request(&self.addr, method, path, body)?;
-        Ok((response, clock::millis_since(start)))
+        Ok((response, clock::ms_since(start)))
     }
 
     /// Submits one spec. Returns the outcome and the request latency in

@@ -17,14 +17,20 @@
 //! *force* shutdown may produce `DROPPED`, which the shutdown report
 //! counts explicitly.
 
-use crate::clock;
+use noc_telemetry::clock;
 use sensorwise::codec::json_string;
 use sensorwise::{ExperimentJob, WireEpochRequest};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// A deadline `timeout_ms` from now; `None` when `timeout_ms` is zero
+/// (no timeout).
+fn deadline_after(timeout_ms: u64) -> Option<Instant> {
+    (timeout_ms > 0).then(|| clock::now() + Duration::from_millis(timeout_ms))
+}
 
 /// A job identifier, unique within one server instance.
 pub type JobId = u64;
@@ -191,7 +197,7 @@ impl JobTable {
             return None;
         }
         record.state = JobState::Running;
-        record.deadline = clock::deadline_after(timeout_ms);
+        record.deadline = deadline_after(timeout_ms);
         Some((
             record.job.clone(),
             Arc::clone(&record.cancel),
@@ -364,13 +370,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_timeout_has_no_deadline() {
+        assert!(deadline_after(0).is_none());
+        let d = deadline_after(10_000).expect("nonzero timeout has a deadline");
+        assert!(d > clock::now());
+    }
+
+    #[test]
     fn deadlines_expire_only_running_jobs() {
         let table = JobTable::default();
         let id = table.insert(job(), String::new());
         assert_eq!(table.expire_deadlines(clock::now()), 0, "queued: no deadline");
         let (_, cancel, timed_out) = table.claim(id, 5).unwrap();
         // A deadline 5 ms out has surely passed one second in the future.
-        let later = clock::now() + std::time::Duration::from_secs(1);
+        let later = clock::now() + Duration::from_secs(1);
         assert_eq!(table.expire_deadlines(later), 1);
         assert!(cancel.load(Ordering::Relaxed));
         assert!(timed_out.load(Ordering::Relaxed));

@@ -17,8 +17,10 @@
 //!   for,
 //! * [`http`] — minimal HTTP framing (`Content-Length`, one request per
 //!   connection) shared by server and client,
-//! * [`client`] — a blocking client with per-request latency accounting,
-//! * [`clock`] — the serving layer's single wall-clock boundary.
+//! * [`client`] — a blocking client with per-request latency accounting.
+//!
+//! Every real-time read (timeouts, latencies) goes through
+//! `noc_telemetry::clock`, the workspace's single wall-clock boundary.
 //!
 //! ## The determinism contract over the wire
 //!
@@ -38,7 +40,6 @@
 )]
 
 pub mod client;
-pub mod clock;
 pub mod http;
 pub mod jobs;
 pub mod metrics;

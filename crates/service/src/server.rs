@@ -21,11 +21,11 @@
 //! running ones. [`Server::wait`] joins everything and reports what
 //! happened to every accepted job.
 
-use crate::clock;
 use crate::http::{read_request, write_response, Request};
 use crate::jobs::{JobCounts, JobPayload, JobState, JobTable};
 use crate::metrics::{Endpoint, GaugeView, MetricsRegistry};
 use crate::queue::{BoundedQueue, PushError};
+use noc_telemetry::clock;
 use noc_telemetry::spans::{derive_id, FlightRecorder, Span, SpanKind, NO_PARENT};
 use sensorwise::codec::{json_string, result_to_json, spec_from_json, spec_to_json, JsonValue};
 use sensorwise::{is_epoch_request, EpochError, ResultCache, WireEpochOutcome, WireEpochRequest};
@@ -147,7 +147,7 @@ struct Shared {
 impl Shared {
     /// Microseconds since the server started — the span clock.
     fn span_clock_us(&self) -> u64 {
-        clock::micros_since(self.started)
+        clock::us_since(self.started)
     }
 
     /// Appends the flight recorder's contents to `spans_out`, if set.
@@ -383,7 +383,7 @@ fn worker_loop(shared: &Shared) {
         let exp_start_us = shared.span_clock_us();
         let t_run = clock::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| run_payload(&job, &cancel)));
-        let busy_us = clock::micros_since(t_run);
+        let busy_us = clock::us_since(t_run);
         shared.metrics.add_worker_busy_us(busy_us);
         record_job_spans(shared, id, submitted_at, exp_start_us, busy_us);
         match outcome {
@@ -515,7 +515,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
 /// Request bookkeeping after the response went out: one histogram
 /// observation and one request span. Neither sits on the reply path.
 fn finish_request(shared: &Shared, endpoint: Endpoint, start_us: u64, t_req: Instant) {
-    let us = clock::micros_since(t_req);
+    let us = clock::us_since(t_req);
     shared.metrics.observe_request(endpoint, us);
     shared.recorder.record(Span::new(
         SpanKind::Request,

@@ -7,11 +7,35 @@
 //! two full event streams. The same fold is used by the in-memory sink,
 //! the JSONL file sink, and the `stats` reader re-hashing a parsed file,
 //! so a digest printed at run time can be re-derived from the trace file.
+//!
+//! [`fnv1a_64`] and [`fnv1a_64_fold`] are the workspace's one FNV-1a-64:
+//! the explorer's seen-set key, span ids, the NBTITRC chunk and NBTICAMP
+//! checksums and the result store's spec keys all hash through them.
 
 use crate::event::{EventKind, TraceEvent};
 
+/// FNV-1a-64 offset basis: the hash of the empty input.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into a running FNV-1a-64 state. Folding chunk by chunk
+/// equals hashing their concatenation with [`fnv1a_64`].
+#[inline]
+#[must_use]
+pub fn fnv1a_64_fold(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// The FNV-1a-64 hash of `bytes`.
+#[inline]
+#[must_use]
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    fnv1a_64_fold(FNV_OFFSET, bytes)
+}
 
 /// A rolling FNV-1a 64 hash over trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +61,7 @@ impl EventDigest {
     }
 
     fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = fnv1a_64_fold(self.state, bytes);
     }
 
     fn fold_u64(&mut self, v: u64) {
@@ -160,6 +181,14 @@ mod tests {
     fn empty_stream_digest_is_the_fnv_offset() {
         assert_eq!(EventDigest::new().value(), 0xcbf2_9ce4_8422_2325);
         assert_eq!(EventDigest::of(&[]), EventDigest::new().value());
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors_and_folds_in_chunks() {
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_64_fold(fnv1a_64(b"foo"), b"bar"), fnv1a_64(b"foobar"));
     }
 
     #[test]

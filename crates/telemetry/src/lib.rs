@@ -26,8 +26,8 @@
 //! [`Histogram`] + per-cycle [`StageProfiler`] behind a const-`ENABLED`
 //! generic, same compile-out contract as [`TraceSink::ACTIVE`]), [`spans`]
 //! (request→job→experiment→epoch spans with derived ids, plus a bounded
-//! [`FlightRecorder`] ring), and [`profclock`], the single sanctioned
-//! wall-clock boundary both read from. Timings are observations of a run,
+//! [`FlightRecorder`] ring), and [`clock`], the workspace's single
+//! sanctioned wall-clock boundary both read from. Timings are observations of a run,
 //! never inputs to it — profiled runs stay bit-identical.
 //!
 //! This crate is dependency-free and knows nothing about the simulator; the
@@ -49,10 +49,10 @@
     clippy::manual_let_else
 )]
 
+pub mod clock;
 pub mod counters;
 pub mod digest;
 pub mod event;
-pub mod profclock;
 pub mod profile;
 pub mod series;
 pub mod sink;

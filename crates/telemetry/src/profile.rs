@@ -12,7 +12,7 @@
 //! simulated state.
 //!
 //! Wall-clock reads for profiling go through
-//! [`profclock`](crate::profclock), the sanctioned boundary the
+//! [`clock`](crate::clock), the sanctioned boundary the
 //! `no-wall-clock` analyze rule knows about.
 
 use std::fmt;

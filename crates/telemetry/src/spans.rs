@@ -15,13 +15,14 @@
 //! failure, timeout, or shutdown — observability for the flight that
 //! just crashed, at a fixed memory cost.
 //!
-//! All timestamps come from [`profclock`](crate::profclock); nothing in
+//! All timestamps come from [`clock`](crate::clock); nothing in
 //! this module may influence simulated behaviour.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 
+use crate::digest::{fnv1a_64, fnv1a_64_fold};
 use crate::event::{field_str, field_u64, ParseError};
 
 /// What layer of the stack a span measures.
@@ -79,20 +80,10 @@ pub const NO_PARENT: u64 = 0;
 /// is remapped to a fixed odd constant.
 #[must_use]
 pub fn derive_id(kind: SpanKind, name: &str, parent: u64) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(kind.tag().as_bytes());
-    eat(&[0]);
-    eat(name.as_bytes());
-    eat(&[0]);
-    eat(&parent.to_le_bytes());
+    let mut h = fnv1a_64(kind.tag().as_bytes());
+    for part in [&[0][..], name.as_bytes(), &[0], &parent.to_le_bytes()] {
+        h = fnv1a_64_fold(h, part);
+    }
     if h == 0 {
         0x9e37_79b9_7f4a_7c15
     } else {
@@ -253,7 +244,7 @@ impl FlightRecorder {
 /// anchor: the distributed campaign driver records dispatch attempts and
 /// integration steps here, then drains them into its spans sidecar.
 ///
-/// All timestamps come from [`profclock`](crate::profclock) relative to
+/// All timestamps come from [`clock`](crate::clock) relative to
 /// the anchor taken at construction, so the log never touches the clock
 /// boundary itself and can live in determinism-audited crates.
 #[derive(Debug)]
@@ -273,7 +264,7 @@ impl SpanLog {
     #[must_use]
     pub fn new() -> Self {
         SpanLog {
-            anchor: crate::profclock::now(),
+            anchor: crate::clock::now(),
             spans: Mutex::new(Vec::new()),
         }
     }
@@ -282,7 +273,7 @@ impl SpanLog {
     /// recorded here.
     #[must_use]
     pub fn now_us(&self) -> u64 {
-        crate::profclock::us_since(self.anchor)
+        crate::clock::us_since(self.anchor)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Span>> {

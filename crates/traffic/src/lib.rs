@@ -13,8 +13,10 @@
 //! * [`synthetic`] — per-node synthetic traffic combining a pattern with an
 //!   injection process,
 //! * [`app`] — benchmark-profile application traffic standing in for the
-//!   paper's SPLASH2 and WCET benchmark mixes (see DESIGN.md §4),
-//! * [`trace`] — record/replay of traffic traces in a plain-text format.
+//!   paper's SPLASH2 and WCET benchmark mixes (see DESIGN.md §4).
+//!
+//! Recording and replaying traffic is `noc-workload`'s job: its `NBTITRC`
+//! binary trace format is the one trace format.
 //!
 //! ```
 //! use noc_traffic::prelude::*;
@@ -44,14 +46,12 @@ pub mod injection;
 pub mod pattern;
 pub mod source;
 pub mod synthetic;
-pub mod trace;
 
 pub use app::{AppTraffic, BenchmarkMix, BenchmarkProfile, Locality};
 pub use injection::{BernoulliInjection, InjectionProcess, MarkovOnOffInjection};
 pub use pattern::DestinationPattern;
 pub use source::{inject_from, PacketSpec, TrafficSource};
 pub use synthetic::SyntheticTraffic;
-pub use trace::{Trace, TraceEvent, TraceRecorder, TraceReplay};
 
 /// Convenient glob import.
 pub mod prelude {
@@ -60,5 +60,4 @@ pub mod prelude {
     pub use crate::pattern::DestinationPattern;
     pub use crate::source::{inject_from, PacketSpec, TrafficSource};
     pub use crate::synthetic::SyntheticTraffic;
-    pub use crate::trace::{Trace, TraceEvent, TraceRecorder, TraceReplay};
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`TrafficSource`] produces packet descriptions cycle by cycle. Keeping
 //! generation separate from the simulator makes sources unit-testable,
-//! recordable ([`crate::trace::TraceRecorder`]) and replayable without a
+//! recordable (`noc_workload::record_source`) and replayable without a
 //! network in the loop.
 
 use noc_sim::network::Network;

@@ -71,31 +71,6 @@ proptest! {
         );
     }
 
-    /// Recording any synthetic source and replaying the trace yields the
-    /// identical packet sequence, including through the text format.
-    #[test]
-    fn record_replay_round_trip(rate_milli in 10u32..300, seed in any::<u64>()) {
-        let mesh = Mesh2D::square(2);
-        let src = SyntheticTraffic::uniform(mesh, rate_milli as f64 / 1000.0, 5, seed);
-        let mut rec = TraceRecorder::new(src);
-        let mut direct = Vec::new();
-        for c in 0..3_000 {
-            rec.emit(c, &mut direct);
-        }
-        let trace = rec.into_trace();
-        let mut text = Vec::new();
-        trace.to_writer(&mut text).unwrap();
-        let reloaded = Trace::from_reader(text.as_slice()).unwrap();
-        prop_assert_eq!(&reloaded, &trace);
-        let mut replay = TraceReplay::new(reloaded);
-        let mut replayed = Vec::new();
-        for c in 0..3_000 {
-            replay.emit(c, &mut replayed);
-        }
-        prop_assert_eq!(direct, replayed);
-        prop_assert!(replay.finished());
-    }
-
     /// Application traffic only emits packets whose lengths match the
     /// per-core profile, and never self-traffic.
     #[test]

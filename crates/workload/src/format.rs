@@ -26,6 +26,7 @@
 //! going backwards, trailing bytes) are [`TraceError::Malformed`].
 //! Writes are atomic: the writer saves to `<path>.tmp` and renames.
 
+use noc_sim::telemetry::digest::fnv1a_64;
 use std::io::Read;
 use std::path::Path;
 
@@ -125,17 +126,6 @@ impl From<std::io::Error> for TraceError {
     }
 }
 
-/// FNV-1a 64-bit, the checksum used per chunk (same function as the
-/// telemetry event digest and the campaign snapshot checksum).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
@@ -210,7 +200,7 @@ impl TraceWriter {
         self.body.extend_from_slice(&self.pending_count.to_le_bytes());
         self.body.extend_from_slice(&self.pending);
         self.body
-            .extend_from_slice(&fnv64(&self.pending).to_le_bytes());
+            .extend_from_slice(&fnv1a_64(&self.pending).to_le_bytes());
         self.pending.clear();
         self.pending_count = 0;
     }
@@ -233,7 +223,7 @@ impl TraceWriter {
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.num_nodes.to_le_bytes());
         out.extend_from_slice(&self.records.to_le_bytes());
-        let hcheck = fnv64(&out);
+        let hcheck = fnv1a_64(&out);
         out.extend_from_slice(&hcheck.to_le_bytes());
         out.extend_from_slice(&self.body);
         out
@@ -344,7 +334,7 @@ impl<R: Read> TraceReader<R> {
                 // lint:allow(no-unwrap) 8-byte slice of a 28-byte array
                 .expect("header slice is 8 bytes"),
         );
-        let computed = fnv64(&header[..20]);
+        let computed = fnv1a_64(&header[..20]);
         if stored != computed {
             return Err(TraceError::HeaderChecksum { stored, computed });
         }
@@ -421,7 +411,7 @@ impl<R: Read> TraceReader<R> {
         let mut stored = [0u8; 8];
         read_exact_or(&mut self.src, &mut stored, TraceError::Truncated)?;
         let stored = u64::from_le_bytes(stored);
-        let computed = fnv64(&payload);
+        let computed = fnv1a_64(&payload);
         if stored != computed {
             return Err(TraceError::ChunkChecksum {
                 chunk: self.chunks,

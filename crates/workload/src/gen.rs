@@ -9,6 +9,7 @@
 //! digest) is pinned by `crates/workload/tests/props.rs`.
 
 use crate::format::{TraceError, TraceRecord, TraceWriter};
+use crate::source::{record_source, MixSource};
 
 /// SplitMix64: a tiny, high-quality, dependency-free PRNG. Used only for
 /// workload generation (never for simulation state), and fully determined
@@ -280,24 +281,15 @@ impl MixGenerator {
     }
 
     /// Materializes the first `cycles` cycles of the schedule into an
-    /// `NBTITRC` writer.
+    /// `NBTITRC` writer by recording its live [`MixSource`].
     ///
     /// # Errors
     ///
     /// Propagates writer validation errors (impossible by construction —
     /// the generator emits in-range, time-ordered records — but typed
     /// rather than unwrapped).
-    pub fn write_trace(mut self, cycles: u64) -> Result<TraceWriter, TraceError> {
-        let mut writer = TraceWriter::new(self.spec.nodes);
-        let mut scratch = Vec::new();
-        for cycle in 0..cycles {
-            scratch.clear();
-            self.next_records(cycle, &mut scratch);
-            for &rec in &scratch {
-                writer.push(rec)?;
-            }
-        }
-        Ok(writer)
+    pub fn write_trace(self, cycles: u64) -> Result<TraceWriter, TraceError> {
+        record_source(&mut MixSource::new(self.spec), self.spec.nodes, cycles)
     }
 }
 

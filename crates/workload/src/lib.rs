@@ -16,7 +16,8 @@
 //!   `noc_traffic::TrafficSource`, so the experiment engine injects a
 //!   recorded trace (or live mix) exactly where synthetic traffic would
 //!   go. A replayed trace reproduces the generator-driven run's telemetry
-//!   digest bit for bit, on any topology.
+//!   digest bit for bit, on any topology. [`record_source`] records any
+//!   `TrafficSource` into a trace.
 //!
 //! The crate is dependency-free beyond the simulator's own types: no
 //! serde, no external binary-format machinery.
@@ -30,4 +31,4 @@ pub use format::{
     TraceSummary, TraceWriter, CHUNK_RECORDS, FORMAT_VERSION, MAGIC, RECORD_LEN,
 };
 pub use gen::{MixGenerator, MixKind, MixSpec, SplitMix64};
-pub use source::{MixSource, TraceSource};
+pub use source::{record_source, MixSource, TraceSource};

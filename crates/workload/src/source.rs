@@ -1,4 +1,5 @@
-//! Injection adapters: trace- and mix-driven [`TrafficSource`]s.
+//! Injection adapters: trace- and mix-driven [`TrafficSource`]s, and
+//! [`record_source`], which captures any source as an `NBTITRC` trace.
 //!
 //! Both adapters sit exactly where a synthetic [`TrafficSpec`]-built
 //! source would, so the experiment engine ages any topology under any
@@ -9,7 +10,7 @@
 //!
 //! [`TrafficSpec`]: sensorwise-level synthetic traffic configuration
 
-use crate::format::{TraceError, TraceReader, TraceRecord};
+use crate::format::{TraceError, TraceReader, TraceRecord, TraceWriter};
 use crate::gen::{MixGenerator, MixSpec};
 use noc_sim::types::NodeId;
 use noc_traffic::source::{PacketSpec, TrafficSource};
@@ -38,13 +39,22 @@ impl TraceSource {
         }
     }
 
-    /// Loads and fully validates a trace file.
+    /// Loads and fully validates a trace file recorded for a fabric of
+    /// `num_nodes` nodes, so every recorded node index is valid there.
     ///
     /// # Errors
     ///
-    /// Any [`TraceError`] from opening or reading the file.
-    pub fn load(path: &Path) -> Result<Self, TraceError> {
+    /// Any [`TraceError`] from opening or reading the file, or
+    /// [`TraceError::Malformed`] when the trace was recorded for a
+    /// different node count.
+    pub fn load(path: &Path, num_nodes: usize) -> Result<Self, TraceError> {
         let reader = TraceReader::open(path)?;
+        let recorded = reader.header().num_nodes;
+        if usize::from(recorded) != num_nodes {
+            return Err(TraceError::Malformed(format!(
+                "recorded for {recorded} nodes, but this fabric has {num_nodes}"
+            )));
+        }
         let records = reader.read_all()?;
         let label = path
             .file_name()
@@ -61,6 +71,12 @@ impl TraceSource {
     /// `true` when the trace holds no records.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// One past the last record's cycle: the cycles a replay must run to
+    /// inject every record (0 for an empty trace).
+    pub fn end_cycle(&self) -> u64 {
+        self.records.last().map_or(0, |r| r.cycle + 1)
     }
 
     /// Records not yet emitted.
@@ -98,6 +114,40 @@ impl TrafficSource for TraceSource {
     fn name(&self) -> String {
         self.label.clone()
     }
+}
+
+/// Records cycles `0..cycles` of `source` into an `NBTITRC` writer for a
+/// fabric of `num_nodes` nodes. Replaying the result through a
+/// [`TraceSource`] hands back the same packets at the same cycles.
+///
+/// # Errors
+///
+/// [`TraceError::Malformed`] for a packet the format cannot hold: a node
+/// index or length that does not fit its `u16` field, or any record
+/// [`TraceWriter::push`] rejects.
+pub fn record_source<S: TrafficSource + ?Sized>(
+    source: &mut S,
+    num_nodes: u16,
+    cycles: u64,
+) -> Result<TraceWriter, TraceError> {
+    let field = |v: usize| {
+        u16::try_from(v).map_err(|_| TraceError::Malformed(format!("{v} exceeds a u16 field")))
+    };
+    let mut writer = TraceWriter::new(num_nodes);
+    let mut out = Vec::new();
+    for cycle in 0..cycles {
+        out.clear();
+        source.emit(cycle, &mut out);
+        for spec in &out {
+            writer.push(TraceRecord {
+                cycle,
+                src: field(spec.src.index())?,
+                dst: field(spec.dst.index())?,
+                len: field(spec.len)?,
+            })?;
+        }
+    }
+    Ok(writer)
 }
 
 /// Drives a [`MixGenerator`] live as a [`TrafficSource`] — the same
@@ -182,6 +232,25 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len, 2);
         assert_eq!(src.remaining(), 0);
+        assert_eq!(src.end_cycle(), 4);
+    }
+
+    #[test]
+    fn packets_beyond_the_u16_fields_are_typed_errors() {
+        struct Huge;
+        impl TrafficSource for Huge {
+            fn emit(&mut self, _: u64, out: &mut Vec<PacketSpec>) {
+                out.push(PacketSpec {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    len: 70_000,
+                });
+            }
+        }
+        assert!(matches!(
+            record_source(&mut Huge, 4, 1),
+            Err(TraceError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! ```
 
 use nbti_noc::prelude::*;
+use nbti_noc::workload::{decode_trace, record_source, TraceRecord, TraceSource};
 use sensorwise::PortResult;
 
-fn run_with(trace: Trace, policy: PolicyKind) -> (PortResult, u64) {
+fn run_with(records: Vec<TraceRecord>, policy: PolicyKind) -> (PortResult, u64) {
     let noc = NocConfig::paper_synthetic(4, 2);
-    let mut replay = TraceReplay::new(trace);
+    let mut replay = TraceSource::from_records(records, "replay");
     let cfg = ExperimentConfig::new(noc, policy)
         .with_cycles(1_000, 15_000)
         .with_pv_seed(31337);
@@ -22,30 +23,23 @@ fn run_with(trace: Trace, policy: PolicyKind) -> (PortResult, u64) {
     )
 }
 
-fn main() -> std::io::Result<()> {
-    // 1. Record a bursty application workload.
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // 1. Record a bursty application workload as an NBTITRC trace.
     let mesh = Mesh2D::square(2);
     let mix = BenchmarkMix::from_names(&["fft", "radix", "crc", "ocean"]);
-    let mut recorder = TraceRecorder::new(AppTraffic::new(mesh, &mix, 5));
-    let mut sink = Vec::new();
-    for cycle in 0..16_000 {
-        recorder.emit(cycle, &mut sink);
-    }
-    let trace = recorder.into_trace();
+    let writer = record_source(&mut AppTraffic::new(mesh, &mix, 5), 4, 16_000)?;
     println!(
         "recorded {} packets from mix `{}`",
-        trace.len(),
+        writer.len(),
         mix.label()
     );
 
     // 2. Round-trip through the on-disk format (demonstrates persistence).
-    let mut text = Vec::new();
-    trace.to_writer(&mut text)?;
-    let reloaded = Trace::from_reader(text.as_slice())?;
-    assert_eq!(reloaded, trace);
+    let bytes = writer.finish();
+    let (_, records) = decode_trace(&bytes)?;
     println!(
-        "trace round-trips through the v1 text format ({} bytes)",
-        text.len()
+        "trace round-trips through the NBTITRC format ({} bytes)",
+        bytes.len()
     );
 
     // 3. Replay the identical arrivals under both policies.
@@ -54,7 +48,7 @@ fn main() -> std::io::Result<()> {
         "policy", "VC0", "VC1", "MD", "delivered"
     );
     for policy in [PolicyKind::RrNoSensor, PolicyKind::SensorWise] {
-        let (port, delivered) = run_with(reloaded.clone(), policy);
+        let (port, delivered) = run_with(records.clone(), policy);
         println!(
             "{:<16} {:>7.1}% {:>7.1}% {:>6} {:>10}",
             policy.label(),

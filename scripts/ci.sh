@@ -58,14 +58,6 @@ echo "$fixture_json" | grep -q "acquisition path" || {
     exit 1
 }
 
-# Legacy lint shim: still answers the old CLI, still clean on the
-# workspace, still trips the five token rules on the fixture tree.
-cargo run -q --offline -p lint -- --json > /dev/null
-if cargo run -q --offline -p lint -- --root tools/analyze/fixtures > /dev/null 2>&1; then
-    echo "ci: lint shim unexpectedly clean on fixtures" >&2
-    exit 1
-fi
-
 # Model check: every gating policy on small meshes under full runtime
 # invariants (gating safety, conservation, idle-on budget, duty closure).
 cargo run -q --release --offline -p nbti-noc-bench --bin model_check > /dev/null
@@ -175,7 +167,10 @@ wldir=""
 # client (which cross-checks every served digest against a local run),
 # scrape the Prometheus exposition, then shut down over HTTP and verify
 # the drain accounted for every job and dumped the span flight recorder.
+# Each server's log exists before the server starts, so polling it for the
+# address never races the shell's redirect.
 servedir=$(mktemp -d)
+: > "$servedir/serve.log"
 ./target/release/nbti-noc serve --addr 127.0.0.1:0 --workers 2 --queue-depth 4 \
     --spans-out "$servedir/spans.jsonl" > "$servedir/serve.log" 2>&1 &
 serve_pid=$!
@@ -285,6 +280,8 @@ remotedir=$(mktemp -d)
     --epochs 4 --warmup 300 --measure 20000 > "$remotedir/local.log" 2>&1
 local_digest=$(sed -n 's/^chained digest: //p' "$remotedir/local.log")
 [ -n "$local_digest" ] || { echo "ci: local reference campaign reported no digest" >&2; exit 1; }
+: > "$remotedir/w1.log"
+: > "$remotedir/w2.log"
 ./target/release/nbti-noc serve --addr 127.0.0.1:0 --workers 2 \
     --cache-dir "$remotedir/store" > "$remotedir/w1.log" 2>&1 &
 rw1_pid=$!

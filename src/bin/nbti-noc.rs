@@ -39,11 +39,11 @@
 //! the design space.
 
 use nbti_noc::prelude::*;
-use nbti_noc::telemetry::profclock;
+use nbti_noc::telemetry::clock;
 use nbti_noc::workload;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
 
 /// Minimal flag parser: `--key value` pairs after the subcommand.
@@ -278,9 +278,9 @@ fn write_telemetry(result: &sensorwise::ExperimentResult, t: &TelemetryArgs) -> 
 /// latency table plus simulated-throughput summary. With `--json` the
 /// table goes to stderr so stdout stays pure result JSON.
 fn run_profiled(job: &ExperimentJob, cycles: u64, json: bool) -> sensorwise::ExperimentResult {
-    let t0 = profclock::now();
+    let t0 = clock::now();
     let (result, prof) = job.run_profiled();
-    let wall_ms = profclock::ms_since_f64(t0).max(1e-3);
+    let wall_ms = clock::ms_since_f64(t0).max(1e-3);
     report_profile(&prof, cycles, wall_ms, json);
     result
 }
@@ -301,9 +301,15 @@ fn report_profile(prof: &StageProfiler, cycles: u64, wall_ms: f64, json: bool) {
     }
 }
 
+/// Loads an `NBTITRC` trace for replay on `noc`. The trace's node count
+/// must match the fabric's so recorded node indices stay valid.
+fn load_trace(path: &str, noc: &NocConfig) -> Result<workload::TraceSource, String> {
+    workload::TraceSource::load(std::path::Path::new(path), noc.num_nodes())
+        .map_err(|e| format!("{path}: {e}"))
+}
+
 /// Builds the optional workload source requested by `--trace-in` (replay
-/// an `NBTITRC` file) or `--mix` (drive a generator live). The trace's
-/// node count must match the fabric's so recorded node indices stay valid.
+/// an `NBTITRC` file) or `--mix` (drive a generator live).
 fn parse_workload_source(
     args: &Args,
     noc: &NocConfig,
@@ -312,26 +318,7 @@ fn parse_workload_source(
     let mix = args.flags.get("mix");
     match (trace_in, mix) {
         (Some(_), Some(_)) => Err("--trace-in and --mix are mutually exclusive".into()),
-        (Some(path), None) => {
-            let reader = workload::TraceReader::open(std::path::Path::new(path))
-                .map_err(|e| format!("{path}: {e}"))?;
-            let header = reader.header();
-            if usize::from(header.num_nodes) != noc.num_nodes() {
-                return Err(format!(
-                    "{path} was recorded for {} nodes, but this fabric has {}",
-                    header.num_nodes,
-                    noc.num_nodes()
-                ));
-            }
-            let records = reader.read_all().map_err(|e| format!("{path}: {e}"))?;
-            let label = std::path::Path::new(path)
-                .file_name()
-                .map_or_else(|| path.clone(), |n| n.to_string_lossy().into_owned());
-            Ok(Some(Box::new(workload::TraceSource::from_records(
-                records,
-                format!("trace:{label}"),
-            ))))
-        }
+        (Some(path), None) => Ok(Some(Box::new(load_trace(path, noc)?))),
         (None, Some(kind)) => {
             let spec = workload::MixSpec {
                 kind: workload::MixKind::parse(kind)?,
@@ -395,9 +382,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let result = match source.as_mut() {
         Some(src) => {
             if args.has("profile") {
-                let t0 = profclock::now();
+                let t0 = clock::now();
                 let (result, prof) = run_experiment_profiled(&job.cfg, src.as_mut());
-                let wall_ms = profclock::ms_since_f64(t0).max(1e-3);
+                let wall_ms = clock::ms_since_f64(t0).max(1e-3);
                 report_profile(&prof, warmup + measure, wall_ms, json);
                 result
             } else {
@@ -507,7 +494,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
 
     let client = noc_service::ServiceClient::new(addr.clone());
-    let started = noc_service::clock::now();
+    let started = clock::now();
     let outcomes = if args.has("batch") {
         // One `POST /jobs/batch`: the server reserves queue slots in a
         // single pass, answering 202/429 per item. Items bounced with
@@ -549,7 +536,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
             Ok::<_, String>((id, busy, latencies, result))
         })
     };
-    let elapsed_ms = noc_service::clock::millis_since(started).max(1);
+    let elapsed_ms = clock::ms_since(started).max(1);
 
     let mut latencies: Vec<u64> = Vec::new();
     let mut busy_total = 0u64;
@@ -749,21 +736,14 @@ fn cmd_record(args: &Args) -> Result<(), String> {
     let cycles = args.get("cycles", 50_000u64)?;
     let seed = args.get("seed", 1u64)?;
     let k = (cores as f64).sqrt().round() as usize;
-    let mesh = Mesh2D::new(k, k);
-    let mut rec = TraceRecorder::new(SyntheticTraffic::uniform(mesh, rate, 5, seed));
-    let mut sink = Vec::new();
-    for c in 0..cycles {
-        rec.emit(c, &mut sink);
-    }
-    let trace = rec.into_trace();
-    let file = File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    trace
-        .to_writer(BufWriter::new(file))
-        .map_err(|e| format!("write failed: {e}"))?;
-    println!(
-        "recorded {} packets over {cycles} cycles to {out}",
-        trace.len()
-    );
+    let nodes = u16::try_from(k * k).map_err(|_| format!("--cores {cores} is too many to record"))?;
+    let mut source = SyntheticTraffic::uniform(Mesh2D::new(k, k), rate, 5, seed);
+    let writer = workload::record_source(&mut source, nodes, cycles).map_err(|e| e.to_string())?;
+    let packets = writer.len();
+    writer
+        .save(std::path::Path::new(&out))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!("recorded {packets} packets over {cycles} cycles to {out}");
     Ok(())
 }
 
@@ -772,19 +752,17 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let cores = args.get("cores", 16usize)?;
     let vcs = args.get("vcs", 4usize)?;
     let policy = parse_policy(args.get("policy", "sensor-wise".to_string())?.as_str())?;
-    let file = File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let trace = Trace::from_reader(BufReader::new(file)).map_err(|e| format!("bad trace: {e}"))?;
-    let horizon = trace.events().last().map(|e| e.cycle + 1).unwrap_or(0);
-    eprintln!(
-        "replaying {} packets ({horizon} cycles) under {policy}...",
-        trace.len()
-    );
-    let telemetry = parse_telemetry(args)?;
-    let mut replay = TraceReplay::new(trace);
     let mut noc = NocConfig::paper_synthetic(cores, vcs);
     noc.topology = parse_topology(args)?;
     noc.validate().map_err(|e| e.to_string())?;
     let topo = noc.build_topology().map_err(|e| e.to_string())?;
+    let mut replay = load_trace(&path, &noc)?;
+    let horizon = replay.end_cycle();
+    eprintln!(
+        "replaying {} packets ({horizon} cycles) under {policy}...",
+        replay.len()
+    );
+    let telemetry = parse_telemetry(args)?;
     let cfg = ExperimentConfig::new(noc, policy)
         .with_cycles(0, horizon + 2_000)
         .with_invariants(parse_invariants(args)?)
@@ -1053,7 +1031,7 @@ fn run_epochs(
         "epoch", "end_cycle", "drain", "digest", "max dVth mV", "delay %"
     );
     let spans_path = campaign_spans_path(checkpoint);
-    let anchor = profclock::now();
+    let anchor = clock::now();
     // A remote resume first folds in epochs some worker already filed in
     // the shared result store — no re-simulation, no worker contact.
     if remote.is_some() {
@@ -1074,7 +1052,7 @@ fn run_epochs(
         }
     }
     while !campaign.is_finished() {
-        let start_us = profclock::us_since(anchor);
+        let start_us = clock::us_since(anchor);
         let index = campaign.completed();
         let report = match remote {
             Some(exec) => {
@@ -1097,7 +1075,7 @@ fn run_epochs(
                 .run_next_epoch(store.map(|s| s as &dyn sensorwise::ResultCache))
                 .map_err(|e| e.to_string())?,
         };
-        let dur_us = profclock::us_since(anchor).saturating_sub(start_us);
+        let dur_us = clock::us_since(anchor).saturating_sub(start_us);
         campaign.save(checkpoint).map_err(|e| e.to_string())?;
         append_span(
             &spans_path,

@@ -53,8 +53,6 @@ pub mod prelude {
     };
     pub use noc_area::{analyze as analyze_area, AreaParams};
     pub use noc_sim::prelude::*;
-    // `noc_telemetry::TraceEvent` stays behind the `telemetry` module path:
-    // the traffic prelude already exports a `TraceEvent` (packet traces).
     pub use noc_telemetry::{
         read_jsonl, read_spans_jsonl, EventDigest, EventKind, Histogram, MetricsSeries,
         ProfileReport, Span, SpanKind, StageProfiler, TelemetryReport, TelemetrySpec,

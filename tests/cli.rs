@@ -113,7 +113,7 @@ fn run_reports_latency_percentiles() {
 fn record_then_replay_round_trips() {
     let dir = std::env::temp_dir().join("nbti-noc-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("t.trace");
+    let trace = dir.join("t.nbtitrc");
     let trace_str = trace.to_str().unwrap();
     let (stdout, _, ok) = run(&[
         "record", "--out", trace_str, "--cores", "4", "--rate", "0.2", "--cycles", "3000",
@@ -127,6 +127,24 @@ fn record_then_replay_round_trips() {
     assert!(ok, "{stdout}");
     assert!(stdout.contains("delivered"), "{stdout}");
     std::fs::remove_file(trace).ok();
+}
+
+#[test]
+fn replay_rejects_a_foreign_file_with_a_typed_trace_error() {
+    let dir = std::env::temp_dir().join("nbti-noc-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    // The retired plain-text trace format is not an NBTITRC stream.
+    let text = dir.join("old-text.trace");
+    std::fs::write(&text, "# nbti-noc trace v1\n0 0 1 5\n5 1 2 5\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_nbti-noc"))
+        .args(["replay", "--trace", text.to_str().unwrap(), "--cores", "4"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("not an NBTITRC trace (bad magic)"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(text).ok();
 }
 
 #[test]

@@ -305,6 +305,22 @@ fn protocol_errors_are_typed_not_hangs() {
 }
 
 #[test]
+fn deeply_nested_json_gets_400_and_the_server_keeps_serving() {
+    let (server, client) = start(1, 2, 0);
+    match client.submit(&"[".repeat(200_000)).expect("transport").0 {
+        Submitted::Refused { status, .. } => assert_eq!(status, 400),
+        other => panic!("nested garbage accepted: {other:?}"),
+    }
+    let stats = client.stats().expect("server still answers /stats");
+    assert_eq!(stats.get("accepting").and_then(|v| v.as_bool()), Some(true));
+
+    server.request_shutdown(false);
+    let report = server.wait();
+    assert_eq!(report.accepted, 0);
+    assert!(report.accounts_for_all(), "{report:?}");
+}
+
+#[test]
 fn invariant_counts_travel_over_the_wire() {
     let scenario = SyntheticScenario {
         cores: 4,

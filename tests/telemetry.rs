@@ -4,6 +4,7 @@
 
 use nbti_noc::prelude::*;
 use nbti_noc::telemetry::EventDigest;
+use nbti_noc::workload::{decode_trace, record_source, TraceSource};
 
 fn spec() -> TelemetrySpec {
     TelemetrySpec {
@@ -27,15 +28,13 @@ fn traced_cfg() -> ExperimentConfig {
 #[test]
 fn live_and_replayed_traffic_produce_the_same_digest() {
     let total = 2_200;
-    let mut rec = TraceRecorder::new(SyntheticTraffic::uniform(Mesh2D::new(2, 2), 0.25, 5, 42));
-    let mut sink = Vec::new();
-    for c in 0..total {
-        rec.emit(c, &mut sink);
-    }
+    let mut recorded = SyntheticTraffic::uniform(Mesh2D::new(2, 2), 0.25, 5, 42);
+    let bytes = record_source(&mut recorded, 4, total).unwrap().finish();
+    let (_, records) = decode_trace(&bytes).unwrap();
     let cfg = traced_cfg();
     let mut live = SyntheticTraffic::uniform(Mesh2D::new(2, 2), 0.25, 5, 42);
     let a = run_experiment(&cfg, &mut live);
-    let mut replay = TraceReplay::new(rec.into_trace());
+    let mut replay = TraceSource::from_records(records, "replay");
     let b = run_experiment(&cfg, &mut replay);
     assert!(a.trace_digest().is_some());
     assert_eq!(a.trace_digest(), b.trace_digest());

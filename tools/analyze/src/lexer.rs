@@ -1,8 +1,8 @@
 //! A small, real Rust lexer.
 //!
-//! The legacy `tools/lint` scanner matched raw substrings per line, which
-//! meant a forbidden token inside a string literal, a doc comment, or a
-//! `r#"raw string"#` could fire (or mask) a rule. This lexer produces a
+//! A scanner that matches raw substrings per line lets a forbidden token
+//! inside a string literal, a doc comment, or a `r#"raw string"#` fire
+//! (or mask) a rule. This lexer produces a
 //! proper token stream — identifiers, lifetimes, string/char/byte
 //! literals, numbers, punctuation — with line numbers, plus the comment
 //! text needed to honor `lint:allow(...)` suppressions. Literal *contents*

@@ -1,7 +1,7 @@
 //! `noc-analyze`: dataflow-aware static analysis for the nbti-noc
 //! workspace.
 //!
-//! Replaces the line-oriented `tools/lint` scanner with a real pipeline:
+//! The pipeline:
 //!
 //! 1. [`lexer`] — a Rust lexer that understands strings, raw strings,
 //!    byte literals, char-vs-lifetime, and nested comments, so a
@@ -10,13 +10,11 @@
 //!    region tracking;
 //! 3. [`graph`] — a workspace-level, name-resolved call graph with
 //!    reachability from the per-cycle entry points;
-//! 4. [`passes`] / [`locks`] — the five legacy token rules plus four
+//! 4. [`passes`] / [`locks`] — the five token rules plus four
 //!    interprocedural passes: `alloc-in-hot-path`, `panic-reachability`,
 //!    `lock-order`, and `blocking-under-lock`.
 //!
-//! The legacy `cargo run -p lint` entry point still works: it delegates
-//! here with [`RuleSet::Legacy`]. See DESIGN.md §14 for architecture and
-//! soundness caveats.
+//! See DESIGN.md §14 for architecture and soundness caveats.
 
 #![deny(missing_debug_implementations)]
 #![warn(
@@ -33,4 +31,4 @@ pub mod locks;
 pub mod passes;
 pub mod report;
 
-pub use passes::{analyze_root, Analysis, Finding, Options, RuleSet, Workspace};
+pub use passes::{analyze_root, Analysis, Finding, Options, Workspace};

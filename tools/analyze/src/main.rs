@@ -2,10 +2,8 @@
 //!
 //! Usage: `cargo run -p noc-analyze [-- FLAGS]`
 //!
-//! - `--json`             machine-readable output (legacy-lint-compatible keys)
+//! - `--json`             machine-readable output
 //! - `--root PATH`        scan root (default `.`)
-//! - `--rules legacy|all` run only the five migrated token rules, or
-//!   everything (default `all`)
 //! - `--strict-indexing`  also report slice-indexing reachable from hot
 //!   entry points (off by default; the count is always in the JSON)
 //! - `--timings`          print per-pass timings to stderr
@@ -18,7 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use noc_analyze::{analyze_root, report, Options, RuleSet};
+use noc_analyze::{analyze_root, report, Options};
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -38,18 +36,9 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--rules" => match args.next().as_deref() {
-                Some("legacy") => opts.rules = RuleSet::Legacy,
-                Some("all") => opts.rules = RuleSet::All,
-                _ => {
-                    eprintln!("--rules requires `legacy` or `all`");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!(
-                    "usage: noc-analyze [--json] [--root PATH] [--rules legacy|all] \
-                     [--strict-indexing] [--timings]"
+                    "usage: noc-analyze [--json] [--root PATH] [--strict-indexing] [--timings]"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -1,18 +1,18 @@
-//! Analysis driver: file loading, the legacy token rules, and the
+//! Analysis driver: file loading, the token rules, and the
 //! interprocedural hot-path passes.
 //!
 //! Rule catalog (see DESIGN.md §14 for the full table and caveats):
 //!
-//! - token rules, migrated from `tools/lint`: `no-unordered-map`,
+//! - token rules: `no-unordered-map`,
 //!   `no-wall-clock`, `no-os-random`, `no-thread-spawn`, `no-unwrap`
 //! - interprocedural: `alloc-in-hot-path`, `panic-reachability`,
 //!   `lock-order`, `blocking-under-lock` (the last two live in
 //!   `crate::locks`)
 //!
 //! Every finding can be suppressed by `// lint:allow(rule-id)
-//! <justification>` on the same line or the line directly above — the
-//! same contract the legacy linter enforced, now parsed from real
-//! comment tokens so string literals can neither fire nor suppress.
+//! <justification>` on the same line or the line directly above, parsed
+//! from real comment tokens so string literals can neither fire nor
+//! suppress.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -24,32 +24,13 @@ use crate::items::{extract, param_type_hints, Items};
 use crate::lexer::{lex, Tok, TokKind};
 use crate::locks;
 
-/// Which rules to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleSet {
-    /// The five token rules the legacy `tools/lint` enforced.
-    Legacy,
-    /// Token rules plus the interprocedural passes.
-    All,
-}
-
 /// Analysis options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Options {
-    pub rules: RuleSet,
     /// Also report slice-indexing sites reachable from hot entry points
     /// (off by default: the simulator's dense index style would drown the
     /// signal; the count is always reported in the JSON summary).
     pub strict_indexing: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            rules: RuleSet::All,
-            strict_indexing: false,
-        }
-    }
 }
 
 /// One finding.
@@ -119,7 +100,7 @@ pub struct Analysis {
 }
 
 // ---------------------------------------------------------------------------
-// Scopes (unchanged from the legacy linter).
+// Scopes.
 // ---------------------------------------------------------------------------
 
 fn in_sim_or_sweep_code(path: &str) -> bool {
@@ -144,13 +125,12 @@ fn everywhere(_path: &str) -> bool {
     true
 }
 
-/// Everywhere except the two sanctioned wall-clock boundaries: the serving
-/// layer's `noc_service::clock`, and the profiling layer's
-/// `noc_telemetry::profclock`. Both funnel every real-time read through one
-/// reviewed file whose contract is that timings are observations of a run,
-/// never inputs to it.
-fn outside_sanctioned_clock_boundaries(path: &str) -> bool {
-    path != "crates/service/src/clock.rs" && path != "crates/telemetry/src/profclock.rs"
+/// Everywhere except the sanctioned wall-clock boundary,
+/// `noc_telemetry::clock`: the one reviewed file every real-time read
+/// funnels through, whose contract is that timings are observations of a
+/// run, never inputs to it.
+fn outside_sanctioned_clock_boundary(path: &str) -> bool {
+    path != "crates/telemetry/src/clock.rs"
 }
 
 /// Everywhere except the two sanctioned thread owners: the deterministic
@@ -337,7 +317,7 @@ const TOKEN_RULES: &[TokenRule] = &[
         id: "no-wall-clock",
         message: "wall-clock read breaks reproducibility; derive timing from the \
                   simulated cycle counter",
-        applies: outside_sanctioned_clock_boundaries,
+        applies: outside_sanctioned_clock_boundary,
     },
     TokenRule {
         id: "no-os-random",
@@ -590,80 +570,70 @@ fn panic_pass(
 // Driver
 // ---------------------------------------------------------------------------
 
-/// Loads `root` and runs the selected rule set.
+/// Runs `f`, appending its wall time in milliseconds to `timings` under
+/// `phase`.
+fn timed<R>(
+    timings: &mut Vec<(&'static str, f64)>,
+    phase: &'static str,
+    f: impl FnOnce() -> R,
+) -> R {
+    let t = Instant::now();
+    let out = f();
+    timings.push((phase, t.elapsed().as_secs_f64() * 1e3));
+    out
+}
+
+/// Loads `root` and runs every rule.
 pub fn analyze_root(root: &Path, opts: &Options) -> Analysis {
-    let t0 = Instant::now();
-    let ws = Workspace::load(root);
-    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut load = Vec::new();
+    let ws = timed(&mut load, "load", || Workspace::load(root));
     let mut analysis = analyze_workspace(&ws, opts);
-    analysis.timings_ms.insert(0, ("load", load_ms));
+    analysis.timings_ms.splice(0..0, load);
     analysis
 }
 
-/// Runs the selected rule set over already-loaded files.
+/// Runs every rule over already-loaded files.
 fn analyze_workspace(ws: &Workspace, opts: &Options) -> Analysis {
     let mut analysis = Analysis {
         files: ws.files.len(),
         ..Analysis::default()
     };
 
-    let t = Instant::now();
-    for unit in &ws.files {
-        analysis.findings.extend(token_findings(unit));
-    }
-    analysis
-        .timings_ms
-        .push(("token-rules", t.elapsed().as_secs_f64() * 1e3));
+    let token = timed(&mut analysis.timings_ms, "token-rules", || {
+        ws.files.iter().flat_map(token_findings).collect::<Vec<_>>()
+    });
+    analysis.findings.extend(token);
 
-    if opts.rules == RuleSet::All {
-        let t = Instant::now();
+    let (fns, graph, reach) = timed(&mut analysis.timings_ms, "graph", || {
         let fns = ws.fn_infos();
-        analysis.fns = fns.len();
         let graph_input: Vec<(FnId, String, Option<String>, Vec<CallSite>)> = fns
             .iter()
             .map(|f| (f.id, f.name.clone(), f.impl_type.clone(), f.sites.clone()))
             .collect();
         let graph = CallGraph::build(&graph_input);
-        let infos: BTreeMap<FnId, &FnInfo> = fns.iter().map(|f| (f.id, f)).collect();
         let roots: Vec<FnId> = fns
             .iter()
             .filter(|f| HOT_ENTRY_POINTS.contains(&f.name.as_str()))
             .map(|f| f.id)
             .collect();
         let reach = graph.reachable(&roots);
-        analysis
-            .timings_ms
-            .push(("graph", t.elapsed().as_secs_f64() * 1e3));
+        (fns, graph, reach)
+    });
+    analysis.fns = fns.len();
+    let infos: BTreeMap<FnId, &FnInfo> = fns.iter().map(|f| (f.id, f)).collect();
 
-        let t = Instant::now();
-        analysis
-            .findings
-            .extend(alloc_pass(ws, &fns, &reach, &infos));
-        analysis
-            .timings_ms
-            .push(("alloc-in-hot-path", t.elapsed().as_secs_f64() * 1e3));
-
-        let t = Instant::now();
-        analysis.findings.extend(panic_pass(
-            ws,
-            &fns,
-            &reach,
-            &infos,
-            opts.strict_indexing,
-            &mut analysis.hot_index_sites,
-        ));
-        analysis
-            .timings_ms
-            .push(("panic-reachability", t.elapsed().as_secs_f64() * 1e3));
-
-        let t = Instant::now();
-        analysis
-            .findings
-            .extend(locks::lock_passes(ws, &fns, &graph));
-        analysis
-            .timings_ms
-            .push(("lock-passes", t.elapsed().as_secs_f64() * 1e3));
-    }
+    let alloc = timed(&mut analysis.timings_ms, "alloc-in-hot-path", || {
+        alloc_pass(ws, &fns, &reach, &infos)
+    });
+    analysis.findings.extend(alloc);
+    let panics = timed(&mut analysis.timings_ms, "panic-reachability", || {
+        panic_pass(ws, &fns, &reach, &infos, opts.strict_indexing, &mut analysis.hot_index_sites)
+    });
+    analysis.findings.extend(panics);
+    let locks = timed(&mut analysis.timings_ms, "lock-passes", || {
+        locks::lock_passes(ws, &fns, &graph)
+    });
+    analysis.findings.extend(locks);
 
     analysis
         .findings

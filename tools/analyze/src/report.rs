@@ -2,15 +2,14 @@
 //!
 //! The text format is one line per finding —
 //! `file:line: [rule-id] message` — with indented `via:` call-path
-//! evidence lines for interprocedural findings. The JSON format keeps
-//! the legacy linter's keys (`count`, `findings[].rule/file/line/
-//! message`) and adds `path` arrays plus summary fields, so existing
-//! `grep '"rule": ...'` consumers keep working.
+//! evidence lines for interprocedural findings. The JSON format carries
+//! `count`, `findings[].rule/file/line/message/path` and summary fields;
+//! `scripts/ci.sh` greps its `"rule": ...` lines.
 
 use crate::passes::{Analysis, Finding};
 
 /// JSON string escaping (the workspace convention: no dependencies).
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -85,7 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn json_keeps_legacy_keys_and_escapes() {
+    fn json_carries_finding_keys_and_escapes() {
         let a = Analysis {
             findings: vec![Finding {
                 rule: "no-unwrap",

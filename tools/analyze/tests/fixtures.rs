@@ -1,13 +1,13 @@
 //! Golden tests over the fixture tree and the real workspace.
 //!
 //! The fixture tree under `tools/analyze/fixtures/` is built so that
-//! every rule — the five migrated token rules and the four
+//! every rule — the five token rules and the four
 //! interprocedural passes — trips a known number of times (once per
 //! fixture file: `alloc-in-hot-path` has one fixture in the simulator
 //! scope and one in the workload scope), and so that forbidden tokens
 //! inside string literals, comments, and test-only code stay silent.
 
-use noc_analyze::{analyze_root, Options, RuleSet};
+use noc_analyze::{analyze_root, Options};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -91,14 +91,14 @@ fn forbidden_tokens_in_strings_comments_and_tests_stay_silent() {
 
 #[test]
 fn sanctioned_clock_boundary_stays_silent() {
-    // `crates/telemetry/src/profclock.rs` holds a raw `Instant::now()`
+    // `crates/telemetry/src/clock.rs` holds a raw `Instant::now()`
     // with no `lint:allow` marker; the path-allowlist alone must keep
     // `no-wall-clock` quiet, while the violation fixture still trips it.
     let a = analyze_root(fixture_root(), &Options::default());
     let noisy: Vec<_> = a
         .findings
         .iter()
-        .filter(|f| f.file.ends_with("profclock.rs"))
+        .filter(|f| f.file.ends_with("telemetry/src/clock.rs"))
         .collect();
     assert!(noisy.is_empty(), "{noisy:#?}");
     let wall = a
@@ -107,24 +107,6 @@ fn sanctioned_clock_boundary_stays_silent() {
         .find(|f| f.rule == "no-wall-clock")
         .expect("violation fixture still trips");
     assert!(wall.file.ends_with("wall_clock_violation.rs"), "{wall:#?}");
-}
-
-#[test]
-fn legacy_ruleset_runs_only_the_five_token_rules() {
-    let opts = Options {
-        rules: RuleSet::Legacy,
-        ..Options::default()
-    };
-    let a = analyze_root(fixture_root(), &opts);
-    assert_eq!(a.findings.len(), 5, "{:#?}", a.findings);
-    assert!(
-        a.findings.iter().all(|f| f.path.is_empty()),
-        "token rules are intraprocedural"
-    );
-    assert!(a
-        .findings
-        .iter()
-        .all(|f| f.rule.starts_with("no-")), "{:#?}", a.findings);
 }
 
 #[test]
