@@ -67,7 +67,7 @@ fn main() {
         w2.local_addr().to_string(),
     ])
     .expect("two live workers");
-    let exec = RemoteExecutor::new(pool, 2).with_poll(2, 600_000);
+    let exec = RemoteExecutor::new(pool, 2);
 
     let mut campaign = Campaign::new(bench.spec()).expect("bench spec is valid");
     let started = clock::now();

@@ -2,12 +2,16 @@
 
 use crate::engine::{CampaignError, EpochExecutor};
 use crate::remote::pool::WorkerPool;
-use noc_service::{deterministic_backoff_ms, ServiceClient, Submitted};
+use noc_service::{deterministic_backoff_ms, ServiceClient, Submitted, WaitError};
 use noc_telemetry::{derive_id, Span, SpanKind, SpanLog, NO_PARENT};
 use sensorwise::{spec_key, WireEpochOutcome, WireEpochRequest, WireResult};
 use std::collections::BTreeMap;
 use std::thread;
 use std::time::Duration;
+
+/// How long a dispatcher waits for one job's result before it gives the
+/// worker up as lost.
+const RESULT_BUDGET_MS: u64 = 10 * 60 * 1_000;
 
 /// Why one dispatch attempt against one worker did not yield an outcome.
 enum TryError {
@@ -23,40 +27,10 @@ enum TryError {
     Job(String),
 }
 
-/// Polls a job to terminal state and decodes its raw result body.
-fn poll_result_json(
-    client: &ServiceClient,
-    id: u64,
-    poll_ms: u64,
-    max_polls: u32,
-) -> Result<String, TryError> {
-    for _ in 0..max_polls {
-        let status = client.status(id).map_err(TryError::Transport)?;
-        if status.is_terminal() {
-            if status.status != "done" {
-                return Err(TryError::Job(format!(
-                    "worker {} job {id} ended {}{}",
-                    client.addr(),
-                    status.status,
-                    status.error.map(|e| format!(": {e}")).unwrap_or_default()
-                )));
-            }
-            return client
-                .result_json(id)
-                .map_err(TryError::Transport)?
-                .ok_or_else(|| {
-                    TryError::Transport(format!(
-                        "worker {} reported job {id} done but served no result",
-                        client.addr()
-                    ))
-                });
-        }
-        thread::sleep(Duration::from_millis(poll_ms.max(1)));
-    }
-    Err(TryError::Transport(format!(
-        "worker {} job {id} still not terminal after {max_polls} polls",
-        client.addr()
-    )))
+/// The campaign-level error for job `id` on `client`, which ended
+/// `state` without a result.
+fn job_failure(client: &ServiceClient, id: u64, state: &str) -> String {
+    format!("worker {} {}", client.addr(), client.failure(id, state))
 }
 
 /// Executes campaign epochs on a [`WorkerPool`] of `noc-service` workers.
@@ -80,37 +54,28 @@ fn poll_result_json(
 ///   worker would fail identically.
 ///
 /// Every attempt is recorded as a `dispatch` span (`dispatch-e{E}-a{A}`)
-/// parented under the epoch's derived span id, and every integration the
-/// engine performs on this executor's behalf as an `integrate` span —
-/// `drain_spans` hands them to the caller's sidecar.
+/// parented under the epoch's derived span id, with one `hop` child per
+/// step of the attempt: `encode` (first attempt only), `submit`, `wait`,
+/// `fetch-error` (only for a job that failed) and `decode`. Every
+/// integration the engine performs on this executor's behalf is an
+/// `integrate` span — `drain_spans` hands them all to the caller's
+/// sidecar.
 #[derive(Debug)]
 pub struct RemoteExecutor {
     pool: WorkerPool,
     retries: u32,
-    poll_ms: u64,
-    max_polls: u32,
     spans: SpanLog,
 }
 
 impl RemoteExecutor {
     /// An executor over `pool` tolerating `retries` reassignments per
-    /// epoch. Polls results every 10 ms for up to 10 minutes.
+    /// epoch. Waits up to 10 minutes for each result.
     pub fn new(pool: WorkerPool, retries: u32) -> RemoteExecutor {
         RemoteExecutor {
             pool,
             retries,
-            poll_ms: 10,
-            max_polls: 60_000,
             spans: SpanLog::new(),
         }
-    }
-
-    /// Overrides the result-poll cadence (interval and probe budget).
-    #[must_use]
-    pub fn with_poll(mut self, poll_ms: u64, max_polls: u32) -> RemoteExecutor {
-        self.poll_ms = poll_ms;
-        self.max_polls = max_polls;
-        self
     }
 
     /// The worker pool.
@@ -137,9 +102,20 @@ impl RemoteExecutor {
         self.spans.drain()
     }
 
-    fn try_worker(&self, worker: usize, request_json: &str) -> Result<WireEpochOutcome, TryError> {
+    /// One attempt on `worker`; its steps are recorded as `hop` spans
+    /// under the attempt's span id `attempt_span`.
+    fn try_worker(
+        &self,
+        worker: usize,
+        request_json: &str,
+        attempt_span: u64,
+    ) -> Result<WireEpochOutcome, TryError> {
         let client = self.pool.client(worker);
-        let (submitted, _) = client.submit(request_json).map_err(TryError::Transport)?;
+        let start = self.spans.now_us();
+        let submitted = client.submit(request_json);
+        self.spans
+            .record(SpanKind::Hop, "submit", attempt_span, start);
+        let (submitted, _) = submitted.map_err(TryError::Transport)?;
         let id = match submitted {
             Submitted::Accepted { id } => id,
             Submitted::Busy { retry_after_secs } => return Err(TryError::Busy(retry_after_secs)),
@@ -150,10 +126,28 @@ impl RemoteExecutor {
                 )))
             }
         };
-        let doc = poll_result_json(client, id, self.poll_ms, self.max_polls)?;
+        let start = self.spans.now_us();
+        let waited = client.wait_result_json(id, RESULT_BUDGET_MS);
+        self.spans
+            .record(SpanKind::Hop, "wait", attempt_span, start);
+        let doc = match waited {
+            Ok(doc) => doc,
+            Err(WaitError::Transport(msg)) => return Err(TryError::Transport(msg)),
+            Err(WaitError::Ended(state)) => {
+                let start = self.spans.now_us();
+                let msg = job_failure(client, id, &state);
+                self.spans
+                    .record(SpanKind::Hop, "fetch-error", attempt_span, start);
+                return Err(TryError::Job(msg));
+            }
+        };
         // A result that fails to decode is corruption in transit or at
         // rest — a miss, recomputed elsewhere, never a wrong value.
-        WireEpochOutcome::from_json(&doc).map_err(|e| {
+        let start = self.spans.now_us();
+        let outcome = WireEpochOutcome::from_json(&doc);
+        self.spans
+            .record(SpanKind::Hop, "decode", attempt_span, start);
+        outcome.map_err(|e| {
             TryError::Transport(format!(
                 "worker {} served an undecodable epoch outcome: {e}",
                 client.addr()
@@ -168,11 +162,21 @@ impl EpochExecutor for RemoteExecutor {
         index: u32,
         request: &WireEpochRequest,
     ) -> Result<WireEpochOutcome, CampaignError> {
+        let epoch_span = derive_id(SpanKind::Epoch, &format!("epoch-{index}"), NO_PARENT);
+        // The first attempt's span opens before the request is encoded,
+        // so the encoding is its first hop.
+        let mut start = self.spans.now_us();
+        let first_attempt = derive_id(
+            SpanKind::Dispatch,
+            &format!("dispatch-e{index}-a0"),
+            epoch_span,
+        );
         let request_json = request
             .to_json()
             .map_err(|e| CampaignError::Spec(e.to_string()))?;
+        self.spans
+            .record(SpanKind::Hop, "encode", first_attempt, start);
         let seed = spec_key(&request_json);
-        let epoch_span = derive_id(SpanKind::Epoch, &format!("epoch-{index}"), NO_PARENT);
         let mut last_error = String::new();
         for attempt in 0..=self.retries {
             let Some(worker) = self.pool.planned_worker(index, attempt) else {
@@ -180,14 +184,14 @@ impl EpochExecutor for RemoteExecutor {
                     "epoch {index}: every worker is dead (last error: {last_error})"
                 )));
             };
-            let start = self.spans.now_us();
-            let outcome = self.try_worker(worker, &request_json);
-            self.spans.record(
-                SpanKind::Dispatch,
-                &format!("dispatch-e{index}-a{attempt}"),
-                epoch_span,
-                start,
-            );
+            if attempt > 0 {
+                start = self.spans.now_us();
+            }
+            let name = format!("dispatch-e{index}-a{attempt}");
+            let attempt_span = derive_id(SpanKind::Dispatch, &name, epoch_span);
+            let outcome = self.try_worker(worker, &request_json, attempt_span);
+            self.spans
+                .record(SpanKind::Dispatch, &name, epoch_span, start);
             match outcome {
                 Ok(wire) => return Ok(wire),
                 Err(TryError::Transport(msg)) => {
@@ -230,8 +234,6 @@ pub fn run_batch_remote(
     pool: &WorkerPool,
     specs: &[String],
     retries: u32,
-    poll_ms: u64,
-    max_polls: u32,
 ) -> Result<Vec<WireResult>, CampaignError> {
     let mut results: Vec<Option<WireResult>> = specs.iter().map(|_| None).collect();
     let mut pending: Vec<usize> = (0..specs.len()).collect();
@@ -286,15 +288,20 @@ pub fn run_batch_remote(
         }
         for (worker, point, id) in accepted {
             let client = pool.client(worker);
-            match poll_result_json(client, id, poll_ms, max_polls)
-                .and_then(|doc| {
-                    WireResult::from_json(&doc).map_err(|e| {
-                        TryError::Transport(format!("undecodable sweep result: {e}"))
-                    })
-                }) {
-                Ok(result) => results[point] = Some(result),
-                Err(TryError::Job(msg)) => return Err(CampaignError::Dispatch(msg)),
-                Err(_) => {
+            // A transport failure or an undecodable result reassigns the
+            // point; a failed job fails the sweep.
+            match client.wait_result_json(id, RESULT_BUDGET_MS) {
+                Ok(doc) => match WireResult::from_json(&doc) {
+                    Ok(result) => results[point] = Some(result),
+                    Err(_) => {
+                        pool.mark_dead(worker);
+                        deferred.push(point);
+                    }
+                },
+                Err(WaitError::Ended(state)) => {
+                    return Err(CampaignError::Dispatch(job_failure(client, id, &state)))
+                }
+                Err(WaitError::Transport(_)) => {
                     pool.mark_dead(worker);
                     deferred.push(point);
                 }

@@ -4,9 +4,11 @@
 //! bench. Every call opens one connection (the server closes after each
 //! response) and reports its wall-clock latency in milliseconds so
 //! callers can build request-latency distributions without touching the
-//! clock themselves.
+//! clock themselves. Waiting for a result never polls: it blocks in
+//! waited result requests (`?wait_ms=N`) that the server answers the
+//! moment the job ends.
 
-use crate::http::http_request;
+use crate::http::{http_request, MAX_WAIT_MS};
 use noc_telemetry::clock;
 use sensorwise::codec::{JsonValue, WireResult};
 use sensorwise::spec_key;
@@ -82,6 +84,18 @@ impl JobStatus {
     pub fn is_terminal(&self) -> bool {
         !matches!(self.status.as_str(), "queued" | "running")
     }
+}
+
+/// Why [`ServiceClient::wait_result_json`] returned no result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WaitError {
+    /// The job reached this terminal state without a result (`failed`,
+    /// `cancelled`, `timed_out`, `dropped`);
+    /// [`ServiceClient::failure`] fetches its error text.
+    Ended(String),
+    /// A transport failure, an unknown id, an unexpected answer, or a
+    /// budget spent before the job ended.
+    Transport(String),
 }
 
 /// The blocking API client.
@@ -312,33 +326,98 @@ impl ServiceClient {
         }
     }
 
-    /// Polls until the job reaches a terminal state, then returns its
-    /// result. Bounded: gives up after `max_polls` probes of `poll_ms`.
+    /// Waits until the job reaches a terminal state, then returns its
+    /// result. Bounded: gives up after `timeout_ms`.
     ///
     /// # Errors
     ///
-    /// Transport failures, non-`done` terminal states, or poll exhaustion.
-    pub fn wait_result(&self, id: u64, poll_ms: u64, max_polls: u32) -> Result<WireResult, String> {
-        for _ in 0..max_polls {
-            let status = self.status(id)?;
-            if status.is_terminal() {
-                if status.status != "done" {
-                    return Err(format!(
-                        "job {id} ended {}{}",
-                        status.status,
-                        status
-                            .error
-                            .map(|e| format!(": {e}"))
-                            .unwrap_or_default()
-                    ));
-                }
-                return self
-                    .result(id)?
-                    .ok_or_else(|| format!("job {id} done but no result served"));
-            }
-            thread::sleep(Duration::from_millis(poll_ms.max(1)));
+    /// Transport failures, non-`done` terminal states (with the job's
+    /// error text, fetched by one status request), an exhausted budget, or
+    /// an undecodable result.
+    pub fn wait_result(&self, id: u64, timeout_ms: u64) -> Result<WireResult, String> {
+        match self.wait_result_json(id, timeout_ms) {
+            Ok(body) => WireResult::from_json(&body).map_err(|e| e.to_string()),
+            Err(WaitError::Ended(state)) => Err(self.failure(id, &state)),
+            Err(WaitError::Transport(msg)) => Err(msg),
         }
-        Err(format!("job {id} still not terminal after {max_polls} polls"))
+    }
+
+    /// Waits until the job reaches a terminal state and returns its
+    /// result body verbatim (epoch jobs serve a `WireEpochOutcome`, not a
+    /// `WireResult`). Each round trip is a waited result request that the
+    /// server answers as soon as the job ends, so a job that finishes in
+    /// time costs exactly one request and no sleep. A `429` (every waiter
+    /// slot taken) is retried after [`deterministic_backoff_ms`], seeded
+    /// by the job id. Bounded: gives up after `timeout_ms`.
+    ///
+    /// # Errors
+    ///
+    /// [`WaitError::Ended`] for a job that ended without a result,
+    /// [`WaitError::Transport`] for everything else.
+    pub fn wait_result_json(&self, id: u64, timeout_ms: u64) -> Result<String, WaitError> {
+        let start = clock::now();
+        let mut busy = 0u32;
+        loop {
+            let left = timeout_ms.saturating_sub(clock::ms_since(start));
+            let path = format!("/jobs/{id}/result?wait_ms={}", left.min(MAX_WAIT_MS));
+            let (response, _) = self.timed("GET", &path, "").map_err(WaitError::Transport)?;
+            match response.status {
+                200 => return Ok(response.body),
+                409 => {
+                    let state = JsonValue::parse(&response.body)
+                        .ok()
+                        .as_ref()
+                        .and_then(|v| v.get("status"))
+                        .and_then(JsonValue::as_str)
+                        .map(str::to_string)
+                        .ok_or_else(|| {
+                            WaitError::Transport(format!("result {id}: 409 without a status"))
+                        })?;
+                    if !matches!(state.as_str(), "queued" | "running") {
+                        return Err(WaitError::Ended(state));
+                    }
+                }
+                // Every waiter slot is taken: back off as a refused
+                // submission does, so clients beyond the cap cost the
+                // server a few requests per second, not a poll loop.
+                429 => {
+                    let hint = response.retry_after_secs.unwrap_or(1);
+                    let pause = deterministic_backoff_ms(id, busy, hint).min(left);
+                    busy += 1;
+                    thread::sleep(Duration::from_millis(pause));
+                }
+                404 if response.body.contains("no such endpoint") => {
+                    return Err(WaitError::Transport(format!(
+                        "{} does not serve waited results (`?wait_ms=`): the front end \
+                         and its workers must run the same build",
+                        self.addr
+                    )))
+                }
+                status => {
+                    return Err(WaitError::Transport(format!(
+                        "result {id}: HTTP {status}: {}",
+                        response.body
+                    )))
+                }
+            }
+            if left == 0 {
+                return Err(WaitError::Transport(format!(
+                    "job {id} still not terminal after {timeout_ms} ms"
+                )));
+            }
+        }
+    }
+
+    /// The failure text of job `id`, which ended `state` without a
+    /// result: one status request fetches the job's error detail.
+    pub fn failure(&self, id: u64, state: &str) -> String {
+        let detail = self
+            .status(id)
+            .ok()
+            .and_then(|s| s.error)
+            .map(|e| format!(": {e}"))
+            .unwrap_or_default();
+        format!("job {id} ended {state}{detail}")
     }
 
     /// Requests job cancellation; returns the post-request state.

@@ -15,7 +15,9 @@
 //! An accepted job (`202`) reaches a terminal state in every code path —
 //! graceful shutdown drains `queued`/`running` to completion, and only a
 //! *force* shutdown may produce `DROPPED`, which the shutdown report
-//! counts explicitly.
+//! counts explicitly. Every transition into a terminal state notifies
+//! one condition variable, which is what lets a waited result request
+//! ([`JobTable::wait_terminal`]) block instead of being polled.
 
 use noc_telemetry::clock;
 use sensorwise::codec::json_string;
@@ -23,7 +25,7 @@ use sensorwise::{ExperimentJob, WireEpochRequest};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A deadline `timeout_ms` from now; `None` when `timeout_ms` is zero
@@ -144,6 +146,8 @@ pub struct JobCounts {
 #[derive(Debug, Default)]
 pub struct JobTable {
     jobs: Mutex<BTreeMap<JobId, JobRecord>>,
+    /// Notified on every transition into a terminal state.
+    terminal: Condvar,
     next_id: AtomicU64,
 }
 
@@ -222,6 +226,7 @@ impl JobTable {
             record.error = error;
             record.deadline = None;
         }
+        self.terminal.notify_all();
     }
 
     /// Requests cancellation. Queued jobs transition immediately; running
@@ -233,6 +238,7 @@ impl JobTable {
         match record.state {
             JobState::Queued => {
                 record.state = JobState::Cancelled;
+                self.terminal.notify_all();
             }
             JobState::Running => {
                 record.cancel.store(true, Ordering::Relaxed);
@@ -267,6 +273,27 @@ impl JobTable {
                 JobState::Running => record.cancel.store(true, Ordering::Relaxed),
                 _ => {}
             }
+        }
+        self.terminal.notify_all();
+    }
+
+    /// Blocks until job `id` is terminal or `timeout` passes, and returns
+    /// its state then; `None` at once for unknown ids. The lock is
+    /// released while parked, so waiting holds up no other operation.
+    pub fn wait_terminal(&self, id: JobId, timeout: Duration) -> Option<JobState> {
+        let deadline = clock::now() + timeout;
+        let mut jobs = self.lock();
+        loop {
+            let state = jobs.get(&id)?.state;
+            let left = deadline.saturating_duration_since(clock::now());
+            if state.is_terminal() || left.is_zero() {
+                return Some(state);
+            }
+            jobs = self
+                .terminal
+                .wait_timeout(jobs, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -308,11 +335,12 @@ impl JobTable {
         })
     }
 
-    /// The result JSON of a job, when it is `Done`.
-    pub fn result_json(&self, id: JobId) -> Option<Option<String>> {
+    /// The result JSON of a job once it is `Done`, or else the state it
+    /// is in (both read under one lock); `None` for unknown ids.
+    pub fn result_json(&self, id: JobId) -> Option<Result<String, JobState>> {
         self.lock()
             .get(&id)
-            .map(|record| record.result_json.clone())
+            .map(|record| record.result_json.clone().ok_or(record.state))
     }
 }
 
@@ -350,7 +378,7 @@ mod tests {
         let status = table.status_json(id).unwrap();
         assert!(status.contains("\"done\""), "{status}");
         assert!(status.contains("0000000000000007"), "{status}");
-        assert_eq!(table.result_json(id), Some(Some("{}".to_string())));
+        assert_eq!(table.result_json(id), Some(Ok("{}".to_string())));
         assert_eq!(table.counts().done, 1);
     }
 
@@ -388,6 +416,80 @@ mod tests {
         assert!(cancel.load(Ordering::Relaxed));
         assert!(timed_out.load(Ordering::Relaxed));
         assert_eq!(table.expire_deadlines(later), 0, "expiry reported once");
+    }
+
+    /// Runs `wait_terminal(id, timeout)` and `act` on two threads;
+    /// returns the waiter's answer.
+    fn wait_across(
+        table: &JobTable,
+        id: JobId,
+        timeout: Duration,
+        act: impl Fn() + Sync,
+    ) -> Option<JobState> {
+        let answers = sensorwise::parallel_map(&[0usize, 1], 2, |_, &role| {
+            if role == 0 {
+                table.wait_terminal(id, timeout)
+            } else {
+                // Let the waiter park first; a notify before it parks is
+                // also fine, it then sees the terminal state at once.
+                std::thread::sleep(Duration::from_millis(20));
+                act();
+                None
+            }
+        });
+        answers[0]
+    }
+
+    #[test]
+    fn wait_terminal_wakes_on_finish_cancel_and_abort() {
+        let long = Duration::from_secs(30);
+        let table = JobTable::default();
+
+        let done = table.insert(job(), String::new());
+        table.claim(done, 0).unwrap();
+        let t = clock::now();
+        let state = wait_across(&table, done, long, || {
+            table.finish(done, JobState::Done, Some("{}".to_string()), None, None);
+        });
+        assert_eq!(state, Some(JobState::Done));
+        assert!(
+            clock::ms_since(t) < 10_000,
+            "woken by finish, not the timeout"
+        );
+
+        let queued = table.insert(job(), String::new());
+        let state = wait_across(&table, queued, long, || {
+            table.cancel(queued);
+        });
+        assert_eq!(state, Some(JobState::Cancelled));
+
+        let dropped = table.insert(job(), String::new());
+        let state = wait_across(&table, dropped, long, || table.abort_all());
+        assert_eq!(state, Some(JobState::Dropped));
+        assert!(
+            clock::ms_since(t) < 10_000,
+            "every wake beat the 30 s timeout"
+        );
+    }
+
+    #[test]
+    fn wait_terminal_times_out_on_running_jobs_and_skips_unknown_ids() {
+        let table = JobTable::default();
+        let id = table.insert(job(), String::new());
+        table.claim(id, 0).unwrap();
+        let t = clock::now();
+        assert_eq!(
+            table.wait_terminal(id, Duration::from_millis(50)),
+            Some(JobState::Running)
+        );
+        assert!(
+            clock::ms_since(t) >= 50,
+            "a running job holds the wait to its timeout"
+        );
+
+        let t = clock::now();
+        assert_eq!(table.wait_terminal(999, Duration::from_secs(30)), None);
+        assert!(clock::ms_since(t) < 1_000, "unknown ids answer at once");
     }
 
     #[test]

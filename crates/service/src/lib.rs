@@ -4,7 +4,8 @@
 //! `sensorwise` engine into a job service:
 //!
 //! * [`server`] — the HTTP/1.1 API: submit specs (`POST /jobs`), poll
-//!   (`GET /jobs/{id}`), fetch results (`GET /jobs/{id}/result`), cancel
+//!   (`GET /jobs/{id}`), fetch results (`GET /jobs/{id}/result`, or block
+//!   until the job ends with `?wait_ms=N`), cancel
 //!   (`DELETE /jobs/{id}`), observe (`GET /stats` as JSON, `GET /metrics`
 //!   as Prometheus text exposition), and shut down (`POST /shutdown`),
 //! * [`metrics`] — the lock-light [`MetricsRegistry`] both observation
@@ -16,7 +17,8 @@
 //!   job ends in exactly one terminal state the shutdown report accounts
 //!   for,
 //! * [`http`] — minimal HTTP framing (`Content-Length`, one request per
-//!   connection) shared by server and client,
+//!   connection, one deadline and a size cap per exchange) shared by
+//!   server and client,
 //! * [`client`] — a blocking client with per-request latency accounting.
 //!
 //! Every real-time read (timeouts, latencies) goes through
@@ -46,7 +48,7 @@ pub mod metrics;
 pub mod queue;
 pub mod server;
 
-pub use client::{deterministic_backoff_ms, JobStatus, ServiceClient, Submitted};
+pub use client::{deterministic_backoff_ms, JobStatus, ServiceClient, Submitted, WaitError};
 pub use jobs::{JobCounts, JobId, JobState};
 pub use metrics::{Endpoint, GaugeView, MetricsRegistry};
 pub use queue::{BoundedQueue, PushError};

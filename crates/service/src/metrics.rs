@@ -11,6 +11,7 @@
 //! / `# TYPE` comment lines, `_total` counters, and histograms with
 //! cumulative `le` buckets whose `+Inf` bucket always equals `_count`.
 
+use crate::http::Target;
 use crate::jobs::JobCounts;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -89,7 +90,7 @@ pub enum Endpoint {
     Batch,
     /// `GET /jobs/{id}`
     Status,
-    /// `GET /jobs/{id}/result`
+    /// `GET /jobs/{id}/result`, waited (`?wait_ms=N`) or not
     Result,
     /// `DELETE /jobs/{id}`
     Cancel,
@@ -135,10 +136,9 @@ impl Endpoint {
         Endpoint::Other,
     ];
 
-    /// Classifies a request by method and path.
-    pub fn classify(method: &str, path: &str) -> Endpoint {
-        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        match (method, segments.as_slice()) {
+    /// Classifies a request by method and parsed target.
+    pub fn classify(method: &str, target: &Target<'_>) -> Endpoint {
+        match (method, target.segments.as_slice()) {
             ("POST", ["jobs"]) => Endpoint::Submit,
             ("POST", ["jobs", "batch"]) => Endpoint::Batch,
             ("GET", ["jobs", _]) => Endpoint::Status,
@@ -322,7 +322,8 @@ impl MetricsRegistry {
 
         let _ = writeln!(
             out,
-            "# HELP noc_request_duration_us Request wall-clock latency by endpoint, in microseconds."
+            "# HELP noc_request_duration_us Request wall-clock latency by endpoint, in microseconds; \
+             waited result requests include their wait."
         );
         let _ = writeln!(out, "# TYPE noc_request_duration_us histogram");
         for endpoint in Endpoint::ALL {
@@ -357,15 +358,22 @@ mod tests {
 
     #[test]
     fn endpoint_classification_matches_the_router() {
-        assert_eq!(Endpoint::classify("POST", "/jobs"), Endpoint::Submit);
-        assert_eq!(Endpoint::classify("GET", "/jobs/12"), Endpoint::Status);
-        assert_eq!(Endpoint::classify("GET", "/jobs/12/result"), Endpoint::Result);
-        assert_eq!(Endpoint::classify("DELETE", "/jobs/12"), Endpoint::Cancel);
-        assert_eq!(Endpoint::classify("GET", "/stats"), Endpoint::Stats);
-        assert_eq!(Endpoint::classify("GET", "/metrics"), Endpoint::Metrics);
-        assert_eq!(Endpoint::classify("POST", "/shutdown"), Endpoint::Shutdown);
-        assert_eq!(Endpoint::classify("GET", "/nope"), Endpoint::Other);
-        assert_eq!(Endpoint::classify("PUT", "/jobs"), Endpoint::Other);
+        let classify = |method: &str, raw: &str| {
+            Endpoint::classify(method, &crate::http::parse_target(raw).unwrap())
+        };
+        assert_eq!(classify("POST", "/jobs"), Endpoint::Submit);
+        assert_eq!(classify("GET", "/jobs/12"), Endpoint::Status);
+        assert_eq!(classify("GET", "/jobs/12/result"), Endpoint::Result);
+        assert_eq!(
+            classify("GET", "/jobs/12/result?wait_ms=900"),
+            Endpoint::Result
+        );
+        assert_eq!(classify("DELETE", "/jobs/12"), Endpoint::Cancel);
+        assert_eq!(classify("GET", "/stats"), Endpoint::Stats);
+        assert_eq!(classify("GET", "/metrics"), Endpoint::Metrics);
+        assert_eq!(classify("POST", "/shutdown"), Endpoint::Shutdown);
+        assert_eq!(classify("GET", "/nope"), Endpoint::Other);
+        assert_eq!(classify("PUT", "/jobs"), Endpoint::Other);
     }
 
     #[test]

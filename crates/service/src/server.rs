@@ -1,11 +1,15 @@
-//! The experiment server: acceptor, worker pool, timeout supervisor.
+//! The experiment server: handler pool, worker pool, timeout supervisor.
 //!
 //! Thread layout (all fixed at startup — no per-request spawning):
 //!
-//! * **acceptor** — owns the listening socket, parses each request and
-//!   answers it inline. Submission is O(parse + enqueue), so one acceptor
-//!   thread keeps up with many clients; the expensive work happens on the
-//!   workers.
+//! * **handlers** (`HANDLERS` of them) — each blocks in `accept` on its
+//!   own clone of the listening socket, reads the request under one
+//!   whole-request deadline and answers it inline. The kernel's accept
+//!   backlog is the connection queue. Most requests are O(parse +
+//!   enqueue); a waited result request (`?wait_ms=N`) parks its handler
+//!   on the job table's condition variable, and at most `HANDLERS − 1`
+//!   may do so at once, so one handler always stays free for submit,
+//!   status, `/stats`, `/metrics` and shutdown.
 //! * **workers** (`cfg.workers` of them) — block on the queue, claim jobs,
 //!   run them through the deterministic engine, record terminal states.
 //!   A panicking experiment marks its job `failed`; the worker survives.
@@ -15,13 +19,15 @@
 //!   bit-identical to local runs.
 //!
 //! Shutdown: `request_shutdown(false)` stops *accepting* (new `POST
-//! /jobs` → `503`) and closes the queue, but the acceptor keeps answering
-//! status polls while the workers drain every accepted job;
+//! /jobs` → `503`) and closes the queue, but the handlers keep answering
+//! status and result requests while the workers drain every accepted job;
 //! `request_shutdown(true)` additionally drops queued jobs and cancels
 //! running ones. [`Server::wait`] joins everything and reports what
 //! happened to every accepted job.
 
-use crate::http::{read_request, write_response, Request};
+use crate::http::{
+    parse_target, read_request, write_response, Deadline, Request, Target, MAX_WAIT_MS,
+};
 use crate::jobs::{JobCounts, JobPayload, JobState, JobTable};
 use crate::metrics::{Endpoint, GaugeView, MetricsRegistry};
 use crate::queue::{BoundedQueue, PushError};
@@ -30,16 +36,25 @@ use noc_telemetry::spans::{derive_id, FlightRecorder, Span, SpanKind, NO_PARENT}
 use sensorwise::codec::{json_string, result_to_json, spec_from_json, spec_to_json, JsonValue};
 use sensorwise::{is_epoch_request, EpochError, ResultCache, WireEpochOutcome, WireEpochRequest};
 use std::fmt;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How long the acceptor sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Connection handlers, each blocking in `accept`.
+pub const HANDLERS: usize = 4;
+/// Waited result requests allowed at once: one handler always stays free.
+const MAX_WAITERS: usize = HANDLERS - 1;
+/// The longest a handler spends reading one request, head and body
+/// together, however slowly the client sends it.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+/// How long a handler backs off after a failed `accept` (descriptor
+/// exhaustion and the like) instead of spinning.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+/// How long `wait` tries to connect when it wakes a handler.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// How often the supervisor sweeps deadlines.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(10);
 /// The `Retry-After` hint (seconds) sent with `429`.
@@ -129,9 +144,11 @@ struct Shared {
     shutdown: AtomicBool,
     /// Set with `shutdown` on force: queued jobs drop, running ones abort.
     force: AtomicBool,
-    /// Terminates the acceptor and supervisor loops (set by `wait` after
+    /// Terminates the handler and supervisor loops (set by `wait` after
     /// the workers have drained, so polls keep working until the end).
     stop: AtomicBool,
+    /// Handlers parked in a waited result request right now.
+    waiters: AtomicUsize,
     /// Counters and request-latency histograms behind `/metrics` and
     /// `/stats` (one source of truth for both).
     metrics: MetricsRegistry,
@@ -209,9 +226,6 @@ impl Server {
         let local_addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
 
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_depth),
@@ -221,6 +235,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             force: AtomicBool::new(false),
             stop: AtomicBool::new(false),
+            waiters: AtomicUsize::new(0),
             metrics: MetricsRegistry::default(),
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             spans_out: cfg.spans_out.clone(),
@@ -228,7 +243,7 @@ impl Server {
             timeout_ms: cfg.job_timeout_ms,
         });
 
-        let mut handles = Vec::with_capacity(cfg.workers + 2);
+        let mut handles = Vec::with_capacity(cfg.workers + HANDLERS + 1);
         for worker in 0..cfg.workers {
             let s = Arc::clone(&shared);
             handles.push(
@@ -245,13 +260,20 @@ impl Server {
                 .spawn(move || supervisor_loop(&s))
                 .map_err(|e| format!("spawn supervisor: {e}"))?,
         );
-        let s = Arc::clone(&shared);
-        handles.push(
-            thread::Builder::new()
-                .name("noc-service-acceptor".to_string())
-                .spawn(move || acceptor_loop(&listener, &s))
-                .map_err(|e| format!("spawn acceptor: {e}"))?,
-        );
+        // Handler names must not contain "worker": `wait` tells the two
+        // groups apart by name.
+        for handler in 0..HANDLERS {
+            let listener = listener
+                .try_clone()
+                .map_err(|e| format!("clone listener: {e}"))?;
+            let s = Arc::clone(&shared);
+            handles.push(
+                thread::Builder::new()
+                    .name(format!("noc-service-handler-{handler}"))
+                    .spawn(move || handler_loop(&listener, &s))
+                    .map_err(|e| format!("spawn handler: {e}"))?,
+            );
+        }
         Ok(Server {
             shared,
             local_addr,
@@ -274,10 +296,11 @@ impl Server {
     /// over HTTP or via [`Server::request_shutdown`]) and every thread has
     /// exited; returns the final accounting.
     pub fn wait(self) -> ShutdownReport {
-        // Workers exit once the queue is closed and drained. The acceptor
+        // Workers exit once the queue is closed and drained. The handlers
         // and supervisor stay up until then so clients can poll statuses
-        // of draining jobs.
-        let (mut acceptor_and_supervisor, workers): (Vec<_>, Vec<_>) = self
+        // of draining jobs; every job is terminal by the time they stop,
+        // so no waited request is left parked.
+        let (handlers_and_supervisor, workers): (Vec<_>, Vec<_>) = self
             .handles
             .into_iter()
             .partition(|h| h.thread().name().is_some_and(|n| !n.contains("worker")));
@@ -285,7 +308,21 @@ impl Server {
             let _ = h.join();
         }
         self.shared.stop.store(true, Ordering::SeqCst);
-        for h in acceptor_and_supervisor.drain(..) {
+        // Each handler is blocked in `accept` or finishing a request, and
+        // exits on the first connection it accepts after `stop`: one
+        // loopback connection per handler wakes them all.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        for _ in 0..HANDLERS {
+            let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
+        }
+        for h in handlers_and_supervisor {
             let _ = h.join();
         }
         // The final accounting is also a span-dump point: whatever the
@@ -475,17 +512,15 @@ fn supervisor_loop(shared: &Shared) {
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // Bound slow clients so one stalled socket cannot wedge
-                // the acceptor.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                handle_connection(&mut stream, shared);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+fn handler_loop(listener: &TcpListener, shared: &Shared) {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((mut stream, _)) => handle_connection(&mut stream, shared),
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -493,8 +528,15 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
 fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     let start_us = shared.span_clock_us();
     let t_req = clock::now();
-    let request = match read_request(stream) {
-        Ok(r) => r,
+    // A client that stops reading cannot hold the handler either.
+    let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
+    let request = read_request(&mut Deadline::new(stream, REQUEST_DEADLINE));
+    let parsed = request
+        .as_ref()
+        .map_err(String::clone)
+        .and_then(|r| parse_target(&r.path).map(|target| (r, target)));
+    let (request, target) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
             let body = format!("{{\"error\":{}}}", json_string(&e));
             write_response(stream, 400, "application/json", &[], &body);
@@ -502,8 +544,8 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
             return;
         }
     };
-    let endpoint = Endpoint::classify(&request.method, &request.path);
-    let (status, content_type, headers, body) = route(&request, shared);
+    let endpoint = Endpoint::classify(&request.method, &target);
+    let (status, content_type, headers, body) = route(request, &target, shared);
     let header_refs: Vec<(&str, &str)> = headers
         .iter()
         .map(|(n, v)| (*n, v.as_str()))
@@ -528,9 +570,17 @@ fn finish_request(shared: &Shared, endpoint: Endpoint, start_us: u64, t_req: Ins
 
 type Routed = (u16, &'static str, Vec<(&'static str, String)>, String);
 
-fn route(req: &Request, shared: &Shared) -> Routed {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+fn route(req: &Request, target: &Target<'_>, shared: &Shared) -> Routed {
+    if let Some(wait_ms) = target.wait_ms {
+        return match (req.method.as_str(), target.segments.as_slice()) {
+            ("GET", ["jobs", id, "result"]) => with_id(id, |id| waited_result(id, wait_ms, shared)),
+            _ => plain(
+                400,
+                "{\"error\":\"wait_ms applies only to GET /jobs/{id}/result\"}".to_string(),
+            ),
+        };
+    }
+    match (req.method.as_str(), target.segments.as_slice()) {
         ("POST", ["jobs"]) => submit(req, shared),
         ("POST", ["jobs", "batch"]) => submit_batch(req, shared),
         ("GET", ["jobs", id]) => with_id(id, |id| status(id, shared)),
@@ -802,18 +852,61 @@ fn status(id: u64, shared: &Shared) -> Routed {
 fn result(id: u64, shared: &Shared) -> Routed {
     match shared.table.result_json(id) {
         None => plain(404, "{\"error\":\"no such job\"}".to_string()),
-        Some(Some(body)) => plain(200, body),
-        Some(None) => {
-            let state = shared
-                .table
-                .with(id, |r| r.state.as_str())
-                .unwrap_or("unknown");
-            plain(
-                409,
-                format!("{{\"error\":\"job has no result\",\"status\":{}}}", json_string(state)),
-            )
-        }
+        Some(Ok(body)) => plain(200, body),
+        Some(Err(state)) => plain(
+            409,
+            format!(
+                "{{\"error\":\"job has no result\",\"status\":{}}}",
+                json_string(state.as_str())
+            ),
+        ),
     }
+}
+
+/// One of the `MAX_WAITERS` slots for a parked waited request, released
+/// on drop.
+struct WaitSlot<'a>(&'a AtomicUsize);
+
+impl<'a> WaitSlot<'a> {
+    fn take(waiters: &'a AtomicUsize) -> Option<WaitSlot<'a>> {
+        waiters
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < MAX_WAITERS).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| WaitSlot(waiters))
+    }
+}
+
+impl Drop for WaitSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// `GET /jobs/{id}/result?wait_ms=N`: parks until the job is terminal or
+/// `N` (clamped to `MAX_WAIT_MS`) passes, then answers exactly as the
+/// unwaited result request does. Only a job that is still queued or
+/// running needs a waiter slot; with every slot taken the answer is `429`.
+fn waited_result(id: u64, wait_ms: u64, shared: &Shared) -> Routed {
+    let pending = shared
+        .table
+        .with(id, |r| !r.state.is_terminal())
+        .unwrap_or(false);
+    if pending && wait_ms > 0 {
+        let Some(_slot) = WaitSlot::take(&shared.waiters) else {
+            return (
+                429,
+                "application/json",
+                vec![("Retry-After", RETRY_AFTER_SECS.to_string())],
+                "{\"error\":\"too many waiting requests, retry later\"}".to_string(),
+            );
+        };
+        shared
+            .table
+            .wait_terminal(id, Duration::from_millis(wait_ms.min(MAX_WAIT_MS)));
+    }
+    result(id, shared)
 }
 
 fn cancel(id: u64, shared: &Shared) -> Routed {

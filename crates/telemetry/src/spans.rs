@@ -41,6 +41,9 @@ pub enum SpanKind {
     /// One epoch integration step: ledger aging + checkpoint bookkeeping
     /// after an epoch outcome arrives.
     Integrate,
+    /// One step inside a dispatch attempt; the name says which (`encode`,
+    /// `submit`, `wait`, `fetch-error`, `decode`).
+    Hop,
 }
 
 impl SpanKind {
@@ -54,6 +57,7 @@ impl SpanKind {
             SpanKind::Epoch => "epoch",
             SpanKind::Dispatch => "dispatch",
             SpanKind::Integrate => "integrate",
+            SpanKind::Hop => "hop",
         }
     }
 
@@ -65,6 +69,7 @@ impl SpanKind {
             "epoch" => SpanKind::Epoch,
             "dispatch" => SpanKind::Dispatch,
             "integrate" => SpanKind::Integrate,
+            "hop" => SpanKind::Hop,
             other => return Err(ParseError::new(format!("unknown span kind `{other}`"))),
         })
     }

@@ -33,6 +33,13 @@ cargo run -q --offline -p noc-analyze -- --json > /dev/null || {
     exit 1
 }
 
+# No polling on the request path: the acceptor's idle sleep, the
+# non-blocking listener and the dispatcher's poll knobs stay deleted.
+if grep -rnE 'ACCEPT_POLL|set_nonblocking|with_poll|max_polls' crates/service crates/campaign src; then
+    echo "ci: polling is back on the request path" >&2
+    exit 1
+fi
+
 # The fixture tree must trip every rule with its known multiplicity —
 # one finding per fixture file, with alloc-in-hot-path covered in both
 # the simulator and workload scopes (the analyzer's own tests assert the
@@ -209,6 +216,13 @@ grep -q '^noc_accepted_total 6$' "$servedir/metrics.txt" || {
 }
 grep -q '^noc_jobs{state="done"} 6$' "$servedir/metrics.txt" || {
     echo "ci: /metrics jobs-by-state gauge != 6 done" >&2
+    exit 1
+}
+# `submit` waits for results through `GET /jobs/{id}/result?wait_ms=N`,
+# so not one status request may reach the server.
+grep -q '^noc_request_duration_us_count{endpoint="status"} 0$' "$servedir/metrics.txt" || {
+    grep '^noc_request_duration_us_count' "$servedir/metrics.txt" >&2
+    echo "ci: the submitting client polled job statuses instead of waiting" >&2
     exit 1
 }
 curl -sf "http://$addr/stats" | grep -q '"accepted":6' || {

@@ -522,7 +522,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
                     return Err(format!("job {i} refused ({status}): {error}"));
                 }
             };
-            let result = c.wait_result(id, 20, 3_000)?;
+            let result = c.wait_result(id, 60_000)?;
             Ok::<_, String>((id, busy, Vec::new(), result))
         })
     } else {
@@ -532,7 +532,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         parallel_map(&specs, concurrency, |_, spec| {
             let c = client.clone();
             let (id, busy, latencies) = c.submit_with_retry(spec, 200)?;
-            let result = c.wait_result(id, 20, 3_000)?;
+            let result = c.wait_result(id, 60_000)?;
             Ok::<_, String>((id, busy, latencies, result))
         })
     };
@@ -665,7 +665,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             specs.len(),
             pool.len()
         );
-        let results = noc_campaign::run_batch_remote(&pool, &specs, retries, 10, 60_000)
+        let results = noc_campaign::run_batch_remote(&pool, &specs, retries)
             .map_err(|e| e.to_string())?;
         wire_rows(&results)?
     } else if let Some(dir) = args.flags.get("store") {
@@ -1098,6 +1098,16 @@ fn run_epochs(
     Ok(())
 }
 
+/// A span's stage in the `spans` breakdown: its kind, except for a `hop`
+/// (one step of a dispatch attempt), whose name says which step.
+fn stage(s: &Span) -> &str {
+    if s.kind == SpanKind::Hop {
+        &s.name
+    } else {
+        s.kind.tag()
+    }
+}
+
 /// Summarizes a span JSONL file (`serve --spans-out`, a worker-failure
 /// dump, or a campaign spans sidecar): aggregates durations per
 /// kind-chain (`request`, `request/job`, `request/job/experiment`,
@@ -1115,7 +1125,7 @@ fn cmd_spans(file: &str, args: &Args) -> Result<(), String> {
     let by_id: BTreeMap<u64, &Span> = spans.iter().map(|s| (s.id, s)).collect();
     let mut groups: BTreeMap<String, Histogram> = BTreeMap::new();
     for s in &spans {
-        let mut chain = vec![s.kind.tag()];
+        let mut chain = vec![stage(s)];
         let mut cur = s.parent;
         // Cap the walk so a (malformed) parent cycle cannot hang us.
         for _ in 0..8 {
@@ -1123,7 +1133,7 @@ fn cmd_spans(file: &str, args: &Args) -> Result<(), String> {
                 break;
             }
             let Some(parent) = by_id.get(&cur) else { break };
-            chain.push(parent.kind.tag());
+            chain.push(stage(parent));
             cur = parent.parent;
         }
         chain.reverse();

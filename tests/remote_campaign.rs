@@ -7,8 +7,8 @@
 //!
 //! * a campaign dispatched over two workers is bit-identical to the same
 //!   campaign run in-process — chained digest, epoch ends, and ledger,
-//! * a pool containing a dead worker still finishes: dispatch marks the
-//!   corpse dead, reassigns to the survivor, and the digest is unchanged,
+//! * a pool containing a dead or a silent worker still finishes: dispatch
+//!   marks it dead, reassigns to the survivor, and the digest is unchanged,
 //! * `run_batch_remote` (the sweep plane) matches local `run_batch` for
 //!   every point, and the workers' shared cache absorbs the repeats.
 
@@ -154,6 +154,53 @@ fn a_dead_worker_in_the_pool_is_reassigned_not_fatal() {
 }
 
 #[test]
+fn a_silent_worker_is_given_up_and_its_epoch_reassigned() {
+    let mut local = Campaign::new(campaign_spec(2)).expect("spec is valid");
+    while !local.is_finished() {
+        local.run_next_epoch(None).expect("local epoch runs");
+    }
+
+    let store = temp_store("silent-worker");
+    let live = start_worker(store.dir());
+    // A worker that takes the connection and never answers — a stopped
+    // process, say. Epoch 0 is planned on it first; the client's response
+    // deadline must turn the silence into a transport failure.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+    let pool = WorkerPool::new(&[
+        silent.local_addr().expect("bound").to_string(),
+        live.local_addr().to_string(),
+    ])
+    .expect("pool of a silent worker and a live one");
+    let exec = RemoteExecutor::new(pool, 2);
+
+    let digests = parallel_map(&[0usize, 1], 2, |_, &role| {
+        if role == 0 {
+            let (mut stream, _) = silent.accept().expect("the dispatcher connects");
+            let mut sink = Vec::new();
+            let _ = std::io::Read::read_to_end(&mut stream, &mut sink);
+            return None;
+        }
+        let mut remote = Campaign::new(campaign_spec(2)).expect("spec is valid");
+        while !remote.is_finished() {
+            remote
+                .run_next_epoch_with(&exec, Some(&store))
+                .expect("reassignment saves the epoch");
+        }
+        Some(remote.chained_digest())
+    });
+    assert_eq!(digests[1], Some(local.chained_digest()));
+    assert_eq!(
+        exec.pool().alive_count(),
+        1,
+        "the silent worker was marked dead once its deadline passed"
+    );
+
+    live.request_shutdown(false);
+    let _ = live.wait();
+    let _ = fs::remove_dir_all(store.dir());
+}
+
+#[test]
 fn remote_batch_sweep_matches_local_runs_point_for_point() {
     let scenario = SyntheticScenario {
         cores: 4,
@@ -192,7 +239,7 @@ fn remote_batch_sweep_matches_local_runs_point_for_point() {
     ])
     .expect("two live workers");
 
-    let served = run_batch_remote(&pool, &specs, 2, 5, 60_000).expect("batch dispatch completes");
+    let served = run_batch_remote(&pool, &specs, 2).expect("batch dispatch completes");
     let served_digests: Vec<u64> = served
         .iter()
         .map(|r| r.trace_digest.expect("served result carries a digest"))
@@ -201,7 +248,7 @@ fn remote_batch_sweep_matches_local_runs_point_for_point() {
 
     // Same batch again: the workers' shared cache answers every point at
     // accept time, and the digests still match.
-    let again = run_batch_remote(&pool, &specs, 2, 5, 60_000).expect("cached batch completes");
+    let again = run_batch_remote(&pool, &specs, 2).expect("cached batch completes");
     let again_digests: Vec<u64> = again
         .iter()
         .map(|r| r.trace_digest.expect("cached result carries a digest"))

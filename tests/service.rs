@@ -12,6 +12,7 @@
 //!   job in exactly one terminal state the shutdown report accounts for.
 
 use nbti_noc::prelude::*;
+use nbti_noc::telemetry::clock;
 use noc_service::{Server, ServiceClient, ServiceConfig, Submitted};
 
 /// One traced spec of the standard scenario with a per-replica seed.
@@ -58,7 +59,7 @@ fn served_digests_match_in_process_runs_for_any_worker_count() {
             let (id, _, _) = client
                 .submit_with_retry(json, 50)
                 .expect("queue depth 16 absorbs 6 jobs");
-            let result = client.wait_result(id, 10, 6_000).expect("job completes");
+            let result = client.wait_result(id, 60_000).expect("job completes");
             result.trace_digest.expect("served result carries a digest")
         });
         assert_eq!(served, local, "served digests diverged at {workers} workers");
@@ -142,7 +143,7 @@ fn overflow_gets_429_with_retry_after_and_no_accepted_job_is_lost() {
         }))
         .chain(retried_ids.iter().copied().zip(retried.iter()))
     {
-        let served = client.wait_result(id, 10, 6_000).expect("job completes");
+        let served = client.wait_result(id, 60_000).expect("job completes");
         let local = job.run().trace_digest().expect("traced");
         assert_eq!(served.trace_digest, Some(local), "digest mismatch for job {id}");
     }
@@ -210,7 +211,7 @@ fn deadline_supervisor_times_out_overlong_jobs() {
     // A short job under the same budget still completes.
     let (job, quick_spec) = spec(2_000, 401);
     let (quick, _, _) = client.submit_with_retry(&quick_spec, 10).expect("submits");
-    let served = client.wait_result(quick, 10, 1_000).expect("fits the budget");
+    let served = client.wait_result(quick, 10_000).expect("fits the budget");
     assert_eq!(
         served.trace_digest,
         Some(job.run().trace_digest().expect("traced")),
@@ -243,7 +244,7 @@ fn graceful_shutdown_drains_every_accepted_job() {
 
     // Polling keeps working during the drain.
     for &id in &ids {
-        let served = client.wait_result(id, 10, 6_000).expect("drained to completion");
+        let served = client.wait_result(id, 60_000).expect("drained to completion");
         assert!(served.trace_digest.is_some());
     }
     let report = server.wait();
@@ -334,7 +335,7 @@ fn invariant_counts_travel_over_the_wire() {
 
     let (server, client) = start(1, 2, 0);
     let (id, _, _) = client.submit_with_retry(&json, 10).expect("submits");
-    let served = client.wait_result(id, 10, 2_000).expect("completes");
+    let served = client.wait_result(id, 20_000).expect("completes");
     assert_eq!(served.invariant_violations, 0);
     assert!(served.latency.is_some(), "latency percentiles served");
     assert_eq!(served.policy, "sensor-wise");
@@ -367,13 +368,13 @@ fn cache_hits_serve_byte_identical_results_and_corruption_recomputes() {
 
     // First submission is a miss: computed by the worker, written back.
     let (id, _, _) = client.submit_with_retry(&json, 10).expect("submits");
-    let first = client.wait_result(id, 10, 2_000).expect("completes");
+    let first = client.wait_result(id, 20_000).expect("completes");
     let stats = client.stats().expect("stats parse");
     assert_eq!(stats.get("cache_hits").and_then(|v| v.as_u64()), Some(0));
 
     // The identical spec again: served from the store, byte for byte.
     let (id2, _, _) = client.submit_with_retry(&json, 10).expect("submits");
-    let second = client.wait_result(id2, 10, 2_000).expect("hit resolves");
+    let second = client.wait_result(id2, 20_000).expect("hit resolves");
     assert_eq!(
         second.to_json(),
         first.to_json(),
@@ -385,7 +386,7 @@ fn cache_hits_serve_byte_identical_results_and_corruption_recomputes() {
     // A changed traffic seed is a different canonical spec: miss.
     let (_, other) = spec(2_000, 901);
     let (id3, _, _) = client.submit_with_retry(&other, 10).expect("submits");
-    let third = client.wait_result(id3, 10, 2_000).expect("completes");
+    let third = client.wait_result(id3, 20_000).expect("completes");
     assert_ne!(
         third.trace_digest, first.trace_digest,
         "seed change must change the run"
@@ -401,7 +402,7 @@ fn cache_hits_serve_byte_identical_results_and_corruption_recomputes() {
         }
     }
     let (id4, _, _) = client.submit_with_retry(&json, 10).expect("submits");
-    let fourth = client.wait_result(id4, 10, 2_000).expect("recomputes");
+    let fourth = client.wait_result(id4, 20_000).expect("recomputes");
     assert_eq!(
         fourth.trace_digest, first.trace_digest,
         "recomputed result must match the original run"
@@ -434,7 +435,7 @@ fn metrics_exposition_is_prometheus_parsable_and_matches_stats() {
         client.submit_with_retry(json, 50).expect("submits").0
     });
     for id in ids {
-        client.wait_result(id, 10, 6_000).expect("completes");
+        client.wait_result(id, 60_000).expect("completes");
     }
 
     let r = noc_service::http::http_request(&addr, "GET", "/metrics", "").expect("transport");
@@ -535,7 +536,7 @@ fn concurrent_scrapes_never_block_submission() {
             let (id, _, _) = client
                 .submit_with_retry(json, 10_000)
                 .expect("submission must not starve behind scrapes");
-            let result = client.wait_result(id, 5, 10_000).expect("completes");
+            let result = client.wait_result(id, 50_000).expect("completes");
             result.trace_digest.is_some()
         }
         None => {
@@ -574,7 +575,7 @@ fn shutdown_dumps_linked_spans_jsonl() {
     let client = ServiceClient::new(server.local_addr().to_string());
     let (_, json) = spec(2_000, 950);
     let (id, _, _) = client.submit_with_retry(&json, 10).expect("submits");
-    client.wait_result(id, 10, 6_000).expect("completes");
+    client.wait_result(id, 60_000).expect("completes");
     server.request_shutdown(false);
     server.wait();
 
@@ -604,4 +605,297 @@ fn shutdown_dumps_linked_spans_jsonl() {
     );
     assert!(job.dur_us >= exp.dur_us, "job envelops its experiment");
     let _ = std::fs::remove_file(&path);
+}
+
+/// The value of one `/metrics` sample line, e.g. a histogram `_count`.
+fn metric(addr: &str, series: &str) -> u64 {
+    let r = noc_service::http::http_request(addr, "GET", "/metrics", "").expect("scrape");
+    let prefix = format!("{series} ");
+    r.body
+        .lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("no sample for {series}"))
+        .parse()
+        .expect("integer sample")
+}
+
+const STATUS_COUNT: &str = "noc_request_duration_us_count{endpoint=\"status\"}";
+const RESULT_COUNT: &str = "noc_request_duration_us_count{endpoint=\"result\"}";
+
+/// A waiting client is answered the moment its job ends — not at the end
+/// of a poll step or of the wait bound — and sends no status request.
+#[test]
+fn a_waited_result_returns_when_the_job_ends_without_status_requests() {
+    let (server, client) = start(1, 4, 0);
+    let addr = server.local_addr().to_string();
+    let (job, json) = spec(8_000, 1_000);
+    let statuses = metric(&addr, STATUS_COUNT);
+    let results = metric(&addr, RESULT_COUNT);
+
+    let t = clock::now();
+    let (id, _, _) = client.submit_with_retry(&json, 10).expect("submits");
+    let served = client.wait_result(id, 60_000).expect("completes");
+    let elapsed_us = clock::us_since(t);
+    assert_eq!(
+        served.trace_digest,
+        Some(job.run().trace_digest().expect("traced"))
+    );
+    // Submit-to-result exceeds the worker's run only by request overhead,
+    // well under the 1 s wait bound a missed wake-up would cost.
+    let busy_us = metric(&addr, "noc_worker_busy_us_total");
+    assert!(
+        elapsed_us < busy_us + 500_000,
+        "waited {elapsed_us} us for a job that ran {busy_us} us"
+    );
+    assert_eq!(
+        metric(&addr, STATUS_COUNT),
+        statuses,
+        "no status request was sent"
+    );
+    assert!(
+        metric(&addr, RESULT_COUNT) > results,
+        "the wait went through /result"
+    );
+
+    // Waited requests answer with the unwaited bytes: 404 for unknown ids.
+    let r = noc_service::http::http_request(&addr, "GET", "/jobs/999/result?wait_ms=50", "")
+        .expect("transport");
+    assert_eq!(
+        (r.status, r.body.as_str()),
+        (404, "{\"error\":\"no such job\"}")
+    );
+    // A malformed query or one on the wrong endpoint is a 400.
+    for target in [
+        "/jobs/1/result?wait_ms=soon",
+        "/jobs/1/result?poll=1",
+        "/stats?wait_ms=5",
+    ] {
+        let r = noc_service::http::http_request(&addr, "GET", target, "").expect("transport");
+        assert_eq!(r.status, 400, "{target}: {}", r.body);
+    }
+
+    server.request_shutdown(false);
+    let report = server.wait();
+    assert_eq!(report.completed, 1);
+    assert!(report.accounts_for_all(), "{report:?}");
+}
+
+/// Waited requests may take every handler but one: with `HANDLERS − 1`
+/// parked on a long job, `/stats` still answers and one more wait gets
+/// `429`.
+#[test]
+fn waiters_leave_one_handler_free_and_the_next_wait_gets_429() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let (server, client) = start(1, 4, 0);
+    let addr = server.local_addr().to_string();
+    // Long enough never to finish before it is cancelled below.
+    let (_, long_spec) = spec(4_000_000, 1_100);
+    let (id, _, _) = client.submit_with_retry(&long_spec, 10).expect("submits");
+    let waited = format!("/jobs/{id}/result?wait_ms=1000");
+    let done = AtomicBool::new(false);
+    let waiters = noc_service::server::HANDLERS - 1;
+    let roles: Vec<usize> = (0..=waiters).collect();
+    let probes = parallel_map(&roles, roles.len(), |_, &role| {
+        if role < waiters {
+            // Stay parked until the checker is done.
+            while !done.load(Ordering::SeqCst) {
+                let r = noc_service::http::http_request(&addr, "GET", &waited, "")
+                    .expect("a waiter is answered");
+                assert!(matches!(r.status, 409 | 429), "{}: {}", r.status, r.body);
+            }
+            return None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let t = clock::now();
+        let stats = client
+            .stats()
+            .expect("/stats answers with every waiter parked");
+        let stats_ms = clock::ms_since(t);
+        // A waiter re-parking after its 1 s bound frees a slot for a
+        // moment; a few probes are sure to find the slots full.
+        let mut busy = None;
+        for _ in 0..5 {
+            let r = noc_service::http::http_request(&addr, "GET", &waited, "").expect("transport");
+            if r.status == 429 {
+                busy = Some(r);
+                break;
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        client.cancel(id).expect("known id");
+        Some((stats, stats_ms, busy))
+    });
+    let (stats, stats_ms, busy) = probes[waiters].clone().expect("checker result");
+    assert_eq!(stats.get("running").and_then(|v| v.as_u64()), Some(1));
+    assert!(
+        stats_ms < 1_000,
+        "/stats took {stats_ms} ms behind parked waiters"
+    );
+    let busy = busy.expect("a wait beyond the cap is refused");
+    assert_eq!(busy.retry_after_secs, Some(1), "429 carries Retry-After");
+
+    server.request_shutdown(false);
+    let report = server.wait();
+    assert_eq!(report.cancelled, 1);
+    assert!(report.accounts_for_all(), "{report:?}");
+}
+
+/// More clients wait than there are waiter slots: the ones refused with
+/// `429` back off instead of polling, so every job costs a bounded
+/// number of result requests however long the others take.
+#[test]
+fn waiters_beyond_the_cap_back_off_instead_of_polling() {
+    let (server, client) = start(1, 16, 0);
+    let addr = server.local_addr().to_string();
+    let clients = 2 * noc_service::server::HANDLERS;
+    let ids: Vec<u64> = (0..clients as u64)
+        .map(|i| {
+            let (_, json) = spec(30_000, 1_300 + i);
+            client.submit_with_retry(&json, 10).expect("submits").0
+        })
+        .collect();
+    let results = metric(&addr, RESULT_COUNT);
+    let t = clock::now();
+    let served = parallel_map(&ids, ids.len(), |_, &id| {
+        client.wait_result(id, 120_000).map(|r| r.trace_digest)
+    });
+    let elapsed_ms = clock::ms_since(t);
+    for (id, served) in ids.iter().zip(&served) {
+        assert!(matches!(served, Ok(Some(_))), "job {id}: {served:?}");
+    }
+    // Per client: one parked request per 1 s wait bound, and after each
+    // `429` a backoff of 20, 40, 80, 160 ms, then at least 320 ms — at
+    // most 7 + elapsed/240 requests. A fixed 5 ms retry step would send
+    // about elapsed/6 for every client beyond the cap.
+    let requests = metric(&addr, RESULT_COUNT) - results;
+    let bound = clients as u64 * (8 + elapsed_ms / 200);
+    assert!(
+        requests <= bound,
+        "{requests} result requests for {clients} jobs in {elapsed_ms} ms (bound {bound})"
+    );
+
+    server.request_shutdown(false);
+    let report = server.wait();
+    assert_eq!(report.completed, clients as u64);
+    assert!(report.accounts_for_all(), "{report:?}");
+}
+
+/// Shutdown does not strand parked waiters: they are answered as their
+/// jobs drain, and the server still exits and accounts for every job.
+#[test]
+fn shutdown_with_parked_waiters_answers_them_and_completes() {
+    let (server, client) = start(1, 4, 0);
+    let specs: Vec<(ExperimentJob, String)> = (0..2).map(|i| spec(30_000, 1_200 + i)).collect();
+    let ids: Vec<u64> = specs
+        .iter()
+        .map(|(_, json)| client.submit_with_retry(json, 10).expect("submits").0)
+        .collect();
+    let server = std::sync::Mutex::new(Some(server));
+    let roles = [0usize, 1, 2];
+    let outcomes = parallel_map(&roles, roles.len(), |_, &role| {
+        if role < ids.len() {
+            let served = client.wait_result(ids[role], 60_000);
+            return (Some(served.map(|r| r.trace_digest)), None);
+        }
+        // Let both waiters park, then drain and tear down under them.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let server = server
+            .lock()
+            .expect("unpoisoned")
+            .take()
+            .expect("server present");
+        server.request_shutdown(false);
+        (None, Some(server.wait()))
+    });
+    for (role, (job, _)) in specs.iter().enumerate() {
+        let served = outcomes[role].0.clone().expect("waiter outcome");
+        assert_eq!(
+            served,
+            Ok(Some(job.run().trace_digest().expect("traced"))),
+            "waiter {role} got its drained result"
+        );
+    }
+    let report = outcomes[2].1.expect("the server shut down");
+    assert_eq!((report.accepted, report.completed), (2, 2));
+    assert!(report.accounts_for_all(), "{report:?}");
+}
+
+/// A peer that accepts a connection and never answers (a stopped
+/// process, say) is a transport error within the client's deadline, not
+/// a hang.
+#[test]
+fn a_silent_peer_is_a_transport_error_not_a_hang() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+    let client = ServiceClient::new(listener.local_addr().expect("bound").to_string());
+    let outcomes = parallel_map(&[0usize, 1], 2, |_, &role| {
+        if role == 0 {
+            // Take the connection and stay silent until the client leaves.
+            let (mut stream, _) = listener.accept().expect("the client connects");
+            let mut sink = Vec::new();
+            let _ = std::io::Read::read_to_end(&mut stream, &mut sink);
+            return None;
+        }
+        let t = clock::now();
+        let err = client.status(1).expect_err("a silent peer never answers");
+        Some((err, clock::ms_since(t)))
+    });
+    let (err, ms) = outcomes[1].clone().expect("client outcome");
+    assert!(ms < 10_000, "gave up only after {ms} ms: {err}");
+}
+
+/// One client dribbling its request head a byte at a time holds one
+/// handler, not the server: `/stats` answers promptly meanwhile, and the
+/// whole-request deadline cuts the dribbler off even though every single
+/// read succeeds.
+#[test]
+fn a_dribbling_client_holds_one_handler_until_its_request_deadline() {
+    use std::io::{ErrorKind, Read, Write};
+    let (server, client) = start(1, 2, 0);
+    let addr = server.local_addr().to_string();
+    let outcomes = parallel_map(&[0usize, 1], 2, |_, &role| {
+        if role == 1 {
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            let worst = (0..5)
+                .map(|_| {
+                    let t = clock::now();
+                    client.stats().expect("/stats answers beside the dribbler");
+                    clock::ms_since(t)
+                })
+                .max();
+            return worst;
+        }
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connects");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_millis(100)))
+            .expect("read timeout");
+        let t = clock::now();
+        let head = b"GET /stats HTTP/1.1\r\nX-Slow: ";
+        for i in 0..150 {
+            // One byte, then 100 ms listening for the server's verdict.
+            let byte = head.get(i).copied().unwrap_or(b'a');
+            if stream.write_all(&[byte]).is_err() {
+                break;
+            }
+            let mut buf = [0u8; 256];
+            match stream.read(&mut buf) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                _ => break,
+            }
+        }
+        Some(clock::ms_since(t))
+    });
+    let cut_off_ms = outcomes[0].expect("dribbler outcome");
+    let stats_ms = outcomes[1].expect("stats outcome");
+    assert!(
+        stats_ms < 1_000,
+        "/stats took {stats_ms} ms beside a dribbler"
+    );
+    assert!(
+        cut_off_ms < 10_000,
+        "a dribbler held its handler {cut_off_ms} ms, past the request deadline"
+    );
+
+    server.request_shutdown(false);
+    let report = server.wait();
+    assert!(report.accounts_for_all(), "{report:?}");
 }
