@@ -16,7 +16,7 @@
 use nbti_noc_bench::{append_entry, existing_runs, CampaignBench};
 use noc_campaign::{Campaign, FsResultStore, RemoteExecutor, WorkerPool};
 use noc_service::{Server, ServiceConfig};
-use noc_telemetry::{clock, SpanKind};
+use noc_telemetry::{clock, percentile, SpanKind};
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
@@ -34,14 +34,6 @@ fn start_worker(store_dir: &Path) -> Server {
         Some(Arc::new(cache)),
     )
     .expect("ephemeral bind succeeds")
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 fn main() {
@@ -91,8 +83,8 @@ fn main() {
         .map(|s| s.dur_us)
         .collect();
     dispatch_us.sort_unstable();
-    let p50 = percentile(&dispatch_us, 0.50);
-    let p99 = percentile(&dispatch_us, 0.99);
+    let p50 = percentile(&dispatch_us, 0.50).unwrap_or(0);
+    let p99 = percentile(&dispatch_us, 0.99).unwrap_or(0);
 
     w1.request_shutdown(false);
     w2.request_shutdown(false);

@@ -11,7 +11,7 @@
 
 use nbti_noc_bench::{append_entry, existing_runs};
 use noc_service::{Server, ServiceClient, ServiceConfig};
-use noc_telemetry::clock;
+use noc_telemetry::{clock, percentile};
 use sensorwise::{parallel_map, spec_to_json, PolicyKind, SyntheticScenario};
 use std::path::Path;
 
@@ -45,12 +45,6 @@ fn parse_args() -> BenchConfig {
         }
     }
     cfg
-}
-
-/// Nearest-rank percentile of a sorted slice.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn main() {
@@ -113,8 +107,8 @@ fn main() {
     latencies.sort_unstable();
     let requests = latencies.len();
     let jobs_per_sec = bench.count as f64 * 1_000.0 / elapsed_ms as f64;
-    let p50 = percentile(&latencies, 0.5);
-    let p99 = percentile(&latencies, 0.99);
+    let p50 = percentile(&latencies, 0.5).unwrap_or(0);
+    let p99 = percentile(&latencies, 0.99).unwrap_or(0);
 
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json");
     let run = existing_runs(&out) + 1;

@@ -2,12 +2,19 @@
 //! bit-exact across the spec space, and *no* corruption — truncation,
 //! byte flips, bad headers — can panic the decoder or slip through as a
 //! silently-wrong resume. The canonical spec JSON gets the same
-//! never-panic treatment.
+//! never-panic treatment, and so do `FsResultStore` entries: whatever
+//! bytes sit at an entry's path, a lookup answers `None` or exactly the
+//! stored value, and `stats`/`gc` answer `Ok` or a typed `StoreError`.
 
-use noc_campaign::{Campaign, CampaignSpec, SnapshotError};
+use noc_campaign::{Campaign, CampaignSpec, FsResultStore, SnapshotError, StoreError};
 use proptest::prelude::*;
+use sensorwise::codec::json_string;
 use sensorwise::policy::PolicyKind;
-use sensorwise::{ExperimentConfig, ExperimentJob, TrafficSpec};
+use sensorwise::{
+    spec_key, spec_to_json, ExperimentConfig, ExperimentJob, ResultCache, TrafficSpec, WireResult,
+};
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 fn spec(policy_pick: u8, epochs: u32, seed: u64, rate_milli: u32, accel_exp: u32) -> CampaignSpec {
     let policy = match policy_pick % 4 {
@@ -111,5 +118,142 @@ proptest! {
             bytes[pos] ^= mask;
             let _ = CampaignSpec::from_json(&String::from_utf8_lossy(&bytes));
         }
+    }
+}
+
+/// The job whose result every store property files: small enough that
+/// its entry can be truncated and flipped at every byte.
+fn store_job() -> ExperimentJob {
+    ExperimentJob {
+        cfg: ExperimentConfig::new(
+            noc_sim::config::NocConfig::paper_synthetic(4, 2),
+            PolicyKind::SensorWise,
+        )
+        .with_cycles(50, 300)
+        .with_pv_seed(5),
+        traffic: TrafficSpec::Uniform {
+            rate: 0.1,
+            seed: 0xABCD,
+        },
+    }
+}
+
+/// The job's canonical spec and wire result JSON, computed once.
+fn stored() -> &'static (String, String) {
+    static STORED: OnceLock<(String, String)> = OnceLock::new();
+    STORED.get_or_init(|| {
+        let job = store_job();
+        let spec = spec_to_json(&job).expect("servable spec");
+        (spec, WireResult::from(&job.run()).to_json())
+    })
+}
+
+/// A store in a fresh directory holding the job's entry, and that entry's
+/// path (`<fnv64 of spec>.json`).
+fn store_with_entry(tag: &str) -> (FsResultStore, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("nbti-store-props-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = FsResultStore::open(&dir).expect("temp dir opens");
+    let (spec, result) = stored();
+    store.put_json(spec, result);
+    let path = dir.join(format!("{:016x}.json", spec_key(spec)));
+    assert_eq!(
+        store.get_json(spec).as_ref(),
+        Some(result),
+        "fresh entry hits"
+    );
+    (store, path)
+}
+
+/// Writes `bytes` over the entry, then checks that both lookup planes
+/// answer a miss or exactly the stored value and that `stats` and `gc`
+/// answer `Ok` or a typed error. Returns whether the lookup hit.
+fn lookups_after_writing(store: &FsResultStore, path: &Path, bytes: &[u8]) -> bool {
+    std::fs::write(path, bytes).expect("entry path is writable");
+    let (spec, result) = stored();
+    let raw = store.get_json(spec);
+    assert!(raw.is_none() || raw.as_ref() == Some(result), "{raw:?}");
+    let typed = store.get(spec).map(|r| r.to_json());
+    assert!(
+        typed.is_none() || typed.as_ref() == Some(result),
+        "{typed:?}"
+    );
+    assert_eq!(raw.is_some(), typed.is_some(), "both planes verify alike");
+    for outcome in [store.stats().map(|_| ()), store.gc(1).map(|_| ())] {
+        match outcome {
+            Ok(()) | Err(StoreError::Io(_)) => {}
+        }
+    }
+    raw.is_some()
+}
+
+/// The entry envelope as `FsResultStore` files it, with every field
+/// chosen by the caller.
+fn envelope(check: u64, spec: &str, result: &str) -> String {
+    format!(
+        "{{\"seq\":3,\"check\":\"{check:016x}\",\"spec\":{},\"result\":{}}}",
+        json_string(spec),
+        json_string(result)
+    )
+}
+
+/// Every strict prefix of a valid entry, and the entry with any one byte
+/// flipped, is a miss or the stored value; no prefix hits.
+#[test]
+fn every_truncation_and_byte_flip_of_an_entry_is_safe() {
+    let (store, path) = store_with_entry("damage");
+    let entry = std::fs::read(&path).expect("entry written");
+    for cut in 0..entry.len() {
+        assert!(
+            !lookups_after_writing(&store, &path, &entry[..cut]),
+            "a {cut}-byte prefix hit"
+        );
+    }
+    for pos in 0..entry.len() {
+        for mask in [0x01, 0x20, 0xFF] {
+            let mut bytes = entry.clone();
+            bytes[pos] ^= mask;
+            lookups_after_writing(&store, &path, &bytes);
+        }
+    }
+    assert!(
+        lookups_after_writing(&store, &path, &entry),
+        "the intact entry hits"
+    );
+    assert_eq!(store.gc(0).map(|r| r.removed), Ok(1));
+    let _ = std::fs::remove_dir_all(store.dir());
+}
+
+proptest! {
+    /// Random bytes at an entry's path never panic a lookup or a
+    /// maintenance pass.
+    #[test]
+    fn random_bytes_at_an_entry_path_are_safe(
+        noise in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let (store, path) = store_with_entry("noise");
+        lookups_after_writing(&store, &path, &noise);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// A well-formed envelope filed under the wrong spec, or carrying the
+    /// wrong checksum, is a miss.
+    #[test]
+    fn foreign_spec_and_wrong_check_envelopes_miss(
+        foreign in proptest::collection::vec(any::<u8>(), 0..40),
+        wrong in any::<u64>(),
+    ) {
+        let (store, path) = store_with_entry("envelope");
+        let (spec, result) = stored();
+        let check = spec_key(result);
+        let foreign = String::from_utf8_lossy(&foreign).into_owned();
+        prop_assume!(foreign != *spec && wrong != check);
+        let imposter = envelope(check, &foreign, result);
+        prop_assert!(!lookups_after_writing(&store, &path, imposter.as_bytes()));
+        let tampered = envelope(wrong, spec, result);
+        prop_assert!(!lookups_after_writing(&store, &path, tampered.as_bytes()));
+        let genuine = envelope(check, spec, result);
+        prop_assert!(lookups_after_writing(&store, &path, genuine.as_bytes()));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 }

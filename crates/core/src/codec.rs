@@ -707,14 +707,6 @@ pub struct WireResult {
 
 impl From<&ExperimentResult> for WireResult {
     fn from(r: &ExperimentResult) -> Self {
-        let latency = r.net.latency_quantile_upper(0.5).map(|p50| {
-            (
-                p50,
-                r.net.latency_quantile_upper(0.95).unwrap_or(p50),
-                r.net.latency_quantile_upper(0.99).unwrap_or(p50),
-                r.net.latency_quantile_upper(1.0).unwrap_or(p50),
-            )
-        });
         WireResult {
             policy: r.policy.label(),
             measured_cycles: r.measured_cycles,
@@ -722,7 +714,7 @@ impl From<&ExperimentResult> for WireResult {
             packets_ejected: r.net.packets_ejected,
             flits_ejected: r.net.flits_ejected,
             avg_latency: r.net.avg_latency(),
-            latency,
+            latency: r.net.latency_summary(),
             invariant_violations: r.invariant_violations,
             trace_digest: r.trace_digest(),
             work_total: r.work.total(),

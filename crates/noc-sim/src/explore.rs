@@ -54,7 +54,7 @@ use crate::flit::{Flit, FlitKind, PacketId};
 use crate::network::Network;
 use crate::router::NUM_PORTS;
 use crate::types::Direction;
-use crate::unit::{InVcState, InputUnit, OutVcState, OutputUnit};
+use crate::unit::{InVcState, InputUnit, OutputUnit};
 use noc_telemetry::TraceSink;
 use std::collections::BTreeMap;
 
@@ -259,7 +259,7 @@ impl Encoder<'_> {
         for new_v in 0..vcs {
             let old_v = self.relabel.vc_inv[new_v];
             let vc = &unit.vcs[old_v];
-            self.push(u8::from(vc.state == OutVcState::Active));
+            self.push(u8::from(unit.is_active(old_v)));
             self.push(vc.credits as u8);
             self.push(u8::from(unit.allocatable & (1 << old_v) != 0));
             self.delta(vc.usable_at);

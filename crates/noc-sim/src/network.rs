@@ -27,7 +27,7 @@ use crate::snapshot::{NetworkSnapshot, PortState, SnapshotStateError};
 use crate::stats::NetStats;
 use crate::topology::AnyTopology;
 use crate::types::{Direction, NodeId};
-use crate::unit::{all_vcs, Credit, InVcState, InputUnit, OutVcState, OutputUnit};
+use crate::unit::{all_vcs, Credit, InVcState, InputUnit, OutputUnit};
 use crate::view::{GateAction, PortId, PortView, VcStatus};
 use noc_telemetry::clock;
 use noc_telemetry::{
@@ -940,10 +940,8 @@ impl<T: TraceSink> Network<T> {
         for (&pid, slot) in self.port_ids.iter().zip(&self.slots) {
             let out = self.up_unit(slot.up);
             let settled = out.credit_arrivals.is_empty()
-                && out
-                    .vcs
-                    .iter()
-                    .all(|v| v.state == OutVcState::Idle && v.credits == depth);
+                && out.active == 0
+                && out.vcs.iter().all(|v| v.credits == depth);
             if !settled {
                 return Err(SnapshotStateError::CreditsOutstanding { port: pid });
             }

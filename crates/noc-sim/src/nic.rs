@@ -9,7 +9,7 @@
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::invariants::{InvariantKind, InvariantViolation};
 use crate::types::NodeId;
-use crate::unit::{Credit, InVcState, InputUnit, OutVcState, OutputUnit};
+use crate::unit::{Credit, InVcState, InputUnit, OutputUnit};
 use noc_telemetry::{EventKind, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
@@ -195,16 +195,15 @@ impl Nic {
         self.inject
             .collect_mask_violations(cycle, &format_args!("nic {node} inject"), out);
         if let Some(tx) = self.current {
-            let ovc = &self.inject.vcs[tx.out_vc];
-            if ovc.state != OutVcState::Active {
+            if !self.inject.is_active(tx.out_vc) {
                 // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
                 out.push(InvariantViolation {
                     cycle,
                     kind: InvariantKind::VcStateConsistency,
                     // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
                     detail: format!(
-                        "nic {node} is streaming packet {:?} on inject vc{}, which is {:?}",
-                        tx.packet.id, tx.out_vc, ovc.state
+                        "nic {node} is streaming packet {:?} on inject vc{}, which is idle",
+                        tx.packet.id, tx.out_vc
                     ),
                 });
             }
@@ -243,7 +242,7 @@ mod tests {
         assert_eq!(f2.kind, FlitKind::Tail);
         assert!(n.current.is_none());
         // Out VC stays active until the free credit returns.
-        assert_eq!(n.inject.vcs[0].state, OutVcState::Active);
+        assert!(n.inject.is_active(0));
         assert_eq!(n.inject.vcs[0].credits, 1);
     }
 

@@ -1,5 +1,7 @@
 //! Network-level performance statistics.
 
+use noc_telemetry::hist;
+
 /// Number of logarithmic latency buckets ([`NetStats::latency_histogram`]).
 pub const LATENCY_BUCKETS: usize = 20;
 
@@ -21,8 +23,10 @@ pub struct NetStats {
     pub latency_sum: u64,
     /// Maximum observed packet latency in cycles.
     pub latency_max: u64,
-    /// Logarithmic latency histogram: bucket `i` counts packets with
-    /// latency in `[2^i, 2^(i+1))` cycles (bucket 0 covers 0 and 1).
+    /// Logarithmic latency histogram on the shared [`hist`] buckets:
+    /// bucket `i` counts packets with latency in `[2^i, 2^(i+1))` cycles
+    /// (bucket 0 covers 0 and 1); the last bucket also holds every latency
+    /// past its bound.
     pub latency_histogram: [u64; LATENCY_BUCKETS],
     /// End-of-cycle invariant check passes performed (see
     /// [`crate::invariants::InvariantLevel`]).
@@ -59,32 +63,32 @@ impl NetStats {
     pub(crate) fn record_latency(&mut self, latency: u64) {
         self.latency_sum += latency;
         self.latency_max = self.latency_max.max(latency);
-        let bucket = (u64::BITS - latency.max(1).leading_zeros() - 1) as usize;
-        self.latency_histogram[bucket.min(LATENCY_BUCKETS - 1)] += 1;
+        hist::record_clamped(&mut self.latency_histogram, latency);
     }
 
     /// An upper bound on the latency at or below which `quantile` of the
     /// delivered packets completed (bucket resolution), or `None` before
-    /// any delivery.
+    /// any delivery. The last bucket is open-ended, so its bound is the
+    /// largest latency seen once a latency was clamped into it.
     ///
     /// # Panics
     ///
     /// Panics if `quantile` is outside `(0, 1]`.
     pub fn latency_quantile_upper(&self, quantile: f64) -> Option<u64> {
         assert!(quantile > 0.0 && quantile <= 1.0, "quantile in (0, 1]");
-        let total: u64 = self.latency_histogram.iter().sum();
-        if total == 0 {
-            return None;
+        let total = self.latency_histogram.iter().sum();
+        let upper = hist::quantile_upper(self.latency_histogram, total, quantile)?;
+        if upper == hist::bucket_upper(LATENCY_BUCKETS - 1) {
+            return Some(upper.max(self.latency_max));
         }
-        let threshold = (quantile * total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &count) in self.latency_histogram.iter().enumerate() {
-            seen += count;
-            if seen >= threshold {
-                return Some((1u64 << (i + 1)).saturating_sub(1));
-            }
-        }
-        Some(u64::MAX)
+        Some(upper)
+    }
+
+    /// The `(p50, p95, p99, max)` latency upper bounds, or `None` before
+    /// any delivery.
+    pub fn latency_summary(&self) -> Option<(u64, u64, u64, u64)> {
+        let q = |quantile| self.latency_quantile_upper(quantile);
+        Some((q(0.5)?, q(0.95)?, q(0.99)?, q(1.0)?))
     }
 
     /// Resets every counter (used after warm-up).
@@ -143,6 +147,18 @@ mod tests {
         assert_eq!(s.latency_quantile_upper(0.5), Some(7));
         assert_eq!(s.latency_quantile_upper(1.0), Some(31));
         assert_eq!(NetStats::default().latency_quantile_upper(0.5), None);
+    }
+
+    #[test]
+    fn quantiles_past_the_last_bucket_report_the_max() {
+        let mut s = NetStats::default();
+        s.record_latency(1_000);
+        s.record_latency(1_000_000);
+        assert_eq!(s.latency_quantile_upper(1.0), Some((1 << 20) - 1));
+        s.record_latency(2_000_000);
+        assert!(s.latency_quantile_upper(1.0) >= Some(2_000_000));
+        assert_eq!(s.latency_quantile_upper(0.5), Some(2_000_000));
+        assert_eq!(s.latency_quantile_upper(0.3), Some(1_023));
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub(crate) struct Credit {
     /// The downstream VC the credit refers to.
     pub vc: usize,
     /// Set when the departing flit was a tail: the downstream VC is now
-    /// idle and the upstream output VC state may return to `Idle`.
+    /// idle and the upstream output VC's `active` bit may clear.
     pub is_free: bool,
 }
 
@@ -219,22 +219,11 @@ impl InputUnit {
     }
 }
 
-/// Upstream-side state of one downstream VC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OutVcState {
-    /// The downstream VC holds no packet.
-    Idle,
-    /// The downstream VC is allocated to a packet in flight.
-    Active,
-}
-
-/// Output VC state entry: the paper's `out_vc_state` record, extended with
-/// the wake-up deadline driven by the gating policies.
+/// Output VC entry: the paper's `out_vc_state` record, extended with the
+/// wake-up deadline driven by the gating policies. Whether the downstream
+/// VC holds a packet is bit `v` of [`OutputUnit::active`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OutVc {
-    /// Written only through [`OutputUnit::set_active`] and
-    /// [`OutputUnit::set_idle`], which keep [`OutputUnit::active`] in step.
-    pub state: OutVcState,
     /// Free downstream buffer slots.
     pub credits: usize,
     /// Earliest cycle at which the downstream buffer's virtual VDD is
@@ -244,12 +233,14 @@ pub(crate) struct OutVc {
 }
 
 /// The output port of a router (or the injection side of a NIC): output VC
-/// states plus the credit-return queue of the outgoing link.
+/// entries and masks plus the credit-return queue of the outgoing link.
 #[derive(Debug, Clone)]
 pub(crate) struct OutputUnit {
     pub vcs: Vec<OutVc>,
-    /// Bit `v` is set exactly when `vcs[v].state` is `Active`: the busy
-    /// VCs as one word, for the per-port status and gating paths.
+    /// Bit `v` is set while downstream VC `v` is allocated to a packet in
+    /// flight, from the VA grant until the tail's free credit returns. The
+    /// only record of output-VC occupancy; written through
+    /// [`OutputUnit::set_active`] and [`OutputUnit::set_idle`].
     pub active: u32,
     /// Bit `v` is set when a *new* packet may be allocated to VC `v` this
     /// cycle. The gating policies keep this in sync with the downstream
@@ -269,7 +260,6 @@ impl OutputUnit {
         OutputUnit {
             vcs: vec![
                 OutVc {
-                    state: OutVcState::Idle,
                     credits: depth,
                     usable_at: 0,
                 };
@@ -284,15 +274,18 @@ impl OutputUnit {
         }
     }
 
+    /// Whether VC `v` is allocated to a packet.
+    pub fn is_active(&self, v: usize) -> bool {
+        self.active & (1 << v) != 0
+    }
+
     /// Marks VC `v` allocated to a packet.
     pub fn set_active(&mut self, v: usize) {
-        self.vcs[v].state = OutVcState::Active;
         self.active |= 1 << v;
     }
 
     /// Marks VC `v` free again.
     pub fn set_idle(&mut self, v: usize) {
-        self.vcs[v].state = OutVcState::Idle;
         self.active &= !(1 << v);
     }
 
@@ -310,43 +303,26 @@ impl OutputUnit {
         None
     }
 
-    /// Appends a VC-state-consistency violation to `out` when the `active`
-    /// mask disagrees with a recount of the per-VC states, or the
-    /// allocation mask names VCs the unit does not have. `location` is
-    /// only formatted when there is a violation.
+    /// Appends a VC-state-consistency violation to `out` for each of the
+    /// `active` and allocation masks that has bits set beyond the unit's
+    /// VCs. `location` is only formatted when there is a violation.
     pub fn collect_mask_violations(
         &self,
         cycle: u64,
         location: &dyn fmt::Display,
         out: &mut Vec<InvariantViolation>,
     ) {
-        let recount = self
-            .vcs
-            .iter()
-            .enumerate()
-            .filter(|(_, vc)| vc.state == OutVcState::Active)
-            .fold(0u32, |m, (v, _)| m | 1 << v);
-        if recount != self.active {
-            // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-            out.push(InvariantViolation {
-                cycle,
-                kind: InvariantKind::VcStateConsistency,
+        for (name, mask) in [("active", self.active), ("allocation", self.allocatable)] {
+            let stray = mask & !all_vcs(self.vcs.len());
+            if stray != 0 {
                 // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                detail: format!(
-                    "{location} active mask {:#x} != {recount:#x} recounted from its VC states",
-                    self.active
-                ),
-            });
-        }
-        let stray = self.allocatable & !all_vcs(self.vcs.len());
-        if stray != 0 {
-            // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-            out.push(InvariantViolation {
-                cycle,
-                kind: InvariantKind::VcStateConsistency,
-                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                detail: format!("{location} allocation mask has bits {stray:#x} beyond its VCs"),
-            });
+                out.push(InvariantViolation {
+                    cycle,
+                    kind: InvariantKind::VcStateConsistency,
+                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                    detail: format!("{location} {name} mask has bits {stray:#x} beyond its VCs"),
+                });
+            }
         }
     }
 
@@ -365,9 +341,8 @@ impl OutputUnit {
                 credit.vc
             );
             if credit.is_free {
-                assert_eq!(
-                    vc.state,
-                    OutVcState::Active,
+                assert!(
+                    self.is_active(credit.vc),
                     "free signal for an already idle out VC"
                 );
                 self.set_idle(credit.vc);
@@ -469,10 +444,9 @@ mod tests {
         ));
         out.absorb_credits(5, 4);
         assert_eq!(out.vcs[1].credits, 3);
-        assert_eq!(out.vcs[1].state, OutVcState::Active);
+        assert!(out.is_active(1));
         out.absorb_credits(6, 4);
         assert_eq!(out.vcs[1].credits, 4);
-        assert_eq!(out.vcs[1].state, OutVcState::Idle);
         assert_eq!(out.active, 0, "the free credit clears the active bit");
     }
 
@@ -490,13 +464,14 @@ mod tests {
     }
 
     #[test]
-    fn mask_recount_flags_a_stale_active_bit() {
+    fn mask_check_flags_bits_beyond_the_vcs() {
         let mut out = OutputUnit::new(2, 4, 5, true);
         let mut found = Vec::new();
+        out.set_active(1);
         out.collect_mask_violations(0, &"here", &mut found);
         assert!(found.is_empty());
-        out.active |= 0b10;
-        out.allocatable |= 0b100;
+        out.active |= 0b100;
+        out.allocatable |= 0b1000;
         out.collect_mask_violations(0, &"here", &mut found);
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found

@@ -1,6 +1,7 @@
 //! The lock-light metrics registry behind `GET /metrics` and `/stats`.
 //!
-//! Every counter and histogram bucket is a plain [`AtomicU64`]: recording
+//! Every counter is a plain [`AtomicU64`] and every histogram the shared
+//! lock-free [`AtomicHistogram`] of `noc-telemetry`: recording
 //! on the hot serving paths is a handful of relaxed atomic adds, and a
 //! scrape only *reads* — it can never block submission, which the
 //! concurrent-scrape integration test pins down. The one non-atomic
@@ -13,6 +14,7 @@
 
 use crate::http::Target;
 use crate::jobs::JobCounts;
+use noc_telemetry::AtomicHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Request-latency histogram buckets: powers of two in µs. The last
@@ -20,65 +22,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// requests land only in `+Inf`.
 const LATENCY_BUCKETS: usize = 28;
 
-/// A fixed-bucket log2 latency histogram whose every field is atomic, so
-/// observation and scraping are both lock-free.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
+/// A per-endpoint request-latency histogram (µs) on the shared atomic
+/// record path.
+type LatencyHistogram = AtomicHistogram<LATENCY_BUCKETS>;
 
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        AtomicHistogram {
-            buckets: [const { AtomicU64::new(0) }; LATENCY_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
+/// Appends the cumulative `_bucket`/`_sum`/`_count` sample lines of `hist`
+/// for one labelled series.
+fn render_histogram(out: &mut String, hist: &LatencyHistogram, name: &str, label: &str) {
+    use std::fmt::Write;
+    let mut cumulative = 0u64;
+    for (i, n) in hist.bucket_counts().enumerate() {
+        cumulative += n;
+        let le = 1u64 << (i + 1);
+        let _ = writeln!(out, "{name}_bucket{{{label},le=\"{le}\"}} {cumulative}");
     }
-}
-
-impl AtomicHistogram {
-    /// Records one observation (µs).
-    pub fn observe(&self, value_us: u64) {
-        let idx = (63 - (value_us | 1).leading_zeros()) as usize;
-        if idx < LATENCY_BUCKETS {
-            self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        }
-        // Values past the last finite bound appear only in `+Inf`
-        // (count minus the finite buckets).
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value_us, Ordering::Relaxed);
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded values, µs.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Appends the cumulative `_bucket`/`_sum`/`_count` sample lines for
-    /// one labelled series.
-    fn render_into(&self, out: &mut String, name: &str, label: &str) {
-        use std::fmt::Write;
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            let le = 1u64 << (i + 1);
-            let _ = writeln!(out, "{name}_bucket{{{label},le=\"{le}\"}} {cumulative}");
-        }
-        // `+Inf` must equal `_count` even while observations race the
-        // scrape: read count once and reuse it for both lines.
-        let count = self.count();
-        let _ = writeln!(out, "{name}_bucket{{{label},le=\"+Inf\"}} {count}");
-        let _ = writeln!(out, "{name}_sum{{{label}}} {}", self.sum());
-        let _ = writeln!(out, "{name}_count{{{label}}} {count}");
-    }
+    // `+Inf` must equal `_count` even while observations race the
+    // scrape: read count once and reuse it for both lines.
+    let count = hist.count();
+    let _ = writeln!(out, "{name}_bucket{{{label},le=\"+Inf\"}} {count}");
+    let _ = writeln!(out, "{name}_sum{{{label}}} {}", hist.sum());
+    let _ = writeln!(out, "{name}_count{{{label}}} {count}");
 }
 
 /// The endpoint classes the per-endpoint request histograms distinguish.
@@ -175,7 +138,7 @@ pub struct MetricsRegistry {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     worker_busy_us: AtomicU64,
-    request_latency: [AtomicHistogram; Endpoint::COUNT],
+    request_latency: [LatencyHistogram; Endpoint::COUNT],
 }
 
 impl MetricsRegistry {
@@ -206,7 +169,7 @@ impl MetricsRegistry {
 
     /// Records one request's wall-clock latency.
     pub fn observe_request(&self, endpoint: Endpoint, us: u64) {
-        self.request_latency[endpoint as usize].observe(us);
+        self.request_latency[endpoint as usize].record(us);
     }
 
     /// Jobs accepted so far.
@@ -232,11 +195,6 @@ impl MetricsRegistry {
     /// Total wall time workers spent executing jobs, µs.
     pub fn worker_busy_us(&self) -> u64 {
         self.worker_busy_us.load(Ordering::Relaxed)
-    }
-
-    /// The per-endpoint latency histogram (scrape-side reads for tests).
-    pub fn request_latency(&self, endpoint: Endpoint) -> &AtomicHistogram {
-        &self.request_latency[endpoint as usize]
     }
 
     /// Renders the whole registry plus the sampled gauges as Prometheus
@@ -328,8 +286,9 @@ impl MetricsRegistry {
         let _ = writeln!(out, "# TYPE noc_request_duration_us histogram");
         for endpoint in Endpoint::ALL {
             let label = format!("endpoint=\"{}\"", endpoint.label());
-            self.request_latency[endpoint as usize].render_into(
+            render_histogram(
                 &mut out,
+                &self.request_latency[endpoint as usize],
                 "noc_request_duration_us",
                 &label,
             );
@@ -378,13 +337,13 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_and_inf_equals_count() {
-        let h = AtomicHistogram::default();
+        let h = LatencyHistogram::default();
         for us in [1, 3, 3, 100, 5_000_000_000] {
-            h.observe(us);
+            h.record(us);
         }
         assert_eq!(h.count(), 5);
         let mut out = String::new();
-        h.render_into(&mut out, "m", "endpoint=\"x\"");
+        render_histogram(&mut out, &h, "m", "endpoint=\"x\"");
         let mut last = 0u64;
         let mut inf = None;
         for line in out.lines() {

@@ -22,13 +22,16 @@
 //! wall-clock reads).
 //!
 //! The *performance*-observability layer lives beside those and is the one
-//! deliberate exception to the no-wall-clock rule: [`profile`] (log2-bucket
-//! [`Histogram`] + per-cycle [`StageProfiler`] behind a const-`ENABLED`
+//! deliberate exception to the no-wall-clock rule: [`profile`] (a log2
+//! [`Histogram`] per stage in a [`StageProfiler`] behind a const-`ENABLED`
 //! generic, same compile-out contract as [`TraceSink::ACTIVE`]), [`spans`]
 //! (request→job→experiment→epoch spans with derived ids, plus a bounded
 //! [`FlightRecorder`] ring), and [`clock`], the workspace's single
-//! sanctioned wall-clock boundary both read from. Timings are observations of a run,
-//! never inputs to it — profiled runs stay bit-identical.
+//! sanctioned wall-clock boundary both read from. Timings are observations
+//! of a run, never inputs to it — profiled runs stay bit-identical.
+//!
+//! [`hist`] is the one log2 histogram the profiler, `/metrics` and the
+//! simulator's latency buckets share, plus the one [`percentile`].
 //!
 //! This crate is dependency-free and knows nothing about the simulator; the
 //! simulator depends on it and maps its own identifiers into [`PortCode`].
@@ -53,6 +56,7 @@ pub mod clock;
 pub mod counters;
 pub mod digest;
 pub mod event;
+pub mod hist;
 pub mod profile;
 pub mod series;
 pub mod sink;
@@ -62,7 +66,8 @@ pub mod spec;
 pub use counters::WorkCounters;
 pub use digest::EventDigest;
 pub use event::{read_jsonl, EventKind, ParseError, PortCode, TraceEvent};
-pub use profile::{Histogram, NullProfiler, ProfileReport, Profiler, Stage, StageProfiler};
+pub use hist::{percentile, AtomicHistogram, Histogram};
+pub use profile::{NullProfiler, ProfileReport, Profiler, Stage, StageProfiler};
 pub use series::{MetricsSeries, Sample};
 pub use sink::{EventLog, JsonlSink, NullSink, RecordSink, TraceSink};
 pub use spans::{derive_id, read_spans_jsonl, FlightRecorder, Span, SpanKind, SpanLog, NO_PARENT};

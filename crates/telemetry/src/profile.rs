@@ -1,5 +1,5 @@
-//! Per-cycle stage profiling: a zero-alloc log2-latency [`Histogram`] and
-//! the [`StageProfiler`] that feeds it.
+//! Per-cycle stage profiling: the [`StageProfiler`] and the log2
+//! [`Histogram`] per stage it feeds.
 //!
 //! The simulator's cycle methods take a `&mut impl Profiler` the same way
 //! its emission sites take a [`TraceSink`](crate::sink::TraceSink):
@@ -15,109 +15,8 @@
 //! [`clock`](crate::clock), the sanctioned boundary the
 //! `no-wall-clock` analyze rule knows about.
 
+use crate::hist::Histogram;
 use std::fmt;
-
-/// Number of log2 buckets: one per possible bit position of a `u64`.
-const BUCKETS: usize = 64;
-
-/// A fixed-bucket log2-latency histogram.
-///
-/// Bucket `i` counts values `v` with `floor(log2(max(v, 1))) == i`, i.e.
-/// `[2^i, 2^(i+1))` (bucket 0 also holds 0). Recording is O(1), the type
-/// never allocates, and quantile queries return the *upper bound* of the
-/// bucket holding the requested observation — the same nearest-rank,
-/// upper-bound convention the simulator's packet-latency histogram uses.
-#[derive(Debug, Clone, Copy)]
-pub struct Histogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    #[must_use]
-    pub const fn new() -> Self {
-        Histogram {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// The bucket index for `value`.
-    #[inline]
-    fn index(value: u64) -> usize {
-        // `value | 1` maps 0 into bucket 0 without a branch.
-        (63 - (value | 1).leading_zeros()) as usize
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Histogram::index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Observations recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all recorded values (saturating).
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or 0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Upper bound of the bucket holding the `q`-quantile observation
-    /// (nearest rank), or `None` when empty. `q` is clamped to `[0, 1]`.
-    #[must_use]
-    pub fn quantile_upper(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Some(if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 });
-            }
-        }
-        // count > 0 guarantees the walk returns inside the loop.
-        None
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// The raw per-bucket counts, index `i` covering `[2^i, 2^(i+1))`.
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
-        &self.buckets
-    }
-}
 
 /// The per-cycle pipeline stages the profiler distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -196,7 +95,7 @@ impl Profiler for NullProfiler {
 }
 
 /// A profiler keeping one log2 [`Histogram`] of per-cycle nanoseconds per
-/// [`Stage`]. Fixed-size, allocation-free, `merge`-able across runs.
+/// [`Stage`]. Fixed-size and allocation-free.
 #[derive(Debug, Clone)]
 pub struct StageProfiler {
     hists: [Histogram; Stage::COUNT],
@@ -221,13 +120,6 @@ impl StageProfiler {
     #[must_use]
     pub fn stage(&self, stage: Stage) -> &Histogram {
         &self.hists[stage as usize]
-    }
-
-    /// Folds another profiler's histograms into this one.
-    pub fn merge(&mut self, other: &StageProfiler) {
-        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
-            a.merge(b);
-        }
     }
 
     /// The printable per-stage summary.
@@ -327,58 +219,6 @@ mod tests {
         assert!(enabled::<StageProfiler>());
         let mut p = NullProfiler;
         p.record(Stage::Routing, 123);
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 7, 8, 1023, 1024] {
-            h.record(v);
-        }
-        let b = h.bucket_counts();
-        assert_eq!(b[0], 2, "0 and 1");
-        assert_eq!(b[1], 2, "2 and 3");
-        assert_eq!(b[2], 2, "4 and 7");
-        assert_eq!(b[3], 1, "8");
-        assert_eq!(b[9], 1, "1023");
-        assert_eq!(b[10], 1, "1024");
-        assert_eq!(h.count(), 9);
-        assert_eq!(h.sum(), 2072);
-    }
-
-    #[test]
-    fn quantiles_return_bucket_upper_bounds() {
-        let mut h = Histogram::new();
-        assert_eq!(h.quantile_upper(0.5), None, "empty");
-        for _ in 0..99 {
-            h.record(100); // bucket [64, 128)
-        }
-        h.record(100_000); // bucket [65536, 131072)
-        assert_eq!(h.quantile_upper(0.5), Some(127));
-        assert_eq!(h.quantile_upper(0.99), Some(127));
-        assert_eq!(h.quantile_upper(1.0), Some(131_071));
-        assert_eq!(h.mean(), (99 * 100 + 100_000) / 100);
-    }
-
-    #[test]
-    fn extreme_values_stay_in_range() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile_upper(1.0), Some(u64::MAX));
-        assert_eq!(h.sum(), u64::MAX, "sum saturates");
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.sum(), 1010);
     }
 
     #[test]

@@ -40,6 +40,19 @@ if grep -rnE 'ACCEPT_POLL|set_nonblocking|with_poll|max_polls' crates/service cr
     exit 1
 fi
 
+# One of each: the `active` mask is the only record of output-VC
+# occupancy, and noc-telemetry holds the one percentile and the one
+# atomic histogram.
+if grep -rn 'OutVcState' crates src tests; then
+    echo "ci: a second record of output-VC occupancy is back" >&2
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'fn percentile|struct AtomicHistogram' crates src tests \
+    | grep -v '^crates/telemetry/'; then
+    echo "ci: percentile or AtomicHistogram is defined outside noc-telemetry" >&2
+    exit 1
+fi
+
 # The fixture tree must trip every rule with its known multiplicity —
 # one finding per fixture file, with alloc-in-hot-path covered in both
 # the simulator and workload scopes (the analyzer's own tests assert the

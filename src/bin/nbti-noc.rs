@@ -39,7 +39,7 @@
 //! the design space.
 
 use nbti_noc::prelude::*;
-use nbti_noc::telemetry::clock;
+use nbti_noc::telemetry::{clock, percentile};
 use nbti_noc::workload;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -150,17 +150,6 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
     PolicyKind::parse(name)
 }
 
-/// `(p50, p95, p99, max)` upper bounds from the latency histogram, when
-/// any packet was delivered.
-fn latency_summary(net: &NetStats) -> Option<(u64, u64, u64, u64)> {
-    Some((
-        net.latency_quantile_upper(0.5)?,
-        net.latency_quantile_upper(0.95)?,
-        net.latency_quantile_upper(0.99)?,
-        net.latency_quantile_upper(1.0)?,
-    ))
-}
-
 /// Prints the per-port duty/flit table. Port labels come from the
 /// topology (`r3-ccw` on a ring, `r3-l1` on an irregular fabric) rather
 /// than the mesh's hardcoded compass letters.
@@ -179,7 +168,7 @@ fn print_port_table(result: &sensorwise::ExperimentResult, topo: &AnyTopology, c
             }
             println!(",{}", p.flits_received);
         }
-        if let Some((p50, p95, p99, max)) = latency_summary(&result.net) {
+        if let Some((p50, p95, p99, max)) = result.net.latency_summary() {
             println!("# latency_cycles p50<={p50} p95<={p95} p99<={p99} max<={max}");
         }
         return;
@@ -203,7 +192,7 @@ fn print_port_table(result: &sensorwise::ExperimentResult, topo: &AnyTopology, c
         result.net.packets_ejected,
         result.net.avg_latency().unwrap_or(f64::NAN)
     );
-    if let Some((p50, p95, p99, max)) = latency_summary(&result.net) {
+    if let Some((p50, p95, p99, max)) = result.net.latency_summary() {
         println!("latency percentiles: p50<={p50} p95<={p95} p99<={p99} max<={max} cycles");
     }
 }
@@ -573,12 +562,8 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         "{count} jobs in {elapsed_ms} ms ({jobs_per_sec:.1} jobs/s), {} submit requests ({busy_total} retried on 429)",
         latencies.len()
     );
-    if !latencies.is_empty() {
-        println!(
-            "submit latency: p50 {} ms p99 {} ms",
-            percentile(&latencies, 0.5),
-            percentile(&latencies, 0.99)
-        );
+    if let (Some(p50), Some(p99)) = (percentile(&latencies, 0.5), percentile(&latencies, 0.99)) {
+        println!("submit latency: p50 {p50} ms p99 {p99} ms");
     }
     if args.has("shutdown") {
         client.shutdown(false)?;
@@ -773,13 +758,6 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     report_invariants(&result)
 }
 
-/// Nearest-rank percentile of a sorted slice.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 fn cmd_stats(args: &Args) -> Result<(), String> {
     let path = args.required("trace")?.to_string();
     let json = args.has("json");
@@ -807,6 +785,8 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     }
 
     latencies.sort_unstable();
+    // p50, p95, p99 and max; all `None` without a delivered packet.
+    let latency = [0.5, 0.95, 0.99, 1.0].map(|q| percentile(&latencies, q));
     if json {
         // Machine-readable summary, keyed and quoted via the shared
         // wire-codec string escaper; the digest matches `run --json`.
@@ -829,17 +809,13 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
             out.push_str(&format!("{}:{n}", sensorwise::codec::json_string(port)));
         }
         out.push_str("},");
-        if latencies.is_empty() {
-            out.push_str("\"latency\":null,");
-        } else {
+        if let [Some(p50), Some(p95), Some(p99), Some(max)] = latency {
             out.push_str(&format!(
-                "\"latency\":{{\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"packets\":{}}},",
-                percentile(&latencies, 0.5),
-                percentile(&latencies, 0.95),
-                percentile(&latencies, 0.99),
-                latencies[latencies.len() - 1],
+                "\"latency\":{{\"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\"max\":{max},\"packets\":{}}},",
                 latencies.len()
             ));
+        } else {
+            out.push_str("\"latency\":null,");
         }
         out.push_str(&format!("\"digest\":\"{:016x}\"}}", EventDigest::of(&events)));
         println!("{out}");
@@ -857,13 +833,9 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
             println!("  {port:<12} {n}");
         }
     }
-    if !latencies.is_empty() {
+    if let [Some(p50), Some(p95), Some(p99), Some(max)] = latency {
         println!(
-            "latency: p50 {} p95 {} p99 {} max {} cycles ({} packets)",
-            percentile(&latencies, 0.5),
-            percentile(&latencies, 0.95),
-            percentile(&latencies, 0.99),
-            latencies[latencies.len() - 1],
+            "latency: p50 {p50} p95 {p95} p99 {p99} max {max} cycles ({} packets)",
             latencies.len()
         );
     }

@@ -195,10 +195,11 @@ proptest! {
     }
 
     /// The simulator's cached per-cycle state — each router's per-outport
-    /// count of `Waiting` VCs and each unit's busy/power/allocation masks
-    /// — equals a recount from the per-VC states after every
-    /// `begin_cycle` and every `finish_cycle`, on every fabric kind under
-    /// every policy. The `Full` invariant level performs the recount.
+    /// count of `Waiting` VCs — equals a recount from the input VC states,
+    /// and no unit's busy/power/allocation mask has bits beyond its VCs,
+    /// after every `begin_cycle` and every `finish_cycle`, on every fabric
+    /// kind under every policy. The `Full` invariant level performs the
+    /// check.
     #[test]
     fn cached_vc_state_matches_a_recount(
         which in 0u8..4,
