@@ -231,3 +231,17 @@ fn epochs_are_distinct_because_state_feeds_forward() {
     assert_ne!(digests[0], digests[1]);
     assert_ne!(digests[1], digests[2]);
 }
+
+/// The campaign counterpart of the topology work/duty goldens: a
+/// sensor-wise chain whose chained digest and last-epoch `work_total`
+/// were captured on the every-port-every-cycle engine. `work_total` sums
+/// the network's own counters (carried across epochs by the snapshot)
+/// with the engine's, so a counter booked in the wrong place moves it.
+#[test]
+fn sensor_wise_chain_matches_its_golden_digest_and_work_total() {
+    let mut campaign = Campaign::new(spec(PolicyKind::SensorWise, 3)).unwrap();
+    let reports = campaign.run_to_completion(None, None).unwrap();
+    let last = reports.last().expect("three epochs ran");
+    assert_eq!(campaign.chained_digest(), 0xc2c4_4e31_88a6_4a96);
+    assert_eq!(last.result.work_total, 177_710);
+}

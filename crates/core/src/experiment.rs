@@ -13,10 +13,20 @@
 //! 4. runs `Network::finish_cycle` (VA, SA, ST + LT, NIC processing),
 //! 5. records each VC's stress/recovery state into the NBTI monitor.
 //!
+//! Steps 3 and 5 cost per change, not per port and cycle. A port whose
+//! [`PortKey`], MD VC and policy cycle dependence are unchanged since a
+//! gate command that changed nothing keeps that command without a new
+//! view, decision or application (the network still counts it). A VC is
+//! stressed exactly when powered (busy ⇒ powered), so each port's duty is
+//! recorded once per run of an unchanged power mask: when the mask
+//! changes, and before anything reads duty (sensor elections, series
+//! samples, the warm-up reset, the end of the measured window).
+//!
 //! After `warmup_cycles`, duty-cycle accounting and network statistics are
 //! reset, matching the paper's steady-state sampling.
 //!
 //! [`PortView`]: noc_sim::view::PortView
+//! [`PortKey`]: noc_sim::view::PortKey
 
 use crate::monitor::NbtiMonitor;
 use crate::policy::{GatingPolicy, PolicyKind};
@@ -27,14 +37,13 @@ use noc_sim::network::Network;
 use noc_sim::snapshot::{NetworkSnapshot, SnapshotStateError};
 use noc_sim::stats::NetStats;
 use noc_sim::types::{Direction, NodeId};
-use noc_sim::view::{PortId, PortView, VcStatus};
+use noc_sim::view::{GateAction, PortId, PortKey, PortView};
 use noc_telemetry::clock;
 use noc_telemetry::{
     EventKind, MetricsSeries, NullProfiler, Profiler, RecordSink, Sample, Stage, StageProfiler,
     TelemetryReport, TelemetrySpec, TraceEvent, TraceSink, WorkCounters,
 };
-use noc_traffic::source::{inject_from, TrafficSource};
-use std::collections::BTreeMap;
+use noc_traffic::source::{inject_from_with, PacketSpec, TrafficSource};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -555,6 +564,280 @@ fn run_loop<S: NbtiSensor, T: TraceSink, P: Profiler>(
     }
 }
 
+/// A port's controller memory: its last decision and what the decision
+/// was made from, plus the stress run the port is in.
+#[derive(Debug, Clone, Copy)]
+struct PortCtl {
+    /// The port key read right after the last `apply_gate`.
+    key: PortKey,
+    /// The `Down_Up` MD VC the last decision saw.
+    md: usize,
+    /// The policy's cycle dependence when it last decided.
+    dep: u64,
+    /// The last decision.
+    action: GateAction,
+    /// The last `apply_gate` left the key as it found it. Only then is
+    /// applying the same action to the same key again a no-op.
+    fixed: bool,
+    /// The port's power mask. Busy ⇒ powered (a full-level invariant),
+    /// so this is also its NBTI stress mask.
+    stress: u32,
+    /// The first monitored cycle of the current stress run not yet
+    /// recorded into the monitor.
+    run_start: u64,
+}
+
+/// Everything the per-cycle step reads and writes. One [`Engine::advance`]
+/// serves the measured window and the epoch drain, so decision reuse and
+/// duty flushing exist once.
+struct Engine<'a, S, T: TraceSink, P> {
+    cfg: &'a ExperimentConfig,
+    net: Network<T>,
+    monitor: NbtiMonitor<S>,
+    port_ids: Vec<PortId>,
+    policies: Vec<Box<dyn GatingPolicy>>,
+    ctl: Vec<PortCtl>,
+    md_cache: Vec<usize>,
+    /// Engine-level work counters (the network counts its own pipeline
+    /// stages and every gate command); summed into the result at the end.
+    engine_work: WorkCounters,
+    series: Option<MetricsSeries>,
+    churn_at_sample: Vec<u64>,
+    /// Per port, `flits_received` at the start of the measured window.
+    flits_at_warmup: Vec<u64>,
+    warmup_violations: u64,
+    /// Scratch reused every cycle so the loop never allocates once
+    /// capacities settle.
+    view: PortView,
+    packets: Vec<PacketSpec>,
+    prof: &'a mut P,
+}
+
+impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
+    fn new(
+        cfg: &'a ExperimentConfig,
+        mut net: Network<T>,
+        port_ids: Vec<PortId>,
+        monitor: NbtiMonitor<S>,
+        prof: &'a mut P,
+    ) -> Self {
+        net.set_invariant_level(cfg.invariants);
+        // With no warm-up the boundary never fires; pin the per-port flit
+        // baseline at the start instead (zero for fresh networks, the
+        // restored lifetime counters for resumed epochs).
+        let flits_at_warmup = port_ids
+            .iter()
+            .map(|&pid| match cfg.warmup_cycles {
+                0 => net.flits_received(pid),
+                _ => 0,
+            })
+            .collect();
+        let ctl = port_ids
+            .iter()
+            .map(|&pid| PortCtl {
+                key: PortKey::default(),
+                md: 0,
+                dep: 0,
+                action: GateAction::NoChange,
+                fixed: false,
+                stress: net.port_key(pid).powered,
+                run_start: 0,
+            })
+            .collect();
+        let sample_period = cfg.telemetry.sample_period;
+        Engine {
+            cfg,
+            policies: port_ids
+                .iter()
+                .map(|_| cfg.policy.build(cfg.rr_rotation_period))
+                .collect(),
+            ctl,
+            md_cache: vec![0; port_ids.len()],
+            engine_work: WorkCounters::default(),
+            series: (sample_period > 0).then(|| {
+                MetricsSeries::new(
+                    sample_period,
+                    port_ids.iter().map(ToString::to_string).collect(),
+                )
+            }),
+            churn_at_sample: vec![0; port_ids.len()],
+            flits_at_warmup,
+            warmup_violations: 0,
+            view: PortView {
+                port: PortId::nic_eject(NodeId(0)),
+                vc_status: Vec::new(),
+                new_traffic: false,
+            },
+            packets: Vec::new(),
+            net,
+            monitor,
+            port_ids,
+            prof,
+        }
+    }
+
+    /// Records every port's pending stress run up to monitored cycle
+    /// `upto`. Called before anything reads duty: sensor elections, series
+    /// samples, the warm-up reset and the end of the measured window.
+    fn flush_duty(&mut self, upto: u64) {
+        for (c, &pid) in self.ctl.iter_mut().zip(&self.port_ids) {
+            flush_run(&mut self.monitor, pid, c, upto);
+        }
+    }
+
+    /// One cycle. With `traffic`, this is measured-window step `step`:
+    /// packets are injected and duty is recorded. Without, it is a drain
+    /// step: nothing is injected or recorded, policies keep deciding.
+    fn advance(&mut self, step: u64, traffic: Option<&mut dyn TrafficSource>) {
+        let recording = traffic.is_some();
+        let now = self.net.cycle();
+        let md_period = self.cfg.md_refresh_period.max(1);
+        if self.cfg.policy.uses_sensors() && step.is_multiple_of(md_period) {
+            if recording {
+                self.flush_duty(step);
+            }
+            let vcs_per_port = self.cfg.noc.vcs_per_port as u64;
+            for (i, &pid) in self.port_ids.iter().enumerate() {
+                let md = self.monitor.most_degraded(pid);
+                // One sensor sample per VC per election (the `Down_Up`
+                // link reads the whole port).
+                self.engine_work.sensor_reads += vcs_per_port;
+                if T::ACTIVE && ((recording && step == 0) || md != self.md_cache[i]) {
+                    self.net.trace_mut().emit(TraceEvent {
+                        cycle: now,
+                        kind: EventKind::DownUp {
+                            port: pid.into(),
+                            md_vc: md as u8,
+                        },
+                    });
+                }
+                self.md_cache[i] = md;
+            }
+        }
+        if let Some(traffic) = traffic {
+            inject_from_with(traffic, &mut self.net, &mut self.packets);
+        }
+        self.net.begin_cycle_with(self.prof);
+        let t_ctl = if P::ENABLED { Some(clock::now()) } else { None };
+        self.decide_ports(now, recording.then_some(step));
+        if let Some(t) = t_ctl {
+            self.prof.record(Stage::Controller, clock::ns_since(t));
+        }
+        self.net.finish_cycle_with(self.prof);
+        if recording {
+            self.end_recorded_cycle(step + 1);
+        }
+    }
+
+    /// The controller slot: every port's `Up_Down` decision. A port's last
+    /// action is reused, without building its view, deciding or applying,
+    /// when its last application was a fixed point and the key, the MD VC
+    /// and the policy's cycle dependence are all unchanged. `monitored`
+    /// is the cycle's monitored index while duty is being recorded.
+    fn decide_ports(&mut self, now: u64, monitored: Option<u64>) {
+        let vcs = self.cfg.noc.vcs_per_port;
+        let mut reused = 0u64;
+        for (i, &pid) in self.port_ids.iter().enumerate() {
+            let c = &mut self.ctl[i];
+            let md = self.md_cache[i];
+            let policy = &mut self.policies[i];
+            let key = self.net.port_key(pid);
+            let dep = policy.cycle_dependence(now, vcs);
+            if c.fixed && key == c.key && md == c.md && dep == c.dep {
+                reused += u64::from(c.action != GateAction::NoChange);
+                continue;
+            }
+            self.net.fill_port_view(pid, &mut self.view);
+            let action = policy.decide(now, &self.view, md);
+            self.net.apply_gate(pid, action);
+            let after = self.net.port_key(pid);
+            c.key = after;
+            c.md = md;
+            c.dep = dep;
+            c.action = action;
+            c.fixed = after == key;
+            if after.powered != c.stress {
+                if let Some(upto) = monitored {
+                    flush_run(&mut self.monitor, pid, c, upto);
+                }
+                c.stress = after.powered;
+            }
+        }
+        self.engine_work.policy_evaluations += self.port_ids.len() as u64;
+        if reused > 0 {
+            self.net.count_reused_gate_commands(reused);
+        }
+        let checked = self.cfg.invariants.is_enabled();
+        if let Some(budget) = self.cfg.policy.idle_on_budget().filter(|_| checked) {
+            // The designation property holds exactly at this point: after
+            // every gate decision is applied, before allocation runs.
+            for &pid in &self.port_ids {
+                self.net.check_idle_on_budget(pid, budget);
+            }
+        }
+    }
+
+    /// End-of-cycle bookkeeping of the measured window, once `monitored`
+    /// cycles have been recorded: series samples and the warm-up reset.
+    fn end_recorded_cycle(&mut self, monitored: u64) {
+        let t_mon = if P::ENABLED { Some(clock::now()) } else { None };
+        let sample = self
+            .series
+            .as_ref()
+            .is_some_and(|s| monitored.is_multiple_of(s.period()));
+        let warmed_up = monitored == self.cfg.warmup_cycles;
+        if sample || warmed_up {
+            self.flush_duty(monitored);
+        }
+        if let Some(t) = t_mon {
+            self.prof.record(Stage::Monitor, clock::ns_since(t));
+        }
+        if let Some(series) = self.series.as_mut().filter(|_| sample) {
+            for (i, &pid) in self.port_ids.iter().enumerate() {
+                let duty = self.monitor.duty_cycles_percent(pid);
+                let churn_total = self.net.gate_transitions(pid);
+                series.push(Sample {
+                    cycle: self.net.cycle(),
+                    port: i as u32,
+                    duty_percent: duty.iter().sum::<f64>() / duty.len() as f64,
+                    occupancy: self.net.port_occupancy(pid) as u32,
+                    churn: churn_total - self.churn_at_sample[i],
+                    powered_vcs: self.net.powered_vc_count(pid) as u32,
+                    delta_vth_mv: self
+                        .monitor
+                        .projected_delta_vth_mv(pid, NbtiParams::TEN_YEARS_S),
+                });
+                self.churn_at_sample[i] = churn_total;
+            }
+        }
+        if warmed_up {
+            self.monitor.reset_duty();
+            // Stats reset zeroes the violation counter; fold the warm-up era
+            // into the whole-run total reported on the result.
+            self.warmup_violations = self.net.stats().invariant_violations;
+            self.net.reset_stats();
+            for (base, &pid) in self.flits_at_warmup.iter_mut().zip(&self.port_ids) {
+                *base = self.net.flits_received(pid);
+            }
+        }
+    }
+}
+
+/// Records port `pid`'s stress run from its start up to monitored cycle
+/// `upto` as one `record_cycles` call, and starts a new run there.
+fn flush_run<S: NbtiSensor>(
+    monitor: &mut NbtiMonitor<S>,
+    pid: PortId,
+    c: &mut PortCtl,
+    upto: u64,
+) {
+    let n = upto - c.run_start;
+    if n > 0 {
+        monitor.record_cycles(pid, c.stress, n);
+    }
+    c.run_start = upto;
+}
+
 /// The loop shared by standalone runs and campaign epochs. The `step`
 /// counter is *run-local* (controls warm-up, sampling, refresh and cancel
 /// cadence); the network's own cycle counter — which continues across
@@ -566,143 +849,26 @@ fn run_loop<S: NbtiSensor, T: TraceSink, P: Profiler>(
 /// drain phase: injection and NBTI recording stop, policies keep deciding,
 /// and the loop steps until the network is quiescent plus a credit-settle
 /// margin (bounded by `limit`), then captures a snapshot.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)]
 fn run_loop_inner<S: NbtiSensor, T: TraceSink, P: Profiler>(
     cfg: &ExperimentConfig,
     traffic: &mut dyn TrafficSource,
-    mut net: Network<T>,
+    net: Network<T>,
     port_ids: Vec<PortId>,
-    mut monitor: NbtiMonitor<S>,
+    monitor: NbtiMonitor<S>,
     cancel: &AtomicBool,
     drain: Option<u64>,
     prof: &mut P,
 ) -> Result<LoopOutcome, EpochError> {
-    let mut policies: Vec<Box<dyn GatingPolicy>> = port_ids
-        .iter()
-        .map(|_| cfg.policy.build(cfg.rr_rotation_period))
-        .collect();
-    let uses_sensors = cfg.policy.uses_sensors();
-    net.set_invariant_level(cfg.invariants);
-    let budget = if cfg.invariants.is_enabled() {
-        cfg.policy.idle_on_budget()
-    } else {
-        None
-    };
-    let mut warmup_violations = 0u64;
-
+    let mut eng = Engine::new(cfg, net, port_ids, monitor, prof);
     let total = cfg.warmup_cycles + cfg.measure_cycles;
-    let mut flits_at_warmup: BTreeMap<PortId, u64> = BTreeMap::new();
-    if cfg.warmup_cycles == 0 {
-        // The warm-up boundary never fires; pin the per-port flit baseline
-        // at the start instead (zero for fresh networks, the restored
-        // lifetime counters for resumed epochs).
-        for &pid in &port_ids {
-            flits_at_warmup.insert(pid, net.flits_received(pid));
-        }
-    }
-    let md_period = cfg.md_refresh_period.max(1);
-    let mut md_cache: Vec<usize> = vec![0; port_ids.len()];
-    // Engine-level work counters (the network counts its own pipeline
-    // stages); summed into the result at the end.
-    let mut engine_work = WorkCounters::default();
-    let vcs_per_port = cfg.noc.vcs_per_port as u64;
-    let sample_period = cfg.telemetry.sample_period;
-    let mut series = (sample_period > 0).then(|| {
-        MetricsSeries::new(
-            sample_period,
-            port_ids.iter().map(ToString::to_string).collect(),
-        )
-    });
-    let mut churn_at_sample: Vec<u64> = vec![0; port_ids.len()];
-    // Scratch reused every cycle so the policy and monitor loops never
-    // allocate once capacities settle.
-    let mut view = PortView {
-        port: PortId::nic_eject(NodeId(0)),
-        vc_status: Vec::new(),
-        new_traffic: false,
-    };
-    let mut statuses: Vec<VcStatus> = Vec::new();
     for step in 0..total {
         if step % CANCEL_CHECK_PERIOD == 0 && cancel.load(Ordering::Relaxed) {
             return Err(EpochError::Cancelled);
         }
-        let now = net.cycle();
-        if uses_sensors && step % md_period == 0 {
-            for (i, &pid) in port_ids.iter().enumerate() {
-                let md = monitor.most_degraded(pid);
-                // One sensor sample per VC per election (the `Down_Up`
-                // link reads the whole port).
-                engine_work.sensor_reads += vcs_per_port;
-                if T::ACTIVE && (step == 0 || md != md_cache[i]) {
-                    net.trace_mut().emit(TraceEvent {
-                        cycle: now,
-                        kind: EventKind::DownUp {
-                            port: pid.into(),
-                            md_vc: md as u8,
-                        },
-                    });
-                }
-                md_cache[i] = md;
-            }
-        }
-        inject_from(traffic, &mut net);
-        net.begin_cycle_with(prof);
-        let t_ctl = if P::ENABLED { Some(clock::now()) } else { None };
-        for (i, &pid) in port_ids.iter().enumerate() {
-            net.fill_port_view(pid, &mut view);
-            let action = policies[i].decide(now, &view, md_cache[i]);
-            engine_work.policy_evaluations += 1;
-            net.apply_gate(pid, action);
-        }
-        if let Some(budget) = budget {
-            // The designation property holds exactly at this point: after
-            // every gate decision is applied, before allocation runs.
-            for &pid in &port_ids {
-                net.check_idle_on_budget(pid, budget);
-            }
-        }
-        if let Some(t) = t_ctl {
-            prof.record(Stage::Controller, clock::ns_since(t));
-        }
-        net.finish_cycle_with(prof);
-        let t_mon = if P::ENABLED { Some(clock::now()) } else { None };
-        for &pid in &port_ids {
-            net.vc_statuses_into(pid, &mut statuses);
-            monitor.record_cycle(pid, &statuses);
-        }
-        if let Some(t) = t_mon {
-            prof.record(Stage::Monitor, clock::ns_since(t));
-        }
-        if let Some(series) = series.as_mut() {
-            if (step + 1) % sample_period == 0 {
-                for (i, &pid) in port_ids.iter().enumerate() {
-                    let duty = monitor.duty_cycles_percent(pid);
-                    let churn_total = net.gate_transitions(pid);
-                    series.push(Sample {
-                        cycle: net.cycle(),
-                        port: i as u32,
-                        duty_percent: duty.iter().sum::<f64>() / duty.len() as f64,
-                        occupancy: net.port_occupancy(pid) as u32,
-                        churn: churn_total - churn_at_sample[i],
-                        powered_vcs: net.powered_vc_count(pid) as u32,
-                        delta_vth_mv: monitor
-                            .projected_delta_vth_mv(pid, NbtiParams::TEN_YEARS_S),
-                    });
-                    churn_at_sample[i] = churn_total;
-                }
-            }
-        }
-        if step + 1 == cfg.warmup_cycles {
-            monitor.reset_duty();
-            // Stats reset zeroes the violation counter; fold the warm-up era
-            // into the whole-run total reported on the result.
-            warmup_violations = net.stats().invariant_violations;
-            net.reset_stats();
-            for &pid in &port_ids {
-                flits_at_warmup.insert(pid, net.flits_received(pid));
-            }
-        }
+        eng.advance(step, Some(&mut *traffic));
     }
+    eng.flush_duty(total);
 
     // Drain phase (epochs only): stop injecting and recording, keep the
     // policies deciding — gating state keeps evolving deterministically and
@@ -713,7 +879,7 @@ fn run_loop_inner<S: NbtiSensor, T: TraceSink, P: Profiler>(
         let settle = cfg.noc.credit_latency + cfg.noc.link_latency + 2;
         let mut settled = 0u64;
         loop {
-            if net.is_quiescent() {
+            if eng.net.is_quiescent() {
                 if settled == settle {
                     break;
                 }
@@ -724,44 +890,24 @@ fn run_loop_inner<S: NbtiSensor, T: TraceSink, P: Profiler>(
             if drain_cycles == limit {
                 return Err(EpochError::DrainTimeout {
                     limit,
-                    in_network: net.flits_in_network(),
-                    pending_injection: net.flits_pending_injection(),
+                    in_network: eng.net.flits_in_network(),
+                    pending_injection: eng.net.flits_pending_injection(),
                 });
             }
-            let step = total + drain_cycles;
-            let now = net.cycle();
-            if uses_sensors && step.is_multiple_of(md_period) {
-                for (i, &pid) in port_ids.iter().enumerate() {
-                    let md = monitor.most_degraded(pid);
-                    engine_work.sensor_reads += vcs_per_port;
-                    if T::ACTIVE && md != md_cache[i] {
-                        net.trace_mut().emit(TraceEvent {
-                            cycle: now,
-                            kind: EventKind::DownUp {
-                                port: pid.into(),
-                                md_vc: md as u8,
-                            },
-                        });
-                    }
-                    md_cache[i] = md;
-                }
-            }
-            net.begin_cycle();
-            for (i, &pid) in port_ids.iter().enumerate() {
-                net.fill_port_view(pid, &mut view);
-                let action = policies[i].decide(now, &view, md_cache[i]);
-                engine_work.policy_evaluations += 1;
-                net.apply_gate(pid, action);
-            }
-            if let Some(budget) = budget {
-                for &pid in &port_ids {
-                    net.check_idle_on_budget(pid, budget);
-                }
-            }
-            net.finish_cycle();
+            eng.advance(total + drain_cycles, None);
             drain_cycles += 1;
         }
     }
+    let Engine {
+        mut net,
+        monitor,
+        port_ids,
+        engine_work,
+        series,
+        flits_at_warmup,
+        warmup_violations,
+        ..
+    } = eng;
 
     // Duty closure (paper §III-A): every monitored cycle is either stress
     // or recovery, so per VC the two must sum to the measured window. The
@@ -804,13 +950,13 @@ fn run_loop_inner<S: NbtiSensor, T: TraceSink, P: Profiler>(
 
     let ports = port_ids
         .iter()
-        .map(|&pid| PortResult {
+        .zip(&flits_at_warmup)
+        .map(|(&pid, &base)| PortResult {
             port: pid,
             duty_percent: monitor.duty_cycles_percent(pid),
             md_vc: monitor.most_degraded_initial(pid),
             initial_vths: monitor.initial_vths(pid),
-            flits_received: net.flits_received(pid)
-                - flits_at_warmup.get(&pid).copied().unwrap_or(0),
+            flits_received: net.flits_received(pid) - base,
         })
         .collect();
     let telemetry = cfg.telemetry.enabled().then(|| TelemetryReport {

@@ -193,6 +193,14 @@ impl<S: NbtiSensor> NbtiMonitor<S> {
             }));
     }
 
+    /// Records `n` cycles of one stress mask for `port` (bit `v` set: VC
+    /// `v` powered, so stressed). The experiment engine records each run
+    /// of an unchanged power mask with one call; `record_cycle` is the
+    /// one-cycle form over per-VC statuses.
+    pub fn record_cycles(&mut self, port: PortId, stressed: u32, n: u64) {
+        self.tracker_mut(port).record_cycles(stressed, n);
+    }
+
     /// Per-VC NBTI-duty-cycle percentages for `port`.
     pub fn duty_cycles_percent(&self, port: PortId) -> Vec<f64> {
         self.tracker(port).duty_cycles_percent()
@@ -282,6 +290,20 @@ mod tests {
         m.reset_duty();
         m.record_cycle(p, &[Off, Off, Off, IdleOn]);
         assert_eq!(m.duty_cycles_percent(p), vec![0.0, 0.0, 0.0, 100.0]);
+    }
+
+    #[test]
+    fn a_stress_mask_run_matches_per_cycle_statuses() {
+        use VcStatus::{Busy, IdleOn, Off};
+        let mut batched = monitor(5);
+        let mut single = monitor(5);
+        let p = ports()[0];
+        batched.record_cycles(p, 0b0011, 6);
+        for _ in 0..6 {
+            single.record_cycle(p, &[Busy, IdleOn, Off, Off]);
+        }
+        assert_eq!(batched.duty_totals(p), single.duty_totals(p));
+        assert_eq!(batched.duty_totals(p), vec![(6, 0), (6, 0), (0, 6), (0, 6)]);
     }
 
     #[test]

@@ -23,7 +23,19 @@ use std::fmt;
 /// the downstream router's sensor election. Sensor-less policies ignore it.
 pub trait GatingPolicy {
     /// Computes this cycle's `Up_Down` payload for the port.
+    ///
+    /// The result must be a function of `view`, `most_degraded` and
+    /// [`cycle_dependence`](Self::cycle_dependence) alone: the experiment
+    /// engine reuses a port's last action while those three are unchanged
+    /// (and the action's last application changed nothing).
     fn decide(&mut self, cycle: u64, view: &PortView, most_degraded: usize) -> GateAction;
+
+    /// What `decide` reads of `cycle`, as a value that changes whenever
+    /// that dependence does. The default is a constant: the decision
+    /// ignores the cycle.
+    fn cycle_dependence(&self, _cycle: u64, _num_vcs: usize) -> u64 {
+        0
+    }
 
     /// The policy's short name, matching the paper's terminology.
     fn name(&self) -> &'static str;
@@ -217,6 +229,11 @@ impl GatingPolicy for RrNoSensorPolicy {
         }
         // Every VC busy: nothing to leave idle.
         GateAction::AllIdleOff
+    }
+
+    /// The rotation candidate, the only part of the cycle `decide` reads.
+    fn cycle_dependence(&self, cycle: u64, num_vcs: usize) -> u64 {
+        self.candidate(cycle, num_vcs) as u64
     }
 
     fn name(&self) -> &'static str {
@@ -436,6 +453,22 @@ mod tests {
         assert_eq!(p.decide(2, &v, 0), GateAction::KeepOneIdle { vc: 2 });
         assert_eq!(p.decide(3, &v, 0), GateAction::KeepOneIdle { vc: 3 });
         assert_eq!(p.decide(4, &v, 0), GateAction::KeepOneIdle { vc: 0 });
+    }
+
+    #[test]
+    fn only_rr_decisions_depend_on_the_cycle() {
+        let rr = RrNoSensorPolicy::new(3);
+        let deps: Vec<u64> = (0..8).map(|c| rr.cycle_dependence(c, 2)).collect();
+        assert_eq!(deps, [0, 0, 0, 1, 1, 1, 0, 0]);
+        for kind in [
+            PolicyKind::Baseline,
+            PolicyKind::SensorWiseNoTraffic,
+            PolicyKind::SensorWise,
+            PolicyKind::SensorWiseK(2),
+        ] {
+            let p = kind.build(3);
+            assert!((0..8).all(|c| p.cycle_dependence(c, 2) == 0), "{kind}");
+        }
     }
 
     #[test]

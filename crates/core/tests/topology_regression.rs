@@ -162,3 +162,81 @@ fn mesh_routing_variants_match_pre_refactor_goldens() {
         );
     }
 }
+
+/// What the trace digests do not cover: the seven work counters and the
+/// per-port, per-VC `(stress, recovery)` duty totals of a drained epoch.
+/// An engine that skips or batches per-port work must leave all of them
+/// exactly as the plain every-port-every-cycle loop produced them.
+fn work_and_duty(policy: PolicyKind) -> ([u64; 7], u64, u64) {
+    let noc = NocConfig::paper_synthetic(16, 2);
+    let cfg = ExperimentConfig::new(noc.clone(), policy)
+        .with_cycles(300, 3_000)
+        .with_pv_seed(0x70_70_01);
+    let spec = TrafficSpec::Uniform {
+        rate: 0.12,
+        seed: 0xDEAD_0001,
+    };
+    let mut traffic = spec.build(&noc);
+    let epoch =
+        sensorwise::run_epoch(&cfg, traffic.as_mut(), None, None, 100_000).expect("epoch drains");
+    let w = epoch.result.work;
+    let work = [
+        w.bw_writes,
+        w.rc_computes,
+        w.va_grants,
+        w.sa_grants,
+        w.gate_commands,
+        w.policy_evaluations,
+        w.sensor_reads,
+    ];
+    let mut digest = noc_telemetry::digest::fnv1a_64(&[]);
+    let mut stress_total = 0;
+    for port in &epoch.duty_totals {
+        for &(stress, recovery) in port {
+            assert_eq!(stress + recovery, 3_000, "{policy:?}: duty closure");
+            stress_total += stress;
+            digest = noc_telemetry::digest::fnv1a_64_fold(digest, &stress.to_le_bytes());
+            digest = noc_telemetry::digest::fnv1a_64_fold(digest, &recovery.to_le_bytes());
+        }
+    }
+    (work, stress_total, digest)
+}
+
+/// `work_and_duty` per policy, captured on the every-port-every-cycle
+/// engine: work counters (bw, rc, va, sa, gate, policy, sensor), the
+/// summed stress cycles and an FNV-1a digest of every `(stress,
+/// recovery)` pair in port order.
+const GOLDEN_WORK_AND_DUTY: [([u64; 7], u64, u64); 5] = [
+    (
+        [30_735, 4_827, 4_827, 24_135, 266_080, 266_080, 0],
+        480_000,
+        0xabce_7126_b88b_cd25,
+    ), // Baseline
+    (
+        [30_735, 4_827, 4_827, 24_135, 266_080, 266_080, 0],
+        52_091,
+        0xb13b_5aff_9374_fb75,
+    ), // RrNoSensor
+    (
+        [30_735, 4_827, 4_827, 24_135, 266_080, 266_080, 8_320],
+        278_778,
+        0x16fc_279f_2f6a_a824,
+    ), // SensorWiseNoTraffic
+    (
+        [30_735, 4_827, 4_827, 24_135, 266_080, 266_080, 8_320],
+        52_122,
+        0x31e9_d202_54de_2062,
+    ), // SensorWise
+    (
+        [30_735, 4_827, 4_827, 24_135, 266_080, 266_080, 8_320],
+        60_348,
+        0x74a6_10ef_0101_6df1,
+    ), // SensorWiseK(2)
+];
+
+#[test]
+fn work_counters_and_duty_totals_match_goldens() {
+    for (policy, golden) in POLICIES.into_iter().zip(GOLDEN_WORK_AND_DUTY) {
+        assert_eq!(work_and_duty(policy), golden, "{policy:?}: work/duty moved");
+    }
+}

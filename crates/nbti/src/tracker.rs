@@ -68,8 +68,13 @@ impl BufferAgeTracker {
 
     /// Records one cycle in the given stress state.
     pub fn record(&mut self, state: StressState) {
-        self.duty.record(state);
-        self.elapsed_cycles += 1;
+        self.record_many(state, 1);
+    }
+
+    /// Records `n` consecutive cycles in the given stress state.
+    pub fn record_many(&mut self, state: StressState, n: u64) {
+        self.duty.record_many(state, n);
+        self.elapsed_cycles += n;
     }
 
     /// The initial (process-variation) threshold voltage.
@@ -140,7 +145,8 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the two slices have different lengths or are empty.
+    /// Panics if the two slices have different lengths, are empty or name
+    /// more VCs than a stress mask has bits (32).
     pub fn new(initial_vths: &[Volt], sensors: Vec<S>, model: LongTermModel) -> Self {
         assert_eq!(
             initial_vths.len(),
@@ -148,6 +154,10 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
             "one sensor per VC buffer required"
         );
         assert!(!initial_vths.is_empty(), "a port has at least one VC");
+        assert!(
+            initial_vths.len() <= u32::BITS as usize,
+            "a port has at most 32 VCs"
+        );
         PortAgeTracker {
             buffers: initial_vths
                 .iter()
@@ -165,17 +175,45 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
 
     /// Records one cycle: the `v`-th state is the stress state of VC `v`.
     /// Taking an iterator lets callers map their own per-VC status into
-    /// stress states without collecting them first.
+    /// stress states without collecting them first. This is
+    /// [`record_cycles`](Self::record_cycles) with `n = 1`.
     ///
     /// # Panics
     ///
     /// Panics if `states.len() != num_vcs()`.
     pub fn record_cycle(&mut self, states: impl ExactSizeIterator<Item = StressState>) {
         assert_eq!(states.len(), self.buffers.len());
-        for (buf, st) in self.buffers.iter_mut().zip(states) {
-            buf.record(st);
+        let stressed = states
+            .enumerate()
+            .filter(|&(_, st)| st == StressState::Stressed)
+            .fold(0u32, |mask, (v, _)| mask | 1 << v);
+        self.record_cycles(stressed, 1);
+    }
+
+    /// Records `n` consecutive cycles of one stress mask: VC `v` is
+    /// stressed in all of them when bit `v` of `stressed` is set and
+    /// recovering otherwise. Duty and elapsed time are integer counts, so
+    /// one call for a run of `n` equal cycles leaves the tracker exactly
+    /// where `n` single-cycle records would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stressed` has bits beyond `num_vcs()`.
+    pub fn record_cycles(&mut self, stressed: u32, n: u64) {
+        assert!(
+            stressed.checked_shr(self.buffers.len() as u32).unwrap_or(0) == 0,
+            "stress mask {stressed:#b} names VCs beyond {}",
+            self.buffers.len()
+        );
+        for (v, buf) in self.buffers.iter_mut().enumerate() {
+            let state = if stressed & 1 << v != 0 {
+                StressState::Stressed
+            } else {
+                StressState::Recovering
+            };
+            buf.record_many(state, n);
         }
-        self.cycle += 1;
+        self.cycle += n;
     }
 
     /// Per-buffer tracker access.
@@ -315,6 +353,46 @@ mod tests {
         p.record_cycle([StressState::Stressed, StressState::Recovering].into_iter());
         let d = p.duty_cycles_percent();
         assert_eq!(d, vec![100.0, 0.0]);
+    }
+
+    #[test]
+    fn a_run_of_n_cycles_equals_n_single_records() {
+        let mut batched = port(&[0.18, 0.181, 0.182]);
+        let mut single = port(&[0.18, 0.181, 0.182]);
+        batched.record_cycles(0b101, 7);
+        batched.record_cycles(0b010, 3);
+        for _ in 0..7 {
+            single.record_cycle(
+                [
+                    StressState::Stressed,
+                    StressState::Recovering,
+                    StressState::Stressed,
+                ]
+                .into_iter(),
+            );
+        }
+        for _ in 0..3 {
+            single.record_cycle(
+                [
+                    StressState::Recovering,
+                    StressState::Stressed,
+                    StressState::Recovering,
+                ]
+                .into_iter(),
+            );
+        }
+        for (b, s) in batched.buffers().zip(single.buffers()) {
+            assert_eq!(b.duty(), s.duty());
+            assert_eq!(b.elapsed_cycles(), s.elapsed_cycles());
+        }
+        assert_eq!(batched.cycle, single.cycle);
+        assert_eq!(batched.duty_cycles_percent(), vec![70.0, 30.0, 70.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "names VCs beyond")]
+    fn stress_mask_beyond_the_vcs_panics() {
+        port(&[0.18, 0.18]).record_cycles(0b100, 1);
     }
 
     #[test]

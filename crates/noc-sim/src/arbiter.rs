@@ -65,22 +65,18 @@ impl RoundRobinArbiter {
     /// Grants the highest-priority index for which `requesting` returns
     /// `true`, advancing the priority pointer past the grantee. Returns
     /// `None` (and leaves priority unchanged) when nobody requests.
-    pub fn grant<F: FnMut(usize) -> bool>(&mut self, mut requesting: F) -> Option<usize> {
-        for off in 0..self.n {
-            let idx = (self.next + off) % self.n;
-            if requesting(idx) {
-                self.next = (idx + 1) % self.n;
-                return Some(idx);
-            }
-        }
-        None
+    pub fn grant<F: FnMut(usize) -> bool>(&mut self, requesting: F) -> Option<usize> {
+        let idx = self.peek(requesting)?;
+        self.next = if idx + 1 == self.n { 0 } else { idx + 1 };
+        Some(idx)
     }
 
     /// Like [`grant`](Self::grant) but does not rotate priority — used to
-    /// peek at who would win.
+    /// peek at who would win. Probes `next..n` then `0..next`, so no probe
+    /// divides.
     pub fn peek<F: FnMut(usize) -> bool>(&self, mut requesting: F) -> Option<usize> {
-        (0..self.n)
-            .map(|off| (self.next + off) % self.n)
+        (self.next..self.n)
+            .chain(0..self.next)
             .find(|&idx| requesting(idx))
     }
 }

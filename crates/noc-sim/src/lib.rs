@@ -67,7 +67,7 @@ pub use stats::NetStats;
 pub use config::TopologyKind;
 pub use topology::{AnyTopology, Mesh2D, Topology};
 pub use types::{Direction, NodeId};
-pub use view::{GateAction, PortId, PortKind, PortView, VcStatus};
+pub use view::{GateAction, PortId, PortKey, PortKind, PortView, VcStatus};
 
 /// Convenient glob import for applications.
 pub mod prelude {
@@ -80,5 +80,5 @@ pub mod prelude {
     pub use crate::config::TopologyKind;
     pub use crate::topology::{AnyTopology, Mesh2D, Topology};
     pub use crate::types::{Direction, NodeId};
-    pub use crate::view::{GateAction, PortId, PortKind, PortView, VcStatus};
+    pub use crate::view::{GateAction, PortId, PortKey, PortKind, PortView, VcStatus};
 }

@@ -28,7 +28,7 @@ use crate::stats::NetStats;
 use crate::topology::AnyTopology;
 use crate::types::{Direction, NodeId};
 use crate::unit::{all_vcs, Credit, InVcState, InputUnit, OutputUnit};
-use crate::view::{GateAction, PortId, PortView, VcStatus};
+use crate::view::{GateAction, PortId, PortKey, PortView, VcStatus};
 use noc_telemetry::clock;
 use noc_telemetry::{
     EventKind, NullProfiler, NullSink, Profiler, Stage, TraceEvent, TraceSink, WorkCounters,
@@ -370,13 +370,36 @@ impl<T: TraceSink> Network<T> {
     pub fn fill_port_view(&self, port: PortId, view: &mut PortView) {
         let slot = self.resolve(port);
         view.port = port;
-        view.new_traffic = match slot.up {
+        view.new_traffic = self.new_traffic_of(slot);
+        self.statuses_of(slot, &mut view.vc_status);
+    }
+
+    /// The three words [`fill_port_view`](Self::fill_port_view) builds the
+    /// view from. Equal keys give equal views, and only
+    /// [`apply_gate`](Self::apply_gate) writes the `powered` mask, so a
+    /// controller can tell from two keys whether a gate command changed
+    /// anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` does not exist (e.g. a boundary port).
+    pub fn port_key(&self, port: PortId) -> PortKey {
+        let slot = self.resolve(port);
+        PortKey {
+            active: self.up_unit(slot.up).active,
+            powered: self.down_input(slot.down).powered,
+            new_traffic: self.new_traffic_of(slot),
+        }
+    }
+
+    /// The paper's `is_new_traffic_outport_x()` for a resolved port.
+    fn new_traffic_of(&self, slot: PortSlot) -> bool {
+        match slot.up {
             Upstream::RouterOut { node, port } => {
                 self.routers[node].has_new_traffic(Direction::from_index(port))
             }
             Upstream::NicInject { node } => self.nics[node].has_new_traffic(),
-        };
-        self.statuses_of(slot, &mut view.vc_status);
+        }
     }
 
     /// Per-VC statuses of a buffer port, without the new-traffic predicate
@@ -525,6 +548,15 @@ impl<T: TraceSink> Network<T> {
         }
     }
 
+    /// Counts `n` gate commands that were not re-applied because the
+    /// caller knows each would be a no-op: the same action on a port whose
+    /// key is unchanged since that action last left it unchanged. Keeps
+    /// [`WorkCounters::gate_commands`] equal to a run that re-applies
+    /// every command.
+    pub fn count_reused_gate_commands(&mut self, n: u64) {
+        self.work.gate_commands += n;
+    }
+
     /// First half of a cycle: absorb credits and deliver arriving flits
     /// (buffer write + route computation).
     ///
@@ -560,17 +592,17 @@ impl<T: TraceSink> Network<T> {
         for r_idx in 0..self.routers.len() {
             for p_idx in 0..NUM_PORTS {
                 loop {
-                    let unit = &mut self.routers[r_idx].inputs[p_idx];
-                    let due = unit.arrivals.front().is_some_and(|&(when, _)| when <= now);
+                    let arrivals = &mut self.routers[r_idx].inputs[p_idx].arrivals;
+                    let due = arrivals.front().is_some_and(|&(when, _)| when <= now);
                     if !due {
                         break;
                     }
-                    let Some((_, flit)) = unit.arrivals.pop_front() else {
+                    let Some((_, flit)) = arrivals.pop_front() else {
                         break;
                     };
                     let is_head = flit.is_head();
                     let (dst, vc_idx) = (flit.dst, flit.vc);
-                    unit.write_flit(flit, now, depth);
+                    self.routers[r_idx].write_flit(p_idx, flit, now, depth);
                     self.work.bw_writes += 1;
                     if is_head {
                         let t_rc = if P::ENABLED { Some(clock::now()) } else { None };
@@ -665,8 +697,13 @@ impl<T: TraceSink> Network<T> {
         let mut trav_ns = 0u64;
         let now = self.cycle;
         let depth = self.cfg.buffer_depth;
-        // VA + SA + traversal per router.
+        // VA + SA + traversal per router. A router with no buffered flit
+        // has no waiting head and no SA nominee, so its arbiters would
+        // grant nothing and keep their priorities: skip it.
         for r_idx in 0..self.routers.len() {
+            if self.routers[r_idx].buffered == 0 {
+                continue;
+            }
             let t_alloc = if P::ENABLED { Some(clock::now()) } else { None };
             self.routers[r_idx].vc_allocation(
                 now,
@@ -773,9 +810,10 @@ impl<T: TraceSink> Network<T> {
     /// Moves one SA-winning flit through switch and link.
     fn traverse(&mut self, r_idx: usize, w: SaWinner, now: u64) {
         let flit = {
-            let ivc = &mut self.routers[r_idx].inputs[w.in_port].vcs[w.vc];
+            let router = &mut self.routers[r_idx];
             // lint:allow(no-unwrap) SA only nominates VCs with a ready buffered flit
-            let flit = ivc.buffer.pop_front().expect("SA winner has a flit");
+            let flit = router.pop_flit(w.in_port, w.vc).expect("SA winner has a flit");
+            let ivc = &mut router.inputs[w.in_port].vcs[w.vc];
             if flit.is_tail() {
                 debug_assert!(ivc.buffer.is_empty(), "tail is the last flit of its VC");
                 ivc.state = InVcState::Idle;
@@ -1091,8 +1129,29 @@ impl<T: TraceSink> Network<T> {
         }
         if full {
             self.check_credit_conservation(cycle, &mut found);
+            self.check_busy_vcs_are_powered(cycle, &mut found);
         }
         self.absorb_violations(found);
+    }
+
+    /// Busy ⇒ powered: a VC whose upstream output VC holds a packet keeps
+    /// its buffer powered. `apply_gate` only gates idle VCs and VA only
+    /// allocates designated (powered) ones. The experiment engine's duty
+    /// accounting rests on this: it records a port's power mask as its
+    /// stress mask.
+    fn check_busy_vcs_are_powered(&self, cycle: u64, out: &mut Vec<InvariantViolation>) {
+        for (&pid, slot) in self.port_ids.iter().zip(&self.slots) {
+            let gated = self.up_unit(slot.up).active & !self.down_input(slot.down).powered;
+            if gated != 0 {
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                out.push(InvariantViolation {
+                    cycle,
+                    kind: InvariantKind::GatingSafety,
+                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                    detail: format!("port {pid}: busy VC(s) {gated:#b} are power-gated"),
+                });
+            }
+        }
     }
 
     /// The policy-level designation invariant: at most `budget` idle-on
@@ -1221,10 +1280,13 @@ impl<T: TraceSink> Network<T> {
     /// order), violating both flit and credit conservation. Returns the
     /// corrupted location, or `None` when no flit is buffered.
     pub fn fault_drop_buffered_flit(&mut self) -> Option<(NodeId, usize, usize)> {
+        let vcs = self.cfg.vcs_per_port;
         for (node, router) in self.routers.iter_mut().enumerate() {
-            for (p, unit) in router.inputs.iter_mut().enumerate() {
-                for (v, vc) in unit.vcs.iter_mut().enumerate() {
-                    if vc.buffer.pop_front().is_some() {
+            for p in 0..NUM_PORTS {
+                for v in 0..vcs {
+                    // Through `pop_flit`, so the router's flit count stays
+                    // true and only conservation is violated.
+                    if router.pop_flit(p, v).is_some() {
                         return Some((NodeId(node), p, v));
                     }
                 }
@@ -1242,6 +1304,35 @@ mod tests {
 
     fn net(cores: usize, vcs: usize) -> Network {
         Network::new(NocConfig::paper_synthetic(cores, vcs)).unwrap()
+    }
+
+    #[test]
+    fn a_power_gated_busy_vc_is_reported_at_full_level_only() {
+        let mut n = net(4, 2);
+        n.inject_packet(NodeId(0), NodeId(3));
+        let pid = PortId::router_input(NodeId(0), Direction::Local);
+        while n.port_key(pid).active == 0 {
+            n.step();
+        }
+        let slot = n.resolve(pid);
+        let busy = n.up_unit(slot.up).active;
+        n.down_input_mut(slot.down).powered &= !busy;
+        n.set_invariant_level(InvariantLevel::Cheap);
+        n.check_invariants_now();
+        assert!(
+            !n.violations().iter().any(|v| v.detail.contains("busy VC")),
+            "{:?}",
+            n.violations()
+        );
+        n.set_invariant_level(InvariantLevel::Full);
+        n.check_invariants_now();
+        let v = n
+            .violations()
+            .iter()
+            .find(|v| v.detail.contains("busy VC"))
+            .expect("full level checks busy => powered");
+        assert_eq!(v.kind, InvariantKind::GatingSafety);
+        assert!(v.detail.contains(&format!("port {pid}")), "{}", v.detail);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! the VA/SA logic.
 
 use crate::arbiter::RoundRobinArbiter;
+use crate::flit::Flit;
 use crate::invariants::{InvariantKind, InvariantViolation};
 use crate::types::{Direction, NodeId};
 use crate::unit::{InVcState, InputUnit, OutputUnit};
@@ -46,6 +47,11 @@ pub(crate) struct Router {
     /// [`Router::route_head`] and the VA grant move a VC into or out of
     /// `Waiting`, and both keep this count in step.
     pub waiting: [u32; NUM_PORTS],
+    /// Flits buffered in the input VCs. Only [`Router::write_flit`] and
+    /// [`Router::pop_flit`] change the buffers, and both keep this count
+    /// in step. A router holding none has nothing to allocate: every
+    /// `Waiting` VC buffers its head, and SA only nominates buffered flits.
+    pub buffered: u32,
 }
 
 impl Router {
@@ -57,7 +63,21 @@ impl Router {
             outputs: array::from_fn(|p| OutputUnit::new(num_vcs, depth, NUM_PORTS, connected[p])),
             sa_in_arbs: array::from_fn(|_| RoundRobinArbiter::new(num_vcs)),
             waiting: [0; NUM_PORTS],
+            buffered: 0,
         }
+    }
+
+    /// The BW stage for one flit arriving at input `in_port`.
+    pub fn write_flit(&mut self, in_port: usize, flit: Flit, now: u64, depth: usize) {
+        self.inputs[in_port].write_flit(flit, now, depth);
+        self.buffered += 1;
+    }
+
+    /// Removes the front flit of VC `vc` of input `in_port`, if any.
+    pub fn pop_flit(&mut self, in_port: usize, vc: usize) -> Option<Flit> {
+        let flit = self.inputs[in_port].vcs[vc].buffer.pop_front()?;
+        self.buffered -= 1;
+        Some(flit)
     }
 
     /// Number of VCs per port.
@@ -240,6 +260,19 @@ impl Router {
         if !full {
             return;
         }
+        let held = self.buffered_flits();
+        if held != self.buffered as usize {
+            // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+            out.push(InvariantViolation {
+                cycle,
+                kind: InvariantKind::VcStateConsistency,
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                detail: format!(
+                    "router {node} counts {} buffered flit(s), but its input VCs hold {held}",
+                    self.buffered
+                ),
+            });
+        }
         for (p, (&cached, &recount)) in self.waiting.iter().zip(&waiting).enumerate() {
             if cached != recount {
                 // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
@@ -291,7 +324,7 @@ mod tests {
     fn put_waiting_head(r: &mut Router, in_port: usize, vc: usize, outport: Direction, now: u64) {
         let mut f = split_packet(PacketId(vc as u64 + 100), NodeId(0), NodeId(1), 3, 0)[0];
         f.vc = vc;
-        r.inputs[in_port].write_flit(f, now, 4);
+        r.write_flit(in_port, f, now, 4);
         r.route_head(in_port, vc, outport);
     }
 
@@ -334,6 +367,59 @@ mod tests {
         found.clear();
         r.collect_violations(NodeId(0), 0, false, &mut found);
         assert!(found.is_empty());
+    }
+
+    #[test]
+    fn skewed_flit_count_is_a_vc_state_violation() {
+        let mut r = router(2);
+        put_waiting_head(&mut r, Direction::West.index(), 1, Direction::East, 0);
+        assert_eq!(r.buffered, 1);
+        r.buffered += 1;
+        let mut found = Vec::new();
+        r.collect_violations(NodeId(0), 0, true, &mut found);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].kind, InvariantKind::VcStateConsistency);
+        assert!(
+            found[0]
+                .detail
+                .contains("counts 2 buffered flit(s), but its input VCs hold 1"),
+            "{}",
+            found[0].detail
+        );
+        found.clear();
+        r.collect_violations(NodeId(0), 0, false, &mut found);
+        assert!(found.is_empty());
+        r.buffered -= 1;
+        assert_eq!(
+            r.pop_flit(Direction::West.index(), 1).map(|f| f.vc),
+            Some(1)
+        );
+        assert_eq!(r.pop_flit(Direction::West.index(), 1), None);
+        assert_eq!(r.buffered, 0);
+    }
+
+    /// The premise of skipping empty routers in `finish_cycle`: with no
+    /// buffered flit, VA and SA grant nothing and every arbiter keeps its
+    /// priority, even with VCs left `Active` mid-packet.
+    #[test]
+    fn an_empty_router_grants_nothing_and_keeps_its_priorities() {
+        let mut r = router(2);
+        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East, 0);
+        va(&mut r, 1);
+        assert_eq!(r.switch_allocation(1).iter().flatten().count(), 1);
+        r.pop_flit(Direction::West.index(), 0);
+        assert_eq!(r.buffered, 0);
+        let priorities = |r: &Router| -> Vec<usize> {
+            r.outputs
+                .iter()
+                .flat_map(|o| [o.va_arb.priority(), o.sa_arb.priority()])
+                .chain(r.sa_in_arbs.iter().map(RoundRobinArbiter::priority))
+                .collect()
+        };
+        let before = priorities(&r);
+        va(&mut r, 2);
+        assert!(r.switch_allocation(2).iter().all(Option::is_none));
+        assert_eq!(priorities(&r), before);
     }
 
     #[test]

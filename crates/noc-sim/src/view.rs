@@ -143,6 +143,20 @@ impl PortView {
     }
 }
 
+/// Everything a [`PortView`] is built from, as three words: the upstream
+/// `active` mask (bit `v`: VC `v` is [`VcStatus::Busy`]), the downstream
+/// `powered` mask and the new-traffic bit. Two equal keys of one port give
+/// equal views, so a controller can compare keys instead of views.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct PortKey {
+    /// Upstream output VCs holding a packet.
+    pub active: u32,
+    /// Downstream VC buffers that are powered (stressed).
+    pub powered: u32,
+    /// [`PortView::new_traffic`].
+    pub new_traffic: bool,
+}
+
 /// The gating decision for one buffer port — the `Up_Down` link payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateAction {

@@ -20,9 +20,11 @@ pub struct WorkCounters {
     /// Crossbar traversals granted (the SA stage).
     pub sa_grants: u64,
     /// Gating commands applied to ports (`Up_Down` payloads, `NoChange`
-    /// excluded).
+    /// excluded), counted by the network, including reused commands the
+    /// engine proved to be no-ops and did not re-apply.
     pub gate_commands: u64,
-    /// Policy `decide` invocations by the experiment engine.
+    /// Per-port policy decisions by the experiment engine, one per port
+    /// per cycle; a reused decision counts like a fresh `decide` call.
     pub policy_evaluations: u64,
     /// Most-degraded-VC sensor elections (`Down_Up` reads).
     pub sensor_reads: u64,

@@ -29,13 +29,16 @@ pub enum Stage {
     Allocation,
     /// Switch and link traversal of SA winners.
     Traversal,
-    /// The mid-cycle gating-controller slot (`port_view` + `decide` +
-    /// `apply_gate`), timed by the experiment loop.
+    /// The mid-cycle gating-controller slot, timed by the experiment
+    /// loop: a key read per port, plus `port_view` + `decide` +
+    /// `apply_gate` (and the duty flush of a changed power mask) for the
+    /// ports whose last decision cannot be reused.
     Controller,
     /// The whole second half-cycle: VA/SA/traversal + NIC inject/eject.
     FinishCycle,
-    /// The end-of-cycle NBTI monitor update (`vc_statuses_into` +
-    /// `record_cycle` per port), timed by the experiment loop.
+    /// The end-of-cycle NBTI duty bookkeeping, timed by the experiment
+    /// loop: flushing every port's stress run before a series sample or
+    /// the warm-up reset reads duty, and nothing on other cycles.
     Monitor,
 }
 

@@ -274,21 +274,23 @@ impl AppTraffic {
         match locality {
             Locality::Uniform => uniform.dest(mesh, src, rng),
             Locality::NeighborBiased { neighbor_prob } => {
-                let neighbors: Vec<NodeId> = noc_sim::types::Direction::MESH
-                    .iter()
-                    .filter_map(|&d| mesh.neighbor(src, d))
-                    .collect();
-                if !neighbors.is_empty() && rng.gen_bool(neighbor_prob.clamp(0.0, 1.0)) {
-                    Some(neighbors[rng.gen_range(0..neighbors.len())])
+                let neighbors = || {
+                    noc_sim::types::Direction::MESH
+                        .iter()
+                        .filter_map(|&d| mesh.neighbor(src, d))
+                };
+                let count = neighbors().count();
+                if count > 0 && rng.gen_bool(neighbor_prob.clamp(0.0, 1.0)) {
+                    neighbors().nth(rng.gen_range(0..count))
                 } else {
                     uniform.dest(mesh, src, rng)
                 }
             }
             Locality::MemoryBound { hot_prob } => {
-                let candidates: Vec<NodeId> =
-                    corners.iter().copied().filter(|&c| c != src).collect();
-                if !candidates.is_empty() && rng.gen_bool(hot_prob.clamp(0.0, 1.0)) {
-                    Some(candidates[rng.gen_range(0..candidates.len())])
+                let candidates = || corners.iter().copied().filter(|&c| c != src);
+                let count = candidates().count();
+                if count > 0 && rng.gen_bool(hot_prob.clamp(0.0, 1.0)) {
+                    candidates().nth(rng.gen_range(0..count))
                 } else {
                     uniform.dest(mesh, src, rng)
                 }
@@ -311,6 +313,7 @@ impl TrafficSource for AppTraffic {
                 &mut self.rngs[node],
             );
             if let Some(dst) = dst {
+                // lint:allow(alloc-in-hot-path) amortized: the caller's scratch keeps its capacity
                 out.push(PacketSpec {
                     src: NodeId(node),
                     dst,

@@ -101,13 +101,15 @@ impl DestinationPattern {
             DestinationPattern::HotSpot { targets, fraction } => {
                 // Only targets that exist in this mesh and differ from the
                 // source are eligible; anything else falls back to uniform.
-                let eligible: Vec<NodeId> = targets
-                    .iter()
-                    .copied()
-                    .filter(|t| t.index() < n && *t != src)
-                    .collect();
-                if !eligible.is_empty() && rng.gen_bool(fraction.clamp(0.0, 1.0)) {
-                    eligible[rng.gen_range(0..eligible.len())]
+                let eligible = || {
+                    targets
+                        .iter()
+                        .copied()
+                        .filter(|t| t.index() < n && *t != src)
+                };
+                let count = eligible().count();
+                if count > 0 && rng.gen_bool(fraction.clamp(0.0, 1.0)) {
+                    eligible().nth(rng.gen_range(0..count))?
                 } else {
                     loop {
                         let d = NodeId(rng.gen_range(0..n));

@@ -100,6 +100,7 @@ impl TrafficSource for SyntheticTraffic {
             }
             let src = NodeId(i);
             if let Some(dst) = self.pattern.dest(&self.mesh, src, rng) {
+                // lint:allow(alloc-in-hot-path) amortized: the caller's scratch keeps its capacity
                 out.push(PacketSpec {
                     src,
                     dst,

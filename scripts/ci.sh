@@ -151,6 +151,12 @@ grep -q "kcycles/s" "$teldir/profile.log" || {
     exit 1
 }
 
+# Engine equivalence at depth: the experiment engine reuses unchanged gate
+# decisions and records duty per power-mask run, and must still match the
+# every-port-every-cycle reference loop field for field. The suite above
+# runs the property at the default 64 cases; here it runs 256 in release.
+PROPTEST_CASES=256 cargo test -q --release --offline -p sensorwise --test engine_equivalence
+
 # Workload smoke: generate a deterministic mix trace, verify every chunk
 # checksum, then require the live-mix run and the trace replay to agree
 # bit for bit on the telemetry digest — on the mesh and on a torus.

@@ -169,7 +169,10 @@ pub const HOT_ENTRY_POINTS: &[&str] = &[
     "decide",
     "record_cycle",
     "most_degraded",
-    // The per-cycle injection surface of the workload adapters.
+    // The per-cycle injection surface of the traffic sources and the
+    // workload adapters.
+    "inject_from",
+    "inject_from_with",
     "next_records",
 ];
 
@@ -446,12 +449,13 @@ fn evidence_path(
     hops
 }
 
-/// The files `alloc-in-hot-path` reports in: the simulator, the workload
-/// injection adapters, the NBTI model, and the monitor and policy glue the
-/// experiment loop calls every cycle (`record_cycle`, `most_degraded`,
-/// `decide`).
+/// The files `alloc-in-hot-path` reports in: the simulator, the traffic
+/// sources and workload injection adapters, the NBTI model, and the
+/// monitor and policy glue the experiment loop calls every cycle
+/// (`record_cycle`, `most_degraded`, `decide`).
 fn in_alloc_scope(path: &str) -> bool {
     path.starts_with("crates/noc-sim/")
+        || path.starts_with("crates/traffic/")
         || path.starts_with("crates/workload/")
         || path.starts_with("crates/nbti/src/")
         || path == "crates/core/src/monitor.rs"
@@ -683,9 +687,19 @@ mod tests {
     }
 
     #[test]
+    fn alloc_scope_covers_the_traffic_sources() {
+        let found = findings_by_file(&[
+            "crates/traffic/src/synthetic.rs",
+            "crates/bench/src/lib.rs",
+        ]);
+        assert_eq!(found, ["crates/traffic/src/synthetic.rs"]);
+    }
+
+    #[test]
     fn alloc_scope_keeps_the_simulator_and_workload_scopes() {
         for path in [
             "crates/noc-sim/src/network.rs",
+            "crates/traffic/src/source.rs",
             "crates/workload/src/source.rs",
         ] {
             assert!(in_alloc_scope(path), "{path}");
