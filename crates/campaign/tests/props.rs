@@ -197,6 +197,30 @@ fn envelope(check: u64, spec: &str, result: &str) -> String {
     )
 }
 
+/// `field` of the entry envelope with `value` as its JSON text, or left
+/// out when `value` is `None`; the other fields as `FsResultStore` files
+/// them.
+fn envelope_with(field: usize, value: Option<&str>) -> String {
+    let (spec, result) = stored();
+    let check = format!("\"{:016x}\"", spec_key(result));
+    let fields = [
+        ("seq", "3".to_string()),
+        ("check", check),
+        ("spec", json_string(spec)),
+        ("result", json_string(result)),
+    ];
+    let members: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .filter_map(|(i, (name, text))| match (i == field, value) {
+            (false, _) => Some(format!("\"{name}\":{text}")),
+            (true, Some(v)) => Some(format!("\"{name}\":{v}")),
+            (true, None) => None,
+        })
+        .collect();
+    format!("{{{}}}", members.join(","))
+}
+
 /// Every strict prefix of a valid entry, and the entry with any one byte
 /// flipped, is a miss or the stored value; no prefix hits.
 #[test]
@@ -254,6 +278,60 @@ proptest! {
         prop_assert!(!lookups_after_writing(&store, &path, tampered.as_bytes()));
         let genuine = envelope(check, spec, result);
         prop_assert!(lookups_after_writing(&store, &path, genuine.as_bytes()));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// A valid entry with one field dropped or replaced by a hostile
+    /// value (a random string, an out-of-range or malformed number, a
+    /// nested value, `null`) never panics. Only `seq` is free: lookups
+    /// ignore it, so such an entry still hits; any other mutation misses.
+    #[test]
+    fn field_mutated_entries_miss_unless_only_seq_changed(
+        field in 0usize..4,
+        how in 0u8..6,
+        noise in proptest::collection::vec(any::<u8>(), 0..32),
+        n in any::<u64>(),
+    ) {
+        let (store, path) = store_with_entry("fields");
+        let text = String::from_utf8_lossy(&noise).into_owned();
+        let value = match how {
+            0 => None,
+            1 => Some(json_string(&text)),
+            2 => Some(format!("-{n}")),
+            3 => Some(format!("{n}{n}e999")),
+            4 => Some(format!("[{{\"seq\":{n}}},null]")),
+            _ => Some("null".to_string()),
+        };
+        let entry = envelope_with(field, value.as_deref());
+        let hit = lookups_after_writing(&store, &path, entry.as_bytes());
+        prop_assert_eq!(hit, field == 0, "{}", entry);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Whatever bytes the `seq` counter file holds, a new entry is still
+    /// filed and found, the existing entry keeps hitting, and `stats`/`gc`
+    /// answer `Ok` or a typed error.
+    #[test]
+    fn random_bytes_in_the_seq_file_are_safe(
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        cut in 0usize..64,
+    ) {
+        let (store, path) = store_with_entry("seq");
+        let entry = std::fs::read(&path).expect("entry written");
+        let seq_file = store.dir().join("seq");
+        let seq = std::fs::read(&seq_file).expect("seq written");
+        // Random bytes, or a truncation of the real counter followed by
+        // the noise.
+        let mut bytes = seq[..cut.min(seq.len())].to_vec();
+        bytes.extend_from_slice(&noise);
+        std::fs::write(&seq_file, &bytes).expect("seq path is writable");
+        let other = "{\"campaign_epoch\":1,\"campaign\":\"fuzz\"}";
+        store.put_json(other, "{\"kind\":\"epoch_outcome\"}");
+        let found = store.get_json(other);
+        prop_assert_eq!(found.as_deref(), Some("{\"kind\":\"epoch_outcome\"}"));
+        let stats = store.stats();
+        prop_assert!(matches!(stats, Ok(s) if s.entries == 2), "{:?}", stats);
+        prop_assert!(lookups_after_writing(&store, &path, &entry));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 }

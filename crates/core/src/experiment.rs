@@ -632,15 +632,16 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
                 _ => 0,
             })
             .collect();
-        let ctl = port_ids
-            .iter()
-            .map(|&pid| PortCtl {
+        // The controller addresses ports by slot: `port_ids[i]` is slot `i`.
+        debug_assert_eq!(port_ids, net.port_ids(), "ports in slot order");
+        let ctl = (0..port_ids.len())
+            .map(|slot| PortCtl {
                 key: PortKey::default(),
                 md: 0,
                 dep: 0,
                 action: GateAction::NoChange,
                 fixed: false,
-                stress: net.port_key(pid).powered,
+                stress: net.port_key_at(slot).powered,
                 run_start: 0,
             })
             .collect();
@@ -715,7 +716,11 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
             }
         }
         if let Some(traffic) = traffic {
+            let t_inj = if P::ENABLED { Some(clock::now()) } else { None };
             inject_from_with(traffic, &mut self.net, &mut self.packets);
+            if let Some(t) = t_inj {
+                self.prof.record(Stage::Inject, clock::ns_since(t));
+            }
         }
         self.net.begin_cycle_with(self.prof);
         let t_ctl = if P::ENABLED { Some(clock::now()) } else { None };
@@ -741,16 +746,18 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
             let c = &mut self.ctl[i];
             let md = self.md_cache[i];
             let policy = &mut self.policies[i];
-            let key = self.net.port_key(pid);
+            // Slot `i` is `pid`, so no key read, view fill or gate command
+            // looks the port up.
+            let key = self.net.port_key_at(i);
             let dep = policy.cycle_dependence(now, vcs);
             if c.fixed && key == c.key && md == c.md && dep == c.dep {
                 reused += u64::from(c.action != GateAction::NoChange);
                 continue;
             }
-            self.net.fill_port_view(pid, &mut self.view);
+            self.net.fill_port_view_at(i, &mut self.view);
             let action = policy.decide(now, &self.view, md);
-            self.net.apply_gate(pid, action);
-            let after = self.net.port_key(pid);
+            self.net.apply_gate_at(i, action);
+            let after = self.net.port_key_at(i);
             c.key = after;
             c.md = md;
             c.dep = dep;

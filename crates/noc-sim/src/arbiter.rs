@@ -1,49 +1,77 @@
-//! Round-robin arbitration.
+//! Round-robin arbitration on request masks.
 //!
 //! Used by the VC allocator and both stages of the separable switch
 //! allocator. The arbiter remembers the last grantee and gives lowest
 //! priority to it in the next round, which guarantees strong fairness among
 //! persistent requesters.
+//!
+//! Requests arrive as `u32` words of `stride` bits each: bit `b` of word
+//! `w` requests index `w × stride + b`. The VC allocator's flat
+//! `(input port, VC)` space is five words of `num_vcs` bits, one per input
+//! port; the switch allocator's arbiters take a single word.
 
-/// A round-robin arbiter over `n` requesters.
+/// A round-robin arbiter over `n = words × stride` requesters.
 ///
 /// ```
 /// use noc_sim::arbiter::RoundRobinArbiter;
 ///
 /// let mut arb = RoundRobinArbiter::new(3);
 /// // Everyone requests: grants rotate.
-/// assert_eq!(arb.grant(|_| true), Some(0));
-/// assert_eq!(arb.grant(|_| true), Some(1));
-/// assert_eq!(arb.grant(|_| true), Some(2));
-/// assert_eq!(arb.grant(|_| true), Some(0));
+/// assert_eq!(arb.grant(&[0b111]), Some(0));
+/// assert_eq!(arb.grant(&[0b111]), Some(1));
+/// assert_eq!(arb.grant(&[0b111]), Some(2));
+/// assert_eq!(arb.grant(&[0b111]), Some(0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
-    n: usize,
-    /// Index with highest priority in the next round.
-    next: usize,
+    words: usize,
+    stride: usize,
+    /// The word and bit of the index with highest priority in the next
+    /// round, kept apart so no grant divides.
+    next_word: usize,
+    next_bit: usize,
 }
 
 impl RoundRobinArbiter {
-    /// Creates an arbiter over `n` requesters.
+    /// Creates an arbiter over `n ≤ 32` requesters, all in one request
+    /// word.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or exceeds 32.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "arbiter needs at least one requester");
-        RoundRobinArbiter { n, next: 0 }
+        RoundRobinArbiter::with_words(1, n)
+    }
+
+    /// Creates an arbiter over `words × stride` requesters whose requests
+    /// arrive as `words` words of `stride` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero or `stride` exceeds 32.
+    pub fn with_words(words: usize, stride: usize) -> Self {
+        assert!(
+            words > 0 && stride > 0,
+            "arbiter needs at least one requester"
+        );
+        assert!(stride <= 32, "a request word holds at most 32 requesters");
+        RoundRobinArbiter {
+            words,
+            stride,
+            next_word: 0,
+            next_bit: 0,
+        }
     }
 
     /// Number of requesters.
     pub fn len(&self) -> usize {
-        self.n
+        self.words * self.stride
     }
 
     /// The index that holds highest priority in the next round — the
     /// arbiter's only mutable state, exposed for snapshot/restore.
     pub fn priority(&self) -> usize {
-        self.next
+        self.next_word * self.stride + self.next_bit
     }
 
     /// Restores a priority pointer previously read with
@@ -53,8 +81,13 @@ impl RoundRobinArbiter {
     ///
     /// Panics if `next` is out of range for this arbiter.
     pub fn set_priority(&mut self, next: usize) {
-        assert!(next < self.n, "priority {next} out of range (n = {})", self.n);
-        self.next = next;
+        assert!(
+            next < self.len(),
+            "priority {next} out of range (n = {})",
+            self.len()
+        );
+        self.next_word = next / self.stride;
+        self.next_bit = next % self.stride;
     }
 
     /// Always `false`: the constructor rejects zero requesters.
@@ -62,22 +95,45 @@ impl RoundRobinArbiter {
         false
     }
 
-    /// Grants the highest-priority index for which `requesting` returns
-    /// `true`, advancing the priority pointer past the grantee. Returns
-    /// `None` (and leaves priority unchanged) when nobody requests.
-    pub fn grant<F: FnMut(usize) -> bool>(&mut self, requesting: F) -> Option<usize> {
-        let idx = self.peek(requesting)?;
-        self.next = if idx + 1 == self.n { 0 } else { idx + 1 };
-        Some(idx)
+    /// Grants the lowest requesting index at or above the priority
+    /// pointer, else the lowest requesting index, and moves the pointer
+    /// just past the grantee. Returns `None` (and leaves priority
+    /// unchanged) when nobody requests. `requests` holds one word per
+    /// `stride` requesters; bits at or beyond `stride` must be clear.
+    pub fn grant(&mut self, requests: &[u32]) -> Option<usize> {
+        debug_assert_eq!(requests.len(), self.words, "one request word per group");
+        debug_assert!(
+            self.stride == 32 || requests.iter().all(|&w| w >> self.stride == 0),
+            "request bits beyond the stride"
+        );
+        let (word, bit) = self.find(requests)?;
+        if bit + 1 < self.stride {
+            self.next_word = word;
+            self.next_bit = bit + 1;
+        } else {
+            self.next_word = if word + 1 < self.words { word + 1 } else { 0 };
+            self.next_bit = 0;
+        }
+        Some(word * self.stride + bit)
     }
 
-    /// Like [`grant`](Self::grant) but does not rotate priority — used to
-    /// peek at who would win. Probes `next..n` then `0..next`, so no probe
-    /// divides.
-    pub fn peek<F: FnMut(usize) -> bool>(&self, mut requesting: F) -> Option<usize> {
-        (self.next..self.n)
-            .chain(0..self.next)
-            .find(|&idx| requesting(idx))
+    /// The word and bit [`grant`](Self::grant) picks: the rotation of the
+    /// request words that starts at the priority pointer.
+    fn find(&self, requests: &[u32]) -> Option<(usize, usize)> {
+        let mut w = self.next_word;
+        let at_or_above = requests[w] & (u32::MAX << self.next_bit);
+        if at_or_above != 0 {
+            return Some((w, at_or_above.trailing_zeros() as usize));
+        }
+        // The words after the pointer's, wrapping round to the pointer's
+        // own (whose bits at or above the pointer are clear).
+        for _ in 0..self.words {
+            w = if w + 1 == self.words { 0 } else { w + 1 };
+            if requests[w] != 0 {
+                return Some((w, requests[w].trailing_zeros() as usize));
+            }
+        }
+        None
     }
 }
 
@@ -89,16 +145,16 @@ mod tests {
     fn single_requester_always_wins() {
         let mut arb = RoundRobinArbiter::new(4);
         for _ in 0..10 {
-            assert_eq!(arb.grant(|i| i == 2), Some(2));
+            assert_eq!(arb.grant(&[0b0100]), Some(2));
         }
     }
 
     #[test]
     fn no_request_no_grant() {
         let mut arb = RoundRobinArbiter::new(4);
-        assert_eq!(arb.grant(|_| false), None);
+        assert_eq!(arb.grant(&[0]), None);
         // Priority unchanged: index 0 wins next.
-        assert_eq!(arb.grant(|_| true), Some(0));
+        assert_eq!(arb.grant(&[0b1111]), Some(0));
     }
 
     #[test]
@@ -106,20 +162,11 @@ mod tests {
         let mut arb = RoundRobinArbiter::new(5);
         let mut counts = [0usize; 5];
         for _ in 0..100 {
-            let g = arb.grant(|i| i == 1 || i == 3).unwrap();
+            let g = arb.grant(&[0b01010]).unwrap();
             counts[g] += 1;
         }
         assert_eq!(counts[1], 50);
         assert_eq!(counts[3], 50);
-    }
-
-    #[test]
-    fn peek_does_not_rotate() {
-        let mut arb = RoundRobinArbiter::new(3);
-        assert_eq!(arb.peek(|_| true), Some(0));
-        assert_eq!(arb.peek(|_| true), Some(0));
-        assert_eq!(arb.grant(|_| true), Some(0));
-        assert_eq!(arb.peek(|_| true), Some(1));
     }
 
     #[test]

@@ -195,7 +195,6 @@ impl Default for NocConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
 
     #[test]
     fn default_is_valid() {

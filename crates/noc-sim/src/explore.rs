@@ -13,8 +13,9 @@
 //! future cycle:
 //!
 //! * per input VC: power state, the VA state machine
-//!   (`Idle`/`Waiting`/`Active` with routed outport and allocated out-VC),
-//!   the VA-ready delay and the buffered flits,
+//!   (idle/waiting/active with routed outport and allocated out-VC, read
+//!   off the router's `waiting` and the unit's `active` masks) and the
+//!   buffered flits,
 //! * the in-flight flit arrival queue of every input unit (relative due
 //!   times),
 //! * per output VC: allocation state, credit count, allocatability and
@@ -54,7 +55,7 @@ use crate::flit::{Flit, FlitKind, PacketId};
 use crate::network::Network;
 use crate::router::NUM_PORTS;
 use crate::types::Direction;
-use crate::unit::{InVcState, InputUnit, OutputUnit};
+use crate::unit::{InputUnit, OutputUnit};
 use noc_telemetry::TraceSink;
 use std::collections::BTreeMap;
 
@@ -212,33 +213,45 @@ impl Encoder<'_> {
         self.push(self.relabel.node_fwd[f.dst.index()] as u8);
         self.push(f.seq.min(255) as u8);
         self.push(self.relabel.vc_fwd[f.vc] as u8);
-        self.delta(f.ready_at);
+        self.ready_delta();
     }
 
-    fn input_unit(&mut self, unit: &InputUnit) {
+    /// A flit's or a head's switch/VA readiness delay. `fresh` only marks
+    /// VCs written in the cycle that just ended, so at the cycle boundary
+    /// every buffered flit is ready and the delay is 0. The byte stays so
+    /// that encodings, and the explorer's state counts, keep their form.
+    fn ready_delta(&mut self) {
+        self.push(0);
+    }
+
+    /// `waiting` holds the unit's VCs that wait for VA (router inputs).
+    /// A NIC's ejection side (`eject`) has no VA: its active VCs keep the
+    /// encoding of a head waiting on the local port.
+    fn input_unit(&mut self, unit: &InputUnit, waiting: u32, eject: bool) {
         let vcs = self.relabel.vc_inv.len();
         for new_v in 0..vcs {
             let old_v = self.relabel.vc_inv[new_v];
             let vc = &unit.vcs[old_v];
+            let bit = 1 << old_v;
             self.push(u8::from(unit.is_powered(old_v)));
-            match vc.state {
-                InVcState::Idle => {
-                    self.push(0);
-                    self.push(0);
-                    self.push(0);
-                }
-                InVcState::Waiting { outport } => {
-                    self.push(1);
-                    self.push(self.relabel.dir_fwd[outport.index()] as u8);
-                    self.push(0);
-                }
-                InVcState::Active { outport, out_vc } => {
-                    self.push(2);
-                    self.push(self.relabel.dir_fwd[outport.index()] as u8);
-                    self.push(self.relabel.vc_fwd[out_vc] as u8);
-                }
+            if eject && unit.active & bit != 0 {
+                self.push(1);
+                self.push(self.relabel.dir_fwd[Direction::Local.index()] as u8);
+                self.push(0);
+            } else if waiting & bit != 0 {
+                self.push(1);
+                self.push(self.relabel.dir_fwd[vc.route.index()] as u8);
+                self.push(0);
+            } else if unit.active & bit != 0 {
+                self.push(2);
+                self.push(self.relabel.dir_fwd[vc.route.index()] as u8);
+                self.push(self.relabel.vc_fwd[vc.out_vc] as u8);
+            } else {
+                self.push(0);
+                self.push(0);
+                self.push(0);
             }
-            self.delta(vc.va_ready_at);
+            self.ready_delta();
             self.push(vc.buffer.len() as u8);
             for f in &vc.buffer {
                 self.flit(f);
@@ -297,7 +310,7 @@ fn encode_with<T: TraceSink>(net: &Network<T>, relabel: &Relabel) -> Vec<u8> {
         let router = &net.routers[old_n];
         for new_d in 0..NUM_PORTS {
             let old_d = relabel.dir_inv[new_d];
-            e.input_unit(&router.inputs[old_d]);
+            e.input_unit(&router.inputs[old_d], router.waiting_at(old_d), false);
         }
         for new_d in 0..NUM_PORTS {
             let old_d = relabel.dir_inv[new_d];
@@ -336,7 +349,7 @@ fn encode_with<T: TraceSink>(net: &Network<T>, relabel: &Relabel) -> Vec<u8> {
             }
         }
         e.output_unit(&nic.inject, 1);
-        e.input_unit(&nic.eject);
+        e.input_unit(&nic.eject, 0, true);
     }
     debug_assert!(vcs <= 255, "encoding uses one byte per VC index");
     e.out

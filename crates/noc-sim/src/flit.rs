@@ -61,9 +61,6 @@ pub struct Flit {
     pub vc: usize,
     /// Cycle at which the packet entered the source NIC queue.
     pub injected_at: u64,
-    /// Earliest cycle at which this flit may compete for the switch at the
-    /// router currently buffering it (set at buffer write).
-    pub(crate) ready_at: u64,
 }
 
 impl Flit {
@@ -85,7 +82,6 @@ impl Flit {
             seq,
             vc: 0,
             injected_at,
-            ready_at: 0,
         }
     }
 

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | *gating safety* — a power-gated VC holds no flits and no allocation | Cheap | §III: "only idle VCs may be gated" |
 //! | *flit conservation* — injected = delivered + in-flight | Cheap | credit-based wormhole substrate |
-//! | *VC state consistency* — an `Active` input VC references an `Active` output VC | Full | Garnet `Router_d` state machine |
+//! | *VC state consistency* — the VC masks agree with each other and the buffers; an active input VC references an active output VC | Full | Garnet `Router_d` state machine |
 //! | *credit conservation* — credits + buffered + in-flight = depth, per channel | Full | credit-based flow control |
 //! | *idle-on budget* — at most `k` idle-on VCs per port pair | on request | Algorithm 2's single-designation property |
 //! | *duty closure* — stress + recovery = powered-era cycles | harness | §III-A NBTI-duty-cycle definition |
@@ -95,8 +95,11 @@ pub enum InvariantKind {
     GatingSafety,
     /// Injected flits ≠ delivered flits + flits in the network.
     FlitConservation,
-    /// An `Active` input VC references an output VC that is not `Active`
-    /// (or a streaming NIC references an idle inject VC).
+    /// The VC masks disagree with each other or with the buffers (a VC
+    /// both waiting and active, a waiting VC without a routed head, an
+    /// `occupied` bit without flits, a mask bit beyond the port's VCs), an
+    /// active input VC references an output VC that is not active, or a
+    /// streaming NIC references an idle inject VC.
     VcStateConsistency,
     /// For one upstream/downstream channel: credits held + credits in
     /// flight + flits buffered + flits in flight ≠ buffer depth.

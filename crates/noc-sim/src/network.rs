@@ -27,7 +27,7 @@ use crate::snapshot::{NetworkSnapshot, PortState, SnapshotStateError};
 use crate::stats::NetStats;
 use crate::topology::AnyTopology;
 use crate::types::{Direction, NodeId};
-use crate::unit::{all_vcs, Credit, InVcState, InputUnit, OutputUnit};
+use crate::unit::{all_vcs, Credit, InputUnit, OutputUnit};
 use crate::view::{GateAction, PortId, PortKey, PortView, VcStatus};
 use noc_telemetry::clock;
 use noc_telemetry::{
@@ -69,6 +69,16 @@ struct PortSlot {
 /// `slot_of` entry of a boundary port, which has no upstream link.
 const NO_SLOT: u32 = u32::MAX;
 
+/// One router's link neighbours, resolved once at construction so the
+/// traversal of a flit never walks the topology: per input port, the
+/// agent its credits return to; per output port, the buffers its flits
+/// enter. `None` marks a boundary port, which never carries a flit.
+#[derive(Debug, Clone, Copy)]
+struct RouterPeers {
+    credit_to: [Option<Upstream>; NUM_PORTS],
+    flit_to: [Option<Downstream>; NUM_PORTS],
+}
+
 /// A simulated mesh NoC.
 ///
 /// ```
@@ -96,6 +106,8 @@ pub struct Network<T: TraceSink = NullSink> {
     slot_of: Vec<u32>,
     /// The resolved agents of `port_ids[i]`.
     slots: Vec<PortSlot>,
+    /// Per router, its link neighbours (the traversal's peer table).
+    peers: Vec<RouterPeers>,
     invariants: InvariantLevel,
     violations: Vec<InvariantViolation>,
     /// Lifetime flit counters for the conservation invariant; unlike the
@@ -193,6 +205,21 @@ impl<T: TraceSink> Network<T> {
                 Downstream::NicEject { node },
             );
         }
+        let mut peers = vec![
+            RouterPeers {
+                credit_to: [None; NUM_PORTS],
+                flit_to: [None; NUM_PORTS],
+            };
+            routers.len()
+        ];
+        for slot in &slots {
+            if let Downstream::RouterIn { node, port } = slot.down {
+                peers[node].credit_to[port] = Some(slot.up);
+            }
+            if let Upstream::RouterOut { node, port } = slot.up {
+                peers[node].flit_to[port] = Some(slot.down);
+            }
+        }
         Ok(Network {
             cfg,
             topo,
@@ -205,6 +232,7 @@ impl<T: TraceSink> Network<T> {
             port_ids,
             slot_of,
             slots,
+            peers,
             invariants: InvariantLevel::Off,
             violations: Vec::new(),
             flits_sent_total: 0,
@@ -295,23 +323,35 @@ impl<T: TraceSink> Network<T> {
         &self.port_ids
     }
 
-    /// Looks `port` up in the slot table.
+    /// The slot of `port`: its index into [`port_ids`](Self::port_ids),
+    /// which the `*_at` forms of the per-port calls take. A per-cycle loop
+    /// over `port_ids()` already holds every slot and never looks one up.
     ///
     /// # Panics
     ///
     /// Panics if the node is out of range or the port has no upstream link.
-    fn resolve(&self, port: PortId) -> PortSlot {
+    fn slot(&self, port: PortId) -> usize {
         assert!(
             port.node.index() < self.routers.len(),
             "port {port} out of range"
         );
         match self.slot_of[port.dense_key()] {
             NO_SLOT => panic!("port {port} has no upstream link"),
-            slot => self.slots[slot as usize],
+            slot => slot as usize,
         }
     }
 
+    /// Looks `port` up in the slot table.
+    ///
+    /// # Panics
+    ///
+    /// As [`slot`](Self::slot).
+    fn resolve(&self, port: PortId) -> PortSlot {
+        self.slots[self.slot(port)]
+    }
+
     /// The output VC state of an upstream agent.
+    #[inline]
     fn up_unit(&self, up: Upstream) -> &OutputUnit {
         match up {
             Upstream::RouterOut { node, port } => &self.routers[node].outputs[port],
@@ -327,6 +367,7 @@ impl<T: TraceSink> Network<T> {
     }
 
     /// The VC buffers of a downstream buffer set.
+    #[inline]
     fn down_input(&self, down: Downstream) -> &InputUnit {
         match down {
             Downstream::RouterIn { node, port } => &self.routers[node].inputs[port],
@@ -368,10 +409,20 @@ impl<T: TraceSink> Network<T> {
     ///
     /// Panics if `port` does not exist (e.g. a boundary port).
     pub fn fill_port_view(&self, port: PortId, view: &mut PortView) {
-        let slot = self.resolve(port);
-        view.port = port;
-        view.new_traffic = self.new_traffic_of(slot);
-        self.statuses_of(slot, &mut view.vc_status);
+        self.fill_port_view_at(self.slot(port), view);
+    }
+
+    /// [`fill_port_view`](Self::fill_port_view) for the port at index `slot` of
+    /// [`port_ids`](Self::port_ids).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn fill_port_view_at(&self, slot: usize, view: &mut PortView) {
+        let resolved = self.slots[slot];
+        view.port = self.port_ids[slot];
+        view.new_traffic = self.new_traffic_of(resolved);
+        self.statuses_of(resolved, &mut view.vc_status);
     }
 
     /// The three words [`fill_port_view`](Self::fill_port_view) builds the
@@ -384,15 +435,27 @@ impl<T: TraceSink> Network<T> {
     ///
     /// Panics if `port` does not exist (e.g. a boundary port).
     pub fn port_key(&self, port: PortId) -> PortKey {
-        let slot = self.resolve(port);
+        self.port_key_at(self.slot(port))
+    }
+
+    /// [`port_key`](Self::port_key) for the port at index `slot` of
+    /// [`port_ids`](Self::port_ids).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    #[inline]
+    pub fn port_key_at(&self, slot: usize) -> PortKey {
+        let resolved = self.slots[slot];
         PortKey {
-            active: self.up_unit(slot.up).active,
-            powered: self.down_input(slot.down).powered,
-            new_traffic: self.new_traffic_of(slot),
+            active: self.up_unit(resolved.up).active,
+            powered: self.down_input(resolved.down).powered,
+            new_traffic: self.new_traffic_of(resolved),
         }
     }
 
     /// The paper's `is_new_traffic_outport_x()` for a resolved port.
+    #[inline]
     fn new_traffic_of(&self, slot: PortSlot) -> bool {
         match slot.up {
             Upstream::RouterOut { node, port } => {
@@ -461,6 +524,21 @@ impl<T: TraceSink> Network<T> {
     /// Panics if called outside the mid-cycle window, if the port does not
     /// exist, or if a `KeepOneIdle` VC index is out of range.
     pub fn apply_gate(&mut self, port: PortId, action: GateAction) {
+        // `NoChange` touches no port, so it never looked one up.
+        let slot = match action {
+            GateAction::NoChange => 0,
+            _ => self.slot(port),
+        };
+        self.apply_gate_at(slot, action);
+    }
+
+    /// [`apply_gate`](Self::apply_gate) for the port at index `slot` of
+    /// [`port_ids`](Self::port_ids).
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_gate`](Self::apply_gate), or if `slot` is out of range.
+    pub fn apply_gate_at(&mut self, slot: usize, action: GateAction) {
         assert_eq!(
             self.phase,
             Phase::Mid,
@@ -477,7 +555,8 @@ impl<T: TraceSink> Network<T> {
             mask & !all_vcs(num_vcs) == 0,
             "designation mask {mask:#b} names VCs beyond {num_vcs}"
         );
-        let slot = self.resolve(port);
+        let port = self.port_ids[slot];
+        let slot = self.slots[slot];
         self.work.gate_commands += 1;
         // Upstream allocation eligibility. The previous designation mask is
         // the old eligibility mask, so the `Up_Down` payload is only traced
@@ -588,9 +667,11 @@ impl<T: TraceSink> Network<T> {
         for nic in &mut self.nics {
             nic.inject.absorb_credits(now, depth);
         }
-        // Flit deliveries into router input buffers (BW + RC).
+        // Flit deliveries into router input buffers (BW + RC). A new cycle
+        // begins: nothing buffered so far was written in it.
         for r_idx in 0..self.routers.len() {
             for p_idx in 0..NUM_PORTS {
+                self.routers[r_idx].inputs[p_idx].fresh = 0;
                 loop {
                     let arrivals = &mut self.routers[r_idx].inputs[p_idx].arrivals;
                     let due = arrivals.front().is_some_and(|&(when, _)| when <= now);
@@ -602,7 +683,7 @@ impl<T: TraceSink> Network<T> {
                     };
                     let is_head = flit.is_head();
                     let (dst, vc_idx) = (flit.dst, flit.vc);
-                    self.routers[r_idx].write_flit(p_idx, flit, now, depth);
+                    self.routers[r_idx].write_flit(p_idx, flit, depth);
                     self.work.bw_writes += 1;
                     if is_head {
                         let t_rc = if P::ENABLED { Some(clock::now()) } else { None };
@@ -616,8 +697,10 @@ impl<T: TraceSink> Network<T> {
                 }
             }
         }
-        // Flit deliveries into NIC ejection buffers.
+        // Flit deliveries into NIC ejection buffers. The ejection side has
+        // no VA: a head's arrival makes its VC active.
         for nic in &mut self.nics {
+            nic.eject.fresh = 0;
             loop {
                 let due = nic
                     .eject
@@ -632,12 +715,10 @@ impl<T: TraceSink> Network<T> {
                 };
                 let is_head = flit.is_head();
                 let vc_idx = flit.vc;
-                nic.eject.write_flit(flit, now, depth);
+                nic.eject.write_flit(flit, depth);
                 self.work.bw_writes += 1;
                 if is_head {
-                    nic.eject.vcs[vc_idx].state = InVcState::Waiting {
-                        outport: Direction::Local,
-                    };
+                    nic.eject.active |= 1 << vc_idx;
                 }
             }
         }
@@ -712,7 +793,7 @@ impl<T: TraceSink> Network<T> {
                 &mut self.work,
                 &mut self.trace,
             );
-            let winners = self.routers[r_idx].switch_allocation(now);
+            let winners = self.routers[r_idx].switch_allocation();
             if let Some(t) = t_alloc {
                 alloc_ns += clock::ns_since(t);
             }
@@ -809,52 +890,35 @@ impl<T: TraceSink> Network<T> {
 
     /// Moves one SA-winning flit through switch and link.
     fn traverse(&mut self, r_idx: usize, w: SaWinner, now: u64) {
-        let flit = {
-            let router = &mut self.routers[r_idx];
-            // lint:allow(no-unwrap) SA only nominates VCs with a ready buffered flit
-            let flit = router.pop_flit(w.in_port, w.vc).expect("SA winner has a flit");
-            let ivc = &mut router.inputs[w.in_port].vcs[w.vc];
-            if flit.is_tail() {
-                debug_assert!(ivc.buffer.is_empty(), "tail is the last flit of its VC");
-                ivc.state = InVcState::Idle;
-            }
-            flit
-        };
-        let out = &mut self.routers[r_idx].outputs[w.out_port].vcs[w.out_vc];
+        let router = &mut self.routers[r_idx];
+        // lint:allow(no-unwrap) SA only nominates VCs with a ready buffered flit
+        let mut flit = router.pop_flit(w.in_port, w.vc).expect("SA winner has a flit");
+        if flit.is_tail() {
+            let unit = &mut router.inputs[w.in_port];
+            debug_assert_eq!(unit.occupied & (1 << w.vc), 0, "tail is the last flit of its VC");
+            unit.active &= !(1 << w.vc);
+        }
+        let out = &mut router.outputs[w.out_port].vcs[w.out_vc];
         debug_assert!(out.credits > 0, "SA granted without credits");
         out.credits -= 1;
+        let peers = self.peers[r_idx];
         // Credit back to this input port's upstream agent.
         let credit = Credit {
             vc: w.vc,
             is_free: flit.is_tail(),
         };
+        // lint:allow(no-unwrap) flits only arrive through ports with a link
+        let up = peers.credit_to[w.in_port].expect("input port has an upstream link");
         let credit_when = now + self.cfg.credit_latency;
-        // Flits only arrive through ports with a link, so the input port
-        // has a slot.
-        let in_port = PortId::router_input(NodeId(r_idx), Direction::from_index(w.in_port));
-        let up = self.resolve(in_port).up;
         self.up_unit_mut(up)
             .credit_arrivals
             .push_back((credit_when, credit));
         // Forward through switch (1 cycle) and link.
-        let mut flit = flit;
         flit.vc = w.out_vc;
+        // lint:allow(no-unwrap) route_dirs only offers ports with a link
+        let down = peers.flit_to[w.out_port].expect("routing never leaves the fabric");
         let arrive = now + 1 + self.cfg.link_latency;
-        match Direction::from_index(w.out_port) {
-            Direction::Local => {
-                self.nics[r_idx].eject.arrivals.push_back((arrive, flit));
-            }
-            d => {
-                let (down, down_port) = self
-                    .topo
-                    .link_peer(NodeId(r_idx), d)
-                    // lint:allow(no-unwrap) route_dirs only offers ports with a link
-                    .expect("routing never leaves the fabric");
-                self.routers[down.index()].inputs[down_port.index()]
-                    .arrivals
-                    .push_back((arrive, flit));
-            }
-        }
+        self.down_input_mut(down).arrivals.push_back((arrive, flit));
     }
 
     /// Total flits currently inside the network: router buffers, link
@@ -984,10 +1048,7 @@ impl<T: TraceSink> Network<T> {
                 return Err(SnapshotStateError::CreditsOutstanding { port: pid });
             }
             let unit = self.down_input(slot.down);
-            debug_assert!(unit
-                .vcs
-                .iter()
-                .all(|vc| vc.buffer.is_empty() && vc.state == InVcState::Idle));
+            debug_assert!(unit.occupied == 0 && unit.active == 0);
             ports.push(PortState {
                 powered_mask: unit.powered,
                 allocatable_mask: out.allocatable,
@@ -1269,11 +1330,22 @@ impl<T: TraceSink> Network<T> {
         self.up_unit_mut(up).vcs[vc].credits += 1;
     }
 
-    /// Adds one phantom head to router `node`'s count of heads waiting for
-    /// `outport`, so the cached count disagrees with the input VC states
-    /// (and `port_view` reports new traffic nobody sent).
+    /// Marks the first idle, powered input VC of router `node` (in port,
+    /// then VC order) as waiting for VA on `outport`, though it buffers no
+    /// head, so the waiting mask disagrees with the buffers (and
+    /// `port_view` reports new traffic nobody sent). Does nothing when no
+    /// VC is idle.
     pub fn fault_skew_waiting_count(&mut self, node: NodeId, outport: Direction) {
-        self.routers[node.index()].waiting[outport.index()] += 1;
+        let router = &mut self.routers[node.index()];
+        for p in 0..NUM_PORTS {
+            let unit = &router.inputs[p];
+            let busy = router.waiting_at(p) | unit.active | unit.occupied;
+            let idle = unit.powered & !busy;
+            if idle != 0 {
+                router.waiting[outport.index()][p] |= 1 << idle.trailing_zeros();
+                return;
+            }
+        }
     }
 
     /// Silently discards the first buffered flit (in deterministic scan
@@ -1415,10 +1487,10 @@ mod tests {
         assert_eq!(plain.stats(), profiled.stats());
         assert_eq!(plain.cycle(), profiled.cycle());
         for s in Stage::ALL {
-            // The controller and monitor stages belong to the experiment
-            // loop; the network itself records the other five, once per
-            // cycle.
-            if !matches!(s, Stage::Controller | Stage::Monitor) {
+            // The inject, controller and monitor stages belong to the
+            // experiment loop; the network itself records the other five,
+            // once per cycle.
+            if !matches!(s, Stage::Inject | Stage::Controller | Stage::Monitor) {
                 assert_eq!(sp.stage(s).count(), 300, "{} count", s.name());
             }
         }

@@ -9,7 +9,7 @@
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::invariants::{InvariantKind, InvariantViolation};
 use crate::types::NodeId;
-use crate::unit::{Credit, InVcState, InputUnit, OutputUnit};
+use crate::unit::{Credit, InputUnit, OutputUnit};
 use noc_telemetry::{EventKind, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
@@ -65,6 +65,7 @@ impl Nic {
     }
 
     /// `true` when a queued packet has no VC allocated yet.
+    #[inline]
     pub fn has_new_traffic(&self) -> bool {
         !self.queue.is_empty()
     }
@@ -137,16 +138,12 @@ impl Nic {
         done.clear();
         let mut drained = 0usize;
         let node = self.node;
-        for (vc_idx, vc) in self.eject.vcs.iter_mut().enumerate() {
-            let ready = vc
-                .buffer
-                .front()
-                .map(|f| f.ready_at <= now)
-                .unwrap_or(false);
-            if !ready {
-                continue;
-            }
-            let Some(flit) = vc.buffer.pop_front() else {
+        // A VC whose front flit arrived this cycle is not ready.
+        let mut ready = self.eject.occupied & !self.eject.fresh;
+        while ready != 0 {
+            let vc_idx = ready.trailing_zeros() as usize;
+            ready &= ready - 1;
+            let Some(flit) = self.eject.pop_flit(vc_idx) else {
                 continue;
             };
             drained += 1;
@@ -166,8 +163,12 @@ impl Nic {
                 is_free: flit.is_tail(),
             });
             if flit.is_tail() {
-                debug_assert!(vc.buffer.is_empty(), "tail must be the last flit");
-                vc.state = InVcState::Idle;
+                debug_assert_eq!(
+                    self.eject.occupied & (1 << vc_idx),
+                    0,
+                    "tail must be the last flit"
+                );
+                self.eject.active &= !(1 << vc_idx);
                 // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
                 done.push(EjectedPacket {
                     id: flit.packet,
@@ -186,7 +187,7 @@ impl Nic {
         let node = self.node;
         self.eject
             // lint:allow(alloc-in-hot-path) diagnostic pass: only runs with invariants enabled
-            .collect_gating_violations(cycle, &format!("nic {node} eject"), out);
+            .collect_gating_violations(0, cycle, &format!("nic {node} eject"), out);
         if !full {
             return;
         }
@@ -285,14 +286,14 @@ mod tests {
     fn eject_drains_one_flit_per_vc_and_completes_packets() {
         let mut n = nic();
         let flits = crate::flit::split_packet(PacketId(7), NodeId(3), NodeId(0), 2, 5);
-        for (i, mut f) in flits.into_iter().enumerate() {
+        for mut f in flits {
             f.vc = 0;
-            n.eject.write_flit(f, 10 + i as u64, 4);
-            n.eject.vcs[0].state = InVcState::Waiting {
-                outport: crate::types::Direction::Local,
-            };
+            n.eject.write_flit(f, 4);
         }
-        // Head drained first (ready at 11).
+        // The head's arrival made the VC active; a new cycle began since.
+        n.eject.active = 1;
+        n.eject.fresh = 0;
+        // Head drained first.
         let mut credits = Vec::new();
         let mut done = Vec::new();
         let drained = n.drain_eject(11, &mut noc_telemetry::NullSink, &mut credits, &mut done);
@@ -300,14 +301,14 @@ mod tests {
         assert_eq!(credits.len(), 1);
         assert!(!credits[0].is_free);
         assert!(done.is_empty());
-        // Tail next (ready at 12): packet completes, VC freed. The scratch
-        // buffers are cleared by the call itself.
+        // Tail next: packet completes, VC freed. The scratch buffers are
+        // cleared by the call itself.
         n.drain_eject(12, &mut noc_telemetry::NullSink, &mut credits, &mut done);
         assert!(credits[0].is_free);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, PacketId(7));
         assert_eq!(done[0].injected_at, 5);
-        assert_eq!(n.eject.vcs[0].state, InVcState::Idle);
+        assert_eq!((n.eject.active, n.eject.occupied), (0, 0));
     }
 
     #[test]
@@ -315,11 +316,15 @@ mod tests {
         let mut n = nic();
         let mut f = crate::flit::split_packet(PacketId(7), NodeId(3), NodeId(0), 1, 0)[0];
         f.vc = 1;
-        n.eject.write_flit(f, 20, 4);
+        n.eject.write_flit(f, 4);
         let mut credits = Vec::new();
         let mut done = Vec::new();
         let drained = n.drain_eject(20, &mut noc_telemetry::NullSink, &mut credits, &mut done);
-        assert_eq!(drained, 0, "flit only ready at cycle 21");
+        assert_eq!(
+            drained, 0,
+            "a flit written this cycle is only ready in the next"
+        );
+        n.eject.fresh = 0;
         let drained = n.drain_eject(21, &mut noc_telemetry::NullSink, &mut credits, &mut done);
         assert_eq!(drained, 1);
         assert_eq!(done.len(), 1);

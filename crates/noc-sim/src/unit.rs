@@ -22,18 +22,6 @@ pub(crate) struct Credit {
     pub is_free: bool,
 }
 
-/// Allocation state of one input VC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum InVcState {
-    /// No packet.
-    Idle,
-    /// A head flit is buffered and routed; waiting for VC allocation of the
-    /// downstream output VC.
-    Waiting { outport: Direction },
-    /// Allocated: flits flow towards `outport` on downstream VC `out_vc`.
-    Active { outport: Direction, out_vc: usize },
-}
-
 /// The mask with one bit set per VC of a `num_vcs`-VC port. Per-port VC
 /// flags are `u32` masks (bit `v` for VC `v`), which is why
 /// [`crate::config::NocConfig::validate`] caps ports at 32 VCs.
@@ -45,34 +33,53 @@ pub(crate) const fn all_vcs(num_vcs: usize) -> u32 {
     }
 }
 
-/// One virtual-channel buffer of an input port.
+/// One virtual-channel buffer of an input port. Whether the VC waits for
+/// VA, is active, holds flits or was written this cycle lives in the masks
+/// of its [`InputUnit`] and router, not here.
 #[derive(Debug, Clone)]
 pub(crate) struct InputVc {
     pub buffer: VecDeque<Flit>,
-    pub state: InVcState,
-    /// Earliest cycle at which a buffered head flit may compete for VC
-    /// allocation.
-    pub va_ready_at: u64,
+    /// The output port RC chose for the buffered packet (meaningful while
+    /// the VC waits or is active).
+    pub route: Direction,
+    /// The downstream VC VA granted (meaningful while the VC is active).
+    pub out_vc: usize,
 }
 
 impl InputVc {
     fn new(depth: usize) -> Self {
         InputVc {
             buffer: VecDeque::with_capacity(depth),
-            state: InVcState::Idle,
-            va_ready_at: 0,
+            route: Direction::Local,
+            out_vc: 0,
         }
     }
 }
 
 /// The VC buffers of one input port together with the arrival queue of the
 /// link feeding them.
+///
+/// Per-VC state is kept as `u32` masks, bit `v` for VC `v`, each written
+/// only by the operations named on it. A VC waiting for VC allocation has
+/// its bit in the owning router's per-outport `waiting` masks instead.
 #[derive(Debug, Clone)]
 pub(crate) struct InputUnit {
     pub vcs: Vec<InputVc>,
-    /// Power-gating state, bit `v` for VC `v`: a clear bit means the
-    /// buffer is switched off (NBTI recovery). Only idle VCs may be gated.
+    /// Power-gating state: a clear bit means the buffer is switched off
+    /// (NBTI recovery). Only idle VCs may be gated.
     pub powered: u32,
+    /// The VC holds a packet that won VA, from the grant until its tail
+    /// leaves. On a NIC's ejection side, which has no VA, from the head's
+    /// arrival until the tail is drained.
+    pub active: u32,
+    /// The VC's buffer is non-empty. Kept by [`InputUnit::write_flit`] and
+    /// [`InputUnit::pop_flit`].
+    pub occupied: u32,
+    /// The VC was written this cycle while empty, so its front flit
+    /// arrived this cycle and may not compete in VA, SA or ejection until
+    /// the next. Writes happen only in `begin_cycle`, which first clears
+    /// the mask, and pops only after SA, so this is exactly "not ready".
+    pub fresh: u32,
     /// Flits in flight on the incoming link: `(arrival_cycle, flit)` in
     /// FIFO order (the link is serial, so arrival cycles are monotone).
     pub arrivals: VecDeque<(u64, Flit)>,
@@ -91,6 +98,9 @@ impl InputUnit {
             // do not accumulate fake NBTI stress. They are also excluded
             // from the policy interface.
             powered: if connected { all_vcs(num_vcs) } else { 0 },
+            active: 0,
+            occupied: 0,
+            fresh: 0,
             arrivals: VecDeque::new(),
             flits_received: 0,
             gate_transitions: 0,
@@ -106,14 +116,18 @@ impl InputUnit {
     /// route computation (the caller handles RC where a route is needed).
     ///
     /// Enforces the structural invariants: the target VC must be powered,
-    /// must have space, and must not mix packets.
-    pub fn write_flit(&mut self, mut flit: Flit, now: u64, depth: usize) -> &mut InputVc {
+    /// must have space, and must not mix packets. A head must find its VC
+    /// empty and inactive; a body or tail must find it holding its packet
+    /// (buffered, or active). A VC waiting for VA always buffers its head,
+    /// so "buffered or active" is exactly "not idle".
+    pub fn write_flit(&mut self, flit: Flit, depth: usize) {
         assert!(
             self.is_powered(flit.vc),
             "flit {:?} delivered to a power-gated VC {}",
             flit.packet,
             flit.vc
         );
+        let bit = 1 << flit.vc;
         let vc = &mut self.vcs[flit.vc];
         assert!(
             vc.buffer.len() < depth,
@@ -122,13 +136,12 @@ impl InputUnit {
         );
         if flit.is_head() {
             assert!(
-                matches!(vc.state, InVcState::Idle) && vc.buffer.is_empty(),
+                self.active & bit == 0 && vc.buffer.is_empty(),
                 "head flit arrived at a non-idle VC (packet mixing)"
             );
-            vc.va_ready_at = now + 1;
         } else {
             assert!(
-                !matches!(vc.state, InVcState::Idle),
+                (self.active | self.occupied) & bit != 0,
                 "body/tail flit arrived at an idle VC"
             );
             let same_packet = vc
@@ -138,20 +151,33 @@ impl InputUnit {
                 .unwrap_or(true);
             assert!(same_packet, "packet mixing within a VC buffer");
         }
-        flit.ready_at = now + 1;
+        if vc.buffer.is_empty() {
+            self.fresh |= bit;
+            self.occupied |= bit;
+        }
         vc.buffer.push_back(flit);
         self.flits_received += 1;
-        let idx = flit.vc;
-        &mut self.vcs[idx]
+    }
+
+    /// Removes the front flit of VC `v`, if any, keeping `occupied`.
+    pub fn pop_flit(&mut self, v: usize) -> Option<Flit> {
+        let buffer = &mut self.vcs[v].buffer;
+        let flit = buffer.pop_front()?;
+        if buffer.is_empty() {
+            self.occupied &= !(1 << v);
+        }
+        Some(flit)
     }
 
     /// Appends a gating-safety violation to `out` for every power-gated VC
-    /// that still holds flits or an allocation. `location` names the unit
-    /// in diagnostics (e.g. `router 3 in-E`). Unconnected boundary ports
-    /// are permanently gated *and* permanently idle, so they never trip
-    /// this check.
+    /// that still holds flits or a packet. `waiting` holds the unit's VCs
+    /// that wait for VA (router inputs; 0 for a NIC's ejection side).
+    /// `location` names the unit in diagnostics (e.g. `router 3 in-E`).
+    /// Unconnected boundary ports are permanently gated *and* permanently
+    /// idle, so they never trip this check.
     pub fn collect_gating_violations(
         &self,
+        waiting: u32,
         cycle: u64,
         location: &str,
         out: &mut Vec<InvariantViolation>,
@@ -172,38 +198,71 @@ impl InputUnit {
                     ),
                 });
             }
-            if vc.state != InVcState::Idle {
+            let bit = 1 << v;
+            if (self.active | waiting) & bit != 0 {
+                let state = if waiting & bit != 0 {
+                    "waiting"
+                } else {
+                    "active"
+                };
                 // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
                 out.push(InvariantViolation {
                     cycle,
                     kind: InvariantKind::GatingSafety,
                     // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
                     detail: format!(
-                        "{location} vc{v} is power-gated but in state {:?}",
-                        vc.state
+                        "{location} vc{v} is power-gated but {state} towards out-{}",
+                        vc.route
                     ),
                 });
             }
         }
     }
 
-    /// Appends a VC-state-consistency violation to `out` when the power
-    /// mask has bits set beyond the unit's VCs. `location` is only
-    /// formatted when there is a violation.
+    /// Appends a VC-state-consistency violation to `out` for each mask
+    /// with bits set beyond the unit's VCs, and when `occupied` differs
+    /// from the set of non-empty buffers. `location` is only formatted
+    /// when there is a violation.
     pub fn collect_mask_violations(
         &self,
         cycle: u64,
         location: &dyn fmt::Display,
         out: &mut Vec<InvariantViolation>,
     ) {
-        let stray = self.powered & !all_vcs(self.vcs.len());
-        if stray != 0 {
+        let masks = [
+            ("power", self.powered),
+            ("active", self.active),
+            ("occupied", self.occupied),
+            ("fresh", self.fresh),
+        ];
+        for (name, mask) in masks {
+            let stray = mask & !all_vcs(self.vcs.len());
+            if stray != 0 {
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                out.push(InvariantViolation {
+                    cycle,
+                    kind: InvariantKind::VcStateConsistency,
+                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                    detail: format!("{location} {name} mask has bits {stray:#x} beyond its VCs"),
+                });
+            }
+        }
+        let held = self
+            .vcs
+            .iter()
+            .enumerate()
+            .filter(|(_, vc)| !vc.buffer.is_empty())
+            .fold(0u32, |m, (v, _)| m | 1 << v);
+        if held != self.occupied {
             // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
             out.push(InvariantViolation {
                 cycle,
                 kind: InvariantKind::VcStateConsistency,
                 // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                detail: format!("{location} power mask has bits {stray:#x} beyond its VCs"),
+                detail: format!(
+                    "{location} occupied mask {:#b} != non-empty buffers {held:#b}",
+                    self.occupied
+                ),
             });
         }
     }
@@ -247,8 +306,9 @@ pub(crate) struct OutputUnit {
     /// power state: a gated VC is never allocatable.
     pub allocatable: u32,
     pub credit_arrivals: VecDeque<(u64, Credit)>,
-    /// VC-allocation arbiter over the requesting input VCs
-    /// (global index `input_port * num_vcs + vc`).
+    /// VC-allocation arbiter over the requesting input VCs: one request
+    /// word per input port, one bit per VC (global index
+    /// `input_port * num_vcs + vc`).
     pub va_arb: RoundRobinArbiter,
     /// Output-side switch-allocation arbiter over input ports.
     pub sa_arb: RoundRobinArbiter,
@@ -268,7 +328,7 @@ impl OutputUnit {
             active: 0,
             allocatable: all_vcs(num_vcs),
             credit_arrivals: VecDeque::new(),
-            va_arb: RoundRobinArbiter::new(num_vcs * num_inputs),
+            va_arb: RoundRobinArbiter::with_words(num_inputs, num_vcs),
             sa_arb: RoundRobinArbiter::new(num_inputs),
             connected,
         }
@@ -362,14 +422,29 @@ mod tests {
     }
 
     #[test]
-    fn write_flit_tracks_counts_and_readiness() {
+    fn write_and_pop_keep_the_occupied_and_fresh_masks() {
         let mut unit = InputUnit::new(2, 4, true);
-        let f = flit_of(1, 3, 0);
-        unit.write_flit(f, 10, 4);
+        unit.write_flit(flit_of(1, 3, 0), 4);
         assert_eq!(unit.flits_received, 1);
         assert_eq!(unit.vcs[0].buffer.len(), 1);
-        assert_eq!(unit.vcs[0].buffer[0].ready_at, 11);
-        assert_eq!(unit.vcs[0].va_ready_at, 11);
+        assert_eq!((unit.occupied, unit.fresh), (0b01, 0b01));
+        // A new cycle: the head is no longer fresh, and a body written
+        // behind it does not make the VC fresh again.
+        unit.fresh = 0;
+        unit.write_flit(flit_of(1, 3, 1), 4);
+        assert_eq!((unit.occupied, unit.fresh), (0b01, 0));
+        assert!(unit.pop_flit(0).is_some_and(|f| f.is_head()));
+        assert_eq!(unit.occupied, 0b01, "the body is still buffered");
+        assert!(unit.pop_flit(0).is_some());
+        assert_eq!(unit.occupied, 0);
+        assert_eq!(unit.pop_flit(0), None);
+        let mut found = Vec::new();
+        unit.collect_mask_violations(0, &"here", &mut found);
+        assert!(found.is_empty(), "{found:?}");
+        unit.occupied = 0b10;
+        unit.fresh = 0b100;
+        unit.collect_mask_violations(0, &"here", &mut found);
+        assert_eq!(found.len(), 2, "{found:?}");
     }
 
     #[test]
@@ -377,42 +452,48 @@ mod tests {
     fn write_to_gated_vc_panics() {
         let mut unit = InputUnit::new(2, 4, true);
         unit.powered &= !1;
-        unit.write_flit(flit_of(1, 3, 0), 0, 4);
+        unit.write_flit(flit_of(1, 3, 0), 4);
     }
 
     #[test]
     #[should_panic(expected = "buffer overflow")]
     fn overflow_panics() {
         let mut unit = InputUnit::new(1, 2, true);
-        unit.write_flit(flit_of(1, 5, 0), 0, 2);
-        unit.vcs[0].state = InVcState::Waiting {
-            outport: Direction::East,
-        };
-        unit.write_flit(flit_of(1, 5, 1), 1, 2);
-        unit.write_flit(flit_of(1, 5, 2), 2, 2);
+        unit.write_flit(flit_of(1, 5, 0), 2);
+        unit.write_flit(flit_of(1, 5, 1), 2);
+        unit.write_flit(flit_of(1, 5, 2), 2);
     }
 
     #[test]
     #[should_panic(expected = "packet mixing")]
     fn mixing_packets_panics() {
         let mut unit = InputUnit::new(1, 4, true);
-        unit.write_flit(flit_of(1, 3, 0), 0, 4);
-        unit.vcs[0].state = InVcState::Waiting {
-            outport: Direction::East,
-        };
+        unit.write_flit(flit_of(1, 3, 0), 4);
         // Body flit of a different packet in the same VC.
-        unit.write_flit(flit_of(2, 3, 1), 1, 4);
+        unit.write_flit(flit_of(2, 3, 1), 4);
     }
 
     #[test]
     #[should_panic(expected = "non-idle VC")]
     fn second_head_in_occupied_vc_panics() {
         let mut unit = InputUnit::new(1, 4, true);
-        unit.write_flit(flit_of(1, 3, 0), 0, 4);
-        unit.vcs[0].state = InVcState::Waiting {
-            outport: Direction::East,
-        };
-        unit.write_flit(flit_of(2, 3, 0), 1, 4);
+        unit.write_flit(flit_of(1, 3, 0), 4);
+        unit.write_flit(flit_of(2, 3, 0), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-idle VC")]
+    fn head_in_an_active_emptied_vc_panics() {
+        let mut unit = InputUnit::new(1, 4, true);
+        unit.active = 1;
+        unit.write_flit(flit_of(2, 3, 0), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "body/tail flit arrived at an idle VC")]
+    fn body_in_an_idle_vc_panics() {
+        let mut unit = InputUnit::new(1, 4, true);
+        unit.write_flit(flit_of(2, 3, 1), 4);
     }
 
     #[test]

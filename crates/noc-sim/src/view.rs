@@ -94,8 +94,8 @@ pub enum PortKind {
 /// operate on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VcStatus {
-    /// The VC is allocated to an in-flight packet (output VC state
-    /// `Active`). It must stay powered.
+    /// The VC is allocated to an in-flight packet (its bit in the
+    /// upstream output unit's `active` mask is set). It must stay powered.
     Busy,
     /// The VC is idle from the network's point of view and currently
     /// powered — under NBTI stress.

@@ -102,7 +102,8 @@ fn double_crediting_a_channel_is_reported() {
 #[test]
 fn skewing_a_waiting_count_is_reported_at_full_level_only() {
     let mut net = Network::new(NocConfig::paper_synthetic(4, 2)).expect("valid config");
-    // The phantom head makes an idle port look as if traffic waits on it.
+    // A phantom waiting bit on an idle input VC of router 0 makes an idle
+    // port look as if traffic waits on it.
     let port = PortId::router_input(NodeId(1), Direction::West);
     assert!(!net.port_view(port).new_traffic);
     net.fault_skew_waiting_count(NodeId(0), Direction::East);
@@ -119,8 +120,8 @@ fn skewing_a_waiting_count_is_reported_at_full_level_only() {
     let diag = &net.violations()[0];
     assert!(
         diag.detail
-            .contains("router r0 out-E counts 1 waiting head(s), but 0"),
-        "diagnostic names the router, the output port and both counts: {diag}"
+            .contains("router r0 in-S vc0 waits for out-E but buffers nothing"),
+        "diagnostic names the router, the input VC, the output port and the fault: {diag}"
     );
 }
 

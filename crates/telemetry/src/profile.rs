@@ -21,6 +21,9 @@ use std::fmt;
 /// The per-cycle pipeline stages the profiler distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
+    /// Traffic injection before the cycle, timed by the experiment loop:
+    /// the traffic source's packets for this cycle queued at their NICs.
+    Inject,
     /// The whole first half-cycle: credit absorption + buffer write + RC.
     BeginCycle,
     /// Route computation alone (a subset of `BeginCycle` time).
@@ -44,10 +47,11 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 8;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
+        Stage::Inject,
         Stage::BeginCycle,
         Stage::Routing,
         Stage::Allocation,
@@ -61,6 +65,7 @@ impl Stage {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
+            Stage::Inject => "inject",
             Stage::BeginCycle => "begin_cycle",
             Stage::Routing => "routing",
             Stage::Allocation => "allocation",

@@ -47,6 +47,14 @@ if grep -rn 'OutVcState' crates src tests; then
     echo "ci: a second record of output-VC occupancy is back" >&2
     exit 1
 fi
+# Input-VC state lives in masks kept by their writers, and arbiters grant
+# from request masks: the per-VC state enum, the readiness timestamps and
+# the closure-probing arbiter stay deleted.
+if grep -rnE 'InVcState|ready_at' crates \
+    || grep -rnE 'fn (grant|peek)[<(].*Fn(Mut|Once)?\(' crates; then
+    echo "ci: a per-VC state enum, readiness timestamp or closure-probing arbiter is back" >&2
+    exit 1
+fi
 if grep -rnE --include='*.rs' 'fn percentile|struct AtomicHistogram' crates src tests \
     | grep -v '^crates/telemetry/'; then
     echo "ci: percentile or AtomicHistogram is defined outside noc-telemetry" >&2
@@ -139,13 +147,19 @@ test -s "$teldir/metrics.csv" || { echo "ci: empty telemetry metrics" >&2; exit 
 # pinned by the noc-sim and sensorwise unit tests.)
 ./target/release/nbti-noc run --cores 4 --vcs 2 --rate 0.1 --policy sw \
     --warmup 200 --measure 2000 --profile > "$teldir/profile.log" 2>&1
-for stage in begin_cycle routing allocation traversal controller finish_cycle monitor; do
+for stage in inject begin_cycle routing allocation traversal controller finish_cycle monitor; do
     grep -q "^$stage " "$teldir/profile.log" || {
         cat "$teldir/profile.log" >&2
         echo "ci: run --profile missing stage $stage" >&2
         exit 1
     }
 done
+grep -q "^residual = wall - (inject + begin_cycle + controller + finish_cycle + monitor)" \
+    "$teldir/profile.log" || {
+    cat "$teldir/profile.log" >&2
+    echo "ci: run --profile printed no residual" >&2
+    exit 1
+}
 grep -q "kcycles/s" "$teldir/profile.log" || {
     echo "ci: run --profile reported no throughput summary" >&2
     exit 1
@@ -156,6 +170,10 @@ grep -q "kcycles/s" "$teldir/profile.log" || {
 # every-port-every-cycle reference loop field for field. The suite above
 # runs the property at the default 64 cases; here it runs 256 in release.
 PROPTEST_CASES=256 cargo test -q --release --offline -p sensorwise --test engine_equivalence
+# Arbitration at depth: mask rotation must equal the probe order for every
+# arbiter shape up to five words of 32 VCs, any pointer and any requests.
+PROPTEST_CASES=256 cargo test -q --release --offline -p noc-sim --test props \
+    mask_grants_equal_the_probe_order
 
 # Workload smoke: generate a deterministic mix trace, verify every chunk
 # checksum, then require the live-mix run and the trace replay to agree

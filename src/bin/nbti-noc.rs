@@ -39,7 +39,7 @@
 //! the design space.
 
 use nbti_noc::prelude::*;
-use nbti_noc::telemetry::{clock, percentile};
+use nbti_noc::telemetry::{clock, percentile, Stage};
 use nbti_noc::workload;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -280,12 +280,32 @@ fn report_profile(prof: &StageProfiler, cycles: u64, wall_ms: f64, json: bool) {
     let report = prof.report();
     // cycles/ms is numerically kcycles/s.
     let kcps = cycles as f64 / wall_ms;
+    // The disjoint stages; routing, allocation and traversal nest inside
+    // the two half-cycles.
+    let disjoint = [
+        Stage::Inject,
+        Stage::BeginCycle,
+        Stage::Controller,
+        Stage::FinishCycle,
+        Stage::Monitor,
+    ];
+    let staged_ms = disjoint
+        .iter()
+        .map(|&s| prof.stage(s).sum() as f64 / 1e6)
+        .sum::<f64>();
+    let residual = format!(
+        "residual = wall - (inject + begin_cycle + controller + finish_cycle + monitor) \
+         = {wall_ms:.2} - {staged_ms:.2} = {:.2} ms",
+        wall_ms - staged_ms
+    );
     let summary = format!("profiled {cycles} cycles in {wall_ms:.1} ms ({kcps:.1} kcycles/s)");
     if json {
         eprint!("{report}");
+        eprintln!("{residual}");
         eprintln!("{summary}");
     } else {
         print!("{report}");
+        println!("{residual}");
         println!("{summary}\n");
     }
 }

@@ -194,12 +194,14 @@ proptest! {
         prop_assert!(net.is_quiescent());
     }
 
-    /// The simulator's cached per-cycle state — each router's per-outport
-    /// count of `Waiting` VCs — equals a recount from the input VC states,
-    /// and no unit's busy/power/allocation mask has bits beyond its VCs,
-    /// after every `begin_cycle` and every `finish_cycle`, on every fabric
-    /// kind under every policy. The `Full` invariant level performs the
-    /// check.
+    /// The simulator's per-cycle VC state — each router's per-outport
+    /// `waiting` masks, each input unit's `active`/`occupied`/`fresh`
+    /// masks and the cached buffered-flit count — agrees with the buffers
+    /// and with itself (waiting and active disjoint, every waiting VC
+    /// buffering its routed head), and no unit's mask has bits beyond its
+    /// VCs, after every `begin_cycle` and every `finish_cycle`, on every
+    /// fabric kind under every policy. The `Full` invariant level performs
+    /// the check.
     #[test]
     fn cached_vc_state_matches_a_recount(
         which in 0u8..4,

@@ -158,7 +158,11 @@ pub const HOT_ENTRY_POINTS: &[&str] = &[
     "step",
     "step_cycles",
     "apply_gate",
+    "apply_gate_at",
     "port_view",
+    "fill_port_view_at",
+    "port_key",
+    "port_key_at",
     "vc_statuses",
     "check_idle_on_budget",
     "vc_allocation",
