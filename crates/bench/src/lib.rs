@@ -155,7 +155,7 @@ impl CampaignBench {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            let value = it.next().map(|v| v.as_str()).unwrap_or("");
+            let value = it.next().map(String::as_str).unwrap_or("");
             match arg.as_str() {
                 "--epochs" => cfg.epochs = value.parse().expect("--epochs"),
                 "--measure" => cfg.measure = value.parse().expect("--measure"),

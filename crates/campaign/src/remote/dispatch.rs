@@ -220,8 +220,8 @@ impl EpochExecutor for RemoteExecutor {
 }
 
 /// Runs the per-point jobs of a sweep against the pool via
-/// `POST /jobs/batch`: one queue-reservation pass per worker per round,
-/// per-item `202`/`429` handling, deterministic backoff between rounds,
+/// `POST /jobs/batch`: one batch request per worker per round, per-item
+/// `202`/`429` handling, deterministic backoff between rounds,
 /// and reassignment of every point stranded on a dead worker. Returns one
 /// [`WireResult`] per spec, in input order.
 ///

@@ -563,7 +563,17 @@ fn field_usize(obj: &JsonValue, key: &str, default: usize) -> Result<usize, Code
 /// Returns an error on syntax problems, unknown names, or an invalid
 /// network configuration.
 pub fn spec_from_json(text: &str) -> Result<ExperimentJob, CodecError> {
-    let root = JsonValue::parse(text)?;
+    spec_from_value(&JsonValue::parse(text)?)
+}
+
+/// Decodes an already parsed spec into a runnable [`ExperimentJob`]; the
+/// rules and errors are those of [`spec_from_json`].
+///
+/// # Errors
+///
+/// Returns an error on missing or mistyped fields, unknown names, or an
+/// invalid network configuration.
+pub fn spec_from_value(root: &JsonValue) -> Result<ExperimentJob, CodecError> {
     if !matches!(root, JsonValue::Obj(_)) {
         return Err(CodecError::new("spec must be a JSON object"));
     }
@@ -651,12 +661,12 @@ pub fn spec_from_json(text: &str) -> Result<ExperimentJob, CodecError> {
     };
 
     let cfg = ExperimentConfig {
-        warmup_cycles: field_u64(&root, "warmup", base.warmup_cycles)?,
-        measure_cycles: field_u64(&root, "measure", base.measure_cycles)?,
-        pv_seed: field_u64(&root, "pv_seed", base.pv_seed)?,
-        rr_rotation_period: field_u64(&root, "rr_rotation_period", base.rr_rotation_period)?
+        warmup_cycles: field_u64(root, "warmup", base.warmup_cycles)?,
+        measure_cycles: field_u64(root, "measure", base.measure_cycles)?,
+        pv_seed: field_u64(root, "pv_seed", base.pv_seed)?,
+        rr_rotation_period: field_u64(root, "rr_rotation_period", base.rr_rotation_period)?
             .max(1),
-        md_refresh_period: field_u64(&root, "md_refresh_period", base.md_refresh_period)?,
+        md_refresh_period: field_u64(root, "md_refresh_period", base.md_refresh_period)?,
         invariants,
         telemetry,
         ..base
@@ -865,7 +875,7 @@ pub fn result_to_json(r: &ExperimentResult) -> String {
 
 // The campaign-epoch wire types live in their own module but belong to the
 // same one-schema codec surface.
-pub use crate::epoch_wire::{is_epoch_request, WireEpochOutcome, WireEpochRequest};
+pub use crate::epoch_wire::{WireEpochOutcome, WireEpochRequest};
 
 #[cfg(test)]
 mod tests {

@@ -100,7 +100,17 @@ impl WireEpochRequest {
     /// Returns an error on syntax problems, a missing `kind` marker, or an
     /// invalid embedded spec.
     pub fn from_json(text: &str) -> Result<WireEpochRequest, CodecError> {
-        let root = JsonValue::parse(text)?;
+        WireEpochRequest::from_value(&JsonValue::parse(text)?)
+    }
+
+    /// Decodes an already parsed request; the rules and errors are those
+    /// of [`WireEpochRequest::from_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on a missing `kind` marker, missing or mistyped
+    /// fields, or an invalid base spec or snapshot.
+    pub fn from_value(root: &JsonValue) -> Result<WireEpochRequest, CodecError> {
         if root.get("kind").and_then(JsonValue::as_str) != Some("epoch") {
             return Err(CodecError::new("not an epoch request (missing kind)"));
         }
@@ -154,16 +164,6 @@ impl WireEpochRequest {
             cancel,
         )
     }
-}
-
-/// `true` when a service submission body is an epoch request rather than a
-/// plain experiment spec (cheap structural probe, no full decode).
-#[must_use]
-pub fn is_epoch_request(text: &str) -> bool {
-    JsonValue::parse(text)
-        .ok()
-        .and_then(|root| root.get("kind").and_then(JsonValue::as_str).map(|k| k == "epoch"))
-        .unwrap_or(false)
 }
 
 /// Everything a worker hands back from one epoch: the measurement, the
@@ -521,14 +521,13 @@ mod tests {
             drain_limit: 9_999,
         };
         let text = req.to_json().unwrap();
-        assert!(is_epoch_request(&text));
         let back = WireEpochRequest::from_json(&text).unwrap();
         assert_eq!(back.drain_limit, req.drain_limit);
         assert_eq!(back.vths_bits, req.vths_bits);
         // Canonical: re-encode is byte-identical (the content address).
         assert_eq!(back.to_json().unwrap(), text);
         // A plain experiment spec is not an epoch request.
-        assert!(!is_epoch_request(&spec_to_json(&epoch_job()).unwrap()));
+        assert!(WireEpochRequest::from_json(&spec_to_json(&epoch_job()).unwrap()).is_err());
     }
 
     #[test]

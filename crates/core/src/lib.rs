@@ -66,7 +66,7 @@ pub use cache::{run_batch_cached, spec_key, CachedBatch, MemoryCache, ResultCach
 pub use codec::{
     result_to_json, spec_from_json, spec_to_json, CodecError, JsonValue, WirePort, WireResult,
 };
-pub use epoch_wire::{is_epoch_request, WireEpochOutcome, WireEpochRequest};
+pub use epoch_wire::{WireEpochOutcome, WireEpochRequest};
 pub use experiment::{
     run_epoch, run_epoch_cancellable, run_experiment, run_experiment_cancellable,
     run_experiment_profiled, EpochError, EpochOutcome, ExperimentConfig, ExperimentResult,

@@ -110,7 +110,7 @@ fn reference_loop<S: NbtiSensor, T: TraceSink>(
             }
         }
         let now = net.cycle();
-        if cfg.policy.uses_sensors() && step % md_period == 0 {
+        if cfg.policy.uses_sensors() && step.is_multiple_of(md_period) {
             for (i, &pid) in port_ids.iter().enumerate() {
                 let md = monitor.most_degraded(pid);
                 engine_work.sensor_reads += vcs_per_port;
@@ -152,7 +152,7 @@ fn reference_loop<S: NbtiSensor, T: TraceSink>(
             monitor.record_cycle(pid, &statuses);
         }
         if let Some(series) = series.as_mut() {
-            if step % sample_period == 0 {
+            if step.is_multiple_of(sample_period) {
                 for (i, &pid) in port_ids.iter().enumerate() {
                     let duty = monitor.duty_cycles_percent(pid);
                     let churn_total = net.gate_transitions(pid);
@@ -410,12 +410,14 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 impl Case {
     fn config(&self) -> ExperimentConfig {
         let (topology, cols, rows) = fabric(self.fabric);
-        let mut noc = NocConfig::default();
-        noc.cols = cols;
-        noc.rows = rows;
-        noc.topology = topology;
-        noc.vcs_per_port = self.vcs;
-        noc.wakeup_latency = self.wakeup;
+        let noc = NocConfig {
+            cols,
+            rows,
+            topology,
+            vcs_per_port: self.vcs,
+            wakeup_latency: self.wakeup,
+            ..NocConfig::default()
+        };
         let mut cfg = ExperimentConfig::new(noc, self.policy)
             .with_cycles(self.warmup, self.measure)
             .with_pv_seed(self.seed ^ 0x5eed)

@@ -82,11 +82,13 @@ fn torus_and_ring_conserve_flits_and_credits_at_full_invariants() {
         (TopologyKind::Torus, 2, 3),
         (TopologyKind::Ring, 8, 1),
     ] {
-        let mut noc = NocConfig::default();
-        noc.cols = cols;
-        noc.rows = rows;
-        noc.vcs_per_port = 2;
-        noc.topology = kind.clone();
+        let noc = NocConfig {
+            cols,
+            rows,
+            vcs_per_port: 2,
+            topology: kind.clone(),
+            ..NocConfig::default()
+        };
         let cfg = ExperimentConfig::new(noc.clone(), PolicyKind::SensorWise)
             .with_cycles(200, 2_000)
             .with_invariants(InvariantLevel::Full);
@@ -119,11 +121,13 @@ fn non_mesh_digests_are_reproducible() {
 
     for kind in [TopologyKind::Torus, TopologyKind::Ring] {
         let digest = |_: u32| {
-            let mut noc = NocConfig::default();
-            noc.cols = 4;
-            noc.rows = 4;
-            noc.vcs_per_port = 2;
-            noc.topology = kind.clone();
+            let noc = NocConfig {
+                cols: 4,
+                rows: 4,
+                vcs_per_port: 2,
+                topology: kind.clone(),
+                ..NocConfig::default()
+            };
             let cfg = ExperimentConfig::new(noc.clone(), PolicyKind::SensorWise)
                 .with_cycles(100, 1_000)
                 .with_telemetry(TelemetrySpec {

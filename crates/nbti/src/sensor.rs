@@ -359,7 +359,7 @@ mod tests {
             Volt::from_volts(0.185),
             Volt::from_volts(0.180),
         ];
-        assert_eq!(most_degraded_by_reading(&readings), Some(1));
+        assert_eq!(most_degraded_by_reading(readings), Some(1));
         assert_eq!(most_degraded_by_reading(readings.into_iter()), Some(1));
         assert_eq!(most_degraded_by_reading(Vec::<Volt>::new()), None);
     }

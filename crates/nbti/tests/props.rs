@@ -119,6 +119,6 @@ fn reexport_paths_agree() {
     // `most_degraded_by_reading` is reachable both at the crate root and in
     // its module; make sure the public surface stays consistent.
     let v = [Volt::from_volts(0.18), Volt::from_volts(0.19)];
-    assert_eq!(most_degraded_by_reading(&v), Some(1));
-    assert_eq!(nbti_model::sensor::most_degraded_by_reading(&v), Some(1));
+    assert_eq!(most_degraded_by_reading(v), Some(1));
+    assert_eq!(nbti_model::sensor::most_degraded_by_reading(v), Some(1));
 }

@@ -192,9 +192,8 @@ impl ServiceClient {
 
     /// Submits many specs in one request (`POST /jobs/batch`).
     ///
-    /// The server makes a single queue-reservation pass over the array,
-    /// so items admitted together were admitted against the same
-    /// snapshot of free capacity. Returns one [`Submitted`] per input,
+    /// The server admits the items in order, each exactly as a single
+    /// submission would be. Returns one [`Submitted`] per input,
     /// in order: `202` rows map to [`Submitted::Accepted`] (cached hits
     /// included — they are already `done`), `429` rows to
     /// [`Submitted::Busy`], anything else to [`Submitted::Refused`].

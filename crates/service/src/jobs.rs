@@ -1,5 +1,5 @@
-//! The job table: every accepted experiment, from submission to terminal
-//! state.
+//! The job table: the one record of every job's lifecycle, from admission
+//! to terminal state, under one mutex.
 //!
 //! State machine (terminal states in caps):
 //!
@@ -12,19 +12,30 @@
 //!   └──────────────────▶ DROPPED     (force shutdown before execution)
 //! ```
 //!
+//! The table is also the bounded queue. It holds the FIFO of queued jobs,
+//! its capacity, the closed flag and one counter per state, and every
+//! operation — admission ([`JobTable::submit`]), a worker's claim of the
+//! oldest queued job ([`JobTable::claim`]), cancellation, the deadline
+//! sweep and [`JobTable::close`] — is one critical section. So a full
+//! queue is a refusal at admission (`429`), never a job that half exists,
+//! a cancelled queued job frees its slot at once, and the counters equal
+//! a recount of the records after every operation. Records change only
+//! through these transition methods.
+//!
 //! An accepted job (`202`) reaches a terminal state in every code path —
-//! graceful shutdown drains `queued`/`running` to completion, and only a
-//! *force* shutdown may produce `DROPPED`, which the shutdown report
-//! counts explicitly. Every transition into a terminal state notifies
-//! one condition variable, which is what lets a waited result request
+//! a graceful close drains `queued`/`running` to completion, and only a
+//! *force* close may produce `DROPPED`, which the shutdown report counts
+//! explicitly. Every transition into a terminal state notifies one
+//! condition variable, which is what lets a waited result request
 //! ([`JobTable::wait_terminal`]) block instead of being polled.
 
+use crate::metrics::GaugeView;
 use noc_telemetry::clock;
 use sensorwise::codec::json_string;
 use sensorwise::{ExperimentJob, WireEpochRequest};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -95,35 +106,66 @@ pub enum JobPayload {
     Epoch(Box<WireEpochRequest>),
 }
 
-/// One tracked job.
+/// Why a submission was not admitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Every queue slot is taken; retry later (`429`).
+    Busy,
+    /// The table is closed for shutdown (`503`).
+    Closed,
+}
+
+/// One tracked job. The payload and spec of a queued job wait in the
+/// FIFO and go to the worker that claims it; the record keeps only what
+/// status and result requests read.
 #[derive(Debug)]
-pub struct JobRecord {
+struct JobRecord {
+    state: JobState,
+    /// The result JSON, present once `Done`.
+    result_json: Option<String>,
+    /// The event-stream digest, present once `Done` and the spec traced.
+    trace_digest: Option<u64>,
+    /// Failure detail for `Failed`.
+    error: Option<String>,
+    /// Cancellation flag polled by the engine (cancel *and* timeout).
+    cancel: Arc<AtomicBool>,
+    /// Set (before `cancel`) when the abort came from the deadline
+    /// supervisor, so the worker can tell `TimedOut` from `Cancelled`.
+    timed_out: Arc<AtomicBool>,
+    /// Wall-clock deadline, set when the job starts running.
+    deadline: Option<Instant>,
+    /// When the submission was accepted — the job span's start.
+    submitted_at: Instant,
+}
+
+/// A queued job: what its worker will need.
+#[derive(Debug)]
+struct Queued {
+    id: JobId,
+    job: JobPayload,
+    spec_json: String,
+}
+
+/// Everything a worker needs to run the job it claimed.
+#[derive(Debug)]
+pub struct Claimed {
     /// The job id.
     pub id: JobId,
     /// The decoded, runnable payload.
     pub job: JobPayload,
-    /// Canonical spec JSON (re-encoded from the decoded job).
+    /// Canonical spec JSON: the result cache's key.
     pub spec_json: String,
-    /// Current state.
-    pub state: JobState,
-    /// The result JSON, present once `Done`.
-    pub result_json: Option<String>,
-    /// The event-stream digest, present once `Done` and the spec traced.
-    pub trace_digest: Option<u64>,
-    /// Failure detail for `Failed`.
-    pub error: Option<String>,
-    /// Cancellation flag polled by the engine (cancel *and* timeout).
+    /// Cancellation flag the engine polls (cancel, timeout, force close).
     pub cancel: Arc<AtomicBool>,
-    /// Set (before `cancel`) when the abort came from the deadline
-    /// supervisor, so the worker can tell `TimedOut` from `Cancelled`.
+    /// Set before `cancel` when the deadline supervisor aborted the job.
     pub timed_out: Arc<AtomicBool>,
-    /// Wall-clock deadline, set when the job starts running.
-    pub deadline: Option<Instant>,
     /// When the submission was accepted — the job span's start.
     pub submitted_at: Instant,
 }
 
-/// Aggregate terminal-state counts (the shutdown report's core).
+/// Per-state job counts plus the refused submissions: the `/stats`,
+/// `/metrics` and shutdown-report numbers, kept by the table's
+/// transitions rather than recounted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobCounts {
     /// Jobs still waiting in the queue.
@@ -140,30 +182,56 @@ pub struct JobCounts {
     pub timed_out: u64,
     /// Jobs dropped by a force shutdown.
     pub dropped: u64,
+    /// Submissions refused with `429` (never accepted, never owed).
+    pub rejected_busy: u64,
 }
 
-/// The concurrent job table.
-#[derive(Debug, Default)]
-pub struct JobTable {
-    jobs: Mutex<BTreeMap<JobId, JobRecord>>,
-    /// Notified on every transition into a terminal state.
-    terminal: Condvar,
-    next_id: AtomicU64,
-}
-
-impl JobTable {
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<JobId, JobRecord>> {
-        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+impl JobCounts {
+    /// Jobs accepted with `202`: every job the table holds, in any state.
+    pub fn accepted(&self) -> u64 {
+        self.queued
+            + self.running
+            + self.done
+            + self.failed
+            + self.cancelled
+            + self.timed_out
+            + self.dropped
     }
 
-    /// Registers a new queued job and returns its id.
-    pub fn insert(&self, job: JobPayload, spec_json: String) -> JobId {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let record = JobRecord {
-            id,
-            job,
-            spec_json,
-            state: JobState::Queued,
+    fn of(&mut self, state: JobState) -> &mut u64 {
+        match state {
+            JobState::Queued => &mut self.queued,
+            JobState::Running => &mut self.running,
+            JobState::Done => &mut self.done,
+            JobState::Failed => &mut self.failed,
+            JobState::Cancelled => &mut self.cancelled,
+            JobState::TimedOut => &mut self.timed_out,
+            JobState::Dropped => &mut self.dropped,
+        }
+    }
+}
+
+/// What the mutex guards.
+#[derive(Debug, Default)]
+struct Table {
+    jobs: BTreeMap<JobId, JobRecord>,
+    /// Queued jobs, oldest first: exactly the records in `Queued`.
+    fifo: VecDeque<Queued>,
+    /// Ids of the records in `Running`.
+    running: BTreeSet<JobId>,
+    counts: JobCounts,
+    closed: bool,
+    last_id: JobId,
+}
+
+impl Table {
+    /// Adds a record in `state` under the next id.
+    fn insert(&mut self, state: JobState) -> (JobId, &mut JobRecord) {
+        self.last_id += 1;
+        let id = self.last_id;
+        *self.counts.of(state) += 1;
+        let record = self.jobs.entry(id).or_insert(JobRecord {
+            state,
             result_json: None,
             trace_digest: None,
             error: None,
@@ -171,45 +239,130 @@ impl JobTable {
             timed_out: Arc::new(AtomicBool::new(false)),
             deadline: None,
             submitted_at: clock::now(),
-        };
-        self.lock().insert(id, record);
-        id
+        });
+        (id, record)
     }
 
-    /// Removes a job that never made it into the queue (submission raced
-    /// a full queue): the id disappears as if never assigned.
-    pub fn forget(&self, id: JobId) {
-        self.lock().remove(&id);
+    /// Moves job `id` to state `to`, keeping the counters in step.
+    fn move_to(&mut self, id: JobId, to: JobState) -> Option<&mut JobRecord> {
+        let record = self.jobs.get_mut(&id)?;
+        *self.counts.of(record.state) -= 1;
+        *self.counts.of(to) += 1;
+        record.state = to;
+        Some(record)
     }
+}
 
-    /// Runs `f` on the job record, or `None` for unknown ids.
-    pub fn with<R>(&self, id: JobId, f: impl FnOnce(&mut JobRecord) -> R) -> Option<R> {
-        self.lock().get_mut(&id).map(f)
-    }
+/// The concurrent job table and bounded queue.
+#[derive(Debug)]
+pub struct JobTable {
+    table: Mutex<Table>,
+    /// Most jobs that may wait in the queue at once.
+    capacity: usize,
+    /// Notified when a job is queued and when the table closes.
+    work: Condvar,
+    /// Notified on every transition into a terminal state.
+    terminal: Condvar,
+}
 
-    /// Claims a queued job for a worker: transitions to `Running`, arms
-    /// the deadline, and hands back what the worker needs. `None` when the
-    /// job is no longer `Queued` (cancelled or dropped while waiting).
-    pub fn claim(
-        &self,
-        id: JobId,
-        timeout_ms: u64,
-    ) -> Option<(JobPayload, Arc<AtomicBool>, Arc<AtomicBool>)> {
-        let mut jobs = self.lock();
-        let record = jobs.get_mut(&id)?;
-        if record.state != JobState::Queued {
-            return None;
+impl JobTable {
+    /// An open table whose queue holds at most `capacity` jobs.
+    pub fn new(capacity: usize) -> JobTable {
+        JobTable {
+            table: Mutex::default(),
+            capacity,
+            work: Condvar::new(),
+            terminal: Condvar::new(),
         }
-        record.state = JobState::Running;
-        record.deadline = deadline_after(timeout_ms);
-        Some((
-            record.job.clone(),
-            Arc::clone(&record.cancel),
-            Arc::clone(&record.timed_out),
-        ))
     }
 
-    /// Finishes a running job with its terminal state.
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        // Every transition leaves the table consistent before it can
+        // panic, so recover the guard rather than poison the server.
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admits a job to the queue and returns its id.
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal::Closed`] after [`JobTable::close`], else
+    /// [`Refusal::Busy`] (counted) when the queue is full.
+    pub fn submit(&self, job: JobPayload, spec_json: String) -> Result<JobId, Refusal> {
+        let mut guard = self.lock();
+        let t = &mut *guard;
+        if t.closed {
+            return Err(Refusal::Closed);
+        }
+        if t.fifo.len() >= self.capacity {
+            t.counts.rejected_busy += 1;
+            return Err(Refusal::Busy);
+        }
+        let (id, _) = t.insert(JobState::Queued);
+        t.fifo.push_back(Queued { id, job, spec_json });
+        drop(guard);
+        self.work.notify_one();
+        Ok(id)
+    }
+
+    /// Admits a result-cache hit: it enters `Done` with its result and
+    /// takes no queue slot.
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal::Closed`] after [`JobTable::close`].
+    pub fn submit_done(
+        &self,
+        result_json: String,
+        trace_digest: Option<u64>,
+    ) -> Result<JobId, Refusal> {
+        let mut t = self.lock();
+        if t.closed {
+            return Err(Refusal::Closed);
+        }
+        let (id, record) = t.insert(JobState::Done);
+        record.result_json = Some(result_json);
+        record.trace_digest = trace_digest;
+        drop(t);
+        self.terminal.notify_all();
+        Ok(id)
+    }
+
+    /// Blocks until a job is queued, then claims the oldest: moves it to
+    /// `Running`, arms its deadline `timeout_ms` out (none for 0) and hands
+    /// back what the worker needs. `None` once the table is closed and
+    /// nothing is queued — the worker's exit signal.
+    pub fn claim(&self, timeout_ms: u64) -> Option<Claimed> {
+        let mut guard = self.lock();
+        loop {
+            let t = &mut *guard;
+            if let Some(Queued { id, job, spec_json }) = t.fifo.pop_front() {
+                t.running.insert(id);
+                let Some(record) = t.move_to(id, JobState::Running) else {
+                    continue;
+                };
+                record.deadline = deadline_after(timeout_ms);
+                return Some(Claimed {
+                    id,
+                    job,
+                    spec_json,
+                    cancel: Arc::clone(&record.cancel),
+                    timed_out: Arc::clone(&record.timed_out),
+                    submitted_at: record.submitted_at,
+                });
+            }
+            if t.closed {
+                return None;
+            }
+            guard = self
+                .work
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Finishes a running job with its terminal state; a job that is not
+    /// running is left alone.
     pub fn finish(
         &self,
         id: JobId,
@@ -219,42 +372,50 @@ impl JobTable {
         error: Option<String>,
     ) {
         debug_assert!(state.is_terminal());
-        if let Some(record) = self.lock().get_mut(&id) {
-            record.state = state;
+        let mut t = self.lock();
+        if !t.running.remove(&id) {
+            return;
+        }
+        if let Some(record) = t.move_to(id, state) {
             record.result_json = result_json;
             record.trace_digest = trace_digest;
             record.error = error;
-            record.deadline = None;
         }
+        drop(t);
         self.terminal.notify_all();
     }
 
-    /// Requests cancellation. Queued jobs transition immediately; running
-    /// jobs get their flag set and transition when the engine observes it.
-    /// Returns the state after the request, or `None` for unknown ids.
+    /// Requests cancellation. A queued job leaves the queue (freeing its
+    /// slot) and is cancelled at once; a running job gets its flag set and
+    /// transitions when the engine observes it. Returns the state after
+    /// the request, or `None` for unknown ids.
     pub fn cancel(&self, id: JobId) -> Option<JobState> {
-        let mut jobs = self.lock();
-        let record = jobs.get_mut(&id)?;
+        let mut guard = self.lock();
+        let t = &mut *guard;
+        let record = t.jobs.get(&id)?;
         match record.state {
             JobState::Queued => {
-                record.state = JobState::Cancelled;
+                t.fifo.retain(|q| q.id != id);
+                t.move_to(id, JobState::Cancelled);
+                drop(guard);
                 self.terminal.notify_all();
+                Some(JobState::Cancelled)
             }
             JobState::Running => {
                 record.cancel.store(true, Ordering::Relaxed);
+                Some(JobState::Running)
             }
-            _ => {}
+            state => Some(state),
         }
-        Some(record.state)
     }
 
-    /// Supervisor sweep: aborts every running job whose deadline has
-    /// passed. Returns how many were newly timed out.
+    /// Supervisor sweep over the running jobs: aborts every one whose
+    /// deadline has passed. Returns how many were newly timed out.
     pub fn expire_deadlines(&self, now: Instant) -> u64 {
+        let t = self.lock();
         let mut expired = 0;
-        for record in self.lock().values_mut() {
-            if record.state == JobState::Running
-                && record.deadline.is_some_and(|d| now >= d)
+        for record in t.running.iter().filter_map(|id| t.jobs.get(id)) {
+            if record.deadline.is_some_and(|d| now >= d)
                 && !record.timed_out.swap(true, Ordering::Relaxed)
             {
                 record.cancel.store(true, Ordering::Relaxed);
@@ -264,16 +425,24 @@ impl JobTable {
         expired
     }
 
-    /// Force-shutdown sweep: drops every queued job and aborts every
-    /// running one (counted as cancelled, not timed out).
-    pub fn abort_all(&self) {
-        for record in self.lock().values_mut() {
-            match record.state {
-                JobState::Queued => record.state = JobState::Dropped,
-                JobState::Running => record.cancel.store(true, Ordering::Relaxed),
-                _ => {}
+    /// Closes the table: submissions are refused from now on, and workers
+    /// drain the queue before [`JobTable::claim`] answers `None`. With
+    /// `force`, the queued jobs are dropped instead and the running ones
+    /// aborted (they end as cancelled, not timed out).
+    pub fn close(&self, force: bool) {
+        let mut guard = self.lock();
+        let t = &mut *guard;
+        t.closed = true;
+        if force {
+            while let Some(queued) = t.fifo.pop_front() {
+                t.move_to(queued.id, JobState::Dropped);
+            }
+            for record in t.running.iter().filter_map(|id| t.jobs.get(id)) {
+                record.cancel.store(true, Ordering::Relaxed);
             }
         }
+        drop(guard);
+        self.work.notify_all();
         self.terminal.notify_all();
     }
 
@@ -282,44 +451,47 @@ impl JobTable {
     /// released while parked, so waiting holds up no other operation.
     pub fn wait_terminal(&self, id: JobId, timeout: Duration) -> Option<JobState> {
         let deadline = clock::now() + timeout;
-        let mut jobs = self.lock();
+        let mut t = self.lock();
         loop {
-            let state = jobs.get(&id)?.state;
+            let state = t.jobs.get(&id)?.state;
             let left = deadline.saturating_duration_since(clock::now());
             if state.is_terminal() || left.is_zero() {
                 return Some(state);
             }
-            jobs = self
+            t = self
                 .terminal
-                .wait_timeout(jobs, left)
+                .wait_timeout(t, left)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
     }
 
-    /// Current per-state counts.
+    /// The state of job `id`, or `None` for unknown ids.
+    pub fn state(&self, id: JobId) -> Option<JobState> {
+        self.lock().jobs.get(&id).map(|record| record.state)
+    }
+
+    /// Current per-state and refusal counts.
     pub fn counts(&self) -> JobCounts {
-        let mut c = JobCounts::default();
-        for record in self.lock().values() {
-            match record.state {
-                JobState::Queued => c.queued += 1,
-                JobState::Running => c.running += 1,
-                JobState::Done => c.done += 1,
-                JobState::Failed => c.failed += 1,
-                JobState::Cancelled => c.cancelled += 1,
-                JobState::TimedOut => c.timed_out += 1,
-                JobState::Dropped => c.dropped += 1,
-            }
+        self.lock().counts
+    }
+
+    /// The counts, the admission flag and the capacity, read under one
+    /// lock: what `/stats` and `/metrics` render.
+    pub fn gauges(&self) -> GaugeView {
+        let t = self.lock();
+        GaugeView {
+            accepting: !t.closed,
+            queue_capacity: self.capacity,
+            jobs: t.counts,
         }
-        c
     }
 
     /// The status JSON for `GET /jobs/{id}`, or `None` for unknown ids.
     pub fn status_json(&self, id: JobId) -> Option<String> {
-        self.lock().get(&id).map(|record| {
+        self.lock().jobs.get(&id).map(|record| {
             let mut out = format!(
-                "{{\"id\":{},\"status\":{}",
-                record.id,
+                "{{\"id\":{id},\"status\":{}",
                 json_string(record.state.as_str())
             );
             match record.trace_digest {
@@ -339,6 +511,7 @@ impl JobTable {
     /// is in (both read under one lock); `None` for unknown ids.
     pub fn result_json(&self, id: JobId) -> Option<Result<String, JobState>> {
         self.lock()
+            .jobs
             .get(&id)
             .map(|record| record.result_json.clone().ok_or(record.state))
     }
@@ -363,38 +536,44 @@ mod tests {
 
     #[test]
     fn lifecycle_queued_running_done() {
-        let table = JobTable::default();
-        let id = table.insert(job(), "{}".to_string());
+        let table = JobTable::new(4);
+        let id = table.submit(job(), "{}".to_string()).unwrap();
         assert_eq!(id, 1);
         assert!(table.status_json(id).unwrap().contains("\"queued\""));
-        let (j, cancel, _) = table.claim(id, 0).expect("queued job claims");
-        assert!(!cancel.load(Ordering::Relaxed));
-        match j {
+        let claimed = table.claim(0).expect("a queued job is claimed");
+        assert_eq!((claimed.id, claimed.spec_json.as_str()), (id, "{}"));
+        assert!(!claimed.cancel.load(Ordering::Relaxed));
+        match claimed.job {
             JobPayload::Experiment(j) => assert_eq!(j.cfg.measure_cycles, 1_000),
             JobPayload::Epoch(_) => panic!("expected an experiment payload"),
         }
-        assert!(table.claim(id, 0).is_none(), "cannot claim twice");
         table.finish(id, JobState::Done, Some("{}".to_string()), Some(7), None);
         let status = table.status_json(id).unwrap();
         assert!(status.contains("\"done\""), "{status}");
         assert!(status.contains("0000000000000007"), "{status}");
         assert_eq!(table.result_json(id), Some(Ok("{}".to_string())));
         assert_eq!(table.counts().done, 1);
+        table.finish(id, JobState::Failed, None, None, None);
+        assert_eq!(table.state(id), Some(JobState::Done), "terminal is final");
     }
 
     #[test]
-    fn cancel_queued_is_immediate_and_running_sets_the_flag() {
-        let table = JobTable::default();
-        let a = table.insert(job(), String::new());
+    fn cancel_queued_frees_its_slot_and_running_sets_the_flag() {
+        let table = JobTable::new(1);
+        let a = table.submit(job(), String::new()).unwrap();
+        assert_eq!(table.submit(job(), String::new()), Err(Refusal::Busy));
         assert_eq!(table.cancel(a), Some(JobState::Cancelled));
-        assert!(table.claim(a, 0).is_none(), "cancelled jobs never run");
-
-        let b = table.insert(job(), String::new());
-        let (_, cancel, timed_out) = table.claim(b, 0).unwrap();
+        let b = table
+            .submit(job(), String::new())
+            .expect("the slot is free again");
+        let claimed = table.claim(0).unwrap();
+        assert_eq!(claimed.id, b, "cancelled jobs never run");
         assert_eq!(table.cancel(b), Some(JobState::Running));
-        assert!(cancel.load(Ordering::Relaxed));
-        assert!(!timed_out.load(Ordering::Relaxed));
+        assert!(claimed.cancel.load(Ordering::Relaxed));
+        assert!(!claimed.timed_out.load(Ordering::Relaxed));
         assert_eq!(table.cancel(999), None);
+        let c = table.counts();
+        assert_eq!((c.cancelled, c.running, c.rejected_busy), (1, 1, 1));
     }
 
     #[test]
@@ -406,15 +585,19 @@ mod tests {
 
     #[test]
     fn deadlines_expire_only_running_jobs() {
-        let table = JobTable::default();
-        let id = table.insert(job(), String::new());
-        assert_eq!(table.expire_deadlines(clock::now()), 0, "queued: no deadline");
-        let (_, cancel, timed_out) = table.claim(id, 5).unwrap();
+        let table = JobTable::new(4);
+        table.submit(job(), String::new()).unwrap();
+        assert_eq!(
+            table.expire_deadlines(clock::now()),
+            0,
+            "queued: no deadline"
+        );
+        let claimed = table.claim(5).unwrap();
         // A deadline 5 ms out has surely passed one second in the future.
         let later = clock::now() + Duration::from_secs(1);
         assert_eq!(table.expire_deadlines(later), 1);
-        assert!(cancel.load(Ordering::Relaxed));
-        assert!(timed_out.load(Ordering::Relaxed));
+        assert!(claimed.cancel.load(Ordering::Relaxed));
+        assert!(claimed.timed_out.load(Ordering::Relaxed));
         assert_eq!(table.expire_deadlines(later), 0, "expiry reported once");
     }
 
@@ -441,12 +624,12 @@ mod tests {
     }
 
     #[test]
-    fn wait_terminal_wakes_on_finish_cancel_and_abort() {
+    fn wait_terminal_wakes_on_finish_cancel_and_force_close() {
         let long = Duration::from_secs(30);
-        let table = JobTable::default();
+        let table = JobTable::new(4);
 
-        let done = table.insert(job(), String::new());
-        table.claim(done, 0).unwrap();
+        let done = table.submit(job(), String::new()).unwrap();
+        table.claim(0).unwrap();
         let t = clock::now();
         let state = wait_across(&table, done, long, || {
             table.finish(done, JobState::Done, Some("{}".to_string()), None, None);
@@ -457,14 +640,14 @@ mod tests {
             "woken by finish, not the timeout"
         );
 
-        let queued = table.insert(job(), String::new());
+        let queued = table.submit(job(), String::new()).unwrap();
         let state = wait_across(&table, queued, long, || {
             table.cancel(queued);
         });
         assert_eq!(state, Some(JobState::Cancelled));
 
-        let dropped = table.insert(job(), String::new());
-        let state = wait_across(&table, dropped, long, || table.abort_all());
+        let dropped = table.submit(job(), String::new()).unwrap();
+        let state = wait_across(&table, dropped, long, || table.close(true));
         assert_eq!(state, Some(JobState::Dropped));
         assert!(
             clock::ms_since(t) < 10_000,
@@ -474,9 +657,9 @@ mod tests {
 
     #[test]
     fn wait_terminal_times_out_on_running_jobs_and_skips_unknown_ids() {
-        let table = JobTable::default();
-        let id = table.insert(job(), String::new());
-        table.claim(id, 0).unwrap();
+        let table = JobTable::new(4);
+        let id = table.submit(job(), String::new()).unwrap();
+        table.claim(0).unwrap();
         let t = clock::now();
         assert_eq!(
             table.wait_terminal(id, Duration::from_millis(50)),
@@ -493,15 +676,34 @@ mod tests {
     }
 
     #[test]
-    fn abort_all_drops_queued_and_cancels_running() {
-        let table = JobTable::default();
-        let q = table.insert(job(), String::new());
-        let r = table.insert(job(), String::new());
-        let (_, cancel, _) = table.claim(r, 0).unwrap();
-        table.abort_all();
-        assert!(table.status_json(q).unwrap().contains("\"dropped\""));
-        assert!(cancel.load(Ordering::Relaxed));
+    fn force_close_drops_queued_and_cancels_running() {
+        let table = JobTable::new(4);
+        let r = table.submit(job(), String::new()).unwrap();
+        let q = table.submit(job(), String::new()).unwrap();
+        let claimed = table.claim(0).unwrap();
+        assert_eq!(claimed.id, r);
+        table.close(true);
+        assert_eq!(table.state(q), Some(JobState::Dropped));
+        assert!(claimed.cancel.load(Ordering::Relaxed));
         let c = table.counts();
-        assert_eq!((c.dropped, c.running), (1, 1));
+        assert_eq!((c.dropped, c.running, c.accepted()), (1, 1, 2));
+        assert!(table.claim(0).is_none(), "closed and empty: workers exit");
+        assert!(!table.gauges().accepting);
+    }
+
+    #[test]
+    fn cache_hits_enter_done_without_a_slot() {
+        let table = JobTable::new(1);
+        table.submit(job(), String::new()).unwrap();
+        let hit = table.submit_done("{}".to_string(), Some(3)).unwrap();
+        assert_eq!(table.result_json(hit), Some(Ok("{}".to_string())));
+        let g = table.gauges();
+        assert_eq!((g.jobs.queued, g.jobs.done, g.queue_capacity), (1, 1, 1));
+        table.close(false);
+        assert_eq!(
+            table.submit_done("{}".to_string(), None),
+            Err(Refusal::Closed)
+        );
+        assert_eq!(table.submit(job(), String::new()), Err(Refusal::Closed));
     }
 }

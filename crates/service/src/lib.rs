@@ -11,11 +11,11 @@
 //! * [`metrics`] — the lock-light [`MetricsRegistry`] both observation
 //!   endpoints render from: atomic counters, per-endpoint request-latency
 //!   histograms, worker busy time,
-//! * [`queue`] — the bounded MPMC job queue; a full queue is surfaced to
-//!   clients as `429` + `Retry-After`, never a blocked handler,
-//! * [`jobs`] — the job table and lifecycle state machine; every accepted
-//!   job ends in exactly one terminal state the shutdown report accounts
-//!   for,
+//! * [`jobs`] — the job table: the bounded queue, admission and the
+//!   lifecycle state machine under one lock, with a counter per state; a
+//!   full queue is surfaced to clients as `429` + `Retry-After`, never a
+//!   blocked handler, and every accepted job ends in exactly one terminal
+//!   state the shutdown report accounts for,
 //! * [`http`] — minimal HTTP framing (`Content-Length`, one request per
 //!   connection, one deadline and a size cap per exchange) shared by
 //!   server and client,
@@ -45,11 +45,9 @@ pub mod client;
 pub mod http;
 pub mod jobs;
 pub mod metrics;
-pub mod queue;
 pub mod server;
 
 pub use client::{deterministic_backoff_ms, JobStatus, ServiceClient, Submitted, WaitError};
 pub use jobs::{JobCounts, JobId, JobState};
 pub use metrics::{Endpoint, GaugeView, MetricsRegistry};
-pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServiceConfig, ShutdownReport};

@@ -4,9 +4,10 @@
 //! lock-free [`AtomicHistogram`] of `noc-telemetry`: recording
 //! on the hot serving paths is a handful of relaxed atomic adds, and a
 //! scrape only *reads* — it can never block submission, which the
-//! concurrent-scrape integration test pins down. The one non-atomic
-//! input, the jobs-by-state breakdown, is sampled from the job table at
-//! render time and passed in as a [`GaugeView`].
+//! concurrent-scrape integration test pins down. The job numbers — the
+//! jobs-by-state breakdown and the accepted and busy totals derived from
+//! it — are the job table's own counters, read at render time and passed
+//! in as a [`GaugeView`].
 //!
 //! The exposition is the Prometheus text format, version 0.0.4: `# HELP`
 //! / `# TYPE` comment lines, `_total` counters, and histograms with
@@ -115,17 +116,16 @@ impl Endpoint {
     }
 }
 
-/// Point-in-time gauge values sampled by the caller at render time (the
-/// registry owns only monotone counters and histograms).
+/// Point-in-time values sampled from the job table at render time (the
+/// registry owns only its own counters and histograms).
 #[derive(Debug, Clone, Copy)]
 pub struct GaugeView {
     /// Whether `POST /jobs` is currently accepted.
     pub accepting: bool,
-    /// Jobs waiting in the bounded queue.
-    pub queue_len: usize,
     /// The queue's capacity.
     pub queue_capacity: usize,
-    /// Jobs by lifecycle state.
+    /// Jobs by lifecycle state (`queued` is the queue length) and the
+    /// submissions refused busy.
     pub jobs: JobCounts,
 }
 
@@ -133,8 +133,6 @@ pub struct GaugeView {
 /// and `/stats` so the two views can never disagree about what happened.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    accepted: AtomicU64,
-    rejected_busy: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     worker_busy_us: AtomicU64,
@@ -142,16 +140,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// One more job accepted with `202`.
-    pub fn inc_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One more submission refused with `429`.
-    pub fn inc_rejected_busy(&self) {
-        self.rejected_busy.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// One more submission answered straight from the result cache.
     pub fn inc_cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -170,16 +158,6 @@ impl MetricsRegistry {
     /// Records one request's wall-clock latency.
     pub fn observe_request(&self, endpoint: Endpoint, us: u64) {
         self.request_latency[endpoint as usize].record(us);
-    }
-
-    /// Jobs accepted so far.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Submissions refused with `429` so far.
-    pub fn rejected_busy(&self) -> u64 {
-        self.rejected_busy.load(Ordering::Relaxed)
     }
 
     /// Cache-answered submissions so far.
@@ -223,7 +201,7 @@ impl MetricsRegistry {
             &mut out,
             "noc_queue_len",
             "Jobs waiting in the bounded queue.",
-            gauges.queue_len as u64,
+            gauges.jobs.queued,
         );
         gauge(
             &mut out,
@@ -251,13 +229,13 @@ impl MetricsRegistry {
             &mut out,
             "noc_accepted_total",
             "Jobs accepted with 202.",
-            self.accepted(),
+            c.accepted(),
         );
         counter(
             &mut out,
             "noc_rejected_busy_total",
             "Submissions refused with 429 (queue full).",
-            self.rejected_busy(),
+            c.rejected_busy,
         );
         counter(
             &mut out,
@@ -304,12 +282,12 @@ mod tests {
     fn view() -> GaugeView {
         GaugeView {
             accepting: true,
-            queue_len: 2,
             queue_capacity: 16,
             jobs: JobCounts {
                 queued: 2,
                 running: 1,
                 done: 7,
+                rejected_busy: 3,
                 ..JobCounts::default()
             },
         }
@@ -366,7 +344,6 @@ mod tests {
     #[test]
     fn render_emits_help_type_and_all_series() {
         let reg = MetricsRegistry::default();
-        reg.inc_accepted();
         reg.inc_cache_miss();
         reg.observe_request(Endpoint::Submit, 250);
         let text = reg.render(&view());
@@ -378,7 +355,8 @@ mod tests {
             "noc_queue_capacity 16",
             "noc_jobs{state=\"done\"} 7",
             "# TYPE noc_accepted_total counter",
-            "noc_accepted_total 1",
+            "noc_accepted_total 10",
+            "noc_rejected_busy_total 3",
             "noc_cache_misses_total 1",
             "# TYPE noc_request_duration_us histogram",
             "noc_request_duration_us_count{endpoint=\"submit\"} 1",

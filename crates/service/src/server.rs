@@ -10,31 +10,31 @@
 //!   on the job table's condition variable, and at most `HANDLERS − 1`
 //!   may do so at once, so one handler always stays free for submit,
 //!   status, `/stats`, `/metrics` and shutdown.
-//! * **workers** (`cfg.workers` of them) — block on the queue, claim jobs,
-//!   run them through the deterministic engine, record terminal states.
-//!   A panicking experiment marks its job `failed`; the worker survives.
+//! * **workers** (`cfg.workers` of them) — block in the job table until
+//!   they claim the oldest queued job, run it through the deterministic
+//!   engine, record its terminal state. A panicking experiment marks its
+//!   job `failed`; the worker survives.
 //! * **supervisor** — the only thread that watches the wall clock for
 //!   jobs: it sweeps deadlines and flips cancellation flags. The engine
 //!   itself never sees real time, which is what keeps served results
 //!   bit-identical to local runs.
 //!
-//! Shutdown: `request_shutdown(false)` stops *accepting* (new `POST
-//! /jobs` → `503`) and closes the queue, but the handlers keep answering
-//! status and result requests while the workers drain every accepted job;
-//! `request_shutdown(true)` additionally drops queued jobs and cancels
-//! running ones. [`Server::wait`] joins everything and reports what
-//! happened to every accepted job.
+//! Shutdown: `request_shutdown(false)` closes the job table — new `POST
+//! /jobs` get `503` — but the handlers keep answering status and result
+//! requests while the workers drain every accepted job;
+//! `request_shutdown(true)` closes it dropping queued jobs and cancelling
+//! running ones, in the same critical section. [`Server::wait`] joins
+//! everything and reports what happened to every accepted job.
 
 use crate::http::{
     parse_target, read_request, write_response, Deadline, Request, Target, MAX_WAIT_MS,
 };
-use crate::jobs::{JobCounts, JobPayload, JobState, JobTable};
-use crate::metrics::{Endpoint, GaugeView, MetricsRegistry};
-use crate::queue::{BoundedQueue, PushError};
+use crate::jobs::{Claimed, JobCounts, JobId, JobPayload, JobState, JobTable, Refusal};
+use crate::metrics::{Endpoint, MetricsRegistry};
 use noc_telemetry::clock;
 use noc_telemetry::spans::{derive_id, FlightRecorder, Span, SpanKind, NO_PARENT};
-use sensorwise::codec::{json_string, result_to_json, spec_from_json, spec_to_json, JsonValue};
-use sensorwise::{is_epoch_request, EpochError, ResultCache, WireEpochOutcome, WireEpochRequest};
+use sensorwise::codec::{json_string, result_to_json, spec_from_value, spec_to_json, JsonValue};
+use sensorwise::{EpochError, ResultCache, WireEpochOutcome, WireEpochRequest};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -114,6 +114,20 @@ pub struct ShutdownReport {
 }
 
 impl ShutdownReport {
+    /// The report for the job table's final `counts`.
+    pub fn new(c: &JobCounts, cache_hits: u64) -> ShutdownReport {
+        ShutdownReport {
+            accepted: c.accepted(),
+            completed: c.done,
+            failed: c.failed,
+            cancelled: c.cancelled,
+            timed_out: c.timed_out,
+            dropped: c.dropped,
+            rejected_busy: c.rejected_busy,
+            cache_hits,
+        }
+    }
+
     /// Whether every accepted job reached a terminal state — the drain
     /// guarantee the integration tests pin down.
     pub fn accounts_for_all(&self) -> bool {
@@ -134,16 +148,10 @@ impl fmt::Debug for CacheHandle {
 
 #[derive(Debug)]
 struct Shared {
-    queue: BoundedQueue<u64>,
+    /// The queue and every job's lifecycle, admission to terminal state.
     table: JobTable,
     /// Optional content-addressed result cache.
     cache: Option<CacheHandle>,
-    /// `false` once shutdown starts: `POST /jobs` answers `503`.
-    accepting: AtomicBool,
-    /// Set by `POST /shutdown` and `request_shutdown`.
-    shutdown: AtomicBool,
-    /// Set with `shutdown` on force: queued jobs drop, running ones abort.
-    force: AtomicBool,
     /// Terminates the handler and supervisor loops (set by `wait` after
     /// the workers have drained, so polls keep working until the end).
     stop: AtomicBool,
@@ -228,12 +236,8 @@ impl Server {
             .map_err(|e| format!("local_addr: {e}"))?;
 
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(cfg.queue_depth),
-            table: JobTable::default(),
+            table: JobTable::new(cfg.queue_depth),
             cache: cache.map(CacheHandle),
-            accepting: AtomicBool::new(true),
-            shutdown: AtomicBool::new(false),
-            force: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             waiters: AtomicUsize::new(0),
             metrics: MetricsRegistry::default(),
@@ -286,20 +290,20 @@ impl Server {
         self.local_addr
     }
 
-    /// Begins shutdown: stop accepting, close the queue. With `force`,
-    /// also drop queued jobs and cancel running ones.
+    /// Begins shutdown: close the job table to submissions. With
+    /// `force`, also drop queued jobs and cancel running ones.
     pub fn request_shutdown(&self, force: bool) {
-        initiate_shutdown(&self.shared, force);
+        self.shared.table.close(force);
     }
 
     /// Blocks until shutdown completes (someone must have requested it,
     /// over HTTP or via [`Server::request_shutdown`]) and every thread has
     /// exited; returns the final accounting.
     pub fn wait(self) -> ShutdownReport {
-        // Workers exit once the queue is closed and drained. The handlers
-        // and supervisor stay up until then so clients can poll statuses
-        // of draining jobs; every job is terminal by the time they stop,
-        // so no waited request is left parked.
+        // Workers exit once the table is closed and its queue drained.
+        // The handlers and supervisor stay up until then so clients can
+        // poll statuses of draining jobs; every job is terminal by the
+        // time they stop, so no waited request is left parked.
         let (handlers_and_supervisor, workers): (Vec<_>, Vec<_>) = self
             .handles
             .into_iter()
@@ -328,8 +332,10 @@ impl Server {
         // The final accounting is also a span-dump point: whatever the
         // flight recorder still holds describes the flight that just ended.
         self.shared.dump_spans();
-        let c = self.shared.table.counts();
-        report_from(&self.shared, &c)
+        ShutdownReport::new(
+            &self.shared.table.counts(),
+            self.shared.metrics.cache_hits(),
+        )
     }
 
     /// The live `/stats` snapshot, for in-process callers.
@@ -342,31 +348,6 @@ impl Server {
     pub fn cache_hits(&self) -> u64 {
         self.shared.metrics.cache_hits()
     }
-}
-
-fn report_from(shared: &Shared, c: &JobCounts) -> ShutdownReport {
-    ShutdownReport {
-        accepted: shared.metrics.accepted(),
-        completed: c.done,
-        failed: c.failed,
-        cancelled: c.cancelled,
-        timed_out: c.timed_out,
-        dropped: c.dropped,
-        rejected_busy: shared.metrics.rejected_busy(),
-        cache_hits: shared.metrics.cache_hits(),
-    }
-}
-
-fn initiate_shutdown(shared: &Shared, force: bool) {
-    shared.accepting.store(false, Ordering::SeqCst);
-    if force {
-        shared.force.store(true, Ordering::SeqCst);
-        shared.table.abort_all();
-    }
-    shared.shutdown.store(true, Ordering::SeqCst);
-    // Close after the force sweep so a worker cannot claim a job the
-    // sweep was about to drop.
-    shared.queue.close();
 }
 
 /// What a successfully executed payload hands back to the worker loop.
@@ -410,13 +391,15 @@ fn run_payload(
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(id) = shared.queue.pop() {
-        // A force shutdown may have raced this pop: claim() refuses
-        // anything no longer queued, so dropped/cancelled ids fall through.
-        let Some((job, cancel, timed_out)) = shared.table.claim(id, shared.timeout_ms) else {
-            continue;
-        };
-        let submitted_at = shared.table.with(id, |r| r.submitted_at);
+    while let Some(claimed) = shared.table.claim(shared.timeout_ms) {
+        let Claimed {
+            id,
+            job,
+            spec_json,
+            cancel,
+            timed_out,
+            submitted_at,
+        } = claimed;
         let exp_start_us = shared.span_clock_us();
         let t_run = clock::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| run_payload(&job, &cancel)));
@@ -426,14 +409,12 @@ fn worker_loop(shared: &Shared) {
         match outcome {
             Ok(Ok(Some(success))) => {
                 if let Some(cache) = &shared.cache {
-                    if let Some(spec) = shared.table.with(id, |r| r.spec_json.clone()) {
-                        match &success.wire {
-                            Some(wire) => cache.0.put(&spec, wire),
-                            // Epoch outcomes: the shared result plane
-                            // files the raw canonical JSON, which is how
-                            // remote campaign front ends pick them up.
-                            None => cache.0.put_json(&spec, &success.json),
-                        }
+                    match &success.wire {
+                        Some(wire) => cache.0.put(&spec_json, wire),
+                        // Epoch outcomes: the shared result plane files
+                        // the raw canonical JSON, which is how remote
+                        // campaign front ends pick them up.
+                        None => cache.0.put_json(&spec_json, &success.json),
                     }
                 }
                 shared
@@ -479,20 +460,15 @@ fn worker_loop(shared: &Shared) {
 /// submit request span, the experiment's parent is the job span.
 fn record_job_spans(
     shared: &Shared,
-    id: u64,
-    submitted_at: Option<Instant>,
+    id: JobId,
+    submitted_at: Instant,
     exp_start_us: u64,
     busy_us: u64,
 ) {
     let submit_span = derive_id(SpanKind::Request, Endpoint::Submit.label(), NO_PARENT);
     let name = format!("job-{id}");
-    let job_start_us = match submitted_at {
-        Some(at) => {
-            let since_start = at.saturating_duration_since(shared.started);
-            u64::try_from(since_start.as_micros()).unwrap_or(u64::MAX)
-        }
-        None => exp_start_us,
-    };
+    let since_start = submitted_at.saturating_duration_since(shared.started);
+    let job_start_us = u64::try_from(since_start.as_micros()).unwrap_or(u64::MAX);
     let job_span = Span::new(
         SpanKind::Job,
         &name,
@@ -608,166 +584,108 @@ fn with_id(raw: &str, f: impl FnOnce(u64) -> Routed) -> Routed {
     }
 }
 
-/// Decodes a submission body into a runnable payload plus its canonical
-/// spec JSON. Bodies carrying the `"kind":"epoch"` marker are campaign
-/// epochs; everything else is a standalone experiment spec. Re-encoding
-/// makes the stored spec canonical regardless of client formatting.
-fn parse_submission(body: &str) -> Result<(JobPayload, String), String> {
-    if is_epoch_request(body) {
-        let req = WireEpochRequest::from_json(body).map_err(|e| e.to_string())?;
+/// Decodes one submission — already parsed, so each body is parsed once —
+/// into a runnable payload plus its canonical spec JSON. Objects carrying
+/// the `"kind":"epoch"` marker are campaign epochs; everything else is a
+/// standalone experiment spec. Re-encoding makes the stored spec canonical
+/// regardless of client formatting.
+fn decode_submission(root: &JsonValue) -> Result<(JobPayload, String), String> {
+    if root.get("kind").and_then(JsonValue::as_str) == Some("epoch") {
+        let req = WireEpochRequest::from_value(root).map_err(|e| e.to_string())?;
         let canonical = req.to_json().map_err(|e| e.to_string())?;
         Ok((JobPayload::Epoch(Box::new(req)), canonical))
     } else {
-        let job = spec_from_json(body).map_err(|e| e.to_string())?;
+        let job = spec_from_value(root).map_err(|e| e.to_string())?;
         let canonical = spec_to_json(&job).map_err(|e| e.to_string())?;
         Ok((JobPayload::Experiment(Box::new(job)), canonical))
     }
 }
 
-/// Cache fast path: a memoized spec is answered terminally at accept time
-/// — the job record exists (status/result polls work as usual) but no
-/// queue slot or worker is ever consumed. Returns the job id on a hit, or
-/// hands the payload back on a miss. A stored entry that fails to decode
-/// for its payload kind is a miss, never a wrong answer.
-fn answer_from_cache(
-    payload: JobPayload,
+/// Parses and decodes one submission body (see [`decode_submission`]).
+fn parse_submission(body: &str) -> Result<(JobPayload, String), String> {
+    decode_submission(&JsonValue::parse(body).map_err(|e| e.to_string())?)
+}
+
+/// Looks a canonical spec up in the result cache: its result JSON and
+/// digest on a hit. A stored entry that fails to decode for its payload
+/// kind is a miss, never a wrong answer.
+fn cached_result(
+    cache: &CacheHandle,
+    payload: &JobPayload,
     canonical: &str,
-    shared: &Shared,
-) -> Result<u64, JobPayload> {
-    let Some(cache) = &shared.cache else {
-        return Err(payload);
-    };
-    let hit = match &payload {
+) -> Option<(String, Option<u64>)> {
+    match payload {
         JobPayload::Experiment(_) => cache
             .0
             .get(canonical)
-            .map(|wire| (wire.trace_digest, wire.to_json())),
+            .map(|wire| (wire.to_json(), wire.trace_digest)),
         JobPayload::Epoch(_) => cache.0.get_json(canonical).and_then(|json| {
             WireEpochOutcome::from_json(&json)
                 .ok()
-                .map(|o| (o.result.trace_digest, json))
+                .map(|o| (json, o.result.trace_digest))
         }),
-    };
-    match hit {
-        Some((digest, json)) => {
-            let id = shared.table.insert(payload, canonical.to_string());
-            shared.metrics.inc_accepted();
+    }
+}
+
+/// Admits one decoded submission. A memoized spec enters the job table
+/// `Done` — status and result requests work as usual, but no queue slot
+/// or worker is ever consumed; anything else takes a queue slot. Returns
+/// the id and whether it was a cache hit.
+fn admit(
+    payload: JobPayload,
+    canonical: String,
+    shared: &Shared,
+) -> Result<(JobId, bool), Refusal> {
+    if let Some(cache) = &shared.cache {
+        if let Some((json, digest)) = cached_result(cache, &payload, &canonical) {
+            let id = shared.table.submit_done(json, digest)?;
             shared.metrics.inc_cache_hit();
-            shared.table.finish(id, JobState::Done, Some(json), digest, None);
-            Ok(id)
+            return Ok((id, true));
         }
-        None => {
-            shared.metrics.inc_cache_miss();
-            Err(payload)
-        }
+        shared.metrics.inc_cache_miss();
     }
+    shared
+        .table
+        .submit(payload, canonical)
+        .map(|id| (id, false))
 }
 
-/// Outcome of trying to enqueue one parsed, cache-missed submission.
-enum Enqueued {
-    /// Accepted; the id is queued for a worker.
-    Queued(u64),
-    /// The queue is full: `429`.
-    Busy,
-    /// The queue closed under the submission: `503`.
-    Closed,
-}
-
-fn enqueue_one(payload: JobPayload, canonical: String, shared: &Shared) -> Enqueued {
-    let id = shared.table.insert(payload, canonical);
-    match shared.queue.try_push(id) {
-        Ok(()) => {
-            shared.metrics.inc_accepted();
-            Enqueued::Queued(id)
-        }
-        Err(PushError::Full) => {
-            shared.table.forget(id);
-            shared.metrics.inc_rejected_busy();
-            Enqueued::Busy
-        }
-        Err(PushError::Closed) => {
-            shared.table.forget(id);
-            Enqueued::Closed
-        }
-    }
+fn shutting_down() -> Routed {
+    plain(503, "{\"error\":\"server is shutting down\"}".to_string())
 }
 
 fn submit(req: &Request, shared: &Shared) -> Routed {
-    if !shared.accepting.load(Ordering::SeqCst) {
-        return plain(503, "{\"error\":\"server is shutting down\"}".to_string());
+    if !shared.table.gauges().accepting {
+        return shutting_down();
     }
     let (payload, canonical) = match parse_submission(&req.body) {
         Ok(parsed) => parsed,
         Err(e) => return plain(400, format!("{{\"error\":{}}}", json_string(&e))),
     };
-    let payload = match answer_from_cache(payload, &canonical, shared) {
-        Ok(id) => {
-            return plain(
-                202,
-                format!("{{\"id\":{id},\"status\":\"done\",\"cached\":true}}"),
-            )
-        }
-        Err(payload) => payload,
-    };
-    match enqueue_one(payload, canonical, shared) {
-        Enqueued::Queued(id) => plain(202, format!("{{\"id\":{id},\"status\":\"queued\"}}")),
-        Enqueued::Busy => (
+    match admit(payload, canonical, shared) {
+        Ok((id, true)) => plain(
+            202,
+            format!("{{\"id\":{id},\"status\":\"done\",\"cached\":true}}"),
+        ),
+        Ok((id, false)) => plain(202, format!("{{\"id\":{id},\"status\":\"queued\"}}")),
+        Err(Refusal::Busy) => (
             429,
             "application/json",
             vec![("Retry-After", RETRY_AFTER_SECS.to_string())],
             "{\"error\":\"queue full, retry later\"}".to_string(),
         ),
-        Enqueued::Closed => plain(503, "{\"error\":\"server is shutting down\"}".to_string()),
-    }
-}
-
-/// Serializes a parsed [`JsonValue`] back to compact JSON text, preserving
-/// number raw text and insertion order (used to hand batch items to the
-/// same decode path single submissions take).
-fn render_json(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".to_string(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Num(raw) => raw.clone(),
-        JsonValue::Str(s) => json_string(s),
-        JsonValue::Arr(items) => {
-            let mut out = String::from("[");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&render_json(item));
-            }
-            out.push(']');
-            out
-        }
-        JsonValue::Obj(pairs) => {
-            let mut out = String::from("{");
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_string(k));
-                out.push(':');
-                out.push_str(&render_json(val));
-            }
-            out.push('}');
-            out
-        }
+        Err(Refusal::Closed) => shutting_down(),
     }
 }
 
 /// `POST /jobs/batch`: an array of specs accepted in one request. The body
 /// is `{"jobs":[...]}` where each item is either a spec object or a string
-/// containing spec JSON (epoch requests welcome in both forms). Queue
-/// capacity is reserved in **one pass**: the free slots are snapshotted
-/// once, cache hits consume none, and items beyond the snapshot are
-/// answered busy per-item without racing the queue. The response is `200`
-/// with per-item `202`/`429` codes mirroring what individual submissions
-/// would have received.
+/// containing spec JSON (epoch requests welcome in both forms). Each item
+/// is admitted in turn exactly as a single submission would be, and the
+/// response is `200` with its per-item `202`/`400`/`429`/`503` codes.
 fn submit_batch(req: &Request, shared: &Shared) -> Routed {
-    if !shared.accepting.load(Ordering::SeqCst) {
-        return plain(503, "{\"error\":\"server is shutting down\"}".to_string());
+    if !shared.table.gauges().accepting {
+        return shutting_down();
     }
     let root = match JsonValue::parse(&req.body) {
         Ok(v) => v,
@@ -779,20 +697,14 @@ fn submit_batch(req: &Request, shared: &Shared) -> Routed {
             "{\"error\":\"batch body must be {\\\"jobs\\\":[...]}\"}".to_string(),
         );
     };
-    // The one reservation pass: snapshot free capacity now; every queued
-    // acceptance below spends from this budget.
-    let mut slots = shared
-        .queue
-        .capacity()
-        .saturating_sub(shared.queue.len());
     let (mut accepted, mut cached, mut busy, mut errors) = (0u64, 0u64, 0u64, 0u64);
     let mut rows = Vec::with_capacity(items.len());
     for item in items {
-        let spec_text = match item {
-            JsonValue::Str(s) => s.clone(),
-            other => render_json(other),
+        let decoded = match item {
+            JsonValue::Str(text) => parse_submission(text),
+            spec => decode_submission(spec),
         };
-        let (payload, canonical) = match parse_submission(&spec_text) {
+        let (payload, canonical) = match decoded {
             Ok(parsed) => parsed,
             Err(e) => {
                 errors += 1;
@@ -800,39 +712,21 @@ fn submit_batch(req: &Request, shared: &Shared) -> Routed {
                 continue;
             }
         };
-        let payload = match answer_from_cache(payload, &canonical, shared) {
-            Ok(id) => {
+        rows.push(match admit(payload, canonical, shared) {
+            Ok((id, true)) => {
                 cached += 1;
-                rows.push(format!(
-                    "{{\"code\":202,\"id\":{id},\"status\":\"done\",\"cached\":true}}"
-                ));
-                continue;
+                format!("{{\"code\":202,\"id\":{id},\"status\":\"done\",\"cached\":true}}")
             }
-            Err(payload) => payload,
-        };
-        if slots == 0 {
-            busy += 1;
-            shared.metrics.inc_rejected_busy();
-            rows.push("{\"code\":429,\"status\":\"busy\",\"retry_after\":1}".to_string());
-            continue;
-        }
-        match enqueue_one(payload, canonical, shared) {
-            Enqueued::Queued(id) => {
-                slots -= 1;
+            Ok((id, false)) => {
                 accepted += 1;
-                rows.push(format!("{{\"code\":202,\"id\":{id},\"status\":\"queued\"}}"));
+                format!("{{\"code\":202,\"id\":{id},\"status\":\"queued\"}}")
             }
-            Enqueued::Busy => {
-                // The snapshot raced another submitter; same answer a
-                // single submission would get.
-                slots = 0;
+            Err(Refusal::Busy) => {
                 busy += 1;
-                rows.push("{\"code\":429,\"status\":\"busy\",\"retry_after\":1}".to_string());
+                "{\"code\":429,\"status\":\"busy\",\"retry_after\":1}".to_string()
             }
-            Enqueued::Closed => {
-                rows.push("{\"code\":503,\"status\":\"shutting_down\"}".to_string());
-            }
-        }
+            Err(Refusal::Closed) => "{\"code\":503,\"status\":\"shutting_down\"}".to_string(),
+        });
     }
     let body = format!(
         "{{\"accepted\":{accepted},\"cached\":{cached},\"busy\":{busy},\"errors\":{errors},\
@@ -891,8 +785,8 @@ impl Drop for WaitSlot<'_> {
 fn waited_result(id: u64, wait_ms: u64, shared: &Shared) -> Routed {
     let pending = shared
         .table
-        .with(id, |r| !r.state.is_terminal())
-        .unwrap_or(false);
+        .state(id)
+        .is_some_and(|state| !state.is_terminal());
     if pending && wait_ms > 0 {
         let Some(_slot) = WaitSlot::take(&shared.waiters) else {
             return (
@@ -919,28 +813,18 @@ fn cancel(id: u64, shared: &Shared) -> Routed {
     }
 }
 
-/// Samples the gauges both `/stats` and `/metrics` render from.
-fn gauge_view(shared: &Shared) -> GaugeView {
-    GaugeView {
-        accepting: shared.accepting.load(Ordering::SeqCst),
-        queue_len: shared.queue.len(),
-        queue_capacity: shared.queue.capacity(),
-        jobs: shared.table.counts(),
-    }
-}
-
 fn stats(shared: &Shared) -> Routed {
-    let g = gauge_view(shared);
+    let g = shared.table.gauges();
     let c = g.jobs;
     let body = format!(
         "{{\"accepting\":{},\"queue_len\":{},\"queue_depth\":{},\"accepted\":{},\"rejected_busy\":{},\
          \"cache_hits\":{},\
          \"queued\":{},\"running\":{},\"done\":{},\"failed\":{},\"cancelled\":{},\"timed_out\":{},\"dropped\":{}}}",
         g.accepting,
-        g.queue_len,
+        c.queued,
         g.queue_capacity,
-        shared.metrics.accepted(),
-        shared.metrics.rejected_busy(),
+        c.accepted(),
+        c.rejected_busy,
         shared.metrics.cache_hits(),
         c.queued,
         c.running,
@@ -954,7 +838,7 @@ fn stats(shared: &Shared) -> Routed {
 }
 
 fn metrics(shared: &Shared) -> Routed {
-    let body = shared.metrics.render(&gauge_view(shared));
+    let body = shared.metrics.render(&shared.table.gauges());
     (
         200,
         "text/plain; version=0.0.4; charset=utf-8",
@@ -971,7 +855,7 @@ fn shutdown(req: &Request, shared: &Shared) -> Routed {
             .and_then(|v| v.get("force"))
             .and_then(JsonValue::as_bool)
             .unwrap_or(false);
-    initiate_shutdown(shared, force);
+    shared.table.close(force);
     let mode = if force { "aborting" } else { "draining" };
     plain(200, format!("{{\"status\":{}}}", json_string(mode)))
 }

@@ -55,6 +55,14 @@ if grep -rnE 'InVcState|ready_at' crates \
     echo "ci: a per-VC state enum, readiness timestamp or closure-probing arbiter is back" >&2
     exit 1
 fi
+# One job lifecycle: the job table is the bounded queue, admission and
+# the per-state counts under one lock, and a submission is parsed once.
+# The second queue, its forget step, the double-parsing epoch probe and
+# the batch re-renderer stay deleted.
+if grep -rnE 'BoundedQueue|PushError|fn forget|is_epoch_request|fn render_json' crates src tests; then
+    echo "ci: a second record of the job lifecycle or a second submission parse is back" >&2
+    exit 1
+fi
 if grep -rnE --include='*.rs' 'fn percentile|struct AtomicHistogram' crates src tests \
     | grep -v '^crates/telemetry/'; then
     echo "ci: percentile or AtomicHistogram is defined outside noc-telemetry" >&2
@@ -264,6 +272,33 @@ grep -q '^noc_request_duration_us_count{endpoint="status"} 0$' "$servedir/metric
 }
 curl -sf "http://$addr/stats" | grep -q '"accepted":6' || {
     echo "ci: /stats disagrees with /metrics on accepted jobs" >&2
+    exit 1
+}
+
+# Hostile-client smoke: 200 000 nested brackets, an oversize head, raw
+# garbage bytes and an upload slower than the 5 s request deadline. Each
+# costs one handler at most that deadline; afterwards /stats answers and
+# the shutdown line below still accounts for exactly the six jobs.
+head -c 200000 /dev/zero | tr '\0' '[' > "$servedir/nested.json"
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    --data-binary @"$servedir/nested.json" "http://$addr/jobs" || true)
+[ "$code" = 400 ] || { echo "ci: 200 000 nested brackets got '$code', not 400" >&2; exit 1; }
+pad=$(head -c 16384 /dev/zero | tr '\0' 'a')
+code=$(curl -s -o /dev/null -w '%{http_code}' -H "X-Pad: $pad" "http://$addr/stats" || true)
+[ "$code" = 400 ] || { echo "ci: an oversize head got '$code', not 400" >&2; exit 1; }
+head -c 65536 /dev/urandom | curl -s --max-time 10 "telnet://$addr" > /dev/null 2>&1 || true
+# 3 000 bytes at 200 B/s would take 15 s; the deadline cuts it at 5 s.
+head -c 3000 /dev/zero | tr '\0' ' ' > "$servedir/slow.json"
+slow_start=$(date +%s)
+curl -s -o /dev/null --max-time 30 --limit-rate 200 -X POST \
+    --data-binary @"$servedir/slow.json" "http://$addr/jobs" || true
+slow_secs=$(( $(date +%s) - slow_start ))
+[ "$slow_secs" -lt 12 ] || {
+    echo "ci: a slow upload held its handler ${slow_secs} s, past the request deadline" >&2
+    exit 1
+}
+curl -sf "http://$addr/stats" | grep -q '"accepted":6' || {
+    echo "ci: /stats stopped answering or miscounted after the hostile clients" >&2
     exit 1
 }
 

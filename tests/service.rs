@@ -321,6 +321,46 @@ fn deeply_nested_json_gets_400_and_the_server_keeps_serving() {
     assert!(report.accounts_for_all(), "{report:?}");
 }
 
+/// Cancelling a queued job frees its queue slot at once: with the single
+/// worker busy and both slots cancelled, the queue reads empty and the
+/// next submission is accepted.
+#[test]
+fn cancelled_queued_jobs_free_their_slots() {
+    let (server, client) = start(1, 2, 0);
+    let (_, long_spec) = spec(400_000, 1_100);
+    let (running, _, _) = client.submit_with_retry(&long_spec, 10).expect("submits");
+    for _ in 0..3_000 {
+        if client.status(running).expect("status stays served").status == "running" {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    for seed in [1_101, 1_102] {
+        let (_, json) = spec(4_000, seed);
+        let queued = match client.submit(&json).expect("transport stays up").0 {
+            Submitted::Accepted { id } => id,
+            other => panic!("a free slot must accept the job, got {other:?}"),
+        };
+        assert_eq!(client.cancel(queued).expect("known id"), "cancelled");
+    }
+
+    let stats = client.stats().expect("stats parse");
+    let field = |key: &str| stats.get(key).and_then(|v| v.as_u64());
+    assert_eq!(field("queue_len"), Some(0), "{stats:?}");
+    assert_eq!(field("queued"), Some(0), "{stats:?}");
+    let (_, json) = spec(4_000, 1_103);
+    match client.submit(&json).expect("transport stays up").0 {
+        Submitted::Accepted { .. } => {}
+        other => panic!("cancelled jobs still hold their slots: {other:?}"),
+    }
+
+    server.request_shutdown(true);
+    let report = server.wait();
+    assert_eq!(report.accepted, 4);
+    assert!(report.cancelled >= 2, "{report:?}");
+    assert!(report.accounts_for_all(), "{report:?}");
+}
+
 #[test]
 fn invariant_counts_travel_over_the_wire() {
     let scenario = SyntheticScenario {

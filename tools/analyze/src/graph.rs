@@ -123,10 +123,7 @@ pub fn call_sites(toks: &[Tok], range: (usize, usize)) -> Vec<CallSite> {
 fn receiver_chain(toks: &[Tok], dot: usize) -> Vec<String> {
     let mut chain = VecDeque::new();
     let mut j = dot;
-    loop {
-        let Some(prev) = j.checked_sub(1).map(|k| &toks[k]) else {
-            break;
-        };
+    while let Some(prev) = j.checked_sub(1).map(|k| &toks[k]) {
         if prev.kind == TokKind::Ident {
             chain.push_front(prev.text.clone());
             match j.checked_sub(2).map(|k| &toks[k]) {
@@ -242,8 +239,8 @@ impl CallGraph {
         let mut seen: BTreeMap<FnId, Option<(FnId, u32)>> = BTreeMap::new();
         let mut queue: VecDeque<FnId> = VecDeque::new();
         for &r in roots {
-            if !seen.contains_key(&r) {
-                seen.insert(r, None);
+            if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(r) {
+                e.insert(None);
                 queue.push_back(r);
             }
         }

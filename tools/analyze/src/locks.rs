@@ -3,7 +3,7 @@
 //! For every non-test function the pass finds lock acquisitions — direct
 //! `.lock()` / `.read()` / `.write()` calls and calls to workspace
 //! wrapper functions whose return type carries a guard (`fn lock(&self)
-//! -> MutexGuard<...>`), the pattern `JobTable` and `BoundedQueue` use —
+//! -> MutexGuard<...>`), the pattern `JobTable` uses —
 //! and derives each guard's live range from its `let` binding: to the
 //! end of the enclosing block, clipped at an explicit `drop(guard)`.
 //! Unbound (temporary) guards die at the end of their statement, and a
@@ -444,10 +444,11 @@ fn toks_empty_parens(toks: &[crate::lexer::Tok], tok: usize) -> bool {
 fn brace_map(toks: &[crate::lexer::Tok], body: (usize, usize)) -> BTreeMap<usize, usize> {
     let mut map = BTreeMap::new();
     let mut stack = Vec::new();
-    for i in body.0..=body.1.min(toks.len().saturating_sub(1)) {
-        if toks[i].is_punct("{") {
+    let end = body.1.min(toks.len().saturating_sub(1));
+    for (i, tok) in toks.iter().enumerate().take(end + 1).skip(body.0) {
+        if tok.is_punct("{") {
             stack.push(i);
-        } else if toks[i].is_punct("}") {
+        } else if tok.is_punct("}") {
             if let Some(open) = stack.pop() {
                 map.insert(open, i);
             }

@@ -120,7 +120,6 @@ fn strict_indexing_reports_counted_sites() {
         fixture_root(),
         &Options {
             strict_indexing: true,
-            ..Options::default()
         },
     );
     assert_eq!(strict.findings.len(), default.findings.len() + 1);
