@@ -113,39 +113,182 @@ fn torus_and_ring_conserve_flits_and_credits_at_full_invariants() {
     }
 }
 
+/// The trace digest of a torus/ring run under sensor-wise (2 VCs, uniform
+/// 0.10, seed 7, 100+1000 cycles).
+fn non_mesh_digest(kind: &noc_sim::config::TopologyKind, cols: usize, rows: usize) -> u64 {
+    let noc = NocConfig {
+        cols,
+        rows,
+        vcs_per_port: 2,
+        topology: kind.clone(),
+        ..NocConfig::default()
+    };
+    let cfg = ExperimentConfig::new(noc.clone(), PolicyKind::SensorWise)
+        .with_cycles(100, 1_000)
+        .with_telemetry(TelemetrySpec {
+            trace: true,
+            trace_capacity: 0,
+            sample_period: 0,
+        });
+    let spec = TrafficSpec::Uniform {
+        rate: 0.10,
+        seed: 7,
+    };
+    let mut traffic = spec.build(&noc);
+    run_experiment(&cfg, traffic.as_mut())
+        .trace_digest()
+        .expect("trace was requested")
+}
+
 /// Determinism across fabrics: the digest of a torus/ring run is a pure
-/// function of the configuration, like the mesh digests above.
+/// function of the configuration, and equals the golden captured before
+/// the cycle loop learned to visit only the units with work.
 #[test]
 fn non_mesh_digests_are_reproducible() {
     use noc_sim::config::TopologyKind;
 
-    for kind in [TopologyKind::Torus, TopologyKind::Ring] {
-        let digest = |_: u32| {
-            let noc = NocConfig {
-                cols: 4,
-                rows: 4,
-                vcs_per_port: 2,
-                topology: kind.clone(),
-                ..NocConfig::default()
-            };
-            let cfg = ExperimentConfig::new(noc.clone(), PolicyKind::SensorWise)
-                .with_cycles(100, 1_000)
-                .with_telemetry(TelemetrySpec {
-                    trace: true,
-                    trace_capacity: 0,
-                    sample_period: 0,
-                });
-            let spec = TrafficSpec::Uniform {
-                rate: 0.10,
-                seed: 7,
-            };
-            let mut traffic = spec.build(&noc);
-            run_experiment(&cfg, traffic.as_mut())
-                .trace_digest()
-                .expect("trace was requested")
-        };
-        assert_eq!(digest(0), digest(1), "{} digest not stable", kind.name());
+    for (kind, cols, rows, golden) in [
+        (TopologyKind::Torus, 4, 4, 0xcc46_3e24_b5ac_b3d8_u64),
+        (TopologyKind::Ring, 4, 4, 0xb161_cb14_7ced_94b3),
+        (TopologyKind::Ring, 8, 1, 0x787b_37e4_7f4e_384a),
+    ] {
+        let digest = non_mesh_digest(&kind, cols, rows);
+        assert_eq!(
+            digest,
+            non_mesh_digest(&kind, cols, rows),
+            "{} digest not stable",
+            kind.name()
+        );
+        assert_eq!(
+            digest,
+            golden,
+            "{} {cols}x{rows}: digest {digest:#018x} != golden {golden:#018x}",
+            kind.name()
+        );
     }
+}
+
+/// The seven work counters (bw, rc, va, sa, gate, policy, sensor).
+fn work_array(w: noc_telemetry::WorkCounters) -> [u64; 7] {
+    [
+        w.bw_writes,
+        w.rc_computes,
+        w.va_grants,
+        w.sa_grants,
+        w.gate_commands,
+        w.policy_evaluations,
+        w.sensor_reads,
+    ]
+}
+
+/// Multi-cycle links and credit returns: a 4×4 mesh with `link_latency`
+/// 3, `credit_latency` 2 and `wakeup_latency` 2 (2 VCs, uniform 0.12,
+/// 300+3000 cycles). The rr-no-sensor candidate rotates every 7 cycles:
+/// rotating every cycle would move the designation faster than a gated
+/// VC wakes, and nothing would flow. The trace digest and the seven work
+/// counters.
+fn multi_cycle_run(policy: PolicyKind) -> (u64, [u64; 7]) {
+    let noc = NocConfig {
+        link_latency: 3,
+        credit_latency: 2,
+        wakeup_latency: 2,
+        ..NocConfig::paper_synthetic(16, 2)
+    };
+    let mut cfg = ExperimentConfig::new(noc.clone(), policy)
+        .with_cycles(300, 3_000)
+        .with_pv_seed(0x70_70_01)
+        .with_telemetry(TelemetrySpec {
+            trace: true,
+            trace_capacity: 0,
+            sample_period: 0,
+        });
+    cfg.rr_rotation_period = 7;
+    let spec = TrafficSpec::Uniform {
+        rate: 0.12,
+        seed: 0xDEAD_0001,
+    };
+    let mut traffic = spec.build(&noc);
+    let result = run_experiment(&cfg, traffic.as_mut());
+    let digest = result.trace_digest().expect("trace was requested");
+    (digest, work_array(result.work))
+}
+
+#[test]
+fn multi_cycle_links_match_goldens() {
+    let golden: [(PolicyKind, (u64, [u64; 7])); 2] = [
+        (
+            PolicyKind::RrNoSensor,
+            (
+                0xbfe0_0e62_26ea_fa50,
+                [30_531, 4_799, 4_799, 23_965, 264_000, 264_000, 0],
+            ),
+        ),
+        (
+            PolicyKind::SensorWise,
+            (
+                0x03e7_c178_5ef6_b105,
+                [30_537, 4_801, 4_799, 23_983, 264_000, 264_000, 8_320],
+            ),
+        ),
+    ];
+    for (policy, want) in golden {
+        assert_eq!(
+            multi_cycle_run(policy),
+            want,
+            "{policy:?}: digest/work moved"
+        );
+    }
+}
+
+/// The sparse replay: an 8×8 mesh (2 VCs, sensor-wise, 100+1100 cycles)
+/// replaying a `hotspot-server` NBTITRC trace at 0.01 packets per node per
+/// cycle, encoded and decoded through the wire format. Most routers are
+/// idle on most cycles.
+fn sparse_replay_run() -> (u64, [u64; 7]) {
+    use noc_workload::{decode_trace, MixGenerator, MixKind, MixSpec, TraceSource};
+
+    let noc = NocConfig::paper_synthetic(64, 2);
+    let pv_seed = sensorwise::SyntheticScenario {
+        cores: 64,
+        vcs: 2,
+        injection_rate: 0.0,
+    }
+    .seed();
+    let cfg = ExperimentConfig::new(noc.clone(), PolicyKind::SensorWise)
+        .with_cycles(100, 1_100)
+        .with_pv_seed(pv_seed)
+        .with_telemetry(TelemetrySpec {
+            trace: true,
+            trace_capacity: 0,
+            sample_period: 0,
+        });
+    let spec = MixSpec {
+        kind: MixKind::HotspotServer,
+        nodes: 64,
+        rate: 0.01,
+        packet_len: noc.flits_per_packet as u16,
+        seed: 0x8888_0007,
+    };
+    let bytes = MixGenerator::new(spec)
+        .write_trace(1_200)
+        .expect("trace generation")
+        .finish();
+    let (_, records) = decode_trace(&bytes).expect("trace decodes");
+    let mut traffic = TraceSource::from_records(records, "hotspot-server");
+    let result = run_experiment(&cfg, &mut traffic);
+    let digest = result.trace_digest().expect("trace was requested");
+    (digest, work_array(result.work))
+}
+
+#[test]
+fn sparse_8x8_replay_matches_golden() {
+    assert_eq!(
+        sparse_replay_run(),
+        (
+            0xea21_a109_9a19_15af,
+            [11_908, 2_107, 1_999, 9_909, 422_400, 422_400, 13_376]
+        )
+    );
 }
 
 /// The same oracle across routing algorithms, pinning the adaptive
