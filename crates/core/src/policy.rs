@@ -24,17 +24,18 @@ use std::fmt;
 pub trait GatingPolicy {
     /// Computes this cycle's `Up_Down` payload for the port.
     ///
-    /// The result must be a function of `view`, `most_degraded` and
-    /// [`cycle_dependence`](Self::cycle_dependence) alone: the experiment
-    /// engine reuses a port's last action while those three are unchanged
-    /// (and the action's last application changed nothing).
+    /// The result must be a function of `view` and `most_degraded` alone
+    /// between two cycles [`next_change`](Self::next_change) names: the
+    /// experiment engine reuses a port's last action while those two are
+    /// unchanged (and the action's last application changed nothing), and
+    /// decides every port again on the cycle `next_change` reported.
     fn decide(&mut self, cycle: u64, view: &PortView, most_degraded: usize) -> GateAction;
 
-    /// What `decide` reads of `cycle`, as a value that changes whenever
-    /// that dependence does. The default is a constant: the decision
-    /// ignores the cycle.
-    fn cycle_dependence(&self, _cycle: u64, _num_vcs: usize) -> u64 {
-        0
+    /// The first cycle after `cycle` on which `decide` may answer the same
+    /// view and MD VC differently, or `u64::MAX` for never. The default is
+    /// never: the decision ignores the cycle.
+    fn next_change(&self, _cycle: u64, _num_vcs: usize) -> u64 {
+        u64::MAX
     }
 
     /// The policy's short name, matching the paper's terminology.
@@ -231,9 +232,15 @@ impl GatingPolicy for RrNoSensorPolicy {
         GateAction::AllIdleOff
     }
 
-    /// The rotation candidate, the only part of the cycle `decide` reads.
-    fn cycle_dependence(&self, cycle: u64, num_vcs: usize) -> u64 {
-        self.candidate(cycle, num_vcs) as u64
+    /// The next rotation of the candidate, the only part of the cycle
+    /// `decide` reads. With one VC the candidate never moves.
+    fn next_change(&self, cycle: u64, num_vcs: usize) -> u64 {
+        if num_vcs < 2 {
+            return u64::MAX;
+        }
+        (cycle / self.rotation_period)
+            .saturating_add(1)
+            .saturating_mul(self.rotation_period)
     }
 
     fn name(&self) -> &'static str {
@@ -456,10 +463,19 @@ mod tests {
     }
 
     #[test]
-    fn only_rr_decisions_depend_on_the_cycle() {
+    fn only_rr_decisions_change_with_the_cycle() {
         let rr = RrNoSensorPolicy::new(3);
-        let deps: Vec<u64> = (0..8).map(|c| rr.cycle_dependence(c, 2)).collect();
-        assert_eq!(deps, [0, 0, 0, 1, 1, 1, 0, 0]);
+        let next: Vec<u64> = (0..8).map(|c| rr.next_change(c, 2)).collect();
+        assert_eq!(next, [3, 3, 3, 6, 6, 6, 9, 9]);
+        // The reported cycle is exactly where the candidate moves.
+        for c in 0..20 {
+            let n = rr.next_change(c, 4);
+            assert!((c..n).all(|t| rr.candidate(t, 4) == rr.candidate(c, 4)));
+            assert_ne!(rr.candidate(n, 4), rr.candidate(c, 4));
+        }
+        assert_eq!(rr.next_change(5, 1), u64::MAX, "one VC never rotates");
+        let huge = RrNoSensorPolicy::new(1 << 63);
+        assert_eq!(huge.next_change(1 << 63, 2), u64::MAX, "saturates");
         for kind in [
             PolicyKind::Baseline,
             PolicyKind::SensorWiseNoTraffic,
@@ -467,7 +483,7 @@ mod tests {
             PolicyKind::SensorWiseK(2),
         ] {
             let p = kind.build(3);
-            assert!((0..8).all(|c| p.cycle_dependence(c, 2) == 0), "{kind}");
+            assert!((0..8).all(|c| p.next_change(c, 2) == u64::MAX), "{kind}");
         }
     }
 

@@ -64,6 +64,13 @@ impl Nic {
         }
     }
 
+    /// `true` when the NIC has nothing to do in a cycle: no queued or
+    /// streaming packet and no flit in its ejection buffers.
+    #[inline]
+    pub fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.current.is_none() && self.eject.occupied == 0
+    }
+
     /// `true` when a queued packet has no VC allocated yet.
     #[inline]
     pub fn has_new_traffic(&self) -> bool {

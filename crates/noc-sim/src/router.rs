@@ -114,7 +114,9 @@ impl Router {
     /// allocatable, matching the paper's single-new-VC-per-cycle property.
     ///
     /// Counts every grant into `work` and (when the sink is active) emits
-    /// one [`EventKind::VaGrant`] per grant.
+    /// one [`EventKind::VaGrant`] per grant. Returns the output ports that
+    /// granted, bit `o` for output `o`: their `active` and `waiting` masks
+    /// changed.
     pub fn vc_allocation<T: TraceSink>(
         &mut self,
         now: u64,
@@ -122,8 +124,9 @@ impl Router {
         node: NodeId,
         work: &mut WorkCounters,
         trace: &mut T,
-    ) {
+    ) -> u8 {
         let num_vcs = self.num_vcs();
+        let mut granted = 0u8;
         let inputs = &mut self.inputs;
         for (out_idx, out) in self.outputs.iter_mut().enumerate() {
             if !out.connected {
@@ -153,6 +156,7 @@ impl Router {
                     "an idle out VC must hold all its credits"
                 );
                 out.set_active(ovc);
+                granted |= 1 << out_idx;
                 work.va_grants += 1;
                 if T::ACTIVE {
                     trace.emit(TraceEvent {
@@ -168,6 +172,21 @@ impl Router {
                 }
             }
         }
+        granted
+    }
+
+    /// After a VA pass that granted nothing: whether some output has a
+    /// request and an idle, allocatable VC that is still waking up, so a
+    /// later VA pass may grant with nothing else changing.
+    pub fn waits_for_wakeup(&self) -> bool {
+        self.outputs.iter().zip(&self.waiting).any(|(out, words)| {
+            out.connected
+                && out.allocatable & !out.active != 0
+                && words
+                    .iter()
+                    .zip(&self.inputs)
+                    .any(|(&w, unit)| w & !unit.fresh != 0)
+        })
     }
 
     /// The SA stage: a separable, input-first allocator. Each input port

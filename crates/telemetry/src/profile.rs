@@ -15,29 +15,35 @@
 //! [`clock`](crate::clock), the sanctioned boundary the
 //! `no-wall-clock` analyze rule knows about.
 
+use crate::clock;
 use crate::hist::Histogram;
 use std::fmt;
+use std::time::Instant;
 
-/// The per-cycle pipeline stages the profiler distinguishes.
+/// The per-cycle pipeline stages the profiler distinguishes. They are
+/// disjoint and follow each other in this order, so their sum is the
+/// cycle loop's wall time minus what runs between cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Traffic injection before the cycle, timed by the experiment loop:
     /// the traffic source's packets for this cycle queued at their NICs.
     Inject,
-    /// The whole first half-cycle: credit absorption + buffer write + RC.
+    /// The first half-cycle up to routing: the credits and flits due this
+    /// cycle absorbed and written into their buffers (BW).
     BeginCycle,
-    /// Route computation alone (a subset of `BeginCycle` time).
+    /// Route computation (RC) of the head flits written this cycle.
     Routing,
-    /// VC allocation + switch allocation.
-    Allocation,
-    /// Switch and link traversal of SA winners.
-    Traversal,
     /// The mid-cycle gating-controller slot, timed by the experiment
-    /// loop: a key read per port, plus `port_view` + `decide` +
-    /// `apply_gate` (and the duty flush of a changed power mask) for the
-    /// ports whose last decision cannot be reused.
+    /// loop: `port_view` + `decide` + `apply_gate` (and the duty flush of
+    /// a changed power mask) for the marked ports whose last decision
+    /// cannot be reused.
     Controller,
-    /// The whole second half-cycle: VA/SA/traversal + NIC inject/eject.
+    /// VC allocation + switch allocation of every router holding a flit.
+    Allocation,
+    /// Switch and link traversal of this cycle's SA winners.
+    Traversal,
+    /// The rest of the second half-cycle: NIC injection and ejection, the
+    /// cycle advance and the invariant checks.
     FinishCycle,
     /// The end-of-cycle NBTI duty bookkeeping, timed by the experiment
     /// loop: flushing every port's stress run before a series sample or
@@ -54,9 +60,9 @@ impl Stage {
         Stage::Inject,
         Stage::BeginCycle,
         Stage::Routing,
+        Stage::Controller,
         Stage::Allocation,
         Stage::Traversal,
-        Stage::Controller,
         Stage::FinishCycle,
         Stage::Monitor,
     ];
@@ -68,9 +74,9 @@ impl Stage {
             Stage::Inject => "inject",
             Stage::BeginCycle => "begin_cycle",
             Stage::Routing => "routing",
+            Stage::Controller => "controller",
             Stage::Allocation => "allocation",
             Stage::Traversal => "traversal",
-            Stage::Controller => "controller",
             Stage::FinishCycle => "finish_cycle",
             Stage::Monitor => "monitor",
         }
@@ -82,6 +88,11 @@ impl Stage {
 /// Mirrors [`TraceSink`](crate::sink::TraceSink): implementors that
 /// actually record keep [`Profiler::ENABLED`] at its default `true`; the
 /// simulator skips every clock read when it is `false`.
+///
+/// The cycle loop times its stages as laps: [`start_lap`](Self::start_lap)
+/// at the top of a cycle, then one [`lap`](Self::lap) at the end of each
+/// stage. Each stage boundary is one clock read, and consecutive stages
+/// share it.
 pub trait Profiler {
     /// Whether timing sites should read the clock at all. `false`
     /// compiles profiling out of the cycle loop.
@@ -89,6 +100,14 @@ pub trait Profiler {
 
     /// Records one per-cycle duration for `stage`, in nanoseconds.
     fn record(&mut self, stage: Stage, ns: u64);
+
+    /// Starts a chain of laps: one clock read, nothing recorded.
+    fn start_lap(&mut self) {}
+
+    /// Ends `stage` now: records the time since the previous lap (or the
+    /// chain's start) under it. A lap with no chain started records
+    /// nothing and starts one.
+    fn lap(&mut self, _stage: Stage) {}
 }
 
 /// The do-nothing profiler: the default, compiled to nothing.
@@ -107,6 +126,8 @@ impl Profiler for NullProfiler {
 #[derive(Debug, Clone)]
 pub struct StageProfiler {
     hists: [Histogram; Stage::COUNT],
+    /// The clock read ending the previous lap.
+    last: Option<Instant>,
 }
 
 impl Default for StageProfiler {
@@ -121,6 +142,7 @@ impl StageProfiler {
     pub const fn new() -> Self {
         StageProfiler {
             hists: [Histogram::new(); Stage::COUNT],
+            last: None,
         }
     }
 
@@ -157,6 +179,20 @@ impl Profiler for StageProfiler {
     #[inline]
     fn record(&mut self, stage: Stage, ns: u64) {
         self.hists[stage as usize].record(ns);
+    }
+
+    #[inline]
+    fn start_lap(&mut self) {
+        self.last = Some(clock::now());
+    }
+
+    #[inline]
+    fn lap(&mut self, stage: Stage) {
+        let now = clock::now();
+        if let Some(last) = self.last.replace(now) {
+            let ns = u64::try_from(now.duration_since(last).as_nanos()).unwrap_or(u64::MAX);
+            self.record(stage, ns);
+        }
     }
 }
 
@@ -227,6 +263,29 @@ mod tests {
         assert!(enabled::<StageProfiler>());
         let mut p = NullProfiler;
         p.record(Stage::Routing, 123);
+    }
+
+    #[test]
+    fn laps_record_one_duration_per_stage_after_a_start() {
+        let mut p = StageProfiler::new();
+        // No chain yet: the first lap only starts one.
+        p.lap(Stage::Inject);
+        assert_eq!(p.stage(Stage::Inject).count(), 0);
+        p.lap(Stage::BeginCycle);
+        p.start_lap();
+        p.lap(Stage::Routing);
+        p.lap(Stage::Controller);
+        for (s, n) in [
+            (Stage::BeginCycle, 1),
+            (Stage::Routing, 1),
+            (Stage::Controller, 1),
+            (Stage::Allocation, 0),
+        ] {
+            assert_eq!(p.stage(s).count(), n, "{}", s.name());
+        }
+        let mut null = NullProfiler;
+        null.start_lap();
+        null.lap(Stage::Monitor);
     }
 
     #[test]

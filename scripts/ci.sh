@@ -63,6 +63,13 @@ if grep -rnE 'BoundedQueue|PushError|fn forget|is_epoch_request|fn render_json' 
     echo "ci: a second record of the job lifecycle or a second submission parse is back" >&2
     exit 1
 fi
+# One record of when a policy's decision changes with the cycle: policies
+# report the next such cycle, and the per-port, per-cycle dependence probe
+# stays deleted.
+if grep -rn 'cycle_dependence' crates src tests; then
+    echo "ci: the per-port cycle-dependence probe is back" >&2
+    exit 1
+fi
 if grep -rnE --include='*.rs' 'fn percentile|struct AtomicHistogram' crates src tests \
     | grep -v '^crates/telemetry/'; then
     echo "ci: percentile or AtomicHistogram is defined outside noc-telemetry" >&2
@@ -162,7 +169,7 @@ for stage in inject begin_cycle routing allocation traversal controller finish_c
         exit 1
     }
 done
-grep -q "^residual = wall - (inject + begin_cycle + controller + finish_cycle + monitor)" \
+grep -q "^residual = wall - (inject + begin_cycle + routing + controller + allocation + traversal + finish_cycle + monitor)" \
     "$teldir/profile.log" || {
     cat "$teldir/profile.log" >&2
     echo "ci: run --profile printed no residual" >&2
@@ -182,6 +189,10 @@ PROPTEST_CASES=256 cargo test -q --release --offline -p sensorwise --test engine
 # arbiter shape up to five words of 32 VCs, any pointer and any requests.
 PROPTEST_CASES=256 cargo test -q --release --offline -p noc-sim --test props \
     mask_grants_equal_the_probe_order
+# The due schedule at depth: on random meshes, latencies and traffic, each
+# cycle delivers exactly what a scan of every link FIFO finds due.
+PROPTEST_CASES=256 cargo test -q --release --offline -p noc-sim --test props \
+    due_schedule_delivers_what_a_scan_of_every_link_finds
 
 # Workload smoke: generate a deterministic mix trace, verify every chunk
 # checksum, then require the live-mix run and the trace replay to agree

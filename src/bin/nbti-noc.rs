@@ -280,22 +280,15 @@ fn report_profile(prof: &StageProfiler, cycles: u64, wall_ms: f64, json: bool) {
     let report = prof.report();
     // cycles/ms is numerically kcycles/s.
     let kcps = cycles as f64 / wall_ms;
-    // The disjoint stages; routing, allocation and traversal nest inside
-    // the two half-cycles.
-    let disjoint = [
-        Stage::Inject,
-        Stage::BeginCycle,
-        Stage::Controller,
-        Stage::FinishCycle,
-        Stage::Monitor,
-    ];
-    let staged_ms = disjoint
+    // The stages are disjoint; the residual is everything outside them.
+    let staged_ms = Stage::ALL
         .iter()
         .map(|&s| prof.stage(s).sum() as f64 / 1e6)
         .sum::<f64>();
+    let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
     let residual = format!(
-        "residual = wall - (inject + begin_cycle + controller + finish_cycle + monitor) \
-         = {wall_ms:.2} - {staged_ms:.2} = {:.2} ms",
+        "residual = wall - ({}) = {wall_ms:.2} - {staged_ms:.2} = {:.2} ms",
+        names.join(" + "),
         wall_ms - staged_ms
     );
     let summary = format!("profiled {cycles} cycles in {wall_ms:.1} ms ({kcps:.1} kcycles/s)");

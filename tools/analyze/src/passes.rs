@@ -173,6 +173,20 @@ pub const HOT_ENTRY_POINTS: &[&str] = &[
     "decide",
     "record_cycle",
     "most_degraded",
+    // The per-cycle bookkeeping that makes a cycle visit only the units
+    // with work: the due schedule's drain and delivery, the port marks and
+    // the active-NIC step.
+    "pop_due",
+    "deliver_due",
+    "absorb_credits",
+    "traverse",
+    "mark_port_at",
+    "mark_all_ports",
+    "take_marked_ports",
+    "set_bit",
+    "clear_bit",
+    "step_nic",
+    "waits_for_wakeup",
     // The per-cycle injection surface of the traffic sources and the
     // workload adapters.
     "inject_from",
