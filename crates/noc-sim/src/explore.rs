@@ -53,9 +53,9 @@
 
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::network::Network;
-use crate::router::NUM_PORTS;
+use crate::router::{NO_SLOT, NUM_PORTS};
+use crate::topology::Topology;
 use crate::types::Direction;
-use crate::unit::{InputUnit, OutputUnit};
 use noc_telemetry::TraceSink;
 use std::collections::BTreeMap;
 
@@ -157,9 +157,8 @@ fn symmetry_group(cols: usize, rows: usize, vcs: usize) -> Vec<Relabel> {
                 dir_fwd[d.index()] = mapped.index();
             }
             for vc_fwd in &vc_perms {
-                let identity = !flip_x
-                    && !flip_y
-                    && vc_fwd.iter().enumerate().all(|(i, &v)| i == v);
+                let identity =
+                    !flip_x && !flip_y && vc_fwd.iter().enumerate().all(|(i, &v)| i == v);
                 group.push(Relabel {
                     node_fwd: node_fwd.clone(),
                     node_inv: invert(&node_fwd),
@@ -202,17 +201,18 @@ impl Encoder<'_> {
         self.push(v);
     }
 
-    fn flit(&mut self, f: &Flit) {
-        self.packet(f.packet);
+    fn flit<T: TraceSink>(&mut self, net: &Network<T>, f: &Flit) {
+        let info = net.packets.get(f.packet);
+        self.packet(info.id);
         self.push(match f.kind {
             FlitKind::Head => 0,
             FlitKind::Body => 1,
             FlitKind::Tail => 2,
             FlitKind::HeadTail => 3,
         });
-        self.push(self.relabel.node_fwd[f.dst.index()] as u8);
+        self.push(self.relabel.node_fwd[info.dst.index()] as u8);
         self.push(f.seq.min(255) as u8);
-        self.push(self.relabel.vc_fwd[f.vc] as u8);
+        self.push(self.relabel.vc_fwd[usize::from(f.vc)] as u8);
         self.ready_delta();
     }
 
@@ -224,69 +224,81 @@ impl Encoder<'_> {
         self.push(0);
     }
 
-    /// `waiting` holds the unit's VCs that wait for VA (router inputs).
-    /// A NIC's ejection side (`eject`) has no VA: its active VCs keep the
-    /// encoding of a head waiting on the local port.
-    fn input_unit(&mut self, unit: &InputUnit, waiting: u32, eject: bool) {
+    /// The downstream side of the port at `slot`: its input VCs and the
+    /// flits on its link. A boundary port ([`NO_SLOT`]) is gated, idle and
+    /// empty forever. `waiting` holds the slot's VCs that wait for VA
+    /// (router inputs). A NIC's ejection side (`eject`) has no VA: its
+    /// active VCs keep the encoding of a head waiting on the local port.
+    fn input_unit<T: TraceSink>(&mut self, net: &Network<T>, slot: u32, waiting: u32, eject: bool) {
         let vcs = self.relabel.vc_inv.len();
+        if slot == NO_SLOT {
+            // Per VC: unpowered, idle, ready, no flit; no flit in flight.
+            self.out.resize(self.out.len() + 6 * vcs + 1, 0);
+            return;
+        }
+        let (arena, slot) = (&net.arena, slot as usize);
+        let m = arena.masks[slot];
         for new_v in 0..vcs {
             let old_v = self.relabel.vc_inv[new_v];
-            let vc = &unit.vcs[old_v];
+            let vc = arena.in_vcs[arena.vc_index(slot, old_v)];
+            let route = self.relabel.dir_fwd[usize::from(vc.route)] as u8;
             let bit = 1 << old_v;
-            self.push(u8::from(unit.is_powered(old_v)));
-            if eject && unit.active & bit != 0 {
-                self.push(1);
-                self.push(self.relabel.dir_fwd[Direction::Local.index()] as u8);
-                self.push(0);
-            } else if waiting & bit != 0 {
-                self.push(1);
-                self.push(self.relabel.dir_fwd[vc.route.index()] as u8);
-                self.push(0);
-            } else if unit.active & bit != 0 {
-                self.push(2);
-                self.push(self.relabel.dir_fwd[vc.route.index()] as u8);
-                self.push(self.relabel.vc_fwd[vc.out_vc] as u8);
+            self.push(u8::from(m.powered & bit != 0));
+            // An ejection VC's route stays `Local`.
+            let state = if waiting & bit != 0 || (eject && m.in_active & bit != 0) {
+                [1, route, 0]
+            } else if m.in_active & bit != 0 {
+                [2, route, self.relabel.vc_fwd[usize::from(vc.out_vc)] as u8]
             } else {
-                self.push(0);
-                self.push(0);
-                self.push(0);
-            }
+                [0; 3]
+            };
+            self.out.extend_from_slice(&state);
             self.ready_delta();
-            self.push(vc.buffer.len() as u8);
-            for f in &vc.buffer {
-                self.flit(f);
+            self.push(vc.len);
+            for f in arena.buffer(slot, old_v) {
+                self.flit(net, f);
             }
         }
-        self.push(unit.arrivals.len() as u8);
-        for (due, f) in &unit.arrivals {
-            self.delta(*due);
-            self.flit(f);
+        self.push(net.due.flits_into(slot).count() as u8);
+        for (due, f) in net.due.flits_into(slot) {
+            self.delta(due);
+            self.flit(net, &f);
         }
     }
 
-    /// `ports` is the size of the output unit's input-port space (routers:
-    /// [`NUM_PORTS`], NIC injectors: 1); the VA arbiter indexes the flat
-    /// `(port, vc)` space.
-    fn output_unit(&mut self, unit: &OutputUnit, ports: usize) {
+    /// The upstream side of the port at `slot`: its output VCs and the
+    /// credits returning to it, then the VA and output-SA arbiter pointers
+    /// `arbiters`. A boundary port ([`NO_SLOT`]) keeps idle, allocatable
+    /// VCs with full credits forever.
+    fn output_unit<T: TraceSink>(&mut self, net: &Network<T>, slot: u32, arbiters: [usize; 2]) {
         let vcs = self.relabel.vc_inv.len();
-        for new_v in 0..vcs {
-            let old_v = self.relabel.vc_inv[new_v];
-            let vc = &unit.vcs[old_v];
-            self.push(u8::from(unit.is_active(old_v)));
-            self.push(vc.credits as u8);
-            self.push(u8::from(unit.allocatable & (1 << old_v) != 0));
-            self.delta(vc.usable_at);
-        }
-        self.push(unit.credit_arrivals.len() as u8);
-        for &(due, credit) in &unit.credit_arrivals {
-            self.delta(due);
-            self.push(self.relabel.vc_fwd[credit.vc] as u8);
-            self.push(u8::from(credit.is_free));
+        if slot == NO_SLOT {
+            let depth = net.config().buffer_depth as u8;
+            for _ in 0..vcs {
+                self.out.extend_from_slice(&[0, depth, 1, 0]);
+            }
+            self.push(0);
+        } else {
+            let (arena, slot) = (&net.arena, slot as usize);
+            let m = arena.masks[slot];
+            for new_v in 0..vcs {
+                let old_v = self.relabel.vc_inv[new_v];
+                let i = arena.vc_index(slot, old_v);
+                self.push(u8::from(m.out_active & (1 << old_v) != 0));
+                self.push(arena.credits[i] as u8);
+                self.push(u8::from(m.allocatable & (1 << old_v) != 0));
+                self.delta(arena.usable_at[i]);
+            }
+            self.push(net.due.credits_to(slot).count() as u8);
+            for (due, credit) in net.due.credits_to(slot) {
+                self.delta(due);
+                self.push(self.relabel.vc_fwd[usize::from(credit.vc)] as u8);
+                self.push(u8::from(credit.is_free));
+            }
         }
         if self.relabel.identity {
-            let _ = ports;
-            self.push(unit.va_arb.priority() as u8);
-            self.push(unit.sa_arb.priority() as u8);
+            self.push(arbiters[0] as u8);
+            self.push(arbiters[1] as u8);
         }
     }
 }
@@ -310,11 +322,15 @@ fn encode_with<T: TraceSink>(net: &Network<T>, relabel: &Relabel) -> Vec<u8> {
         let router = &net.routers[old_n];
         for new_d in 0..NUM_PORTS {
             let old_d = relabel.dir_inv[new_d];
-            e.input_unit(&router.inputs[old_d], router.waiting_at(old_d), false);
+            e.input_unit(net, router.in_slot[old_d], router.waiting_at(old_d), false);
         }
         for new_d in 0..NUM_PORTS {
             let old_d = relabel.dir_inv[new_d];
-            e.output_unit(&router.outputs[old_d], NUM_PORTS);
+            let arbiters = [
+                router.va_arbs[old_d].priority(),
+                router.sa_out_arbs[old_d].priority(),
+            ];
+            e.output_unit(net, router.out_slot[old_d], arbiters);
         }
         if relabel.identity {
             for new_d in 0..NUM_PORTS {
@@ -348,8 +364,9 @@ fn encode_with<T: TraceSink>(net: &Network<T>, relabel: &Relabel) -> Vec<u8> {
                 e.push(relabel.vc_fwd[out_vc] as u8);
             }
         }
-        e.output_unit(&nic.inject, 1);
-        e.input_unit(&nic.eject, 0, true);
+        // A NIC allocates without arbitration: its pointers stay at 0.
+        e.output_unit(net, nic.inject as u32, [0, 0]);
+        e.input_unit(net, nic.eject as u32, 0, true);
     }
     debug_assert!(vcs <= 255, "encoding uses one byte per VC index");
     e.out
@@ -364,7 +381,10 @@ fn encode_with<T: TraceSink>(net: &Network<T>, relabel: &Relabel) -> Vec<u8> {
 /// Panics when called mid-cycle (between [`Network::begin_cycle`] and
 /// [`Network::finish_cycle`]).
 pub fn encode<T: TraceSink>(net: &Network<T>) -> Vec<u8> {
-    encode_with(net, &Relabel::identity(net.topology().num_nodes(), net.config().vcs_per_port))
+    encode_with(
+        net,
+        &Relabel::identity(net.topology().num_nodes(), net.config().vcs_per_port),
+    )
 }
 
 /// The canonical encoding under the symmetry group (see the module docs

@@ -143,6 +143,19 @@ pub struct InvariantViolation {
     pub detail: String,
 }
 
+impl InvariantViolation {
+    /// A violation of `kind` detected at `cycle`. The evidence is only
+    /// formatted here, so the checks pay nothing for it until one fails.
+    pub(crate) fn new(cycle: u64, kind: InvariantKind, detail: fmt::Arguments<'_>) -> Self {
+        InvariantViolation {
+            cycle,
+            kind,
+            // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+            detail: detail.to_string(),
+        }
+    }
+}
+
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "cycle {}: [{}] {}", self.cycle, self.kind, self.detail)

@@ -16,13 +16,19 @@
 //! [`Network::step`] performs both halves with no gating changes (the
 //! NBTI-unaware baseline).
 //!
+//! Every buffer port is a *port slot* (its index in
+//! [`Network::port_ids`]): one link, seen from the agent that allocates its
+//! VCs and from the buffers it feeds. The VC state of all slots lives in
+//! one arena of flat arrays (`unit.rs`); routers and NICs address it by
+//! slot.
+//!
 //! A cycle costs in proportion to the traffic, not to the fabric. Three
 //! records, each kept by the code that changes what it tracks, tell the
 //! cycle where the work is:
 //!
-//! - the *due schedule*: which port slot has a flit or a credit due on
-//!   which cycle, so `begin_cycle` touches only the links and credit
-//!   returns with something arriving;
+//! - the *due schedule*: the flits and credits in flight, each with the
+//!   slot and cycle it is due at, so `begin_cycle` touches only the links
+//!   and credit returns with something arriving;
 //! - the *busy routers* and *active NICs*: the routers holding a flit and
 //!   the NICs with a queued or streaming packet or an occupied ejection
 //!   VC, so `finish_cycle` allocates, traverses and runs NICs only there.
@@ -35,17 +41,17 @@
 //!   ([`Network::take_marked_ports`]), so a controller re-reads only those.
 
 use crate::config::{InvalidConfigError, NocConfig};
-use crate::flit::PacketId;
+use crate::flit::{Flit, Packet, PacketId, PacketTable};
 use crate::invariants::{
     InvariantKind, InvariantLevel, InvariantViolation, MAX_RECORDED_VIOLATIONS,
 };
-use crate::nic::{EjectedPacket, Nic, PendingPacket};
-use crate::router::{Router, SaWinner, NUM_PORTS};
+use crate::nic::Nic;
+use crate::router::{Router, SaWinner, NO_SLOT, NUM_PORTS};
 use crate::snapshot::{NetworkSnapshot, PortState, SnapshotStateError};
 use crate::stats::NetStats;
-use crate::topology::AnyTopology;
+use crate::topology::{AnyTopology, Topology};
 use crate::types::{Direction, NodeId};
-use crate::unit::{all_vcs, Credit, InputUnit, OutputUnit};
+use crate::unit::{all_vcs, Arena, Credit};
 use crate::view::{GateAction, PortId, PortKey, PortView, VcStatus};
 use noc_telemetry::{
     EventKind, NullProfiler, NullSink, Profiler, Stage, TraceEvent, TraceSink, WorkCounters,
@@ -62,70 +68,71 @@ pub(crate) enum Phase {
     Mid,
 }
 
-/// Internal address of an upstream agent (the VC-allocating side).
-#[derive(Debug, Clone, Copy)]
-enum Upstream {
-    RouterOut { node: usize, port: usize },
-    NicInject { node: usize },
-}
+/// The port index of a slot end at a NIC: its injection side upstream, its
+/// ejection side downstream.
+const NIC_SIDE: u8 = NUM_PORTS as u8;
 
-/// Internal address of a downstream buffer set.
+/// The two ends of a port slot, resolved once at construction: the node
+/// and router output port (or [`NIC_SIDE`]) whose agent allocates the
+/// slot's VCs, and the node and router input port (or [`NIC_SIDE`]) whose
+/// buffers it feeds.
 #[derive(Debug, Clone, Copy)]
-enum Downstream {
-    RouterIn { node: usize, port: usize },
-    NicEject { node: usize },
-}
-
-/// A buffer port resolved once, at construction: the agent that allocates
-/// its VCs and the buffers it feeds.
-#[derive(Debug, Clone, Copy)]
-struct PortSlot {
-    up: Upstream,
-    down: Downstream,
-}
-
-/// `slot_of` entry of a boundary port, which has no upstream link.
-const NO_SLOT: u32 = u32::MAX;
-
-/// One router's ports as port slots, resolved once at construction so the
-/// traversal of a flit never walks the topology: per input port, its own
-/// slot, whose upstream agent its credits return to (for the local port,
-/// the NIC's injection side); per output port, the slot whose buffers its
-/// flits enter (for the local port, the NIC's ejection side). [`NO_SLOT`]
-/// marks a boundary port, which never carries a flit.
-#[derive(Debug, Clone, Copy)]
-struct RouterPeers {
-    in_slot: [u32; NUM_PORTS],
-    out_slot: [u32; NUM_PORTS],
+struct SlotEnds {
+    up_node: u32,
+    up_port: u8,
+    down_node: u32,
+    down_port: u8,
 }
 
 /// The local port, where a router meets its NIC.
 const LOCAL: usize = Direction::Local.index();
 
-/// The due schedule: per port slot, the cycles on which a flit or a credit
-/// is due there, in the order they were sent. Each queue holds one kind of
-/// trip, and every trip of a kind takes the same number of cycles, so each
-/// queue is already sorted by due cycle: `begin_cycle` pops its fronts
-/// until the next entry lies in the future. The link FIFOs themselves
-/// (`InputUnit::arrivals`, `OutputUnit::credit_arrivals`) are unchanged;
-/// an entry here only says which FIFO has a front that is due.
+/// A flit on its link, due at the slot whose buffers it enters.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    slot: u32,
+    flit: Flit,
+}
+
+/// The due schedule: every flit and credit in flight, with the cycle it is
+/// due, in the order it was sent. Each queue holds one kind of trip, and
+/// every trip of a kind takes the same number of cycles, so each queue is
+/// already sorted by due cycle: `begin_cycle` pops its fronts until the
+/// next entry lies in the future. A link is serial, so the entries of one
+/// slot are that link's FIFO.
 #[derive(Debug, Clone, Default)]
-struct DueSchedule {
-    /// Flits that won SA, due `1 + link_latency` cycles later at the slot
-    /// whose buffers they enter.
-    hops: VecDeque<(u64, u32)>,
+pub(crate) struct DueSchedule {
+    /// Flits that won SA, due `1 + link_latency` cycles later.
+    hops: VecDeque<(u64, Hop)>,
     /// Flits a NIC streamed, due `link_latency` cycles later at its
     /// router's local input slot.
-    injections: VecDeque<(u64, u32)>,
-    /// Credits, due `credit_latency` cycles later at the slot whose
-    /// upstream agent they return to. A NIC's ejection side sends all of a
-    /// cycle's credits as one entry.
-    credits: VecDeque<(u64, u32)>,
+    injections: VecDeque<(u64, Hop)>,
+    /// Credits, due `credit_latency` cycles later at the upstream agent of
+    /// their slot.
+    credits: VecDeque<(u64, Credit)>,
 }
 
 impl DueSchedule {
     fn is_empty(&self) -> bool {
         self.hops.is_empty() && self.injections.is_empty() && self.credits.is_empty()
+    }
+
+    /// The flits in flight into `slot`, in FIFO order.
+    pub(crate) fn flits_into(&self, slot: usize) -> impl Iterator<Item = (u64, Flit)> + '_ {
+        self.hops
+            .iter()
+            .chain(&self.injections)
+            .filter(move |(_, hop)| hop.slot as usize == slot)
+            .map(|&(when, hop)| (when, hop.flit))
+    }
+
+    /// The credits in flight back to the upstream agent of `slot`, in FIFO
+    /// order.
+    pub(crate) fn credits_to(&self, slot: usize) -> impl Iterator<Item = (u64, Credit)> + '_ {
+        self.credits
+            .iter()
+            .filter(move |(_, c)| c.slot as usize == slot)
+            .copied()
     }
 }
 
@@ -184,22 +191,24 @@ pub struct Network<T: TraceSink = NullSink> {
     topo: AnyTopology,
     pub(crate) routers: Vec<Router>,
     pub(crate) nics: Vec<Nic>,
+    /// The VC state of every port slot.
+    pub(crate) arena: Arena,
+    /// The packets in flight, indexed by [`Flit::packet`].
+    pub(crate) packets: PacketTable,
     cycle: u64,
     pub(crate) phase: Phase,
     stats: NetStats,
     next_packet: u64,
     port_ids: Vec<PortId>,
-    /// The port slot table: [`PortId::dense_key`] → index into `port_ids`
-    /// and `slots`, or [`NO_SLOT`] for a boundary port.
+    /// The port slot table: [`PortId::dense_key`] → slot, or [`NO_SLOT`]
+    /// for a boundary port.
     slot_of: Vec<u32>,
-    /// The resolved agents of `port_ids[i]`.
-    slots: Vec<PortSlot>,
-    /// Per router, its ports' slots (the traversal's peer table).
-    peers: Vec<RouterPeers>,
+    /// Per slot, its two ends.
+    ends: Vec<SlotEnds>,
     /// Flits and credits in flight, by due cycle.
-    due: DueSchedule,
+    pub(crate) due: DueSchedule,
     /// The slots whose links delivered flits in the last `begin_cycle`:
-    /// the only units that may hold a `fresh` bit.
+    /// the only slots that may hold a `fresh` bit.
     delivered: Vec<u32>,
     /// Heads written this cycle, routed once every due flit is written.
     heads: Vec<PendingRoute>,
@@ -231,10 +240,9 @@ pub struct Network<T: TraceSink = NullSink> {
     /// Deterministic per-stage work counters (always maintained; plain
     /// integer increments).
     work: WorkCounters,
-    /// Scratch buffers reused by the per-cycle ejection drain so the
-    /// steady state never allocates (they keep their capacity).
-    eject_credits: Vec<Credit>,
-    eject_done: Vec<EjectedPacket>,
+    /// Scratch reused by the per-cycle ejection drain so the steady state
+    /// never allocates (it keeps its capacity).
+    eject_done: Vec<Packet>,
 }
 
 impl Network {
@@ -258,92 +266,66 @@ impl<T: TraceSink> Network<T> {
     pub fn with_sink(cfg: NocConfig, sink: T) -> Result<Self, InvalidConfigError> {
         cfg.validate()?;
         let topo = cfg.build_topology()?;
-        let routers: Vec<Router> = topo
-            .node_ids()
-            .map(NodeId)
-            .map(|node| {
-                let mut connected = [true; NUM_PORTS];
-                for d in Direction::MESH {
-                    connected[d.index()] = topo.link_peer(node, d).is_some();
-                }
-                Router::new(cfg.vcs_per_port, cfg.buffer_depth, connected)
-            })
-            .collect();
-        let nics: Vec<Nic> = topo
-            .node_ids()
-            .map(NodeId)
-            .map(|node| Nic::new(node, cfg.vcs_per_port, cfg.buffer_depth))
-            .collect();
-        let mut port_ids = Vec::new();
-        let mut slots = Vec::new();
-        let mut slot_of = vec![NO_SLOT; routers.len() * PortId::KINDS_PER_NODE];
-        let mut add = |port: PortId, up: Upstream, down: Downstream| {
-            slot_of[port.dense_key()] = port_ids.len() as u32;
+        let nodes = topo.num_nodes();
+        let mut routers = vec![Router::new(cfg.vcs_per_port); nodes];
+        let (mut port_ids, mut ends) = (Vec::new(), Vec::new());
+        let mut slot_of = vec![NO_SLOT; nodes * PortId::KINDS_PER_NODE];
+        let mut add = |port: PortId, up: (usize, usize), down: (usize, usize)| {
+            let ((up_node, up_port), (down_node, down_port)) = (up, down);
+            let slot = port_ids.len() as u32;
+            slot_of[port.dense_key()] = slot;
             port_ids.push(port);
-            slots.push(PortSlot { up, down });
+            if let Some(s) = routers[up_node].out_slot.get_mut(up_port) {
+                *s = slot;
+            }
+            if let Some(s) = routers[down_node].in_slot.get_mut(down_port) {
+                *s = slot;
+            }
+            ends.push(SlotEnds {
+                up_node: up_node as u32,
+                up_port: up_port as u8,
+                down_node: down_node as u32,
+                down_port: down_port as u8,
+            });
         };
+        let nic = usize::from(NIC_SIDE);
         for node in topo.node_ids() {
             for d in Direction::MESH {
                 if let Some((up, up_port)) = topo.link_peer(NodeId(node), d) {
-                    add(
-                        PortId::router_input(NodeId(node), d),
-                        Upstream::RouterOut {
-                            node: up.index(),
-                            port: up_port.index(),
-                        },
-                        Downstream::RouterIn {
-                            node,
-                            port: d.index(),
-                        },
-                    );
+                    let port = PortId::router_input(NodeId(node), d);
+                    add(port, (up.index(), up_port.index()), (node, d.index()));
                 }
             }
-            add(
-                PortId::router_input(NodeId(node), Direction::Local),
-                Upstream::NicInject { node },
-                Downstream::RouterIn {
-                    node,
-                    port: Direction::Local.index(),
-                },
-            );
-            add(
-                PortId::nic_eject(NodeId(node)),
-                Upstream::RouterOut {
-                    node,
-                    port: Direction::Local.index(),
-                },
-                Downstream::NicEject { node },
-            );
+            let local = PortId::router_input(NodeId(node), Direction::Local);
+            add(local, (node, nic), (node, LOCAL));
+            add(PortId::nic_eject(NodeId(node)), (node, LOCAL), (node, nic));
         }
-        let mut peers = vec![
-            RouterPeers {
-                in_slot: [NO_SLOT; NUM_PORTS],
-                out_slot: [NO_SLOT; NUM_PORTS],
-            };
-            routers.len()
-        ];
-        for (i, slot) in slots.iter().enumerate() {
-            if let Downstream::RouterIn { node, port } = slot.down {
-                peers[node].in_slot[port] = i as u32;
-            }
-            if let Upstream::RouterOut { node, port } = slot.up {
-                peers[node].out_slot[port] = i as u32;
-            }
-        }
-        let (nodes, num_slots) = (routers.len(), slots.len());
+        let nics: Vec<Nic> = routers
+            .iter()
+            .enumerate()
+            .map(|(n, r)| {
+                Nic::new(
+                    NodeId(n),
+                    r.in_slot[LOCAL] as usize,
+                    r.out_slot[LOCAL] as usize,
+                )
+            })
+            .collect();
+        let num_slots = port_ids.len();
         Ok(Network {
+            arena: Arena::new(num_slots, cfg.vcs_per_port, cfg.buffer_depth),
             cfg,
             topo,
             routers,
             nics,
+            packets: PacketTable::default(),
             cycle: 0,
             phase: Phase::Idle,
             stats: NetStats::default(),
             next_packet: 0,
             port_ids,
             slot_of,
-            slots,
-            peers,
+            ends,
             due: DueSchedule::default(),
             delivered: Vec::new(),
             heads: Vec::new(),
@@ -358,7 +340,6 @@ impl<T: TraceSink> Network<T> {
             flits_ejected_total: 0,
             trace: sink,
             work: WorkCounters::default(),
-            eject_credits: Vec::new(),
             eject_done: Vec::new(),
         })
     }
@@ -425,15 +406,16 @@ impl<T: TraceSink> Network<T> {
         assert!(len > 0, "packets have at least one flit");
         let id = PacketId(self.next_packet);
         self.next_packet += 1;
-        self.nics[src.index()].queue.push_back(PendingPacket {
+        let nic = &mut self.nics[src.index()];
+        nic.queue.push_back(Packet {
             id,
             dst,
             len,
-            queued_at: self.cycle,
+            injected_at: self.cycle,
         });
         // The local port now sees new traffic, and the NIC has work.
-        let slot = self.peers[src.index()].in_slot[LOCAL];
-        set_bit(&mut self.marked, slot as usize);
+        self.arena.masks[nic.inject].new_traffic = true;
+        set_bit(&mut self.marked, nic.inject);
         set_bit(&mut self.active_nics, src.index());
         self.stats.packets_injected += 1;
         id
@@ -461,47 +443,6 @@ impl<T: TraceSink> Network<T> {
         match self.slot_of[port.dense_key()] {
             NO_SLOT => panic!("port {port} has no upstream link"),
             slot => slot as usize,
-        }
-    }
-
-    /// Looks `port` up in the slot table.
-    ///
-    /// # Panics
-    ///
-    /// As [`slot`](Self::slot).
-    fn resolve(&self, port: PortId) -> PortSlot {
-        self.slots[self.slot(port)]
-    }
-
-    /// The output VC state of an upstream agent.
-    #[inline]
-    fn up_unit(&self, up: Upstream) -> &OutputUnit {
-        match up {
-            Upstream::RouterOut { node, port } => &self.routers[node].outputs[port],
-            Upstream::NicInject { node } => &self.nics[node].inject,
-        }
-    }
-
-    fn up_unit_mut(&mut self, up: Upstream) -> &mut OutputUnit {
-        match up {
-            Upstream::RouterOut { node, port } => &mut self.routers[node].outputs[port],
-            Upstream::NicInject { node } => &mut self.nics[node].inject,
-        }
-    }
-
-    /// The VC buffers of a downstream buffer set.
-    #[inline]
-    fn down_input(&self, down: Downstream) -> &InputUnit {
-        match down {
-            Downstream::RouterIn { node, port } => &self.routers[node].inputs[port],
-            Downstream::NicEject { node } => &self.nics[node].eject,
-        }
-    }
-
-    fn down_input_mut(&mut self, down: Downstream) -> &mut InputUnit {
-        match down {
-            Downstream::RouterIn { node, port } => &mut self.routers[node].inputs[port],
-            Downstream::NicEject { node } => &mut self.nics[node].eject,
         }
     }
 
@@ -542,10 +483,9 @@ impl<T: TraceSink> Network<T> {
     ///
     /// Panics if `slot` is out of range.
     pub fn fill_port_view_at(&self, slot: usize, view: &mut PortView) {
-        let resolved = self.slots[slot];
         view.port = self.port_ids[slot];
-        view.new_traffic = self.new_traffic_of(resolved);
-        self.statuses_of(resolved, &mut view.vc_status);
+        view.new_traffic = self.arena.masks[slot].new_traffic;
+        self.statuses_of(slot, &mut view.vc_status);
     }
 
     /// The three words [`fill_port_view`](Self::fill_port_view) builds the
@@ -569,22 +509,11 @@ impl<T: TraceSink> Network<T> {
     /// Panics if `slot` is out of range.
     #[inline]
     pub fn port_key_at(&self, slot: usize) -> PortKey {
-        let resolved = self.slots[slot];
+        let m = self.arena.masks[slot];
         PortKey {
-            active: self.up_unit(resolved.up).active,
-            powered: self.down_input(resolved.down).powered,
-            new_traffic: self.new_traffic_of(resolved),
-        }
-    }
-
-    /// The paper's `is_new_traffic_outport_x()` for a resolved port.
-    #[inline]
-    fn new_traffic_of(&self, slot: PortSlot) -> bool {
-        match slot.up {
-            Upstream::RouterOut { node, port } => {
-                self.routers[node].has_new_traffic(Direction::from_index(port))
-            }
-            Upstream::NicInject { node } => self.nics[node].has_new_traffic(),
+            active: m.out_active,
+            powered: m.powered,
+            new_traffic: m.new_traffic,
         }
     }
 
@@ -611,20 +540,19 @@ impl<T: TraceSink> Network<T> {
     ///
     /// Panics if `port` does not exist (e.g. a boundary port).
     pub fn vc_statuses_into(&self, port: PortId, out: &mut Vec<VcStatus>) {
-        self.statuses_of(self.resolve(port), out);
+        self.statuses_of(self.slot(port), out);
     }
 
-    /// Fills `out` with a resolved port's per-VC statuses, read off the
-    /// upstream `active` mask and the downstream power mask.
-    fn statuses_of(&self, slot: PortSlot, out: &mut Vec<VcStatus>) {
+    /// Fills `out` with the per-VC statuses of the port at `slot`, read off
+    /// the upstream `active` mask and the downstream power mask.
+    fn statuses_of(&self, slot: usize, out: &mut Vec<VcStatus>) {
         out.clear();
-        let active = self.up_unit(slot.up).active;
-        let powered = self.down_input(slot.down).powered;
+        let m = self.arena.masks[slot];
         for v in 0..self.cfg.vcs_per_port {
             let bit = 1 << v;
-            let status = if active & bit != 0 {
+            let status = if m.out_active & bit != 0 {
                 VcStatus::Busy
-            } else if powered & bit != 0 {
+            } else if m.powered & bit != 0 {
                 VcStatus::IdleOn
             } else {
                 VcStatus::Off
@@ -679,16 +607,25 @@ impl<T: TraceSink> Network<T> {
             "designation mask {mask:#b} names VCs beyond {num_vcs}"
         );
         let port = self.port_ids[slot];
-        let PortSlot { up, down } = self.slots[slot];
         self.work.gate_commands += 1;
+        let m = &mut self.arena.masks[slot];
         // Upstream allocation eligibility. The previous designation mask is
         // the old eligibility mask, so the `Up_Down` payload is only traced
         // when it actually changes.
-        let (prev_mask, idle) = {
-            let out = self.up_unit_mut(up);
-            let prev = std::mem::replace(&mut out.allocatable, mask);
-            (prev, !out.active & all_vcs(num_vcs))
-        };
+        let prev_mask = std::mem::replace(&mut m.allocatable, mask);
+        let idle = !m.out_active & all_vcs(num_vcs);
+        // Downstream power, derived from the same out VC states the policy
+        // saw: only idle VCs are ever gated, busy ones keep their power.
+        let was = m.powered;
+        let now_on = (was & !idle) | (mask & idle);
+        debug_assert_eq!(
+            !idle & all_vcs(num_vcs) & !now_on,
+            0,
+            "busy VC must be powered"
+        );
+        m.powered = now_on;
+        let (turned_on, turned_off) = (now_on & !was, was & !now_on);
+        self.arena.gate_transitions[slot] += u64::from((turned_on | turned_off).count_ones());
         if T::ACTIVE && prev_mask != mask {
             self.trace.emit(TraceEvent {
                 cycle: self.cycle,
@@ -699,22 +636,6 @@ impl<T: TraceSink> Network<T> {
                 },
             });
         }
-        // Downstream power, derived from the same out VC states the policy
-        // saw: only idle VCs are ever gated, busy ones keep their power.
-        let (turned_on, turned_off) = {
-            let down_unit = self.down_input_mut(down);
-            let was = down_unit.powered;
-            let now_on = (was & !idle) | (mask & idle);
-            debug_assert_eq!(
-                !idle & all_vcs(num_vcs) & !now_on,
-                0,
-                "busy VC must be powered"
-            );
-            down_unit.powered = now_on;
-            let (on, off) = (now_on & !was, was & !now_on);
-            down_unit.gate_transitions += u64::from((on | off).count_ones());
-            (on, off)
-        };
         // A changed power mask is a changed key: the controller must look
         // at the port again next cycle.
         if turned_on | turned_off != 0 {
@@ -722,10 +643,9 @@ impl<T: TraceSink> Network<T> {
         }
         // New allocation eligibility or wake-up deadlines: the upstream
         // router's VA may now grant.
-        if let Upstream::RouterOut { node, .. } = up {
-            if prev_mask != mask || turned_on != 0 {
-                clear_bit(&mut self.stalled_routers, node);
-            }
+        let e = self.ends[slot];
+        if e.up_port != NIC_SIDE && (prev_mask != mask || turned_on != 0) {
+            clear_bit(&mut self.stalled_routers, e.up_node as usize);
         }
         if T::ACTIVE {
             let mut changed = turned_on | turned_off;
@@ -753,10 +673,10 @@ impl<T: TraceSink> Network<T> {
         // allocatable only after `wakeup_latency` cycles.
         if self.cfg.wakeup_latency > 0 && turned_on != 0 {
             let usable_at = self.cycle + self.cfg.wakeup_latency;
-            let out = self.up_unit_mut(up);
             let mut woken = turned_on;
             while woken != 0 {
-                out.vcs[woken.trailing_zeros() as usize].usable_at = usable_at;
+                let i = self.arena.vc_index(slot, woken.trailing_zeros() as usize);
+                self.arena.usable_at[i] = usable_at;
                 woken &= woken - 1;
             }
         }
@@ -827,15 +747,11 @@ impl<T: TraceSink> Network<T> {
         if key != cached {
             let (cycle, port) = (self.cycle, self.port_ids[slot]);
             // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-            self.absorb_violations(vec![InvariantViolation {
+            self.absorb_violations(vec![InvariantViolation::new(
                 cycle,
-                kind: InvariantKind::VcStateConsistency,
-                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                detail: format!(
-                    "port {port}: key {key:?} changed from the controller's {cached:?} \
-                     without a mark"
-                ),
-            }]);
+                InvariantKind::VcStateConsistency,
+                format_args!("port {port}: key {key:?} changed from the controller's {cached:?} without a mark"),
+            )]);
         }
     }
 
@@ -859,46 +775,44 @@ impl<T: TraceSink> Network<T> {
     pub fn begin_cycle_with<P: Profiler>(&mut self, prof: &mut P) {
         assert_eq!(self.phase, Phase::Idle, "begin_cycle called twice");
         let now = self.cycle;
-        let depth = self.cfg.buffer_depth;
         // Credits due this cycle. A free credit idles an output VC, which
         // changes the key of the port it feeds and may let the router's VA
         // grant. A credit to an output VC that had none may let its SA
         // grant; any other credit cannot, since a stalled router's SA
         // nominees all wait on output VCs without credits.
-        while let Some(slot) = pop_due(&mut self.due.credits, now) {
-            let up = self.slots[slot as usize].up;
-            let absorbed = self.up_unit_mut(up).absorb_credits(now, depth);
-            if absorbed.freed {
-                set_bit(&mut self.marked, slot as usize);
+        while let Some(credit) = pop_due(&mut self.due.credits, now) {
+            let refilled = self.arena.absorb_credit(credit);
+            let slot = credit.slot as usize;
+            if credit.is_free {
+                set_bit(&mut self.marked, slot);
             }
-            if let (Upstream::RouterOut { node, .. }, true) =
-                (up, absorbed.freed || absorbed.refilled)
-            {
-                clear_bit(&mut self.stalled_routers, node);
+            let e = self.ends[slot];
+            if e.up_port != NIC_SIDE && (credit.is_free || refilled) {
+                clear_bit(&mut self.stalled_routers, e.up_node as usize);
             }
         }
-        // A new cycle begins: the units written last cycle, the only ones
+        // A new cycle begins: the slots written last cycle, the only ones
         // with a fresh VC, hold nothing written in this one. Their flits
         // may compete in VA and SA now.
         let mut delivered = std::mem::take(&mut self.delivered);
         for &slot in &delivered {
-            let down = self.slots[slot as usize].down;
-            let fresh = std::mem::take(&mut self.down_input_mut(down).fresh);
-            if let (Downstream::RouterIn { node, .. }, true) = (down, fresh != 0) {
-                clear_bit(&mut self.stalled_routers, node);
+            let fresh = std::mem::take(&mut self.arena.masks[slot as usize].fresh);
+            let e = self.ends[slot as usize];
+            if e.down_port != NIC_SIDE && fresh != 0 {
+                clear_bit(&mut self.stalled_routers, e.down_node as usize);
             }
         }
         delivered.clear();
         // Flits due this cycle (BW).
-        while let Some(slot) = pop_due(&mut self.due.hops, now) {
-            self.deliver_due(slot, now, depth);
+        while let Some(hop) = pop_due(&mut self.due.hops, now) {
+            self.deliver(hop);
             // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
-            delivered.push(slot);
+            delivered.push(hop.slot);
         }
-        while let Some(slot) = pop_due(&mut self.due.injections, now) {
-            self.deliver_due(slot, now, depth);
+        while let Some(hop) = pop_due(&mut self.due.injections, now) {
+            self.deliver(hop);
             // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
-            delivered.push(slot);
+            delivered.push(hop.slot);
         }
         self.delivered = delivered;
         prof.lap(Stage::BeginCycle);
@@ -907,58 +821,51 @@ impl<T: TraceSink> Network<T> {
         // routing each head as it lands.
         for i in 0..self.heads.len() {
             let head = self.heads[i];
-            let outport = self.compute_route(head.router, head.dst);
+            let outport = self.compute_route(head.router, head.dst).index();
             self.work.rc_computes += 1;
-            self.routers[head.router].route_head(head.port, head.vc, outport);
-            let slot = self.peers[head.router].out_slot[outport.index()];
-            set_bit(&mut self.marked, slot as usize);
+            let router = &mut self.routers[head.router];
+            let slot = router.route_head(&mut self.arena, head.port, head.vc, outport);
+            set_bit(&mut self.marked, slot);
         }
         self.heads.clear();
         self.phase = Phase::Mid;
         prof.lap(Stage::Routing);
     }
 
-    /// Writes every flit due by `now` on the link into port `slot` (the BW
+    /// Writes a flit due this cycle into the buffers of its slot (the BW
     /// stage). A head written into a router input waits for RC; a head
     /// reaching a NIC's ejection side, which has no VA, makes its VC
     /// active.
-    fn deliver_due(&mut self, slot: u32, now: u64, depth: usize) {
-        match self.slots[slot as usize].down {
-            Downstream::RouterIn { node, port } => {
-                while let Some(flit) = pop_due(&mut self.routers[node].inputs[port].arrivals, now)
-                {
-                    let (head, dst, vc) = (flit.is_head(), flit.dst, flit.vc);
-                    self.routers[node].write_flit(port, flit, depth);
-                    self.work.bw_writes += 1;
-                    if head {
-                        // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
-                        self.heads.push(PendingRoute {
-                            router: node,
-                            port,
-                            vc,
-                            dst,
-                        });
-                    }
-                }
-                // A stalled router stays stalled: a flit landing in an
-                // empty VC is fresh, so it cannot be granted before its
-                // `fresh` bit clears next cycle (which wakes the router),
-                // and one landing behind others changes no request.
-                set_bit(&mut self.busy_routers, node);
+    #[inline]
+    fn deliver(&mut self, hop: Hop) {
+        let (slot, flit) = (hop.slot as usize, hop.flit);
+        let e = self.ends[slot];
+        let node = e.down_node as usize;
+        self.work.bw_writes += 1;
+        if e.down_port == NIC_SIDE {
+            self.arena.write_flit(slot, flit);
+            if flit.is_head() {
+                self.arena.masks[slot].in_active |= 1 << flit.vc;
             }
-            Downstream::NicEject { node } => {
-                let eject = &mut self.nics[node].eject;
-                while let Some(flit) = pop_due(&mut eject.arrivals, now) {
-                    let (head, vc) = (flit.is_head(), flit.vc);
-                    eject.write_flit(flit, depth);
-                    self.work.bw_writes += 1;
-                    if head {
-                        eject.active |= 1 << vc;
-                    }
-                }
-                set_bit(&mut self.active_nics, node);
-            }
+            set_bit(&mut self.active_nics, node);
+            return;
         }
+        let port = usize::from(e.down_port);
+        self.routers[node].write_flit(&mut self.arena, port, flit);
+        if flit.is_head() {
+            // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
+            self.heads.push(PendingRoute {
+                router: node,
+                port,
+                vc: usize::from(flit.vc),
+                dst: self.packets.get(flit.packet).dst,
+            });
+        }
+        // A stalled router stays stalled: a flit landing in an empty VC is
+        // fresh, so it cannot be granted before its `fresh` bit clears
+        // next cycle (which wakes the router), and one landing behind
+        // others changes no request.
+        set_bit(&mut self.busy_routers, node);
     }
 
     /// The RC stage for one head flit: the topology's routing decision,
@@ -976,11 +883,11 @@ impl<T: TraceSink> Network<T> {
                 .max_by_key(|d| {
                     // Prefer the output port with the most downstream
                     // credits — the standard local-congestion heuristic.
-                    self.routers[r_idx].outputs[d.index()]
-                        .vcs
-                        .iter()
-                        .map(|v| v.credits)
-                        .sum::<usize>()
+                    // Routing never leaves the fabric, so the slot exists.
+                    let slot = self.routers[r_idx].out_slot[d.index()] as usize;
+                    let i = self.arena.vc_index(slot, 0);
+                    let credits = &self.arena.credits[i..i + self.cfg.vcs_per_port];
+                    credits.iter().map(|&c| c as usize).sum::<usize>()
                 })
                 .unwrap_or(*first),
         }
@@ -1006,7 +913,6 @@ impl<T: TraceSink> Network<T> {
     pub fn finish_cycle_with<P: Profiler>(&mut self, prof: &mut P) {
         assert_eq!(self.phase, Phase::Mid, "finish_cycle before begin_cycle");
         let now = self.cycle;
-        let depth = self.cfg.buffer_depth;
         if self.invariants == InvariantLevel::Full {
             self.check_stalled_routers();
         }
@@ -1015,8 +921,9 @@ impl<T: TraceSink> Network<T> {
         // nominee, so its arbiters would grant nothing and keep their
         // priorities; a stalled one sees the same masks, credits and
         // deadlines as in the pass that granted nothing. Traversal only
-        // touches the traversing router and in-flight queues, none of
-        // which another router's allocation reads, so it runs afterwards.
+        // touches the traversing router, its slots and the due schedule,
+        // none of which another router's allocation reads, so it runs
+        // afterwards.
         for w in 0..self.busy_routers.len() {
             let mut bits = self.busy_routers[w] & !self.stalled_routers[w];
             while bits != 0 {
@@ -1029,16 +936,16 @@ impl<T: TraceSink> Network<T> {
                     continue;
                 }
                 let mut granted = router.vc_allocation(
+                    &mut self.arena,
                     now,
-                    depth,
                     NodeId(r_idx),
                     &mut self.work,
                     &mut self.trace,
                 );
-                let winners = router.switch_allocation();
+                let winners = router.switch_allocation(&self.arena);
                 if granted == 0
                     && winners.iter().all(Option::is_none)
-                    && !router.waits_for_wakeup()
+                    && !router.waits_for_wakeup(&self.arena)
                 {
                     set_bit(&mut self.stalled_routers, r_idx);
                     continue;
@@ -1047,7 +954,7 @@ impl<T: TraceSink> Network<T> {
                 while granted != 0 {
                     let o = granted.trailing_zeros() as usize;
                     granted &= granted - 1;
-                    set_bit(&mut self.marked, self.peers[r_idx].out_slot[o] as usize);
+                    set_bit(&mut self.marked, router.out_slot[o] as usize);
                 }
                 for winner in winners.into_iter().flatten() {
                     // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
@@ -1085,13 +992,13 @@ impl<T: TraceSink> Network<T> {
     /// injection side, draining on the ejection side. The NIC leaves the
     /// active set once it has nothing queued, streaming or buffered.
     fn step_nic(&mut self, n_idx: usize, now: u64) {
-        let peers = self.peers[n_idx];
         let nic = &mut self.nics[n_idx];
-        let allocated = nic.inject.active;
-        let sent = nic.process_inject(now);
-        if nic.inject.active != allocated {
+        let inject = nic.inject;
+        let allocated = self.arena.masks[inject].out_active;
+        let sent = nic.process_inject(&mut self.arena, &mut self.packets, now);
+        if self.arena.masks[inject].out_active != allocated {
             // The queue head got a VC: the local port's key changed.
-            set_bit(&mut self.marked, peers.in_slot[LOCAL] as usize);
+            set_bit(&mut self.marked, inject);
         }
         if let Some(flit) = sent {
             self.stats.flits_sent += 1;
@@ -1101,31 +1008,29 @@ impl<T: TraceSink> Network<T> {
                     cycle: now,
                     kind: EventKind::FlitInject {
                         node: n_idx as u32,
-                        packet: flit.packet.0,
-                        vc: flit.vc as u8,
+                        packet: self.packets.get(flit.packet).id.0,
+                        vc: flit.vc,
                     },
                 });
             }
-            let arrive = now + self.cfg.link_latency;
-            self.routers[n_idx].inputs[LOCAL]
-                .arrivals
-                .push_back((arrive, flit));
-            self.due.injections.push_back((arrive, peers.in_slot[LOCAL]));
+            let hop = Hop {
+                slot: inject as u32,
+                flit,
+            };
+            // lint:allow(alloc-in-hot-path) amortized: the due schedule keeps its capacity
+            self.due
+                .injections
+                .push_back((now + self.cfg.link_latency, hop));
         }
-        let drained = self.nics[n_idx].drain_eject(
+        let drained = nic.drain_eject(
+            &mut self.arena,
+            &mut self.packets,
             now,
             &mut self.trace,
-            &mut self.eject_credits,
+            &mut self.due.credits,
+            now + self.cfg.credit_latency,
             &mut self.eject_done,
         );
-        if !self.eject_credits.is_empty() {
-            let when = now + self.cfg.credit_latency;
-            let out = &mut self.routers[n_idx].outputs[LOCAL];
-            for &c in &self.eject_credits {
-                out.credit_arrivals.push_back((when, c));
-            }
-            self.due.credits.push_back((when, peers.out_slot[LOCAL]));
-        }
         self.stats.flits_ejected += drained as u64;
         self.flits_ejected_total += drained as u64;
         for &pkt in &self.eject_done {
@@ -1143,7 +1048,7 @@ impl<T: TraceSink> Network<T> {
                 });
             }
         }
-        if self.nics[n_idx].is_idle() {
+        if self.nics[n_idx].is_idle(&self.arena) {
             clear_bit(&mut self.active_nics, n_idx);
         }
     }
@@ -1170,60 +1075,56 @@ impl<T: TraceSink> Network<T> {
     }
 
     /// Moves one SA-winning flit through switch and link.
+    #[inline]
     fn traverse(&mut self, r_idx: usize, w: SaWinner, now: u64) {
         let router = &mut self.routers[r_idx];
+        let (in_port, vc) = (usize::from(w.in_port), usize::from(w.vc));
+        // Flits only arrive through ports with a link, and routing never
+        // leaves the fabric, so both slots exist.
+        let (from, to) = (
+            router.in_slot[in_port],
+            router.out_slot[usize::from(w.out_port)],
+        );
+        let popped = router.pop_flit(&mut self.arena, in_port, vc);
         // lint:allow(no-unwrap) SA only nominates VCs with a ready buffered flit
-        let mut flit = router.pop_flit(w.in_port, w.vc).expect("SA winner has a flit");
-        if flit.is_tail() {
-            let unit = &mut router.inputs[w.in_port];
-            debug_assert_eq!(unit.occupied & (1 << w.vc), 0, "tail is the last flit of its VC");
-            unit.active &= !(1 << w.vc);
-        }
-        let out = &mut router.outputs[w.out_port].vcs[w.out_vc];
-        debug_assert!(out.credits > 0, "SA granted without credits");
-        out.credits -= 1;
+        let mut flit = popped.expect("SA winner has a flit");
         if router.buffered == 0 {
             clear_bit(&mut self.busy_routers, r_idx);
         }
-        let peers = self.peers[r_idx];
-        // Credit back to this input port's upstream agent. Flits only
-        // arrive through ports with a link, so the slot exists.
+        let arena = &mut self.arena;
+        if flit.is_tail() {
+            let m = &mut arena.masks[from as usize];
+            debug_assert_eq!(m.occupied & (1 << vc), 0, "tail is the last flit of its VC");
+            m.in_active &= !(1 << vc);
+        }
+        let i = arena.vc_index(to as usize, usize::from(w.out_vc));
+        debug_assert!(arena.credits[i] > 0, "SA granted without credits");
+        arena.credits[i] -= 1;
+        // Credit back to this input port's upstream agent.
         let credit = Credit {
+            slot: from,
             vc: w.vc,
             is_free: flit.is_tail(),
         };
-        let from = peers.in_slot[w.in_port];
-        let credit_when = now + self.cfg.credit_latency;
-        let up = self.slots[from as usize].up;
-        self.up_unit_mut(up)
-            .credit_arrivals
-            .push_back((credit_when, credit));
-        self.due.credits.push_back((credit_when, from));
-        // Forward through switch (1 cycle) and link. Routing never leaves
-        // the fabric, so the slot exists.
+        // lint:allow(alloc-in-hot-path) amortized: the due schedule keeps its capacity
+        self.due
+            .credits
+            .push_back((now + self.cfg.credit_latency, credit));
+        // Forward through switch (1 cycle) and link.
         flit.vc = w.out_vc;
-        let to = peers.out_slot[w.out_port];
-        let arrive = now + 1 + self.cfg.link_latency;
-        let down = self.slots[to as usize].down;
-        self.down_input_mut(down).arrivals.push_back((arrive, flit));
-        self.due.hops.push_back((arrive, to));
+        let hop = Hop { slot: to, flit };
+        // lint:allow(alloc-in-hot-path) amortized: the due schedule keeps its capacity
+        self.due
+            .hops
+            .push_back((now + 1 + self.cfg.link_latency, hop));
     }
 
     /// Total flits currently inside the network: router buffers, link
     /// queues, ejection buffers and their links. NIC injection queues are
     /// *not* included (those packets have not entered the network yet).
     pub fn flits_in_network(&self) -> usize {
-        let routers: usize = self
-            .routers
-            .iter()
-            .map(|r| r.buffered_flits() + r.in_flight_flits())
-            .sum();
-        let ejects: usize = self
-            .nics
-            .iter()
-            .map(|n| n.eject.buffered_flits() + n.eject.in_flight_flits())
-            .sum();
-        routers + ejects
+        let buffered: usize = self.arena.in_vcs.iter().map(|vc| vc.len as usize).sum();
+        buffered + self.due.hops.len() + self.due.injections.len()
     }
 
     /// Flits of partially transmitted packets still inside source NICs.
@@ -1248,42 +1149,32 @@ impl<T: TraceSink> Network<T> {
         self.nics[node.index()].queue.len()
     }
 
-    /// The downstream input unit of a buffer port.
-    fn down_unit(&self, port: PortId) -> &InputUnit {
-        self.down_input(self.resolve(port).down)
-    }
-
     /// Flits ever written into the buffers of a port (for
     /// occupancy-related tests and sanity checks).
     pub fn flits_received(&self, port: PortId) -> u64 {
-        self.down_unit(port).flits_received
+        self.arena.flits_received[self.slot(port)]
     }
 
     /// Flits currently buffered in a port's VCs (the sampler's occupancy
     /// column).
     pub fn port_occupancy(&self, port: PortId) -> usize {
-        self.down_unit(port).buffered_flits()
+        self.arena.buffered(self.slot(port))
     }
 
     /// How many of a port's VC buffers are powered right now.
     pub fn powered_vc_count(&self, port: PortId) -> usize {
-        self.down_unit(port).powered.count_ones() as usize
+        self.arena.masks[self.slot(port)].powered.count_ones() as usize
     }
 
     /// Lifetime power-gating transitions (on→off plus off→on) applied to a
     /// port's VCs — the sampler differentiates this into per-epoch churn.
     pub fn gate_transitions(&self, port: PortId) -> u64 {
-        self.down_unit(port).gate_transitions
+        self.arena.gate_transitions[self.slot(port)]
     }
 
     /// Selects how much invariant checking runs at the end of every cycle.
     pub fn set_invariant_level(&mut self, level: InvariantLevel) {
         self.invariants = level;
-    }
-
-    /// The configured invariant level.
-    pub fn invariant_level(&self) -> InvariantLevel {
-        self.invariants
     }
 
     /// Violations recorded so far (capped at
@@ -1325,24 +1216,26 @@ impl<T: TraceSink> Network<T> {
                 count: self.violations.len(),
             });
         }
-        let depth = self.cfg.buffer_depth;
+        let (depth, vcs) = (self.cfg.buffer_depth, self.cfg.vcs_per_port);
         let mut ports = Vec::with_capacity(self.port_ids.len());
-        for (&pid, slot) in self.port_ids.iter().zip(&self.slots) {
-            let out = self.up_unit(slot.up);
-            let settled = out.credit_arrivals.is_empty()
-                && out.active == 0
-                && out.vcs.iter().all(|v| v.credits == depth);
+        for (slot, &pid) in self.port_ids.iter().enumerate() {
+            let m = self.arena.masks[slot];
+            let i = self.arena.vc_index(slot, 0);
+            let settled = self.due.credits_to(slot).next().is_none()
+                && m.out_active == 0
+                && self.arena.credits[i..i + vcs]
+                    .iter()
+                    .all(|&c| c as usize == depth);
             if !settled {
                 return Err(SnapshotStateError::CreditsOutstanding { port: pid });
             }
-            let unit = self.down_input(slot.down);
-            debug_assert!(unit.occupied == 0 && unit.active == 0);
+            debug_assert!(m.occupied == 0 && m.in_active == 0);
             ports.push(PortState {
-                powered_mask: unit.powered,
-                allocatable_mask: out.allocatable,
-                usable_at: out.vcs.iter().map(|v| v.usable_at).collect(),
-                gate_transitions: unit.gate_transitions,
-                flits_received: unit.flits_received,
+                powered_mask: m.powered,
+                allocatable_mask: m.allocatable,
+                usable_at: self.arena.usable_at[i..i + vcs].to_vec(),
+                gate_transitions: self.arena.gate_transitions[slot],
+                flits_received: self.arena.flits_received[slot],
             });
         }
         debug_assert!(
@@ -1352,8 +1245,8 @@ impl<T: TraceSink> Network<T> {
         let mut arbiters = Vec::with_capacity(self.routers.len() * NUM_PORTS * 3);
         for r in &self.routers {
             for p in 0..NUM_PORTS {
-                arbiters.push(r.outputs[p].va_arb.priority() as u32);
-                arbiters.push(r.outputs[p].sa_arb.priority() as u32);
+                arbiters.push(r.va_arbs[p].priority() as u32);
+                arbiters.push(r.sa_out_arbs[p].priority() as u32);
                 arbiters.push(r.sa_in_arbs[p].priority() as u32);
             }
         }
@@ -1398,7 +1291,7 @@ impl<T: TraceSink> Network<T> {
             });
         }
         let vcs = self.cfg.vcs_per_port;
-        for (i, ps) in snap.ports.iter().enumerate() {
+        for (slot, ps) in snap.ports.iter().enumerate() {
             if ps.usable_at.len() != vcs {
                 return Err(SnapshotStateError::ShapeMismatch {
                     what: "VCs",
@@ -1406,22 +1299,22 @@ impl<T: TraceSink> Network<T> {
                     want: vcs,
                 });
             }
-            let slot = self.slots[i];
-            let out = self.up_unit_mut(slot.up);
-            out.allocatable = ps.allocatable_mask & all_vcs(vcs);
-            for (vc, &usable_at) in out.vcs.iter_mut().zip(&ps.usable_at) {
-                vc.usable_at = usable_at;
-            }
-            let unit = self.down_input_mut(slot.down);
-            unit.powered = ps.powered_mask & all_vcs(vcs);
-            unit.gate_transitions = ps.gate_transitions;
-            unit.flits_received = ps.flits_received;
+            let m = &mut self.arena.masks[slot];
+            m.allocatable = ps.allocatable_mask & all_vcs(vcs);
+            m.powered = ps.powered_mask & all_vcs(vcs);
+            let i = self.arena.vc_index(slot, 0);
+            self.arena.usable_at[i..i + vcs].copy_from_slice(&ps.usable_at);
+            self.arena.gate_transitions[slot] = ps.gate_transitions;
+            self.arena.flits_received[slot] = ps.flits_received;
         }
         let mut it = snap.arbiters.iter().copied();
         for r in &mut self.routers {
             for p in 0..NUM_PORTS {
-                let out = &mut r.outputs[p];
-                for arb in [&mut out.va_arb, &mut out.sa_arb] {
+                for arb in [
+                    &mut r.va_arbs[p],
+                    &mut r.sa_out_arbs[p],
+                    &mut r.sa_in_arbs[p],
+                ] {
                     let next = it.next().map_or(0, |v| v as usize);
                     if next >= arb.len() {
                         return Err(SnapshotStateError::ShapeMismatch {
@@ -1432,15 +1325,6 @@ impl<T: TraceSink> Network<T> {
                     }
                     arb.set_priority(next);
                 }
-                let next = it.next().map_or(0, |v| v as usize);
-                if next >= r.sa_in_arbs[p].len() {
-                    return Err(SnapshotStateError::ShapeMismatch {
-                        what: "arbiter slots",
-                        got: next,
-                        want: r.sa_in_arbs[p].len(),
-                    });
-                }
-                r.sa_in_arbs[p].set_priority(next);
             }
         }
         self.cycle = snap.cycle;
@@ -1466,59 +1350,54 @@ impl<T: TraceSink> Network<T> {
         let in_network = self.flits_in_network() as u64;
         if self.flits_sent_total != self.flits_ejected_total + in_network {
             // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-            found.push(InvariantViolation {
+            found.push(InvariantViolation::new(
                 cycle,
-                kind: InvariantKind::FlitConservation,
-                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                detail: format!(
+                InvariantKind::FlitConservation,
+                format_args!(
                     "{} flits entered the network but {} delivered + {} in flight",
                     self.flits_sent_total, self.flits_ejected_total, in_network
                 ),
-            });
+            ));
         }
         for (node, router) in self.routers.iter().enumerate() {
-            router.collect_violations(NodeId(node), cycle, full, &mut found);
+            router.collect_violations(&self.arena, NodeId(node), cycle, full, &mut found);
         }
         for nic in &self.nics {
-            nic.collect_violations(cycle, full, &mut found);
+            nic.collect_violations(&self.arena, cycle, full, &mut found);
         }
         if full {
             self.check_credit_conservation(cycle, &mut found);
             self.check_busy_vcs_are_powered(cycle, &mut found);
+            self.check_new_traffic_flags(cycle, &mut found);
         }
         self.absorb_violations(found);
     }
 
     /// The premise of skipping stalled routers: VA and SA of a stalled
-    /// router, run now on a copy, grant nothing. A grant is recorded as an
+    /// router, run now, would grant nothing. A grant is recorded as an
     /// [`InvariantKind::VcStateConsistency`] violation: some write reached
     /// the router without waking it.
     fn check_stalled_routers(&mut self) {
-        let (now, depth) = (self.cycle, self.cfg.buffer_depth);
+        let now = self.cycle;
         // lint:allow(alloc-in-hot-path) diagnostic pass: only runs with invariants enabled
         let mut found = Vec::new();
-        for (w, (&busy, &stalled)) in self.busy_routers.iter().zip(&self.stalled_routers).enumerate() {
+        for (w, (&busy, &stalled)) in self
+            .busy_routers
+            .iter()
+            .zip(&self.stalled_routers)
+            .enumerate()
+        {
             let mut bits = busy & stalled;
             while bits != 0 {
                 let r_idx = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                // lint:allow(alloc-in-hot-path) diagnostic pass: only runs with invariants enabled
-                let mut probe = self.routers[r_idx].clone();
-                let granted = probe.vc_allocation(
-                    now,
-                    depth,
-                    NodeId(r_idx),
-                    &mut WorkCounters::default(),
-                    &mut NullSink,
-                );
-                if granted != 0 || probe.switch_allocation().iter().any(Option::is_some) {
+                if self.routers[r_idx].could_grant(&self.arena, now) {
                     // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                    found.push(InvariantViolation {
-                        cycle: now,
-                        kind: InvariantKind::VcStateConsistency,
-                        // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                        detail: format!("router {r_idx} is stalled, but its VA or SA would grant"),
-                    });
+                    found.push(InvariantViolation::new(
+                        now,
+                        InvariantKind::VcStateConsistency,
+                        format_args!("router {r_idx} is stalled, but its VA or SA would grant"),
+                    ));
                 }
             }
         }
@@ -1531,16 +1410,35 @@ impl<T: TraceSink> Network<T> {
     /// accounting rests on this: it records a port's power mask as its
     /// stress mask.
     fn check_busy_vcs_are_powered(&self, cycle: u64, out: &mut Vec<InvariantViolation>) {
-        for (&pid, slot) in self.port_ids.iter().zip(&self.slots) {
-            let gated = self.up_unit(slot.up).active & !self.down_input(slot.down).powered;
+        for (&pid, m) in self.port_ids.iter().zip(&self.arena.masks) {
+            let gated = m.out_active & !m.powered;
             if gated != 0 {
                 // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                out.push(InvariantViolation {
+                out.push(InvariantViolation::new(
                     cycle,
-                    kind: InvariantKind::GatingSafety,
-                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                    detail: format!("port {pid}: busy VC(s) {gated:#b} are power-gated"),
-                });
+                    InvariantKind::GatingSafety,
+                    format_args!("port {pid}: busy VC(s) {gated:#b} are power-gated"),
+                ));
+            }
+        }
+    }
+
+    /// Every port's new-traffic flag against what it records: a packet
+    /// waiting for a VC at the port's upstream agent.
+    fn check_new_traffic_flags(&self, cycle: u64, out: &mut Vec<InvariantViolation>) {
+        for (slot, (&pid, e)) in self.port_ids.iter().zip(&self.ends).enumerate() {
+            let (node, flag) = (e.up_node as usize, self.arena.masks[slot].new_traffic);
+            let waits = match e.up_port {
+                NIC_SIDE => !self.nics[node].queue.is_empty(),
+                port => self.routers[node].has_new_traffic(usize::from(port)),
+            };
+            if flag != waits {
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                out.push(InvariantViolation::new(
+                    cycle,
+                    InvariantKind::VcStateConsistency,
+                    format_args!("port {pid}: new-traffic flag {flag}, but waiting is {waits}"),
+                ));
             }
         }
     }
@@ -1554,18 +1452,16 @@ impl<T: TraceSink> Network<T> {
         if !self.invariants.is_enabled() {
             return;
         }
-        let slot = self.resolve(port);
-        let idle_on = (self.down_input(slot.down).powered & !self.up_unit(slot.up).active)
-            .count_ones() as usize;
+        let m = self.arena.masks[self.slot(port)];
+        let idle_on = (m.powered & !m.out_active).count_ones() as usize;
         if idle_on > budget {
             let cycle = self.cycle;
             // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-            self.absorb_violations(vec![InvariantViolation {
+            self.absorb_violations(vec![InvariantViolation::new(
                 cycle,
-                kind: InvariantKind::IdleOnBudget,
-                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                detail: format!("port {port}: {idle_on} idle-on VCs exceed the budget of {budget}"),
-            }]);
+                InvariantKind::IdleOnBudget,
+                format_args!("port {port}: {idle_on} idle-on VCs exceed the budget of {budget}"),
+            )]);
         }
     }
 
@@ -1575,32 +1471,33 @@ impl<T: TraceSink> Network<T> {
     /// depth.
     fn check_credit_conservation(&self, cycle: u64, out: &mut Vec<InvariantViolation>) {
         let depth = self.cfg.buffer_depth;
-        for (&pid, slot) in self.port_ids.iter().zip(&self.slots) {
-            let up_unit = self.up_unit(slot.up);
-            let credit_q = &up_unit.credit_arrivals;
-            let down_unit = self.down_input(slot.down);
-            for (v, ov) in up_unit.vcs.iter().enumerate() {
-                let credits_in_flight = credit_q.iter().filter(|(_, c)| c.vc == v).count();
-                let buffered = down_unit.vcs[v].buffer.len();
-                let flits_in_flight = down_unit
-                    .arrivals
-                    .iter()
-                    .filter(|(_, f)| f.vc == v)
-                    .count();
-                let sum = ov.credits + credits_in_flight + buffered + flits_in_flight;
-                if sum != depth {
+        let vcs = self.cfg.vcs_per_port;
+        // Per `slot × V + vc`: credits and flits in flight.
+        // lint:allow(alloc-in-hot-path) diagnostic pass: only runs with invariants enabled
+        let mut credits_in_flight = vec![0usize; self.arena.credits.len()];
+        // lint:allow(alloc-in-hot-path) diagnostic pass: only runs with invariants enabled
+        let mut flits_in_flight = vec![0usize; self.arena.credits.len()];
+        for (_, c) in &self.due.credits {
+            credits_in_flight[self.arena.vc_index(c.slot as usize, usize::from(c.vc))] += 1;
+        }
+        for (_, hop) in self.due.hops.iter().chain(&self.due.injections) {
+            flits_in_flight[self
+                .arena
+                .vc_index(hop.slot as usize, usize::from(hop.flit.vc))] += 1;
+        }
+        for (slot, &pid) in self.port_ids.iter().enumerate() {
+            for v in 0..vcs {
+                let i = self.arena.vc_index(slot, v);
+                let held = self.arena.credits[i] as usize;
+                let buffered = self.arena.in_vcs[i].len as usize;
+                let (credits, flits) = (credits_in_flight[i], flits_in_flight[i]);
+                if held + credits + buffered + flits != depth {
                     // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                    out.push(InvariantViolation {
+                    out.push(InvariantViolation::new(
                         cycle,
-                        kind: InvariantKind::CreditConservation,
-                        // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                        detail: format!(
-                            "channel {pid} vc{v}: {} credit(s) held + {credits_in_flight} in \
-                             flight + {buffered} buffered + {flits_in_flight} flit(s) on the \
-                             link != depth {depth}",
-                            ov.credits
-                        ),
-                    });
+                        InvariantKind::CreditConservation,
+                        format_args!("channel {pid} vc{v}: {held} credit(s) held + {credits} in flight + {buffered} buffered + {flits} flit(s) on the link != depth {depth}"),
+                    ));
                 }
             }
         }
@@ -1629,28 +1526,23 @@ impl<T: TraceSink> Network<T> {
     }
 }
 
-/// Read-only views of the in-flight queues, for the due schedule's
-/// property tests: they let a test scan every link FIFO the way the cycle
-/// loop no longer does.
+/// Read-only views of the in-flight flits and credits, for the due
+/// schedule's property tests: they let a test scan every link the way the
+/// cycle loop does not.
 #[doc(hidden)]
 impl<T: TraceSink> Network<T> {
     /// The flits on the link into the port at `slot`, in FIFO order, as
     /// `(due cycle, flit)`.
-    pub fn link_flits(&self, slot: usize) -> Vec<(u64, crate::flit::Flit)> {
-        self.down_input(self.slots[slot].down)
-            .arrivals
-            .iter()
-            .copied()
-            .collect()
+    pub fn link_flits(&self, slot: usize) -> Vec<(u64, Flit)> {
+        self.due.flits_into(slot).collect()
     }
 
     /// The credits returning to the upstream agent of the port at `slot`,
     /// in FIFO order, as `(due cycle, vc, is_free)`.
     pub fn link_credits(&self, slot: usize) -> Vec<(u64, usize, bool)> {
-        self.up_unit(self.slots[slot].up)
-            .credit_arrivals
-            .iter()
-            .map(|&(when, c)| (when, c.vc, c.is_free))
+        self.due
+            .credits_to(slot)
+            .map(|(when, c)| (when, usize::from(c.vc), c.is_free))
             .collect()
     }
 
@@ -1668,31 +1560,36 @@ impl<T: TraceSink> Network<T> {
 /// every stalled router, since it writes state their allocation reads.
 #[doc(hidden)]
 impl<T: TraceSink> Network<T> {
-    /// Power-gates the first VC (in deterministic scan order) that holds
-    /// at least one flit, violating gating safety. Returns the corrupted
-    /// location as `(node, input port index, vc)`, or `None` when no VC
-    /// holds a flit.
+    /// The first router input VC (in node, port, then VC order) holding a
+    /// flit, and powered unless `any_power`, as `(node, input port index,
+    /// vc, slot)`.
+    fn first_occupied_vc(&self, any_power: bool) -> Option<(usize, usize, usize, usize)> {
+        self.routers.iter().enumerate().find_map(|(node, router)| {
+            router.in_slot.iter().enumerate().find_map(|(p, &slot)| {
+                let m = self.arena.masks.get(slot as usize)?;
+                let held = m.occupied & (m.powered | if any_power { u32::MAX } else { 0 });
+                (held != 0).then(|| (node, p, held.trailing_zeros() as usize, slot as usize))
+            })
+        })
+    }
+
+    /// Power-gates the first router input VC (in deterministic scan order)
+    /// that holds at least one flit, violating gating safety. Returns the
+    /// corrupted location as `(node, input port index, vc)`, or `None` when
+    /// no VC holds a flit.
     pub fn fault_gate_occupied_vc(&mut self) -> Option<(NodeId, usize, usize)> {
         self.stalled_routers.fill(0);
-        for (node, router) in self.routers.iter_mut().enumerate() {
-            for (p, unit) in router.inputs.iter_mut().enumerate() {
-                for (v, vc) in unit.vcs.iter().enumerate() {
-                    if !vc.buffer.is_empty() && unit.powered & (1 << v) != 0 {
-                        unit.powered &= !(1 << v);
-                        return Some((NodeId(node), p, v));
-                    }
-                }
-            }
-        }
-        None
+        let (node, p, v, slot) = self.first_occupied_vc(false)?;
+        self.arena.masks[slot].powered &= !(1 << v);
+        Some((NodeId(node), p, v))
     }
 
     /// Grants one spurious credit to the upstream agent of `port` for
     /// `vc`, violating per-channel credit conservation.
     pub fn fault_double_credit(&mut self, port: PortId, vc: usize) {
         self.stalled_routers.fill(0);
-        let up = self.resolve(port).up;
-        self.up_unit_mut(up).vcs[vc].credits += 1;
+        let i = self.arena.vc_index(self.slot(port), vc);
+        self.arena.credits[i] += 1;
     }
 
     /// Marks the first idle, powered input VC of router `node` (in port,
@@ -1704,11 +1601,19 @@ impl<T: TraceSink> Network<T> {
         self.stalled_routers.fill(0);
         let router = &mut self.routers[node.index()];
         for p in 0..NUM_PORTS {
-            let unit = &router.inputs[p];
-            let busy = router.waiting_at(p) | unit.active | unit.occupied;
-            let idle = unit.powered & !busy;
+            let slot = router.in_slot[p];
+            if slot == NO_SLOT {
+                continue;
+            }
+            let m = self.arena.masks[slot as usize];
+            let busy = router.waiting_at(p) | m.in_active | m.occupied;
+            let idle = m.powered & !busy;
             if idle != 0 {
                 router.waiting[outport.index()][p] |= 1 << idle.trailing_zeros();
+                let out = router.out_slot[outport.index()];
+                if out != NO_SLOT {
+                    self.arena.masks[out as usize].new_traffic = true;
+                }
                 return;
             }
         }
@@ -1728,19 +1633,11 @@ impl<T: TraceSink> Network<T> {
     /// corrupted location, or `None` when no flit is buffered.
     pub fn fault_drop_buffered_flit(&mut self) -> Option<(NodeId, usize, usize)> {
         self.stalled_routers.fill(0);
-        let vcs = self.cfg.vcs_per_port;
-        for (node, router) in self.routers.iter_mut().enumerate() {
-            for p in 0..NUM_PORTS {
-                for v in 0..vcs {
-                    // Through `pop_flit`, so the router's flit count stays
-                    // true and only conservation is violated.
-                    if router.pop_flit(p, v).is_some() {
-                        return Some((NodeId(node), p, v));
-                    }
-                }
-            }
-        }
-        None
+        let (node, p, v, _) = self.first_occupied_vc(true)?;
+        // Through `pop_flit`, so the router's flit count stays true and
+        // only conservation is violated.
+        self.routers[node].pop_flit(&mut self.arena, p, v);
+        Some((NodeId(node), p, v))
     }
 }
 
@@ -1749,6 +1646,7 @@ mod tests {
     use super::*;
     use crate::view::PortKind;
     use noc_telemetry::StageProfiler;
+    use VcStatus::{IdleOn, Off};
 
     fn net(cores: usize, vcs: usize) -> Network {
         Network::new(NocConfig::paper_synthetic(cores, vcs)).unwrap()
@@ -1762,9 +1660,9 @@ mod tests {
         while n.port_key(pid).active == 0 {
             n.step();
         }
-        let slot = n.resolve(pid);
-        let busy = n.up_unit(slot.up).active;
-        n.down_input_mut(slot.down).powered &= !busy;
+        let slot = n.slot(pid);
+        let m = &mut n.arena.masks[slot];
+        m.powered &= !m.out_active;
         n.set_invariant_level(InvariantLevel::Cheap);
         n.check_invariants_now();
         assert!(
@@ -1790,9 +1688,14 @@ mod tests {
             && n.delivered.is_empty()
             && n.heads.is_empty()
             && n.winners.is_empty()
-            && [&n.busy_routers, &n.stalled_routers, &n.active_nics, &n.marked]
-                .iter()
-                .all(|set| set.iter().all(|&w| w == 0))
+            && [
+                &n.busy_routers,
+                &n.stalled_routers,
+                &n.active_nics,
+                &n.marked,
+            ]
+            .iter()
+            .all(|set| set.iter().all(|&w| w == 0))
     }
 
     /// Idle costs nothing: an empty network has nothing to visit after its
@@ -1959,7 +1862,7 @@ mod tests {
         // new traffic.
         let v = n.port_view(PortId::router_input(NodeId(0), Direction::Local));
         assert!(v.new_traffic);
-        assert_eq!(v.vc_status, vec![VcStatus::IdleOn; 2]);
+        assert_eq!(v.vc_status, [IdleOn; 2]);
         // Unrelated port: no traffic.
         let v = n.port_view(PortId::router_input(NodeId(3), Direction::West));
         assert!(!v.new_traffic);
@@ -1988,36 +1891,25 @@ mod tests {
         assert_eq!(n.stats().packets_ejected, 1);
     }
 
+    /// Each gate action leaves exactly its designated idle VCs powered, and
+    /// `NoChange` leaves the port as it was.
     #[test]
-    fn gated_idle_vcs_report_off_and_recover_on_allon() {
-        let mut n = net(4, 2);
-        let port = PortId::router_input(NodeId(0), Direction::East);
-        n.begin_cycle();
-        n.apply_gate(port, GateAction::AllIdleOff);
-        let v = n.port_view(port);
-        assert_eq!(v.vc_status, vec![VcStatus::Off; 2]);
-        n.apply_gate(port, GateAction::AllOn);
-        let v = n.port_view(port);
-        assert_eq!(v.vc_status, vec![VcStatus::IdleOn; 2]);
-        n.finish_cycle();
-    }
-
-    #[test]
-    fn keep_one_idle_designates_exactly_one() {
+    fn gate_actions_keep_exactly_their_vcs() {
         let mut n = net(4, 4);
         let port = PortId::router_input(NodeId(0), Direction::East);
         n.begin_cycle();
-        n.apply_gate(port, GateAction::KeepOneIdle { vc: 2 });
-        let v = n.port_view(port);
-        assert_eq!(
-            v.vc_status,
-            vec![
-                VcStatus::Off,
-                VcStatus::Off,
-                VcStatus::IdleOn,
-                VcStatus::Off
-            ]
-        );
+        let mut gate = |action| {
+            n.apply_gate(port, action);
+            n.port_view(port).vc_status
+        };
+        assert_eq!(gate(GateAction::AllIdleOff), [Off; 4]);
+        assert_eq!(gate(GateAction::AllOn), [IdleOn; 4]);
+        let one = [Off, Off, IdleOn, Off];
+        assert_eq!(gate(GateAction::KeepOneIdle { vc: 2 }), one);
+        assert_eq!(gate(GateAction::NoChange), one);
+        assert_eq!(gate(GateAction::KeepIdle { mask: 1 << 2 }), one);
+        let two = [Off, IdleOn, Off, IdleOn];
+        assert_eq!(gate(GateAction::KeepIdle { mask: 0b1010 }), two);
         n.finish_cycle();
     }
 
@@ -2057,51 +1949,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_idle_mask_designates_a_set() {
-        let mut n = net(4, 4);
-        let port = PortId::router_input(NodeId(0), Direction::East);
-        n.begin_cycle();
-        n.apply_gate(port, GateAction::KeepIdle { mask: 0b1010 });
-        let v = n.port_view(port);
-        assert_eq!(
-            v.vc_status,
-            vec![
-                VcStatus::Off,
-                VcStatus::IdleOn,
-                VcStatus::Off,
-                VcStatus::IdleOn
-            ]
-        );
-        n.finish_cycle();
-    }
-
-    #[test]
-    fn keep_one_idle_equals_singleton_mask() {
-        let mut a = net(4, 4);
-        let mut b = net(4, 4);
-        let port = PortId::router_input(NodeId(0), Direction::East);
-        a.begin_cycle();
-        a.apply_gate(port, GateAction::KeepOneIdle { vc: 2 });
-        b.begin_cycle();
-        b.apply_gate(port, GateAction::KeepIdle { mask: 1 << 2 });
-        assert_eq!(a.port_view(port).vc_status, b.port_view(port).vc_status);
-        a.finish_cycle();
-        b.finish_cycle();
-    }
-
-    #[test]
-    fn no_change_leaves_state_alone() {
-        let mut n = net(4, 2);
-        let port = PortId::router_input(NodeId(0), Direction::East);
-        n.begin_cycle();
-        n.apply_gate(port, GateAction::KeepOneIdle { vc: 1 });
-        let before = n.port_view(port).vc_status;
-        n.apply_gate(port, GateAction::NoChange);
-        assert_eq!(n.port_view(port).vc_status, before);
-        n.finish_cycle();
-    }
-
-    #[test]
     #[should_panic(expected = "names VCs beyond")]
     fn oversized_mask_panics() {
         let mut n = net(4, 2);
@@ -2118,7 +1965,7 @@ mod tests {
         let eject = PortId::nic_eject(NodeId(2));
         n.begin_cycle();
         n.apply_gate(eject, GateAction::AllIdleOff);
-        assert_eq!(n.port_view(eject).vc_status, vec![VcStatus::Off; 2]);
+        assert_eq!(n.port_view(eject).vc_status, [Off; 2]);
         n.finish_cycle();
         // Designating one VC lets traffic eject again.
         n.inject_packet(NodeId(0), NodeId(2));
@@ -2183,7 +2030,7 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_and_records_events() {
         use noc_telemetry::{EventKind, RecordSink};
-        let drive = |net: &mut Network<RecordSink>| {
+        fn drive<T: TraceSink>(net: &mut Network<T>) {
             net.inject_packet(NodeId(0), NodeId(3));
             for _ in 0..100 {
                 net.begin_cycle();
@@ -2192,16 +2039,9 @@ mod tests {
                 }
                 net.finish_cycle();
             }
-        };
-        let mut plain = net(4, 2);
-        plain.inject_packet(NodeId(0), NodeId(3));
-        for _ in 0..100 {
-            plain.begin_cycle();
-            for pid in plain.port_ids().to_vec() {
-                plain.apply_gate(pid, GateAction::KeepOneIdle { vc: 0 });
-            }
-            plain.finish_cycle();
         }
+        let mut plain = net(4, 2);
+        drive(&mut plain);
         let mut traced =
             Network::with_sink(NocConfig::paper_synthetic(4, 2), RecordSink::unbounded()).unwrap();
         drive(&mut traced);
@@ -2210,12 +2050,7 @@ mod tests {
         assert_eq!(plain.work_counters(), traced.work_counters());
         let log = traced.trace_mut().harvest().expect("record sink harvests");
         assert_eq!(log.total as usize, log.events.len());
-        let count = |tag: &str| {
-            log.events
-                .iter()
-                .filter(|e| e.kind.tag() == tag)
-                .count() as u64
-        };
+        let count = |tag: &str| log.events.iter().filter(|e| e.kind.tag() == tag).count() as u64;
         assert!(count("gate_off") > 0, "gating produced transitions");
         assert_eq!(count("va"), traced.work_counters().va_grants);
         assert_eq!(count("inject"), traced.stats().flits_sent);

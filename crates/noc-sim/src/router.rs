@@ -7,43 +7,59 @@
 //! 2. **VA + SA** — head flits waiting for VA arbitrate for a free output
 //!    VC; active VCs with a ready flit and downstream credits arbitrate for
 //!    the crossbar (separable input-first allocator). Both read the VC
-//!    masks of [`InputUnit`] and [`Router::waiting`] and grant by rotating
+//!    masks of the [`Arena`] and [`Router::waiting`] and grant by rotating
 //!    a request mask ([`RoundRobinArbiter::grant`]).
 //! 3. **ST + LT** — the winning flits traverse switch and link; they are
 //!    written downstream `1 + link_latency` cycles after winning SA.
 //!
-//! Stage 1 and the cross-router parts of stage 3 live in
-//! [`crate::network::Network`]; this module owns the router-local state and
-//! the VA/SA logic.
+//! A router owns no VC state: its input VCs are the downstream side of
+//! its input ports' slots in the [`Arena`], its output VCs the upstream
+//! side of its output ports' slots. It keeps the slot numbers, its
+//! arbiters, the `waiting` masks and its flit count. Stage 1 and the
+//! cross-router parts of stage 3 live in [`crate::network::Network`]; this
+//! module owns the VA/SA logic.
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::flit::Flit;
 use crate::invariants::{InvariantKind, InvariantViolation};
 use crate::types::{Direction, NodeId};
-use crate::unit::{all_vcs, InputUnit, OutputUnit};
+use crate::unit::{all_vcs, Arena};
 use noc_telemetry::{EventKind, TraceEvent, TraceSink, WorkCounters};
 use std::array;
+use std::fmt;
 
 /// Number of ports (N, S, E, W, Local).
 pub(crate) const NUM_PORTS: usize = 5;
 
+/// Slot number of a boundary port, which has no link.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
 /// A flit selected by the switch allocator this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SaWinner {
-    pub in_port: usize,
-    pub vc: usize,
-    pub out_port: usize,
-    pub out_vc: usize,
+    pub in_port: u8,
+    pub vc: u8,
+    pub out_port: u8,
+    pub out_vc: u8,
 }
 
 /// One router of the mesh.
 #[derive(Debug, Clone)]
 pub(crate) struct Router {
-    /// Input units indexed by [`Direction::index`].
-    pub inputs: [InputUnit; NUM_PORTS],
-    /// Output units indexed by [`Direction::index`].
-    pub outputs: [OutputUnit; NUM_PORTS],
-    /// Per-input-port switch-allocation arbiters (over VCs).
+    /// Per input port, its slot, whose upstream agent its credits return
+    /// to (for the local port, the NIC's injection side); [`NO_SLOT`] for a
+    /// boundary port.
+    pub in_slot: [u32; NUM_PORTS],
+    /// Per output port, the slot its flits enter (for the local port, the
+    /// NIC's ejection side); [`NO_SLOT`] for a boundary port.
+    pub out_slot: [u32; NUM_PORTS],
+    /// Per output port, the VC-allocation arbiter over the requesting
+    /// input VCs: one request word per input port, one bit per VC (global
+    /// index `input_port * num_vcs + vc`).
+    pub va_arbs: [RoundRobinArbiter; NUM_PORTS],
+    /// Per output port, the switch-allocation arbiter over input ports.
+    pub sa_out_arbs: [RoundRobinArbiter; NUM_PORTS],
+    /// Per input port, the switch-allocation arbiter over its VCs.
     pub sa_in_arbs: [RoundRobinArbiter; NUM_PORTS],
     /// Per output port, the input VCs whose routed head waits for VA
     /// there: bit `v` of `waiting[o][p]` is VC `v` of input `p`, the VA
@@ -58,12 +74,14 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    /// Creates a router. `connected[d]` tells whether the mesh port in
-    /// direction `d` has a neighbour; the local port is always connected.
-    pub fn new(num_vcs: usize, depth: usize, connected: [bool; NUM_PORTS]) -> Self {
+    /// Creates a router with `num_vcs` VCs per port whose ports have no
+    /// slots yet.
+    pub fn new(num_vcs: usize) -> Self {
         Router {
-            inputs: array::from_fn(|p| InputUnit::new(num_vcs, depth, connected[p])),
-            outputs: array::from_fn(|p| OutputUnit::new(num_vcs, depth, NUM_PORTS, connected[p])),
+            in_slot: [NO_SLOT; NUM_PORTS],
+            out_slot: [NO_SLOT; NUM_PORTS],
+            va_arbs: array::from_fn(|_| RoundRobinArbiter::with_words(NUM_PORTS, num_vcs)),
+            sa_out_arbs: array::from_fn(|_| RoundRobinArbiter::new(NUM_PORTS)),
             sa_in_arbs: array::from_fn(|_| RoundRobinArbiter::new(num_vcs)),
             waiting: [[0; NUM_PORTS]; NUM_PORTS],
             buffered: 0,
@@ -71,28 +89,34 @@ impl Router {
     }
 
     /// The BW stage for one flit arriving at input `in_port`.
-    pub fn write_flit(&mut self, in_port: usize, flit: Flit, depth: usize) {
-        self.inputs[in_port].write_flit(flit, depth);
+    pub fn write_flit(&mut self, arena: &mut Arena, in_port: usize, flit: Flit) {
+        arena.write_flit(self.in_slot[in_port] as usize, flit);
         self.buffered += 1;
     }
 
     /// Removes the front flit of VC `vc` of input `in_port`, if any.
-    pub fn pop_flit(&mut self, in_port: usize, vc: usize) -> Option<Flit> {
-        let flit = self.inputs[in_port].pop_flit(vc)?;
+    pub fn pop_flit(&mut self, arena: &mut Arena, in_port: usize, vc: usize) -> Option<Flit> {
+        let flit = arena.pop_flit(self.in_slot[in_port] as usize, vc)?;
         self.buffered -= 1;
         Some(flit)
     }
 
-    /// Number of VCs per port.
-    pub fn num_vcs(&self) -> usize {
-        self.inputs[0].vcs.len()
-    }
-
     /// The RC result of a head flit buffered in VC `vc` of input `in_port`:
-    /// the VC now waits for an output VC on `outport`.
-    pub fn route_head(&mut self, in_port: usize, vc: usize, outport: Direction) {
-        self.inputs[in_port].vcs[vc].route = outport;
-        self.waiting[outport.index()][in_port] |= 1 << vc;
+    /// the VC now waits for an output VC on `outport`, which therefore sees
+    /// new traffic. Returns the output's slot.
+    pub fn route_head(
+        &mut self,
+        arena: &mut Arena,
+        in_port: usize,
+        vc: usize,
+        outport: usize,
+    ) -> usize {
+        let i = arena.vc_index(self.in_slot[in_port] as usize, vc);
+        arena.in_vcs[i].route = outport as u8;
+        self.waiting[outport][in_port] |= 1 << vc;
+        let out_slot = self.out_slot[outport] as usize;
+        arena.masks[out_slot].new_traffic = true;
+        out_slot
     }
 
     /// The VCs of input `in_port` waiting for VA on any output port.
@@ -100,12 +124,34 @@ impl Router {
         self.waiting.iter().fold(0, |m, words| m | words[in_port])
     }
 
-    /// `true` when at least one buffered head flit routed to `out_dir` has
-    /// no output VC allocated yet — the paper's
-    /// `is_new_traffic_outport_x()` predicate.
+    /// `true` when at least one buffered head flit routed to output `out`
+    /// has no output VC allocated yet — the paper's
+    /// `is_new_traffic_outport_x()` predicate, as the output slot's
+    /// `new_traffic` flag records it.
+    pub fn has_new_traffic(&self, out: usize) -> bool {
+        self.waiting[out].iter().any(|&w| w != 0)
+    }
+
+    /// The slot of output `out` if it sees new traffic.
     #[inline]
-    pub fn has_new_traffic(&self, out_dir: Direction) -> bool {
-        self.waiting[out_dir.index()].iter().any(|&w| w != 0)
+    fn requested_output(&self, arena: &Arena, out: usize) -> Option<usize> {
+        match self.out_slot[out] {
+            NO_SLOT => None,
+            slot => arena.masks[slot as usize]
+                .new_traffic
+                .then_some(slot as usize),
+        }
+    }
+
+    /// The VA requests on output `out`: the waiting VCs whose head was not
+    /// written this cycle. A waiting VC buffers its head, so its input port
+    /// has a slot.
+    fn va_requests(&self, arena: &Arena, out: usize) -> [u32; NUM_PORTS] {
+        let waiting = &self.waiting[out];
+        array::from_fn(|p| match waiting[p] {
+            0 => 0,
+            w => w & !arena.masks[self.in_slot[p] as usize].fresh,
+        })
     }
 
     /// The VA stage: grants free, allocatable output VCs to waiting head
@@ -119,43 +165,45 @@ impl Router {
     /// changed.
     pub fn vc_allocation<T: TraceSink>(
         &mut self,
+        arena: &mut Arena,
         now: u64,
-        depth: usize,
         node: NodeId,
         work: &mut WorkCounters,
         trace: &mut T,
     ) -> u8 {
-        let num_vcs = self.num_vcs();
+        let num_vcs = arena.vcs;
         let mut granted = 0u8;
-        let inputs = &mut self.inputs;
-        for (out_idx, out) in self.outputs.iter_mut().enumerate() {
-            if !out.connected {
+        for out_idx in 0..NUM_PORTS {
+            // With no request or no free VC the arbiter would grant
+            // nothing: skip it.
+            let Some(out_slot) = self.requested_output(arena, out_idx) else {
                 continue;
-            }
-            let waiting = &mut self.waiting[out_idx];
-            // With no request the arbiter would grant nothing: skip it.
-            if waiting.iter().all(|&w| w == 0) {
+            };
+            let Some(mut ovc) = arena.free_vc(out_slot, now) else {
                 continue;
-            }
-            let mut requests: [u32; NUM_PORTS] = array::from_fn(|p| waiting[p] & !inputs[p].fresh);
+            };
+            let mut requests = self.va_requests(arena, out_idx);
             while requests.iter().any(|&w| w != 0) {
-                let Some(ovc) = out.free_vc(now) else { break };
-                let Some(g) = out.va_arb.grant(&requests) else {
+                let Some(g) = self.va_arbs[out_idx].grant(&requests) else {
                     break;
                 };
                 let (p, v) = (g / num_vcs, g % num_vcs);
                 let bit = 1 << v;
                 requests[p] &= !bit;
-                waiting[p] &= !bit;
-                let unit = &mut inputs[p];
-                unit.active |= bit;
-                unit.vcs[v].out_vc = ovc;
-                debug_assert_eq!(unit.vcs[v].route.index(), out_idx, "VA off the route");
+                self.waiting[out_idx][p] &= !bit;
+                let in_slot = self.in_slot[p] as usize;
+                arena.masks[in_slot].in_active |= bit;
+                let i = arena.vc_index(in_slot, v);
+                arena.in_vcs[i].out_vc = ovc as u8;
+                arena.in_vcs[i].out = arena.vc_index(out_slot, ovc) as u32;
+                debug_assert_eq!(arena.in_vcs[i].route as usize, out_idx, "VA off the route");
                 debug_assert_eq!(
-                    out.vcs[ovc].credits, depth,
+                    arena.credits[arena.vc_index(out_slot, ovc)] as usize,
+                    arena.depth,
                     "an idle out VC must hold all its credits"
                 );
-                out.set_active(ovc);
+                arena.masks[out_slot].out_active |= 1 << ovc;
+                arena.masks[out_slot].new_traffic = self.has_new_traffic(out_idx);
                 granted |= 1 << out_idx;
                 work.va_grants += 1;
                 if T::ACTIVE {
@@ -170,23 +218,65 @@ impl Router {
                         },
                     });
                 }
+                match arena.free_vc(out_slot, now) {
+                    Some(next) => ovc = next,
+                    None => break,
+                }
             }
         }
         granted
     }
 
+    /// The slots of the outputs with new traffic and a VA request.
+    fn requesting_outputs<'a>(&'a self, arena: &'a Arena) -> impl Iterator<Item = usize> + 'a {
+        (0..NUM_PORTS).filter_map(move |o| {
+            let slot = self.requested_output(arena, o)?;
+            self.va_requests(arena, o)
+                .iter()
+                .any(|&w| w != 0)
+                .then_some(slot)
+        })
+    }
+
     /// After a VA pass that granted nothing: whether some output has a
     /// request and an idle, allocatable VC that is still waking up, so a
     /// later VA pass may grant with nothing else changing.
-    pub fn waits_for_wakeup(&self) -> bool {
-        self.outputs.iter().zip(&self.waiting).any(|(out, words)| {
-            out.connected
-                && out.allocatable & !out.active != 0
-                && words
-                    .iter()
-                    .zip(&self.inputs)
-                    .any(|(&w, unit)| w & !unit.fresh != 0)
+    pub fn waits_for_wakeup(&self, arena: &Arena) -> bool {
+        self.requesting_outputs(arena).any(|slot| {
+            let m = arena.masks[slot];
+            m.allocatable & !m.out_active != 0
         })
+    }
+
+    /// Whether a VA and SA pass run now would grant anything: some output
+    /// has a request and a free VC, or some input has a switch nominee.
+    /// Reads only, so the invariant checker can ask it of a stalled router.
+    pub fn could_grant(&self, arena: &Arena, now: u64) -> bool {
+        self.requesting_outputs(arena)
+            .any(|slot| arena.free_vc(slot, now).is_some())
+            || (0..NUM_PORTS).any(|p| self.sa_ready(arena, p) != 0)
+    }
+
+    /// The VCs of input `p` that may nominate themselves for the switch:
+    /// active, buffered, not fresh, and with a credit on their output VC.
+    #[inline]
+    fn sa_ready(&self, arena: &Arena, p: usize) -> u32 {
+        let slot = self.in_slot[p];
+        if slot == NO_SLOT {
+            return 0;
+        }
+        let m = arena.masks[slot as usize];
+        let mut candidates = m.in_active & m.occupied & !m.fresh;
+        let mut ready = 0u32;
+        while candidates != 0 {
+            let v = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            let out = arena.in_vcs[arena.vc_index(slot as usize, v)].out;
+            if arena.credits[out as usize] > 0 {
+                ready |= 1 << v;
+            }
+        }
+        ready
     }
 
     /// The SA stage: a separable, input-first allocator. Each input port
@@ -194,47 +284,33 @@ impl Router {
     /// VC has a credit; each output port admits one nominee. Returns the
     /// winner (if any) per output port — a fixed array so the per-cycle
     /// SA stage never allocates.
-    pub fn switch_allocation(&mut self) -> [Option<SaWinner>; NUM_PORTS] {
+    pub fn switch_allocation(&mut self, arena: &Arena) -> [Option<SaWinner>; NUM_PORTS] {
         let mut nominees: [Option<SaWinner>; NUM_PORTS] = [None; NUM_PORTS];
         // Per output port, the input ports whose nominee targets it.
         let mut requests = [0u32; NUM_PORTS];
-        for (p, (unit, arb)) in self.inputs.iter().zip(&mut self.sa_in_arbs).enumerate() {
-            let mut candidates = unit.active & unit.occupied & !unit.fresh;
-            if candidates == 0 {
+        for (p, nominee) in nominees.iter_mut().enumerate() {
+            let ready = self.sa_ready(arena, p);
+            if ready == 0 {
                 continue;
             }
-            let mut ready = 0u32;
-            while candidates != 0 {
-                let v = candidates.trailing_zeros() as usize;
-                candidates &= candidates - 1;
-                let vc = &unit.vcs[v];
-                if self.outputs[vc.route.index()].vcs[vc.out_vc].credits > 0 {
-                    ready |= 1 << v;
-                }
-            }
-            if let Some(v) = arb.grant(&[ready]) {
-                let vc = &unit.vcs[v];
-                let out_port = vc.route.index();
-                nominees[p] = Some(SaWinner {
-                    in_port: p,
-                    vc: v,
-                    out_port,
+            if let Some(v) = self.sa_in_arbs[p].grant(&[ready]) {
+                let vc = arena.in_vcs[arena.vc_index(self.in_slot[p] as usize, v)];
+                *nominee = Some(SaWinner {
+                    in_port: p as u8,
+                    vc: v as u8,
+                    out_port: vc.route,
                     out_vc: vc.out_vc,
                 });
-                requests[out_port] |= 1 << p;
+                requests[usize::from(vc.route)] |= 1 << p;
             }
         }
         let mut winners: [Option<SaWinner>; NUM_PORTS] = [None; NUM_PORTS];
-        for (out, (winner, &req)) in self
-            .outputs
-            .iter_mut()
-            .zip(winners.iter_mut().zip(&requests))
-        {
+        for (o, &req) in requests.iter().enumerate() {
             if req == 0 {
                 continue;
             }
-            if let Some(p) = out.sa_arb.grant(&[req]) {
-                *winner = nominees[p];
+            if let Some(p) = self.sa_out_arbs[o].grant(&[req]) {
+                winners[o] = nominees[p];
             }
         }
         winners
@@ -248,38 +324,55 @@ impl Router {
     /// VC is active, and the cached flit count matches a recount.
     pub fn collect_violations(
         &self,
+        arena: &Arena,
         node: NodeId,
         cycle: u64,
         full: bool,
         out: &mut Vec<InvariantViolation>,
     ) {
-        let all = all_vcs(self.num_vcs());
-        for (p, unit) in self.inputs.iter().enumerate() {
+        let all = all_vcs(arena.vcs);
+        for p in 0..NUM_PORTS {
             let dir = Direction::from_index(p);
             let waiting = self.waiting_at(p);
-            // lint:allow(alloc-in-hot-path) diagnostic pass: only runs with invariants enabled
-            unit.collect_gating_violations(waiting, cycle, &format!("router {node} in-{dir}"), out);
+            let (in_slot, out_slot) = (self.in_slot[p], self.out_slot[p]);
+            // A boundary input stays gated, idle and empty.
+            if in_slot != NO_SLOT {
+                arena.collect_gating_violations(
+                    in_slot as usize,
+                    waiting,
+                    cycle,
+                    &format_args!("router {node} in-{dir}"),
+                    out,
+                );
+            }
             if !full {
                 continue;
             }
-            unit.collect_mask_violations(cycle, &format_args!("router {node} in-{dir}"), out);
-            self.outputs[p].collect_mask_violations(
-                cycle,
-                &format_args!("router {node} out-{dir}"),
-                out,
-            );
-            let mut push = |detail: String| {
-                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                out.push(InvariantViolation {
+            if in_slot != NO_SLOT {
+                arena.collect_in_mask_violations(
+                    in_slot as usize,
                     cycle,
-                    kind: InvariantKind::VcStateConsistency,
-                    detail,
-                });
-            };
-            let both = waiting & unit.active;
-            if both != 0 {
+                    &format_args!("router {node} in-{dir}"),
+                    out,
+                );
+            }
+            if out_slot != NO_SLOT {
+                arena.collect_out_mask_violations(
+                    out_slot as usize,
+                    cycle,
+                    &format_args!("router {node} out-{dir}"),
+                    out,
+                );
+            }
+            let mut push = |detail: fmt::Arguments<'_>| {
+                let kind = InvariantKind::VcStateConsistency;
                 // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                push(format!(
+                out.push(InvariantViolation::new(cycle, kind, detail));
+            };
+            let active = arena.masks.get(in_slot as usize).map_or(0, |m| m.in_active);
+            let both = waiting & active;
+            if both != 0 {
+                push(format_args!(
                     "router {node} in-{dir} VCs {both:#b} are both waiting and active"
                 ));
             }
@@ -287,8 +380,7 @@ impl Router {
                 let outport = Direction::from_index(o);
                 let stray = words[p] & !all;
                 if stray != 0 {
-                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                    push(format!(
+                    push(format_args!(
                         "router {node} out-{outport} waiting mask has bits {stray:#x} \
                          beyond in-{dir}'s VCs"
                     ));
@@ -297,29 +389,37 @@ impl Router {
                 while bits != 0 {
                     let v = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let vc = &unit.vcs[v];
-                    let why = match vc.buffer.front() {
-                        None => "buffers nothing",
-                        Some(f) if !f.is_head() => "its front flit is not a head",
-                        Some(_) if vc.route != outport => "its head is routed elsewhere",
-                        Some(_) => continue,
+                    let why = match in_slot {
+                        NO_SLOT => "buffers nothing",
+                        slot => {
+                            let route = arena.in_vcs[arena.vc_index(slot as usize, v)].route;
+                            match arena.buffer(slot as usize, v).next() {
+                                None => "buffers nothing",
+                                Some(f) if !f.is_head() => "its front flit is not a head",
+                                Some(_) if route as usize != o => "its head is routed elsewhere",
+                                Some(_) => continue,
+                            }
+                        }
                     };
-                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                    push(format!(
+                    push(format_args!(
                         "router {node} in-{dir} vc{v} waits for out-{outport} but {why}"
                     ));
                 }
             }
-            let mut active = unit.active & all;
+            let mut active = active & all;
             while active != 0 {
                 let v = active.trailing_zeros() as usize;
                 active &= active - 1;
-                let vc = &unit.vcs[v];
-                if !self.outputs[vc.route.index()].is_active(vc.out_vc) {
-                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                    push(format!(
+                let vc = arena.in_vcs[arena.vc_index(in_slot as usize, v)];
+                let route = vc.route as usize;
+                let target = self.out_slot[route];
+                let out_active = target != NO_SLOT
+                    && arena.masks[target as usize].out_active & (1 << vc.out_vc) != 0;
+                if !out_active {
+                    push(format_args!(
                         "router {node} in-{dir} vc{v} is active on out-{} vc{}, which is idle",
-                        vc.route, vc.out_vc
+                        Direction::from_index(route),
+                        vc.out_vc
                     ));
                 }
             }
@@ -327,34 +427,26 @@ impl Router {
         if !full {
             return;
         }
-        let held = self.buffered_flits();
+        let held = self.buffered_flits(arena);
         if held != self.buffered as usize {
             // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-            out.push(InvariantViolation {
+            out.push(InvariantViolation::new(
                 cycle,
-                kind: InvariantKind::VcStateConsistency,
-                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                detail: format!(
+                InvariantKind::VcStateConsistency,
+                format_args!(
                     "router {node} counts {} buffered flit(s), but its input VCs hold {held}",
                     self.buffered
                 ),
-            });
+            ));
         }
     }
 
-    /// Total flits buffered across all input units.
-    pub fn buffered_flits(&self) -> usize {
-        self.inputs
+    /// Total flits buffered across all input ports, recounted.
+    pub fn buffered_flits(&self, arena: &Arena) -> usize {
+        self.in_slot
             .iter()
-            .map(super::unit::InputUnit::buffered_flits)
-            .sum()
-    }
-
-    /// Total flits in flight on incoming links.
-    pub fn in_flight_flits(&self) -> usize {
-        self.inputs
-            .iter()
-            .map(super::unit::InputUnit::in_flight_flits)
+            .filter(|&&s| s != NO_SLOT)
+            .map(|&s| arena.buffered(s as usize))
             .sum()
     }
 }
@@ -362,100 +454,117 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{split_packet, PacketId};
-    use crate::types::NodeId;
+    use crate::flit::split_packet;
 
-    fn router(num_vcs: usize) -> Router {
-        Router::new(num_vcs, 4, [true; NUM_PORTS])
+    const W: usize = Direction::West.index();
+    const N: usize = Direction::North.index();
+    const S: usize = Direction::South.index();
+    const E: usize = Direction::East.index();
+
+    /// A router whose input port `p` is slot `p` and output port `o` slot
+    /// `5 + o`, with its own arena.
+    fn router(num_vcs: usize) -> (Router, Arena) {
+        let mut r = Router::new(num_vcs);
+        r.in_slot = array::from_fn(|p| p as u32);
+        r.out_slot = array::from_fn(|o| (NUM_PORTS + o) as u32);
+        (r, Arena::new(2 * NUM_PORTS, num_vcs, 4))
     }
 
-    fn va(r: &mut Router, now: u64) {
-        r.vc_allocation(
-            now,
-            4,
-            NodeId(0),
-            &mut WorkCounters::default(),
-            &mut noc_telemetry::NullSink,
+    fn va(r: &mut Router, arena: &mut Arena, now: u64) {
+        let sink = &mut noc_telemetry::NullSink;
+        r.vc_allocation(arena, now, NodeId(0), &mut WorkCounters::default(), sink);
+    }
+
+    /// Writes and routes a head into VC `vc` of `in_port`, towards output
+    /// `out`. The VC is fresh until [`next_cycle`].
+    fn put_waiting_head(r: &mut Router, a: &mut Arena, in_port: usize, vc: usize, out: usize) {
+        let head = split_packet(vc as u32 + 100, 3)[0];
+        r.write_flit(
+            a,
+            in_port,
+            Flit {
+                vc: vc as u8,
+                ..head
+            },
         );
-    }
-
-    /// Writes and routes a head into VC `vc` of `in_port`. The VC is
-    /// fresh until [`next_cycle`].
-    fn put_waiting_head(r: &mut Router, in_port: usize, vc: usize, outport: Direction) {
-        let mut f = split_packet(PacketId(vc as u64 + 100), NodeId(0), NodeId(1), 3, 0)[0];
-        f.vc = vc;
-        r.write_flit(in_port, f, 4);
-        r.route_head(in_port, vc, outport);
+        r.route_head(a, in_port, vc, out);
     }
 
     /// What `begin_cycle` does before delivering: nothing buffered so far
     /// was written this cycle.
-    fn next_cycle(r: &mut Router) {
-        for unit in &mut r.inputs {
-            unit.fresh = 0;
+    fn next_cycle(arena: &mut Arena) {
+        for m in &mut arena.masks {
+            m.fresh = 0;
         }
     }
 
-    fn waits(r: &Router, in_port: Direction, vc: usize) -> bool {
-        r.waiting_at(in_port.index()) & (1 << vc) != 0
+    fn waits(r: &Router, in_port: usize, vc: usize) -> bool {
+        r.waiting_at(in_port) & (1 << vc) != 0
     }
 
-    /// The output VC input VC `vc` of `in_port` is active on, if any.
-    fn active_on(r: &Router, in_port: Direction, vc: usize) -> Option<(Direction, usize)> {
-        let unit = &r.inputs[in_port.index()];
-        (unit.active & (1 << vc) != 0).then(|| (unit.vcs[vc].route, unit.vcs[vc].out_vc))
+    /// The output port and VC input VC `vc` of `in_port` is active on, if
+    /// any.
+    fn active_on(r: &Router, arena: &Arena, in_port: usize, vc: usize) -> Option<(usize, usize)> {
+        let slot = r.in_slot[in_port] as usize;
+        let in_vc = arena.in_vcs[arena.vc_index(slot, vc)];
+        (arena.masks[slot].in_active & (1 << vc) != 0)
+            .then_some((in_vc.route as usize, in_vc.out_vc as usize))
+    }
+
+    fn out_active(r: &Router, arena: &Arena, out: usize) -> u32 {
+        arena.masks[r.out_slot[out] as usize].out_active
     }
 
     /// Recounts the cached state through the invariant checker.
-    fn assert_consistent(r: &Router) {
+    fn assert_consistent(r: &Router, arena: &Arena) {
         let mut found = Vec::new();
-        r.collect_violations(NodeId(0), 0, true, &mut found);
+        r.collect_violations(arena, NodeId(0), 0, true, &mut found);
         assert!(found.is_empty(), "{found:?}");
     }
 
     #[test]
     fn new_traffic_predicate_sees_waiting_heads() {
-        let mut r = router(2);
-        assert!(!r.has_new_traffic(Direction::East));
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        assert!(r.has_new_traffic(Direction::East));
-        assert!(!r.has_new_traffic(Direction::North));
-        assert_consistent(&r);
+        let (mut r, mut a) = router(2);
+        assert!(!r.has_new_traffic(E));
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        assert!(r.has_new_traffic(E));
+        assert!(!r.has_new_traffic(N));
+        assert_consistent(&r, &a);
         // Allocated VCs no longer count as new traffic.
-        next_cycle(&mut r);
-        va(&mut r, 1);
-        assert!(!r.has_new_traffic(Direction::East));
-        assert_consistent(&r);
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 1);
+        assert!(!r.has_new_traffic(E));
+        assert_consistent(&r, &a);
     }
 
     #[test]
     fn skewed_waiting_count_is_a_vc_state_violation() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        // A phantom waiting bit on an idle, empty VC.
-        r.waiting[Direction::North.index()][Direction::South.index()] |= 1;
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        // A phantom waiting bit on an idle, empty VC, flagged as new
+        // traffic the way the network's fault hook does.
+        r.waiting[N][S] |= 1;
+        a.masks[r.out_slot[N] as usize].new_traffic = true;
         let mut found = Vec::new();
-        r.collect_violations(NodeId(0), 0, true, &mut found);
+        r.collect_violations(&a, NodeId(0), 0, true, &mut found);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].kind, InvariantKind::VcStateConsistency);
+        let detail = &found[0].detail;
         assert!(
-            found[0]
-                .detail
-                .contains("in-S vc0 waits for out-N but buffers nothing"),
-            "{}",
-            found[0].detail
+            detail.contains("in-S vc0 waits for out-N but buffers nothing"),
+            "{detail}"
         );
         // The cheap level does not recount.
         found.clear();
-        r.collect_violations(NodeId(0), 0, false, &mut found);
+        r.collect_violations(&a, NodeId(0), 0, false, &mut found);
         assert!(found.is_empty());
         // A real head waiting on two ports at once is caught too, and so
         // is a VC both waiting and active.
-        r.waiting[Direction::North.index()][Direction::South.index()] = 0;
-        r.waiting[Direction::North.index()][Direction::West.index()] |= 1;
-        r.inputs[Direction::West.index()].active |= 1;
-        r.outputs[Direction::East.index()].set_active(0);
-        r.collect_violations(NodeId(0), 0, true, &mut found);
+        r.waiting[N][S] = 0;
+        r.waiting[N][W] |= 1;
+        a.masks[W].in_active |= 1;
+        a.masks[r.out_slot[E] as usize].out_active |= 1;
+        r.collect_violations(&a, NodeId(0), 0, true, &mut found);
         let details: Vec<&str> = found.iter().map(|v| v.detail.as_str()).collect();
         assert_eq!(found.len(), 2, "{details:?}");
         assert!(
@@ -467,32 +576,27 @@ mod tests {
 
     #[test]
     fn skewed_flit_count_is_a_vc_state_violation() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 1, Direction::East);
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 1, E);
         assert_eq!(r.buffered, 1);
         r.buffered += 1;
         let mut found = Vec::new();
-        r.collect_violations(NodeId(0), 0, true, &mut found);
+        r.collect_violations(&a, NodeId(0), 0, true, &mut found);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].kind, InvariantKind::VcStateConsistency);
+        let detail = &found[0].detail;
         assert!(
-            found[0]
-                .detail
-                .contains("counts 2 buffered flit(s), but its input VCs hold 1"),
-            "{}",
-            found[0].detail
+            detail.contains("counts 2 buffered flit(s), but its input VCs hold 1"),
+            "{detail}"
         );
         found.clear();
-        r.collect_violations(NodeId(0), 0, false, &mut found);
+        r.collect_violations(&a, NodeId(0), 0, false, &mut found);
         assert!(found.is_empty());
         r.buffered -= 1;
-        assert_eq!(
-            r.pop_flit(Direction::West.index(), 1).map(|f| f.vc),
-            Some(1)
-        );
-        assert_eq!(r.pop_flit(Direction::West.index(), 1), None);
+        assert_eq!(r.pop_flit(&mut a, W, 1).map(|f| f.vc), Some(1));
+        assert_eq!(r.pop_flit(&mut a, W, 1), None);
         assert_eq!(r.buffered, 0);
-        assert_eq!(r.inputs[Direction::West.index()].occupied, 0);
+        assert_eq!(a.masks[W].occupied, 0);
     }
 
     /// The premise of skipping empty routers in `finish_cycle`: with no
@@ -500,89 +604,82 @@ mod tests {
     /// priority, even with VCs left active mid-packet.
     #[test]
     fn an_empty_router_grants_nothing_and_keeps_its_priorities() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        next_cycle(&mut r);
-        va(&mut r, 1);
-        assert_eq!(r.switch_allocation().iter().flatten().count(), 1);
-        r.pop_flit(Direction::West.index(), 0);
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 1);
+        assert_eq!(r.switch_allocation(&a).iter().flatten().count(), 1);
+        r.pop_flit(&mut a, W, 0);
         assert_eq!(r.buffered, 0);
         let priorities = |r: &Router| -> Vec<usize> {
-            r.outputs
+            r.va_arbs
                 .iter()
-                .flat_map(|o| [o.va_arb.priority(), o.sa_arb.priority()])
-                .chain(r.sa_in_arbs.iter().map(RoundRobinArbiter::priority))
+                .chain(&r.sa_out_arbs)
+                .chain(&r.sa_in_arbs)
+                .map(RoundRobinArbiter::priority)
                 .collect()
         };
         let before = priorities(&r);
-        next_cycle(&mut r);
-        va(&mut r, 2);
-        assert!(r.switch_allocation().iter().all(Option::is_none));
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 2);
+        assert!(r.switch_allocation(&a).iter().all(Option::is_none));
+        assert!(!r.could_grant(&a, 2));
         assert_eq!(priorities(&r), before);
     }
 
     #[test]
     fn va_grants_free_allocatable_vc() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        next_cycle(&mut r);
-        va(&mut r, 1);
-        assert_eq!(
-            active_on(&r, Direction::West, 0),
-            Some((Direction::East, 0))
-        );
-        assert!(!waits(&r, Direction::West, 0));
-        assert!(r.outputs[Direction::East.index()].is_active(0));
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        next_cycle(&mut a);
+        assert!(r.could_grant(&a, 1));
+        va(&mut r, &mut a, 1);
+        assert_eq!(active_on(&r, &a, W, 0), Some((E, 0)));
+        assert!(!waits(&r, W, 0));
+        assert_eq!(out_active(&r, &a, E), 1);
     }
 
     #[test]
     fn va_waits_a_cycle_for_a_fresh_head() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
         // Written this cycle: VA must not grant yet.
-        va(&mut r, 5);
-        assert!(waits(&r, Direction::West, 0));
-        next_cycle(&mut r);
-        va(&mut r, 6);
-        assert!(active_on(&r, Direction::West, 0).is_some());
+        assert!(!r.could_grant(&a, 5));
+        va(&mut r, &mut a, 5);
+        assert!(waits(&r, W, 0));
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 6);
+        assert!(active_on(&r, &a, W, 0).is_some());
     }
 
     #[test]
     fn va_respects_allocatable_mask() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        next_cycle(&mut r);
-        r.outputs[Direction::East.index()].allocatable = 0;
-        va(&mut r, 1);
-        assert!(waits(&r, Direction::West, 0));
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        next_cycle(&mut a);
+        let east = r.out_slot[E] as usize;
+        a.masks[east].allocatable = 0;
+        va(&mut r, &mut a, 1);
+        assert!(waits(&r, W, 0));
         // Re-enable only VC 1: the head must land there.
-        r.outputs[Direction::East.index()].allocatable = 0b10;
-        va(&mut r, 2);
-        assert_eq!(
-            active_on(&r, Direction::West, 0),
-            Some((Direction::East, 1))
-        );
+        a.masks[east].allocatable = 0b10;
+        va(&mut r, &mut a, 2);
+        assert_eq!(active_on(&r, &a, W, 0), Some((E, 1)));
     }
 
     #[test]
     fn va_is_fair_across_requesters() {
-        let mut r = router(2);
+        let (mut r, mut a) = router(2);
         // Two waiting heads from different ports racing for East.
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        put_waiting_head(&mut r, Direction::North.index(), 0, Direction::East);
-        next_cycle(&mut r);
-        va(&mut r, 1);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        put_waiting_head(&mut r, &mut a, N, 0, E);
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 1);
         // Both get VCs this cycle (two free out VCs under AllOn), in flat
         // index order: North (port 0) first.
-        assert_eq!(
-            active_on(&r, Direction::North, 0),
-            Some((Direction::East, 0))
-        );
-        assert_eq!(
-            active_on(&r, Direction::West, 0),
-            Some((Direction::East, 1))
-        );
-        assert_consistent(&r);
+        assert_eq!(active_on(&r, &a, N, 0), Some((E, 0)));
+        assert_eq!(active_on(&r, &a, W, 0), Some((E, 1)));
+        assert_consistent(&r, &a);
     }
 
     /// At 32 VCs each input port's VCs fill a whole request word, so VA's
@@ -590,96 +687,96 @@ mod tests {
     /// ports and wrap from the last word to the first.
     #[test]
     fn va_rotation_wraps_across_input_port_words_at_32_vcs() {
-        let mut r = router(32);
-        let east = Direction::East.index();
-        let (south, west) = (Direction::South.index(), Direction::West.index());
-        put_waiting_head(&mut r, south, 31, Direction::East);
-        put_waiting_head(&mut r, west, 0, Direction::East);
-        put_waiting_head(&mut r, west, 5, Direction::East);
-        next_cycle(&mut r);
+        let (mut r, mut a) = router(32);
+        put_waiting_head(&mut r, &mut a, S, 31, E);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        put_waiting_head(&mut r, &mut a, W, 5, E);
+        next_cycle(&mut a);
         // One allocatable VC per cycle: one grant per VA pass.
-        r.outputs[east].allocatable = 1 << 7;
-        r.outputs[east].va_arb.set_priority(south * 32 + 31);
-        let granted = |r: &mut Router, now: u64| {
-            va(r, now);
+        let east = r.out_slot[E] as usize;
+        a.masks[east].allocatable = 1 << 7;
+        r.va_arbs[E].set_priority(S * 32 + 31);
+        let granted = |r: &mut Router, a: &mut Arena, now: u64| {
+            va(r, a, now);
             let g = (0..NUM_PORTS)
                 .flat_map(|p| (0..32).map(move |v| (p, v)))
-                .find(|&(p, v)| r.inputs[p].active & (1 << v) != 0)
+                .find(|&(p, v)| a.masks[p].in_active & (1 << v) != 0)
                 .expect("one grant");
             // Release the grant so the next pass can reuse VC 7.
-            r.inputs[g.0].active = 0;
-            r.pop_flit(g.0, g.1);
-            r.outputs[east].set_idle(7);
+            a.masks[g.0].in_active = 0;
+            r.pop_flit(a, g.0, g.1);
+            a.masks[east].out_active &= !(1 << 7);
             g
         };
-        assert_eq!(granted(&mut r, 1), (south, 31));
+        assert_eq!(granted(&mut r, &mut a, 1), (S, 31));
         assert_eq!(
-            r.outputs[east].va_arb.priority(),
-            (south + 1) * 32,
+            r.va_arbs[E].priority(),
+            (S + 1) * 32,
             "carried into the next input port's word"
         );
-        assert_eq!(granted(&mut r, 2), (west, 0));
-        assert_eq!(granted(&mut r, 3), (west, 5));
+        assert_eq!(granted(&mut r, &mut a, 2), (W, 0));
+        assert_eq!(granted(&mut r, &mut a, 3), (W, 5));
         // Only South vc31 is left; a new head on North vc3 sits below the
         // pointer, so it wins only after the wrap past the last word.
-        put_waiting_head(&mut r, Direction::North.index(), 3, Direction::East);
-        put_waiting_head(&mut r, south, 31, Direction::East);
-        next_cycle(&mut r);
-        assert_eq!(granted(&mut r, 4), (Direction::North.index(), 3));
-        assert_eq!(granted(&mut r, 5), (south, 31));
-        assert!(!r.has_new_traffic(Direction::East));
+        put_waiting_head(&mut r, &mut a, N, 3, E);
+        put_waiting_head(&mut r, &mut a, S, 31, E);
+        next_cycle(&mut a);
+        assert_eq!(granted(&mut r, &mut a, 4), (N, 3));
+        assert_eq!(granted(&mut r, &mut a, 5), (S, 31));
+        assert!(!r.has_new_traffic(E));
     }
 
     #[test]
     fn sa_moves_at_most_one_flit_per_output() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        put_waiting_head(&mut r, Direction::North.index(), 0, Direction::East);
-        next_cycle(&mut r);
-        va(&mut r, 1);
-        let winners = r.switch_allocation();
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        put_waiting_head(&mut r, &mut a, N, 0, E);
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 1);
+        let winners = r.switch_allocation(&a);
         let granted: Vec<SaWinner> = winners.into_iter().flatten().collect();
         assert_eq!(granted.len(), 1, "one grant per output port");
-        assert_eq!(granted[0].out_port, Direction::East.index());
+        assert_eq!(usize::from(granted[0].out_port), E);
     }
 
     #[test]
     fn sa_requires_credits() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        next_cycle(&mut r);
-        va(&mut r, 1);
-        r.outputs[Direction::East.index()].vcs[0].credits = 0;
-        assert!(r.switch_allocation().iter().all(Option::is_none));
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 1);
+        let i = a.vc_index(r.out_slot[E] as usize, 0);
+        a.credits[i] = 0;
+        assert!(r.switch_allocation(&a).iter().all(Option::is_none));
+        assert!(!r.could_grant(&a, 2));
     }
 
     #[test]
     fn sa_respects_flit_readiness() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        next_cycle(&mut r);
-        va(&mut r, 1);
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 1);
         // Drain the head, then deliver the body into the emptied VC: it
         // is fresh this cycle and may only win SA in the next.
-        assert_eq!(r.switch_allocation().iter().flatten().count(), 1);
-        r.pop_flit(Direction::West.index(), 0);
-        next_cycle(&mut r);
-        let mut body = split_packet(PacketId(100), NodeId(0), NodeId(1), 3, 0)[1];
-        body.vc = 0;
-        r.write_flit(Direction::West.index(), body, 4);
-        assert!(r.switch_allocation().iter().all(Option::is_none));
-        next_cycle(&mut r);
-        assert_eq!(r.switch_allocation().iter().flatten().count(), 1);
+        assert_eq!(r.switch_allocation(&a).iter().flatten().count(), 1);
+        r.pop_flit(&mut a, W, 0);
+        next_cycle(&mut a);
+        let body = split_packet(100, 3)[1];
+        r.write_flit(&mut a, W, body);
+        assert!(r.switch_allocation(&a).iter().all(Option::is_none));
+        next_cycle(&mut a);
+        assert_eq!(r.switch_allocation(&a).iter().flatten().count(), 1);
     }
 
     #[test]
     fn distinct_outputs_proceed_in_parallel() {
-        let mut r = router(2);
-        put_waiting_head(&mut r, Direction::West.index(), 0, Direction::East);
-        put_waiting_head(&mut r, Direction::East.index(), 0, Direction::West);
-        next_cycle(&mut r);
-        va(&mut r, 1);
-        let winners = r.switch_allocation();
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        put_waiting_head(&mut r, &mut a, E, 0, W);
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 1);
+        let winners = r.switch_allocation(&a);
         assert_eq!(winners.iter().flatten().count(), 2);
     }
 }

@@ -691,82 +691,29 @@ macro_rules! dispatch {
     };
 }
 
-/// Inherent mirrors of the [`Topology`] methods, so callers holding an
-/// `AnyTopology` don't need the trait in scope.
-impl AnyTopology {
-    /// See [`Topology::num_nodes`].
-    pub fn num_nodes(&self) -> usize {
+impl Topology for AnyTopology {
+    fn num_nodes(&self) -> usize {
         dispatch!(self, t => t.num_nodes())
     }
 
-    /// See [`Topology::link_peer`].
-    pub fn link_peer(&self, node: NodeId, dir: Direction) -> Option<(NodeId, Direction)> {
+    fn link_peer(&self, node: NodeId, dir: Direction) -> Option<(NodeId, Direction)> {
         dispatch!(self, t => t.link_peer(node, dir))
     }
 
-    /// See [`Topology::route_dirs`].
-    pub fn route_dirs(&self, current: NodeId, dest: NodeId) -> DirSet {
+    fn route_dirs(&self, current: NodeId, dest: NodeId) -> DirSet {
         dispatch!(self, t => t.route_dirs(current, dest))
     }
 
-    /// See [`Topology::hop_distance`].
-    pub fn hop_distance(&self, a: NodeId, b: NodeId) -> usize {
+    fn hop_distance(&self, a: NodeId, b: NodeId) -> usize {
         dispatch!(self, t => t.hop_distance(a, b))
     }
 
-    /// See [`Topology::kind_name`].
-    pub fn kind_name(&self) -> &'static str {
+    fn kind_name(&self) -> &'static str {
         dispatch!(self, t => t.kind_name())
     }
 
-    /// See [`Topology::port_name`].
-    pub fn port_name(&self, dir: Direction) -> &'static str {
-        dispatch!(self, t => t.port_name(dir))
-    }
-
-    /// See [`Topology::neighbor`].
-    pub fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        self.link_peer(node, dir).map(|(n, _)| n)
-    }
-
-    /// See [`Topology::node_ids`].
-    pub fn node_ids(&self) -> std::ops::Range<usize> {
-        0..self.num_nodes()
-    }
-
-    /// See [`Topology::port_label`].
-    pub fn port_label(&self, port: PortId) -> String {
-        match port.kind {
-            PortKind::RouterInput(Direction::Local) => format!("{}-L", port.node),
-            PortKind::RouterInput(d) => format!("{}-{}", port.node, self.port_name(d)),
-            PortKind::NicEject => format!("{}-eject", port.node),
-        }
-    }
-}
-
-impl Topology for AnyTopology {
-    fn num_nodes(&self) -> usize {
-        AnyTopology::num_nodes(self)
-    }
-
-    fn link_peer(&self, node: NodeId, dir: Direction) -> Option<(NodeId, Direction)> {
-        AnyTopology::link_peer(self, node, dir)
-    }
-
-    fn route_dirs(&self, current: NodeId, dest: NodeId) -> DirSet {
-        AnyTopology::route_dirs(self, current, dest)
-    }
-
-    fn hop_distance(&self, a: NodeId, b: NodeId) -> usize {
-        AnyTopology::hop_distance(self, a, b)
-    }
-
-    fn kind_name(&self) -> &'static str {
-        AnyTopology::kind_name(self)
-    }
-
     fn port_name(&self, dir: Direction) -> &'static str {
-        AnyTopology::port_name(self, dir)
+        dispatch!(self, t => t.port_name(dir))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests of the simulator's building blocks.
 
 use noc_sim::arbiter::RoundRobinArbiter;
-use noc_sim::flit::{split_packet, PacketId};
+use noc_sim::flit::split_packet;
 use noc_sim::prelude::*;
 use proptest::prelude::*;
 
@@ -88,8 +88,8 @@ proptest! {
     /// Packet splitting: exactly one head, one tail, contiguous sequence
     /// numbers, and kind flags consistent with position.
     #[test]
-    fn split_packet_is_well_formed(len in 1usize..40, src in 0usize..16, dst in 0usize..16) {
-        let flits = split_packet(PacketId(1), NodeId(src), NodeId(dst), len, 5);
+    fn split_packet_is_well_formed(len in 1usize..40, packet in 0u32..16) {
+        let flits = split_packet(packet, len);
         prop_assert_eq!(flits.len(), len);
         prop_assert_eq!(flits.iter().filter(|f| f.is_head()).count(), 1);
         prop_assert_eq!(flits.iter().filter(|f| f.is_tail()).count(), 1);
@@ -97,6 +97,7 @@ proptest! {
         prop_assert!(flits[len - 1].is_tail());
         for (i, f) in flits.iter().enumerate() {
             prop_assert_eq!(f.seq as usize, i);
+            prop_assert_eq!(f.packet, packet);
         }
     }
 

@@ -177,8 +177,8 @@ pub const HOT_ENTRY_POINTS: &[&str] = &[
     // with work: the due schedule's drain and delivery, the port marks and
     // the active-NIC step.
     "pop_due",
-    "deliver_due",
-    "absorb_credits",
+    "deliver",
+    "absorb_credit",
     "traverse",
     "mark_port_at",
     "mark_all_ports",
@@ -187,6 +187,14 @@ pub const HOT_ENTRY_POINTS: &[&str] = &[
     "clear_bit",
     "step_nic",
     "waits_for_wakeup",
+    // The VC arena's per-flit and per-VC accessors: ring writes and pops,
+    // the allocators' mask reads and the packet table.
+    "write_flit",
+    "pop_flit",
+    "free_vc",
+    "va_requests",
+    "sa_ready",
+    "route_head",
     // The per-cycle injection surface of the traffic sources and the
     // workload adapters.
     "inject_from",
