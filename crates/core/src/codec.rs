@@ -671,6 +671,18 @@ pub fn spec_from_value(root: &JsonValue) -> Result<ExperimentJob, CodecError> {
         telemetry,
         ..base
     };
+    // rr-no-sensor designates its next VC every period, and a woken VC is
+    // allocatable only `wakeup_latency` cycles after power-on: a period no
+    // longer than the wake-up designates each VC away before it can carry
+    // a packet, so nothing is ever delivered.
+    let wakeup = cfg.noc.wakeup_latency;
+    if cfg.policy == PolicyKind::RrNoSensor && cfg.rr_rotation_period <= wakeup {
+        return Err(CodecError::new(format!(
+            "rr_rotation_period {} must exceed wakeup_latency {wakeup}: rr-no-sensor would \
+             rotate every VC away before it wakes and deliver nothing",
+            cfg.rr_rotation_period
+        )));
+    }
     Ok(ExperimentJob { cfg, traffic })
 }
 
@@ -1010,6 +1022,51 @@ mod tests {
             let err = spec_from_json(text).unwrap_err().to_string();
             assert!(err.contains(needle), "`{text}` -> {err}");
         }
+    }
+
+    /// A network too large to build is refused before anything is
+    /// allocated, with the cap named.
+    #[test]
+    fn oversized_networks_are_refused() {
+        for (noc, needle) in [
+            (
+                r#"{"cols":2,"rows":2,"buffer_depth":1000000000000}"#,
+                "buffer depth 1000000000000 exceeds the supported 64",
+            ),
+            (r#"{"flits_per_packet":100000}"#, "flits per packet exceed"),
+            (r#"{"cols":1000,"rows":1000}"#, "1000 x 1000 nodes exceed"),
+        ] {
+            let text = format!(r#"{{"policy":"sensor-wise","noc":{noc},"traffic":{{"rate":0.1}}}}"#);
+            let err = spec_from_json(&text).unwrap_err().to_string();
+            assert!(err.contains("invalid NoC configuration"), "{err}");
+            assert!(err.contains(needle), "{err}");
+        }
+    }
+
+    /// rr-no-sensor starves when it rotates the designated VC no slower
+    /// than a VC wakes: such a pair is refused, naming both values, while
+    /// one more cycle of period (as `ablation_wakeup` uses) delivers.
+    #[test]
+    fn rr_rotation_no_longer_than_the_wakeup_is_refused() {
+        let spec = |policy: &str, period: u64, wakeup: u64| {
+            format!(
+                r#"{{"policy":"{policy}","rr_rotation_period":{period},"warmup":300,
+                    "measure":3000,"noc":{{"vcs":2,"wakeup_latency":{wakeup}}},
+                    "traffic":{{"rate":0.12,"seed":3}}}}"#
+            )
+        };
+        for (period, wakeup) in [(1, 1), (2, 2), (1, 3), (3, 3)] {
+            let err = spec_from_json(&spec("rr", period, wakeup)).unwrap_err().to_string();
+            let needle = format!("rr_rotation_period {period} must exceed wakeup_latency {wakeup}");
+            assert!(err.contains(&needle), "{err}");
+        }
+        // Policies that do not rotate take any period.
+        assert!(spec_from_json(&spec("sw", 2, 2)).is_ok());
+        let mut job = spec_from_json(&spec("rr", 4, 3)).expect("wakeup + 1 is accepted");
+        assert!(job.run().net.packets_ejected > 0);
+        // The refused pair, built past the codec, delivers nothing.
+        job.cfg.rr_rotation_period = 3;
+        assert_eq!(job.run().net.packets_ejected, 0);
     }
 
     #[test]

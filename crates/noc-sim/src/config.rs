@@ -86,6 +86,20 @@ pub struct NocConfig {
 /// eligibility, designation) is kept in `u32` bit masks.
 pub const MAX_VCS_PER_PORT: usize = 32;
 
+/// The deepest VC buffer: the network sizes one ring of the next power of
+/// two per VC of every port up front and keeps a ring's position and
+/// length in a byte, and the state encoding stores credits and buffer
+/// lengths in a byte. Four times the deepest buffer studied (16).
+pub const MAX_BUFFER_DEPTH: usize = 64;
+
+/// The longest default packet, far above the 5-flit default.
+pub const MAX_FLITS_PER_PACKET: usize = 1024;
+
+/// The most nodes a fabric may have (a 16×16 mesh), four times the largest
+/// fabric studied (8×8). With the other caps, this bounds the memory a
+/// network takes at build time to tens of MiB.
+pub const MAX_NODES: usize = 256;
+
 /// Error returned by [`NocConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidConfigError(String);
@@ -127,11 +141,23 @@ impl NocConfig {
     ///
     /// Returns an error if any dimension, VC count, buffer depth or packet
     /// length is zero, latencies are zero, or a port has more than
-    /// [`MAX_VCS_PER_PORT`] VCs.
+    /// [`MAX_VCS_PER_PORT`] VCs, a buffer is deeper than
+    /// [`MAX_BUFFER_DEPTH`], a packet longer than [`MAX_FLITS_PER_PACKET`]
+    /// or the fabric larger than [`MAX_NODES`].
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
         let fail = |msg: &str| Err(InvalidConfigError(msg.to_string()));
         if self.cols == 0 || self.rows == 0 {
             return fail("mesh dimensions must be positive");
+        }
+        if self
+            .cols
+            .checked_mul(self.rows)
+            .is_none_or(|n| n > MAX_NODES)
+        {
+            return Err(InvalidConfigError(format!(
+                "{} x {} nodes exceed the supported {MAX_NODES}",
+                self.cols, self.rows
+            )));
         }
         if self.vcs_per_port == 0 {
             return fail("at least one virtual channel per port is required");
@@ -142,8 +168,20 @@ impl NocConfig {
         if self.buffer_depth == 0 {
             return fail("buffer depth must be positive");
         }
+        if self.buffer_depth > MAX_BUFFER_DEPTH {
+            return Err(InvalidConfigError(format!(
+                "buffer depth {} exceeds the supported {MAX_BUFFER_DEPTH} flits",
+                self.buffer_depth
+            )));
+        }
         if self.flits_per_packet == 0 {
             return fail("packets must have at least one flit");
+        }
+        if self.flits_per_packet > MAX_FLITS_PER_PACKET {
+            return Err(InvalidConfigError(format!(
+                "{} flits per packet exceed the supported {MAX_FLITS_PER_PACKET}",
+                self.flits_per_packet
+            )));
         }
         if self.link_latency == 0 || self.credit_latency == 0 {
             return fail("link and credit latencies must be at least one cycle");
@@ -195,6 +233,7 @@ impl Default for NocConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
 
     #[test]
     fn default_is_valid() {
@@ -218,61 +257,60 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let base = NocConfig::default();
-        let cases: Vec<(NocConfig, &str)> = vec![
+        let with = |edit: fn(&mut NocConfig)| {
+            let mut cfg = NocConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let cases: [(NocConfig, &str); 12] = [
+            (with(|c| c.cols = 0), "dimensions"),
+            (with(|c| c.vcs_per_port = 0), "virtual channel"),
             (
-                NocConfig {
-                    cols: 0,
-                    ..base.clone()
-                },
-                "dimensions",
-            ),
-            (
-                NocConfig {
-                    vcs_per_port: 0,
-                    ..base.clone()
-                },
-                "virtual channel",
-            ),
-            (
-                NocConfig {
-                    vcs_per_port: MAX_VCS_PER_PORT + 1,
-                    ..base.clone()
-                },
+                with(|c| c.vcs_per_port = MAX_VCS_PER_PORT + 1),
                 "at most 32 virtual channels",
             ),
+            (with(|c| c.buffer_depth = 0), "buffer depth"),
+            (with(|c| c.flits_per_packet = 0), "at least one flit"),
+            (with(|c| c.link_latency = 0), "latencies"),
+            (with(|c| c.credit_latency = 0), "latencies"),
             (
-                NocConfig {
-                    buffer_depth: 0,
-                    ..base.clone()
-                },
-                "buffer depth",
+                with(|c| c.buffer_depth = MAX_BUFFER_DEPTH + 1),
+                "depth 65 exceeds the supported 64",
             ),
             (
-                NocConfig {
-                    flits_per_packet: 0,
-                    ..base.clone()
-                },
-                "at least one flit",
+                with(|c| c.buffer_depth = 1_000_000_000_000),
+                "exceeds the supported",
             ),
             (
-                NocConfig {
-                    link_latency: 0,
-                    ..base.clone()
-                },
-                "latencies",
+                with(|c| c.flits_per_packet = MAX_FLITS_PER_PACKET + 1),
+                "1025 flits per packet",
             ),
             (
-                NocConfig {
-                    credit_latency: 0,
-                    ..base
-                },
-                "latencies",
+                with(|c| (c.cols, c.rows) = (17, 16)),
+                "17 x 16 nodes exceed the supported 256",
             ),
+            (with(|c| (c.cols, c.rows) = (usize::MAX, 2)), "nodes exceed"),
         ];
         for (cfg, needle) in cases {
             let err = cfg.validate().unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+
+    /// The caps sit above every configuration in use: buffer depths 1–16,
+    /// meshes up to 8×8 (and 16×16 at the cap itself).
+    #[test]
+    fn the_caps_admit_every_configuration_in_use() {
+        for (cols, rows, depth) in [(8, 8, 16), (16, 16, MAX_BUFFER_DEPTH), (2, 2, 1)] {
+            NocConfig {
+                cols,
+                rows,
+                buffer_depth: depth,
+                flits_per_packet: MAX_FLITS_PER_PACKET,
+                ..NocConfig::default()
+            }
+            .validate()
+            .unwrap();
         }
     }
 

@@ -321,6 +321,34 @@ fn deeply_nested_json_gets_400_and_the_server_keeps_serving() {
     assert!(report.accounts_for_all(), "{report:?}");
 }
 
+/// A spec whose network would need terabytes of buffers is refused with a
+/// 400 naming the cap, before anything is allocated, and the server keeps
+/// serving.
+#[test]
+fn an_oversized_network_gets_400_and_the_server_keeps_serving() {
+    let (server, client) = start(1, 2, 0);
+    let huge = r#"{"policy":"sensor-wise","noc":{"cols":2,"rows":2,"buffer_depth":1000000000000},"traffic":{"rate":0.1}}"#;
+    match client.submit(huge).expect("transport").0 {
+        Submitted::Refused { status, error } => {
+            assert_eq!(status, 400);
+            assert!(error.contains("buffer depth"), "{error}");
+        }
+        other => panic!("oversized network accepted: {other:?}"),
+    }
+    let (_, small) = spec(500, 1);
+    assert!(matches!(
+        client.submit(&small).expect("transport").0,
+        Submitted::Accepted { .. }
+    ));
+    let stats = client.stats().expect("server still answers /stats");
+    assert_eq!(stats.get("accepting").and_then(|v| v.as_bool()), Some(true));
+
+    server.request_shutdown(true);
+    let report = server.wait();
+    assert_eq!(report.accepted, 1);
+    assert!(report.accounts_for_all(), "{report:?}");
+}
+
 /// Cancelling a queued job frees its queue slot at once: with the single
 /// worker busy and both slots cancelled, the queue reads empty and the
 /// next submission is accepted.
