@@ -1,9 +1,11 @@
-//! Simulator throughput bench: kcycles/sec of the full experiment loop
-//! with the per-cycle stage profiler attached, appended to
+//! Simulator throughput bench: kcycles/sec of the full experiment loop,
+//! untraced and with the per-cycle stage profiler attached, appended to
 //! `BENCH_sim.json`.
 //!
-//! Each invocation runs one profiled experiment of the standard synthetic
-//! scenario, prints the per-stage p50/p95/p99 latency table (the same one
+//! Each invocation runs the standard synthetic scenario twice: once
+//! untraced, which gives `kcycles_per_sec_untraced`, the rate a user sees,
+//! and once profiled, which must produce the same result. It prints the
+//! per-stage p50/p95/p99 latency table of the profiled run (the same one
 //! `nbti-noc run --profile` shows), and records wall time, kcycles/sec
 //! and the per-stage mean costs. Regressions in the cycle loop — routing,
 //! allocation, traversal, or the gating controller — show up both as a
@@ -14,7 +16,7 @@
 
 use nbti_noc_bench::{append_entry, existing_runs};
 use noc_telemetry::{clock, Stage};
-use sensorwise::{ExperimentJob, PolicyKind, SyntheticScenario};
+use sensorwise::{result_to_json, ExperimentJob, PolicyKind, SyntheticScenario};
 use std::path::Path;
 
 struct BenchConfig {
@@ -62,11 +64,20 @@ fn main() {
     let mut job: ExperimentJob = scenario.job(bench.policy, bench.warmup, bench.measure);
     job.traffic = job.traffic.with_seed(1);
 
+    let cycles = bench.warmup + bench.measure;
+    let started = clock::now();
+    let untraced = job.run();
+    // Cycles per millisecond, from nanoseconds.
+    let untraced_kcycles_per_sec = cycles as f64 * 1e6 / clock::ns_since(started).max(1) as f64;
+
     let started = clock::now();
     let (result, prof) = job.run_profiled();
     let elapsed_ms = clock::ms_since(started).max(1);
-
-    let cycles = bench.warmup + bench.measure;
+    assert_eq!(
+        result_to_json(&untraced),
+        result_to_json(&result),
+        "profiling changed the simulation"
+    );
     let kcycles_per_sec = cycles as f64 / elapsed_ms as f64;
     let report = prof.report();
     print!("{report}");
@@ -83,7 +94,7 @@ fn main() {
         "{{\"run\":{run},\"cores\":{},\"vcs\":{},\"rate\":{},\"policy\":\"{}\",\
          \"cycles\":{cycles},\"elapsed_ms\":{elapsed_ms},\
          \"kcycles_per_sec\":{kcycles_per_sec:.1},\"packets_ejected\":{},\
-         \"mean_ns\":{{{}}}}}",
+         \"mean_ns\":{{{}}},\"kcycles_per_sec_untraced\":{untraced_kcycles_per_sec:.1}}}",
         bench.cores,
         bench.vcs,
         bench.rate,
@@ -93,8 +104,8 @@ fn main() {
     );
     append_entry(&out, &entry);
     println!(
-        "sim_throughput: {cycles} cycles in {elapsed_ms} ms ({kcycles_per_sec:.1} kcycles/s), \
-         {} packets, policy {}",
+        "sim_throughput: {cycles} cycles in {elapsed_ms} ms ({kcycles_per_sec:.1} kcycles/s \
+         profiled, {untraced_kcycles_per_sec:.1} untraced), {} packets, policy {}",
         result.net.packets_ejected,
         bench.policy.label()
     );

@@ -70,6 +70,17 @@ if grep -rn 'cycle_dependence' crates src tests; then
     echo "ci: the per-port cycle-dependence probe is back" >&2
     exit 1
 fi
+# One VC arena: the simulator's VC state lives in flat per-slot arrays
+# and rings, and flits and credits in flight live only in the due
+# schedule. The per-unit link queues and queue-backed VC buffers stay
+# deleted (a VecDeque is left only in the due schedule, the NIC's packet
+# queue and the topology's breadth-first searches).
+if grep -rnwE 'arrivals|credit_arrivals' crates/noc-sim/src \
+    || grep -ln 'VecDeque' crates/noc-sim/src/*.rs \
+        | grep -vxE 'crates/noc-sim/src/(network|nic|topology)\.rs'; then
+    echo "ci: a per-unit link queue or a VecDeque-backed VC buffer is back" >&2
+    exit 1
+fi
 if grep -rnE --include='*.rs' 'fn percentile|struct AtomicHistogram' crates src tests \
     | grep -v '^crates/telemetry/'; then
     echo "ci: percentile or AtomicHistogram is defined outside noc-telemetry" >&2
@@ -286,14 +297,19 @@ curl -sf "http://$addr/stats" | grep -q '"accepted":6' || {
     exit 1
 }
 
-# Hostile-client smoke: 200 000 nested brackets, an oversize head, raw
-# garbage bytes and an upload slower than the 5 s request deadline. Each
-# costs one handler at most that deadline; afterwards /stats answers and
-# the shutdown line below still accounts for exactly the six jobs.
+# Hostile-client smoke: 200 000 nested brackets, a spec whose network
+# would need terabytes of buffers, an oversize head, raw garbage bytes and
+# an upload slower than the 5 s request deadline. Each costs one handler
+# at most that deadline; afterwards /stats answers and the shutdown line
+# below still accounts for exactly the six jobs.
 head -c 200000 /dev/zero | tr '\0' '[' > "$servedir/nested.json"
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     --data-binary @"$servedir/nested.json" "http://$addr/jobs" || true)
 [ "$code" = 400 ] || { echo "ci: 200 000 nested brackets got '$code', not 400" >&2; exit 1; }
+huge='{"policy":"sensor-wise","noc":{"cols":2,"rows":2,"buffer_depth":1000000000000},"traffic":{"rate":0.1}}'
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary "$huge" \
+    "http://$addr/jobs" || true)
+[ "$code" = 400 ] || { echo "ci: an oversized network config got '$code', not 400" >&2; exit 1; }
 pad=$(head -c 16384 /dev/zero | tr '\0' 'a')
 code=$(curl -s -o /dev/null -w '%{http_code}' -H "X-Pad: $pad" "http://$addr/stats" || true)
 [ "$code" = 400 ] || { echo "ci: an oversize head got '$code', not 400" >&2; exit 1; }
@@ -447,10 +463,12 @@ cargo run -q --release --offline -p nbti-noc-bench --bin verify_throughput -- \
     --symmetry-only > /dev/null
 cargo run -q --release --offline -p nbti-noc-bench --bin analyze_throughput -- \
     --iters 3 > /dev/null
+# The canonical scenario (4x4 mesh, 2 VCs, 1 000 + 20 000 cycles), timed
+# untraced beside the profiled run.
 cargo run -q --release --offline -p nbti-noc-bench --bin sim_throughput -- \
-    --measure 3000 --warmup 300 > /dev/null
-grep -q '"kcycles_per_sec":' BENCH_sim.json || {
-    echo "ci: sim_throughput did not append a kcycles/s entry" >&2
+    --warmup 1000 --measure 20000 > /dev/null
+tail -n 2 BENCH_sim.json | grep -q '"kcycles_per_sec_untraced":' || {
+    echo "ci: sim_throughput did not append an untraced kcycles/s entry" >&2
     exit 1
 }
 cargo run -q --release --offline -p nbti-noc-bench --bin workload_throughput -- \
