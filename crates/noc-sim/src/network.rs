@@ -275,6 +275,7 @@ impl<T: TraceSink> Network<T> {
             let slot = port_ids.len() as u32;
             slot_of[port.dense_key()] = slot;
             port_ids.push(port);
+            // A NIC side (`NIC_SIDE`, one past the last port) is no router port.
             if let Some(s) = routers[up_node].out_slot.get_mut(up_port) {
                 *s = slot;
             }
