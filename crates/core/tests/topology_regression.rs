@@ -387,3 +387,100 @@ fn work_counters_and_duty_totals_match_goldens() {
         assert_eq!(work_and_duty(policy), golden, "{policy:?}: work/duty moved");
     }
 }
+
+/// The sparse replay with waking VCs: the 8×8 `hotspot-server` replay of
+/// `sparse_replay_run` with `wakeup_latency` 2, so a NIC whose queue head
+/// finds only a freshly powered VC waits for it to wake. The rr-no-sensor
+/// candidate rotates every 7 cycles, slower than a VC wakes. The trace
+/// digest, the seven work counters, and an FNV-1a digest of every port's
+/// final MD VC in port order (the last one its sensors elected, or its
+/// initial one when the policy has no sensors) with the count of ports
+/// whose MD VC is VC 1. Captured before blocked NICs left the active set
+/// and before elections were certified from process variation.
+fn waking_replay_run(policy: PolicyKind) -> (u64, [u64; 7], u64, usize) {
+    use noc_telemetry::{EventKind, PortCode};
+    use noc_workload::{decode_trace, MixGenerator, MixKind, MixSpec, TraceSource};
+    use std::collections::BTreeMap;
+
+    let noc = NocConfig {
+        wakeup_latency: 2,
+        ..NocConfig::paper_synthetic(64, 2)
+    };
+    let pv_seed = sensorwise::SyntheticScenario {
+        cores: 64,
+        vcs: 2,
+        injection_rate: 0.0,
+    }
+    .seed();
+    let mut cfg = ExperimentConfig::new(noc.clone(), policy)
+        .with_cycles(100, 1_100)
+        .with_pv_seed(pv_seed)
+        .with_telemetry(TelemetrySpec {
+            trace: true,
+            trace_capacity: 0,
+            sample_period: 0,
+        });
+    cfg.rr_rotation_period = 7;
+    let spec = MixSpec {
+        kind: MixKind::HotspotServer,
+        nodes: 64,
+        rate: 0.01,
+        packet_len: noc.flits_per_packet as u16,
+        seed: 0x8888_0007,
+    };
+    let bytes = MixGenerator::new(spec)
+        .write_trace(1_200)
+        .expect("trace generation")
+        .finish();
+    let (_, records) = decode_trace(&bytes).expect("trace decodes");
+    let mut traffic = TraceSource::from_records(records, "hotspot-server");
+    let result = run_experiment(&cfg, &mut traffic);
+    let log = result
+        .telemetry
+        .as_ref()
+        .and_then(|t| t.trace.as_ref())
+        .expect("trace was requested");
+    let mut elected: BTreeMap<PortCode, usize> = BTreeMap::new();
+    for event in &log.events {
+        if let EventKind::DownUp { port, md_vc } = event.kind {
+            elected.insert(port, usize::from(md_vc));
+        }
+    }
+    let mut md_digest = noc_telemetry::digest::fnv1a_64(&[]);
+    let mut on_vc1 = 0;
+    for p in &result.ports {
+        let code: PortCode = p.port.into();
+        let md = elected.get(&code).copied().unwrap_or(p.md_vc);
+        md_digest = noc_telemetry::digest::fnv1a_64_fold(md_digest, &[md as u8]);
+        on_vc1 += usize::from(md == 1);
+    }
+    (log.digest, work_array(result.work), md_digest, on_vc1)
+}
+
+#[test]
+fn waking_8x8_replay_matches_goldens() {
+    let golden: [(PolicyKind, (u64, [u64; 7], u64, usize)); 2] = [
+        (
+            PolicyKind::RrNoSensor,
+            (
+                0x8da0_e078_497b_81a7,
+                [12_693, 2_248, 2_140, 10_605, 422_400, 422_400, 0],
+                0x320d_543c_a316_8cd6,
+                189,
+            ),
+        ),
+        (
+            PolicyKind::SensorWise,
+            (
+                0x1343_d690_e07b_d0f8,
+                [13_068, 2_313, 2_202, 10_924, 422_400, 422_400, 13_376],
+                0xeb61_c5e9_e13c_d0e3,
+                188,
+            ),
+        ),
+    ];
+    for (policy, want) in golden {
+        let got = waking_replay_run(policy);
+        assert_eq!(got, want, "{policy:?}: digest/work/MD moved: {got:#x?}");
+    }
+}
