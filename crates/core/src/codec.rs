@@ -280,57 +280,46 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
+            // The run of plain bytes up to the next quote or backslash is
+            // copied as one slice. Both are ASCII, which UTF-8 never uses
+            // inside a multi-byte character, so a run cut from valid
+            // UTF-8 is valid UTF-8 itself.
+            let rest = &self.bytes[self.pos..];
+            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
                 return Err(CodecError::new("unterminated string"));
             };
+            let plain = std::str::from_utf8(&rest[..run])
+                .map_err(|_| CodecError::new("invalid UTF-8 in string"))?;
+            out.push_str(plain);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(CodecError::new("unterminated escape"));
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(CodecError::new("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| CodecError::new("bad \\u escape"))?;
-                            self.pos += 4;
-                            // BMP only; unpaired surrogates map to U+FFFD.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(CodecError::new(format!(
-                                "bad escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| CodecError::new("bad \\u escape"))?;
+                    self.pos += 4;
+                    // BMP only; unpaired surrogates map to U+FFFD.
+                    out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Re-walk UTF-8: step back and take the whole char.
-                    self.pos -= 1;
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| CodecError::new("invalid UTF-8 in string"))?;
-                    let Some(c) = s.chars().next() else {
-                        return Err(CodecError::new("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(CodecError::new(format!("bad escape `\\{}`", other as char))),
             }
         }
     }
@@ -921,6 +910,41 @@ mod tests {
         assert!(JsonValue::parse("{} x").is_err());
     }
 
+    /// Unescaped runs are copied whole: multi-byte UTF-8 right beside
+    /// escapes, a JSON document carried as a string, and one string of a
+    /// mebibyte, which the old character-by-character walk took tens of
+    /// seconds over.
+    #[test]
+    fn strings_keep_multibyte_text_beside_escapes() {
+        for (text, want) in [
+            (r#""héllo\n→\"ünï\"""#, "héllo\n→\"ünï\""),
+            (r#""\u00e9é\\€""#, "éé\\€"),
+            (r#""日本\t語""#, "日本\t語"),
+            (r#""𝄞\/𝄞""#, "𝄞/𝄞"),
+            (r#""\"""#, "\""),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(
+                JsonValue::parse(text).unwrap().as_str(),
+                Some(want),
+                "{text}"
+            );
+        }
+        let inner = r#"{"k":"v\"w","n":[1,2],"s":"é\\"}"#;
+        let outer = JsonValue::parse(&format!("{{\"doc\":{}}}", json_string(inner))).unwrap();
+        let doc = outer.get("doc").unwrap().as_str().unwrap();
+        assert_eq!(doc, inner);
+        let doc = JsonValue::parse(doc).unwrap();
+        assert_eq!(doc.get("s").unwrap().as_str(), Some("é\\"));
+        for bad in [r#""abc"#, r#""é\"#, r#""\q""#, r#""\u12""#] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad}");
+        }
+        let long = format!("{}é", "a".repeat(1 << 20));
+        let v = JsonValue::parse(&json_string(&long)).unwrap();
+        assert_eq!(v.as_str(), Some(long.as_str()));
+        assert!(spec_from_json(&json_string(&long)).is_err());
+    }
+
     #[test]
     fn nesting_beyond_the_bound_is_an_error_not_a_stack_overflow() {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
@@ -1035,6 +1059,12 @@ mod tests {
             ),
             (r#"{"flits_per_packet":100000}"#, "flits per packet exceed"),
             (r#"{"cols":1000,"rows":1000}"#, "1000 x 1000 nodes exceed"),
+            (
+                r#"{"link_latency":18446744073709551615}"#,
+                "link_latency 18446744073709551615 exceeds the supported 1024 cycles",
+            ),
+            (r#"{"credit_latency":1025}"#, "credit_latency 1025 exceeds"),
+            (r#"{"wakeup_latency":4096}"#, "wakeup_latency 4096 exceeds"),
         ] {
             let text = format!(r#"{{"policy":"sensor-wise","noc":{noc},"traffic":{{"rate":0.1}}}}"#);
             let err = spec_from_json(&text).unwrap_err().to_string();

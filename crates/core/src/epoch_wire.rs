@@ -530,6 +530,27 @@ mod tests {
         assert!(WireEpochRequest::from_json(&spec_to_json(&epoch_job()).unwrap()).is_err());
     }
 
+    /// A base spec whose link would take `u64::MAX` cycles is refused
+    /// with the cap named, not run as if the link took no time.
+    #[test]
+    fn an_overflowing_latency_is_refused() {
+        let mut base = epoch_job();
+        base.cfg.noc.link_latency = u64::MAX;
+        let req = WireEpochRequest {
+            base,
+            resume: None,
+            vths_bits: None,
+            drain_limit: 10_000,
+        };
+        let err = WireEpochRequest::from_json(&req.to_json().unwrap())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("link_latency 18446744073709551615 exceeds the supported 1024 cycles"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn outcome_round_trips_bit_exactly_including_snapshot() {
         let never = AtomicBool::new(false);

@@ -10,7 +10,7 @@
 
 use nbti_model::{
     IdealSensor, LongTermModel, NbtiSensor, PortAgeTracker, ProcessVariation, QuantizedSensor,
-    StressState, Volt,
+    ShiftBound, StressState, Volt,
 };
 use noc_sim::view::{PortId, VcStatus};
 
@@ -23,6 +23,10 @@ pub struct NbtiMonitor<S> {
     ports: Vec<(PortId, PortAgeTracker<S>)>,
     /// [`PortId::dense_key`] → index into `ports`, or [`UNMONITORED`].
     index: Vec<u32>,
+    /// The shift bound of the last election. Every port is built from one
+    /// model and recorded up to the same cycle before an election, so one
+    /// bound serves all of its ports.
+    bound: Option<ShiftBound>,
 }
 
 /// The dense-key table of `port_ids`: entry `p.dense_key()` holds `p`'s
@@ -85,6 +89,7 @@ impl NbtiMonitor<IdealSensor> {
         NbtiMonitor {
             ports,
             index: dense_index(port_ids),
+            bound: None,
         }
     }
 }
@@ -134,6 +139,7 @@ impl<S: NbtiSensor> NbtiMonitor<S> {
         NbtiMonitor {
             ports,
             index: dense_index(port_ids),
+            bound: None,
         }
     }
 
@@ -169,9 +175,20 @@ impl<S: NbtiSensor> NbtiMonitor<S> {
     }
 
     /// The `Down_Up` payload: the most degraded VC of `port` according to
-    /// its sensors.
+    /// its sensors. The shift bound a certified election needs is
+    /// computed once per elapsed time, not once per port.
     pub fn most_degraded(&mut self, port: PortId) -> usize {
-        self.tracker_mut(port).most_degraded()
+        let i = self.slot(port);
+        let tracker = &mut self.ports[i].1;
+        let bound = match self.bound {
+            Some(b) if b.elapsed_seconds() == tracker.elapsed_seconds() => b,
+            _ => {
+                let fresh = tracker.shift_bound();
+                self.bound = Some(fresh);
+                fresh
+            }
+        };
+        tracker.most_degraded_within(bound)
     }
 
     /// The most degraded VC by *initial* `Vth` (the paper's `MD VC`
@@ -342,6 +359,53 @@ mod tests {
         let high = busy.projected_delta_vth_mv(p, horizon);
         assert!(low.abs() < 1e-9, "fully recovered VC projects no shift: {low}");
         assert!(high > 1.0, "10-year full-duty shift in mV: {high}");
+    }
+
+    /// Certified elections, with one shift bound per elapsed time, elect
+    /// what sampling every sensor elects: the same monitor with sensors
+    /// that are transparent but not marked as reading the true `Vth`.
+    #[test]
+    fn certified_elections_match_sampled_ones() {
+        use nbti_model::{FaultMode, FaultySensor};
+        let ports: Vec<PortId> = (0..32)
+            .flat_map(|n| {
+                [
+                    PortId::router_input(NodeId(n), Direction::East),
+                    PortId::nic_eject(NodeId(n)),
+                ]
+            })
+            .collect();
+        let model = LongTermModel::calibrated_45nm();
+        let mut ideal =
+            NbtiMonitor::with_ideal_sensors(&ports, 4, &mut ProcessVariation::paper_45nm(9), model);
+        let transparent = FaultMode::Erratic {
+            p: 0.0,
+            lo: Volt::ZERO,
+            hi: Volt::ZERO,
+        };
+        let mut pv = ProcessVariation::paper_45nm(9);
+        let mut sampled = NbtiMonitor::build(&ports, 4, &mut pv, model, |_, _| {
+            FaultySensor::new(IdealSensor::new(), transparent, 0)
+        });
+        let elect = |ideal: &mut NbtiMonitor<IdealSensor>, sampled: &mut NbtiMonitor<_>| {
+            for &p in &ports {
+                assert_eq!(ideal.most_degraded(p), sampled.most_degraded(p), "{p}");
+            }
+        };
+        for round in 0..6u32 {
+            for (i, &p) in ports.iter().enumerate() {
+                let mask = ((i as u32).wrapping_mul(0x9e37) >> round) & 0b1111;
+                ideal.record_cycles(p, mask, 50_000);
+                sampled.record_cycles(p, mask, 50_000);
+            }
+            elect(&mut ideal, &mut sampled);
+            elect(&mut ideal, &mut sampled);
+            if round == 3 {
+                ideal.reset_duty();
+                sampled.reset_duty();
+                elect(&mut ideal, &mut sampled);
+            }
+        }
     }
 
     #[test]

@@ -64,6 +64,6 @@ pub use sensor::{
     most_degraded_by_reading, FaultMode, FaultySensor, IdealSensor, NbtiSensor, QuantizedSensor,
 };
 pub use thermal::{ThermalNode, ThermalParams};
-pub use tracker::{BufferAgeTracker, PortAgeTracker};
+pub use tracker::{BufferAgeTracker, PortAgeTracker, ShiftBound};
 pub use units::Volt;
 pub use variation::ProcessVariation;

@@ -154,12 +154,25 @@ impl Default for NbtiParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongTermModel {
     params: NbtiParams,
+    /// `Kv` and `C(T)`, which depend on the parameters alone, computed
+    /// once at construction.
+    kv: f64,
+    diffusion_c: f64,
 }
 
 impl LongTermModel {
     /// Builds a model from explicit parameters, without calibration.
     pub fn new(params: NbtiParams) -> Self {
-        LongTermModel { params }
+        let diffusion_c = params.diffusion_c();
+        let kv = params.a_kv
+            * (params.vdd - params.vth0).as_volts()
+            * diffusion_c.sqrt()
+            * (params.eox_v_per_nm() / params.e0_v_per_nm).exp();
+        LongTermModel {
+            params,
+            kv,
+            diffusion_c,
+        }
     }
 
     /// Builds a model whose `A_kv` is calibrated so that
@@ -179,12 +192,11 @@ impl LongTermModel {
         );
         assert!(horizon_s > 0.0, "calibration horizon must be positive");
         params.a_kv = 1.0;
-        let probe = LongTermModel { params };
-        let raw = probe.delta_vth(1.0, horizon_s).as_volts();
+        let raw = Self::new(params).delta_vth(1.0, horizon_s).as_volts();
         debug_assert!(raw > 0.0);
         // ΔVth ∝ A_kv^(2n)  ⇒  A_kv = (target/raw)^(1/2n)
         params.a_kv = (target.as_volts() / raw).powf(1.0 / (2.0 * params.n));
-        LongTermModel { params }
+        Self::new(params)
     }
 
     /// The paper's 45 nm model, calibrated to 50 mV ΔVth after ten years of
@@ -214,11 +226,7 @@ impl LongTermModel {
 
     /// The voltage/temperature factor `Kv`.
     pub fn kv(&self) -> f64 {
-        let p = &self.params;
-        p.a_kv
-            * (p.vdd - p.vth0).as_volts()
-            * p.diffusion_c().sqrt()
-            * (p.eox_v_per_nm() / p.e0_v_per_nm).exp()
+        self.kv
     }
 
     /// The per-cycle recovery fraction `βt` after `t_s` seconds of aging at
@@ -227,8 +235,7 @@ impl LongTermModel {
     /// Clamped to `[0, 1)` so the closed form stays numerically safe at
     /// extreme parameters.
     pub fn beta_t(&self, alpha: f64, t_s: f64) -> f64 {
-        let p = &self.params;
-        let c = p.diffusion_c();
+        let (p, c) = (&self.params, self.diffusion_c);
         let numer = 2.0 * p.xi1 * p.te_nm + (p.xi2 * c * (1.0 - alpha) * p.tclk_s).sqrt();
         let denom = 2.0 * p.tox_nm + (c * t_s).sqrt();
         (1.0 - numer / denom).clamp(0.0, 1.0 - 1e-12)
@@ -245,8 +252,7 @@ impl LongTermModel {
         if alpha == 0.0 || t_s <= 0.0 {
             return Volt::ZERO;
         }
-        let p = &self.params;
-        let kv = self.kv();
+        let (p, kv) = (&self.params, self.kv);
         let beta = self.beta_t(alpha, t_s);
         let denom = 1.0 - beta.powf(1.0 / (2.0 * p.n));
         debug_assert!(denom > 0.0);
@@ -483,5 +489,25 @@ mod tests {
             last = dv;
         }
         assert!(model.delta_vth_tracked(0.9, 1e3) > model.delta_vth_tracked(0.1, 1e3));
+    }
+
+    /// Full stress bounds the tracked shift of every duty cycle, as
+    /// computed in floating point: the premise of certifying a
+    /// most-degraded election from initial `Vth` alone.
+    #[test]
+    fn full_stress_bounds_every_tracked_shift() {
+        for model in [
+            LongTermModel::calibrated_45nm(),
+            LongTermModel::calibrated_32nm(),
+        ] {
+            for t in [1e-9, 1e-6, 0.03, 1.0, 1e6, NbtiParams::TEN_YEARS_S, 1e10] {
+                let full = model.delta_vth_tracked(1.0, t);
+                for i in 0..=10_000 {
+                    let alpha = f64::from(i) / 10_000.0;
+                    let dv = model.delta_vth_tracked(alpha, t);
+                    assert!(dv <= full, "α={alpha}, t={t}: {dv:?} > {full:?}");
+                }
+            }
+        }
     }
 }

@@ -27,43 +27,40 @@ use std::borrow::Borrow;
 /// Implementations may be stateful (sampling period, noise RNG), hence
 /// `&mut self`.
 pub trait NbtiSensor {
+    /// `true` when every reading is exactly the true threshold voltage,
+    /// drawn from no RNG and held in no state, so an election may skip
+    /// sampling whenever it can tell the outcome without the readings
+    /// ([`PortAgeTracker::most_degraded`](crate::PortAgeTracker::most_degraded)).
+    const READS_TRUE_VTH: bool = false;
+
     /// Produces a reading of `true_vth` at simulation cycle `cycle`.
     fn sample(&mut self, true_vth: Volt, cycle: u64) -> Volt;
-
-    /// The most recent reading without triggering a new measurement, if any
-    /// measurement happened yet.
-    fn last_reading(&self) -> Option<Volt>;
 }
 
-/// A perfect sensor: the reading equals the true threshold voltage.
+/// A perfect sensor: the reading equals the true threshold voltage. It
+/// keeps no state, so skipping a sample changes nothing.
 ///
 /// ```
 /// use nbti_model::{IdealSensor, NbtiSensor, Volt};
 /// let mut s = IdealSensor::new();
 /// let v = Volt::from_volts(0.1834);
 /// assert_eq!(s.sample(v, 10), v);
-/// assert_eq!(s.last_reading(), Some(v));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IdealSensor {
-    last: Option<Volt>,
-}
+pub struct IdealSensor;
 
 impl IdealSensor {
     /// Creates an ideal sensor.
     pub const fn new() -> Self {
-        IdealSensor { last: None }
+        IdealSensor
     }
 }
 
 impl NbtiSensor for IdealSensor {
-    fn sample(&mut self, true_vth: Volt, _cycle: u64) -> Volt {
-        self.last = Some(true_vth);
-        true_vth
-    }
+    const READS_TRUE_VTH: bool = true;
 
-    fn last_reading(&self) -> Option<Volt> {
-        self.last
+    fn sample(&mut self, true_vth: Volt, _cycle: u64) -> Volt {
+        true_vth
     }
 }
 
@@ -180,10 +177,6 @@ impl NbtiSensor for QuantizedSensor {
         // the fallback is unreachable but keeps the hot path panic-free.
         self.last.unwrap_or(true_vth)
     }
-
-    fn last_reading(&self) -> Option<Volt> {
-        self.last
-    }
 }
 
 /// Failure-injection wrapper around a sensor (extension).
@@ -265,13 +258,6 @@ impl<S: NbtiSensor> NbtiSensor for FaultySensor<S> {
             }
         }
     }
-
-    fn last_reading(&self) -> Option<Volt> {
-        match self.mode {
-            FaultMode::Stuck => self.stuck_at,
-            FaultMode::Erratic { .. } => self.inner.last_reading(),
-        }
-    }
 }
 
 /// Selects the most degraded buffer index from per-buffer sensor readings,
@@ -301,12 +287,13 @@ mod tests {
     #[test]
     fn ideal_sensor_is_transparent() {
         let mut s = IdealSensor::new();
-        assert_eq!(s.last_reading(), None);
         for i in 0..5 {
             let v = Volt::from_volts(0.18 + i as f64 * 1e-3);
             assert_eq!(s.sample(v, i), v);
-            assert_eq!(s.last_reading(), Some(v));
         }
+        assert!(IdealSensor::READS_TRUE_VTH);
+        assert!(!QuantizedSensor::READS_TRUE_VTH);
+        assert!(!FaultySensor::<IdealSensor>::READS_TRUE_VTH);
     }
 
     #[test]
@@ -386,7 +373,6 @@ mod tests {
             let v = Volt::from_volts(0.180 + c as f64 * 1e-3);
             assert_eq!(s.sample(v, c), first, "stuck sensor must not move");
         }
-        assert_eq!(s.last_reading(), Some(first));
     }
 
     #[test]

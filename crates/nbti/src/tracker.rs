@@ -16,6 +16,17 @@
 //! simulated cycle to `factor × Tclk` seconds of aging, so sensor-driven
 //! dynamics (MD changes over time) can be studied as an extension. The
 //! default factor of 1.0 reproduces the paper's regime.
+//!
+//! # Certified elections
+//!
+//! In that regime an election's outcome is known before any sensor is
+//! read. Every tracked shift is at most the shift of a buffer stressed in
+//! every cycle, so with `B` twice that bound, a VC whose initial `Vth`
+//! plus `B` stays below the highest initial `Vth` can never be read above
+//! it. When the sensors read the true `Vth` ([`NbtiSensor::READS_TRUE_VTH`])
+//! and every other VC of a port is that far below its highest, the
+//! election returns the highest-initial VC without evaluating Eq. 1; ties
+//! and near-ties take the exact per-VC path.
 
 use crate::duty::{DutyCycleCounter, StressState};
 use crate::model::LongTermModel;
@@ -127,6 +138,25 @@ impl BufferAgeTracker {
     }
 }
 
+/// An upper bound on the tracked shift of every VC of a port at one
+/// elapsed time: twice the shift of a buffer stressed in every cycle.
+/// Full stress bounds every duty cycle (Eq. 1 grows with `α`); the factor
+/// of two absorbs the rounding of each evaluation. The ports of a network
+/// share one model and one elapsed time, so one bound serves a whole
+/// election ([`PortAgeTracker::most_degraded_within`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShiftBound {
+    elapsed_s: f64,
+    volts: Volt,
+}
+
+impl ShiftBound {
+    /// The aged seconds the bound holds at.
+    pub fn elapsed_seconds(&self) -> f64 {
+        self.elapsed_s
+    }
+}
+
 /// Tracks every VC buffer of one router input port, with one sensor per
 /// buffer, and elects the most degraded VC.
 ///
@@ -134,9 +164,16 @@ impl BufferAgeTracker {
 /// the caller constructs — use [`crate::IdealSensor`] for the paper's setup.
 #[derive(Debug, Clone)]
 pub struct PortAgeTracker<S> {
+    /// Built from one model with one acceleration factor and recorded
+    /// together, so every buffer has the port's elapsed time.
     buffers: Vec<BufferAgeTracker>,
     sensors: Vec<S>,
     cycle: u64,
+    /// The most degraded VC by initial `Vth`.
+    md_initial: usize,
+    /// The highest initial `Vth` of the other VCs (`None` on a one-VC
+    /// port).
+    runner_up: Option<Volt>,
 }
 
 impl<S: NbtiSensor> PortAgeTracker<S> {
@@ -158,6 +195,13 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
             initial_vths.len() <= u32::BITS as usize,
             "a port has at most 32 VCs"
         );
+        let md_initial = most_degraded_by_reading(initial_vths).unwrap_or(0);
+        let runner_up = initial_vths
+            .iter()
+            .enumerate()
+            .filter(|&(v, _)| v != md_initial)
+            .map(|(_, &vth)| vth)
+            .reduce(|a, b| if b > a { b } else { a });
         PortAgeTracker {
             buffers: initial_vths
                 .iter()
@@ -165,7 +209,24 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
                 .collect(),
             sensors,
             cycle: 0,
+            md_initial,
+            runner_up,
         }
+    }
+
+    /// Sets the aging time-acceleration factor of every buffer (see the
+    /// module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is not strictly positive.
+    pub fn with_age_acceleration(mut self, factor: f64) -> Self {
+        self.buffers = self
+            .buffers
+            .into_iter()
+            .map(|b| b.with_age_acceleration(factor))
+            .collect();
+        self
     }
 
     /// Number of tracked VC buffers.
@@ -226,9 +287,61 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
         self.buffers.iter()
     }
 
+    /// Equivalent aged seconds observed so far, the same for every buffer.
+    pub fn elapsed_seconds(&self) -> f64 {
+        self.buffers[0].elapsed_seconds()
+    }
+
+    /// The [`ShiftBound`] at this port's elapsed time.
+    pub fn shift_bound(&self) -> ShiftBound {
+        let elapsed_s = self.elapsed_seconds();
+        let full = self.buffers[0].model.delta_vth_tracked(1.0, elapsed_s);
+        ShiftBound {
+            elapsed_s,
+            volts: full * 2.0,
+        }
+    }
+
     /// Samples every sensor and returns the index of the most degraded VC —
-    /// the value the `Down_Up` link would carry this cycle.
+    /// the value the `Down_Up` link would carry this cycle. With sensors
+    /// that read the true `Vth`, a certified election samples none (see
+    /// the module docs).
     pub fn most_degraded(&mut self) -> usize {
+        self.most_degraded_within(self.shift_bound())
+    }
+
+    /// [`most_degraded`](Self::most_degraded) given a [`ShiftBound`] of
+    /// this port's model, which an election over many ports computes once.
+    /// A bound for another elapsed time certifies nothing.
+    pub fn most_degraded_within(&mut self, bound: ShiftBound) -> usize {
+        match self.certified_most_degraded(bound) {
+            Some(vc) => vc,
+            None => self.sampled_most_degraded(),
+        }
+    }
+
+    /// The certified election: the most degraded VC by initial `Vth` when
+    /// the sensors read the true `Vth` and every other VC's initial `Vth`
+    /// plus `bound` is below it in floating point; `None` otherwise.
+    ///
+    /// A certified winner is the exact election's: rounding is monotone,
+    /// so each other VC reads at most its initial `Vth` plus the bound,
+    /// below the winner's initial `Vth`, and the winner never reads below
+    /// its own initial `Vth`.
+    #[inline]
+    pub fn certified_most_degraded(&self, bound: ShiftBound) -> Option<usize> {
+        if !S::READS_TRUE_VTH || bound.elapsed_s != self.elapsed_seconds() {
+            return None;
+        }
+        let best = self.buffers[self.md_initial].initial_vth;
+        let clear = self
+            .runner_up
+            .is_none_or(|other| other + bound.volts < best);
+        clear.then_some(self.md_initial)
+    }
+
+    /// The exact election: every sensor samples its buffer's true `Vth`.
+    fn sampled_most_degraded(&mut self) -> usize {
         let cycle = self.cycle;
         let readings = self
             .buffers
@@ -242,9 +355,7 @@ impl<S: NbtiSensor> PortAgeTracker<S> {
     /// The most degraded VC according to *initial* `Vth` only (the paper's
     /// `MD VC` table column, fixed per scenario by process variation).
     pub fn most_degraded_initial(&self) -> usize {
-        most_degraded_by_reading(self.buffers.iter().map(BufferAgeTracker::initial_vth))
-            // lint:allow(no-unwrap) the constructor asserts at least one VC per port
-            .expect("port has at least one VC")
+        self.md_initial
     }
 
     /// Per-VC NBTI-duty-cycle percentages.
@@ -412,6 +523,49 @@ mod tests {
         p.record_cycle([StressState::Stressed].into_iter());
     }
 
+    /// The certificate holds for a process-variation gap wider than the
+    /// bound, and leaves ties, near-ties and gaps the bound has outgrown to
+    /// the exact election.
+    #[test]
+    fn certified_elections_leave_close_calls_to_the_exact_path() {
+        let mut wide = port(&[0.179, 0.1835, 0.181]);
+        assert_eq!(wide.certified_most_degraded(wide.shift_bound()), Some(1));
+        for _ in 0..1000 {
+            wide.record_cycles(0b101, 1);
+        }
+        let bound = wide.shift_bound();
+        assert!(bound.volts > Volt::ZERO);
+        assert_eq!(wide.certified_most_degraded(bound), Some(1));
+        // A bound for another elapsed time certifies nothing.
+        wide.record_cycles(0b101, 1);
+        assert_eq!(wide.certified_most_degraded(bound), None);
+        assert_eq!(wide.most_degraded_within(bound), 1);
+
+        let mut tie = port(&[0.181, 0.181]);
+        assert_eq!(tie.certified_most_degraded(tie.shift_bound()), None);
+        assert_eq!(tie.most_degraded(), 0);
+        tie.record_cycles(0b10, 100);
+        assert_eq!(tie.most_degraded(), 1, "the stressed twin reads higher");
+
+        let mut near = port(&[0.1800, 0.1800001]);
+        near.record_cycles(0b01, 1000);
+        assert!(near.shift_bound().volts > Volt::from_volts(0.0000001));
+        assert_eq!(near.certified_most_degraded(near.shift_bound()), None);
+
+        let one = port(&[0.2]);
+        assert_eq!(one.certified_most_degraded(one.shift_bound()), Some(0));
+        let quantized = PortAgeTracker::new(
+            &[Volt::from_volts(0.17), Volt::from_volts(0.19)],
+            vec![crate::QuantizedSensor::new(Volt::ZERO, Volt::ZERO, 1, 0); 2],
+            model(),
+        );
+        assert_eq!(
+            quantized.certified_most_degraded(quantized.shift_bound()),
+            None,
+            "a sensor that may not read the true Vth is always sampled"
+        );
+    }
+
     #[test]
     fn heavy_stress_can_flip_most_degraded_under_acceleration() {
         // VC0 starts slightly less degraded but is stressed 100% of the time
@@ -419,14 +573,12 @@ mod tests {
         // overtake VC1.
         let vths = [Volt::from_volts(0.1800), Volt::from_volts(0.1808)];
         let sensors = vec![IdealSensor::new(); 2];
-        let mut p = PortAgeTracker::new(&vths, sensors, model());
-        for b in &mut p.buffers {
-            b.age_acceleration = 1e13;
-        }
+        let mut p = PortAgeTracker::new(&vths, sensors, model()).with_age_acceleration(1e13);
         assert_eq!(p.most_degraded(), 1);
         for _ in 0..10_000 {
             p.record_cycle([StressState::Stressed, StressState::Recovering].into_iter());
         }
+        assert_eq!(p.certified_most_degraded(p.shift_bound()), None);
         assert_eq!(p.most_degraded(), 0, "aging should overtake PV offset");
     }
 }

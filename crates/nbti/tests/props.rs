@@ -2,9 +2,47 @@
 
 use nbti_model::{
     most_degraded_by_reading, DutyCycleCounter, IdealSensor, LongTermModel, NbtiParams, NbtiSensor,
-    ProcessVariation, QuantizedSensor, StressState, Volt,
+    PortAgeTracker, ProcessVariation, QuantizedSensor, StressState, Volt,
 };
 use proptest::prelude::*;
+use proptest::test_runner::ProptestConfig;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_024))]
+
+    /// A certified most-degraded election is the exact one: on random
+    /// ports (1–8 VCs) with random stress runs, elapsed cycles and age
+    /// accelerations, a certified winner is the argmax of the true `Vth`s,
+    /// and the election returns that argmax either way. Initial voltages
+    /// sit a random spread apart, from 0.1 µV to 40 mV, so near-ties
+    /// inside the bound and horizons where the bound exceeds the
+    /// process-variation gap both occur.
+    #[test]
+    fn certified_election_is_the_exact_one(
+        offsets in proptest::collection::vec(-4i32..5, 1..9),
+        spread_exp in -7.0f64..-2.0,
+        runs in proptest::collection::vec((any::<u32>(), 1u64..20_000), 0..6),
+        accel_exp in 0.0f64..16.0,
+    ) {
+        let spread = 10f64.powf(spread_exp);
+        let vths: Vec<Volt> = offsets
+            .iter()
+            .map(|&o| Volt::from_volts(0.18 + f64::from(o) * spread))
+            .collect();
+        let sensors = vec![IdealSensor::new(); vths.len()];
+        let mut port = PortAgeTracker::new(&vths, sensors, LongTermModel::calibrated_45nm())
+            .with_age_acceleration(10f64.powf(accel_exp));
+        let all = u32::MAX >> (32 - vths.len());
+        for &(stressed, cycles) in &runs {
+            port.record_cycles(stressed & all, cycles);
+        }
+        let exact = most_degraded_by_reading(port.buffers().map(|b| b.true_vth())).unwrap();
+        if let Some(vc) = port.certified_most_degraded(port.shift_bound()) {
+            prop_assert_eq!(vc, exact);
+        }
+        prop_assert_eq!(port.most_degraded(), exact);
+    }
+}
 
 proptest! {
     /// Duty-cycle accounting is exact for any stress/recovery sequence.

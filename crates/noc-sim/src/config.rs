@@ -100,6 +100,11 @@ pub const MAX_FLITS_PER_PACKET: usize = 1024;
 /// network takes at build time to tens of MiB.
 pub const MAX_NODES: usize = 256;
 
+/// The longest link, credit or wake-up latency, in cycles: 64 times the
+/// longest in use (the wake-up ablation's 16). The cycle loop adds a
+/// latency to the current cycle, which this keeps from overflowing.
+pub const MAX_LATENCY: u64 = 1024;
+
 /// Error returned by [`NocConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidConfigError(String);
@@ -142,8 +147,9 @@ impl NocConfig {
     /// Returns an error if any dimension, VC count, buffer depth or packet
     /// length is zero, latencies are zero, or a port has more than
     /// [`MAX_VCS_PER_PORT`] VCs, a buffer is deeper than
-    /// [`MAX_BUFFER_DEPTH`], a packet longer than [`MAX_FLITS_PER_PACKET`]
-    /// or the fabric larger than [`MAX_NODES`].
+    /// [`MAX_BUFFER_DEPTH`], a packet longer than [`MAX_FLITS_PER_PACKET`],
+    /// a latency longer than [`MAX_LATENCY`] or the fabric larger than
+    /// [`MAX_NODES`].
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
         let fail = |msg: &str| Err(InvalidConfigError(msg.to_string()));
         if self.cols == 0 || self.rows == 0 {
@@ -185,6 +191,17 @@ impl NocConfig {
         }
         if self.link_latency == 0 || self.credit_latency == 0 {
             return fail("link and credit latencies must be at least one cycle");
+        }
+        for (name, latency) in [
+            ("link_latency", self.link_latency),
+            ("credit_latency", self.credit_latency),
+            ("wakeup_latency", self.wakeup_latency),
+        ] {
+            if latency > MAX_LATENCY {
+                return Err(InvalidConfigError(format!(
+                    "{name} {latency} exceeds the supported {MAX_LATENCY} cycles"
+                )));
+            }
         }
         if let Err(e) = self.build_topology() {
             return Err(InvalidConfigError(e.to_string()));
@@ -262,7 +279,7 @@ mod tests {
             edit(&mut cfg);
             cfg
         };
-        let cases: [(NocConfig, &str); 12] = [
+        let cases: [(NocConfig, &str); 15] = [
             (with(|c| c.cols = 0), "dimensions"),
             (with(|c| c.vcs_per_port = 0), "virtual channel"),
             (
@@ -290,6 +307,18 @@ mod tests {
                 "17 x 16 nodes exceed the supported 256",
             ),
             (with(|c| (c.cols, c.rows) = (usize::MAX, 2)), "nodes exceed"),
+            (
+                with(|c| c.link_latency = u64::MAX),
+                "link_latency 18446744073709551615 exceeds the supported 1024 cycles",
+            ),
+            (
+                with(|c| c.credit_latency = MAX_LATENCY + 1),
+                "credit_latency 1025 exceeds",
+            ),
+            (
+                with(|c| c.wakeup_latency = MAX_LATENCY + 1),
+                "wakeup_latency 1025 exceeds",
+            ),
         ];
         for (cfg, needle) in cases {
             let err = cfg.validate().unwrap_err();
@@ -298,7 +327,7 @@ mod tests {
     }
 
     /// The caps sit above every configuration in use: buffer depths 1–16,
-    /// meshes up to 8×8 (and 16×16 at the cap itself).
+    /// meshes up to 8×8 (and 16×16 at the cap itself), latencies up to 16.
     #[test]
     fn the_caps_admit_every_configuration_in_use() {
         for (cols, rows, depth) in [(8, 8, 16), (16, 16, MAX_BUFFER_DEPTH), (2, 2, 1)] {
@@ -307,6 +336,9 @@ mod tests {
                 rows,
                 buffer_depth: depth,
                 flits_per_packet: MAX_FLITS_PER_PACKET,
+                link_latency: MAX_LATENCY,
+                credit_latency: MAX_LATENCY,
+                wakeup_latency: MAX_LATENCY,
                 ..NocConfig::default()
             }
             .validate()

@@ -30,12 +30,14 @@
 //!   slot and cycle it is due at, so `begin_cycle` touches only the links
 //!   and credit returns with something arriving;
 //! - the *busy routers* and *active NICs*: the routers holding a flit and
-//!   the NICs with a queued or streaming packet or an occupied ejection
-//!   VC, so `finish_cycle` allocates, traverses and runs NICs only there.
-//!   A busy router whose allocation granted nothing is *stalled* and is
-//!   skipped until a credit that frees or refills one of its output VCs,
-//!   a gate command on one of its outputs or the end of a flit's first
-//!   cycle reaches it;
+//!   the NICs whose step could make progress, so `finish_cycle` allocates,
+//!   traverses and runs NICs only there. A busy router whose allocation
+//!   granted nothing is *stalled* and is skipped until a credit that frees
+//!   or refills one of its output VCs, a gate command on one of its
+//!   outputs or the end of a flit's first cycle reaches it. A NIC with a
+//!   packet but no VC or credit for it, and nothing to eject, is *parked*
+//!   the same way until such a credit, a gate command on its injection
+//!   slot, a new packet or a delivery to its ejection side reaches it;
 //! - the *marked ports*: the port slots whose [`PortKey`] may have changed
 //!   since a controller last took the marks
 //!   ([`Network::take_marked_ports`]), so a controller re-reads only those.
@@ -160,6 +162,12 @@ fn clear_bit(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1 << (i % 64));
 }
 
+/// Whether bit `i` of a bit set kept as `u64` words is set.
+#[inline]
+fn bit_is_set(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
+}
+
 /// An empty bit set with room for `n` bits.
 fn bit_set(n: usize) -> Vec<u64> {
     vec![0; n.div_ceil(64)]
@@ -221,8 +229,9 @@ pub struct Network<T: TraceSink = NullSink> {
     /// This cycle's SA winners, `(router, winner)`, traversed once every
     /// busy router has allocated.
     winners: Vec<(usize, SaWinner)>,
-    /// NICs with a queued or streaming packet or an occupied ejection VC
-    /// (bit per node).
+    /// NICs whose step could make progress ([`Nic::could_progress`]), plus
+    /// any an input reached since their last step (bit per node). A NIC
+    /// with a packet that is in neither is parked.
     active_nics: Vec<u64>,
     /// Port slots whose key may have changed since the marks were last
     /// taken (bit per slot).
@@ -643,10 +652,9 @@ impl<T: TraceSink> Network<T> {
             set_bit(&mut self.marked, slot);
         }
         // New allocation eligibility or wake-up deadlines: the upstream
-        // router's VA may now grant.
-        let e = self.ends[slot];
-        if e.up_port != NIC_SIDE && (prev_mask != mask || turned_on != 0) {
-            clear_bit(&mut self.stalled_routers, e.up_node as usize);
+        // router's VA or NIC may now grant.
+        if prev_mask != mask || turned_on != 0 {
+            self.wake_upstream(slot);
         }
         if T::ACTIVE {
             let mut changed = turned_on | turned_off;
@@ -780,16 +788,16 @@ impl<T: TraceSink> Network<T> {
         // changes the key of the port it feeds and may let the router's VA
         // grant. A credit to an output VC that had none may let its SA
         // grant; any other credit cannot, since a stalled router's SA
-        // nominees all wait on output VCs without credits.
+        // nominees all wait on output VCs without credits. The same holds
+        // for a parked NIC's queue head and streaming packet.
         while let Some(credit) = pop_due(&mut self.due.credits, now) {
             let refilled = self.arena.absorb_credit(credit);
             let slot = credit.slot as usize;
             if credit.is_free {
                 set_bit(&mut self.marked, slot);
             }
-            let e = self.ends[slot];
-            if e.up_port != NIC_SIDE && (credit.is_free || refilled) {
-                clear_bit(&mut self.stalled_routers, e.up_node as usize);
+            if credit.is_free || refilled {
+                self.wake_upstream(slot);
             }
         }
         // A new cycle begins: the slots written last cycle, the only ones
@@ -915,7 +923,7 @@ impl<T: TraceSink> Network<T> {
         assert_eq!(self.phase, Phase::Mid, "finish_cycle before begin_cycle");
         let now = self.cycle;
         if self.invariants == InvariantLevel::Full {
-            self.check_stalled_routers();
+            self.check_skipped_units();
         }
         // VA + SA of every router holding a flit and not stalled, in index
         // order. A router with no flit has no waiting head and no SA
@@ -991,7 +999,7 @@ impl<T: TraceSink> Network<T> {
 
     /// One cycle of NIC `n_idx`: VC allocation and streaming on the
     /// injection side, draining on the ejection side. The NIC leaves the
-    /// active set once it has nothing queued, streaming or buffered.
+    /// active set once its next step could make no progress.
     fn step_nic(&mut self, n_idx: usize, now: u64) {
         let nic = &mut self.nics[n_idx];
         let inject = nic.inject;
@@ -1049,8 +1057,22 @@ impl<T: TraceSink> Network<T> {
                 });
             }
         }
-        if self.nics[n_idx].is_idle(&self.arena) {
+        if !self.nics[n_idx].could_progress(&self.arena) {
             clear_bit(&mut self.active_nics, n_idx);
+        }
+    }
+
+    /// The upstream agent of `slot` may now allocate a VC or send a flit
+    /// on it: a stalled router is woken, and a parked NIC rejoins the
+    /// active set.
+    #[inline]
+    fn wake_upstream(&mut self, slot: usize) {
+        let e = self.ends[slot];
+        let node = e.up_node as usize;
+        if e.up_port != NIC_SIDE {
+            clear_bit(&mut self.stalled_routers, node);
+        } else if self.nics[node].has_packet() {
+            set_bit(&mut self.active_nics, node);
         }
     }
 
@@ -1374,32 +1396,35 @@ impl<T: TraceSink> Network<T> {
         self.absorb_violations(found);
     }
 
-    /// The premise of skipping stalled routers: VA and SA of a stalled
-    /// router, run now, would grant nothing. A grant is recorded as an
+    /// The premise of skipping stalled routers and parked NICs: VA and SA
+    /// of a busy, stalled router, run now, would grant nothing, and a NIC
+    /// outside the active set could not progress. Either is recorded as an
     /// [`InvariantKind::VcStateConsistency`] violation: some write reached
-    /// the router without waking it.
-    fn check_stalled_routers(&mut self) {
+    /// the router or NIC without waking it.
+    fn check_skipped_units(&mut self) {
         let now = self.cycle;
         // lint:allow(alloc-in-hot-path) diagnostic pass: only runs with invariants enabled
         let mut found = Vec::new();
-        for (w, (&busy, &stalled)) in self
-            .busy_routers
-            .iter()
-            .zip(&self.stalled_routers)
-            .enumerate()
-        {
-            let mut bits = busy & stalled;
-            while bits != 0 {
-                let r_idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.routers[r_idx].could_grant(&self.arena, now) {
-                    // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
-                    found.push(InvariantViolation::new(
-                        now,
-                        InvariantKind::VcStateConsistency,
-                        format_args!("router {r_idx} is stalled, but its VA or SA would grant"),
-                    ));
-                }
+        for (r_idx, router) in self.routers.iter().enumerate() {
+            let stalled =
+                bit_is_set(&self.busy_routers, r_idx) && bit_is_set(&self.stalled_routers, r_idx);
+            if stalled && router.could_grant(&self.arena, now) {
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                found.push(InvariantViolation::new(
+                    now,
+                    InvariantKind::VcStateConsistency,
+                    format_args!("router {r_idx} is stalled, but its VA or SA would grant"),
+                ));
+            }
+        }
+        for (n_idx, nic) in self.nics.iter().enumerate() {
+            if !bit_is_set(&self.active_nics, n_idx) && nic.could_progress(&self.arena) {
+                // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+                found.push(InvariantViolation::new(
+                    now,
+                    InvariantKind::VcStateConsistency,
+                    format_args!("nic {n_idx} is parked, but could progress"),
+                ));
             }
         }
         self.absorb_violations(found);
@@ -1558,9 +1583,20 @@ impl<T: TraceSink> Network<T> {
 ///
 /// These deliberately corrupt protocol state so the checker's diagnostics
 /// can be exercised; they must never be called outside tests. Each wakes
-/// every stalled router, since it writes state their allocation reads.
+/// every stalled router and parked NIC, since it writes state their
+/// allocation reads.
 #[doc(hidden)]
 impl<T: TraceSink> Network<T> {
+    /// Wakes every stalled router and parked NIC.
+    fn wake_all(&mut self) {
+        self.stalled_routers.fill(0);
+        for (n_idx, nic) in self.nics.iter().enumerate() {
+            if nic.has_packet() {
+                set_bit(&mut self.active_nics, n_idx);
+            }
+        }
+    }
+
     /// The first router input VC (in node, port, then VC order) holding a
     /// flit, and powered unless `any_power`, as `(node, input port index,
     /// vc, slot)`.
@@ -1579,7 +1615,7 @@ impl<T: TraceSink> Network<T> {
     /// corrupted location as `(node, input port index, vc)`, or `None` when
     /// no VC holds a flit.
     pub fn fault_gate_occupied_vc(&mut self) -> Option<(NodeId, usize, usize)> {
-        self.stalled_routers.fill(0);
+        self.wake_all();
         let (node, p, v, slot) = self.first_occupied_vc(false)?;
         self.arena.masks[slot].powered &= !(1 << v);
         Some((NodeId(node), p, v))
@@ -1588,7 +1624,7 @@ impl<T: TraceSink> Network<T> {
     /// Grants one spurious credit to the upstream agent of `port` for
     /// `vc`, violating per-channel credit conservation.
     pub fn fault_double_credit(&mut self, port: PortId, vc: usize) {
-        self.stalled_routers.fill(0);
+        self.wake_all();
         let i = self.arena.vc_index(self.slot(port), vc);
         self.arena.credits[i] += 1;
     }
@@ -1599,7 +1635,7 @@ impl<T: TraceSink> Network<T> {
     /// `port_view` reports new traffic nobody sent). Does nothing when no
     /// VC is idle.
     pub fn fault_skew_waiting_count(&mut self, node: NodeId, outport: Direction) {
-        self.stalled_routers.fill(0);
+        self.wake_all();
         let router = &mut self.routers[node.index()];
         for p in 0..NUM_PORTS {
             let slot = router.in_slot[p];
@@ -1624,8 +1660,16 @@ impl<T: TraceSink> Network<T> {
     /// changed the port's key without marking it would. Returns whether
     /// the port was marked.
     pub fn fault_unmark_port(&mut self, slot: usize) -> bool {
-        let was = self.marked[slot / 64] & (1 << (slot % 64)) != 0;
+        let was = bit_is_set(&self.marked, slot);
         clear_bit(&mut self.marked, slot);
+        was
+    }
+
+    /// Drops NIC `node` from the active set, as a writer that changed the
+    /// NIC's inputs without waking it would. Returns whether it was active.
+    pub fn fault_park_nic(&mut self, node: NodeId) -> bool {
+        let was = bit_is_set(&self.active_nics, node.index());
+        clear_bit(&mut self.active_nics, node.index());
         was
     }
 
@@ -1633,7 +1677,7 @@ impl<T: TraceSink> Network<T> {
     /// order), violating both flit and credit conservation. Returns the
     /// corrupted location, or `None` when no flit is buffered.
     pub fn fault_drop_buffered_flit(&mut self) -> Option<(NodeId, usize, usize)> {
-        self.stalled_routers.fill(0);
+        self.wake_all();
         let (node, p, v, _) = self.first_occupied_vc(true)?;
         // Through `pop_flit`, so the router's flit count stays true and
         // only conservation is violated.
@@ -1883,13 +1927,19 @@ mod tests {
         }
         assert_eq!(n.stats().flits_sent, 0);
         assert_eq!(n.nic_queue_len(NodeId(0)), 1);
-        // Designate VC 1: the packet flows.
+        // With no VC to take, the NIC is parked: its steps would change
+        // nothing. The full-level check agrees.
+        assert!(!bit_is_set(&n.active_nics, 0), "blocked NIC is parked");
+        n.set_invariant_level(InvariantLevel::Full);
+        // Designate VC 1: the gate command wakes the NIC and the packet
+        // flows.
         for _ in 0..60 {
             n.begin_cycle();
             n.apply_gate(local0, GateAction::KeepOneIdle { vc: 1 });
             n.finish_cycle();
         }
         assert_eq!(n.stats().packets_ejected, 1);
+        assert!(n.violations().is_empty(), "{:?}", n.violations());
     }
 
     /// Each gate action leaves exactly its designated idle VCs powered, and

@@ -52,11 +52,31 @@ impl Nic {
         }
     }
 
-    /// `true` when the NIC has nothing to do in a cycle: no queued or
-    /// streaming packet and no flit in its ejection buffers.
+    /// `true` when a queued or streaming packet is waiting to enter the
+    /// network.
     #[inline]
-    pub fn is_idle(&self, arena: &Arena) -> bool {
-        self.queue.is_empty() && self.current.is_none() && arena.masks[self.eject].occupied == 0
+    pub fn has_packet(&self) -> bool {
+        self.current.is_some() || !self.queue.is_empty()
+    }
+
+    /// Whether a step could make progress before anything else writes the
+    /// NIC's inputs: a flit is in its ejection buffers, the streaming
+    /// packet has a credit, or the queue head has an allocatable idle VC
+    /// (usable now or once it has woken up). Otherwise a step changes
+    /// nothing until a credit, a gate command on the injection slot, a new
+    /// packet or a delivery reaches the NIC. Reads only.
+    #[inline]
+    pub fn could_progress(&self, arena: &Arena) -> bool {
+        if arena.masks[self.eject].occupied != 0 {
+            return true;
+        }
+        match self.current {
+            Some(tx) => arena.credits[arena.vc_index(self.inject, tx.out_vc)] > 0,
+            None => {
+                let m = arena.masks[self.inject];
+                !self.queue.is_empty() && m.allocatable & !m.out_active != 0
+            }
+        }
     }
 
     /// Runs the injection side for one cycle: allocate a VC for the queue
@@ -291,6 +311,33 @@ mod tests {
         let f = n.process_inject(&mut a, &mut t, 0).unwrap();
         assert_eq!(f.kind, FlitKind::HeadTail);
         assert!(n.current.is_none());
+    }
+
+    #[test]
+    fn progress_needs_a_flit_a_credit_or_an_allocatable_idle_vc() {
+        let (mut n, mut a, mut t) = nic();
+        assert!(!n.could_progress(&a), "an idle NIC cannot progress");
+        queue_packet(&mut n, &mut a, 1, 8);
+        assert!(n.could_progress(&a));
+        // No allocatable VC: the queue head is blocked.
+        a.masks[0].allocatable = 0;
+        assert!(!n.could_progress(&a));
+        // A VC still waking up is enough: time alone lets it through.
+        a.masks[0].allocatable = 0b10;
+        a.usable_at[1] = 9;
+        assert!(n.could_progress(&a));
+        assert!(n.process_inject(&mut a, &mut t, 3).is_none());
+        for c in 9..13 {
+            assert!(n.process_inject(&mut a, &mut t, c).is_some());
+        }
+        // Streaming with its credits spent: blocked until one returns.
+        assert!(!n.could_progress(&a));
+        a.credits[1] += 1;
+        assert!(n.could_progress(&a));
+        a.credits[1] -= 1;
+        // A flit to eject is progress whatever the injection side waits on.
+        arrive(&n, &mut a, &mut t, 1, 0);
+        assert!(n.could_progress(&a));
     }
 
     /// Enters a packet into the table and writes its flits into ejection

@@ -188,3 +188,27 @@ fn off_level_skips_checking_entirely() {
     assert_eq!(net.stats().invariant_checks, checks_before);
     assert!(net.violations().is_empty());
 }
+
+/// A NIC dropped from the active set while its queue head could take a VC
+/// is reported at `Full` level, as a write that reached a parked NIC
+/// without waking it would be.
+#[test]
+fn parking_a_nic_that_could_progress_is_reported_at_full_level_only() {
+    let mut net = loaded_network();
+    net.set_invariant_level(InvariantLevel::Cheap);
+    assert!(
+        net.fault_park_nic(NodeId(2)),
+        "a NIC with packets is active"
+    );
+    net.step();
+    assert!(net.violations().is_empty(), "the cheap level does not look");
+    assert!(!net.fault_park_nic(NodeId(2)), "nothing woke the NIC since");
+    net.set_invariant_level(InvariantLevel::Full);
+    net.step();
+    assert_eq!(kinds(&net), vec![InvariantKind::VcStateConsistency]);
+    let diag = &net.violations()[0];
+    assert!(
+        diag.detail.contains("nic 2 is parked, but could progress"),
+        "diagnostic names the NIC: {diag}"
+    );
+}

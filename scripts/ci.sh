@@ -298,10 +298,11 @@ curl -sf "http://$addr/stats" | grep -q '"accepted":6' || {
 }
 
 # Hostile-client smoke: 200 000 nested brackets, a spec whose network
-# would need terabytes of buffers, an oversize head, raw garbage bytes and
-# an upload slower than the 5 s request deadline. Each costs one handler
-# at most that deadline; afterwards /stats answers and the shutdown line
-# below still accounts for exactly the six jobs.
+# would need terabytes of buffers, one whose link would take 2^64 - 1
+# cycles, one JSON string just under the 1 MiB body cap, an oversize head,
+# raw garbage bytes and an upload slower than the 5 s request deadline.
+# Each costs one handler at most that deadline; afterwards /stats answers
+# and the shutdown line below still accounts for exactly the six jobs.
 head -c 200000 /dev/zero | tr '\0' '[' > "$servedir/nested.json"
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     --data-binary @"$servedir/nested.json" "http://$addr/jobs" || true)
@@ -310,6 +311,14 @@ huge='{"policy":"sensor-wise","noc":{"cols":2,"rows":2,"buffer_depth":1000000000
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary "$huge" \
     "http://$addr/jobs" || true)
 [ "$code" = 400 ] || { echo "ci: an oversized network config got '$code', not 400" >&2; exit 1; }
+endless='{"policy":"sensor-wise","noc":{"cols":2,"rows":2,"link_latency":18446744073709551615},"traffic":{"rate":0.1}}'
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary "$endless" \
+    "http://$addr/jobs" || true)
+[ "$code" = 400 ] || { echo "ci: an overflowing link latency got '$code', not 400" >&2; exit 1; }
+{ printf '"'; head -c 1048000 /dev/zero | tr '\0' 'a'; printf '"'; } > "$servedir/string.json"
+code=$(curl -s -o /dev/null -w '%{http_code}' --max-time 5 -X POST \
+    --data-binary @"$servedir/string.json" "http://$addr/jobs" || true)
+[ "$code" = 400 ] || { echo "ci: a 1 MiB JSON string got '$code' within 5 s, not 400" >&2; exit 1; }
 pad=$(head -c 16384 /dev/zero | tr '\0' 'a')
 code=$(curl -s -o /dev/null -w '%{http_code}' -H "X-Pad: $pad" "http://$addr/stats" || true)
 [ "$code" = 400 ] || { echo "ci: an oversize head got '$code', not 400" >&2; exit 1; }

@@ -321,19 +321,22 @@ fn deeply_nested_json_gets_400_and_the_server_keeps_serving() {
     assert!(report.accounts_for_all(), "{report:?}");
 }
 
-/// A spec whose network would need terabytes of buffers is refused with a
-/// 400 naming the cap, before anything is allocated, and the server keeps
-/// serving.
+/// A spec whose network would need terabytes of buffers, and one whose
+/// link would take `u64::MAX` cycles, are refused with a 400 naming the
+/// cap, before anything is allocated, and the server keeps serving.
 #[test]
 fn an_oversized_network_gets_400_and_the_server_keeps_serving() {
     let (server, client) = start(1, 2, 0);
     let huge = r#"{"policy":"sensor-wise","noc":{"cols":2,"rows":2,"buffer_depth":1000000000000},"traffic":{"rate":0.1}}"#;
-    match client.submit(huge).expect("transport").0 {
-        Submitted::Refused { status, error } => {
-            assert_eq!(status, 400);
-            assert!(error.contains("buffer depth"), "{error}");
+    let endless = r#"{"policy":"sensor-wise","noc":{"cols":2,"rows":2,"link_latency":18446744073709551615},"traffic":{"rate":0.1}}"#;
+    for (spec, needle) in [(huge, "buffer depth"), (endless, "link_latency")] {
+        match client.submit(spec).expect("transport").0 {
+            Submitted::Refused { status, error } => {
+                assert_eq!(status, 400);
+                assert!(error.contains(needle), "{error}");
+            }
+            other => panic!("oversized network accepted: {other:?}"),
         }
-        other => panic!("oversized network accepted: {other:?}"),
     }
     let (_, small) = spec(500, 1);
     assert!(matches!(

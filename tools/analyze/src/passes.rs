@@ -187,6 +187,14 @@ pub const HOT_ENTRY_POINTS: &[&str] = &[
     "clear_bit",
     "step_nic",
     "waits_for_wakeup",
+    // Parking blocked NICs: the progress test of every NIC step and the
+    // wake of a slot's upstream agent on a credit or a gate command.
+    "could_progress",
+    "has_packet",
+    "wake_upstream",
+    // The most-degraded election certified from process variation.
+    "most_degraded_within",
+    "certified_most_degraded",
     // The VC arena's per-flit and per-VC accessors: ring writes and pops,
     // the allocators' mask reads and the packet table.
     "write_flit",
