@@ -79,9 +79,7 @@ pub mod test_runner {
             for b in name.bytes() {
                 h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
             }
-            TestRng {
-                state: base ^ h,
-            }
+            TestRng { state: base ^ h }
         }
 
         /// Next 64 random bits.
@@ -400,12 +398,7 @@ pub mod collection {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = self.size.hi - self.size.lo;
-            let len = self.size.lo
-                + if span > 0 {
-                    rng.index(span)
-                } else {
-                    0
-                };
+            let len = self.size.lo + if span > 0 { rng.index(span) } else { 0 };
             (0..len).map(|_| self.element.generate(rng)).collect()
         }
     }
@@ -425,7 +418,9 @@ pub mod prelude {
     pub use crate::arbitrary::any;
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Fails the current case with a message.
@@ -578,10 +573,7 @@ mod tests {
     }
 
     fn tag_strategy() -> impl Strategy<Value = Tag> {
-        prop_oneof![
-            Just(Tag::A),
-            (1usize..10).prop_map(Tag::B),
-        ]
+        prop_oneof![Just(Tag::A), (1usize..10).prop_map(Tag::B),]
     }
 
     proptest! {

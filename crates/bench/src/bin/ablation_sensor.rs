@@ -57,13 +57,14 @@ fn main() {
         (10.0, 10.0, 10_000),
     ];
     let sensors: Vec<SensorModel> = std::iter::once(SensorModel::Ideal)
-        .chain(grid.iter().map(|&(lsb_mv, noise_mv, period)| {
-            SensorModel::Quantized {
-                lsb: Volt::from_millivolts(lsb_mv),
-                noise_sigma: Volt::from_millivolts(noise_mv),
-                period,
-            }
-        }))
+        .chain(
+            grid.iter()
+                .map(|&(lsb_mv, noise_mv, period)| SensorModel::Quantized {
+                    lsb: Volt::from_millivolts(lsb_mv),
+                    noise_sigma: Volt::from_millivolts(noise_mv),
+                    period,
+                }),
+        )
         .collect();
     let batch: Vec<ExperimentJob> = sensors.iter().map(|&s| job(s, &scaled)).collect();
     let results = run_batch(&batch, scaled.jobs);

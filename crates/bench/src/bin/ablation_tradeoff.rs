@@ -11,7 +11,9 @@ use nbti_noc_bench::RunOptions;
 use noc_sim::config::NocConfig;
 use noc_sim::types::NodeId;
 use noc_traffic::app::BenchmarkMix;
-use sensorwise::{run_batch, ExperimentConfig, ExperimentJob, ExperimentResult, PolicyKind, TrafficSpec};
+use sensorwise::{
+    run_batch, ExperimentConfig, ExperimentJob, ExperimentResult, PolicyKind, TrafficSpec,
+};
 
 fn job(policy: PolicyKind, opts: &RunOptions) -> ExperimentJob {
     let noc = NocConfig::paper_synthetic(16, 4);
@@ -49,9 +51,10 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>12}",
         "policy", "MD duty", "avg duty", "avg latency"
     );
-    let policies: Vec<(String, PolicyKind)> = std::iter::once(("baseline".into(), PolicyKind::Baseline))
-        .chain((1u8..=4).map(|k| (format!("sensor-wise-k{k}"), PolicyKind::SensorWiseK(k))))
-        .collect();
+    let policies: Vec<(String, PolicyKind)> =
+        std::iter::once(("baseline".into(), PolicyKind::Baseline))
+            .chain((1u8..=4).map(|k| (format!("sensor-wise-k{k}"), PolicyKind::SensorWiseK(k))))
+            .collect();
     let batch: Vec<ExperimentJob> = policies.iter().map(|(_, p)| job(*p, &scaled)).collect();
     let results = run_batch(&batch, scaled.jobs);
     let runs: Vec<(String, (f64, f64, f64))> = policies

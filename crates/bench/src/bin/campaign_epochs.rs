@@ -19,10 +19,7 @@ use std::path::Path;
 
 fn main() {
     let bench = CampaignBench::from_env();
-    let ckpt = std::env::temp_dir().join(format!(
-        "bench-campaign-{}.ckpt",
-        std::process::id()
-    ));
+    let ckpt = std::env::temp_dir().join(format!("bench-campaign-{}.ckpt", std::process::id()));
     let mut campaign = Campaign::new(bench.spec()).expect("bench spec is valid");
 
     let started = clock::now();

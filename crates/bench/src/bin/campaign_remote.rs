@@ -46,19 +46,14 @@ fn main() {
         local.run_next_epoch(None).expect("local epoch runs");
     }
 
-    let store_dir = std::env::temp_dir().join(format!(
-        "bench-campaign-remote-{}",
-        std::process::id()
-    ));
+    let store_dir =
+        std::env::temp_dir().join(format!("bench-campaign-remote-{}", std::process::id()));
     let _ = fs::remove_dir_all(&store_dir);
     let store = FsResultStore::open(&store_dir).expect("shared store opens");
     let w1 = start_worker(&store_dir);
     let w2 = start_worker(&store_dir);
-    let pool = WorkerPool::new(&[
-        w1.local_addr().to_string(),
-        w2.local_addr().to_string(),
-    ])
-    .expect("two live workers");
+    let pool = WorkerPool::new(&[w1.local_addr().to_string(), w2.local_addr().to_string()])
+        .expect("two live workers");
     let exec = RemoteExecutor::new(pool, 2);
 
     let mut campaign = Campaign::new(bench.spec()).expect("bench spec is valid");

@@ -20,7 +20,13 @@ fn main() {
 
     let t2 = synthetic_table_jobs(4, opts.warmup, opts.measure, opts.jobs);
     let t3 = synthetic_table_jobs(2, opts.warmup, opts.measure, opts.jobs);
-    let t4 = real_traffic_table_jobs(opts.iterations, opts.warmup, opts.measure, opts.seed, opts.jobs);
+    let t4 = real_traffic_table_jobs(
+        opts.iterations,
+        opts.warmup,
+        opts.measure,
+        opts.seed,
+        opts.jobs,
+    );
 
     let synth_gap = t2.best_gap().max(t3.best_gap());
     let real_gap = t4.best_gap();

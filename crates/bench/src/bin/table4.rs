@@ -9,8 +9,13 @@ use sensorwise::tables::real_traffic_table_jobs;
 fn main() {
     let opts = RunOptions::from_env();
     eprintln!("[table4] regenerating Table IV with {opts}");
-    let table =
-        real_traffic_table_jobs(opts.iterations, opts.warmup, opts.measure, opts.seed, opts.jobs);
+    let table = real_traffic_table_jobs(
+        opts.iterations,
+        opts.warmup,
+        opts.measure,
+        opts.seed,
+        opts.jobs,
+    );
     println!("=== Table IV (real traffic, 2 VCs) ===");
     print!("{}", table.render());
     println!(

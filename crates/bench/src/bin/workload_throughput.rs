@@ -85,8 +85,7 @@ fn main() {
     for topology in [TopologyKind::Mesh, TopologyKind::Torus, TopologyKind::Ring] {
         let mut noc = NocConfig::paper_synthetic(usize::from(bench.nodes), bench.vcs);
         noc.topology = topology.clone();
-        let cfg = ExperimentConfig::new(noc, PolicyKind::SensorWise)
-            .with_cycles(0, bench.cycles);
+        let cfg = ExperimentConfig::new(noc, PolicyKind::SensorWise).with_cycles(0, bench.cycles);
         let mut source = TraceSource::from_records(records.clone(), "bench");
         let started = clock::now();
         let result = run_experiment(&cfg, &mut source);

@@ -83,13 +83,15 @@ impl CampaignSpec {
     pub fn from_json(text: &str) -> Result<CampaignSpec, CampaignError> {
         let bad = |msg: &str| CampaignError::Spec(msg.to_string());
         let v = JsonValue::parse(text).map_err(|e| CampaignError::Spec(e.to_string()))?;
-        let c = v.get("campaign").ok_or_else(|| bad("missing \"campaign\" object"))?;
+        let c = v
+            .get("campaign")
+            .ok_or_else(|| bad("missing \"campaign\" object"))?;
         let epochs_raw = c
             .get("epochs")
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| bad("missing or non-integer \"epochs\""))?;
-        let epochs = u32::try_from(epochs_raw)
-            .map_err(|_| bad("\"epochs\" exceeds the supported range"))?;
+        let epochs =
+            u32::try_from(epochs_raw).map_err(|_| bad("\"epochs\" exceeds the supported range"))?;
         let age_acceleration = c
             .get("age_acceleration")
             .and_then(JsonValue::as_f64)
@@ -142,7 +144,10 @@ impl fmt::Display for CampaignError {
             CampaignError::Ledger(e) => write!(f, "aging ledger rejected the epoch: {e}"),
             CampaignError::Snapshot(e) => write!(f, "checkpoint error: {e}"),
             CampaignError::MissingTrace => {
-                write!(f, "epoch returned no trace digest despite tracing being forced on")
+                write!(
+                    f,
+                    "epoch returned no trace digest despite tracing being forced on"
+                )
             }
             CampaignError::Dispatch(msg) => write!(f, "remote dispatch failed: {msg}"),
         }
@@ -284,7 +289,9 @@ impl Campaign {
     /// optional extra.
     pub fn new(spec: CampaignSpec) -> Result<Campaign, CampaignError> {
         if spec.epochs == 0 {
-            return Err(CampaignError::Spec("a campaign needs at least one epoch".to_string()));
+            return Err(CampaignError::Spec(
+                "a campaign needs at least one epoch".to_string(),
+            ));
         }
         if !spec.age_acceleration.is_finite() || spec.age_acceleration <= 0.0 {
             return Err(CampaignError::Spec(format!(
@@ -419,7 +426,10 @@ impl Campaign {
     /// The content-address under which epoch `index` of this campaign is
     /// filed in a result store.
     pub fn epoch_store_key(&self, index: u32) -> String {
-        format!("{{\"campaign_epoch\":{index},\"campaign\":{}}}", self.spec_json)
+        format!(
+            "{{\"campaign_epoch\":{index},\"campaign\":{}}}",
+            self.spec_json
+        )
     }
 
     /// The checkpoint's coordination log: dispatches that were in flight
@@ -478,7 +488,10 @@ impl Campaign {
         wire: WireEpochOutcome,
         store: Option<&dyn ResultCache>,
     ) -> Result<EpochReport, CampaignError> {
-        let digest = wire.result.trace_digest.ok_or(CampaignError::MissingTrace)?;
+        let digest = wire
+            .result
+            .trace_digest
+            .ok_or(CampaignError::MissingTrace)?;
         if self.ledger.is_none() {
             let initial = wire.initial_vths();
             self.ledger = Some(LifetimeLedger::new(
@@ -533,7 +546,12 @@ impl Campaign {
         let report = self.integrate_outcome(index, wire, store)?;
         if let (Some(log), Some(start)) = (exec.span_log(), started) {
             let parent = derive_id(SpanKind::Epoch, &format!("epoch-{index}"), NO_PARENT);
-            log.record(SpanKind::Integrate, &format!("integrate-e{index}"), parent, start);
+            log.record(
+                SpanKind::Integrate,
+                &format!("integrate-e{index}"),
+                parent,
+                start,
+            );
         }
         Ok(report)
     }

@@ -59,7 +59,10 @@ impl fmt::Display for LedgerError {
                 write!(f, "age acceleration must be finite and positive (got {a})")
             }
             LedgerError::PortMismatch { expected, got } => {
-                write!(f, "port count mismatch: ledger has {expected}, caller supplied {got}")
+                write!(
+                    f,
+                    "port count mismatch: ledger has {expected}, caller supplied {got}"
+                )
             }
             LedgerError::VcMismatch {
                 port,
@@ -170,10 +173,7 @@ impl LifetimeLedger {
     /// Integrates one finished epoch: `duty_totals[port][vc]` is that
     /// buffer's `(stress_cycles, recovery_cycles)` aggregate, exactly as
     /// reported by the experiment engine's duty closure.
-    pub fn integrate_epoch(
-        &mut self,
-        duty_totals: &[Vec<(u64, u64)>],
-    ) -> Result<(), LedgerError> {
+    pub fn integrate_epoch(&mut self, duty_totals: &[Vec<(u64, u64)>]) -> Result<(), LedgerError> {
         if duty_totals.len() != self.ports.len() {
             return Err(LedgerError::PortMismatch {
                 expected: self.ports.len(),
@@ -360,17 +360,16 @@ mod tests {
             ])
             .unwrap();
         let states = ledger.vc_states();
-        let restored = LifetimeLedger::from_states(
-            &states,
-            LongTermModel::calibrated_45nm(),
-            1.0e8,
-        )
-        .unwrap();
+        let restored =
+            LifetimeLedger::from_states(&states, LongTermModel::calibrated_45nm(), 1.0e8).unwrap();
         assert_eq!(ledger, restored);
         // And the restored ledger continues identically.
         let mut a = ledger.clone();
         let mut b = restored;
-        let totals = vec![vec![(500, 3_500), (3_500, 500)], vec![(1, 3_999), (0, 4_000)]];
+        let totals = vec![
+            vec![(500, 3_500), (3_500, 500)],
+            vec![(1, 3_999), (0, 4_000)],
+        ];
         a.integrate_epoch(&totals).unwrap();
         b.integrate_epoch(&totals).unwrap();
         assert_eq!(a, b);
@@ -388,7 +387,10 @@ mod tests {
             delta_vth_v: -0.01,
             ..good
         };
-        let states = vec![vec![(Volt::from_millivolts(180.0), good), (Volt::from_millivolts(180.0), bad)]];
+        let states = vec![vec![
+            (Volt::from_millivolts(180.0), good),
+            (Volt::from_millivolts(180.0), bad),
+        ]];
         assert_eq!(
             LifetimeLedger::from_states(&states, model, 1.0).unwrap_err(),
             LedgerError::InvalidState { port: 0, vc: 1 }

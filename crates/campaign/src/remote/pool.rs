@@ -113,7 +113,10 @@ mod tests {
     fn assignment_is_round_robin_and_deterministic() {
         let p = pool(3);
         let first: Vec<_> = (0..6).map(|e| p.planned_worker(e, 0)).collect();
-        assert_eq!(first, vec![Some(0), Some(1), Some(2), Some(0), Some(1), Some(2)]);
+        assert_eq!(
+            first,
+            vec![Some(0), Some(1), Some(2), Some(0), Some(1), Some(2)]
+        );
         // Replays identically.
         let again: Vec<_> = (0..6).map(|e| p.planned_worker(e, 0)).collect();
         assert_eq!(first, again);

@@ -42,7 +42,9 @@ impl EpochExecutor for StoreExecutor<'_> {
             CampaignError::Dispatch(format!("epoch {index} is not in the result store"))
         })?;
         WireEpochOutcome::from_json(&doc).map_err(|e| {
-            CampaignError::Dispatch(format!("stored outcome for epoch {index} is undecodable: {e}"))
+            CampaignError::Dispatch(format!(
+                "stored outcome for epoch {index} is undecodable: {e}"
+            ))
         })
     }
 }
@@ -105,10 +107,8 @@ mod tests {
     }
 
     fn temp_store(tag: &str) -> FsResultStore {
-        let dir = std::env::temp_dir().join(format!(
-            "nbti-recovery-test-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("nbti-recovery-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         FsResultStore::open(dir).unwrap()
     }

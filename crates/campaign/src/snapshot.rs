@@ -141,7 +141,10 @@ impl<'a> Reader<'a> {
 
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or(SnapshotError::Truncated)?;
+        let slice = self
+            .buf
+            .get(self.pos..end)
+            .ok_or(SnapshotError::Truncated)?;
         self.pos = end;
         Ok(slice)
     }

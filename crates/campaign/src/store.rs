@@ -242,10 +242,8 @@ mod tests {
     use sensorwise::{spec_to_json, ExperimentConfig, ExperimentJob, TrafficSpec};
 
     fn temp_store(tag: &str) -> FsResultStore {
-        let dir = std::env::temp_dir().join(format!(
-            "nbti-store-test-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("nbti-store-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         FsResultStore::open(dir).unwrap()
     }
@@ -402,14 +400,26 @@ mod tests {
         assert!(stats.bytes > 0);
 
         let report = store.gc(2).unwrap();
-        assert_eq!(report, GcReport { removed: 2, kept: 2 });
+        assert_eq!(
+            report,
+            GcReport {
+                removed: 2,
+                kept: 2
+            }
+        );
         // The two oldest inserts are gone, the two newest survive.
         assert!(store.get(&specs[0]).is_none());
         assert!(store.get(&specs[1]).is_none());
         assert!(store.get(&specs[2]).is_some());
         assert!(store.get(&specs[3]).is_some());
         // keep >= len is a no-op.
-        assert_eq!(store.gc(10).unwrap(), GcReport { removed: 0, kept: 2 });
+        assert_eq!(
+            store.gc(10).unwrap(),
+            GcReport {
+                removed: 0,
+                kept: 2
+            }
+        );
         let _ = fs::remove_dir_all(store.dir());
     }
 }

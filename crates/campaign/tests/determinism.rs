@@ -15,12 +15,9 @@ const POLICY_MATRIX: [PolicyKind; 4] = [
 fn spec(policy: PolicyKind, epochs: u32) -> CampaignSpec {
     CampaignSpec {
         base: ExperimentJob {
-            cfg: ExperimentConfig::new(
-                noc_sim::config::NocConfig::paper_synthetic(4, 2),
-                policy,
-            )
-            .with_cycles(300, 2_000)
-            .with_pv_seed(7),
+            cfg: ExperimentConfig::new(noc_sim::config::NocConfig::paper_synthetic(4, 2), policy)
+                .with_cycles(300, 2_000)
+                .with_pv_seed(7),
             traffic: TrafficSpec::Uniform {
                 rate: 0.15,
                 seed: 0xC0FFEE,
@@ -110,7 +107,10 @@ fn epochs_advance_cleanly() {
         );
         last_cycle = report.end_cycle;
         assert_eq!(report.result.invariant_violations, 0);
-        assert!(report.result.packets_injected > 0, "epoch must carry traffic");
+        assert!(
+            report.result.packets_injected > 0,
+            "epoch must carry traffic"
+        );
     }
     assert_eq!(campaign.current_cycle(), Some(last_cycle));
 }
@@ -151,7 +151,11 @@ fn aging_trajectories_diverge_and_order_by_policy() {
     let epochs = 4;
     let mut campaigns = Vec::new();
     let mut report_sets = Vec::new();
-    for policy in [PolicyKind::Baseline, PolicyKind::RrNoSensor, PolicyKind::SensorWise] {
+    for policy in [
+        PolicyKind::Baseline,
+        PolicyKind::RrNoSensor,
+        PolicyKind::SensorWise,
+    ] {
         let mut campaign = Campaign::new(spec(policy, epochs)).unwrap();
         let reports = campaign.run_to_completion(None, None).unwrap();
         assert!(

@@ -25,12 +25,9 @@ fn spec(policy_pick: u8, epochs: u32, seed: u64, rate_milli: u32, accel_exp: u32
     };
     CampaignSpec {
         base: ExperimentJob {
-            cfg: ExperimentConfig::new(
-                noc_sim::config::NocConfig::paper_synthetic(4, 2),
-                policy,
-            )
-            .with_cycles(100, 600)
-            .with_pv_seed(seed),
+            cfg: ExperimentConfig::new(noc_sim::config::NocConfig::paper_synthetic(4, 2), policy)
+                .with_cycles(100, 600)
+                .with_pv_seed(seed),
             traffic: TrafficSpec::Uniform {
                 rate: 0.05 + f64::from(rate_milli % 200) / 1_000.0,
                 seed: seed.rotate_left(17) ^ 0xABCD,

@@ -228,7 +228,10 @@ mod tests {
     #[test]
     fn second_batch_is_served_entirely_from_cache() {
         let cache = MemoryCache::new();
-        let batch = vec![job(PolicyKind::RrNoSensor, 3), job(PolicyKind::SensorWise, 3)];
+        let batch = vec![
+            job(PolicyKind::RrNoSensor, 3),
+            job(PolicyKind::SensorWise, 3),
+        ];
         let first = run_batch_cached(&batch, 2, &cache).unwrap();
         assert_eq!((first.hits, first.misses), (0, 2));
         assert_eq!(cache.len(), 2);
@@ -252,7 +255,10 @@ mod tests {
     #[test]
     fn cached_results_match_uncached_run_batch() {
         let cache = MemoryCache::new();
-        let batch = vec![job(PolicyKind::RrNoSensor, 9), job(PolicyKind::SensorWise, 9)];
+        let batch = vec![
+            job(PolicyKind::RrNoSensor, 9),
+            job(PolicyKind::SensorWise, 9),
+        ];
         // Warm the cache, then answer from it.
         let _ = run_batch_cached(&batch, 2, &cache).unwrap();
         let cached = run_batch_cached(&batch, 2, &cache).unwrap();

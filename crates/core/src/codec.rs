@@ -211,7 +211,11 @@ impl Parser<'_> {
                     )));
                 }
                 self.depth += 1;
-                let v = if open == b'{' { self.object() } else { self.array() };
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
                 self.depth -= 1;
                 v
             }
@@ -249,7 +253,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(JsonValue::Obj(pairs));
                 }
-                _ => return Err(CodecError::new(format!("expected , or }} at byte {}", self.pos))),
+                _ => {
+                    return Err(CodecError::new(format!(
+                        "expected , or }} at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -271,7 +280,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(JsonValue::Arr(items));
                 }
-                _ => return Err(CodecError::new(format!("expected , or ] at byte {}", self.pos))),
+                _ => {
+                    return Err(CodecError::new(format!(
+                        "expected , or ] at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -388,10 +402,7 @@ fn topology_json(t: &TopologyKind) -> String {
     match t {
         TopologyKind::Irregular { edges } => {
             let pairs: Vec<String> = edges.iter().map(|(a, b)| format!("[{a},{b}]")).collect();
-            format!(
-                "\"topology\":\"irregular\",\"edges\":[{}]",
-                pairs.join(",")
-            )
+            format!("\"topology\":\"irregular\",\"edges\":[{}]", pairs.join(","))
         }
         other => format!("\"topology\":{}", json_string(other.name())),
     }
@@ -459,7 +470,9 @@ fn pattern_from_name(name: &str) -> Result<DestinationPattern, CodecError> {
         "shuffle" => Ok(DestinationPattern::Shuffle),
         "tornado" => Ok(DestinationPattern::Tornado),
         "neighbor" => Ok(DestinationPattern::Neighbor),
-        other => Err(CodecError::new(format!("unknown traffic pattern `{other}`"))),
+        other => Err(CodecError::new(format!(
+            "unknown traffic pattern `{other}`"
+        ))),
     }
 }
 
@@ -477,9 +490,9 @@ pub fn spec_to_json(job: &ExperimentJob) -> Result<String, CodecError> {
         ));
     }
     let traffic = match &job.traffic {
-        TrafficSpec::Uniform { rate, seed } => format!(
-            "{{\"kind\":\"uniform\",\"rate\":{rate},\"seed\":{seed}}}"
-        ),
+        TrafficSpec::Uniform { rate, seed } => {
+            format!("{{\"kind\":\"uniform\",\"rate\":{rate},\"seed\":{seed}}}")
+        }
         TrafficSpec::Pattern {
             pattern,
             rate,
@@ -594,8 +607,7 @@ pub fn spec_from_value(root: &JsonValue) -> Result<ExperimentJob, CodecError> {
             topology: topology_from_fields(n)?,
         },
     };
-    noc.validate()
-        .map_err(|e| CodecError::new(e.to_string()))?;
+    noc.validate().map_err(|e| CodecError::new(e.to_string()))?;
 
     let base = ExperimentConfig::new(noc, policy);
     let invariants = match root.get("invariants") {
@@ -653,8 +665,7 @@ pub fn spec_from_value(root: &JsonValue) -> Result<ExperimentJob, CodecError> {
         warmup_cycles: field_u64(root, "warmup", base.warmup_cycles)?,
         measure_cycles: field_u64(root, "measure", base.measure_cycles)?,
         pv_seed: field_u64(root, "pv_seed", base.pv_seed)?,
-        rr_rotation_period: field_u64(root, "rr_rotation_period", base.rr_rotation_period)?
-            .max(1),
+        rr_rotation_period: field_u64(root, "rr_rotation_period", base.rr_rotation_period)?.max(1),
         md_refresh_period: field_u64(root, "md_refresh_period", base.md_refresh_period)?,
         invariants,
         telemetry,
@@ -1038,10 +1049,7 @@ mod tests {
                 r#"{"policy":"sw","traffic":{"kind":"mix","rate":0.1}}"#,
                 "unknown traffic kind",
             ),
-            (
-                r#"{"policy":"sw","traffic":{"rate":-0.5}}"#,
-                "non-negative",
-            ),
+            (r#"{"policy":"sw","traffic":{"rate":-0.5}}"#, "non-negative"),
         ] {
             let err = spec_from_json(text).unwrap_err().to_string();
             assert!(err.contains(needle), "`{text}` -> {err}");
@@ -1066,7 +1074,8 @@ mod tests {
             (r#"{"credit_latency":1025}"#, "credit_latency 1025 exceeds"),
             (r#"{"wakeup_latency":4096}"#, "wakeup_latency 4096 exceeds"),
         ] {
-            let text = format!(r#"{{"policy":"sensor-wise","noc":{noc},"traffic":{{"rate":0.1}}}}"#);
+            let text =
+                format!(r#"{{"policy":"sensor-wise","noc":{noc},"traffic":{{"rate":0.1}}}}"#);
             let err = spec_from_json(&text).unwrap_err().to_string();
             assert!(err.contains("invalid NoC configuration"), "{err}");
             assert!(err.contains(needle), "{err}");
@@ -1086,7 +1095,9 @@ mod tests {
             )
         };
         for (period, wakeup) in [(1, 1), (2, 2), (1, 3), (3, 3)] {
-            let err = spec_from_json(&spec("rr", period, wakeup)).unwrap_err().to_string();
+            let err = spec_from_json(&spec("rr", period, wakeup))
+                .unwrap_err()
+                .to_string();
             let needle = format!("rr_rotation_period {period} must exceed wakeup_latency {wakeup}");
             assert!(err.contains(&needle), "{err}");
         }

@@ -54,7 +54,11 @@ impl WireEpochRequest {
         self.vths_bits.as_ref().map(|ports| {
             ports
                 .iter()
-                .map(|vcs| vcs.iter().map(|&b| Volt::from_volts(f64::from_bits(b))).collect())
+                .map(|vcs| {
+                    vcs.iter()
+                        .map(|&b| Volt::from_volts(f64::from_bits(b)))
+                        .collect()
+                })
                 .collect()
         })
     }
@@ -192,7 +196,12 @@ impl From<&EpochOutcome> for WireEpochOutcome {
                 .result
                 .ports
                 .iter()
-                .map(|p| p.initial_vths.iter().map(|v| v.as_volts().to_bits()).collect())
+                .map(|p| {
+                    p.initial_vths
+                        .iter()
+                        .map(|v| v.as_volts().to_bits())
+                        .collect()
+                })
                 .collect(),
             duty_totals: o.duty_totals.clone(),
             snapshot: o.snapshot.clone(),
@@ -207,7 +216,11 @@ impl WireEpochOutcome {
     pub fn initial_vths(&self) -> Vec<Vec<Volt>> {
         self.initial_vths_bits
             .iter()
-            .map(|vcs| vcs.iter().map(|&b| Volt::from_volts(f64::from_bits(b))).collect())
+            .map(|vcs| {
+                vcs.iter()
+                    .map(|&b| Volt::from_volts(f64::from_bits(b)))
+                    .collect()
+            })
             .collect()
     }
 
@@ -362,7 +375,11 @@ fn push_snapshot(out: &mut String, snap: &NetworkSnapshot) {
     out.push_str(&format!(
         ",\"stats\":{{\"packets_injected\":{},\"packets_ejected\":{},\"flits_sent\":{},\
          \"flits_ejected\":{},\"latency_sum\":{},\"latency_max\":{},\"latency_histogram\":",
-        s.packets_injected, s.packets_ejected, s.flits_sent, s.flits_ejected, s.latency_sum,
+        s.packets_injected,
+        s.packets_ejected,
+        s.flits_sent,
+        s.flits_ejected,
+        s.latency_sum,
         s.latency_max
     ));
     push_u64_list(out, &s.latency_histogram);
@@ -374,8 +391,13 @@ fn push_snapshot(out: &mut String, snap: &NetworkSnapshot) {
     out.push_str(&format!(
         ",\"work\":{{\"bw_writes\":{},\"rc_computes\":{},\"va_grants\":{},\"sa_grants\":{},\
          \"gate_commands\":{},\"policy_evaluations\":{},\"sensor_reads\":{}}}",
-        w.bw_writes, w.rc_computes, w.va_grants, w.sa_grants, w.gate_commands,
-        w.policy_evaluations, w.sensor_reads
+        w.bw_writes,
+        w.rc_computes,
+        w.va_grants,
+        w.sa_grants,
+        w.gate_commands,
+        w.policy_evaluations,
+        w.sensor_reads
     ));
     out.push_str(",\"ports\":[");
     for (i, p) in snap.ports.iter().enumerate() {

@@ -513,9 +513,9 @@ fn run_epoch_sink<T: TraceSink>(
     }
     let port_ids: Vec<PortId> = net.port_ids().to_vec();
     let monitor = match vths {
-        Some(vths) => NbtiMonitor::<IdealSensor>::with_ideal_sensors_from_vths(
-            &port_ids, vths, cfg.model,
-        ),
+        Some(vths) => {
+            NbtiMonitor::<IdealSensor>::with_ideal_sensors_from_vths(&port_ids, vths, cfg.model)
+        }
         None => {
             let mut pv = ProcessVariation::paper_45nm(cfg.pv_seed);
             NbtiMonitor::<IdealSensor>::with_ideal_sensors(
@@ -660,9 +660,9 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
             .iter()
             .map(|_| cfg.policy.build(cfg.rr_rotation_period))
             .collect();
-        let next_change = policies
-            .first()
-            .map_or(u64::MAX, |p| p.next_change(net.cycle(), cfg.noc.vcs_per_port));
+        let next_change = policies.first().map_or(u64::MAX, |p| {
+            p.next_change(net.cycle(), cfg.noc.vcs_per_port)
+        });
         Engine {
             cfg,
             policies,
@@ -781,8 +781,8 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
             self.net.apply_gate_at(i, action);
             let commands = u64::from(action != GateAction::NoChange);
             applied += commands;
-            self.commanding = self.commanding + commands
-                - u64::from(c.action != GateAction::NoChange);
+            self.commanding =
+                self.commanding + commands - u64::from(c.action != GateAction::NoChange);
             let after = self.net.port_key_at(i);
             c.key = after;
             c.md = md;
@@ -864,12 +864,7 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
 
 /// Records port `pid`'s stress run from its start up to monitored cycle
 /// `upto` as one `record_cycles` call, and starts a new run there.
-fn flush_run<S: NbtiSensor>(
-    monitor: &mut NbtiMonitor<S>,
-    pid: PortId,
-    c: &mut PortCtl,
-    upto: u64,
-) {
+fn flush_run<S: NbtiSensor>(monitor: &mut NbtiMonitor<S>, pid: PortId, c: &mut PortCtl, upto: u64) {
     let n = upto - c.run_start;
     if n > 0 {
         monitor.record_cycles(pid, c.stress, n);
@@ -982,7 +977,10 @@ fn run_loop_inner<S: NbtiSensor, T: TraceSink, P: Profiler>(
         None
     };
     let duty_totals = if drain.is_some() {
-        port_ids.iter().map(|&pid| monitor.duty_totals(pid)).collect()
+        port_ids
+            .iter()
+            .map(|&pid| monitor.duty_totals(pid))
+            .collect()
     } else {
         Vec::new()
     };
@@ -1326,7 +1324,10 @@ mod tests {
         let plain = run_experiment(&cfg(), &mut traffic());
         let (profiled, prof) = run_experiment_profiled(&cfg(), &mut traffic());
         // Timing is an observation, never an input.
-        assert_eq!(plain.net, profiled.net, "profiling must not perturb the run");
+        assert_eq!(
+            plain.net, profiled.net,
+            "profiling must not perturb the run"
+        );
         assert_eq!(plain.ports, profiled.ports);
         assert_eq!(plain.work, profiled.work);
         assert_eq!(plain.trace_digest(), profiled.trace_digest());
@@ -1379,10 +1380,14 @@ mod tests {
     fn epochs_chain_and_are_deterministic() {
         let cfg = epoch_cfg(PolicyKind::SensorWise);
         let run_two = || {
-            let e0 = run_epoch(&cfg, &mut epoch_traffic(11), None, None, 100_000)
-                .expect("epoch 0 runs");
-            let vths: Vec<Vec<Volt>> =
-                e0.result.ports.iter().map(|p| p.initial_vths.clone()).collect();
+            let e0 =
+                run_epoch(&cfg, &mut epoch_traffic(11), None, None, 100_000).expect("epoch 0 runs");
+            let vths: Vec<Vec<Volt>> = e0
+                .result
+                .ports
+                .iter()
+                .map(|p| p.initial_vths.clone())
+                .collect();
             let e1 = run_epoch(
                 &cfg,
                 &mut epoch_traffic(12),
@@ -1421,8 +1426,8 @@ mod tests {
         // run_experiment measures — the drain happens after the window.
         let cfg = epoch_cfg(PolicyKind::RrNoSensor);
         let standalone = run_experiment(&cfg, &mut epoch_traffic(21));
-        let epoch = run_epoch(&cfg, &mut epoch_traffic(21), None, None, 100_000)
-            .expect("epoch runs");
+        let epoch =
+            run_epoch(&cfg, &mut epoch_traffic(21), None, None, 100_000).expect("epoch runs");
         // The drain delivers in-flight flits (so flits_received can grow)
         // but records no duty and injects nothing.
         for (s, e) in standalone.ports.iter().zip(&epoch.result.ports) {
@@ -1457,11 +1462,9 @@ mod tests {
     fn epoch_rejects_wrong_shape_resume() {
         let cfg = epoch_cfg(PolicyKind::SensorWise);
         let e0 = run_epoch(&cfg, &mut epoch_traffic(5), None, None, 100_000).unwrap();
-        let bigger = ExperimentConfig::new(
-            NocConfig::paper_synthetic(16, 2),
-            PolicyKind::SensorWise,
-        )
-        .with_cycles(100, 500);
+        let bigger =
+            ExperimentConfig::new(NocConfig::paper_synthetic(16, 2), PolicyKind::SensorWise)
+                .with_cycles(100, 500);
         let mesh = noc_sim::topology::Mesh2D::new(4, 4);
         let mut traffic = SyntheticTraffic::uniform(mesh, 0.1, 5, 1);
         let err = run_epoch(&bigger, &mut traffic, Some(&e0.snapshot), None, 1_000)
@@ -1503,7 +1506,11 @@ mod tests {
             eng.advance(1, None);
             for step in 2..40 {
                 eng.advance(step, None);
-                assert!(eng.visit.is_empty(), "{policy} step {step}: {:?}", eng.visit);
+                assert!(
+                    eng.visit.is_empty(),
+                    "{policy} step {step}: {:?}",
+                    eng.visit
+                );
             }
             // Policy evaluations and gate commands keep their per-port,
             // per-cycle count.
@@ -1546,7 +1553,11 @@ mod tests {
                 break eng.port_ids[i];
             }
         };
-        assert_eq!(eng.net.stats().invariant_violations, 0, "clean until the fault");
+        assert_eq!(
+            eng.net.stats().invariant_violations,
+            0,
+            "clean until the fault"
+        );
         eng.advance(step, Some(&mut traffic));
         let v = eng
             .net
@@ -1554,7 +1565,11 @@ mod tests {
             .iter()
             .find(|v| v.kind == InvariantKind::VcStateConsistency)
             .expect("the dropped mark is reported");
-        assert!(v.detail.contains(&format!("port {dropped}")), "{}", v.detail);
+        assert!(
+            v.detail.contains(&format!("port {dropped}")),
+            "{}",
+            v.detail
+        );
         assert!(v.detail.contains("without a mark"), "{}", v.detail);
     }
 

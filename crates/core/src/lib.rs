@@ -77,8 +77,8 @@ pub use modelcheck::{
     model_check_with_fault, CheckCase, CheckOutcome, ModelCheckReport,
 };
 pub use monitor::NbtiMonitor;
+pub use noc_telemetry::{TelemetryReport, TelemetrySpec, WorkCounters};
 pub use parallel::{
     default_jobs, parallel_map, run_batch, validate_jobs, ExperimentJob, TrafficSpec,
 };
 pub use policy::{BaselinePolicy, GatingPolicy, PolicyKind, RrNoSensorPolicy, SensorWisePolicy};
-pub use noc_telemetry::{TelemetryReport, TelemetrySpec, WorkCounters};

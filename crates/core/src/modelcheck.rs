@@ -22,9 +22,7 @@
 
 use crate::parallel::parallel_map;
 use crate::policy::PolicyKind;
-use noc_modelcheck::{
-    explore, ExploreConfig, ExploreReport, FaultKind, StandardOracle,
-};
+use noc_modelcheck::{explore, ExploreConfig, ExploreReport, FaultKind, StandardOracle};
 use noc_sim::view::{GateAction, PortView};
 use std::fmt;
 
@@ -148,7 +146,11 @@ impl ModelCheckReport {
         }
         for o in self.failures() {
             let cx = o.report.counterexample.as_ref().expect("failures have one");
-            out.push_str(&format!("\ncounterexample for {}:\n  {}\n", o.case, cx.describe()));
+            out.push_str(&format!(
+                "\ncounterexample for {}:\n  {}\n",
+                o.case,
+                cx.describe()
+            ));
             for v in &cx.violations {
                 out.push_str(&format!("  {v}\n"));
             }
@@ -231,11 +233,7 @@ mod tests {
             })
             .collect();
         let report = model_check(&cases, 2);
-        assert!(
-            report.ok(),
-            "counterexamples found:\n{}",
-            report.render()
-        );
+        assert!(report.ok(), "counterexamples found:\n{}", report.render());
         // The exploration actually moved: well past the root state (the
         // baseline's space is the smallest — 65 states at this depth).
         assert!(report.outcomes.iter().all(|o| o.report.unique_states > 50));
@@ -273,8 +271,14 @@ mod tests {
 
     #[test]
     fn baseline_branches_no_auxiliary_input() {
-        assert_eq!(explore_config_for(PolicyKind::Baseline, 4, false).aux_choices, 1);
-        assert_eq!(explore_config_for(PolicyKind::SensorWise, 4, false).aux_choices, 2);
+        assert_eq!(
+            explore_config_for(PolicyKind::Baseline, 4, false).aux_choices,
+            1
+        );
+        assert_eq!(
+            explore_config_for(PolicyKind::SensorWise, 4, false).aux_choices,
+            2
+        );
         assert_eq!(
             explore_config_for(PolicyKind::SensorWiseK(2), 4, false).idle_on_budget,
             Some(2)

@@ -357,7 +357,10 @@ mod tests {
         }
         let low = idle.projected_delta_vth_mv(p, horizon);
         let high = busy.projected_delta_vth_mv(p, horizon);
-        assert!(low.abs() < 1e-9, "fully recovered VC projects no shift: {low}");
+        assert!(
+            low.abs() < 1e-9,
+            "fully recovered VC projects no shift: {low}"
+        );
         assert!(high > 1.0, "10-year full-duty shift in mV: {high}");
     }
 

@@ -70,8 +70,7 @@ impl PolicyKind {
 
     /// The sensor-less reference against the paper's contribution — the
     /// pair every gap sweep and ablation study contrasts.
-    pub const REFERENCE_PAIR: [PolicyKind; 2] =
-        [PolicyKind::RrNoSensor, PolicyKind::SensorWise];
+    pub const REFERENCE_PAIR: [PolicyKind; 2] = [PolicyKind::RrNoSensor, PolicyKind::SensorWise];
 
     /// The three policies compared in Tables II and III.
     pub const TABLE_POLICIES: [PolicyKind; 3] = [
@@ -141,9 +140,9 @@ impl PolicyKind {
     pub fn idle_on_budget(self) -> Option<usize> {
         match self {
             PolicyKind::Baseline => None,
-            PolicyKind::RrNoSensor
-            | PolicyKind::SensorWiseNoTraffic
-            | PolicyKind::SensorWise => Some(1),
+            PolicyKind::RrNoSensor | PolicyKind::SensorWiseNoTraffic | PolicyKind::SensorWise => {
+                Some(1)
+            }
             PolicyKind::SensorWiseK(k) => Some(k as usize),
         }
     }
@@ -666,13 +665,18 @@ mod tests {
         }
         assert_eq!(PolicyKind::parse("rr"), Ok(PolicyKind::RrNoSensor));
         assert_eq!(PolicyKind::parse("sw"), Ok(PolicyKind::SensorWise));
-        assert_eq!(PolicyKind::parse("sw-nt"), Ok(PolicyKind::SensorWiseNoTraffic));
+        assert_eq!(
+            PolicyKind::parse("sw-nt"),
+            Ok(PolicyKind::SensorWiseNoTraffic)
+        );
         assert_eq!(PolicyKind::parse("sw-k3"), Ok(PolicyKind::SensorWiseK(3)));
         assert_eq!(
             PolicyKind::parse("sensor-wise-k2"),
             Ok(PolicyKind::SensorWiseK(2))
         );
-        assert!(PolicyKind::parse("magic").unwrap_err().contains("unknown policy"));
+        assert!(PolicyKind::parse("magic")
+            .unwrap_err()
+            .contains("unknown policy"));
         assert!(PolicyKind::parse("sw-kx").unwrap_err().contains("bad k"));
     }
 }

@@ -303,11 +303,8 @@ pub fn saturation_rate_jobs(
         let mut points = Vec::with_capacity((1 << depth) - 1);
         collect_midpoint_tree(lo, hi, depth, &mut points);
         let outcomes = parallel_map(&points, jobs, |_, &rate| saturated(rate));
-        let cached: std::collections::BTreeMap<u64, bool> = points
-            .iter()
-            .map(|p| p.to_bits())
-            .zip(outcomes)
-            .collect();
+        let cached: std::collections::BTreeMap<u64, bool> =
+            points.iter().map(|p| p.to_bits()).zip(outcomes).collect();
         for _ in 0..depth {
             if hi - lo <= tol {
                 break;
@@ -416,8 +413,7 @@ mod tests {
         let first = gap_sweep_cached(4, 2, &[0.1, 0.3], 300, 2_000, 3, 2, &cache).unwrap();
         assert_eq!((first.hits, first.misses), (0, 4));
         // A superset sweep only pays for the new rate.
-        let wider =
-            gap_sweep_cached(4, 2, &[0.1, 0.3, 0.5], 300, 2_000, 3, 2, &cache).unwrap();
+        let wider = gap_sweep_cached(4, 2, &[0.1, 0.3, 0.5], 300, 2_000, 3, 2, &cache).unwrap();
         assert_eq!((wider.hits, wider.misses), (4, 2));
         for (d, c) in direct.iter().zip(&wider.points) {
             assert_eq!(d.rate, c.rate);

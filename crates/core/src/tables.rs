@@ -80,11 +80,13 @@ pub fn synthetic_table_jobs(vcs: usize, warmup: u64, measure: u64, jobs: usize) 
     let scenarios: Vec<SyntheticScenario> = [4usize, 16]
         .into_iter()
         .flat_map(|cores| {
-            [0.1, 0.2, 0.3].into_iter().map(move |rate| SyntheticScenario {
-                cores,
-                vcs,
-                injection_rate: rate,
-            })
+            [0.1, 0.2, 0.3]
+                .into_iter()
+                .map(move |rate| SyntheticScenario {
+                    cores,
+                    vcs,
+                    injection_rate: rate,
+                })
         })
         .collect();
     let batch: Vec<ExperimentJob> = scenarios

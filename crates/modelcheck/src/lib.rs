@@ -620,7 +620,13 @@ mod tests {
         let mut net = fresh(&cfg);
         let mut fault_fired = false;
         for &action in &cx.path {
-            run_cycle(&mut net, action, &mut all_on_controller(), &cfg, &mut fault_fired);
+            run_cycle(
+                &mut net,
+                action,
+                &mut all_on_controller(),
+                &cfg,
+                &mut fault_fired,
+            );
         }
         let replayed = net.take_violations();
         assert_eq!(

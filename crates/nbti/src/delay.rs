@@ -136,20 +136,15 @@ mod tests {
         // gives single-digit percent at nominal Vdd — the right order, and
         // consistent with 20 % for low-Vdd corners (higher Vth/Vdd ratio).
         let m = model();
-        let d10 = m.delay_degradation_percent(
-            Volt::from_volts(0.18),
-            Volt::from_millivolts(50.0),
-        );
+        let d10 = m.delay_degradation_percent(Volt::from_volts(0.18), Volt::from_millivolts(50.0));
         assert!(d10 > 3.0 && d10 < 15.0, "d10 = {d10}");
         // Same shift at a near-threshold supply hurts far more.
         let low_vdd = AlphaPowerModel {
             vdd: Volt::from_volts(0.7),
             alpha: 1.3,
         };
-        let d_low = low_vdd.delay_degradation_percent(
-            Volt::from_volts(0.18),
-            Volt::from_millivolts(50.0),
-        );
+        let d_low =
+            low_vdd.delay_degradation_percent(Volt::from_volts(0.18), Volt::from_millivolts(50.0));
         assert!(d_low > 2.0 * d10, "low-Vdd degradation = {d_low}");
     }
 
@@ -172,10 +167,7 @@ mod tests {
             let back = m.delay_degradation_percent(v0, dv);
             assert!((back - percent).abs() < 1e-9, "{percent} -> {back}");
         }
-        assert_eq!(
-            m.delta_vth_for_degradation(v0, 0.0),
-            Volt::ZERO
-        );
+        assert_eq!(m.delta_vth_for_degradation(v0, 0.0), Volt::ZERO);
     }
 
     #[test]
@@ -184,14 +176,10 @@ mod tests {
         let aging = LongTermModel::calibrated_45nm();
         let delay = model();
         let v0 = Volt::from_volts(0.18);
-        let d_base = delay.delay_degradation_percent(
-            v0,
-            aging.delta_vth(1.0, NbtiParams::TEN_YEARS_S),
-        );
-        let d_gated = delay.delay_degradation_percent(
-            v0,
-            aging.delta_vth(0.1, NbtiParams::TEN_YEARS_S),
-        );
+        let d_base =
+            delay.delay_degradation_percent(v0, aging.delta_vth(1.0, NbtiParams::TEN_YEARS_S));
+        let d_gated =
+            delay.delay_degradation_percent(v0, aging.delta_vth(0.1, NbtiParams::TEN_YEARS_S));
         assert!(d_gated < d_base, "gating must preserve speed");
     }
 

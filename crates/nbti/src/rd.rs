@@ -359,7 +359,10 @@ mod tests {
         a.recover(45.0);
         b.stress(123.0);
         b.recover(45.0);
-        assert_eq!(a.delta_vth().as_volts().to_bits(), b.delta_vth().as_volts().to_bits());
+        assert_eq!(
+            a.delta_vth().as_volts().to_bits(),
+            b.delta_vth().as_volts().to_bits()
+        );
     }
 
     #[test]

@@ -385,9 +385,7 @@ mod tests {
         let mut s = FaultySensor::new(IdealSensor::new(), mode, 3);
         let truth = Volt::from_volts(0.180);
         let n = 20_000u64;
-        let corrupted = (0..n)
-            .filter(|&c| s.sample(truth, c) != truth)
-            .count();
+        let corrupted = (0..n).filter(|&c| s.sample(truth, c) != truth).count();
         let rate = corrupted as f64 / n as f64;
         // A corrupted sample can coincide with the truth only with
         // probability ~0, so the observed rate tracks p.

@@ -279,7 +279,11 @@ mod tests {
     #[test]
     fn paths_have_minimal_length() {
         let mesh = Mesh2D::new(4, 4);
-        for alg in [RoutingAlgorithm::XY, RoutingAlgorithm::YX, RoutingAlgorithm::WestFirst] {
+        for alg in [
+            RoutingAlgorithm::XY,
+            RoutingAlgorithm::YX,
+            RoutingAlgorithm::WestFirst,
+        ] {
             for a in mesh.nodes() {
                 for b in mesh.nodes() {
                     let path = alg.path(&mesh, a, b);

@@ -119,12 +119,14 @@ impl fmt::Display for SnapshotStateError {
             SnapshotStateError::CreditsOutstanding { port } => {
                 write!(f, "credit loop not settled at port {port:?}")
             }
-            SnapshotStateError::PendingViolations { count } => write!(
-                f,
-                "{count} invariant violation(s) recorded but not drained"
-            ),
+            SnapshotStateError::PendingViolations { count } => {
+                write!(f, "{count} invariant violation(s) recorded but not drained")
+            }
             SnapshotStateError::ShapeMismatch { what, got, want } => {
-                write!(f, "snapshot shape mismatch: {got} {what}, network has {want}")
+                write!(
+                    f,
+                    "snapshot shape mismatch: {got} {what}, network has {want}"
+                )
             }
             SnapshotStateError::TargetNotFresh { cycle } => write!(
                 f,

@@ -397,10 +397,7 @@ impl Topology for RingTopology {
             return None;
         }
         match dir {
-            Direction::East => Some((
-                NodeId((node.index() + 1) % self.n),
-                Direction::West,
-            )),
+            Direction::East => Some((NodeId((node.index() + 1) % self.n), Direction::West)),
             Direction::West => Some((
                 NodeId((node.index() + self.n - 1) % self.n),
                 Direction::East,
@@ -457,7 +454,10 @@ impl std::fmt::Display for TopologyError {
             TopologyError::SelfLoop(n) => write!(f, "self-loop on node {n}"),
             TopologyError::DuplicateEdge(a, b) => write!(f, "duplicate edge {a}-{b}"),
             TopologyError::DegreeTooHigh(n) => {
-                write!(f, "node {n} has more than 4 links (routers have 4 port slots)")
+                write!(
+                    f,
+                    "node {n} has more than 4 links (routers have 4 port slots)"
+                )
             }
             TopologyError::Disconnected => write!(f, "graph is not connected"),
         }

@@ -263,7 +263,10 @@ impl ServiceClient {
     pub fn status(&self, id: u64) -> Result<JobStatus, String> {
         let (response, _) = self.timed("GET", &format!("/jobs/{id}"), "")?;
         if response.status != 200 {
-            return Err(format!("status {id}: HTTP {}: {}", response.status, response.body));
+            return Err(format!(
+                "status {id}: HTTP {}: {}",
+                response.status, response.body
+            ));
         }
         let v = JsonValue::parse(&response.body).map_err(|e| e.to_string())?;
         let status = v
@@ -272,9 +275,9 @@ impl ServiceClient {
             .ok_or("status response without a status field")?
             .to_string();
         let trace_digest = match v.get("trace_digest").and_then(JsonValue::as_str) {
-            Some(hex) => Some(
-                u64::from_str_radix(hex, 16).map_err(|_| format!("bad digest hex `{hex}`"))?,
-            ),
+            Some(hex) => {
+                Some(u64::from_str_radix(hex, 16).map_err(|_| format!("bad digest hex `{hex}`"))?)
+            }
             None => None,
         };
         let error = v
@@ -427,7 +430,10 @@ impl ServiceClient {
     pub fn cancel(&self, id: u64) -> Result<String, String> {
         let (response, _) = self.timed("DELETE", &format!("/jobs/{id}"), "")?;
         if response.status != 200 {
-            return Err(format!("cancel {id}: HTTP {}: {}", response.status, response.body));
+            return Err(format!(
+                "cancel {id}: HTTP {}: {}",
+                response.status, response.body
+            ));
         }
         JsonValue::parse(&response.body)
             .ok()
@@ -460,7 +466,10 @@ impl ServiceClient {
         let body = if force { "{\"force\":true}" } else { "" };
         let (response, _) = self.timed("POST", "/shutdown", body)?;
         if response.status != 200 {
-            return Err(format!("shutdown: HTTP {}: {}", response.status, response.body));
+            return Err(format!(
+                "shutdown: HTTP {}: {}",
+                response.status, response.body
+            ));
         }
         Ok(())
     }

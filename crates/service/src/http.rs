@@ -90,7 +90,10 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, String> {
         .filter(|m| !m.is_empty())
         .ok_or("empty request line")?
         .to_string();
-    let path = parts.next().ok_or("request line has no target")?.to_string();
+    let path = parts
+        .next()
+        .ok_or("request line has no target")?
+        .to_string();
     if !parts.next().is_some_and(|v| v.starts_with("HTTP/1.")) {
         return Err(format!("not an HTTP/1.x request line: {request_line:?}"));
     }
@@ -324,8 +327,7 @@ fn connect(addr: &str) -> Result<TcpStream, String> {
 
 fn parse_response(raw: &[u8]) -> Result<ClientResponse, String> {
     let end = find_head_end(raw).ok_or("response has no header terminator")?;
-    let head =
-        String::from_utf8(raw[..end].to_vec()).map_err(|_| "response head is not UTF-8")?;
+    let head = String::from_utf8(raw[..end].to_vec()).map_err(|_| "response head is not UTF-8")?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or("");
     let status: u16 = status_line
@@ -356,7 +358,8 @@ mod tests {
 
     #[test]
     fn parses_a_full_response() {
-        let raw = b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\n{}";
+        let raw =
+            b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\n{}";
         let r = parse_response(raw).unwrap();
         assert_eq!(r.status, 429);
         assert_eq!(r.retry_after_secs, Some(1));

@@ -183,7 +183,11 @@ impl Shared {
             return;
         }
         let jsonl = self.recorder.to_jsonl();
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
+        if let Ok(mut f) = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+        {
             use std::io::Write;
             let _ = f.write_all(jsonl.as_bytes());
         }
@@ -363,10 +367,7 @@ struct JobSuccess {
 
 /// Runs one payload to a `Ok(Some)` success / `Ok(None)` abort /
 /// `Err(msg)` typed-failure trichotomy shared by both payload kinds.
-fn run_payload(
-    payload: &JobPayload,
-    cancel: &AtomicBool,
-) -> Result<Option<JobSuccess>, String> {
+fn run_payload(payload: &JobPayload, cancel: &AtomicBool) -> Result<Option<JobSuccess>, String> {
     match payload {
         JobPayload::Experiment(job) => Ok(job.run_cancellable(cancel).map(|result| JobSuccess {
             json: result_to_json(&result),
@@ -476,7 +477,13 @@ fn record_job_spans(
         job_start_us,
         shared.span_clock_us().saturating_sub(job_start_us),
     );
-    let exp_span = Span::new(SpanKind::Experiment, &name, job_span.id, exp_start_us, busy_us);
+    let exp_span = Span::new(
+        SpanKind::Experiment,
+        &name,
+        job_span.id,
+        exp_start_us,
+        busy_us,
+    );
     shared.recorder.record(job_span);
     shared.recorder.record(exp_span);
 }
@@ -522,10 +529,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
     };
     let endpoint = Endpoint::classify(&request.method, &target);
     let (status, content_type, headers, body) = route(request, &target, shared);
-    let header_refs: Vec<(&str, &str)> = headers
-        .iter()
-        .map(|(n, v)| (*n, v.as_str()))
-        .collect();
+    let header_refs: Vec<(&str, &str)> = headers.iter().map(|(n, v)| (*n, v.as_str())).collect();
     write_response(stream, status, content_type, &header_refs, &body);
     finish_request(shared, endpoint, start_us, t_req);
 }
@@ -565,10 +569,9 @@ fn route(req: &Request, target: &Target<'_>, shared: &Shared) -> Routed {
         ("GET", ["stats"]) => stats(shared),
         ("GET", ["metrics"]) => metrics(shared),
         ("POST", ["shutdown"]) => shutdown(req, shared),
-        (_, ["jobs"] | ["jobs", ..] | ["stats"] | ["metrics"] | ["shutdown"]) => plain(
-            405,
-            "{\"error\":\"method not allowed\"}".to_string(),
-        ),
+        (_, ["jobs"] | ["jobs", ..] | ["stats"] | ["metrics"] | ["shutdown"]) => {
+            plain(405, "{\"error\":\"method not allowed\"}".to_string())
+        }
         _ => plain(404, "{\"error\":\"no such endpoint\"}".to_string()),
     }
 }
@@ -689,7 +692,12 @@ fn submit_batch(req: &Request, shared: &Shared) -> Routed {
     }
     let root = match JsonValue::parse(&req.body) {
         Ok(v) => v,
-        Err(e) => return plain(400, format!("{{\"error\":{}}}", json_string(&e.to_string()))),
+        Err(e) => {
+            return plain(
+                400,
+                format!("{{\"error\":{}}}", json_string(&e.to_string())),
+            )
+        }
     };
     let Some(items) = root.get("jobs").and_then(JsonValue::as_arr) else {
         return plain(

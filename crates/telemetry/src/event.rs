@@ -260,7 +260,10 @@ impl TraceEvent {
                 write!(out, r#"{{"c":{c},"t":"{t}","kind":"{kind}"}}"#)
             }
             EventKind::EpochEnd { index, digest } => {
-                write!(out, r#"{{"c":{c},"t":"{t}","idx":{index},"dg":"{digest:016x}"}}"#)
+                write!(
+                    out,
+                    r#"{{"c":{c},"t":"{t}","idx":{index},"dg":"{digest:016x}"}}"#
+                )
             }
         };
         out.push('\n');

@@ -202,7 +202,10 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], MetricsSeries::CSV_HEADER);
         assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("100,r0-E,51.2500,3,7,2,31.5000"), "{csv}");
+        assert!(
+            lines[1].starts_with("100,r0-E,51.2500,3,7,2,31.5000"),
+            "{csv}"
+        );
         assert!(lines[2].contains("r0-eject"), "{csv}");
     }
 
@@ -210,7 +213,9 @@ mod tests {
     fn jsonl_emits_one_object_per_row() {
         let jsonl = series().to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
+        assert!(jsonl
+            .lines()
+            .all(|l| l.starts_with('{') && l.ends_with('}')));
         assert!(jsonl.contains(r#""port":"r0-eject""#), "{jsonl}");
     }
 

@@ -361,7 +361,13 @@ mod tests {
         let rec = FlightRecorder::new(3);
         assert!(rec.is_empty());
         for i in 0..5u64 {
-            rec.record(Span::new(SpanKind::Request, &format!("r{i}"), NO_PARENT, i, 1));
+            rec.record(Span::new(
+                SpanKind::Request,
+                &format!("r{i}"),
+                NO_PARENT,
+                i,
+                1,
+            ));
         }
         assert_eq!(rec.len(), 3);
         let jsonl = rec.to_jsonl();

@@ -197,7 +197,8 @@ impl TraceWriter {
         if self.pending_count == 0 {
             return;
         }
-        self.body.extend_from_slice(&self.pending_count.to_le_bytes());
+        self.body
+            .extend_from_slice(&self.pending_count.to_le_bytes());
         self.body.extend_from_slice(&self.pending);
         self.body
             .extend_from_slice(&fnv1a_64(&self.pending).to_le_bytes());
@@ -392,7 +393,11 @@ impl<R: Read> TraceReader<R> {
             ));
         }
         if first < 4 {
-            read_exact_or(&mut self.src, &mut count_buf[first..], TraceError::Truncated)?;
+            read_exact_or(
+                &mut self.src,
+                &mut count_buf[first..],
+                TraceError::Truncated,
+            )?;
         }
         let count = u32::from_le_bytes(count_buf);
         if count == 0 || count as usize > CHUNK_RECORDS {
@@ -510,7 +515,11 @@ impl<R: Read> Iterator for TraceReader<R> {
 }
 
 /// `read_exact` with a typed short-read error instead of an `io::Error`.
-fn read_exact_or<R: Read>(src: &mut R, buf: &mut [u8], short: TraceError) -> Result<(), TraceError> {
+fn read_exact_or<R: Read>(
+    src: &mut R,
+    buf: &mut [u8],
+    short: TraceError,
+) -> Result<(), TraceError> {
     src.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             short
@@ -667,7 +676,10 @@ mod tests {
         let bytes = encode_trace(4, &sample_records(3)).unwrap();
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
-        assert_eq!(decode_trace(&wrong_magic).unwrap_err(), TraceError::BadMagic);
+        assert_eq!(
+            decode_trace(&wrong_magic).unwrap_err(),
+            TraceError::BadMagic
+        );
         let mut wrong_version = bytes.clone();
         wrong_version[8] = 0xFF;
         assert!(matches!(

@@ -217,7 +217,11 @@ impl MixGenerator {
                 server // three quarters of client traffic hits the server
             } else {
                 let d = self.rng.below(n - 1);
-                if d >= src { d + 1 } else { d }
+                if d >= src {
+                    d + 1
+                } else {
+                    d
+                }
             };
             // lint:allow(alloc-in-hot-path) amortized append into caller scratch
             out.push(self.record(cycle, src, dst));

@@ -214,9 +214,24 @@ mod tests {
     #[test]
     fn trace_source_emits_records_at_their_cycles() {
         let records = vec![
-            TraceRecord { cycle: 0, src: 0, dst: 1, len: 5 },
-            TraceRecord { cycle: 0, src: 2, dst: 3, len: 5 },
-            TraceRecord { cycle: 3, src: 1, dst: 0, len: 2 },
+            TraceRecord {
+                cycle: 0,
+                src: 0,
+                dst: 1,
+                len: 5,
+            },
+            TraceRecord {
+                cycle: 0,
+                src: 2,
+                dst: 3,
+                len: 5,
+            },
+            TraceRecord {
+                cycle: 3,
+                src: 1,
+                dst: 0,
+                len: 2,
+            },
         ];
         let mut src = TraceSource::from_records(records, "test");
         assert_eq!(src.len(), 3);

@@ -119,8 +119,14 @@ fn parse_topology(args: &Args) -> Result<TopologyKind, String> {
                 let (a, b) = part
                     .split_once('-')
                     .ok_or_else(|| format!("bad edge `{part}` (expected `a-b`)"))?;
-                let a = a.trim().parse::<usize>().map_err(|e| format!("bad edge `{part}`: {e}"))?;
-                let b = b.trim().parse::<usize>().map_err(|e| format!("bad edge `{part}`: {e}"))?;
+                let a = a
+                    .trim()
+                    .parse::<usize>()
+                    .map_err(|e| format!("bad edge `{part}`: {e}"))?;
+                let b = b
+                    .trim()
+                    .parse::<usize>()
+                    .map_err(|e| format!("bad edge `{part}`: {e}"))?;
                 edges.push((a, b));
             }
             Ok(TopologyKind::Irregular { edges })
@@ -245,7 +251,8 @@ fn write_telemetry(result: &sensorwise::ExperimentResult, t: &TelemetryArgs) -> 
             w.write_all(line.as_bytes())
                 .map_err(|e| format!("write to {path} failed: {e}"))?;
         }
-        w.flush().map_err(|e| format!("write to {path} failed: {e}"))?;
+        w.flush()
+            .map_err(|e| format!("write to {path} failed: {e}"))?;
         eprintln!(
             "wrote {} events to {path} (digest {:016x})",
             log.total, log.digest
@@ -256,8 +263,7 @@ fn write_telemetry(result: &sensorwise::ExperimentResult, t: &TelemetryArgs) -> 
             .series
             .as_ref()
             .ok_or_else(|| "metrics requested but not sampled".to_string())?;
-        std::fs::write(path, series.to_csv())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, series.to_csv()).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {} metric rows to {path}", series.len());
     }
     Ok(())
@@ -375,7 +381,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
     eprintln!(
         "running {} on {} under {} ({} + {} cycles, invariants {invariants})...",
-        source.as_ref().map_or_else(|| scenario.name(), |s| s.name()),
+        source
+            .as_ref()
+            .map_or_else(|| scenario.name(), |s| s.name()),
         topo.kind_name(),
         policy,
         warmup,
@@ -510,8 +518,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
                 specs.len()
             ));
         }
-        let indexed: Vec<(usize, noc_service::Submitted)> =
-            rows.into_iter().enumerate().collect();
+        let indexed: Vec<(usize, noc_service::Submitted)> = rows.into_iter().enumerate().collect();
         parallel_map(&indexed, concurrency, |_, (i, row)| {
             let c = client.clone();
             let (id, busy) = match row {
@@ -528,9 +535,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
             Ok::<_, String>((id, busy, Vec::new(), result))
         })
     } else {
-        eprintln!(
-            "submitting {count} jobs to {addr} ({concurrency} concurrent submitters)..."
-        );
+        eprintln!("submitting {count} jobs to {addr} ({concurrency} concurrent submitters)...");
         parallel_map(&specs, concurrency, |_, spec| {
             let c = client.clone();
             let (id, busy, latencies) = c.submit_with_retry(spec, 200)?;
@@ -607,13 +612,11 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                 vcs,
                 injection_rate: rate,
             };
-            PolicyKind::REFERENCE_PAIR
-                .into_iter()
-                .map(move |policy| {
-                    let mut job = scenario.job(policy, warmup, measure);
-                    job.cfg = job.cfg.with_invariants(invariants);
-                    job
-                })
+            PolicyKind::REFERENCE_PAIR.into_iter().map(move |policy| {
+                let mut job = scenario.job(policy, warmup, measure);
+                job.cfg = job.cfg.with_invariants(invariants);
+                job
+            })
         })
         .collect();
 
@@ -663,8 +666,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             specs.len(),
             pool.len()
         );
-        let results = noc_campaign::run_batch_remote(&pool, &specs, retries)
-            .map_err(|e| e.to_string())?;
+        let results =
+            noc_campaign::run_batch_remote(&pool, &specs, retries).map_err(|e| e.to_string())?;
         wire_rows(&results)?
     } else if let Some(dir) = args.flags.get("store") {
         let store = noc_campaign::FsResultStore::open(dir).map_err(|e| e.to_string())?;
@@ -734,7 +737,8 @@ fn cmd_record(args: &Args) -> Result<(), String> {
     let cycles = args.get("cycles", 50_000u64)?;
     let seed = args.get("seed", 1u64)?;
     let k = (cores as f64).sqrt().round() as usize;
-    let nodes = u16::try_from(k * k).map_err(|_| format!("--cores {cores} is too many to record"))?;
+    let nodes =
+        u16::try_from(k * k).map_err(|_| format!("--cores {cores} is too many to record"))?;
     let mut source = SyntheticTraffic::uniform(Mesh2D::new(k, k), rate, 5, seed);
     let writer = workload::record_source(&mut source, nodes, cycles).map_err(|e| e.to_string())?;
     let packets = writer.len();
@@ -830,7 +834,10 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         } else {
             out.push_str("\"latency\":null,");
         }
-        out.push_str(&format!("\"digest\":\"{:016x}\"}}", EventDigest::of(&events)));
+        out.push_str(&format!(
+            "\"digest\":\"{:016x}\"}}",
+            EventDigest::of(&events)
+        ));
         println!("{out}");
         return Ok(());
     }
@@ -890,14 +897,15 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
             eprintln!("counterexample for {}: {}", policy.label(), cx.describe());
             if let Some(path) = cx_out {
                 let jsonl = cx.to_jsonl(&cfg, &mut ctrl);
-                std::fs::write(path, jsonl)
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!("counterexample trace written to {path}");
             }
         }
     }
     if failures > 0 {
-        Err(format!("{failures} exploration(s) violated the protocol invariants"))
+        Err(format!(
+            "{failures} exploration(s) violated the protocol invariants"
+        ))
     } else {
         Ok(())
     }
@@ -1021,8 +1029,8 @@ fn run_epochs(
     // the shared result store — no re-simulation, no worker contact.
     if remote.is_some() {
         if let Some(shared) = store {
-            let recovered = noc_campaign::recover_from_store(campaign, shared)
-                .map_err(|e| e.to_string())?;
+            let recovered =
+                noc_campaign::recover_from_store(campaign, shared).map_err(|e| e.to_string())?;
             if !recovered.is_empty() {
                 campaign.clear_dispatch();
                 campaign.save(checkpoint).map_err(|e| e.to_string())?;
@@ -1098,8 +1106,7 @@ fn stage(s: &Span) -> &str {
 /// kind-chain (`request`, `request/job`, `request/job/experiment`,
 /// `epoch`, …) and prints an indented latency breakdown tree.
 fn cmd_spans(file: &str, args: &Args) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let spans = read_spans_jsonl(&text).map_err(|e| format!("{file}: {e}"))?;
     if spans.is_empty() {
         println!("{file}: no spans");
@@ -1122,10 +1129,7 @@ fn cmd_spans(file: &str, args: &Args) -> Result<(), String> {
             cur = parent.parent;
         }
         chain.reverse();
-        groups
-            .entry(chain.join("/"))
-            .or_default()
-            .record(s.dur_us);
+        groups.entry(chain.join("/")).or_default().record(s.dur_us);
     }
     println!("{}: {} spans", file, spans.len());
     println!(
@@ -1176,8 +1180,7 @@ fn cmd_campaign(action: &str, args: &Args) -> Result<(), String> {
             let spec = campaign_spec_from_args(args)?;
             let store = open_optional_store(args)?;
             let remote = open_optional_remote(args)?;
-            let mut campaign =
-                noc_campaign::Campaign::new(spec).map_err(|e| e.to_string())?;
+            let mut campaign = noc_campaign::Campaign::new(spec).map_err(|e| e.to_string())?;
             eprintln!(
                 "campaign: {} epochs, age acceleration {:e}, checkpoint {}{}",
                 campaign.spec().epochs,
@@ -1217,8 +1220,7 @@ fn cmd_campaign(action: &str, args: &Args) -> Result<(), String> {
             run_epochs(&mut campaign, store.as_ref(), &checkpoint, remote.as_ref())
         }
         "status" => {
-            let campaign =
-                noc_campaign::Campaign::load(&checkpoint).map_err(|e| e.to_string())?;
+            let campaign = noc_campaign::Campaign::load(&checkpoint).map_err(|e| e.to_string())?;
             println!(
                 "{}: {}/{} epochs completed",
                 checkpoint.display(),
@@ -1332,13 +1334,18 @@ fn cmd_trace(action: &str, args: &Args) -> Result<(), String> {
             } else {
                 println!("{path}: NBTITRC v{}", workload::FORMAT_VERSION);
                 println!("  nodes   {}", summary.header.num_nodes);
-                println!("  records {} (in {} chunks)", summary.records, summary.chunks);
+                println!(
+                    "  records {} (in {} chunks)",
+                    summary.records, summary.chunks
+                );
                 println!("  cycles  {}..={}", summary.first_cycle, summary.last_cycle);
                 println!("  flits   {}", summary.flits);
             }
             Ok(())
         }
-        other => Err(format!("unknown trace action `{other}` (gen | info | verify)")),
+        other => Err(format!(
+            "unknown trace action `{other}` (gen | info | verify)"
+        )),
     }
 }
 
@@ -1349,7 +1356,10 @@ fn cmd_cache(action: &str, args: &Args) -> Result<(), String> {
         "stats" => {
             let stats = store.stats().map_err(|e| e.to_string())?;
             if args.has("json") {
-                println!("{{\"entries\":{},\"bytes\":{}}}", stats.entries, stats.bytes);
+                println!(
+                    "{{\"entries\":{},\"bytes\":{}}}",
+                    stats.entries, stats.bytes
+                );
             } else {
                 println!(
                     "{}: {} entries, {} bytes",

@@ -55,8 +55,8 @@ pub mod prelude {
     pub use noc_sim::prelude::*;
     pub use noc_telemetry::{
         read_jsonl, read_spans_jsonl, EventDigest, EventKind, Histogram, MetricsSeries,
-        ProfileReport, Span, SpanKind, StageProfiler, TelemetryReport, TelemetrySpec,
-        WorkCounters, NO_PARENT,
+        ProfileReport, Span, SpanKind, StageProfiler, TelemetryReport, TelemetrySpec, WorkCounters,
+        NO_PARENT,
     };
     pub use noc_traffic::prelude::*;
     pub use sensorwise::{

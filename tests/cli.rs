@@ -89,23 +89,28 @@ fn run_csv_emits_one_row_per_port() {
     for row in &lines[1..17] {
         assert_eq!(row.split(',').count(), 5, "bad row `{row}`");
     }
-    assert!(
-        lines[17].starts_with("# latency_cycles p50<="),
-        "{stdout}"
-    );
+    assert!(lines[17].starts_with("# latency_cycles p50<="), "{stdout}");
 }
 
 #[test]
 fn run_reports_latency_percentiles() {
     let (stdout, _, ok) = run(&[
-        "run", "--cores", "4", "--vcs", "2", "--rate", "0.1", "--policy", "rr", "--warmup",
-        "200", "--measure", "2000",
+        "run",
+        "--cores",
+        "4",
+        "--vcs",
+        "2",
+        "--rate",
+        "0.1",
+        "--policy",
+        "rr",
+        "--warmup",
+        "200",
+        "--measure",
+        "2000",
     ]);
     assert!(ok, "{stdout}");
-    assert!(
-        stdout.contains("latency percentiles: p50<="),
-        "{stdout}"
-    );
+    assert!(stdout.contains("latency percentiles: p50<="), "{stdout}");
     assert!(stdout.contains("p95<=") && stdout.contains("p99<=") && stdout.contains("max<="));
 }
 
@@ -142,7 +147,10 @@ fn replay_rejects_a_foreign_file_with_a_typed_trace_error() {
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("not an NBTITRC trace (bad magic)"), "{stderr}");
+    assert!(
+        stderr.contains("not an NBTITRC trace (bad magic)"),
+        "{stderr}"
+    );
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_file(text).ok();
 }
@@ -150,7 +158,15 @@ fn replay_rejects_a_foreign_file_with_a_typed_trace_error() {
 #[test]
 fn sweep_accepts_jobs_and_results_do_not_depend_on_it() {
     let base = [
-        "sweep", "--cores", "4", "--vcs", "2", "--warmup", "200", "--measure", "1500",
+        "sweep",
+        "--cores",
+        "4",
+        "--vcs",
+        "2",
+        "--warmup",
+        "200",
+        "--measure",
+        "1500",
     ];
     let mut serial = base.to_vec();
     serial.extend(["--jobs", "1"]);
@@ -173,8 +189,19 @@ fn sweep_rejects_zero_jobs_with_clear_error() {
 
 /// The shared arguments of the telemetry round-trip tests below.
 const TELEMETRY_RUN: &[&str] = &[
-    "run", "--cores", "4", "--vcs", "2", "--rate", "0.1", "--policy", "sw", "--warmup", "200",
-    "--measure", "2000",
+    "run",
+    "--cores",
+    "4",
+    "--vcs",
+    "2",
+    "--rate",
+    "0.1",
+    "--policy",
+    "sw",
+    "--warmup",
+    "200",
+    "--measure",
+    "2000",
 ];
 
 #[test]
@@ -347,8 +374,18 @@ fn sensor_wise_k_policy_is_accepted() {
 #[test]
 fn run_json_emits_the_wire_schema_with_a_digest() {
     let args = [
-        "run", "--cores", "4", "--vcs", "2", "--rate", "0.1", "--warmup", "100", "--measure",
-        "1000", "--json",
+        "run",
+        "--cores",
+        "4",
+        "--vcs",
+        "2",
+        "--rate",
+        "0.1",
+        "--warmup",
+        "100",
+        "--measure",
+        "1000",
+        "--json",
     ];
     let (stdout, stderr, ok) = run(&args);
     assert!(ok, "{stdout}\n{stderr}");

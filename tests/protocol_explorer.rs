@@ -19,7 +19,9 @@ use sensorwise::{controller_for, explore_config_for, PolicyKind};
 /// before the full closure depth.
 const FAULT_DEPTH: usize = 6;
 
-fn faulty_exploration(kind: FaultKind) -> (noc_modelcheck::ExploreConfig, noc_modelcheck::ExploreReport) {
+fn faulty_exploration(
+    kind: FaultKind,
+) -> (noc_modelcheck::ExploreConfig, noc_modelcheck::ExploreReport) {
     let mut cfg = explore_config_for(PolicyKind::SensorWise, FAULT_DEPTH, false);
     cfg.fault = Some(kind);
     let mut ctrl = controller_for(PolicyKind::SensorWise);
@@ -45,7 +47,9 @@ fn every_planted_fault_is_found_within_small_depth() {
             cx.describe()
         );
         assert!(
-            cx.violations.iter().any(|v| v.kind == kind.expected_invariant()),
+            cx.violations
+                .iter()
+                .any(|v| v.kind == kind.expected_invariant()),
             "{}: expected {:?} among {:?}",
             kind.id(),
             kind.expected_invariant(),
@@ -76,8 +80,14 @@ fn counterexample_paths_replay_to_the_same_violation() {
         assert!(fault_fired, "{}: replay must re-fire the fault", kind.id());
         let replayed = net.take_violations();
         assert_eq!(
-            replayed.iter().map(|v| (v.kind, v.cycle)).collect::<Vec<_>>(),
-            cx.violations.iter().map(|v| (v.kind, v.cycle)).collect::<Vec<_>>(),
+            replayed
+                .iter()
+                .map(|v| (v.kind, v.cycle))
+                .collect::<Vec<_>>(),
+            cx.violations
+                .iter()
+                .map(|v| (v.kind, v.cycle))
+                .collect::<Vec<_>>(),
             "{}: replay diverged from the explorer's finding",
             kind.id()
         );
@@ -123,7 +133,10 @@ fn clean_exploration_finds_nothing_to_blame() {
     let mut ctrl = controller_for(PolicyKind::SensorWise);
     let report = explore(&cfg, &mut ctrl, &mut StandardOracle);
     assert!(report.counterexample.is_none());
-    assert!(report.unique_states > 1_000, "exploration must actually move");
+    assert!(
+        report.unique_states > 1_000,
+        "exploration must actually move"
+    );
 }
 
 #[test]

@@ -77,11 +77,8 @@ fn remote_campaign_over_two_workers_is_bit_identical_to_local() {
     let store = temp_store("two-workers");
     let w1 = start_worker(store.dir());
     let w2 = start_worker(store.dir());
-    let pool = WorkerPool::new(&[
-        w1.local_addr().to_string(),
-        w2.local_addr().to_string(),
-    ])
-    .expect("two live workers");
+    let pool = WorkerPool::new(&[w1.local_addr().to_string(), w2.local_addr().to_string()])
+        .expect("two live workers");
     let exec = RemoteExecutor::new(pool, 2);
 
     let mut remote = Campaign::new(campaign_spec(3)).expect("spec is valid");
@@ -233,11 +230,8 @@ fn remote_batch_sweep_matches_local_runs_point_for_point() {
     let store = temp_store("batch");
     let w1 = start_worker(store.dir());
     let w2 = start_worker(store.dir());
-    let pool = WorkerPool::new(&[
-        w1.local_addr().to_string(),
-        w2.local_addr().to_string(),
-    ])
-    .expect("two live workers");
+    let pool = WorkerPool::new(&[w1.local_addr().to_string(), w2.local_addr().to_string()])
+        .expect("two live workers");
 
     let served = run_batch_remote(&pool, &specs, 2).expect("batch dispatch completes");
     let served_digests: Vec<u64> = served

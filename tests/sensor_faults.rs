@@ -6,8 +6,8 @@
 //! the true most degraded VC, but never correctness, and never does worse
 //! than leaving every buffer powered.
 
-use nbti_noc::prelude::*;
 use nbti_model::{FaultMode, FaultySensor, IdealSensor};
+use nbti_noc::prelude::*;
 use sensorwise::{GatingPolicy, NbtiMonitor, SensorWisePolicy};
 
 /// Runs the sensor-wise policy with a custom monitor; returns the duty
@@ -46,9 +46,7 @@ fn run_with_monitor<S: nbti_model::NbtiSensor>(
     )
 }
 
-fn monitor_with<S: nbti_model::NbtiSensor>(
-    make: impl FnMut(usize, usize) -> S,
-) -> NbtiMonitor<S> {
+fn monitor_with<S: nbti_model::NbtiSensor>(make: impl FnMut(usize, usize) -> S) -> NbtiMonitor<S> {
     let noc = NocConfig::paper_synthetic(4, 2);
     let net = Network::new(noc).unwrap();
     let mut pv = ProcessVariation::paper_45nm(42);
@@ -66,11 +64,7 @@ const CYCLES: u64 = 15_000;
 #[test]
 fn stuck_sensors_keep_the_network_functional() {
     let monitor = monitor_with(|p, v| {
-        FaultySensor::new(
-            IdealSensor::new(),
-            FaultMode::Stuck,
-            (p * 7 + v) as u64,
-        )
+        FaultySensor::new(IdealSensor::new(), FaultMode::Stuck, (p * 7 + v) as u64)
     });
     let (duty, _md, delivered) = run_with_monitor(monitor, CYCLES);
     assert!(delivered > 500, "stuck sensors must not break the NoC");

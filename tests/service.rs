@@ -62,7 +62,10 @@ fn served_digests_match_in_process_runs_for_any_worker_count() {
             let result = client.wait_result(id, 60_000).expect("job completes");
             result.trace_digest.expect("served result carries a digest")
         });
-        assert_eq!(served, local, "served digests diverged at {workers} workers");
+        assert_eq!(
+            served, local,
+            "served digests diverged at {workers} workers"
+        );
         server.request_shutdown(false);
         let report = server.wait();
         assert_eq!(report.completed, 6);
@@ -85,7 +88,11 @@ fn overflow_gets_429_with_retry_after_and_no_accepted_job_is_lost() {
     // queue. Pin the setup instead — wait until the worker has claimed
     // job one (the pop empties the queue) before filling the slot.
     let mut outcomes: Vec<(Submitted, u64)> = Vec::new();
-    outcomes.push(client.submit(&jobs_and_specs[0].1).expect("transport stays up"));
+    outcomes.push(
+        client
+            .submit(&jobs_and_specs[0].1)
+            .expect("transport stays up"),
+    );
     let first_id = match outcomes[0].0 {
         Submitted::Accepted { id } => id,
         ref other => panic!("an idle server must accept the first job, got {other:?}"),
@@ -96,7 +103,11 @@ fn overflow_gets_429_with_retry_after_and_no_accepted_job_is_lost() {
         }
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    outcomes.push(client.submit(&jobs_and_specs[1].1).expect("transport stays up"));
+    outcomes.push(
+        client
+            .submit(&jobs_and_specs[1].1)
+            .expect("transport stays up"),
+    );
     outcomes.extend(parallel_map(&jobs_and_specs[2..], 4, |_, (_, json)| {
         client.submit(json).expect("transport stays up")
     }));
@@ -115,7 +126,10 @@ fn overflow_gets_429_with_retry_after_and_no_accepted_job_is_lost() {
         }
     }
     assert_eq!(accepted.len() + busy, 6, "every submission got an answer");
-    assert!(busy >= 1, "depth-1 queue must overflow under 6 rapid submissions");
+    assert!(
+        busy >= 1,
+        "depth-1 queue must overflow under 6 rapid submissions"
+    );
     assert!(
         accepted.len() >= 2,
         "worker + queue slots accept at least two jobs"
@@ -138,14 +152,21 @@ fn overflow_gets_429_with_retry_after_and_no_accepted_job_is_lost() {
     for (id, (job, _)) in accepted
         .iter()
         .copied()
-        .zip(jobs_and_specs.iter().zip(&outcomes).filter_map(|(js, (o, _))| {
-            matches!(o, Submitted::Accepted { .. }).then_some(js)
-        }))
+        .zip(
+            jobs_and_specs
+                .iter()
+                .zip(&outcomes)
+                .filter_map(|(js, (o, _))| matches!(o, Submitted::Accepted { .. }).then_some(js)),
+        )
         .chain(retried_ids.iter().copied().zip(retried.iter()))
     {
         let served = client.wait_result(id, 60_000).expect("job completes");
         let local = job.run().trace_digest().expect("traced");
-        assert_eq!(served.trace_digest, Some(local), "digest mismatch for job {id}");
+        assert_eq!(
+            served.trace_digest,
+            Some(local),
+            "digest mismatch for job {id}"
+        );
     }
 
     server.request_shutdown(false);
@@ -206,7 +227,10 @@ fn deadline_supervisor_times_out_overlong_jobs() {
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    assert_eq!(state, "timed_out", "120 ms budget cannot fit a 400k-cycle run");
+    assert_eq!(
+        state, "timed_out",
+        "120 ms budget cannot fit a 400k-cycle run"
+    );
 
     // A short job under the same budget still completes.
     let (job, quick_spec) = spec(2_000, 401);
@@ -244,7 +268,9 @@ fn graceful_shutdown_drains_every_accepted_job() {
 
     // Polling keeps working during the drain.
     for &id in &ids {
-        let served = client.wait_result(id, 60_000).expect("drained to completion");
+        let served = client
+            .wait_result(id, 60_000)
+            .expect("drained to completion");
         assert!(served.trace_digest.is_some());
     }
     let report = server.wait();
@@ -267,7 +293,10 @@ fn force_shutdown_drops_queued_jobs_and_reports_them() {
     server.request_shutdown(true);
     let report = server.wait();
     assert_eq!(report.accepted, 4);
-    assert!(report.dropped >= 1, "the backlog must be reported dropped: {report:?}");
+    assert!(
+        report.dropped >= 1,
+        "the backlog must be reported dropped: {report:?}"
+    );
     assert!(report.accounts_for_all(), "{report:?}");
 }
 
@@ -279,7 +308,11 @@ fn protocol_errors_are_typed_not_hangs() {
     // Unknown job.
     assert!(client.status(999).unwrap_err().contains("404"));
     // Bad spec.
-    match client.submit("{\"noc\":{\"cols\":0}}").expect("transport").0 {
+    match client
+        .submit("{\"noc\":{\"cols\":0}}")
+        .expect("transport")
+        .0
+    {
         Submitted::Refused { status, .. } => assert_eq!(status, 400),
         other => panic!("invalid spec accepted: {other:?}"),
     }
@@ -467,7 +500,10 @@ fn cache_hits_serve_byte_identical_results_and_corruption_recomputes() {
 
     // Corrupt every stored entry on disk: the next identical submission
     // must detect it, recompute the right answer and never serve garbage.
-    for dirent in std::fs::read_dir(&dir).expect("store dir listable").flatten() {
+    for dirent in std::fs::read_dir(&dir)
+        .expect("store dir listable")
+        .flatten()
+    {
         if dirent.path().extension().is_some_and(|e| e == "json") {
             std::fs::write(dirent.path(), "corrupted beyond parsing {{{").unwrap();
         }
@@ -525,8 +561,14 @@ fn metrics_exposition_is_prometheus_parsable_and_matches_stats() {
         "noc_worker_busy_us_total",
         "noc_request_duration_us",
     ] {
-        assert!(body.contains(&format!("# HELP {name} ")), "no HELP for {name}");
-        assert!(body.contains(&format!("# TYPE {name} ")), "no TYPE for {name}");
+        assert!(
+            body.contains(&format!("# HELP {name} ")),
+            "no HELP for {name}"
+        );
+        assert!(
+            body.contains(&format!("# TYPE {name} ")),
+            "no TYPE for {name}"
+        );
     }
 
     // Cumulative buckets must be monotone in exposition order, and the
@@ -534,8 +576,7 @@ fn metrics_exposition_is_prometheus_parsable_and_matches_stats() {
     let mut per_endpoint: std::collections::BTreeMap<&str, (u64, Option<u64>)> =
         std::collections::BTreeMap::new();
     for line in body.lines() {
-        let Some(rest) = line.strip_prefix("noc_request_duration_us_bucket{endpoint=\"")
-        else {
+        let Some(rest) = line.strip_prefix("noc_request_duration_us_bucket{endpoint=\"") else {
             continue;
         };
         let (endpoint, rest) = rest.split_once("\",le=\"").expect("le label");
@@ -577,7 +618,10 @@ fn metrics_exposition_is_prometheus_parsable_and_matches_stats() {
     assert_eq!(sample("noc_rejected_busy_total"), stat("rejected_busy"));
     assert_eq!(sample("noc_cache_hits_total"), stat("cache_hits"));
     assert_eq!(sample("noc_accepted_total"), 3);
-    assert!(sample("noc_worker_busy_us_total") > 0, "workers ran three jobs");
+    assert!(
+        sample("noc_worker_busy_us_total") > 0,
+        "workers ran three jobs"
+    );
     assert!(
         body.contains("noc_jobs{state=\"done\"} 3"),
         "job-state gauge must match the three completed jobs:\n{body}"

@@ -15,12 +15,9 @@ fn spec() -> TelemetrySpec {
 }
 
 fn traced_cfg() -> ExperimentConfig {
-    ExperimentConfig::new(
-        NocConfig::paper_synthetic(4, 2),
-        PolicyKind::SensorWise,
-    )
-    .with_cycles(200, 2_000)
-    .with_telemetry(spec())
+    ExperimentConfig::new(NocConfig::paper_synthetic(4, 2), PolicyKind::SensorWise)
+        .with_cycles(200, 2_000)
+        .with_telemetry(spec())
 }
 
 /// Live synthetic traffic and a recorded-then-replayed trace of the same
@@ -51,7 +48,11 @@ fn jsonl_round_trip_preserves_events_and_digest() {
     let r = run_experiment(&traced_cfg(), &mut traffic);
     let log = r.telemetry.expect("telemetry on").trace.expect("trace on");
     assert!(log.total > 0);
-    assert_eq!(log.events.len() as u64, log.total, "unbounded sink keeps all");
+    assert_eq!(
+        log.events.len() as u64,
+        log.total,
+        "unbounded sink keeps all"
+    );
     let mut text = String::new();
     for ev in &log.events {
         ev.write_jsonl(&mut text);

@@ -157,22 +157,96 @@ pub struct CallGraph {
 /// calls `Type::name(...)` ignore this list — they resolve by type.
 const NO_EDGE_NAMES: &[&str] = &[
     // allocation / collection vocabulary
-    "new", "default", "from", "into", "clone", "cloned", "to_vec", "to_owned", "to_string",
-    "push", "push_back", "push_front", "pop", "insert", "remove", "extend", "append", "collect",
-    "with_capacity", "reserve", "clear", "drain", "get", "get_mut", "set", "take", "replace",
+    "new",
+    "default",
+    "from",
+    "into",
+    "clone",
+    "cloned",
+    "to_vec",
+    "to_owned",
+    "to_string",
+    "push",
+    "push_back",
+    "push_front",
+    "pop",
+    "insert",
+    "remove",
+    "extend",
+    "append",
+    "collect",
+    "with_capacity",
+    "reserve",
+    "clear",
+    "drain",
+    "get",
+    "get_mut",
+    "set",
+    "take",
+    "replace",
     // iterator vocabulary
-    "iter", "iter_mut", "into_iter", "next", "map", "filter", "fold", "any", "all", "find",
-    "position", "count", "sum", "min", "max", "len", "is_empty", "first", "last", "rev",
-    "enumerate", "zip", "chain", "flatten", "flat_map", "copied", "skip", "windows", "chunks",
-    "contains", "sort", "sort_unstable", "split", "join", "unwrap", "expect", "unwrap_or",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "next",
+    "map",
+    "filter",
+    "fold",
+    "any",
+    "all",
+    "find",
+    "position",
+    "count",
+    "sum",
+    "min",
+    "max",
+    "len",
+    "is_empty",
+    "first",
+    "last",
+    "rev",
+    "enumerate",
+    "zip",
+    "chain",
+    "flatten",
+    "flat_map",
+    "copied",
+    "skip",
+    "windows",
+    "chunks",
+    "contains",
+    "sort",
+    "sort_unstable",
+    "split",
+    "join",
+    "unwrap",
+    "expect",
+    "unwrap_or",
     // getter-style names whose homonyms would wire replay/reporting
     // machinery into the hot path (`Trace::events` the field getter vs
     // `Counterexample::events` the replay driver)
     "events",
     // locking / blocking vocabulary (handled by dedicated passes)
-    "lock", "try_lock", "read", "write", "recv", "recv_timeout", "send", "sleep", "wait",
-    "wait_timeout", "wait_while", "accept", "connect", "flush", "write_all", "read_exact",
-    "read_to_end", "read_to_string", "read_line", "sync_all",
+    "lock",
+    "try_lock",
+    "read",
+    "write",
+    "recv",
+    "recv_timeout",
+    "send",
+    "sleep",
+    "wait",
+    "wait_timeout",
+    "wait_while",
+    "accept",
+    "connect",
+    "flush",
+    "write_all",
+    "read_exact",
+    "read_to_end",
+    "read_to_string",
+    "read_line",
+    "sync_all",
 ];
 
 impl CallGraph {

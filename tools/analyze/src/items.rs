@@ -66,8 +66,14 @@ struct Scope {
 #[derive(Debug)]
 enum Pending {
     None,
-    Fn { name: String, line: u32, sig_start: usize },
-    Impl { ty: Option<String> },
+    Fn {
+        name: String,
+        line: u32,
+        sig_start: usize,
+    },
+    Impl {
+        ty: Option<String>,
+    },
     Mod,
 }
 
@@ -85,19 +91,19 @@ pub fn extract(toks: &[Tok]) -> Items {
     let n = toks.len();
 
     let cur_test = |stack: &[Scope]| stack.last().is_some_and(|s| s.test);
-    let cur_impl = |stack: &[Scope]| {
-        stack
-            .iter()
-            .rev()
-            .find_map(|s| s.impl_type.clone())
-    };
+    let cur_impl = |stack: &[Scope]| stack.iter().rev().find_map(|s| s.impl_type.clone());
 
     while i < n {
         let t = &toks[i];
         match (t.kind, t.text.as_str()) {
             // Attribute: `#[...]` or `#![...]`. Detect test markers.
-            (TokKind::Punct, "#") if matches!(toks.get(i + 1), Some(t1) if t1.is_punct("[") || t1.is_punct("!")) => {
-                let open = if toks[i + 1].is_punct("!") { i + 2 } else { i + 1 };
+            (TokKind::Punct, "#") if matches!(toks.get(i + 1), Some(t1) if t1.is_punct("[") || t1.is_punct("!")) =>
+            {
+                let open = if toks[i + 1].is_punct("!") {
+                    i + 2
+                } else {
+                    i + 1
+                };
                 if toks.get(open).is_some_and(|t| t.is_punct("[")) {
                     let close = matching_bracket(toks, open);
                     pending_test |= attr_is_test(&toks[open + 1..close]);
@@ -149,7 +155,12 @@ pub fn extract(toks: &[Tok]) -> Items {
             }
             (TokKind::Punct, ";") => {
                 // Bodiless item (trait method decl, `mod x;`, `use ...;`).
-                if let Pending::Fn { name, line, sig_start } = pending {
+                if let Pending::Fn {
+                    name,
+                    line,
+                    sig_start,
+                } = pending
+                {
                     let sig = (sig_start, i);
                     items.fns.push(FnItem {
                         name,
@@ -170,7 +181,11 @@ pub fn extract(toks: &[Tok]) -> Items {
                 let test = parent_test || pending_test;
                 let test_root = test && !parent_test;
                 let scope = match std::mem::replace(&mut pending, Pending::None) {
-                    Pending::Fn { name, line, sig_start } => {
+                    Pending::Fn {
+                        name,
+                        line,
+                        sig_start,
+                    } => {
                         let sig = (sig_start, i);
                         items.fns.push(FnItem {
                             name,
@@ -293,7 +308,10 @@ fn impl_type_of(toks: &[Tok], i: usize) -> Option<String> {
             angle -= 1;
         } else if angle == 0 && t.is_ident("for") {
             ty = None; // restart: the self type follows `for`
-        } else if angle == 0 && t.kind == TokKind::Ident && !matches!(t.text.as_str(), "dyn" | "mut" | "const" | "unsafe") {
+        } else if angle == 0
+            && t.kind == TokKind::Ident
+            && !matches!(t.text.as_str(), "dyn" | "mut" | "const" | "unsafe")
+        {
             ty = Some(t.text.clone());
         }
         j += 1;
@@ -313,7 +331,8 @@ fn sig_mentions_guard(toks: &[Tok], sig: (usize, usize)) -> bool {
             depth += 1;
         } else if t.is_punct(")") || t.is_punct("]") {
             depth -= 1;
-        } else if depth == 0 && t.is_punct("-") && toks.get(j + 1).is_some_and(|t| t.is_punct(">")) {
+        } else if depth == 0 && t.is_punct("-") && toks.get(j + 1).is_some_and(|t| t.is_punct(">"))
+        {
             arrow = Some(j + 2);
         }
         j += 1;

@@ -95,8 +95,7 @@ pub fn lock_passes(ws: &Workspace, fns: &[FnInfo], graph: &CallGraph) -> Vec<Fin
                 // `join` doubles as `Path::join`; only the no-arg thread
                 // form blocks.
                 let blocking = BLOCKING_NAMES.contains(&s.name.as_str())
-                    && (s.name != "join"
-                        || (toks_empty_parens(&ws.files[f.id.0].toks, s.tok)));
+                    && (s.name != "join" || (toks_empty_parens(&ws.files[f.id.0].toks, s.tok)));
                 if blocking && !unit.allowed(s.line, "blocking-under-lock") {
                     findings.push(Finding {
                         rule: "blocking-under-lock",
@@ -184,8 +183,14 @@ pub fn lock_passes(ws: &Workspace, fns: &[FnInfo], graph: &CallGraph) -> Vec<Fin
             message: format!(
                 "lock-order inversion between `{a}` and `{b}`: acquisition path `{a}` -> \
                  `{b}` in `{}` ({}:{} -> {}), but `{b}` -> `{a}` in `{}` ({}:{} -> {})",
-                fwd.func, fwd.file, fwd.first_line, fwd.second_line,
-                bwd.func, bwd.file, bwd.first_line, bwd.second_line,
+                fwd.func,
+                fwd.file,
+                fwd.first_line,
+                fwd.second_line,
+                bwd.func,
+                bwd.file,
+                bwd.first_line,
+                bwd.second_line,
             ),
             path: vec![
                 format!(
@@ -243,7 +248,11 @@ impl<'a> Ctx<'a> {
             by_name.entry(f.name.as_str()).or_default().push(i);
             by_id.insert(f.id, i);
         }
-        Ctx { fns, by_name, by_id }
+        Ctx {
+            fns,
+            by_name,
+            by_id,
+        }
     }
 
     /// Resolves a call site to workspace functions, the same way the
@@ -274,9 +283,7 @@ impl<'a> Ctx<'a> {
                 // `self.m()`: same impl only.
                 ["self"] => {
                     for &c in cands {
-                        if self.fns[c].impl_type == caller.impl_type
-                            && caller.impl_type.is_some()
-                        {
+                        if self.fns[c].impl_type == caller.impl_type && caller.impl_type.is_some() {
                             out.push(self.fns[c].id);
                         }
                     }
@@ -595,7 +602,10 @@ mod tests {
 
     #[test]
     fn consistent_order_is_clean() {
-        let src = INVERSION.replace("let gb = self.b.lock();\n                let ga = self.a.lock();", "let ga = self.a.lock();\n                let gb = self.b.lock();");
+        let src = INVERSION.replace(
+            "let gb = self.b.lock();\n                let ga = self.a.lock();",
+            "let ga = self.a.lock();\n                let gb = self.b.lock();",
+        );
         let f = analyze_src(&src, "crates/service/src/x.rs");
         assert!(f.is_empty(), "{f:#?}");
     }

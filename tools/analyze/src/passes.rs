@@ -280,9 +280,10 @@ impl FileUnit {
     /// Is `rule` suppressed at `line` (same line or the line above)?
     pub fn allowed(&self, line: u32, rule: &str) -> bool {
         let hit = |l: u32| {
-            self.allows
-                .get(&l)
-                .is_some_and(|ids| ids.iter().any(|id| id == rule || (rule == "panic-reachability" && id == "no-unwrap")))
+            self.allows.get(&l).is_some_and(|ids| {
+                ids.iter()
+                    .any(|id| id == rule || (rule == "panic-reachability" && id == "no-unwrap"))
+            })
         };
         hit(line) || (line > 1 && hit(line - 1))
     }
@@ -455,8 +456,19 @@ pub fn token_findings(unit: &FileUnit) -> Vec<Finding> {
 
 /// Allocation vocabulary flagged inside hot-reachable functions.
 const ALLOC_METHODS: &[&str] = &[
-    "push", "push_front", "insert", "clone", "cloned", "to_vec", "to_owned", "to_string",
-    "collect", "with_capacity", "extend", "append", "reserve",
+    "push",
+    "push_front",
+    "insert",
+    "clone",
+    "cloned",
+    "to_vec",
+    "to_owned",
+    "to_string",
+    "collect",
+    "with_capacity",
+    "extend",
+    "append",
+    "reserve",
 ];
 const ALLOC_TYPES: &[&str] = &["Vec", "VecDeque", "Box", "String", "BTreeMap", "BTreeSet"];
 const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
@@ -473,7 +485,12 @@ fn evidence_path(
     let mut cur = target;
     loop {
         let info = infos[&cur];
-        hops.push(format!("{} ({}:{})", info.qual_name(), info.file, info.line));
+        hops.push(format!(
+            "{} ({}:{})",
+            info.qual_name(),
+            info.file,
+            info.line
+        ));
         match reach.get(&cur) {
             Some(Some((pred, _line))) => cur = *pred,
             _ => break,
@@ -517,7 +534,9 @@ fn alloc_pass(
             } else if s.is_method && ALLOC_METHODS.contains(&s.name.as_str()) {
                 Some(format!("`.{}()` allocates (or may reallocate)", s.name))
             } else if !s.is_method
-                && s.qualifier.as_deref().is_some_and(|q| ALLOC_TYPES.contains(&q))
+                && s.qualifier
+                    .as_deref()
+                    .is_some_and(|q| ALLOC_TYPES.contains(&q))
                 && ALLOC_CTORS.contains(&s.name.as_str())
             {
                 Some(format!(
@@ -665,7 +684,14 @@ fn analyze_workspace(ws: &Workspace, opts: &Options) -> Analysis {
     });
     analysis.findings.extend(alloc);
     let panics = timed(&mut analysis.timings_ms, "panic-reachability", || {
-        panic_pass(ws, &fns, &reach, &infos, opts.strict_indexing, &mut analysis.hot_index_sites)
+        panic_pass(
+            ws,
+            &fns,
+            &reach,
+            &infos,
+            opts.strict_indexing,
+            &mut analysis.hot_index_sites,
+        )
     });
     analysis.findings.extend(panics);
     let locks = timed(&mut analysis.timings_ms, "lock-passes", || {
@@ -722,10 +748,8 @@ mod tests {
 
     #[test]
     fn alloc_scope_covers_the_traffic_sources() {
-        let found = findings_by_file(&[
-            "crates/traffic/src/synthetic.rs",
-            "crates/bench/src/lib.rs",
-        ]);
+        let found =
+            findings_by_file(&["crates/traffic/src/synthetic.rs", "crates/bench/src/lib.rs"]);
         assert_eq!(found, ["crates/traffic/src/synthetic.rs"]);
     }
 

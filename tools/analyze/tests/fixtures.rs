@@ -61,7 +61,11 @@ fn interprocedural_findings_carry_call_path_evidence() {
             !f.path.is_empty(),
             "{rule} must report how the hot entry reaches the site"
         );
-        assert!(f.path[0].contains(':'), "hops carry file:line: {:?}", f.path);
+        assert!(
+            f.path[0].contains(':'),
+            "hops carry file:line: {:?}",
+            f.path
+        );
     }
 }
 
@@ -75,7 +79,12 @@ fn lock_inversion_reports_both_acquisition_paths() {
         .expect("lock-order fixture finding");
     assert!(f.message.contains("inversion"), "{}", f.message);
     assert!(f.message.contains("acquisition path"), "{}", f.message);
-    assert_eq!(f.path.len(), 2, "one hop per conflicting path: {:#?}", f.path);
+    assert_eq!(
+        f.path.len(),
+        2,
+        "one hop per conflicting path: {:#?}",
+        f.path
+    );
 }
 
 #[test]
