@@ -978,6 +978,45 @@ mod tests {
         assert_eq!(v.get("seed").unwrap().as_u64(), Some(u64::MAX));
     }
 
+    /// The spec bytes of the canonical 4×4 job and of a 2×2 job. Spec
+    /// JSON keys the result store (`spec_key`) and feeds the campaign
+    /// digests, so a change to these bytes orphans every stored result.
+    #[test]
+    fn spec_bytes_match_goldens() {
+        let canonical = SyntheticScenario {
+            cores: 16,
+            vcs: 2,
+            injection_rate: 0.2,
+        }
+        .job(PolicyKind::SensorWise, 1_000, 20_000);
+        for (job, want) in [
+            (
+                canonical,
+                concat!(
+                    r#"{"noc":{"cols":4,"rows":4,"vcs":2,"buffer_depth":4,"flits_per_packet":5,"#,
+                    r#""link_latency":1,"credit_latency":1,"wakeup_latency":0,"routing":"xy","#,
+                    r#""topology":"mesh"},"policy":"sensor-wise","warmup":1000,"measure":20000,"#,
+                    r#""pv_seed":68719608008,"rr_rotation_period":1,"md_refresh_period":64,"#,
+                    r#""invariants":"off","telemetry":{"trace":false,"sample_period":0},"#,
+                    r#""traffic":{"kind":"uniform","rate":0.5,"seed":70638593710}}"#
+                ),
+            ),
+            (
+                sample_job(),
+                concat!(
+                    r#"{"noc":{"cols":2,"rows":2,"vcs":2,"buffer_depth":4,"flits_per_packet":5,"#,
+                    r#""link_latency":1,"credit_latency":1,"wakeup_latency":0,"routing":"xy","#,
+                    r#""topology":"mesh"},"policy":"sensor-wise","warmup":200,"measure":2000,"#,
+                    r#""pv_seed":17180000356,"rr_rotation_period":1,"md_refresh_period":64,"#,
+                    r#""invariants":"off","telemetry":{"trace":true,"sample_period":0},"#,
+                    r#""traffic":{"kind":"uniform","rate":0.25,"seed":19098985986}}"#
+                ),
+            ),
+        ] {
+            assert_eq!(spec_to_json(&job).unwrap(), want);
+        }
+    }
+
     #[test]
     fn spec_round_trips_through_json() {
         let job = sample_job();
