@@ -31,7 +31,7 @@
 use crate::experiment::{ExperimentConfig, ExperimentResult, SensorModel};
 use crate::parallel::{ExperimentJob, TrafficSpec};
 use crate::policy::PolicyKind;
-use noc_sim::config::{NocConfig, TopologyKind};
+use noc_sim::config::NocConfig;
 use noc_sim::invariants::InvariantLevel;
 use noc_sim::routing::RoutingAlgorithm;
 use noc_telemetry::TelemetrySpec;
@@ -396,54 +396,22 @@ fn routing_from_name(name: &str) -> Result<RoutingAlgorithm, CodecError> {
     }
 }
 
-/// The topology as its JSON fragment: the kind name, plus the edge list
-/// for irregular fabrics.
-fn topology_json(t: &TopologyKind) -> String {
-    match t {
-        TopologyKind::Irregular { edges } => {
-            let pairs: Vec<String> = edges.iter().map(|(a, b)| format!("[{a},{b}]")).collect();
-            format!("\"topology\":\"irregular\",\"edges\":[{}]", pairs.join(","))
-        }
-        other => format!("\"topology\":{}", json_string(other.name())),
-    }
-}
-
-fn topology_from_fields(obj: &JsonValue) -> Result<TopologyKind, CodecError> {
-    let name = match obj.get("topology") {
-        None => return Ok(TopologyKind::default()),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| CodecError::new("`topology` must be a string"))?,
+/// The 2D mesh is the only fabric. A spec's `noc` object may name it
+/// (`"topology":"mesh"`, which [`spec_to_json`] writes so that store keys
+/// keep their bytes) or leave the field out; any other fabric, and an
+/// irregular fabric's `edges` list, is refused.
+fn check_mesh_only(noc: &JsonValue) -> Result<(), CodecError> {
+    let named = match noc.get("topology") {
+        None => Some("mesh"),
+        Some(v) => v.as_str(),
     };
-    match name {
-        "mesh" => Ok(TopologyKind::Mesh),
-        "torus" => Ok(TopologyKind::Torus),
-        "ring" => Ok(TopologyKind::Ring),
-        "irregular" => {
-            let arr = obj
-                .get("edges")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| CodecError::new("irregular topology requires an `edges` array"))?;
-            let mut edges = Vec::with_capacity(arr.len());
-            for pair in arr {
-                let pair = pair
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| CodecError::new("`edges` entries must be [a, b] pairs"))?;
-                let a = pair[0]
-                    .as_u64()
-                    .ok_or_else(|| CodecError::new("edge endpoints must be unsigned integers"))?;
-                let b = pair[1]
-                    .as_u64()
-                    .ok_or_else(|| CodecError::new("edge endpoints must be unsigned integers"))?;
-                edges.push((a as usize, b as usize));
-            }
-            Ok(TopologyKind::Irregular { edges })
-        }
-        other => Err(CodecError::new(format!(
-            "unknown topology `{other}` (expected mesh, torus, ring or irregular)"
-        ))),
+    if named != Some("mesh") || noc.get("edges").is_some() {
+        return Err(CodecError::new(
+            "the 2D mesh is the only fabric: `topology` must be \"mesh\" or absent, \
+             and `edges` is not accepted",
+        ));
     }
+    Ok(())
 }
 
 fn pattern_name(p: &DestinationPattern) -> Result<&'static str, CodecError> {
@@ -512,7 +480,7 @@ pub fn spec_to_json(job: &ExperimentJob) -> Result<String, CodecError> {
         concat!(
             "{{\"noc\":{{\"cols\":{},\"rows\":{},\"vcs\":{},\"buffer_depth\":{},",
             "\"flits_per_packet\":{},\"link_latency\":{},\"credit_latency\":{},",
-            "\"wakeup_latency\":{},\"routing\":{},{}}},",
+            "\"wakeup_latency\":{},\"routing\":{},\"topology\":\"mesh\"}},",
             "\"policy\":{},\"warmup\":{},\"measure\":{},\"pv_seed\":{},",
             "\"rr_rotation_period\":{},\"md_refresh_period\":{},\"invariants\":{},",
             "\"telemetry\":{{\"trace\":{},\"sample_period\":{}}},",
@@ -527,7 +495,6 @@ pub fn spec_to_json(job: &ExperimentJob) -> Result<String, CodecError> {
         noc.credit_latency,
         noc.wakeup_latency,
         json_string(routing_name(noc.routing)),
-        topology_json(&noc.topology),
         json_string(&cfg.policy.label()),
         cfg.warmup_cycles,
         cfg.measure_cycles,
@@ -588,24 +555,26 @@ pub fn spec_from_value(root: &JsonValue) -> Result<ExperimentJob, CodecError> {
     let defaults = NocConfig::default();
     let noc = match root.get("noc") {
         None => defaults,
-        Some(n) => NocConfig {
-            cols: field_usize(n, "cols", defaults.cols)?,
-            rows: field_usize(n, "rows", defaults.rows)?,
-            vcs_per_port: field_usize(n, "vcs", defaults.vcs_per_port)?,
-            buffer_depth: field_usize(n, "buffer_depth", defaults.buffer_depth)?,
-            flits_per_packet: field_usize(n, "flits_per_packet", defaults.flits_per_packet)?,
-            link_latency: field_u64(n, "link_latency", defaults.link_latency)?,
-            credit_latency: field_u64(n, "credit_latency", defaults.credit_latency)?,
-            wakeup_latency: field_u64(n, "wakeup_latency", defaults.wakeup_latency)?,
-            routing: match n.get("routing") {
-                None => defaults.routing,
-                Some(r) => routing_from_name(
-                    r.as_str()
-                        .ok_or_else(|| CodecError::new("`routing` must be a string"))?,
-                )?,
-            },
-            topology: topology_from_fields(n)?,
-        },
+        Some(n) => {
+            check_mesh_only(n)?;
+            NocConfig {
+                cols: field_usize(n, "cols", defaults.cols)?,
+                rows: field_usize(n, "rows", defaults.rows)?,
+                vcs_per_port: field_usize(n, "vcs", defaults.vcs_per_port)?,
+                buffer_depth: field_usize(n, "buffer_depth", defaults.buffer_depth)?,
+                flits_per_packet: field_usize(n, "flits_per_packet", defaults.flits_per_packet)?,
+                link_latency: field_u64(n, "link_latency", defaults.link_latency)?,
+                credit_latency: field_u64(n, "credit_latency", defaults.credit_latency)?,
+                wakeup_latency: field_u64(n, "wakeup_latency", defaults.wakeup_latency)?,
+                routing: match n.get("routing") {
+                    None => defaults.routing,
+                    Some(r) => routing_from_name(
+                        r.as_str()
+                            .ok_or_else(|| CodecError::new("`routing` must be a string"))?,
+                    )?,
+                },
+            }
+        }
     };
     noc.validate().map_err(|e| CodecError::new(e.to_string()))?;
 
@@ -1014,6 +983,34 @@ mod tests {
             ),
         ] {
             assert_eq!(spec_to_json(&job).unwrap(), want);
+        }
+    }
+
+    /// The mesh is the only fabric: a spec that names it or leaves the
+    /// field out decodes; any other fabric and any edge list is refused.
+    #[test]
+    fn only_the_mesh_decodes() {
+        let spec = |noc: &str| {
+            format!(
+                r#"{{"policy":"sensor-wise","noc":{{"cols":2,"rows":2{noc}}},"traffic":{{"rate":0.1}}}}"#
+            )
+        };
+        for ok in ["", r#","topology":"mesh""#] {
+            spec_from_json(&spec(ok)).unwrap();
+        }
+        for bad in [
+            r#","topology":"torus""#,
+            r#","topology":"ring""#,
+            r#","topology":"irregular","edges":[[0,1],[1,2],[2,3],[3,0]]"#,
+            r#","edges":[[0,1]]"#,
+            r#","topology":"mesh","edges":[]"#,
+            r#","topology":7"#,
+        ] {
+            let err = spec_from_json(&spec(bad)).unwrap_err().to_string();
+            assert!(
+                err.contains("the 2D mesh is the only fabric"),
+                "{bad}: {err}"
+            );
         }
     }
 

@@ -573,6 +573,26 @@ mod tests {
         );
     }
 
+    /// A base spec naming a fabric other than the mesh is refused with
+    /// the codec's mesh-only error.
+    #[test]
+    fn a_non_mesh_base_spec_is_refused() {
+        let req = WireEpochRequest {
+            base: epoch_job(),
+            resume: None,
+            vths_bits: None,
+            drain_limit: 10_000,
+        };
+        let text = req.to_json().unwrap().replacen(
+            r#"\"topology\":\"mesh\""#,
+            r#"\"topology\":\"torus\""#,
+            1,
+        );
+        assert!(text.contains("torus"), "{text}");
+        let err = WireEpochRequest::from_json(&text).unwrap_err().to_string();
+        assert!(err.contains("the 2D mesh is the only fabric"), "{err}");
+    }
+
     #[test]
     fn outcome_round_trips_bit_exactly_including_snapshot() {
         let never = AtomicBool::new(false);

@@ -222,7 +222,7 @@ impl ExperimentResult {
     ///
     /// # Panics
     ///
-    /// Panics if that port does not exist in the topology.
+    /// Panics if that port does not exist in the mesh.
     pub fn east_input(&self, node: NodeId) -> &PortResult {
         self.port(PortId::router_input(node, Direction::East))
             .expect("router has an east input port")
@@ -232,7 +232,7 @@ impl ExperimentResult {
     ///
     /// # Panics
     ///
-    /// Panics if that port does not exist in the topology.
+    /// Panics if that port does not exist in the mesh.
     pub fn west_input(&self, node: NodeId) -> &PortResult {
         self.port(PortId::router_input(node, Direction::West))
             .expect("router has a west input port")

@@ -7,10 +7,10 @@
 //! records one cycle of duty. Both must produce the same results field
 //! for field — standalone runs, a drained epoch and its resume — across
 //! policies, rotation periods, VC counts, wake-up latencies, warm-up,
-//! sampling, invariant levels, tracing, sensor models and fabrics.
+//! sampling, invariant levels, tracing, sensor models and mesh shapes.
 
 use nbti_model::{IdealSensor, NbtiParams, NbtiSensor, ProcessVariation, Volt};
-use noc_sim::config::{NocConfig, TopologyKind};
+use noc_sim::config::NocConfig;
 use noc_sim::invariants::{InvariantKind, InvariantLevel, InvariantViolation};
 use noc_sim::network::Network;
 use noc_sim::snapshot::NetworkSnapshot;
@@ -346,12 +346,12 @@ const POLICIES: [PolicyKind; 5] = [
     PolicyKind::SensorWiseK(2),
 ];
 
-/// One small fabric of each kind.
-fn fabric(which: u8) -> (TopologyKind, usize, usize) {
+/// One small mesh shape per arm, as `(cols, rows)`.
+fn fabric(which: u8) -> (usize, usize) {
     match which % 3 {
-        0 => (TopologyKind::Mesh, 2, 2),
-        1 => (TopologyKind::Torus, 3, 2),
-        _ => (TopologyKind::Ring, 4, 1),
+        0 => (2, 2),
+        1 => (3, 2),
+        _ => (4, 1),
     }
 }
 
@@ -409,11 +409,10 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 
 impl Case {
     fn config(&self) -> ExperimentConfig {
-        let (topology, cols, rows) = fabric(self.fabric);
+        let (cols, rows) = fabric(self.fabric);
         let noc = NocConfig {
             cols,
             rows,
-            topology,
             vcs_per_port: self.vcs,
             wakeup_latency: self.wakeup,
             ..NocConfig::default()

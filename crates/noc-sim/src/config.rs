@@ -1,44 +1,6 @@
 //! Simulator configuration.
 
 use crate::routing::RoutingAlgorithm;
-use crate::topology::{AnyTopology, IrregularTopology, MeshTopology, RingTopology, TorusTopology};
-
-/// Which fabric graph the NoC is built on.
-///
-/// `cols`/`rows` keep their meaning per kind: a mesh or torus is
-/// `cols × rows`; a ring or irregular fabric has `cols * rows` nodes (use
-/// `rows = 1` for the natural spelling). The default is the paper's mesh,
-/// so every pre-existing configuration — and its telemetry digest — is
-/// unchanged.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum TopologyKind {
-    /// The paper's 2D mesh, routed by [`NocConfig::routing`].
-    #[default]
-    Mesh,
-    /// A 2D torus: the mesh plus wrap links (idle under the
-    /// dateline-avoiding routing, and therefore maximally NBTI-stressed).
-    Torus,
-    /// A 1-D ring with `cw`/`ccw` ports, routed as a cut linear array.
-    Ring,
-    /// An arbitrary connected degree-≤4 graph over the node count, routed
-    /// up-down along its BFS spanning tree.
-    Irregular {
-        /// Undirected edges as node-index pairs.
-        edges: Vec<(usize, usize)>,
-    },
-}
-
-impl TopologyKind {
-    /// The short kind name used by the CLI and the job codec.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopologyKind::Mesh => "mesh",
-            TopologyKind::Torus => "torus",
-            TopologyKind::Ring => "ring",
-            TopologyKind::Irregular { .. } => "irregular",
-        }
-    }
-}
 
 /// Static configuration of a simulated NoC.
 ///
@@ -75,11 +37,8 @@ pub struct NocConfig {
     /// The paper's header-PMOS gating is modelled as instantaneous (0);
     /// the `ablation_wakeup` bench sweeps this.
     pub wakeup_latency: u64,
-    /// Routing algorithm (used by the mesh topology; the other fabrics
-    /// carry their own deadlock-free routing function).
+    /// Routing algorithm.
     pub routing: RoutingAlgorithm,
-    /// Fabric graph (default: the paper's 2D mesh).
-    pub topology: TopologyKind,
 }
 
 /// The most VCs a port may have: per-port VC state (power, allocation
@@ -203,30 +162,7 @@ impl NocConfig {
                 )));
             }
         }
-        if let Err(e) = self.build_topology() {
-            return Err(InvalidConfigError(e.to_string()));
-        }
         Ok(())
-    }
-
-    /// Builds the concrete fabric this configuration describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when an irregular edge list does not describe a
-    /// valid fabric over `num_nodes()` nodes.
-    pub fn build_topology(&self) -> Result<AnyTopology, InvalidConfigError> {
-        Ok(match &self.topology {
-            TopologyKind::Mesh => {
-                AnyTopology::Mesh(MeshTopology::new(self.cols, self.rows, self.routing))
-            }
-            TopologyKind::Torus => AnyTopology::Torus(TorusTopology::new(self.cols, self.rows)),
-            TopologyKind::Ring => AnyTopology::Ring(RingTopology::new(self.num_nodes())),
-            TopologyKind::Irregular { edges } => AnyTopology::Irregular(
-                IrregularTopology::new(self.num_nodes(), edges)
-                    .map_err(|e| InvalidConfigError(format!("irregular topology: {e}")))?,
-            ),
-        })
     }
 }
 
@@ -242,7 +178,6 @@ impl Default for NocConfig {
             credit_latency: 1,
             wakeup_latency: 0,
             routing: RoutingAlgorithm::XY,
-            topology: TopologyKind::Mesh,
         }
     }
 }
@@ -250,7 +185,6 @@ impl Default for NocConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
 
     #[test]
     fn default_is_valid() {
@@ -343,41 +277,6 @@ mod tests {
             }
             .validate()
             .unwrap();
-        }
-    }
-
-    #[test]
-    fn bad_irregular_edges_fail_validation() {
-        let cfg = NocConfig {
-            cols: 4,
-            rows: 1,
-            topology: TopologyKind::Irregular {
-                edges: vec![(0, 1), (2, 3)],
-            },
-            ..NocConfig::default()
-        };
-        let err = cfg.validate().unwrap_err();
-        assert!(err.to_string().contains("not connected"), "{err}");
-    }
-
-    #[test]
-    fn every_topology_kind_builds() {
-        for kind in [
-            TopologyKind::Mesh,
-            TopologyKind::Torus,
-            TopologyKind::Ring,
-            TopologyKind::Irregular {
-                edges: vec![(0, 1), (1, 2), (2, 3), (0, 2)],
-            },
-        ] {
-            let cfg = NocConfig {
-                cols: 2,
-                rows: 2,
-                topology: kind.clone(),
-                ..NocConfig::default()
-            };
-            let topo = cfg.build_topology().unwrap();
-            assert_eq!(topo.num_nodes(), 4, "{}", kind.name());
         }
     }
 }

@@ -54,7 +54,6 @@
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::network::Network;
 use crate::router::{NO_SLOT, NUM_PORTS};
-use crate::topology::Topology;
 use crate::types::Direction;
 use noc_telemetry::TraceSink;
 use std::collections::BTreeMap;

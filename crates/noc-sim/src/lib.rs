@@ -59,26 +59,24 @@ pub mod view;
 pub use noc_telemetry as telemetry;
 
 pub use config::NocConfig;
-pub use config::TopologyKind;
 pub use invariants::{InvariantKind, InvariantLevel, InvariantViolation};
 pub use network::Network;
 pub use routing::RoutingAlgorithm;
 pub use snapshot::{NetworkSnapshot, PortState, SnapshotStateError};
 pub use stats::NetStats;
-pub use topology::{AnyTopology, Mesh2D, Topology};
+pub use topology::Mesh2D;
 pub use types::{Direction, NodeId};
 pub use view::{GateAction, PortId, PortKey, PortKind, PortView, VcStatus};
 
 /// Convenient glob import for applications.
 pub mod prelude {
     pub use crate::config::NocConfig;
-    pub use crate::config::TopologyKind;
     pub use crate::flit::{Flit, FlitKind, PacketId};
     pub use crate::invariants::{InvariantKind, InvariantLevel, InvariantViolation};
     pub use crate::network::Network;
     pub use crate::routing::RoutingAlgorithm;
     pub use crate::stats::NetStats;
-    pub use crate::topology::{AnyTopology, Mesh2D, Topology};
+    pub use crate::topology::Mesh2D;
     pub use crate::types::{Direction, NodeId};
     pub use crate::view::{GateAction, PortId, PortKey, PortKind, PortView, VcStatus};
 }

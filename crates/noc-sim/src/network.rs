@@ -51,7 +51,7 @@ use crate::nic::Nic;
 use crate::router::{Router, SaWinner, NO_SLOT, NUM_PORTS};
 use crate::snapshot::{NetworkSnapshot, PortState, SnapshotStateError};
 use crate::stats::NetStats;
-use crate::topology::{AnyTopology, Topology};
+use crate::topology::Mesh2D;
 use crate::types::{Direction, NodeId};
 use crate::unit::{all_vcs, Arena, Credit};
 use crate::view::{GateAction, PortId, PortKey, PortView, VcStatus};
@@ -196,7 +196,7 @@ struct PendingRoute {
 #[derive(Debug, Clone)]
 pub struct Network<T: TraceSink = NullSink> {
     cfg: NocConfig,
-    topo: AnyTopology,
+    mesh: Mesh2D,
     pub(crate) routers: Vec<Router>,
     pub(crate) nics: Vec<Nic>,
     /// The VC state of every port slot.
@@ -274,8 +274,8 @@ impl<T: TraceSink> Network<T> {
     /// Returns the configuration's validation error, if any.
     pub fn with_sink(cfg: NocConfig, sink: T) -> Result<Self, InvalidConfigError> {
         cfg.validate()?;
-        let topo = cfg.build_topology()?;
-        let nodes = topo.num_nodes();
+        let mesh = Mesh2D::new(cfg.cols, cfg.rows);
+        let nodes = mesh.num_nodes();
         let mut routers = vec![Router::new(cfg.vcs_per_port); nodes];
         let (mut port_ids, mut ends) = (Vec::new(), Vec::new());
         let mut slot_of = vec![NO_SLOT; nodes * PortId::KINDS_PER_NODE];
@@ -299,11 +299,13 @@ impl<T: TraceSink> Network<T> {
             });
         };
         let nic = usize::from(NIC_SIDE);
-        for node in topo.node_ids() {
+        for node in 0..nodes {
             for d in Direction::MESH {
-                if let Some((up, up_port)) = topo.link_peer(NodeId(node), d) {
+                // The link into `node`'s `d` input leaves the neighbour on
+                // that side through its opposite port.
+                if let Some(up) = mesh.neighbor(NodeId(node), d) {
                     let port = PortId::router_input(NodeId(node), d);
-                    add(port, (up.index(), up_port.index()), (node, d.index()));
+                    add(port, (up.index(), d.opposite().index()), (node, d.index()));
                 }
             }
             let local = PortId::router_input(NodeId(node), Direction::Local);
@@ -325,7 +327,7 @@ impl<T: TraceSink> Network<T> {
         Ok(Network {
             arena: Arena::new(num_slots, cfg.vcs_per_port, cfg.buffer_depth),
             cfg,
-            topo,
+            mesh,
             routers,
             nics,
             packets: PacketTable::default(),
@@ -370,9 +372,9 @@ impl<T: TraceSink> Network<T> {
         self.work
     }
 
-    /// The fabric topology the network was built on.
-    pub fn topology(&self) -> &AnyTopology {
-        &self.topo
+    /// The mesh the network was built on.
+    pub fn topology(&self) -> &Mesh2D {
+        &self.mesh
     }
 
     /// The current cycle number.
@@ -877,11 +879,11 @@ impl<T: TraceSink> Network<T> {
         set_bit(&mut self.busy_routers, node);
     }
 
-    /// The RC stage for one head flit: the topology's routing decision,
-    /// with credit-based adaptive selection when the fabric permits
-    /// several productive directions (West-First on the mesh).
+    /// The RC stage for one head flit: the routing algorithm's decision,
+    /// with credit-based adaptive selection when it permits several
+    /// productive directions (West-First).
     fn compute_route(&self, r_idx: usize, dst: NodeId) -> Direction {
-        let dirs = self.topo.route_dirs(NodeId(r_idx), dst);
+        let dirs = self.cfg.routing.allowed(&self.mesh, NodeId(r_idx), dst);
         match dirs.as_slice() {
             [] => Direction::Local,
             [only] => *only,

@@ -202,6 +202,20 @@ impl GateAction {
 mod tests {
     use super::*;
 
+    /// Port tables and traces label a port by node and mesh side.
+    #[test]
+    fn port_labels_keep_mesh_spelling() {
+        assert_eq!(
+            PortId::router_input(NodeId(2), Direction::West).to_string(),
+            "r2-W"
+        );
+        assert_eq!(PortId::nic_eject(NodeId(1)).to_string(), "r1-eject");
+        assert_eq!(
+            PortId::router_input(NodeId(0), Direction::Local).to_string(),
+            "r0-L"
+        );
+    }
+
     #[test]
     fn status_predicates() {
         assert!(VcStatus::Busy.is_stressed());

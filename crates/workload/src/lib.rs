@@ -16,7 +16,7 @@
 //!   `noc_traffic::TrafficSource`, so the experiment engine injects a
 //!   recorded trace (or live mix) exactly where synthetic traffic would
 //!   go. A replayed trace reproduces the generator-driven run's telemetry
-//!   digest bit for bit, on any topology. [`record_source`] records any
+//!   digest bit for bit. [`record_source`] records any
 //!   `TrafficSource` into a trace.
 //!
 //! The crate is dependency-free beyond the simulator's own types: no

@@ -2,7 +2,7 @@
 //! [`record_source`], which captures any source as an `NBTITRC` trace.
 //!
 //! Both adapters sit exactly where a synthetic [`TrafficSpec`]-built
-//! source would, so the experiment engine ages any topology under any
+//! source would, so the experiment engine ages the mesh under any
 //! recorded workload with no engine changes. Determinism of ingestion:
 //! the packets injected at cycle `c` are a pure function of the trace
 //! bytes (or mix spec) and `c`, so a replayed trace reproduces the

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! nbti-noc run    [--cores N] [--vcs V] [--rate R] [--policy P] [--warmup N] [--measure N] [--csv]
-//!                 [--topology mesh|torus|ring|irregular] [--edges "a-b,c-d"]
 //!                 [--mix KIND | --trace-in FILE] [--len L] [--seed N] [--digest]
 //!                 [--trace-out FILE] [--metrics-out FILE] [--sample-period N] [--profile]
 //! nbti-noc sweep  [--cores N] [--vcs V] [--warmup N] [--measure N] [--store DIR]
@@ -91,6 +90,19 @@ impl Args {
     fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Refuses any flag or switch not in `known`, naming it.
+    fn only(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .find(|k| !known.contains(&k.as_str()))
+        {
+            Some(k) => Err(format!("unknown flag `--{k}`")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Parses `--jobs` (default: available parallelism) and rejects zero.
@@ -101,40 +113,6 @@ fn parse_jobs(args: &Args) -> Result<usize, String> {
 /// Parses `--invariants off|cheap|full` (default: off).
 fn parse_invariants(args: &Args) -> Result<InvariantLevel, String> {
     args.get("invariants", InvariantLevel::Off)
-}
-
-/// Parses `--topology mesh|torus|ring|irregular` (default: mesh).
-/// Irregular fabrics take their adjacency from `--edges "a-b,c-d,..."`.
-fn parse_topology(args: &Args) -> Result<TopologyKind, String> {
-    match args.get("topology", "mesh".to_string())?.as_str() {
-        "mesh" => Ok(TopologyKind::Mesh),
-        "torus" => Ok(TopologyKind::Torus),
-        "ring" => Ok(TopologyKind::Ring),
-        "irregular" => {
-            let spec = args
-                .required("edges")
-                .map_err(|_| "topology `irregular` needs --edges \"a-b,c-d,...\"".to_string())?;
-            let mut edges = Vec::new();
-            for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-                let (a, b) = part
-                    .split_once('-')
-                    .ok_or_else(|| format!("bad edge `{part}` (expected `a-b`)"))?;
-                let a = a
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad edge `{part}`: {e}"))?;
-                let b = b
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad edge `{part}`: {e}"))?;
-                edges.push((a, b));
-            }
-            Ok(TopologyKind::Irregular { edges })
-        }
-        other => Err(format!(
-            "unknown topology `{other}` (mesh | torus | ring | irregular)"
-        )),
-    }
 }
 
 /// Prints any recorded invariant violations; errors out when there were
@@ -156,10 +134,9 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
     PolicyKind::parse(name)
 }
 
-/// Prints the per-port duty/flit table. Port labels come from the
-/// topology (`r3-ccw` on a ring, `r3-l1` on an irregular fabric) rather
-/// than the mesh's hardcoded compass letters.
-fn print_port_table(result: &sensorwise::ExperimentResult, topo: &AnyTopology, csv: bool) {
+/// Prints the per-port duty/flit table, one row per buffer port labelled
+/// by node and mesh side (`r3-W`, `r3-eject`).
+fn print_port_table(result: &sensorwise::ExperimentResult, csv: bool) {
     if csv {
         let vcs = result.ports.first().map_or(0, |p| p.duty_percent.len());
         print!("port,md_vc");
@@ -168,7 +145,7 @@ fn print_port_table(result: &sensorwise::ExperimentResult, topo: &AnyTopology, c
         }
         println!(",flits");
         for p in &result.ports {
-            print!("{},{}", topo.port_label(p.port), p.md_vc);
+            print!("{},{}", p.port, p.md_vc);
             for d in &p.duty_percent {
                 print!(",{d:.3}");
             }
@@ -187,7 +164,7 @@ fn print_port_table(result: &sensorwise::ExperimentResult, topo: &AnyTopology, c
         let duties: Vec<String> = p.duty_percent.iter().map(|d| format!("{d:5.1}%")).collect();
         println!(
             "{:<12} {:>4} {:>10}  [{}]",
-            topo.port_label(p.port),
+            p.port.to_string(),
             format!("VC{}", p.md_vc),
             p.flits_received,
             duties.join(" ")
@@ -342,6 +319,26 @@ fn parse_workload_source(
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
+    args.only(&[
+        "cores",
+        "vcs",
+        "rate",
+        "policy",
+        "warmup",
+        "measure",
+        "invariants",
+        "csv",
+        "json",
+        "digest",
+        "mix",
+        "trace-in",
+        "len",
+        "seed",
+        "trace-out",
+        "metrics-out",
+        "sample-period",
+        "profile",
+    ])?;
     let scenario = SyntheticScenario {
         cores: args.get("cores", 16usize)?,
         vcs: args.get("vcs", 4usize)?,
@@ -359,13 +356,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         telemetry.spec.trace = true;
     }
     let mut job = scenario.job(policy, warmup, measure);
-    job.cfg.noc.topology = parse_topology(args)?;
     job.cfg = job
         .cfg
         .with_invariants(invariants)
         .with_telemetry(telemetry.spec);
     job.cfg.noc.validate().map_err(|e| e.to_string())?;
-    let topo = job.cfg.noc.build_topology().map_err(|e| e.to_string())?;
     let mut source = parse_workload_source(args, &job.cfg.noc)?;
     if source.is_some() {
         // Workload runs tie process variation to the architecture alone:
@@ -380,11 +375,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
     }
     eprintln!(
-        "running {} on {} under {} ({} + {} cycles, invariants {invariants})...",
+        "running {} on mesh under {} ({} + {} cycles, invariants {invariants})...",
         source
             .as_ref()
             .map_or_else(|| scenario.name(), |s| s.name()),
-        topo.kind_name(),
         policy,
         warmup,
         measure
@@ -407,7 +401,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if json {
         println!("{}", sensorwise::result_to_json(&result));
     } else {
-        print_port_table(&result, &topo, args.has("csv"));
+        print_port_table(&result, args.has("csv"));
     }
     if want_digest {
         match result.trace_digest() {
@@ -750,14 +744,23 @@ fn cmd_record(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &Args) -> Result<(), String> {
+    args.only(&[
+        "trace",
+        "cores",
+        "vcs",
+        "policy",
+        "invariants",
+        "csv",
+        "trace-out",
+        "metrics-out",
+        "sample-period",
+    ])?;
     let path = args.required("trace")?.to_string();
     let cores = args.get("cores", 16usize)?;
     let vcs = args.get("vcs", 4usize)?;
     let policy = parse_policy(args.get("policy", "sensor-wise".to_string())?.as_str())?;
-    let mut noc = NocConfig::paper_synthetic(cores, vcs);
-    noc.topology = parse_topology(args)?;
+    let noc = NocConfig::paper_synthetic(cores, vcs);
     noc.validate().map_err(|e| e.to_string())?;
-    let topo = noc.build_topology().map_err(|e| e.to_string())?;
     let mut replay = load_trace(&path, &noc)?;
     let horizon = replay.end_cycle();
     eprintln!(
@@ -770,7 +773,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         .with_invariants(parse_invariants(args)?)
         .with_telemetry(telemetry.spec);
     let result = run_experiment(&cfg, &mut replay);
-    print_port_table(&result, &topo, args.has("csv"));
+    print_port_table(&result, args.has("csv"));
     write_telemetry(&result, &telemetry)?;
     report_invariants(&result)
 }
@@ -1387,7 +1390,6 @@ const HELP: &str = "nbti-noc — sensor-wise NBTI mitigation for NoC buffers (DA
 
 subcommands:
   run     one scenario under one policy    [--cores --vcs --rate --policy --warmup --measure --invariants --csv]
-                                           [--topology mesh|torus|ring|irregular --edges \"a-b,c-d\" (irregular)]
                                            [--mix KIND | --trace-in FILE (NBTITRC workload) --len L --seed N]
                                            [--digest (print the telemetry digest) --profile]
                                            [--trace-out FILE --metrics-out FILE --sample-period N]
@@ -1423,7 +1425,6 @@ subcommands:
   help    this text
 
 policies: baseline | rr | sw-nt | sw | sw-kN (e.g. sw-k2)
-topologies: mesh (default, the paper's fabric) | torus | ring | irregular --edges \"a-b,c-d\"
 mixes: hotspot-server | all-to-all-shuffle | nearest-neighbor-stencil | bursty-client;
        `run --mix K` drives the generator live, `trace gen` + `run --trace-in F` replays the
        same schedule from disk — both yield bit-identical telemetry digests

@@ -44,6 +44,26 @@ fn unknown_policy_fails_with_message() {
     assert!(stderr.contains("unknown policy"), "{stderr}");
 }
 
+/// The mesh is the only fabric, so `run` and `replay` have no fabric
+/// flags and refuse them by name before simulating anything.
+#[test]
+fn fabric_flags_are_refused_by_name() {
+    for args in [
+        &["run", "--topology", "torus"][..],
+        &["run", "--cores", "4", "--edges", "0-1,1-2"],
+        &["replay", "--trace", "missing.nbtitrc", "--topology", "ring"],
+    ] {
+        let (stdout, stderr, ok) = run(args);
+        assert!(!ok, "{args:?}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn more_than_32_vcs_per_port_is_a_config_error() {
     let (_, stderr, ok) = run(&[

@@ -385,6 +385,31 @@ fn an_oversized_network_gets_400_and_the_server_keeps_serving() {
     assert!(report.accounts_for_all(), "{report:?}");
 }
 
+/// The mesh is the only fabric: a spec naming a ring is refused with a
+/// 400 that says so, and the server keeps serving.
+#[test]
+fn a_non_mesh_fabric_gets_400_and_the_server_keeps_serving() {
+    let (server, client) = start(1, 2, 0);
+    let ring = r#"{"policy":"sensor-wise","noc":{"cols":2,"rows":2,"topology":"ring"},"traffic":{"rate":0.1}}"#;
+    match client.submit(ring).expect("transport").0 {
+        Submitted::Refused { status, error } => {
+            assert_eq!(status, 400);
+            assert!(error.contains("the 2D mesh is the only fabric"), "{error}");
+        }
+        other => panic!("ring fabric accepted: {other:?}"),
+    }
+    let (_, small) = spec(500, 1);
+    assert!(matches!(
+        client.submit(&small).expect("transport").0,
+        Submitted::Accepted { .. }
+    ));
+
+    server.request_shutdown(true);
+    let report = server.wait();
+    assert_eq!(report.accepted, 1);
+    assert!(report.accounts_for_all(), "{report:?}");
+}
+
 /// Cancelling a queued job frees its queue slot at once: with the single
 /// worker busy and both slots cancelled, the queue reads empty and the
 /// next submission is accepted.
