@@ -385,3 +385,173 @@ fn waking_8x8_replay_matches_goldens() {
         assert_eq!(got, want, "{policy:?}: digest/work/MD moved: {got:#x?}");
     }
 }
+
+/// The random streams that no run above touches: quantized sensors (read
+/// noise through the Gaussian sampler), application traffic (Markov on-off
+/// injection and locality draws) and the non-uniform synthetic patterns.
+/// A 4×4 mesh, 2 VCs, sensor-wise, 300+3000 cycles, pv seed 0x707001; the
+/// trace digest and the seven work counters. Captured before the RNG moved
+/// into `noc_telemetry::rng`.
+fn stream_run(sensor: sensorwise::SensorModel, spec: TrafficSpec) -> (u64, [u64; 7]) {
+    let noc = NocConfig::paper_synthetic(16, 2);
+    let cfg = ExperimentConfig {
+        sensor,
+        ..ExperimentConfig::new(noc.clone(), PolicyKind::SensorWise)
+    }
+    .with_cycles(300, 3_000)
+    .with_pv_seed(0x70_70_01)
+    .with_telemetry(TelemetrySpec {
+        trace: true,
+        trace_capacity: 0,
+        sample_period: 0,
+    });
+    let mut traffic = spec.build(&noc);
+    let result = run_experiment(&cfg, traffic.as_mut());
+    let digest = result.trace_digest().expect("trace was requested");
+    (digest, work_array(result.work))
+}
+
+#[test]
+fn quantized_sensor_run_matches_golden() {
+    use nbti_model::Volt;
+    let sensor = sensorwise::SensorModel::Quantized {
+        lsb: Volt::from_millivolts(0.5),
+        noise_sigma: Volt::from_millivolts(0.25),
+        period: 100,
+    };
+    let spec = TrafficSpec::Uniform {
+        rate: 0.12,
+        seed: 0xDEAD_0001,
+    };
+    let got = stream_run(sensor, spec);
+    let want = (
+        0x1335_9a7a_871b_1119,
+        [30_613, 4_812, 4_810, 24_035, 264_000, 264_000, 8_320],
+    );
+    assert_eq!(got, want, "quantized: {got:?}");
+}
+
+#[test]
+fn app_traffic_run_matches_golden() {
+    let spec = TrafficSpec::Mix {
+        mix: noc_traffic::app::BenchmarkMix::random(16, 0x7AB1_E004),
+        seed: 0xDEAD_0004,
+    };
+    let got = stream_run(sensorwise::SensorModel::Ideal, spec);
+    let want = (
+        0x00d2_6ffe_90c4_c54b,
+        [33_031, 5_795, 5_794, 26_133, 264_000, 264_000, 8_320],
+    );
+    assert_eq!(got, want, "app traffic: {got:?}");
+}
+
+#[test]
+fn hotspot_and_transpose_runs_match_goldens() {
+    use noc_sim::types::NodeId;
+    use noc_traffic::pattern::DestinationPattern;
+    let hotspot = DestinationPattern::HotSpot {
+        targets: vec![NodeId(0), NodeId(5), NodeId(15)],
+        fraction: 0.3,
+    };
+    let golden: [(DestinationPattern, (u64, [u64; 7])); 2] = [
+        (
+            hotspot,
+            (
+                0xa148_f10d_3de6_47b8,
+                [29_703, 4_706, 4_704, 23_487, 264_000, 264_000, 8_320],
+            ),
+        ),
+        (
+            DestinationPattern::Transpose,
+            (
+                0x3894_ad72_1134_6a6f,
+                [24_812, 4_032, 4_031, 20_150, 264_000, 264_000, 8_320],
+            ),
+        ),
+    ];
+    for (pattern, want) in golden {
+        let name = pattern.name();
+        let spec = TrafficSpec::Pattern {
+            pattern,
+            rate: 0.12,
+            seed: 0xDEAD_0002,
+        };
+        let got = stream_run(sensorwise::SensorModel::Ideal, spec);
+        assert_eq!(got, want, "{name}: {got:?}");
+    }
+}
+
+/// An erratic sensor (the Bernoulli corruption draw and the uniform
+/// reading in the band) over a ramp of true readings: an FNV-1a digest of
+/// every reading's bits and the number of corrupted readings.
+#[test]
+fn erratic_sensor_stream_matches_golden() {
+    use nbti_model::{FaultMode, FaultySensor, IdealSensor, NbtiSensor, Volt};
+    let mode = FaultMode::Erratic {
+        p: 0.3,
+        lo: Volt::from_volts(0.15),
+        hi: Volt::from_volts(0.25),
+    };
+    let mut sensor = FaultySensor::new(IdealSensor::new(), mode, 0x5E45_0B5E);
+    let mut digest = noc_telemetry::digest::fnv1a_64(&[]);
+    let mut corrupted = 0;
+    for cycle in 0..1_000u64 {
+        let truth = Volt::from_volts(0.18 + cycle as f64 * 1e-6);
+        let reading = sensor.sample(truth, cycle);
+        corrupted += usize::from(reading != truth);
+        digest = noc_telemetry::digest::fnv1a_64_fold(digest, &reading.as_volts().to_le_bytes());
+    }
+    assert_eq!(
+        (digest, corrupted),
+        (0xc4be_6dea_3d01_b438, 307),
+        "erratic: {digest:#x}"
+    );
+}
+
+/// The initial Vth draw of the 45 nm process variation: the bits of the
+/// first eight samples at three seeds.
+#[test]
+fn process_variation_samples_match_golden() {
+    let mut digest = noc_telemetry::digest::fnv1a_64(&[]);
+    for seed in [0, 1, 0xDA7E_2013] {
+        let mut pv = nbti_model::ProcessVariation::paper_45nm(seed);
+        for v in pv.sample_port(8) {
+            digest = noc_telemetry::digest::fnv1a_64_fold(digest, &v.as_volts().to_le_bytes());
+        }
+    }
+    assert_eq!(
+        digest, 0x9b7b_7500_76f5_fd49,
+        "process variation: {digest:#x}"
+    );
+}
+
+/// The NBTITRC bytes of every application mix (16 nodes, rate 0.1, 2000
+/// cycles): an FNV-1a digest of the encoded trace and its length.
+#[test]
+fn mix_trace_bytes_match_goldens() {
+    use noc_workload::{MixGenerator, MixKind, MixSpec};
+    let golden: [(MixKind, (u64, usize)); 4] = [
+        (MixKind::HotspotServer, (0x07b3_0c67_5be9_4ac6, 44_512)),
+        (MixKind::AllToAllShuffle, (0x9f91_6cbe_a38c_ecc3, 44_666)),
+        (
+            MixKind::NearestNeighborStencil,
+            (0x3be8_0545_66d6_4c15, 44_540),
+        ),
+        (MixKind::BurstyClient, (0x330e_dfc8_6422_f595, 40_916)),
+    ];
+    for (kind, want) in golden {
+        let spec = MixSpec {
+            kind,
+            nodes: 16,
+            rate: 0.1,
+            packet_len: 5,
+            seed: 0x8888_0011,
+        };
+        let bytes = MixGenerator::new(spec)
+            .write_trace(2_000)
+            .expect("trace generation")
+            .finish();
+        let got = (noc_telemetry::digest::fnv1a_64(&bytes), bytes.len());
+        assert_eq!(got, want, "{}: {got:#x?}", kind.name());
+    }
+}
