@@ -14,11 +14,9 @@
 //!   noise, and a sampling period (readings are held between samples).
 //!   Used by the sensor-fidelity ablation benches.
 
-use crate::gauss::Normal;
+use crate::gauss::normal;
 use crate::units::Volt;
-use rand::distributions::Distribution;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use noc_telemetry::rng::Xoshiro256pp;
 use std::borrow::Borrow;
 
 /// A sensor that observes the (true) threshold voltage of one monitored
@@ -88,9 +86,9 @@ impl NbtiSensor for IdealSensor {
 #[derive(Debug, Clone)]
 pub struct QuantizedSensor {
     lsb: Volt,
-    noise: Normal,
+    noise_sigma: f64,
     period: u64,
-    rng: StdRng,
+    rng: Xoshiro256pp,
     last: Option<Volt>,
     last_cycle: Option<u64>,
 }
@@ -118,12 +116,9 @@ impl QuantizedSensor {
         );
         QuantizedSensor {
             lsb,
-            noise: Normal {
-                mean: 0.0,
-                sigma: noise_sigma.as_volts(),
-            },
+            noise_sigma: noise_sigma.as_volts(),
             period,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Xoshiro256pp::seed_from_u64(seed),
             last: None,
             last_cycle: None,
         }
@@ -167,7 +162,7 @@ impl NbtiSensor for QuantizedSensor {
             Some(prev) => cycle >= prev.saturating_add(self.period),
         };
         if due {
-            let noisy = true_vth.as_volts() + self.noise.sample(&mut self.rng);
+            let noisy = true_vth.as_volts() + normal(&mut self.rng, 0.0, self.noise_sigma);
             let reading = Volt::from_volts(self.quantize(noisy));
             self.last = Some(reading);
             self.last_cycle = Some(cycle);
@@ -197,7 +192,7 @@ impl NbtiSensor for QuantizedSensor {
 pub struct FaultySensor<S> {
     inner: S,
     mode: FaultMode,
-    rng: StdRng,
+    rng: Xoshiro256pp,
     stuck_at: Option<Volt>,
 }
 
@@ -233,7 +228,7 @@ impl<S: NbtiSensor> FaultySensor<S> {
         FaultySensor {
             inner,
             mode,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Xoshiro256pp::seed_from_u64(seed),
             stuck_at: None,
         }
     }
@@ -249,9 +244,9 @@ impl<S: NbtiSensor> NbtiSensor for FaultySensor<S> {
             }
             FaultMode::Erratic { p, lo, hi } => {
                 let clean = self.inner.sample(true_vth, cycle);
-                if p > 0.0 && self.rng.gen_bool(p) {
+                if p > 0.0 && self.rng.chance(p) {
                     let span = (hi - lo).as_volts();
-                    Volt::from_volts(lo.as_volts() + self.rng.gen::<f64>() * span)
+                    Volt::from_volts(lo.as_volts() + self.rng.unit() * span)
                 } else {
                     clean
                 }

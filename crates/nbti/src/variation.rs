@@ -12,11 +12,9 @@
 //! policies "for consistency purposes" — the experiment runner does the same
 //! by reusing seeds.
 
-use crate::gauss::Normal;
+use crate::gauss::normal;
 use crate::units::Volt;
-use rand::distributions::Distribution;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use noc_telemetry::rng::Xoshiro256pp;
 
 /// Deterministic Gaussian sampler of initial per-buffer threshold voltages.
 ///
@@ -35,8 +33,9 @@ use rand::SeedableRng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProcessVariation {
-    dist: Normal,
-    rng: StdRng,
+    mean: f64,
+    sigma: f64,
+    rng: Xoshiro256pp,
     clamp_sigmas: f64,
 }
 
@@ -53,11 +52,9 @@ impl ProcessVariation {
     pub fn new(mean: Volt, sigma: Volt, seed: u64) -> Self {
         assert!(sigma.as_volts() >= 0.0, "sigma must be non-negative");
         ProcessVariation {
-            dist: Normal {
-                mean: mean.as_volts(),
-                sigma: sigma.as_volts(),
-            },
-            rng: StdRng::seed_from_u64(seed),
+            mean: mean.as_volts(),
+            sigma: sigma.as_volts(),
+            rng: Xoshiro256pp::seed_from_u64(seed),
             clamp_sigmas: 4.0,
         }
     }
@@ -74,19 +71,19 @@ impl ProcessVariation {
 
     /// Mean of the distribution.
     pub fn mean(&self) -> Volt {
-        Volt::from_volts(self.dist.mean)
+        Volt::from_volts(self.mean)
     }
 
     /// Standard deviation of the distribution.
     pub fn sigma(&self) -> Volt {
-        Volt::from_volts(self.dist.sigma)
+        Volt::from_volts(self.sigma)
     }
 
     /// Draws one initial threshold voltage.
     pub fn sample(&mut self) -> Volt {
-        let lo = self.dist.mean - self.clamp_sigmas * self.dist.sigma;
-        let hi = self.dist.mean + self.clamp_sigmas * self.dist.sigma;
-        let v = self.dist.sample(&mut self.rng).clamp(lo, hi);
+        let lo = self.mean - self.clamp_sigmas * self.sigma;
+        let hi = self.mean + self.clamp_sigmas * self.sigma;
+        let v = normal(&mut self.rng, self.mean, self.sigma).clamp(lo, hi);
         Volt::from_volts(v)
     }
 

@@ -33,6 +33,10 @@
 //! [`hist`] is the one log2 histogram the profiler, `/metrics` and the
 //! simulator's latency buckets share, plus the one [`percentile`].
 //!
+//! [`rng`] is the one random-number generator: the seeded xoshiro256++ and
+//! SplitMix64 streams behind process variation, sensor noise, traffic,
+//! NBTITRC mixes and backoff jitter.
+//!
 //! This crate is dependency-free and knows nothing about the simulator; the
 //! simulator depends on it and maps its own identifiers into [`PortCode`].
 //!
@@ -58,6 +62,7 @@ pub mod digest;
 pub mod event;
 pub mod hist;
 pub mod profile;
+pub mod rng;
 pub mod series;
 pub mod sink;
 pub mod spans;

@@ -18,8 +18,7 @@ use crate::pattern::DestinationPattern;
 use crate::source::{PacketSpec, TrafficSource};
 use noc_sim::topology::Mesh2D;
 use noc_sim::types::NodeId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use noc_telemetry::rng::Xoshiro256pp;
 
 /// Destination locality of a benchmark's coherence/memory traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,12 +174,10 @@ impl BenchmarkMix {
     /// Randomly assigns one of the built-in profiles to each of `num_nodes`
     /// cores (with repetition, like the paper's random picks).
     pub fn random(num_nodes: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let all = BenchmarkProfile::all();
         BenchmarkMix {
-            assignment: (0..num_nodes)
-                .map(|_| &all[rng.gen_range(0..all.len())])
-                .collect(),
+            assignment: (0..num_nodes).map(|_| &all[rng.below(all.len())]).collect(),
         }
     }
 
@@ -222,7 +219,7 @@ pub struct AppTraffic {
     mesh: Mesh2D,
     profiles: Vec<&'static BenchmarkProfile>,
     processes: Vec<MarkovOnOffInjection>,
-    rngs: Vec<StdRng>,
+    rngs: Vec<Xoshiro256pp>,
     memory_corners: Vec<NodeId>,
 }
 
@@ -254,7 +251,7 @@ impl AppTraffic {
                 .collect(),
             rngs: (0..mesh.num_nodes())
                 .map(|i| {
-                    StdRng::seed_from_u64(
+                    Xoshiro256pp::seed_from_u64(
                         seed ^ (0xA076_1D64_78BD_642F_u64.wrapping_mul(i as u64 + 1)),
                     )
                 })
@@ -268,7 +265,7 @@ impl AppTraffic {
         locality: Locality,
         corners: &[NodeId],
         src: NodeId,
-        rng: &mut StdRng,
+        rng: &mut Xoshiro256pp,
     ) -> Option<NodeId> {
         let uniform = DestinationPattern::UniformRandom;
         match locality {
@@ -280,8 +277,8 @@ impl AppTraffic {
                         .filter_map(|&d| mesh.neighbor(src, d))
                 };
                 let count = neighbors().count();
-                if count > 0 && rng.gen_bool(neighbor_prob.clamp(0.0, 1.0)) {
-                    neighbors().nth(rng.gen_range(0..count))
+                if count > 0 && rng.chance(neighbor_prob.clamp(0.0, 1.0)) {
+                    neighbors().nth(rng.below(count))
                 } else {
                     uniform.dest(mesh, src, rng)
                 }
@@ -289,8 +286,8 @@ impl AppTraffic {
             Locality::MemoryBound { hot_prob } => {
                 let candidates = || corners.iter().copied().filter(|&c| c != src);
                 let count = candidates().count();
-                if count > 0 && rng.gen_bool(hot_prob.clamp(0.0, 1.0)) {
-                    candidates().nth(rng.gen_range(0..count))
+                if count > 0 && rng.chance(hot_prob.clamp(0.0, 1.0)) {
+                    candidates().nth(rng.below(count))
                 } else {
                     uniform.dest(mesh, src, rng)
                 }

@@ -6,12 +6,12 @@
 //! process with a two-state Markov chain ([`MarkovOnOffInjection`]) to model
 //! the bursty compute/communicate phases of real benchmarks.
 
-use rand::Rng;
+use noc_telemetry::rng::Xoshiro256pp;
 
 /// Decides, cycle by cycle, whether a node generates a new packet.
 pub trait InjectionProcess {
     /// Returns `true` when a packet should be generated this cycle.
-    fn fires<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool;
+    fn fires(&mut self, rng: &mut Xoshiro256pp) -> bool;
 
     /// The long-run average packet rate (packets/cycle), used for reports
     /// and sanity checks.
@@ -60,8 +60,8 @@ impl BernoulliInjection {
 }
 
 impl InjectionProcess for BernoulliInjection {
-    fn fires<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        self.packet_prob > 0.0 && rng.gen_bool(self.packet_prob)
+    fn fires(&mut self, rng: &mut Xoshiro256pp) -> bool {
+        self.packet_prob > 0.0 && rng.chance(self.packet_prob)
     }
 
     fn mean_packet_rate(&self) -> f64 {
@@ -124,15 +124,15 @@ impl MarkovOnOffInjection {
 }
 
 impl InjectionProcess for MarkovOnOffInjection {
-    fn fires<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        let fires = self.on && self.on_packet_prob > 0.0 && rng.gen_bool(self.on_packet_prob);
+    fn fires(&mut self, rng: &mut Xoshiro256pp) -> bool {
+        let fires = self.on && self.on_packet_prob > 0.0 && rng.chance(self.on_packet_prob);
         // Phase transition at cycle end.
         let exit_prob = if self.on {
             self.exit_on_prob
         } else {
             self.exit_off_prob
         };
-        if rng.gen_bool(exit_prob.clamp(0.0, 1.0)) {
+        if rng.chance(exit_prob.clamp(0.0, 1.0)) {
             self.on = !self.on;
         }
         fires
@@ -146,13 +146,11 @@ impl InjectionProcess for MarkovOnOffInjection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn bernoulli_rate_matches_empirically() {
         let mut p = BernoulliInjection::from_flit_rate(0.2, 5);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Xoshiro256pp::seed_from_u64(1);
         let n = 200_000;
         let fired = (0..n).filter(|_| p.fires(&mut rng)).count();
         let rate = fired as f64 / n as f64;
@@ -162,7 +160,7 @@ mod tests {
     #[test]
     fn zero_rate_never_fires() {
         let mut p = BernoulliInjection::new(0.0);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Xoshiro256pp::seed_from_u64(2);
         assert!((0..1000).all(|_| !p.fires(&mut rng)));
     }
 
@@ -171,7 +169,7 @@ mod tests {
         let mut p = MarkovOnOffInjection::new(0.2, 100.0, 300.0);
         assert!((p.duty() - 0.25).abs() < 1e-12);
         assert!((p.mean_packet_rate() - 0.05).abs() < 1e-12);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Xoshiro256pp::seed_from_u64(3);
         let n = 400_000;
         let fired = (0..n).filter(|_| p.fires(&mut rng)).count();
         let rate = fired as f64 / n as f64;
@@ -183,7 +181,7 @@ mod tests {
         // With long phases, consecutive cycles should be correlated: count
         // transitions of the fire/no-fire sequence aggregated per window.
         let mut p = MarkovOnOffInjection::new(0.5, 200.0, 200.0);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Xoshiro256pp::seed_from_u64(4);
         let mut window_rates = Vec::new();
         for _ in 0..200 {
             let fired = (0..100).filter(|_| p.fires(&mut rng)).count();

@@ -8,7 +8,7 @@
 
 use noc_sim::topology::Mesh2D;
 use noc_sim::types::NodeId;
-use rand::Rng;
+use noc_telemetry::rng::Xoshiro256pp;
 
 /// A destination-selection rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,14 +48,14 @@ impl DestinationPattern {
     /// Picks a destination for a packet from `src`, or `None` when the
     /// pattern sends this node no traffic (e.g. transpose diagonal,
     /// patterns mapping a node to itself).
-    pub fn dest<R: Rng + ?Sized>(&self, mesh: &Mesh2D, src: NodeId, rng: &mut R) -> Option<NodeId> {
+    pub fn dest(&self, mesh: &Mesh2D, src: NodeId, rng: &mut Xoshiro256pp) -> Option<NodeId> {
         let n = mesh.num_nodes();
         if n <= 1 {
             return None;
         }
         let dst = match self {
             DestinationPattern::UniformRandom => loop {
-                let d = NodeId(rng.gen_range(0..n));
+                let d = NodeId(rng.below(n));
                 if d != src {
                     break d;
                 }
@@ -108,11 +108,11 @@ impl DestinationPattern {
                         .filter(|t| t.index() < n && *t != src)
                 };
                 let count = eligible().count();
-                if count > 0 && rng.gen_bool(fraction.clamp(0.0, 1.0)) {
-                    eligible().nth(rng.gen_range(0..count))?
+                if count > 0 && rng.chance(fraction.clamp(0.0, 1.0)) {
+                    eligible().nth(rng.below(count))?
                 } else {
                     loop {
-                        let d = NodeId(rng.gen_range(0..n));
+                        let d = NodeId(rng.below(n));
                         if d != src {
                             break d;
                         }
@@ -146,11 +146,9 @@ fn bits_of(n: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    fn rng() -> Xoshiro256pp {
+        Xoshiro256pp::seed_from_u64(7)
     }
 
     #[test]

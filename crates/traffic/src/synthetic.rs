@@ -6,8 +6,7 @@ use crate::pattern::DestinationPattern;
 use crate::source::{PacketSpec, TrafficSource};
 use noc_sim::topology::Mesh2D;
 use noc_sim::types::NodeId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use noc_telemetry::rng::Xoshiro256pp;
 
 /// Synthetic traffic: every node runs its own seeded injection process and
 /// draws destinations from a shared pattern.
@@ -29,7 +28,7 @@ pub struct SyntheticTraffic {
     mesh: Mesh2D,
     pattern: DestinationPattern,
     processes: Vec<BernoulliInjection>,
-    rngs: Vec<StdRng>,
+    rngs: Vec<Xoshiro256pp>,
     packet_len: usize,
 }
 
@@ -55,7 +54,9 @@ impl SyntheticTraffic {
             processes: vec![BernoulliInjection::from_flit_rate(rate_flits, packet_len); n],
             rngs: (0..n)
                 .map(|i| {
-                    StdRng::seed_from_u64(seed.wrapping_add(0x9e37_79b9).wrapping_mul(i as u64 + 1))
+                    Xoshiro256pp::seed_from_u64(
+                        seed.wrapping_add(0x9e37_79b9).wrapping_mul(i as u64 + 1),
+                    )
                 })
                 .collect(),
             packet_len,

@@ -2,10 +2,9 @@
 
 use noc_sim::topology::Mesh2D;
 use noc_sim::types::NodeId;
+use noc_telemetry::rng::Xoshiro256pp;
 use noc_traffic::prelude::*;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn any_pattern() -> impl Strategy<Value = DestinationPattern> {
     prop_oneof![
@@ -36,7 +35,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mesh = Mesh2D::new(cols, rows);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
         for src in mesh.nodes() {
             for _ in 0..8 {
                 if let Some(d) = pattern.dest(&mesh, src, &mut rng) {
@@ -99,7 +98,7 @@ proptest! {
         let p = prob_milli as f64 / 1000.0;
         let mut inj = MarkovOnOffInjection::new(p, mean_on, mean_off);
         let analytic = inj.mean_packet_rate();
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Xoshiro256pp::seed_from_u64(42);
         let n = 150_000u32;
         let fired = (0..n).filter(|_| inj.fires(&mut rng)).count();
         let measured = fired as f64 / n as f64;

@@ -10,38 +10,7 @@
 
 use crate::format::{TraceError, TraceRecord, TraceWriter};
 use crate::source::{record_source, MixSource};
-
-/// SplitMix64: a tiny, high-quality, dependency-free PRNG. Used only for
-/// workload generation (never for simulation state), and fully determined
-/// by its seed.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform value in `0..bound` (`bound > 0`).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
-    }
-
-    /// A Bernoulli trial with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
-    }
-}
+use noc_telemetry::rng::SplitMix64;
 
 /// The application-mix families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,6 +101,8 @@ struct BurstState {
 #[derive(Debug, Clone)]
 pub struct MixGenerator {
     spec: MixSpec,
+    /// The one stream of the schedule, drawn as `next_u64() % n` and
+    /// `unit() < p` (see [`SplitMix64`]).
     rng: SplitMix64,
     bursts: Vec<BurstState>,
     next_cycle: u64,
@@ -207,16 +178,16 @@ impl MixGenerator {
         let n = self.spec.nodes as u64;
         let server = 0u64;
         for src in 0..n {
-            if !self.rng.chance(self.spec.rate) {
+            if self.rng.unit() >= self.spec.rate {
                 continue;
             }
             let dst = if src == server {
                 // The server answers a random client.
-                1 + self.rng.below(n - 1)
-            } else if self.rng.chance(0.75) {
+                1 + self.rng.next_u64() % (n - 1)
+            } else if self.rng.unit() < 0.75 {
                 server // three quarters of client traffic hits the server
             } else {
-                let d = self.rng.below(n - 1);
+                let d = self.rng.next_u64() % (n - 1);
                 if d >= src {
                     d + 1
                 } else {
@@ -234,7 +205,7 @@ impl MixGenerator {
         // non-identity rotation: all-to-all over time.
         let phase = 1 + (cycle / 16) % (n - 1);
         for src in 0..n {
-            if self.rng.chance(self.spec.rate) {
+            if self.rng.unit() < self.spec.rate {
                 // lint:allow(alloc-in-hot-path) amortized append into caller scratch
                 out.push(self.record(cycle, src, (src + phase) % n));
             }
@@ -248,7 +219,7 @@ impl MixGenerator {
         let k = (self.spec.nodes as f64).sqrt().round().max(1.0) as u64;
         let offsets = [1, n - 1, k % n, n - (k % n)];
         for src in 0..n {
-            if !self.rng.chance(self.spec.rate) {
+            if self.rng.unit() >= self.spec.rate {
                 continue;
             }
             let off = offsets[(self.rng.next_u64() % 4) as usize];
@@ -269,9 +240,9 @@ impl MixGenerator {
         for src in 0..n {
             let st = &mut self.bursts[src as usize];
             if st.remaining == 0 {
-                if self.rng.chance(start_p) {
+                if self.rng.unit() < start_p {
                     st.remaining = BURST_LEN;
-                    let d = self.rng.below(n - 1);
+                    let d = self.rng.next_u64() % (n - 1);
                     st.dst = (if d >= src { d + 1 } else { d }) as u16;
                 } else {
                     continue;

@@ -10,8 +10,8 @@
 //!   snapshot format.
 //! * [`gen`] — deterministic application-mix generators (hotspot-server,
 //!   all-to-all-shuffle, nearest-neighbour-stencil, bursty-client) that
-//!   stand in for SPLASH2-style trace suites. One SplitMix64 stream per
-//!   spec: the same spec always yields the same schedule.
+//!   stand in for SPLASH2-style trace suites. One
+//!   `noc_telemetry::rng::SplitMix64` stream per spec: the same spec always yields the same schedule.
 //! * [`source`] — [`TraceSource`]/[`MixSource`] adapters implementing
 //!   `noc_traffic::TrafficSource`, so the experiment engine injects a
 //!   recorded trace (or live mix) exactly where synthetic traffic would
@@ -30,5 +30,5 @@ pub use format::{
     decode_trace, encode_trace, verify_file, TraceError, TraceHeader, TraceReader, TraceRecord,
     TraceSummary, TraceWriter, CHUNK_RECORDS, FORMAT_VERSION, MAGIC, RECORD_LEN,
 };
-pub use gen::{MixGenerator, MixKind, MixSpec, SplitMix64};
+pub use gen::{MixGenerator, MixKind, MixSpec};
 pub use source::{record_source, MixSource, TraceSource};

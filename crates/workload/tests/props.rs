@@ -13,16 +13,16 @@ use noc_workload::{
 use proptest::prelude::*;
 
 fn records_from(seed: u64, count: usize, nodes: u16) -> Vec<TraceRecord> {
-    let mut rng = noc_workload::SplitMix64::new(seed);
+    let mut rng = noc_telemetry::rng::SplitMix64::new(seed);
     let mut cycle = 0u64;
     (0..count)
         .map(|_| {
-            cycle += rng.below(3);
+            cycle += rng.next_u64() % 3;
             TraceRecord {
                 cycle,
-                src: rng.below(nodes as u64) as u16,
-                dst: rng.below(nodes as u64) as u16,
-                len: 1 + rng.below(31) as u16,
+                src: (rng.next_u64() % u64::from(nodes)) as u16,
+                dst: (rng.next_u64() % u64::from(nodes)) as u16,
+                len: 1 + (rng.next_u64() % 31) as u16,
             }
         })
         .collect()
