@@ -52,7 +52,9 @@ struct Args {
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args`, refusing by name any flag or switch not among the
+    /// space-separated `known`.
+    fn parse(args: &[String], known: &str) -> Result<Self, String> {
         let mut flags = BTreeMap::new();
         let mut switches = Vec::new();
         let mut it = args.iter().peekable();
@@ -60,6 +62,9 @@ impl Args {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{a}`"));
             };
+            if !known.split_whitespace().any(|k| k == key) {
+                return Err(format!("unknown flag `--{key}`"));
+            }
             match it.peek() {
                 Some(v) if !v.starts_with("--") => {
                     flags.insert(key.to_string(), it.next().unwrap().clone());
@@ -89,19 +94,6 @@ impl Args {
 
     fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
-    }
-
-    /// Refuses any flag or switch not in `known`, naming it.
-    fn only(&self, known: &[&str]) -> Result<(), String> {
-        match self
-            .flags
-            .keys()
-            .chain(&self.switches)
-            .find(|k| !known.contains(&k.as_str()))
-        {
-            Some(k) => Err(format!("unknown flag `--{k}`")),
-            None => Ok(()),
-        }
     }
 }
 
@@ -319,26 +311,6 @@ fn parse_workload_source(
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    args.only(&[
-        "cores",
-        "vcs",
-        "rate",
-        "policy",
-        "warmup",
-        "measure",
-        "invariants",
-        "csv",
-        "json",
-        "digest",
-        "mix",
-        "trace-in",
-        "len",
-        "seed",
-        "trace-out",
-        "metrics-out",
-        "sample-period",
-        "profile",
-    ])?;
     let scenario = SyntheticScenario {
         cores: args.get("cores", 16usize)?,
         vcs: args.get("vcs", 4usize)?,
@@ -744,17 +716,6 @@ fn cmd_record(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &Args) -> Result<(), String> {
-    args.only(&[
-        "trace",
-        "cores",
-        "vcs",
-        "policy",
-        "invariants",
-        "csv",
-        "trace-out",
-        "metrics-out",
-        "sample-period",
-    ])?;
     let path = args.required("trace")?.to_string();
     let cores = args.get("cores", 16usize)?;
     let vcs = args.get("vcs", 4usize)?;
@@ -1176,110 +1137,106 @@ fn cmd_spans(file: &str, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_campaign(action: &str, args: &Args) -> Result<(), String> {
+fn cmd_campaign_run(args: &Args) -> Result<(), String> {
     let checkpoint = std::path::PathBuf::from(args.required("checkpoint")?);
-    match action {
-        "run" => {
-            let spec = campaign_spec_from_args(args)?;
-            let store = open_optional_store(args)?;
-            let remote = open_optional_remote(args)?;
-            let mut campaign = noc_campaign::Campaign::new(spec).map_err(|e| e.to_string())?;
-            eprintln!(
-                "campaign: {} epochs, age acceleration {:e}, checkpoint {}{}",
-                campaign.spec().epochs,
-                campaign.spec().age_acceleration,
-                checkpoint.display(),
-                remote
-                    .as_ref()
-                    .map(|r| format!(", {} remote worker(s)", r.pool().len()))
-                    .unwrap_or_default()
-            );
-            run_epochs(&mut campaign, store.as_ref(), &checkpoint, remote.as_ref())
-        }
-        "resume" => {
-            let mut campaign =
-                noc_campaign::Campaign::load(&checkpoint).map_err(|e| e.to_string())?;
-            if campaign.is_finished() {
-                println!(
-                    "campaign already finished ({} epochs)",
-                    campaign.completed()
-                );
-                println!("chained digest: {:016x}", campaign.chained_digest());
-                return Ok(());
-            }
-            eprintln!(
-                "resuming at epoch {}/{}",
-                campaign.completed(),
-                campaign.spec().epochs
-            );
-            for entry in campaign.dispatch_ledger() {
-                eprintln!(
-                    "in flight at checkpoint: epoch {} on {} (attempt {}) — re-dispatching",
-                    entry.epoch, entry.worker, entry.attempt
-                );
-            }
-            let store = open_optional_store(args)?;
-            let remote = open_optional_remote(args)?;
-            run_epochs(&mut campaign, store.as_ref(), &checkpoint, remote.as_ref())
-        }
-        "status" => {
-            let campaign = noc_campaign::Campaign::load(&checkpoint).map_err(|e| e.to_string())?;
-            println!(
-                "{}: {}/{} epochs completed",
-                checkpoint.display(),
-                campaign.completed(),
-                campaign.spec().epochs
-            );
-            if let Some(cycle) = campaign.current_cycle() {
-                println!("simulated cycles: {cycle}");
-            }
-            // Wall-time per epoch from the spans sidecar, when present.
-            // Old checkpoints without one degrade to the bare listing.
-            let spans = std::fs::read_to_string(campaign_spans_path(&checkpoint))
-                .ok()
-                .and_then(|text| read_spans_jsonl(&text).ok())
-                .unwrap_or_default();
-            let epoch_wall_us: BTreeMap<String, u64> = spans
-                .iter()
-                .filter(|s| s.kind == SpanKind::Epoch)
-                .map(|s| (s.name.clone(), s.dur_us))
-                .collect();
-            let mut prev_end = 0u64;
-            for (i, (end, digest)) in campaign.epoch_ends().iter().enumerate() {
-                let cycles = end.saturating_sub(prev_end);
-                prev_end = *end;
-                match epoch_wall_us.get(&format!("epoch-{i}")) {
-                    Some(&us) if us > 0 => {
-                        // cycles per wall-millisecond is numerically kcycles/s.
-                        let kcps = cycles as f64 * 1e3 / us as f64;
-                        println!(
-                            "  epoch {i}: end_cycle {end} digest {digest:016x} \
-                             wall {:.1} ms ({kcps:.1} kcycles/s)",
-                            us as f64 / 1e3
-                        );
-                    }
-                    _ => println!("  epoch {i}: end_cycle {end} digest {digest:016x}"),
-                }
-            }
-            // Per-worker dispatch state from the checkpoint's
-            // coordination log: entries here were in flight on a remote
-            // pool when the front end last checkpointed (or died).
-            for entry in campaign.dispatch_ledger() {
-                println!(
-                    "  in flight: epoch {} on worker {} (attempt {})",
-                    entry.epoch, entry.worker, entry.attempt
-                );
-            }
-            if let Some(ledger) = campaign.ledger() {
-                println!("max dVth: {:.4} mV", ledger.max_delta_vth_mv());
-            }
-            println!("chained digest: {:016x}", campaign.chained_digest());
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown campaign action `{other}` (run | resume | status)"
-        )),
+    let spec = campaign_spec_from_args(args)?;
+    let store = open_optional_store(args)?;
+    let remote = open_optional_remote(args)?;
+    let mut campaign = noc_campaign::Campaign::new(spec).map_err(|e| e.to_string())?;
+    eprintln!(
+        "campaign: {} epochs, age acceleration {:e}, checkpoint {}{}",
+        campaign.spec().epochs,
+        campaign.spec().age_acceleration,
+        checkpoint.display(),
+        remote
+            .as_ref()
+            .map(|r| format!(", {} remote worker(s)", r.pool().len()))
+            .unwrap_or_default()
+    );
+    run_epochs(&mut campaign, store.as_ref(), &checkpoint, remote.as_ref())
+}
+
+fn cmd_campaign_resume(args: &Args) -> Result<(), String> {
+    let checkpoint = std::path::PathBuf::from(args.required("checkpoint")?);
+    let mut campaign = noc_campaign::Campaign::load(&checkpoint).map_err(|e| e.to_string())?;
+    if campaign.is_finished() {
+        println!(
+            "campaign already finished ({} epochs)",
+            campaign.completed()
+        );
+        println!("chained digest: {:016x}", campaign.chained_digest());
+        return Ok(());
     }
+    eprintln!(
+        "resuming at epoch {}/{}",
+        campaign.completed(),
+        campaign.spec().epochs
+    );
+    for entry in campaign.dispatch_ledger() {
+        eprintln!(
+            "in flight at checkpoint: epoch {} on {} (attempt {}) — re-dispatching",
+            entry.epoch, entry.worker, entry.attempt
+        );
+    }
+    let store = open_optional_store(args)?;
+    let remote = open_optional_remote(args)?;
+    run_epochs(&mut campaign, store.as_ref(), &checkpoint, remote.as_ref())
+}
+
+fn cmd_campaign_status(args: &Args) -> Result<(), String> {
+    let checkpoint = std::path::PathBuf::from(args.required("checkpoint")?);
+    let campaign = noc_campaign::Campaign::load(&checkpoint).map_err(|e| e.to_string())?;
+    println!(
+        "{}: {}/{} epochs completed",
+        checkpoint.display(),
+        campaign.completed(),
+        campaign.spec().epochs
+    );
+    if let Some(cycle) = campaign.current_cycle() {
+        println!("simulated cycles: {cycle}");
+    }
+    // Wall-time per epoch from the spans sidecar, when present.
+    // Old checkpoints without one degrade to the bare listing.
+    let spans = std::fs::read_to_string(campaign_spans_path(&checkpoint))
+        .ok()
+        .and_then(|text| read_spans_jsonl(&text).ok())
+        .unwrap_or_default();
+    let epoch_wall_us: BTreeMap<String, u64> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Epoch)
+        .map(|s| (s.name.clone(), s.dur_us))
+        .collect();
+    let mut prev_end = 0u64;
+    for (i, (end, digest)) in campaign.epoch_ends().iter().enumerate() {
+        let cycles = end.saturating_sub(prev_end);
+        prev_end = *end;
+        match epoch_wall_us.get(&format!("epoch-{i}")) {
+            Some(&us) if us > 0 => {
+                // cycles per wall-millisecond is numerically kcycles/s.
+                let kcps = cycles as f64 * 1e3 / us as f64;
+                println!(
+                    "  epoch {i}: end_cycle {end} digest {digest:016x} \
+                             wall {:.1} ms ({kcps:.1} kcycles/s)",
+                    us as f64 / 1e3
+                );
+            }
+            _ => println!("  epoch {i}: end_cycle {end} digest {digest:016x}"),
+        }
+    }
+    // Per-worker dispatch state from the checkpoint's
+    // coordination log: entries here were in flight on a remote
+    // pool when the front end last checkpointed (or died).
+    for entry in campaign.dispatch_ledger() {
+        println!(
+            "  in flight: epoch {} on worker {} (attempt {})",
+            entry.epoch, entry.worker, entry.attempt
+        );
+    }
+    if let Some(ledger) = campaign.ledger() {
+        println!("max dVth: {:.4} mV", ledger.max_delta_vth_mv());
+    }
+    println!("chained digest: {:016x}", campaign.chained_digest());
+    Ok(())
 }
 
 /// `trace gen | info | verify` — the `NBTITRC` binary-trace toolbox.
@@ -1287,103 +1244,99 @@ fn cmd_campaign(action: &str, args: &Args) -> Result<(), String> {
 /// `gen` materializes a deterministic application mix, `info` summarizes
 /// a trace file, `verify` streams it end to end checking every chunk
 /// checksum (corruption exits nonzero with the typed reason).
-fn cmd_trace(action: &str, args: &Args) -> Result<(), String> {
-    match action {
-        "gen" => {
-            let out = args.required("out")?.to_string();
-            let kind = workload::MixKind::parse(args.required("mix")?)?;
-            let spec = workload::MixSpec {
-                kind,
-                nodes: args.get("nodes", 16u16)?,
-                rate: args.get("rate", 0.2f64)?,
-                packet_len: args.get("len", 5u16)?,
-                seed: args.get("seed", 1u64)?,
-            };
-            let cycles = args.get("cycles", 10_000u64)?;
-            let writer = workload::MixGenerator::new(spec)
-                .write_trace(cycles)
-                .map_err(|e| e.to_string())?;
-            let records = writer.len();
-            writer
-                .save(std::path::Path::new(&out))
-                .map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!(
-                "wrote {records} records ({} nodes, {cycles} cycles, mix {}) to {out}",
-                spec.nodes,
-                kind.name()
-            );
-            Ok(())
-        }
-        "info" | "verify" => {
-            let path = args.required("trace")?.to_string();
-            let summary = workload::verify_file(std::path::Path::new(&path))
-                .map_err(|e| format!("{path}: {e}"))?;
-            if action == "verify" {
-                println!(
-                    "{path}: OK ({} records in {} chunks, every checksum valid)",
-                    summary.records, summary.chunks
-                );
-            } else if args.has("json") {
-                println!(
-                    "{{\"nodes\":{},\"records\":{},\"chunks\":{},\"first_cycle\":{},\
-                     \"last_cycle\":{},\"flits\":{}}}",
-                    summary.header.num_nodes,
-                    summary.records,
-                    summary.chunks,
-                    summary.first_cycle,
-                    summary.last_cycle,
-                    summary.flits
-                );
-            } else {
-                println!("{path}: NBTITRC v{}", workload::FORMAT_VERSION);
-                println!("  nodes   {}", summary.header.num_nodes);
-                println!(
-                    "  records {} (in {} chunks)",
-                    summary.records, summary.chunks
-                );
-                println!("  cycles  {}..={}", summary.first_cycle, summary.last_cycle);
-                println!("  flits   {}", summary.flits);
-            }
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown trace action `{other}` (gen | info | verify)"
-        )),
-    }
+fn cmd_trace_gen(args: &Args) -> Result<(), String> {
+    let out = args.required("out")?.to_string();
+    let kind = workload::MixKind::parse(args.required("mix")?)?;
+    let spec = workload::MixSpec {
+        kind,
+        nodes: args.get("nodes", 16u16)?,
+        rate: args.get("rate", 0.2f64)?,
+        packet_len: args.get("len", 5u16)?,
+        seed: args.get("seed", 1u64)?,
+    };
+    let cycles = args.get("cycles", 10_000u64)?;
+    let writer = workload::MixGenerator::new(spec)
+        .write_trace(cycles)
+        .map_err(|e| e.to_string())?;
+    let records = writer.len();
+    writer
+        .save(std::path::Path::new(&out))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!(
+        "wrote {records} records ({} nodes, {cycles} cycles, mix {}) to {out}",
+        spec.nodes,
+        kind.name()
+    );
+    Ok(())
 }
 
-fn cmd_cache(action: &str, args: &Args) -> Result<(), String> {
-    let store =
-        noc_campaign::FsResultStore::open(args.required("dir")?).map_err(|e| e.to_string())?;
-    match action {
-        "stats" => {
-            let stats = store.stats().map_err(|e| e.to_string())?;
-            if args.has("json") {
-                println!(
-                    "{{\"entries\":{},\"bytes\":{}}}",
-                    stats.entries, stats.bytes
-                );
-            } else {
-                println!(
-                    "{}: {} entries, {} bytes",
-                    store.dir().display(),
-                    stats.entries,
-                    stats.bytes
-                );
-            }
-            Ok(())
-        }
-        "gc" => {
-            let keep: usize = args
-                .required("keep")?
-                .parse()
-                .map_err(|e| format!("bad --keep: {e}"))?;
-            let report = store.gc(keep).map_err(|e| e.to_string())?;
-            println!("removed {} entries, kept {}", report.removed, report.kept);
-            Ok(())
-        }
-        other => Err(format!("unknown cache action `{other}` (stats | gc)")),
+/// `trace info` and `trace verify`: both stream-check the whole file.
+fn cmd_trace_check(action: &str, args: &Args) -> Result<(), String> {
+    let path = args.required("trace")?.to_string();
+    let summary =
+        workload::verify_file(std::path::Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
+    if action == "verify" {
+        println!(
+            "{path}: OK ({} records in {} chunks, every checksum valid)",
+            summary.records, summary.chunks
+        );
+    } else if args.has("json") {
+        println!(
+            "{{\"nodes\":{},\"records\":{},\"chunks\":{},\"first_cycle\":{},\
+                     \"last_cycle\":{},\"flits\":{}}}",
+            summary.header.num_nodes,
+            summary.records,
+            summary.chunks,
+            summary.first_cycle,
+            summary.last_cycle,
+            summary.flits
+        );
+    } else {
+        println!("{path}: NBTITRC v{}", workload::FORMAT_VERSION);
+        println!("  nodes   {}", summary.header.num_nodes);
+        println!(
+            "  records {} (in {} chunks)",
+            summary.records, summary.chunks
+        );
+        println!("  cycles  {}..={}", summary.first_cycle, summary.last_cycle);
+        println!("  flits   {}", summary.flits);
     }
+    Ok(())
+}
+
+/// Opens the result store named by `--dir`.
+fn open_store_dir(args: &Args) -> Result<noc_campaign::FsResultStore, String> {
+    noc_campaign::FsResultStore::open(args.required("dir")?).map_err(|e| e.to_string())
+}
+
+fn cmd_cache_stats(args: &Args) -> Result<(), String> {
+    let store = open_store_dir(args)?;
+    let stats = store.stats().map_err(|e| e.to_string())?;
+    if args.has("json") {
+        println!(
+            "{{\"entries\":{},\"bytes\":{}}}",
+            stats.entries, stats.bytes
+        );
+    } else {
+        println!(
+            "{}: {} entries, {} bytes",
+            store.dir().display(),
+            stats.entries,
+            stats.bytes
+        );
+    }
+    Ok(())
+}
+
+fn cmd_cache_gc(args: &Args) -> Result<(), String> {
+    let store = open_store_dir(args)?;
+    let keep: usize = args
+        .required("keep")?
+        .parse()
+        .map_err(|e| format!("bad --keep: {e}"))?;
+    let report = store.gc(keep).map_err(|e| e.to_string())?;
+    println!("removed {} entries, kept {}", report.removed, report.kept);
+    Ok(())
 }
 
 const HELP: &str = "nbti-noc — sensor-wise NBTI mitigation for NoC buffers (DATE 2013 reproduction)
@@ -1441,6 +1394,73 @@ campaigns: per-buffer NBTI drift carries across epochs and feeds the next epoch'
            plane — digests stay bit-identical to a local run, even across a worker kill + resume
 paper tables: see `cargo run -p nbti-noc-bench --bin table2|table3|table4|...`";
 
+/// A subcommand handler: the word after the subcommand (the action, or
+/// `spans`' file; empty for the rest) and the parsed flags.
+type Handler = fn(&str, &Args) -> Result<(), String>;
+
+/// Every subcommand, with its action word if it takes one, the only flags
+/// and switches it reads (space-separated), and its handler. `Args::parse`
+/// refuses any other flag by name, so a typo fails instead of running
+/// with defaults.
+const SUBCOMMANDS: &[(&str, &str, Handler)] = &[
+    (
+        "run",
+        "cores vcs rate policy warmup measure invariants csv json digest mix trace-in len seed \
+         trace-out metrics-out sample-period profile",
+        |_, a| cmd_run(a),
+    ),
+    (
+        "sweep",
+        "cores vcs warmup measure jobs invariants json store remote retries",
+        |_, a| cmd_sweep(a),
+    ),
+    ("record", "out cores rate cycles seed", |_, a| cmd_record(a)),
+    (
+        "replay",
+        "trace cores vcs policy invariants csv trace-out metrics-out sample-period",
+        |_, a| cmd_replay(a),
+    ),
+    ("stats", "trace json", |_, a| cmd_stats(a)),
+    (
+        "verify",
+        "policy depth symmetry inject-fault counterexample-out",
+        |_, a| cmd_verify(a),
+    ),
+    ("area", "", |_, _| cmd_area()),
+    (
+        "serve",
+        "addr workers queue-depth timeout-ms cache-dir spans-out",
+        |_, a| cmd_serve(a),
+    ),
+    (
+        "submit",
+        "addr count concurrency cores vcs rate policy warmup measure seed batch shutdown",
+        |_, a| cmd_submit(a),
+    ),
+    ("spans", "json", cmd_spans),
+    (
+        "campaign run",
+        "checkpoint epochs age-acceleration drain-limit cores vcs rate policy warmup measure \
+         seed pv-seed store remote retries",
+        |_, a| cmd_campaign_run(a),
+    ),
+    (
+        "campaign resume",
+        "checkpoint store remote retries",
+        |_, a| cmd_campaign_resume(a),
+    ),
+    ("campaign status", "checkpoint", |_, a| {
+        cmd_campaign_status(a)
+    }),
+    ("cache stats", "dir json", |_, a| cmd_cache_stats(a)),
+    ("cache gc", "dir keep", |_, a| cmd_cache_gc(a)),
+    ("trace gen", "out mix nodes cycles rate len seed", |_, a| {
+        cmd_trace_gen(a)
+    }),
+    ("trace info", "trace json", cmd_trace_check),
+    ("trace verify", "trace", cmd_trace_check),
+];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
@@ -1448,51 +1468,41 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     };
     let run = || -> Result<(), String> {
+        if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+            println!("{HELP}");
+            return Ok(());
+        }
         // `campaign`, `cache` and `trace` take an action word before the
-        // flags.
-        if cmd == "campaign" || cmd == "cache" || cmd == "trace" {
-            let Some((action, flags)) = rest.split_first() else {
-                return Err(format!(
-                    "{cmd} needs an action: {}",
-                    match cmd.as_str() {
-                        "campaign" => "run | resume | status",
-                        "cache" => "stats | gc",
-                        _ => "gen | info | verify",
-                    }
-                ));
+        // flags, and `spans` a file.
+        let actions: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .filter_map(|(name, ..)| name.strip_prefix(cmd.as_str())?.strip_prefix(' '))
+            .collect();
+        let (word, flags) = if actions.is_empty() && cmd != "spans" {
+            ("", rest)
+        } else {
+            let Some((word, flags)) = rest.split_first() else {
+                return Err(if actions.is_empty() {
+                    "spans needs a JSONL file (try `nbti-noc spans spans.jsonl`)".to_string()
+                } else {
+                    format!("{cmd} needs an action: {}", actions.join(" | "))
+                });
             };
-            let args = Args::parse(flags)?;
-            return match cmd.as_str() {
-                "campaign" => cmd_campaign(action, &args),
-                "cache" => cmd_cache(action, &args),
-                _ => cmd_trace(action, &args),
-            };
-        }
-        // `spans` takes the file as a positional argument.
-        if cmd == "spans" {
-            let Some((file, flags)) = rest.split_first() else {
-                return Err("spans needs a JSONL file (try `nbti-noc spans spans.jsonl`)".into());
-            };
-            let args = Args::parse(flags)?;
-            return cmd_spans(file, &args);
-        }
-        let args = Args::parse(rest)?;
-        match cmd.as_str() {
-            "run" => cmd_run(&args),
-            "sweep" => cmd_sweep(&args),
-            "record" => cmd_record(&args),
-            "replay" => cmd_replay(&args),
-            "stats" => cmd_stats(&args),
-            "verify" => cmd_verify(&args),
-            "area" => cmd_area(),
-            "serve" => cmd_serve(&args),
-            "submit" => cmd_submit(&args),
-            "help" | "--help" | "-h" => {
-                println!("{HELP}");
-                Ok(())
-            }
-            other => Err(format!("unknown subcommand `{other}` (try help)")),
-        }
+            (word.as_str(), flags)
+        };
+        let name = if actions.is_empty() {
+            cmd.clone()
+        } else {
+            format!("{cmd} {word}")
+        };
+        let Some((_, known, handler)) = SUBCOMMANDS.iter().find(|(n, ..)| *n == name) else {
+            return Err(if actions.is_empty() {
+                format!("unknown subcommand `{cmd}` (try help)")
+            } else {
+                format!("unknown {cmd} action `{word}` ({})", actions.join(" | "))
+            });
+        };
+        handler(word, &Args::parse(flags, known)?)
     };
     match run() {
         Ok(()) => ExitCode::SUCCESS,

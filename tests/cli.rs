@@ -64,6 +64,42 @@ fn fabric_flags_are_refused_by_name() {
     }
 }
 
+/// Every subcommand refuses a flag it does not read, naming it, instead of
+/// running with defaults: `sweep` has no `--routing`, `serve` no
+/// `--bogus`, and an action word is checked before its flags.
+#[test]
+fn unknown_flags_are_refused_by_every_subcommand() {
+    for args in [
+        &["sweep", "--routing", "yx"][..],
+        &["serve", "--bogus", "1"],
+        &["record", "--out", "never.nbtitrc", "--vcs", "2"],
+        &[
+            "campaign",
+            "status",
+            "--checkpoint",
+            "none.ckpt",
+            "--epochs",
+            "3",
+        ],
+        &["spans", "none.jsonl", "--csv"],
+    ] {
+        let (stdout, stderr, ok) = run(args);
+        assert!(!ok, "{args:?}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let (_, stderr, ok) = run(&["cache", "purge", "--dir", "x"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown cache action `purge` (stats | gc)"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn more_than_32_vcs_per_port_is_a_config_error() {
     let (_, stderr, ok) = run(&[
