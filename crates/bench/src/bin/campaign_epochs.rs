@@ -4,8 +4,10 @@
 //!
 //! Each invocation runs one multi-epoch campaign of the standard 4-core
 //! scenario, checkpointing after every epoch exactly as `campaign run`
-//! does, and records wall time, epochs/sec, checkpoint size and the final
-//! chained digest. Regressions in the epoch loop or the snapshot codec
+//! does, and records wall time (in microseconds), epochs/sec, checkpoint
+//! size and the final chained digest. It reports no kcycles/s: the
+//! canonical 4x4 rate is `sim_throughput`'s, and this 4-core scenario's
+//! would compare with nothing. Regressions in the epoch loop or the snapshot codec
 //! show up as a drop between consecutive runs.
 //!
 //! Usage: `cargo run --release -p nbti-noc-bench --bin campaign_epochs`
@@ -26,15 +28,14 @@ fn main() {
     let reports = campaign
         .run_to_completion(None, Some(&ckpt))
         .expect("campaign completes");
-    let elapsed_ms = clock::ms_since(started).max(1);
+    let elapsed_us = clock::us_since(started).max(1);
 
     assert_eq!(reports.len() as u32, bench.epochs);
     let checkpoint_bytes = fs::metadata(&ckpt).map(|m| m.len()).unwrap_or(0);
     let _ = fs::remove_file(&ckpt);
 
     let simulated_cycles = campaign.current_cycle().unwrap_or(0);
-    let epochs_per_sec = f64::from(bench.epochs) * 1_000.0 / elapsed_ms as f64;
-    let kcycles_per_sec = simulated_cycles as f64 / elapsed_ms as f64;
+    let epochs_per_sec = f64::from(bench.epochs) * 1e6 / elapsed_us as f64;
     let max_delta = reports
         .iter()
         .map(|r| r.max_delta_vth_mv)
@@ -44,8 +45,8 @@ fn main() {
     let run = existing_runs(&out) + 1;
     let entry = format!(
         "{{\"run\":{run},\"mode\":\"local\",\"epochs\":{},\"measure_cycles\":{},\"warmup_cycles\":{},\
-         \"rate\":{},\"elapsed_ms\":{elapsed_ms},\"epochs_per_sec\":{epochs_per_sec:.2},\
-         \"kcycles_per_sec\":{kcycles_per_sec:.1},\"simulated_cycles\":{simulated_cycles},\
+         \"rate\":{},\"elapsed_us\":{elapsed_us},\"epochs_per_sec\":{epochs_per_sec:.2},\
+         \"simulated_cycles\":{simulated_cycles},\
          \"checkpoint_bytes\":{checkpoint_bytes},\"max_delta_vth_mv\":{max_delta:.4},\
          \"chained_digest\":\"{:016x}\"}}",
         bench.epochs,
@@ -56,8 +57,8 @@ fn main() {
     );
     append_entry(&out, &entry);
     println!(
-        "campaign_epochs: {} epochs in {elapsed_ms} ms ({epochs_per_sec:.2} epochs/s, \
-         {kcycles_per_sec:.1} kcycles/s), checkpoint {checkpoint_bytes} B, \
+        "campaign_epochs: {} epochs in {elapsed_us} us ({epochs_per_sec:.2} epochs/s), \
+         checkpoint {checkpoint_bytes} B, \
          max dVth {max_delta:.4} mV, chained digest {:016x}",
         bench.epochs,
         campaign.chained_digest()

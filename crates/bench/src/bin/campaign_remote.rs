@@ -6,9 +6,10 @@
 //!
 //! Each invocation first runs the identical campaign in-process (the
 //! digest oracle, recorded as the baseline), then dispatches it through a
-//! [`RemoteExecutor`] and records wall time, epochs/sec, and the dispatch
-//! span p50/p99 — the per-epoch submit→poll→result round-trip overhead
-//! the distributed plane adds on top of simulation.
+//! [`RemoteExecutor`] and records wall time (in microseconds), epochs/sec,
+//! and the dispatch span p50/p99 — the per-epoch submit→poll→result
+//! round-trip overhead the distributed plane adds on top of simulation.
+//! Like `campaign_epochs`, it reports no kcycles/s.
 //!
 //! Usage: `cargo run --release -p nbti-noc-bench --bin campaign_remote`
 //! `[-- --epochs N --measure N --warmup N --rate R]`
@@ -63,7 +64,7 @@ fn main() {
             .run_next_epoch_with(&exec, Some(&store))
             .expect("remote epoch dispatches");
     }
-    let elapsed_ms = clock::ms_since(started).max(1);
+    let elapsed_us = clock::us_since(started).max(1);
 
     assert_eq!(
         campaign.chained_digest(),
@@ -87,16 +88,15 @@ fn main() {
     let _ = fs::remove_dir_all(&store_dir);
 
     let simulated_cycles = campaign.current_cycle().unwrap_or(0);
-    let epochs_per_sec = f64::from(bench.epochs) * 1_000.0 / elapsed_ms as f64;
-    let kcycles_per_sec = simulated_cycles as f64 / elapsed_ms as f64;
+    let epochs_per_sec = f64::from(bench.epochs) * 1e6 / elapsed_us as f64;
 
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_campaign.json");
     let run = existing_runs(&out) + 1;
     let entry = format!(
         "{{\"run\":{run},\"mode\":\"remote\",\"workers\":2,\"epochs\":{},\
          \"measure_cycles\":{},\"warmup_cycles\":{},\"rate\":{},\
-         \"elapsed_ms\":{elapsed_ms},\"epochs_per_sec\":{epochs_per_sec:.2},\
-         \"kcycles_per_sec\":{kcycles_per_sec:.1},\"simulated_cycles\":{simulated_cycles},\
+         \"elapsed_us\":{elapsed_us},\"epochs_per_sec\":{epochs_per_sec:.2},\
+         \"simulated_cycles\":{simulated_cycles},\
          \"dispatch_p50_us\":{p50},\"dispatch_p99_us\":{p99},\
          \"chained_digest\":\"{:016x}\"}}",
         bench.epochs,
@@ -107,8 +107,8 @@ fn main() {
     );
     append_entry(&out, &entry);
     println!(
-        "campaign_remote: {} epochs over 2 workers in {elapsed_ms} ms \
-         ({epochs_per_sec:.2} epochs/s, {kcycles_per_sec:.1} kcycles/s), \
+        "campaign_remote: {} epochs over 2 workers in {elapsed_us} us \
+         ({epochs_per_sec:.2} epochs/s), \
          dispatch p50 {p50} us p99 {p99} us, chained digest {:016x}",
         bench.epochs,
         campaign.chained_digest()
