@@ -48,6 +48,20 @@ if grep -rn 'OutVcState' crates src tests; then
     echo "ci: a second record of output-VC occupancy is back" >&2
     exit 1
 fi
+# One random-number generator: noc_telemetry::rng holds the one
+# SplitMix64 and the one xoshiro256++. The `rand` stand-in, its API names
+# and a second SplitMix64 (by name or by its multiplier) stay deleted.
+# tools/analyze/fixtures is not searched: its os_random_violation.rs must
+# keep tripping the analyzer's no-os-random rule.
+rng_dirs="crates src tests tools/analyze/src examples"
+# shellcheck disable=SC2086 # rng_dirs is a word list
+if [ -d compat/rand ] \
+    || grep -rnE 'rand::|StdRng|SeedableRng' $rng_dirs \
+    || [ "$(grep -rn 'struct SplitMix64' $rng_dirs | wc -l)" -ne 1 ] \
+    || grep -rniE '0xBF58_?476D_?1CE4_?E5B9' $rng_dirs | grep -v '^crates/telemetry/src/rng\.rs:'; then
+    echo "ci: a second random-number generator is back (see noc_telemetry::rng)" >&2
+    exit 1
+fi
 # Input-VC state lives in masks kept by their writers, and arbiters grant
 # from request masks: the per-VC state enum, the readiness timestamps and
 # the closure-probing arbiter stay deleted.
