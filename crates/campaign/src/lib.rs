@@ -76,6 +76,6 @@ pub use engine::{
     LocalExecutor, EPOCH_SEED_STRIDE,
 };
 pub use ledger::{LedgerError, LifetimeLedger};
-pub use remote::{recover_from_store, run_batch_remote, RemoteExecutor, WorkerPool};
+pub use remote::{recover_from_store, RemoteExecutor, WorkerPool};
 pub use snapshot::{SnapshotError, FORMAT_VERSION, MAGIC, MIN_READ_VERSION};
 pub use store::{FsResultStore, GcReport, StoreError, StoreStats};

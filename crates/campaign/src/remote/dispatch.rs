@@ -4,8 +4,7 @@ use crate::engine::{CampaignError, EpochExecutor};
 use crate::remote::pool::WorkerPool;
 use noc_service::{deterministic_backoff_ms, ServiceClient, Submitted, WaitError};
 use noc_telemetry::{derive_id, Span, SpanKind, SpanLog, NO_PARENT};
-use sensorwise::{spec_key, WireEpochOutcome, WireEpochRequest, WireResult};
-use std::collections::BTreeMap;
+use sensorwise::{spec_key, WireEpochOutcome, WireEpochRequest};
 use std::thread;
 use std::time::Duration;
 
@@ -217,110 +216,4 @@ impl EpochExecutor for RemoteExecutor {
     fn span_log(&self) -> Option<&SpanLog> {
         Some(&self.spans)
     }
-}
-
-/// Runs the per-point jobs of a sweep against the pool via
-/// `POST /jobs/batch`: one batch request per worker per round, per-item
-/// `202`/`429` handling, deterministic backoff between rounds,
-/// and reassignment of every point stranded on a dead worker. Returns one
-/// [`WireResult`] per spec, in input order.
-///
-/// # Errors
-///
-/// [`CampaignError::Dispatch`] when every worker dies, a point is refused
-/// outright, a job fails on a worker, or the retry budget runs out with
-/// points still pending.
-pub fn run_batch_remote(
-    pool: &WorkerPool,
-    specs: &[String],
-    retries: u32,
-) -> Result<Vec<WireResult>, CampaignError> {
-    let mut results: Vec<Option<WireResult>> = specs.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = (0..specs.len()).collect();
-    let mut attempt: u32 = 0;
-    while !pending.is_empty() {
-        if attempt > retries {
-            return Err(CampaignError::Dispatch(format!(
-                "{} sweep points still undispatched after {} rounds",
-                pending.len(),
-                retries + 1
-            )));
-        }
-        // Group this round's points by their deterministic assignment.
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &point in &pending {
-            match pool.planned_worker(point as u32, attempt) {
-                Some(worker) => groups.entry(worker).or_default().push(point),
-                None => {
-                    return Err(CampaignError::Dispatch(
-                        "every worker is dead with sweep points pending".to_string(),
-                    ))
-                }
-            }
-        }
-        let mut deferred: Vec<usize> = Vec::new();
-        let mut accepted: Vec<(usize, usize, u64)> = Vec::new();
-        for (worker, points) in &groups {
-            let client = pool.client(*worker);
-            let batch: Vec<String> = points.iter().map(|&p| specs[p].clone()).collect();
-            match client.submit_batch(&batch) {
-                Ok(rows) => {
-                    for (slot, &point) in points.iter().enumerate() {
-                        match rows.get(slot) {
-                            Some(Submitted::Accepted { id }) => {
-                                accepted.push((*worker, point, *id));
-                            }
-                            Some(Submitted::Busy { .. }) | None => deferred.push(point),
-                            Some(Submitted::Refused { status, error }) => {
-                                return Err(CampaignError::Dispatch(format!(
-                                    "sweep point {point} refused by {} ({status}): {error}",
-                                    client.addr()
-                                )))
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    pool.mark_dead(*worker);
-                    deferred.extend(points.iter().copied());
-                }
-            }
-        }
-        for (worker, point, id) in accepted {
-            let client = pool.client(worker);
-            // A transport failure or an undecodable result reassigns the
-            // point; a failed job fails the sweep.
-            match client.wait_result_json(id, RESULT_BUDGET_MS) {
-                Ok(doc) => match WireResult::from_json(&doc) {
-                    Ok(result) => results[point] = Some(result),
-                    Err(_) => {
-                        pool.mark_dead(worker);
-                        deferred.push(point);
-                    }
-                },
-                Err(WaitError::Ended(state)) => {
-                    return Err(CampaignError::Dispatch(job_failure(client, id, &state)))
-                }
-                Err(WaitError::Transport(_)) => {
-                    pool.mark_dead(worker);
-                    deferred.push(point);
-                }
-            }
-        }
-        if !deferred.is_empty() {
-            deferred.sort_unstable();
-            let seed = spec_key(&specs[deferred[0]]);
-            let wait = deterministic_backoff_ms(seed, attempt, 1);
-            thread::sleep(Duration::from_millis(wait));
-        }
-        pending = deferred;
-        attempt += 1;
-    }
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.ok_or_else(|| CampaignError::Dispatch(format!("sweep point {i} produced no result")))
-        })
-        .collect()
 }

@@ -12,9 +12,7 @@
 //!   epoch's [`sensorwise::WireEpochRequest`] to a worker and decoding the
 //!   [`sensorwise::WireEpochOutcome`] it serves back, with retry and
 //!   reassignment on worker death and backpressure-aware (`429` +
-//!   `Retry-After`, deterministic backoff) scheduling — plus
-//!   [`run_batch_remote`](dispatch::run_batch_remote), the same plane for
-//!   the per-point jobs of a cached sweep,
+//!   `Retry-After`, deterministic backoff) scheduling,
 //! * [`recovery`] — resuming after a kill: the shared
 //!   [`FsResultStore`](crate::FsResultStore) is the result plane every
 //!   worker writes into, so an epoch whose worker died *after* filing its
@@ -37,6 +35,6 @@ pub mod dispatch;
 pub mod pool;
 pub mod recovery;
 
-pub use dispatch::{run_batch_remote, RemoteExecutor};
+pub use dispatch::RemoteExecutor;
 pub use pool::WorkerPool;
 pub use recovery::recover_from_store;

@@ -187,71 +187,6 @@ impl ServiceClient {
         }
     }
 
-    /// Submits many specs in one request (`POST /jobs/batch`).
-    ///
-    /// The server admits the items in order, each exactly as a single
-    /// submission would be. Returns one [`Submitted`] per input,
-    /// in order: `202` rows map to [`Submitted::Accepted`] (cached hits
-    /// included — they are already `done`), `429` rows to
-    /// [`Submitted::Busy`], anything else to [`Submitted::Refused`].
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, a non-`200` envelope, or a malformed body.
-    pub fn submit_batch(&self, specs: &[String]) -> Result<Vec<Submitted>, String> {
-        let mut body = String::from("{\"jobs\":[");
-        for (i, spec) in specs.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(spec);
-        }
-        body.push_str("]}");
-        let (response, _) = self.timed("POST", "/jobs/batch", &body)?;
-        if response.status != 200 {
-            return Err(format!(
-                "batch: HTTP {}: {}",
-                response.status, response.body
-            ));
-        }
-        let v = JsonValue::parse(&response.body).map_err(|e| e.to_string())?;
-        let items = v
-            .get("items")
-            .and_then(JsonValue::as_arr)
-            .ok_or("batch response without items")?;
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            let code = item
-                .get("code")
-                .and_then(JsonValue::as_u64)
-                .ok_or("batch item without a code")?;
-            out.push(match code {
-                202 => {
-                    let id = item
-                        .get("id")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("202 batch item without an id")?;
-                    Submitted::Accepted { id }
-                }
-                429 => Submitted::Busy {
-                    retry_after_secs: item
-                        .get("retry_after")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(1),
-                },
-                status => Submitted::Refused {
-                    status: u16::try_from(status).unwrap_or(500),
-                    error: item
-                        .get("error")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                },
-            });
-        }
-        Ok(out)
-    }
-
     /// Fetches a job's status.
     ///
     /// # Errors

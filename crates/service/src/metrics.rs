@@ -50,8 +50,6 @@ fn render_histogram(out: &mut String, hist: &LatencyHistogram, name: &str, label
 pub enum Endpoint {
     /// `POST /jobs`
     Submit,
-    /// `POST /jobs/batch`
-    Batch,
     /// `GET /jobs/{id}`
     Status,
     /// `GET /jobs/{id}/result`, waited (`?wait_ms=N`) or not
@@ -70,13 +68,12 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// Number of endpoint classes.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// The `endpoint` label value.
     pub fn label(self) -> &'static str {
         match self {
             Endpoint::Submit => "submit",
-            Endpoint::Batch => "batch",
             Endpoint::Status => "status",
             Endpoint::Result => "result",
             Endpoint::Cancel => "cancel",
@@ -90,7 +87,6 @@ impl Endpoint {
     /// Every class, in exposition order.
     pub const ALL: [Endpoint; Endpoint::COUNT] = [
         Endpoint::Submit,
-        Endpoint::Batch,
         Endpoint::Status,
         Endpoint::Result,
         Endpoint::Cancel,
@@ -104,7 +100,6 @@ impl Endpoint {
     pub fn classify(method: &str, target: &Target<'_>) -> Endpoint {
         match (method, target.segments.as_slice()) {
             ("POST", ["jobs"]) => Endpoint::Submit,
-            ("POST", ["jobs", "batch"]) => Endpoint::Batch,
             ("GET", ["jobs", _]) => Endpoint::Status,
             ("GET", ["jobs", _, "result"]) => Endpoint::Result,
             ("DELETE", ["jobs", _]) => Endpoint::Cancel,

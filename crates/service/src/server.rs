@@ -562,7 +562,6 @@ fn route(req: &Request, target: &Target<'_>, shared: &Shared) -> Routed {
     }
     match (req.method.as_str(), target.segments.as_slice()) {
         ("POST", ["jobs"]) => submit(req, shared),
-        ("POST", ["jobs", "batch"]) => submit_batch(req, shared),
         ("GET", ["jobs", id]) => with_id(id, |id| status(id, shared)),
         ("GET", ["jobs", id, "result"]) => with_id(id, |id| result(id, shared)),
         ("DELETE", ["jobs", id]) => with_id(id, |id| cancel(id, shared)),
@@ -587,26 +586,22 @@ fn with_id(raw: &str, f: impl FnOnce(u64) -> Routed) -> Routed {
     }
 }
 
-/// Decodes one submission — already parsed, so each body is parsed once —
-/// into a runnable payload plus its canonical spec JSON. Objects carrying
-/// the `"kind":"epoch"` marker are campaign epochs; everything else is a
-/// standalone experiment spec. Re-encoding makes the stored spec canonical
-/// regardless of client formatting.
-fn decode_submission(root: &JsonValue) -> Result<(JobPayload, String), String> {
+/// Parses and decodes one submission body into a runnable payload plus
+/// its canonical spec JSON. Objects carrying the `"kind":"epoch"` marker
+/// are campaign epochs; everything else is a standalone experiment spec.
+/// Re-encoding makes the stored spec canonical regardless of client
+/// formatting.
+fn parse_submission(body: &str) -> Result<(JobPayload, String), String> {
+    let root = JsonValue::parse(body).map_err(|e| e.to_string())?;
     if root.get("kind").and_then(JsonValue::as_str) == Some("epoch") {
-        let req = WireEpochRequest::from_value(root).map_err(|e| e.to_string())?;
+        let req = WireEpochRequest::from_value(&root).map_err(|e| e.to_string())?;
         let canonical = req.to_json().map_err(|e| e.to_string())?;
         Ok((JobPayload::Epoch(Box::new(req)), canonical))
     } else {
-        let job = spec_from_value(root).map_err(|e| e.to_string())?;
+        let job = spec_from_value(&root).map_err(|e| e.to_string())?;
         let canonical = spec_to_json(&job).map_err(|e| e.to_string())?;
         Ok((JobPayload::Experiment(Box::new(job)), canonical))
     }
-}
-
-/// Parses and decodes one submission body (see [`decode_submission`]).
-fn parse_submission(body: &str) -> Result<(JobPayload, String), String> {
-    decode_submission(&JsonValue::parse(body).map_err(|e| e.to_string())?)
 }
 
 /// Looks a canonical spec up in the result cache: its result JSON and
@@ -679,69 +674,6 @@ fn submit(req: &Request, shared: &Shared) -> Routed {
         ),
         Err(Refusal::Closed) => shutting_down(),
     }
-}
-
-/// `POST /jobs/batch`: an array of specs accepted in one request. The body
-/// is `{"jobs":[...]}` where each item is either a spec object or a string
-/// containing spec JSON (epoch requests welcome in both forms). Each item
-/// is admitted in turn exactly as a single submission would be, and the
-/// response is `200` with its per-item `202`/`400`/`429`/`503` codes.
-fn submit_batch(req: &Request, shared: &Shared) -> Routed {
-    if !shared.table.gauges().accepting {
-        return shutting_down();
-    }
-    let root = match JsonValue::parse(&req.body) {
-        Ok(v) => v,
-        Err(e) => {
-            return plain(
-                400,
-                format!("{{\"error\":{}}}", json_string(&e.to_string())),
-            )
-        }
-    };
-    let Some(items) = root.get("jobs").and_then(JsonValue::as_arr) else {
-        return plain(
-            400,
-            "{\"error\":\"batch body must be {\\\"jobs\\\":[...]}\"}".to_string(),
-        );
-    };
-    let (mut accepted, mut cached, mut busy, mut errors) = (0u64, 0u64, 0u64, 0u64);
-    let mut rows = Vec::with_capacity(items.len());
-    for item in items {
-        let decoded = match item {
-            JsonValue::Str(text) => parse_submission(text),
-            spec => decode_submission(spec),
-        };
-        let (payload, canonical) = match decoded {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                errors += 1;
-                rows.push(format!("{{\"code\":400,\"error\":{}}}", json_string(&e)));
-                continue;
-            }
-        };
-        rows.push(match admit(payload, canonical, shared) {
-            Ok((id, true)) => {
-                cached += 1;
-                format!("{{\"code\":202,\"id\":{id},\"status\":\"done\",\"cached\":true}}")
-            }
-            Ok((id, false)) => {
-                accepted += 1;
-                format!("{{\"code\":202,\"id\":{id},\"status\":\"queued\"}}")
-            }
-            Err(Refusal::Busy) => {
-                busy += 1;
-                "{\"code\":429,\"status\":\"busy\",\"retry_after\":1}".to_string()
-            }
-            Err(Refusal::Closed) => "{\"code\":503,\"status\":\"shutting_down\"}".to_string(),
-        });
-    }
-    let body = format!(
-        "{{\"accepted\":{accepted},\"cached\":{cached},\"busy\":{busy},\"errors\":{errors},\
-         \"items\":[{}]}}",
-        rows.join(",")
-    );
-    plain(200, body)
 }
 
 fn status(id: u64, shared: &Shared) -> Routed {

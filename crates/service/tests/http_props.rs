@@ -13,8 +13,7 @@ use proptest::prelude::*;
 const HEAD_ALPHABET: &[u8] = b"GETPOS /jobs?wait_ms=0123456789:\r\nContent-Length HTTP/1.\xff";
 
 /// A valid request; the properties cut and flip it.
-const VALID: &str =
-    "POST /jobs/batch HTTP/1.1\r\nHost: lab\r\nContent-Length: 11\r\n\r\n{\"jobs\":[]}";
+const VALID: &str = "POST /jobs HTTP/1.1\r\nHost: lab\r\nContent-Length: 11\r\n\r\n{\"jobs\":[]}";
 
 /// Parses `raw` as a whole request and, when that succeeds, its target;
 /// `true` when both were accepted.
@@ -30,7 +29,7 @@ fn the_valid_request_parses() {
     let req = read_request(&mut VALID.as_bytes()).expect("valid request");
     assert_eq!(req.body, "{\"jobs\":[]}");
     let target = parse_target(&req.path).expect("plain target");
-    assert_eq!(target.segments, ["jobs", "batch"]);
+    assert_eq!(target.segments, ["jobs"]);
 }
 
 #[test]

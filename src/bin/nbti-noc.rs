@@ -5,7 +5,6 @@
 //!                 [--mix KIND | --trace-in FILE] [--len L] [--seed N] [--digest]
 //!                 [--trace-out FILE] [--metrics-out FILE] [--sample-period N] [--profile]
 //! nbti-noc sweep  [--cores N] [--vcs V] [--warmup N] [--measure N] [--store DIR]
-//!                 [--remote addr1,addr2 --retries N]
 //! nbti-noc record --out FILE [--cores N] [--rate R] [--cycles N] [--seed N]
 //! nbti-noc replay --trace FILE [--cores N] [--vcs V] [--policy P]
 //!                 [--trace-out FILE] [--metrics-out FILE] [--sample-period N]
@@ -21,7 +20,7 @@
 //! nbti-noc spans  FILE [--json]
 //! nbti-noc submit [--addr A] [--count N] [--concurrency N] [--cores N] [--vcs V]
 //!                 [--rate R] [--policy P] [--warmup N] [--measure N] [--seed N]
-//!                 [--batch] [--shutdown]
+//!                 [--shutdown]
 //! nbti-noc campaign run    --checkpoint FILE [--epochs N] [--age-acceleration F] [--drain-limit N]
 //!                          [--cores N] [--vcs V] [--rate R] [--policy P] [--warmup N] [--measure N]
 //!                          [--seed N] [--pv-seed N] [--store DIR]
@@ -471,51 +470,20 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
 
     let client = noc_service::ServiceClient::new(addr.clone());
     let started = clock::now();
-    let outcomes = if args.has("batch") {
-        // One `POST /jobs/batch`: the server reserves queue slots in a
-        // single pass, answering 202/429 per item. Items bounced with
-        // 429 fall back to the retrying single-submit path.
-        eprintln!("submitting {count} jobs to {addr} in one batch request...");
-        let rows = client.submit_batch(&specs)?;
-        if rows.len() != specs.len() {
-            return Err(format!(
-                "batch answered {} items for {} jobs",
-                rows.len(),
-                specs.len()
-            ));
-        }
-        let indexed: Vec<(usize, noc_service::Submitted)> = rows.into_iter().enumerate().collect();
-        parallel_map(&indexed, concurrency, |_, (i, row)| {
-            let c = client.clone();
-            let (id, busy) = match row {
-                noc_service::Submitted::Accepted { id } => (*id, 0u32),
-                noc_service::Submitted::Busy { .. } => {
-                    let (id, busy, _) = c.submit_with_retry(&specs[*i], 200)?;
-                    (id, busy + 1)
-                }
-                noc_service::Submitted::Refused { status, error } => {
-                    return Err(format!("job {i} refused ({status}): {error}"));
-                }
-            };
-            let result = c.wait_result(id, 60_000)?;
-            Ok::<_, String>((id, busy, Vec::new(), result))
-        })
-    } else {
-        eprintln!("submitting {count} jobs to {addr} ({concurrency} concurrent submitters)...");
-        parallel_map(&specs, concurrency, |_, spec| {
-            let c = client.clone();
-            let (id, busy, latencies) = c.submit_with_retry(spec, 200)?;
-            let result = c.wait_result(id, 60_000)?;
-            Ok::<_, String>((id, busy, latencies, result))
-        })
-    };
+    eprintln!("submitting {count} jobs to {addr} ({concurrency} concurrent submitters)...");
+    let outcomes = parallel_map(&specs, concurrency, |_, spec| {
+        let c = client.clone();
+        let (id, busy, latencies) = c.submit_with_retry(spec, 200)?;
+        let result = c.wait_result(id, 60_000)?;
+        Ok::<_, String>((busy, latencies, result))
+    });
     let elapsed_ms = clock::ms_since(started).max(1);
 
     let mut latencies: Vec<u64> = Vec::new();
     let mut busy_total = 0u64;
     let mut digests = Vec::with_capacity(count);
     for outcome in outcomes {
-        let (_, busy, lat, result) = outcome?;
+        let (busy, lat, result) = outcome?;
         busy_total += u64::from(busy);
         latencies.extend(lat);
         digests.push(
@@ -587,23 +555,29 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         .collect();
 
     // `(rr_md_duty, sw_md_duty, invariant_violations)` per rate: computed
-    // fresh, served from a content-addressed `--store`, or run as served
-    // jobs on a `--remote` worker pool (per-point batch dispatch; the
-    // workers' shared `--cache-dir` memoizes repeats).
+    // fresh or served from a content-addressed `--store`.
     let sampled = PortId::router_input(NodeId(0), Direction::East).to_string();
     let md_duty = |r: &sensorwise::WireResult| -> Result<f64, String> {
         let row = r
             .ports
             .iter()
             .find(|p| p.port == sampled)
-            .ok_or_else(|| format!("served result lacks port {sampled}"))?;
+            .ok_or_else(|| format!("stored result lacks port {sampled}"))?;
         row.duty_percent
             .get(row.md_vc)
             .copied()
-            .ok_or_else(|| format!("served result has no duty for VC {}", row.md_vc))
+            .ok_or_else(|| format!("stored result has no duty for VC {}", row.md_vc))
     };
-    let wire_rows = |results: &[sensorwise::WireResult]| -> Result<Vec<(f64, f64, u64)>, String> {
-        results
+    let rows: Vec<(f64, f64, u64)> = if let Some(dir) = args.flags.get("store") {
+        let store = noc_campaign::FsResultStore::open(dir).map_err(|e| e.to_string())?;
+        let outcome =
+            sensorwise::run_batch_cached(&batch, jobs, &store).map_err(|e| e.to_string())?;
+        eprintln!(
+            "result store {dir}: {} hits, {} misses",
+            outcome.hits, outcome.misses
+        );
+        outcome
+            .results
             .chunks_exact(2)
             .map(|pair| {
                 Ok((
@@ -612,38 +586,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                     pair[0].invariant_violations + pair[1].invariant_violations,
                 ))
             })
-            .collect()
-    };
-    let rows: Vec<(f64, f64, u64)> = if let Some(list) = args.flags.get("remote") {
-        let addrs: Vec<String> = list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect();
-        let pool = noc_campaign::WorkerPool::new(&addrs).map_err(|e| e.to_string())?;
-        let retries = args.get("retries", 2u32)?;
-        let specs: Vec<String> = batch
-            .iter()
-            .map(|j| sensorwise::spec_to_json(j).map_err(|e| e.to_string()))
-            .collect::<Result<_, _>>()?;
-        eprintln!(
-            "dispatching {} sweep points to {} worker(s)...",
-            specs.len(),
-            pool.len()
-        );
-        let results =
-            noc_campaign::run_batch_remote(&pool, &specs, retries).map_err(|e| e.to_string())?;
-        wire_rows(&results)?
-    } else if let Some(dir) = args.flags.get("store") {
-        let store = noc_campaign::FsResultStore::open(dir).map_err(|e| e.to_string())?;
-        let outcome =
-            sensorwise::run_batch_cached(&batch, jobs, &store).map_err(|e| e.to_string())?;
-        eprintln!(
-            "result store {dir}: {} hits, {} misses",
-            outcome.hits, outcome.misses
-        );
-        wire_rows(&outcome.results)?
+            .collect::<Result<_, String>>()?
     } else {
         let results = run_batch(&batch, jobs);
         for r in &results {
@@ -1348,7 +1291,6 @@ subcommands:
                                            [--trace-out FILE --metrics-out FILE --sample-period N]
   sweep   gap vs injection rate            [--cores --vcs --warmup --measure --invariants --jobs]
                                            [--store DIR (memoize probes) --json]
-                                           [--remote addr1,addr2 --retries N (dispatch points to workers)]
   record  record a synthetic trace         --out FILE [--cores --rate --cycles --seed]
   replay  replay a trace under a policy    --trace FILE [--cores --vcs --policy --invariants --csv]
                                            [--trace-out FILE --metrics-out FILE --sample-period N]
@@ -1366,7 +1308,7 @@ subcommands:
                                            [--spans-out FILE (flight-recorder span dump, JSONL)]
   spans   summarize a span JSONL file      FILE [--json] (per-stage latency breakdown tree)
   submit  load-generating client           [--addr --count --concurrency --cores --vcs --rate --policy
-                                            --warmup --measure --seed --batch --shutdown]
+                                            --warmup --measure --seed --shutdown]
   campaign run     multi-epoch lifetime campaign   --checkpoint FILE [--epochs 4 --age-acceleration 1e9
                    with aging feedback              --drain-limit N --cores --vcs --rate --policy
                                                     --warmup --measure --seed --pv-seed --store DIR
@@ -1411,7 +1353,7 @@ const SUBCOMMANDS: &[(&str, &str, Handler)] = &[
     ),
     (
         "sweep",
-        "cores vcs warmup measure jobs invariants json store remote retries",
+        "cores vcs warmup measure jobs invariants json store",
         |_, a| cmd_sweep(a),
     ),
     ("record", "out cores rate cycles seed", |_, a| cmd_record(a)),
@@ -1434,7 +1376,7 @@ const SUBCOMMANDS: &[(&str, &str, Handler)] = &[
     ),
     (
         "submit",
-        "addr count concurrency cores vcs rate policy warmup measure seed batch shutdown",
+        "addr count concurrency cores vcs rate policy warmup measure seed shutdown",
         |_, a| cmd_submit(a),
     ),
     ("spans", "json", cmd_spans),

@@ -65,8 +65,9 @@ fn fabric_flags_are_refused_by_name() {
 }
 
 /// Every subcommand refuses a flag it does not read, naming it, instead of
-/// running with defaults: `sweep` has no `--routing`, `serve` no
-/// `--bogus`, and an action word is checked before its flags.
+/// running with defaults: `sweep` has no `--routing` and no `--remote`,
+/// `submit` no `--batch`, `serve` no `--bogus`, and an action word is
+/// checked before its flags.
 #[test]
 fn unknown_flags_are_refused_by_every_subcommand() {
     for args in [
@@ -82,6 +83,8 @@ fn unknown_flags_are_refused_by_every_subcommand() {
             "3",
         ],
         &["spans", "none.jsonl", "--csv"],
+        &["sweep", "--remote", "127.0.0.1:1"],
+        &["submit", "--batch"],
     ] {
         let (stdout, stderr, ok) = run(args);
         assert!(!ok, "{args:?}");

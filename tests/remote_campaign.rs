@@ -8,14 +8,11 @@
 //! * a campaign dispatched over two workers is bit-identical to the same
 //!   campaign run in-process — chained digest, epoch ends, and ledger,
 //! * a pool containing a dead or a silent worker still finishes: dispatch
-//!   marks it dead, reassigns to the survivor, and the digest is unchanged,
-//! * `run_batch_remote` (the sweep plane) matches local `run_batch` for
-//!   every point, and the workers' shared cache absorbs the repeats.
+//!   marks it dead, reassigns to the survivor, and the digest is unchanged.
 
 use nbti_noc::prelude::*;
 use noc_campaign::{
-    recover_from_store, run_batch_remote, Campaign, CampaignSpec, FsResultStore, RemoteExecutor,
-    WorkerPool,
+    recover_from_store, Campaign, CampaignSpec, FsResultStore, RemoteExecutor, WorkerPool,
 };
 use noc_service::{Server, ServiceConfig};
 use std::fs;
@@ -194,63 +191,5 @@ fn a_silent_worker_is_given_up_and_its_epoch_reassigned() {
 
     live.request_shutdown(false);
     let _ = live.wait();
-    let _ = fs::remove_dir_all(store.dir());
-}
-
-#[test]
-fn remote_batch_sweep_matches_local_runs_point_for_point() {
-    let scenario = SyntheticScenario {
-        cores: 4,
-        vcs: 2,
-        injection_rate: 0.0, // per-point rate set below
-    };
-    let batch: Vec<ExperimentJob> = [0.08, 0.12, 0.16, 0.20]
-        .iter()
-        .flat_map(|&rate| {
-            PolicyKind::REFERENCE_PAIR.iter().map(move |&policy| {
-                let mut job = SyntheticScenario {
-                    injection_rate: rate,
-                    ..scenario
-                }
-                .job(policy, 200, 1_200);
-                job.cfg.telemetry.trace = true;
-                job
-            })
-        })
-        .collect();
-    let specs: Vec<String> = batch
-        .iter()
-        .map(|j| sensorwise::spec_to_json(j).expect("synthetic specs are servable"))
-        .collect();
-    let local: Vec<u64> = run_batch(&batch, 2)
-        .iter()
-        .map(|r| r.trace_digest().expect("traced run has a digest"))
-        .collect();
-
-    let store = temp_store("batch");
-    let w1 = start_worker(store.dir());
-    let w2 = start_worker(store.dir());
-    let pool = WorkerPool::new(&[w1.local_addr().to_string(), w2.local_addr().to_string()])
-        .expect("two live workers");
-
-    let served = run_batch_remote(&pool, &specs, 2).expect("batch dispatch completes");
-    let served_digests: Vec<u64> = served
-        .iter()
-        .map(|r| r.trace_digest.expect("served result carries a digest"))
-        .collect();
-    assert_eq!(served_digests, local, "remote sweep diverged from local");
-
-    // Same batch again: the workers' shared cache answers every point at
-    // accept time, and the digests still match.
-    let again = run_batch_remote(&pool, &specs, 2).expect("cached batch completes");
-    let again_digests: Vec<u64> = again
-        .iter()
-        .map(|r| r.trace_digest.expect("cached result carries a digest"))
-        .collect();
-    assert_eq!(again_digests, local, "cache round diverged");
-
-    w1.request_shutdown(false);
-    w2.request_shutdown(false);
-    let _ = (w1.wait(), w2.wait());
     let _ = fs::remove_dir_all(store.dir());
 }

@@ -324,6 +324,11 @@ fn protocol_errors_are_typed_not_hangs() {
     // Wrong method on a known route.
     let r = noc_service::http::http_request(&addr, "PUT", "/jobs", "").expect("transport");
     assert_eq!(r.status, 405);
+    // No `POST /jobs/{x}` route exists, so the old batch path is one too.
+    let r = noc_service::http::http_request(&addr, "POST", "/jobs/batch", "{\"jobs\":[]}")
+        .expect("transport");
+    assert_eq!(r.status, 405);
+    assert_eq!(r.body, "{\"error\":\"method not allowed\"}");
     // Unknown route.
     let r = noc_service::http::http_request(&addr, "GET", "/nope", "").expect("transport");
     assert_eq!(r.status, 404);
@@ -614,7 +619,7 @@ fn metrics_exposition_is_prometheus_parsable_and_matches_stats() {
             entry.1 = Some(v);
         }
     }
-    assert_eq!(per_endpoint.len(), 9, "every endpoint class is exposed");
+    assert_eq!(per_endpoint.len(), 8, "every endpoint class is exposed");
     for (endpoint, (_, inf)) in &per_endpoint {
         let prefix = format!("noc_request_duration_us_count{{endpoint=\"{endpoint}\"}} ");
         let count: u64 = body
