@@ -6,6 +6,26 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# A run rewrites tracked files: each bench binary at the end appends one
+# entry to its BENCH_*.json, and cargo refreshes a stale
+# perfbench/Cargo.lock when it builds the benchmark. The committed copies
+# are kept here and put back on every exit, so a run leaves the tree as
+# it found it. The same exit trap stops every server the smokes start.
+kept="BENCH_analyze.json BENCH_campaign.json BENCH_service.json BENCH_sim.json \
+BENCH_verify.json BENCH_workload.json perfbench/Cargo.lock"
+keepdir=$(mktemp -d)
+mkdir "$keepdir/perfbench"
+for f in $kept; do cp "$f" "$keepdir/$f"; done
+cleanup() {
+    for p in "${serve_pid:-}" "${camp_pid:-}" "${rw1_pid:-}" "${rw2_pid:-}" "${rfront_pid:-}"; do
+        [ -n "$p" ] && kill "$p" 2>/dev/null || true
+    done
+    rm -rf "${verifydir:-}" "${teldir:-}" "${servedir:-}" "${campdir:-}" "${remotedir:-}" "${wldir:-}"
+    for f in $kept; do cp "$keepdir/$f" "$f"; done
+    rm -rf "$keepdir"
+}
+trap cleanup EXIT
+
 cargo build --release --offline
 cargo fmt --all -- --check
 cargo test -q --offline --workspace
@@ -143,7 +163,6 @@ cargo run -q --release --offline -p nbti-noc-bench --bin model_check > /dev/null
 # state space at the default depth for every policy, reporting state
 # counts and zero violations.
 verifydir=$(mktemp -d)
-trap 'rm -rf "${verifydir:-}"' EXIT
 ./target/release/nbti-noc verify > "$verifydir/verify.log" 2>&1 || {
     cat "$verifydir/verify.log" >&2
     echo "ci: protocol verification failed" >&2
@@ -178,7 +197,6 @@ verifydir=""
 # Telemetry smoke: a traced run must produce a parseable event trace and a
 # non-empty metrics series, and `stats` must re-derive a digest from it.
 teldir=$(mktemp -d)
-trap 'rm -rf "$teldir" "${verifydir:-}" "${servedir:-}" "${campdir:-}" "${remotedir:-}" "${wldir:-}"; for p in "${serve_pid:-}" "${camp_pid:-}" "${rw1_pid:-}" "${rw2_pid:-}" "${rfront_pid:-}"; do [ -n "$p" ] && kill "$p" 2>/dev/null || true; done' EXIT
 ./target/release/nbti-noc run --cores 4 --vcs 2 --rate 0.1 --policy sw \
     --warmup 200 --measure 2000 \
     --trace-out "$teldir/events.jsonl" --metrics-out "$teldir/metrics.csv" \
@@ -483,14 +501,15 @@ remotedir=""
 
 # Bench trajectories: the serving and campaign benches must run clean and
 # append to their BENCH_*.json files (small configurations — this gates
-# the harnesses, not absolute numbers).
+# the harnesses, not absolute numbers). The exit trap puts the committed
+# BENCH files back.
 cargo run -q --release --offline -p nbti-noc-bench --bin service_throughput -- \
     --count 8 --measure 1000 > /dev/null
 cargo run -q --release --offline -p nbti-noc-bench --bin campaign_epochs -- \
     --epochs 4 --measure 1500 --warmup 300 > /dev/null
 cargo run -q --release --offline -p nbti-noc-bench --bin campaign_remote -- \
     --epochs 4 --measure 1500 --warmup 300 > /dev/null
-grep -q '"mode":"remote".*"dispatch_p50_us":' BENCH_campaign.json || {
+tail -n 2 BENCH_campaign.json | grep -q '"mode":"remote".*"dispatch_p50_us":' || {
     echo "ci: campaign_remote did not append a remote-mode entry" >&2
     exit 1
 }
