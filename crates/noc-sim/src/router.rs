@@ -6,18 +6,19 @@
 //!    head flits are routed (dimension-ordered).
 //! 2. **VA + SA** — head flits waiting for VA arbitrate for a free output
 //!    VC; active VCs with a ready flit and downstream credits arbitrate for
-//!    the crossbar (separable input-first allocator). Both read the VC
-//!    masks of the [`Arena`] and [`Router::waiting`] and grant by rotating
-//!    a request mask ([`RoundRobinArbiter::grant`]).
+//!    the crossbar (separable input-first allocator). Both read words their
+//!    writers keep — the router's `pending`, `linked` and `waiting` masks
+//!    and the [`Arena`]'s VC masks — and grant by rotating a request mask
+//!    ([`RoundRobinArbiter::grant`]).
 //! 3. **ST + LT** — the winning flits traverse switch and link; they are
 //!    written downstream `1 + link_latency` cycles after winning SA.
 //!
 //! A router owns no VC state: its input VCs are the downstream side of
 //! its input ports' slots in the [`Arena`], its output VCs the upstream
 //! side of its output ports' slots. It keeps the slot numbers, its
-//! arbiters, the `waiting` masks and its flit count. Stage 1 and the
-//! cross-router parts of stage 3 live in [`crate::network::Network`]; this
-//! module owns the VA/SA logic.
+//! arbiters, the `waiting`, `pending` and `linked` masks and its flit
+//! count. Stage 1 and the cross-router parts of stage 3 live in
+//! [`crate::network::Network`]; this module owns the VA/SA logic.
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::flit::Flit;
@@ -66,6 +67,13 @@ pub(crate) struct Router {
     /// arbiter's request words. Only [`Router::route_head`] sets a bit and
     /// only the VA grant clears one.
     pub waiting: [[u32; NUM_PORTS]; NUM_PORTS],
+    /// Bit `o`: some head waits for VA on output `o` (`waiting[o]` is not
+    /// all zero), the outputs VA visits. [`Router::route_head`] sets a bit
+    /// and the VA grant that empties `waiting[o]` clears it.
+    pub pending: u8,
+    /// Bit `p`: input `p` has a slot, the inputs SA visits. Set once, by
+    /// [`Router::link_input`].
+    pub linked: u8,
     /// Flits buffered in the input VCs. Only [`Router::write_flit`] and
     /// [`Router::pop_flit`] change the buffers, and both keep this count
     /// in step. A router holding none has nothing to allocate: every
@@ -84,8 +92,16 @@ impl Router {
             sa_out_arbs: array::from_fn(|_| RoundRobinArbiter::new(NUM_PORTS)),
             sa_in_arbs: array::from_fn(|_| RoundRobinArbiter::new(num_vcs)),
             waiting: [[0; NUM_PORTS]; NUM_PORTS],
+            pending: 0,
+            linked: 0,
             buffered: 0,
         }
+    }
+
+    /// Connects input `p` to `slot`, the port slot whose buffers it is.
+    pub fn link_input(&mut self, p: usize, slot: u32) {
+        self.in_slot[p] = slot;
+        self.linked |= 1 << p;
     }
 
     /// The BW stage for one flit arriving at input `in_port`.
@@ -114,6 +130,7 @@ impl Router {
         let i = arena.vc_index(self.in_slot[in_port] as usize, vc);
         arena.in_vcs[i].route = outport as u8;
         self.waiting[outport][in_port] |= 1 << vc;
+        self.pending |= 1 << outport;
         let out_slot = self.out_slot[outport] as usize;
         arena.masks[out_slot].new_traffic = true;
         out_slot
@@ -127,20 +144,17 @@ impl Router {
     /// `true` when at least one buffered head flit routed to output `out`
     /// has no output VC allocated yet — the paper's
     /// `is_new_traffic_outport_x()` predicate, as the output slot's
-    /// `new_traffic` flag records it.
+    /// `new_traffic` flag and bit `out` of `pending` record it. Recounted
+    /// from `waiting`.
     pub fn has_new_traffic(&self, out: usize) -> bool {
         self.waiting[out].iter().any(|&w| w != 0)
     }
 
-    /// The slot of output `out` if it sees new traffic.
-    #[inline]
-    fn requested_output(&self, arena: &Arena, out: usize) -> Option<usize> {
-        match self.out_slot[out] {
-            NO_SLOT => None,
-            slot => arena.masks[slot as usize]
-                .new_traffic
-                .then_some(slot as usize),
-        }
+    /// The `pending` mask recounted from `waiting`.
+    pub fn pending_recount(&self) -> u8 {
+        (0..NUM_PORTS)
+            .filter(|&o| self.has_new_traffic(o))
+            .fold(0, |m, o| m | 1 << o)
     }
 
     /// The VA requests on output `out`: the waiting VCs whose head was not
@@ -173,10 +187,13 @@ impl Router {
     ) -> u8 {
         let num_vcs = arena.vcs;
         let mut granted = 0u8;
-        for out_idx in 0..NUM_PORTS {
-            // With no request or no free VC the arbiter would grant
-            // nothing: skip it.
-            let Some(out_slot) = self.requested_output(arena, out_idx) else {
+        // Only the outputs a head waits for; with no request or no free VC
+        // the arbiter would grant nothing, so it is skipped.
+        let mut outs = self.pending;
+        while outs != 0 {
+            let out_idx = outs.trailing_zeros() as usize;
+            outs &= outs - 1;
+            let Some(out_slot) = self.linked_output(out_idx) else {
                 continue;
             };
             let Some(mut ovc) = arena.free_vc(out_slot, now) else {
@@ -192,18 +209,17 @@ impl Router {
                 requests[p] &= !bit;
                 self.waiting[out_idx][p] &= !bit;
                 let in_slot = self.in_slot[p] as usize;
-                arena.masks[in_slot].in_active |= bit;
-                let i = arena.vc_index(in_slot, v);
-                arena.in_vcs[i].out_vc = ovc as u8;
-                arena.in_vcs[i].out = arena.vc_index(out_slot, ovc) as u32;
-                debug_assert_eq!(arena.in_vcs[i].route as usize, out_idx, "VA off the route");
                 debug_assert_eq!(
-                    arena.credits[arena.vc_index(out_slot, ovc)] as usize,
-                    arena.depth,
-                    "an idle out VC must hold all its credits"
+                    arena.in_vcs[arena.vc_index(in_slot, v)].route as usize,
+                    out_idx,
+                    "VA off the route"
                 );
-                arena.masks[out_slot].out_active |= 1 << ovc;
-                arena.masks[out_slot].new_traffic = self.has_new_traffic(out_idx);
+                arena.bind_out_vc(in_slot, v, out_slot, ovc);
+                let left = self.has_new_traffic(out_idx);
+                if !left {
+                    self.pending &= !(1 << out_idx);
+                }
+                arena.masks[out_slot].new_traffic = left;
                 granted |= 1 << out_idx;
                 work.va_grants += 1;
                 if T::ACTIVE {
@@ -227,15 +243,27 @@ impl Router {
         granted
     }
 
-    /// The slots of the outputs with new traffic and a VA request.
+    /// The slot of output `out`, unless it is a boundary port (only a
+    /// fault hook makes a head wait on one).
+    #[inline]
+    fn linked_output(&self, out: usize) -> Option<usize> {
+        match self.out_slot[out] {
+            NO_SLOT => None,
+            slot => Some(slot as usize),
+        }
+    }
+
+    /// The slots of the outputs with a VA request.
     fn requesting_outputs<'a>(&'a self, arena: &'a Arena) -> impl Iterator<Item = usize> + 'a {
-        (0..NUM_PORTS).filter_map(move |o| {
-            let slot = self.requested_output(arena, o)?;
-            self.va_requests(arena, o)
-                .iter()
-                .any(|&w| w != 0)
-                .then_some(slot)
-        })
+        (0..NUM_PORTS)
+            .filter(|&o| self.pending & (1 << o) != 0)
+            .filter_map(move |o| {
+                let slot = self.linked_output(o)?;
+                self.va_requests(arena, o)
+                    .iter()
+                    .any(|&w| w != 0)
+                    .then_some(slot)
+            })
     }
 
     /// After a VA pass that granted nothing: whether some output has a
@@ -254,29 +282,16 @@ impl Router {
     pub fn could_grant(&self, arena: &Arena, now: u64) -> bool {
         self.requesting_outputs(arena)
             .any(|slot| arena.free_vc(slot, now).is_some())
-            || (0..NUM_PORTS).any(|p| self.sa_ready(arena, p) != 0)
+            || (0..NUM_PORTS).any(|p| self.linked & (1 << p) != 0 && self.sa_ready(arena, p) != 0)
     }
 
-    /// The VCs of input `p` that may nominate themselves for the switch:
-    /// active, buffered, not fresh, and with a credit on their output VC.
+    /// The VCs of linked input `p` that may nominate themselves for the
+    /// switch: active, buffered, not fresh, and with a credit on their
+    /// output VC (`credited`, which the credit writers keep).
     #[inline]
     fn sa_ready(&self, arena: &Arena, p: usize) -> u32 {
-        let slot = self.in_slot[p];
-        if slot == NO_SLOT {
-            return 0;
-        }
-        let m = arena.masks[slot as usize];
-        let mut candidates = m.in_active & m.occupied & !m.fresh;
-        let mut ready = 0u32;
-        while candidates != 0 {
-            let v = candidates.trailing_zeros() as usize;
-            candidates &= candidates - 1;
-            let out = arena.in_vcs[arena.vc_index(slot as usize, v)].out;
-            if arena.credits[out as usize] > 0 {
-                ready |= 1 << v;
-            }
-        }
-        ready
+        let m = arena.masks[self.in_slot[p] as usize];
+        m.in_active & m.occupied & !m.fresh & m.credited
     }
 
     /// The SA stage: a separable, input-first allocator. Each input port
@@ -286,30 +301,35 @@ impl Router {
     /// SA stage never allocates.
     pub fn switch_allocation(&mut self, arena: &Arena) -> [Option<SaWinner>; NUM_PORTS] {
         let mut nominees: [Option<SaWinner>; NUM_PORTS] = [None; NUM_PORTS];
-        // Per output port, the input ports whose nominee targets it.
+        // Per output port, the input ports whose nominee targets it, and
+        // bit `o` for each output with a nominee.
         let mut requests = [0u32; NUM_PORTS];
-        for (p, nominee) in nominees.iter_mut().enumerate() {
+        let mut nominated = 0u8;
+        let mut inputs = self.linked;
+        while inputs != 0 {
+            let p = inputs.trailing_zeros() as usize;
+            inputs &= inputs - 1;
             let ready = self.sa_ready(arena, p);
             if ready == 0 {
                 continue;
             }
             if let Some(v) = self.sa_in_arbs[p].grant(&[ready]) {
                 let vc = arena.in_vcs[arena.vc_index(self.in_slot[p] as usize, v)];
-                *nominee = Some(SaWinner {
+                nominees[p] = Some(SaWinner {
                     in_port: p as u8,
                     vc: v as u8,
                     out_port: vc.route,
                     out_vc: vc.out_vc,
                 });
                 requests[usize::from(vc.route)] |= 1 << p;
+                nominated |= 1 << vc.route;
             }
         }
         let mut winners: [Option<SaWinner>; NUM_PORTS] = [None; NUM_PORTS];
-        for (o, &req) in requests.iter().enumerate() {
-            if req == 0 {
-                continue;
-            }
-            if let Some(p) = self.sa_out_arbs[o].grant(&[req]) {
+        while nominated != 0 {
+            let o = nominated.trailing_zeros() as usize;
+            nominated &= nominated - 1;
+            if let Some(p) = self.sa_out_arbs[o].grant(&[requests[o]]) {
                 winners[o] = nominees[p];
             }
         }
@@ -465,7 +485,9 @@ mod tests {
     /// `5 + o`, with its own arena.
     fn router(num_vcs: usize) -> (Router, Arena) {
         let mut r = Router::new(num_vcs);
-        r.in_slot = array::from_fn(|p| p as u32);
+        for p in 0..NUM_PORTS {
+            r.link_input(p, p as u32);
+        }
         r.out_slot = array::from_fn(|o| (NUM_PORTS + o) as u32);
         (r, Arena::new(2 * NUM_PORTS, num_vcs, 4))
     }
@@ -745,8 +767,12 @@ mod tests {
         put_waiting_head(&mut r, &mut a, W, 0, E);
         next_cycle(&mut a);
         va(&mut r, &mut a, 1);
-        let i = a.vc_index(r.out_slot[E] as usize, 0);
-        a.credits[i] = 0;
+        // Spend every credit of the granted output VC, as the traversals
+        // of the packet's first four flits would.
+        for _ in 0..4 {
+            a.spend_credit(W, 0, false);
+        }
+        assert_eq!(a.credits[a.vc_index(r.out_slot[E] as usize, 0)], 0);
         assert!(r.switch_allocation(&a).iter().all(Option::is_none));
         assert!(!r.could_grant(&a, 2));
     }

@@ -13,6 +13,26 @@ fn probe_order_grant(requesting: &[bool], next: usize) -> Option<usize> {
         .find(|&i| requesting[i])
 }
 
+/// The first router input port whose `credited` mask differs from the
+/// scan SA once made: bit `v` set when VC `v` is active and the output VC
+/// it was granted holds a credit. As `(port, mask, scan)`.
+fn credited_mismatch(net: &Network) -> Option<(PortId, u32, u32)> {
+    net.port_ids()
+        .iter()
+        .enumerate()
+        .filter(|(_, port)| matches!(port.kind, PortKind::RouterInput(_)))
+        .find_map(|(s, &port)| {
+            let scan = net
+                .granted_credits(s)
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.is_some_and(|c| c > 0))
+                .fold(0u32, |m, (v, _)| m | 1 << v);
+            let mask = net.credited_vcs(s);
+            (mask != scan).then_some((port, mask, scan))
+        })
+}
+
 proptest! {
     /// The arbiter only grants actual requesters and is starvation-free:
     /// over `n` consecutive rounds with a fixed request set, every
@@ -279,5 +299,61 @@ proptest! {
         net.step();
         prop_assert!(net.delivered_slots().is_empty());
         prop_assert_eq!(net.stats().packets_ejected, packets.len() as u64);
+    }
+
+    /// SA's ready word against the credit scan it replaced. On random
+    /// meshes with buffer depths of 1–4 flits, link and credit latencies
+    /// of 1–4 cycles, wake-up latencies of 0–3, random traffic and random
+    /// gate commands, after each half of every cycle each router input
+    /// VC's `credited` bit must equal the scan: the VC is active and the
+    /// output VC it was granted holds a credit.
+    #[test]
+    fn sa_ready_word_equals_the_credit_scan(
+        cols in 1usize..=4,
+        rows in 1usize..=4,
+        vcs in 1usize..=3,
+        depth in 1usize..=4,
+        link_latency in 1u64..=4,
+        credit_latency in 1u64..=4,
+        wakeup_latency in 0u64..=3,
+        packets in proptest::collection::vec((0usize..16, 0usize..16, 0u64..80, 1usize..7), 1..40),
+        gates in proptest::collection::vec((0u64..300, 0usize..64, 0usize..4), 0..80),
+    ) {
+        let mut net = Network::new(NocConfig {
+            cols,
+            rows,
+            vcs_per_port: vcs,
+            buffer_depth: depth,
+            link_latency,
+            credit_latency,
+            wakeup_latency,
+            ..NocConfig::default()
+        }).unwrap();
+        let nodes = cols * rows;
+        let ports: Vec<PortId> = net.port_ids().to_vec();
+        for cycle in 0..400u64 {
+            for &(s, d, at, len) in &packets {
+                if at == cycle {
+                    net.inject_packet_with_len(NodeId(s % nodes), NodeId(d % nodes), len);
+                }
+            }
+            net.begin_cycle();
+            let after_begin = credited_mismatch(&net);
+            prop_assert!(after_begin.is_none(), "cycle {cycle}, begin: {after_begin:?}");
+            for &(at, p, a) in &gates {
+                if at == cycle {
+                    let action = match a {
+                        0 => GateAction::AllOn,
+                        1 => GateAction::AllIdleOff,
+                        2 => GateAction::KeepOneIdle { vc: 0 },
+                        _ => GateAction::KeepOneIdle { vc: vcs - 1 },
+                    };
+                    net.apply_gate(ports[p % ports.len()], action);
+                }
+            }
+            net.finish_cycle();
+            let after_finish = credited_mismatch(&net);
+            prop_assert!(after_finish.is_none(), "cycle {cycle}, finish: {after_finish:?}");
+        }
     }
 }
