@@ -28,6 +28,8 @@ trap cleanup EXIT
 
 cargo build --release --offline
 cargo fmt --all -- --check
+# The measuring script parses as bash (it is run by hand, not here).
+bash -n scripts/bench_pair.sh
 cargo test -q --offline --workspace
 cargo clippy --all-targets --offline -- -D warnings
 
@@ -245,6 +247,11 @@ PROPTEST_CASES=256 cargo test -q --release --offline -p noc-sim --test props \
 # cycle delivers exactly what a scan of every link FIFO finds due.
 PROPTEST_CASES=256 cargo test -q --release --offline -p noc-sim --test props \
     due_schedule_delivers_what_a_scan_of_every_link_finds
+# SA's ready word at depth: on random meshes, buffer depths, latencies,
+# wake-ups, traffic and gate commands, every router input VC's `credited`
+# bit equals the credit scan it replaced, after each half of every cycle.
+PROPTEST_CASES=256 cargo test -q --release --offline -p noc-sim --test props \
+    sa_ready_word_equals_the_credit_scan
 
 # Workload smoke: generate a deterministic mix trace, verify every chunk
 # checksum, then require the live-mix run and the trace replay to agree
