@@ -578,8 +578,11 @@ struct PortCtl {
     md: usize,
     /// The last decision.
     action: GateAction,
-    /// The last `apply_gate` left the key as it found it. Only then is
-    /// applying the same action to the same key again a no-op.
+    /// The port is settled: deciding and applying again while the key
+    /// and the MD VC stay as the last `apply_gate` left them would answer
+    /// the same action and change nothing. Holds when that apply left
+    /// the key as it found it, or when the decision table already answers
+    /// the same action for the key it left.
     fixed: bool,
     /// The port's power mask. Busy ⇒ powered (a full-level invariant),
     /// so this is also its NBTI stress mask.
@@ -755,9 +758,10 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
     /// marked ports are visited, in slot order; every other port's key and
     /// MD VC are unchanged, so its last action stands. A visited port's
     /// last action is reused too, without building its view, deciding or
-    /// applying, when its last application was a fixed point and the key
+    /// applying, when the port is settled (`PortCtl::fixed`) and the key
     /// and the MD VC are unchanged, unless the policy's decision changed
-    /// with the cycle. Otherwise the action comes from the decision table
+    /// with the cycle. At [`InvariantLevel::Full`] every such reuse is
+    /// re-decided and checked. Otherwise the action comes from the decision table
     /// when some port already presented the same key and MD VC since the
     /// decisions last changed with the cycle, and from the policy (on a
     /// view) when none did. `monitored` is the cycle's monitored index
@@ -771,6 +775,7 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
             self.decisions.invalidate_all();
         }
         self.net.take_marked_ports(&mut self.visit);
+        let full = self.cfg.invariants == InvariantLevel::Full;
         let mut applied = 0u64;
         for &slot in &self.visit {
             let i = slot as usize;
@@ -780,6 +785,11 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
             // command looks it up.
             let key = self.net.port_key_at(i);
             if !rotated && c.fixed && key == c.key && md == c.md {
+                if full {
+                    self.net.fill_port_view_at(i, &mut self.view);
+                    let decided = self.policy.decide(now, &self.view, md);
+                    self.net.check_reused_gate(i, c.action, decided);
+                }
                 continue;
             }
             let action = match self.decisions.recall(key, md) {
@@ -800,7 +810,11 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
             c.key = after;
             c.md = md;
             c.action = action;
-            c.fixed = after == key;
+            // With the active mask unchanged, applying an action to the key
+            // it left recomputes the same power mask and the allocatable
+            // mask it already set: nothing turns on or off, so no deadline,
+            // wake-up or trace event follows.
+            c.fixed = after == key || self.decisions.recall(after, md) == Some(action);
             if after.powered != c.stress {
                 if let Some(upto) = monitored {
                     flush_run(&mut self.monitor, self.port_ids[i], c, upto);
@@ -1625,6 +1639,73 @@ mod tests {
             "{}",
             v.detail
         );
+    }
+
+    /// The check of settled reuse: poison the decision table so that an
+    /// idle port settles on an action its policy would not take, and the
+    /// visit that reuses the action is reported at the full level only.
+    #[test]
+    fn a_wrongly_settled_port_is_a_vc_state_violation_at_full_level() {
+        for level in [InvariantLevel::Full, InvariantLevel::Off] {
+            let cfg =
+                ExperimentConfig::new(NocConfig::paper_synthetic(4, 2), PolicyKind::SensorWise)
+                    .with_invariants(level);
+            let mut prof = NullProfiler;
+            let mut eng = engine(&cfg, &mut prof);
+            let i = (0..eng.port_ids.len())
+                .find(|&i| {
+                    matches!(eng.port_ids[i].kind, PortKind::RouterInput(d) if d != Direction::Local)
+                })
+                .expect("a router input with a link");
+            // Every port decides in the first cycle. With no traffic
+            // sensor-wise powers every idle VC off; keeping the MD VC on
+            // instead moves the power mask.
+            let key = eng.net.port_key_at(i);
+            let md = eng.monitor.most_degraded(eng.port_ids[i]);
+            let wrong = GateAction::KeepOneIdle { vc: md };
+            let settled = PortKey {
+                powered: 1 << md,
+                ..key
+            };
+            assert_eq!(key.active, 0, "{level:?}");
+            assert_ne!(key, settled, "{level:?}");
+            eng.decisions.remember(key, md, wrong);
+            eng.decisions.remember(settled, md, wrong);
+            assert_eq!(eng.decisions.recall(key, md), Some(wrong), "no collision");
+            eng.advance(0, None);
+            assert_eq!(eng.net.port_key_at(i), settled, "{level:?}");
+            assert!(eng.ctl[i].fixed, "{level:?}: settled through the table");
+            assert_eq!(eng.net.stats().invariant_violations, 0, "{level:?}");
+            // Marked by its own power change, the port is visited and its
+            // action reused.
+            eng.advance(1, None);
+            assert!(eng.visit.contains(&(i as u32)), "{level:?}");
+            assert_eq!(eng.net.port_key_at(i), settled, "{level:?}: not re-applied");
+            let found: Vec<_> = eng
+                .net
+                .violations()
+                .iter()
+                .filter(|v| v.kind == InvariantKind::VcStateConsistency)
+                .collect();
+            if level == InvariantLevel::Off {
+                assert!(found.is_empty(), "{found:?}");
+                continue;
+            }
+            // The table is shared, so every idle port with the same key
+            // and MD VC settled on the poisoned answer.
+            let port = eng.port_ids[i];
+            let reported = format!(
+                "port {port}: reused {wrong:?} without applying it, but the policy answers \
+                 otherwise (the policy answers AllIdleOff)"
+            );
+            assert!(found.iter().any(|v| v.detail == reported), "{found:?}");
+            assert!(
+                found
+                    .iter()
+                    .all(|v| v.detail.contains("but the policy answers otherwise")),
+                "{found:?}"
+            );
+        }
     }
 
     #[test]

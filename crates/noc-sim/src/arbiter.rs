@@ -100,6 +100,7 @@ impl RoundRobinArbiter {
     /// just past the grantee. Returns `None` (and leaves priority
     /// unchanged) when nobody requests. `requests` holds one word per
     /// `stride` requesters; bits at or beyond `stride` must be clear.
+    #[inline]
     pub fn grant(&mut self, requests: &[u32]) -> Option<usize> {
         debug_assert_eq!(requests.len(), self.words, "one request word per group");
         debug_assert!(

@@ -53,7 +53,7 @@ use crate::snapshot::{NetworkSnapshot, PortState, SnapshotStateError};
 use crate::stats::NetStats;
 use crate::topology::Mesh2D;
 use crate::types::{Direction, NodeId};
-use crate::unit::{all_vcs, Arena, Credit};
+use crate::unit::{all_vcs, Arena, Credit, SlotMasks};
 use crate::view::{GateAction, PortId, PortKey, PortView, VcStatus};
 use noc_telemetry::{
     EventKind, NullProfiler, NullSink, Profiler, Stage, TraceEvent, TraceSink, WorkCounters,
@@ -99,9 +99,10 @@ struct Hop {
 /// The due schedule: every flit and credit in flight, with the cycle it is
 /// due, in the order it was sent. Each queue holds one kind of trip, and
 /// every trip of a kind takes the same number of cycles, so each queue is
-/// already sorted by due cycle: `begin_cycle` pops its fronts until the
-/// next entry lies in the future. A link is serial, so the entries of one
-/// slot are that link's FIFO.
+/// already sorted by due cycle: `begin_cycle` finds the prefix due by
+/// the cycle with one binary search, handles it in order and drops it in
+/// one drain. A link is serial, so the entries of one slot are that link's
+/// FIFO.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DueSchedule {
     /// Flits that won SA, due `1 + link_latency` cycles later.
@@ -138,16 +139,19 @@ impl DueSchedule {
     }
 }
 
-/// Pops the front of a time-ordered queue if it is due by `now`.
+/// The power mask a gate command keeping `mask`'s idle VCs on leaves on a
+/// port with masks `m`: only idle VCs are ever gated, busy ones keep their
+/// power.
 #[inline]
-fn pop_due<T: Copy>(queue: &mut VecDeque<(u64, T)>, now: u64) -> Option<T> {
-    match queue.front() {
-        Some(&(when, item)) if when <= now => {
-            queue.pop_front();
-            Some(item)
-        }
-        _ => None,
-    }
+fn gated_power(m: SlotMasks, mask: u32, num_vcs: usize) -> u32 {
+    let idle = !m.out_active & all_vcs(num_vcs);
+    (m.powered & !idle) | (mask & idle)
+}
+
+/// The length of a time-ordered queue's prefix that is due by `now`.
+#[inline]
+fn due_len<T>(queue: &VecDeque<(u64, T)>, now: u64) -> usize {
+    queue.partition_point(|&(when, _)| when <= now)
 }
 
 /// Sets bit `i` of a bit set kept as `u64` words.
@@ -226,9 +230,10 @@ pub struct Network<T: TraceSink = NullSink> {
     /// has reached since (bit per router): a new pass would grant nothing
     /// either.
     stalled_routers: Vec<u64>,
-    /// This cycle's SA winners, `(router, winner)`, traversed once every
-    /// busy router has allocated.
-    winners: Vec<(usize, SaWinner)>,
+    /// This cycle's SA winners, `(router, winner)`, appended by each
+    /// router's SA in router then output-port order and traversed once
+    /// every busy router has allocated.
+    winners: Vec<(u32, SaWinner)>,
     /// NICs whose step could make progress ([`Nic::could_progress`]), plus
     /// any an input reached since their last step (bit per node). A NIC
     /// with a packet that is in neither is parked.
@@ -625,13 +630,10 @@ impl<T: TraceSink> Network<T> {
         // the old eligibility mask, so the `Up_Down` payload is only traced
         // when it actually changes.
         let prev_mask = std::mem::replace(&mut m.allocatable, mask);
-        let idle = !m.out_active & all_vcs(num_vcs);
-        // Downstream power, derived from the same out VC states the policy
-        // saw: only idle VCs are ever gated, busy ones keep their power.
         let was = m.powered;
-        let now_on = (was & !idle) | (mask & idle);
+        let now_on = gated_power(*m, mask, num_vcs);
         debug_assert_eq!(
-            !idle & all_vcs(num_vcs) & !now_on,
+            m.out_active & all_vcs(num_vcs) & !now_on,
             0,
             "busy VC must be powered"
         );
@@ -690,6 +692,40 @@ impl<T: TraceSink> Network<T> {
                 self.arena.usable_at[i] = usable_at;
                 woken &= woken - 1;
             }
+        }
+    }
+
+    /// The controller-side check of a reused gate command: the controller
+    /// reused `reused` at the port at `slot` without applying it, and its
+    /// policy, asked again, answers `decided`. At [`InvariantLevel::Full`]
+    /// a different answer, or a `reused` that applied now would change the
+    /// port's power or allocation mask, is recorded as an
+    /// [`InvariantKind::VcStateConsistency`] violation: the port was
+    /// settled wrongly. No-op at lower levels.
+    pub fn check_reused_gate(&mut self, slot: usize, reused: GateAction, decided: GateAction) {
+        if self.invariants != InvariantLevel::Full {
+            return;
+        }
+        let num_vcs = self.cfg.vcs_per_port;
+        let m = self.arena.masks[slot];
+        let moves = reused.kept_idle_mask(num_vcs).is_some_and(|mask| {
+            m.allocatable != mask || gated_power(m, mask, num_vcs) != m.powered
+        });
+        if reused != decided || moves {
+            let (cycle, port) = (self.cycle, self.port_ids[slot]);
+            let why = match moves {
+                true => "applying it would change the port's masks",
+                false => "the policy answers otherwise",
+            };
+            // lint:allow(alloc-in-hot-path) cold branch: only runs on a violation
+            self.absorb_violations(vec![InvariantViolation::new(
+                cycle,
+                InvariantKind::VcStateConsistency,
+                format_args!(
+                    "port {port}: reused {reused:?} without applying it, but {why} \
+                     (the policy answers {decided:?})"
+                ),
+            )]);
         }
     }
 
@@ -792,7 +828,11 @@ impl<T: TraceSink> Network<T> {
         // grant; any other credit cannot, since a stalled router's SA
         // nominees all wait on output VCs without credits. The same holds
         // for a parked NIC's queue head and streaming packet.
-        while let Some(credit) = pop_due(&mut self.due.credits, now) {
+        // Each queue's due prefix is handled by index and then dropped in
+        // one drain; nothing handling an entry reads the queues.
+        let due = due_len(&self.due.credits, now);
+        for i in 0..due {
+            let credit = self.due.credits[i].1;
             let refilled = self.arena.absorb_credit(credit);
             let slot = credit.slot as usize;
             if credit.is_free {
@@ -802,6 +842,7 @@ impl<T: TraceSink> Network<T> {
                 self.wake_upstream(slot);
             }
         }
+        self.due.credits.drain(..due);
         // A new cycle begins: the slots written last cycle, the only ones
         // with a fresh VC, hold nothing written in this one. Their flits
         // may compete in VA and SA now.
@@ -815,16 +856,22 @@ impl<T: TraceSink> Network<T> {
         }
         delivered.clear();
         // Flits due this cycle (BW).
-        while let Some(hop) = pop_due(&mut self.due.hops, now) {
+        let due = due_len(&self.due.hops, now);
+        for i in 0..due {
+            let hop = self.due.hops[i].1;
             self.deliver(hop);
             // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
             delivered.push(hop.slot);
         }
-        while let Some(hop) = pop_due(&mut self.due.injections, now) {
+        self.due.hops.drain(..due);
+        let due = due_len(&self.due.injections, now);
+        for i in 0..due {
+            let hop = self.due.injections[i].1;
             self.deliver(hop);
             // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
             delivered.push(hop.slot);
         }
+        self.due.injections.drain(..due);
         self.delivered = delivered;
         prof.lap(Stage::BeginCycle);
         // RC of the heads just written. Routing reads only output credits,
@@ -953,11 +1000,9 @@ impl<T: TraceSink> Network<T> {
                     &mut self.work,
                     &mut self.trace,
                 );
-                let winners = router.switch_allocation(&self.arena);
-                if granted == 0
-                    && winners.iter().all(Option::is_none)
-                    && !router.waits_for_wakeup(&self.arena)
-                {
+                let nominated =
+                    router.switch_allocation(&self.arena, r_idx as u32, &mut self.winners);
+                if granted == 0 && !nominated && !router.waits_for_wakeup(&self.arena) {
                     set_bit(&mut self.stalled_routers, r_idx);
                     continue;
                 }
@@ -967,17 +1012,13 @@ impl<T: TraceSink> Network<T> {
                     granted &= granted - 1;
                     set_bit(&mut self.marked, router.out_slot[o] as usize);
                 }
-                for winner in winners.into_iter().flatten() {
-                    // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
-                    self.winners.push((r_idx, winner));
-                }
             }
         }
         prof.lap(Stage::Allocation);
         for i in 0..self.winners.len() {
             let (r_idx, winner) = self.winners[i];
             self.work.sa_grants += 1;
-            self.traverse(r_idx, winner, now);
+            self.traverse(r_idx as usize, winner, now);
         }
         self.winners.clear();
         prof.lap(Stage::Traversal);
@@ -2007,6 +2048,40 @@ mod tests {
         }
         assert_eq!(n.stats().packets_ejected, 1);
         assert!(n.violations().is_empty(), "{:?}", n.violations());
+    }
+
+    /// The check of a reused gate command: an action that re-applied
+    /// would change nothing passes; one that would change the power or
+    /// allocation mask, or that the policy no longer answers, is a
+    /// violation at the full level only.
+    #[test]
+    fn a_reused_gate_command_must_be_a_no_op_the_policy_still_answers() {
+        let mut n = net(4, 2);
+        let slot = n.slot(PortId::router_input(NodeId(0), Direction::East));
+        let keep = GateAction::KeepOneIdle { vc: 1 };
+        n.begin_cycle();
+        n.apply_gate_at(slot, keep);
+        n.check_reused_gate(slot, GateAction::AllOn, keep);
+        assert!(n.violations().is_empty(), "a no-op below the full level");
+        n.set_invariant_level(InvariantLevel::Full);
+        n.check_reused_gate(slot, keep, keep);
+        n.check_reused_gate(slot, GateAction::NoChange, GateAction::NoChange);
+        assert!(n.violations().is_empty(), "{:?}", n.violations());
+        // `AllIdleOff` would power the designated VC off; the policy's
+        // answer differs from the action kept in the second.
+        n.check_reused_gate(slot, GateAction::AllIdleOff, GateAction::AllIdleOff);
+        n.check_reused_gate(slot, keep, GateAction::AllOn);
+        let details: Vec<&str> = n.violations().iter().map(|v| v.detail.as_str()).collect();
+        assert_eq!(details.len(), 2, "{details:?}");
+        assert!(
+            details[0].contains("would change the port's masks"),
+            "{details:?}"
+        );
+        assert!(
+            details[1].contains("the policy answers AllOn"),
+            "{details:?}"
+        );
+        n.finish_cycle();
     }
 
     /// Each gate action leaves exactly its designated idle VCs powered, and

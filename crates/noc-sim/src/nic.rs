@@ -84,6 +84,7 @@ impl Nic {
     /// one flit if credits allow. Returns the flit to deliver to the
     /// router's local input port (the caller schedules it `link_latency`
     /// cycles ahead).
+    #[inline]
     pub fn process_inject(
         &mut self,
         arena: &mut Arena,
@@ -138,6 +139,7 @@ impl Nic {
     /// drained flit is traced as an [`EventKind::FlitEject`] when the sink
     /// is active.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn drain_eject<T: TraceSink>(
         &mut self,
         arena: &mut Arena,

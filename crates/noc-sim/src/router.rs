@@ -105,12 +105,14 @@ impl Router {
     }
 
     /// The BW stage for one flit arriving at input `in_port`.
+    #[inline]
     pub fn write_flit(&mut self, arena: &mut Arena, in_port: usize, flit: Flit) {
         arena.write_flit(self.in_slot[in_port] as usize, flit);
         self.buffered += 1;
     }
 
     /// Removes the front flit of VC `vc` of input `in_port`, if any.
+    #[inline]
     pub fn pop_flit(&mut self, arena: &mut Arena, in_port: usize, vc: usize) -> Option<Flit> {
         let flit = arena.pop_flit(self.in_slot[in_port] as usize, vc)?;
         self.buffered -= 1;
@@ -120,6 +122,7 @@ impl Router {
     /// The RC result of a head flit buffered in VC `vc` of input `in_port`:
     /// the VC now waits for an output VC on `outport`, which therefore sees
     /// new traffic. Returns the output's slot.
+    #[inline]
     pub fn route_head(
         &mut self,
         arena: &mut Arena,
@@ -177,6 +180,7 @@ impl Router {
     /// one [`EventKind::VaGrant`] per grant. Returns the output ports that
     /// granted, bit `o` for output `o`: their `active` and `waiting` masks
     /// changed.
+    #[inline]
     pub fn vc_allocation<T: TraceSink>(
         &mut self,
         arena: &mut Arena,
@@ -200,10 +204,7 @@ impl Router {
                 continue;
             };
             let mut requests = self.va_requests(arena, out_idx);
-            while requests.iter().any(|&w| w != 0) {
-                let Some(g) = self.va_arbs[out_idx].grant(&requests) else {
-                    break;
-                };
+            while let Some(g) = self.va_arbs[out_idx].grant(&requests) {
                 let (p, v) = (g / num_vcs, g % num_vcs);
                 let bit = 1 << v;
                 requests[p] &= !bit;
@@ -269,6 +270,7 @@ impl Router {
     /// After a VA pass that granted nothing: whether some output has a
     /// request and an idle, allocatable VC that is still waking up, so a
     /// later VA pass may grant with nothing else changing.
+    #[inline]
     pub fn waits_for_wakeup(&self, arena: &Arena) -> bool {
         self.requesting_outputs(arena).any(|slot| {
             let m = arena.masks[slot];
@@ -296,11 +298,23 @@ impl Router {
 
     /// The SA stage: a separable, input-first allocator. Each input port
     /// nominates one of its active, buffered, not-fresh VCs whose output
-    /// VC has a credit; each output port admits one nominee. Returns the
-    /// winner (if any) per output port — a fixed array so the per-cycle
-    /// SA stage never allocates.
-    pub fn switch_allocation(&mut self, arena: &Arena) -> [Option<SaWinner>; NUM_PORTS] {
-        let mut nominees: [Option<SaWinner>; NUM_PORTS] = [None; NUM_PORTS];
+    /// VC has a credit; each output port admits one nominee. Appends each
+    /// output's winner to `winners` as `(router, winner)`, in output-port
+    /// order, and returns whether any input nominated (then at least one
+    /// winner was appended).
+    #[inline]
+    pub fn switch_allocation(
+        &mut self,
+        arena: &Arena,
+        router: u32,
+        winners: &mut Vec<(u32, SaWinner)>,
+    ) -> bool {
+        let mut nominees = [SaWinner {
+            in_port: 0,
+            vc: 0,
+            out_port: 0,
+            out_vc: 0,
+        }; NUM_PORTS];
         // Per output port, the input ports whose nominee targets it, and
         // bit `o` for each output with a nominee.
         let mut requests = [0u32; NUM_PORTS];
@@ -315,25 +329,26 @@ impl Router {
             }
             if let Some(v) = self.sa_in_arbs[p].grant(&[ready]) {
                 let vc = arena.in_vcs[arena.vc_index(self.in_slot[p] as usize, v)];
-                nominees[p] = Some(SaWinner {
+                nominees[p] = SaWinner {
                     in_port: p as u8,
                     vc: v as u8,
                     out_port: vc.route,
                     out_vc: vc.out_vc,
-                });
+                };
                 requests[usize::from(vc.route)] |= 1 << p;
                 nominated |= 1 << vc.route;
             }
         }
-        let mut winners: [Option<SaWinner>; NUM_PORTS] = [None; NUM_PORTS];
+        let any = nominated != 0;
         while nominated != 0 {
             let o = nominated.trailing_zeros() as usize;
             nominated &= nominated - 1;
             if let Some(p) = self.sa_out_arbs[o].grant(&[requests[o]]) {
-                winners[o] = nominees[p];
+                // lint:allow(alloc-in-hot-path) amortized: scratch keeps its capacity
+                winners.push((router, nominees[p]));
             }
         }
-        winners
+        any
     }
 
     /// Appends every invariant violation visible from this router's local
@@ -497,6 +512,36 @@ mod tests {
         r.vc_allocation(arena, now, NodeId(0), &mut WorkCounters::default(), sink);
     }
 
+    /// One SA pass as router 3, appended behind a winner of another router
+    /// the way the network's list holds it: returns router 3's winners.
+    fn sa(r: &mut Router, a: &Arena) -> Vec<SaWinner> {
+        let earlier = (
+            9,
+            SaWinner {
+                in_port: 1,
+                vc: 0,
+                out_port: 2,
+                out_vc: 0,
+            },
+        );
+        let mut winners = vec![earlier];
+        let nominated = r.switch_allocation(a, 3, &mut winners);
+        assert_eq!(winners[0], earlier, "earlier winners are kept");
+        assert!(winners[1..].iter().all(|&(router, _)| router == 3));
+        assert_eq!(nominated, winners.len() > 1, "a nominee always wins");
+        winners[1..].iter().map(|&(_, w)| w).collect()
+    }
+
+    /// Every arbiter's priority pointer.
+    fn priorities(r: &Router) -> Vec<usize> {
+        r.va_arbs
+            .iter()
+            .chain(&r.sa_out_arbs)
+            .chain(&r.sa_in_arbs)
+            .map(RoundRobinArbiter::priority)
+            .collect()
+    }
+
     /// Writes and routes a head into VC `vc` of `in_port`, towards output
     /// `out`. The VC is fresh until [`next_cycle`].
     fn put_waiting_head(r: &mut Router, a: &mut Arena, in_port: usize, vc: usize, out: usize) {
@@ -630,21 +675,13 @@ mod tests {
         put_waiting_head(&mut r, &mut a, W, 0, E);
         next_cycle(&mut a);
         va(&mut r, &mut a, 1);
-        assert_eq!(r.switch_allocation(&a).iter().flatten().count(), 1);
+        assert_eq!(sa(&mut r, &a).len(), 1);
         r.pop_flit(&mut a, W, 0);
         assert_eq!(r.buffered, 0);
-        let priorities = |r: &Router| -> Vec<usize> {
-            r.va_arbs
-                .iter()
-                .chain(&r.sa_out_arbs)
-                .chain(&r.sa_in_arbs)
-                .map(RoundRobinArbiter::priority)
-                .collect()
-        };
         let before = priorities(&r);
         next_cycle(&mut a);
         va(&mut r, &mut a, 2);
-        assert!(r.switch_allocation(&a).iter().all(Option::is_none));
+        assert!(sa(&mut r, &a).is_empty());
         assert!(!r.could_grant(&a, 2));
         assert_eq!(priorities(&r), before);
     }
@@ -755,8 +792,7 @@ mod tests {
         put_waiting_head(&mut r, &mut a, N, 0, E);
         next_cycle(&mut a);
         va(&mut r, &mut a, 1);
-        let winners = r.switch_allocation(&a);
-        let granted: Vec<SaWinner> = winners.into_iter().flatten().collect();
+        let granted = sa(&mut r, &a);
         assert_eq!(granted.len(), 1, "one grant per output port");
         assert_eq!(usize::from(granted[0].out_port), E);
     }
@@ -773,7 +809,7 @@ mod tests {
             a.spend_credit(W, 0, false);
         }
         assert_eq!(a.credits[a.vc_index(r.out_slot[E] as usize, 0)], 0);
-        assert!(r.switch_allocation(&a).iter().all(Option::is_none));
+        assert!(sa(&mut r, &a).is_empty());
         assert!(!r.could_grant(&a, 2));
     }
 
@@ -785,14 +821,14 @@ mod tests {
         va(&mut r, &mut a, 1);
         // Drain the head, then deliver the body into the emptied VC: it
         // is fresh this cycle and may only win SA in the next.
-        assert_eq!(r.switch_allocation(&a).iter().flatten().count(), 1);
+        assert_eq!(sa(&mut r, &a).len(), 1);
         r.pop_flit(&mut a, W, 0);
         next_cycle(&mut a);
         let body = split_packet(100, 3)[1];
         r.write_flit(&mut a, W, body);
-        assert!(r.switch_allocation(&a).iter().all(Option::is_none));
+        assert!(sa(&mut r, &a).is_empty());
         next_cycle(&mut a);
-        assert_eq!(r.switch_allocation(&a).iter().flatten().count(), 1);
+        assert_eq!(sa(&mut r, &a).len(), 1);
     }
 
     #[test]
@@ -802,7 +838,49 @@ mod tests {
         put_waiting_head(&mut r, &mut a, E, 0, W);
         next_cycle(&mut a);
         va(&mut r, &mut a, 1);
-        let winners = r.switch_allocation(&a);
-        assert_eq!(winners.iter().flatten().count(), 2);
+        assert_eq!(sa(&mut r, &a).len(), 2);
+    }
+
+    /// The traversal order: winners come in output-port order, each output
+    /// admits at most one and each input sends at most one.
+    #[test]
+    fn sa_appends_winners_in_output_order_one_per_output_and_input() {
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        put_waiting_head(&mut r, &mut a, W, 1, N);
+        put_waiting_head(&mut r, &mut a, S, 0, E);
+        put_waiting_head(&mut r, &mut a, E, 0, W);
+        put_waiting_head(&mut r, &mut a, N, 0, S);
+        next_cycle(&mut a);
+        va(&mut r, &mut a, 1);
+        let granted = sa(&mut r, &a);
+        assert!(granted.len() >= 3, "{granted:?}");
+        for pair in granted.windows(2) {
+            assert!(pair[0].out_port < pair[1].out_port, "{granted:?}");
+        }
+        let mut inputs = 0u8;
+        for w in &granted {
+            assert_eq!(inputs & (1 << w.in_port), 0, "{granted:?}");
+            inputs |= 1 << w.in_port;
+            let vc = a.in_vcs[a.vc_index(
+                r.in_slot[usize::from(w.in_port)] as usize,
+                usize::from(w.vc),
+            )];
+            assert_eq!((w.out_port, w.out_vc), (vc.route, vc.out_vc));
+        }
+    }
+
+    /// A router whose buffered flits nominate nothing (a head still
+    /// waiting for VA) appends nothing and moves no arbiter.
+    #[test]
+    fn a_router_with_no_nominee_appends_nothing_and_keeps_its_priorities() {
+        let (mut r, mut a) = router(2);
+        put_waiting_head(&mut r, &mut a, W, 0, E);
+        next_cycle(&mut a);
+        let before = priorities(&r);
+        let mut winners = Vec::new();
+        assert!(!r.switch_allocation(&a, 0, &mut winners));
+        assert!(winners.is_empty());
+        assert_eq!(priorities(&r), before);
     }
 }

@@ -222,6 +222,7 @@ impl Arena {
     /// empty and inactive; a body or tail must find it holding its packet
     /// (buffered, or active). A VC waiting for VA always buffers its head,
     /// so "buffered or active" is exactly "not idle".
+    #[inline]
     pub fn write_flit(&mut self, slot: usize, flit: Flit) {
         let v = flit.vc as usize;
         let bit = 1 << v;

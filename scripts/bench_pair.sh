@@ -12,8 +12,11 @@
 # the later value, so `--policy rr` or `--measure 5000` work). For each
 # side it prints the commit, `nproc`, the median and quartiles of
 # kcycles/s, and each profiled stage's mean ns per cycle averaged over
-# the N runs. It writes no file outside its temporary directory, which
-# it removes on exit.
+# the N runs. It then appends the same figures to BENCH_sim.json, one
+# entry per side in the shape of `append_entry` in crates/bench: the
+# commit, its role (`before` for BASE, `after` for HEAD), `nproc`, the
+# kcycles/s median and quartiles and the per-stage means. Its builds and
+# run logs live in a temporary directory, which it removes on exit.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -55,7 +58,7 @@ scenario=(run --cores 16 --vcs 2 --rate 0.2 --warmup 1000 --measure 20000 --prof
 for ((i = 1; i <= runs; i++)); do
     for side in base head; do
         out="$work/$side.run$i"
-        "$work/$side/target/release/nbti-noc" "${scenario[@]}" "$@" > "$out" 2> /dev/null
+        "$work/$side/target/release/nbti-noc" "${scenario[@]}" "$@" > "$out" 2> "$out.err"
         grep -q 'kcycles/s' "$out" || {
             echo "bench_pair: $side run $i printed no throughput" >&2
             exit 1
@@ -70,7 +73,8 @@ for ((i = 1; i <= runs; i++)); do
     done
 done
 
-# Median and Tukey hinges (medians of the lower and upper halves).
+# Median and Tukey hinges (medians of the lower and upper halves), as
+# `median q1 q3`.
 quartiles() {
     sort -g "$1" | awk '
         { v[NR] = $1 }
@@ -82,21 +86,59 @@ quartiles() {
             h = int(NR / 2)
             q1 = NR > 1 ? med(1, h) : v[1]
             q3 = NR > 1 ? med(NR - h + 1, NR) : v[1]
-            printf "%.1f [q1 %.1f, q3 %.1f]", med(1, NR), q1, q3
+            printf "%.1f %.1f %.1f", med(1, NR), q1, q3
         }'
 }
 
-echo "canonical scenario: ${scenario[*]} $*"
-echo "nproc: $(nproc), $runs alternating runs per side"
-for side in base head; do
-    commit=${!side}
-    echo
-    echo "$side $commit"
-    echo "  kcycles/s: $(quartiles "$work/$side.kcps")"
-    echo "  mean ns per cycle by stage:"
+# Each stage's mean ns per cycle over the runs, as `stage mean` lines in
+# cycle order.
+stage_means() {
     awk '
         !($1 in sum) { order[++n] = $1 }
         { sum[$1] += $2; cnt[$1]++ }
-        END { for (i = 1; i <= n; i++) printf "    %-14s %8.0f\n", order[i], sum[order[i]] / cnt[order[i]] }
-    ' "$work/$side.stages"
+        END { for (i = 1; i <= n; i++) printf "%s %.0f\n", order[i], sum[order[i]] / cnt[order[i]] }
+    ' "$1"
+}
+
+# Appends one entry to a JSON array file the way `append_entry` in
+# crates/bench does: the closing bracket and a trailing comma go, the
+# entry follows on its own line.
+append_entry() {
+    local body
+    if [ -s "$1" ]; then
+        body=$(cat "$1")
+        body=$(printf '%s' "${body%]}" | sed '$ s/[[:space:],]*$//')
+        printf '%s,\n  %s\n]\n' "$body" "$2" > "$1"
+    else
+        printf '[\n  %s\n]\n' "$2" > "$1"
+    fi
+}
+
+nproc=$(nproc)
+echo "canonical scenario: ${scenario[*]} $*"
+echo "nproc: $nproc, $runs alternating runs per side"
+for side in base head; do
+    commit=${!side}
+    read -r median q1 q3 < <(quartiles "$work/$side.kcps")
+    echo
+    echo "$side $commit"
+    echo "  kcycles/s: $median [q1 $q1, q3 $q3]"
+    echo "  mean ns per cycle by stage:"
+    stage_means "$work/$side.stages" | awk '{ printf "    %-14s %8s\n", $1, $2 }'
 done
+
+bench=BENCH_sim.json
+for side in base head; do
+    commit=${!side}
+    role=before
+    [ "$side" = head ] && role=after
+    read -r median q1 q3 < <(quartiles "$work/$side.kcps")
+    # "running 16core-inj0.20 on mesh under POLICY (W + M cycles, ...)..."
+    policy=$(sed -n 's/.* under \([^ ]*\) (.*/\1/p' "$work/$side.run1.err")
+    cycles=$(sed -n 's/^profiled \([0-9]*\) cycles.*/\1/p' "$work/$side.run1")
+    mean_ns=$(stage_means "$work/$side.stages" | awk '{ printf "%s\"%s\":%s", NR > 1 ? "," : "", $1, $2 }')
+    run=$(($(grep -o '"run":' "$bench" 2> /dev/null | wc -l) + 1))
+    append_entry "$bench" "{\"run\":$run,\"commit\":\"$commit\",\"role\":\"$role\",\"nproc\":$nproc,\"samples\":$runs,\"args\":\"${scenario[*]} $*\",\"policy\":\"$policy\",\"cycles\":$cycles,\"kcycles_per_sec\":$median,\"kcycles_per_sec_q1\":$q1,\"kcycles_per_sec_q3\":$q3,\"mean_ns\":{$mean_ns}}"
+done
+echo
+echo "appended a before and an after entry to $bench"

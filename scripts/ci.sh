@@ -234,6 +234,34 @@ grep -q "kcycles/s" "$teldir/profile.log" || {
     exit 1
 }
 
+# The paper's regime at full invariants: the canonical scenario under
+# sensor-wise and under rr-no-sensor (which clears its decision table every
+# cycle) must report no violation, and the full level, which re-decides
+# every port the controller reuses, must leave the unchecked run's trace
+# digest.
+json_field() {
+    grep -o "\"$1\":\"\{0,1\}[0-9a-f]*" | head -n 1 | sed 's/.*:"\{0,1\}//'
+}
+for p in sw rr; do
+    canon="run --cores 16 --vcs 2 --rate 0.2 --warmup 1000 --measure 5000 --policy $p --json"
+    # shellcheck disable=SC2086 # the words of one command line
+    ./target/release/nbti-noc $canon > "$teldir/canon-$p.json" 2> /dev/null
+    # shellcheck disable=SC2086
+    ./target/release/nbti-noc $canon --invariants full \
+        > "$teldir/canon-$p-full.json" 2> /dev/null || {
+        echo "ci: canonical $p run at --invariants full failed" >&2
+        exit 1
+    }
+    violations=$(json_field invariant_violations < "$teldir/canon-$p-full.json")
+    plain=$(json_field trace_digest < "$teldir/canon-$p.json")
+    checked=$(json_field trace_digest < "$teldir/canon-$p-full.json")
+    [ "$violations" = 0 ] && [ -n "$plain" ] && [ "$plain" = "$checked" ] || {
+        echo "ci: canonical $p at --invariants full: $violations violation(s)," \
+            "digest '$checked' vs unchecked '$plain'" >&2
+        exit 1
+    }
+done
+
 # Engine equivalence at depth: the experiment engine reuses unchanged gate
 # decisions and records duty per power-mask run, and must still match the
 # every-port-every-cycle reference loop field for field. The suite above

@@ -174,9 +174,9 @@ pub const HOT_ENTRY_POINTS: &[&str] = &[
     "record_cycle",
     "most_degraded",
     // The per-cycle bookkeeping that makes a cycle visit only the units
-    // with work: the due schedule's drain and delivery, the port marks and
-    // the active-NIC step.
-    "pop_due",
+    // with work: the due schedule's due prefix and delivery, the port
+    // marks and the active-NIC step.
+    "due_len",
     "deliver",
     "absorb_credit",
     "traverse",
