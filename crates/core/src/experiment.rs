@@ -761,10 +761,10 @@ impl<'a, S: NbtiSensor, T: TraceSink, P: Profiler> Engine<'a, S, T, P> {
     /// applying, when the port is settled (`PortCtl::fixed`) and the key
     /// and the MD VC are unchanged, unless the policy's decision changed
     /// with the cycle. At [`InvariantLevel::Full`] every such reuse is
-    /// re-decided and checked. Otherwise the action comes from the decision table
-    /// when some port already presented the same key and MD VC since the
-    /// decisions last changed with the cycle, and from the policy (on a
-    /// view) when none did. `monitored` is the cycle's monitored index
+    /// re-decided and checked. Otherwise the action comes from the
+    /// decision table when some port already presented the same key and
+    /// MD VC since the decisions last changed with the cycle, and from the
+    /// policy (on a view) when none did. `monitored` is the cycle's monitored index
     /// while duty is being recorded.
     fn decide_ports(&mut self, now: u64, monitored: Option<u64>) {
         let vcs = self.cfg.noc.vcs_per_port;

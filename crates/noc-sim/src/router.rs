@@ -36,7 +36,7 @@ pub(crate) const NUM_PORTS: usize = 5;
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// A flit selected by the switch allocator this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SaWinner {
     pub in_port: u8,
     pub vc: u8,
@@ -309,12 +309,7 @@ impl Router {
         router: u32,
         winners: &mut Vec<(u32, SaWinner)>,
     ) -> bool {
-        let mut nominees = [SaWinner {
-            in_port: 0,
-            vc: 0,
-            out_port: 0,
-            out_vc: 0,
-        }; NUM_PORTS];
+        let mut nominees = [SaWinner::default(); NUM_PORTS];
         // Per output port, the input ports whose nominee targets it, and
         // bit `o` for each output with a nominee.
         let mut requests = [0u32; NUM_PORTS];

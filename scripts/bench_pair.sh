@@ -86,7 +86,7 @@ quartiles() {
             h = int(NR / 2)
             q1 = NR > 1 ? med(1, h) : v[1]
             q3 = NR > 1 ? med(NR - h + 1, NR) : v[1]
-            printf "%.1f %.1f %.1f", med(1, NR), q1, q3
+            printf "%.1f %.1f %.1f\n", med(1, NR), q1, q3
         }'
 }
 
@@ -115,24 +115,19 @@ append_entry() {
 }
 
 nproc=$(nproc)
+bench=BENCH_sim.json
 echo "canonical scenario: ${scenario[*]} $*"
 echo "nproc: $nproc, $runs alternating runs per side"
-for side in base head; do
-    commit=${!side}
-    read -r median q1 q3 < <(quartiles "$work/$side.kcps")
-    echo
-    echo "$side $commit"
-    echo "  kcycles/s: $median [q1 $q1, q3 $q3]"
-    echo "  mean ns per cycle by stage:"
-    stage_means "$work/$side.stages" | awk '{ printf "    %-14s %8s\n", $1, $2 }'
-done
-
-bench=BENCH_sim.json
 for side in base head; do
     commit=${!side}
     role=before
     [ "$side" = head ] && role=after
     read -r median q1 q3 < <(quartiles "$work/$side.kcps")
+    echo
+    echo "$side ($role) $commit"
+    echo "  kcycles/s: $median [q1 $q1, q3 $q3]"
+    echo "  mean ns per cycle by stage:"
+    stage_means "$work/$side.stages" | awk '{ printf "    %-14s %8s\n", $1, $2 }'
     # "running 16core-inj0.20 on mesh under POLICY (W + M cycles, ...)..."
     policy=$(sed -n 's/.* under \([^ ]*\) (.*/\1/p' "$work/$side.run1.err")
     cycles=$(sed -n 's/^profiled \([0-9]*\) cycles.*/\1/p' "$work/$side.run1")
