@@ -131,7 +131,7 @@ for side in base head; do
     # "running 16core-inj0.20 on mesh under POLICY (W + M cycles, ...)..."
     policy=$(sed -n 's/.* under \([^ ]*\) (.*/\1/p' "$work/$side.run1.err")
     cycles=$(sed -n 's/^profiled \([0-9]*\) cycles.*/\1/p' "$work/$side.run1")
-    mean_ns=$(stage_means "$work/$side.stages" | awk '{ printf "%s\"%s\":%s", NR > 1 ? "," : "", $1, $2 }')
+    mean_ns=$(stage_means "$work/$side.stages" | awk '{ printf "%s\"%s\":%s", (NR > 1 ? "," : ""), $1, $2 }')
     run=$(($(grep -o '"run":' "$bench" 2> /dev/null | wc -l) + 1))
     append_entry "$bench" "{\"run\":$run,\"commit\":\"$commit\",\"role\":\"$role\",\"nproc\":$nproc,\"samples\":$runs,\"args\":\"${scenario[*]} $*\",\"policy\":\"$policy\",\"cycles\":$cycles,\"kcycles_per_sec\":$median,\"kcycles_per_sec_q1\":$q1,\"kcycles_per_sec_q3\":$q3,\"mean_ns\":{$mean_ns}}"
 done
