@@ -1644,67 +1644,84 @@ mod tests {
     /// The check of settled reuse: poison the decision table so that an
     /// idle port settles on an action its policy would not take, and the
     /// visit that reuses the action is reported at the full level only.
+    /// Sensor-wise keeps its answers until the MD VC changes; rr-no-sensor
+    /// keeps them only within a rotation period, so it runs with a period
+    /// of 8 (its default of 1 clears the table, and so forbids every reuse,
+    /// each cycle).
     #[test]
     fn a_wrongly_settled_port_is_a_vc_state_violation_at_full_level() {
-        for level in [InvariantLevel::Full, InvariantLevel::Off] {
-            let cfg =
-                ExperimentConfig::new(NocConfig::paper_synthetic(4, 2), PolicyKind::SensorWise)
+        for kind in [PolicyKind::SensorWise, PolicyKind::RrNoSensor] {
+            for level in [InvariantLevel::Full, InvariantLevel::Off] {
+                let mut cfg = ExperimentConfig::new(NocConfig::paper_synthetic(4, 2), kind)
                     .with_invariants(level);
-            let mut prof = NullProfiler;
-            let mut eng = engine(&cfg, &mut prof);
-            let i = (0..eng.port_ids.len())
-                .find(|&i| {
-                    matches!(eng.port_ids[i].kind, PortKind::RouterInput(d) if d != Direction::Local)
-                })
-                .expect("a router input with a link");
-            // Every port decides in the first cycle. With no traffic
-            // sensor-wise powers every idle VC off; keeping the MD VC on
-            // instead moves the power mask.
-            let key = eng.net.port_key_at(i);
-            let md = eng.monitor.most_degraded(eng.port_ids[i]);
-            let wrong = GateAction::KeepOneIdle { vc: md };
-            let settled = PortKey {
-                powered: 1 << md,
-                ..key
-            };
-            assert_eq!(key.active, 0, "{level:?}");
-            assert_ne!(key, settled, "{level:?}");
-            eng.decisions.remember(key, md, wrong);
-            eng.decisions.remember(settled, md, wrong);
-            assert_eq!(eng.decisions.recall(key, md), Some(wrong), "no collision");
-            eng.advance(0, None);
-            assert_eq!(eng.net.port_key_at(i), settled, "{level:?}");
-            assert!(eng.ctl[i].fixed, "{level:?}: settled through the table");
-            assert_eq!(eng.net.stats().invariant_violations, 0, "{level:?}");
-            // Marked by its own power change, the port is visited and its
-            // action reused.
-            eng.advance(1, None);
-            assert!(eng.visit.contains(&(i as u32)), "{level:?}");
-            assert_eq!(eng.net.port_key_at(i), settled, "{level:?}: not re-applied");
-            let found: Vec<_> = eng
-                .net
-                .violations()
-                .iter()
-                .filter(|v| v.kind == InvariantKind::VcStateConsistency)
-                .collect();
-            if level == InvariantLevel::Off {
-                assert!(found.is_empty(), "{found:?}");
-                continue;
-            }
-            // The table is shared, so every idle port with the same key
-            // and MD VC settled on the poisoned answer.
-            let port = eng.port_ids[i];
-            let reported = format!(
-                "port {port}: reused {wrong:?} without applying it, but the policy answers \
-                 otherwise (the policy answers AllIdleOff)"
-            );
-            assert!(found.iter().any(|v| v.detail == reported), "{found:?}");
-            assert!(
-                found
+                cfg.rr_rotation_period = 8;
+                let mut prof = NullProfiler;
+                let mut eng = engine(&cfg, &mut prof);
+                assert!(eng.next_change >= 8, "{kind}: no change before cycle 8");
+                let i = (0..eng.port_ids.len())
+                    .find(|&i| {
+                        matches!(eng.port_ids[i].kind, PortKind::RouterInput(d) if d != Direction::Local)
+                    })
+                    .expect("a router input with a link");
+                // Every port decides in the first cycle.
+                let key = eng.net.port_key_at(i);
+                let md = eng.monitor.most_degraded(eng.port_ids[i]);
+                // With no traffic both policies power every idle VC off;
+                // keeping the MD VC on instead moves the power mask.
+                let wrong = GateAction::KeepOneIdle { vc: md };
+                let settled = PortKey {
+                    powered: 1 << md,
+                    ..key
+                };
+                assert_eq!(key.active, 0, "{kind} {level:?}");
+                assert_ne!(key, settled, "{kind} {level:?}");
+                eng.decisions.remember(key, md, wrong);
+                eng.decisions.remember(settled, md, wrong);
+                assert_eq!(eng.decisions.recall(key, md), Some(wrong), "no collision");
+                eng.advance(0, None);
+                assert_eq!(eng.net.port_key_at(i), settled, "{kind} {level:?}");
+                assert!(
+                    eng.ctl[i].fixed,
+                    "{kind} {level:?}: settled through the table"
+                );
+                assert_eq!(eng.net.stats().invariant_violations, 0, "{kind} {level:?}");
+                // Marked by its own power change, the port is visited and
+                // its action reused.
+                eng.advance(1, None);
+                assert!(eng.visit.contains(&(i as u32)), "{kind} {level:?}");
+                assert_eq!(
+                    eng.net.port_key_at(i),
+                    settled,
+                    "{kind} {level:?}: not re-applied"
+                );
+                let found: Vec<_> = eng
+                    .net
+                    .violations()
                     .iter()
-                    .all(|v| v.detail.contains("but the policy answers otherwise")),
-                "{found:?}"
-            );
+                    .filter(|v| v.kind == InvariantKind::VcStateConsistency)
+                    .collect();
+                if level == InvariantLevel::Off {
+                    assert!(found.is_empty(), "{kind}: {found:?}");
+                    continue;
+                }
+                // The table is shared, so every idle port with the same
+                // key and MD VC settled on the poisoned answer.
+                let port = eng.port_ids[i];
+                let reported = format!(
+                    "port {port}: reused {wrong:?} without applying it, but the policy answers \
+                     otherwise (the policy answers AllIdleOff)"
+                );
+                assert!(
+                    found.iter().any(|v| v.detail == reported),
+                    "{kind}: {found:?}"
+                );
+                assert!(
+                    found
+                        .iter()
+                        .all(|v| v.detail.contains("but the policy answers otherwise")),
+                    "{kind}: {found:?}"
+                );
+            }
         }
     }
 

@@ -15,8 +15,11 @@
 # the N runs. It then appends the same figures to BENCH_sim.json, one
 # entry per side in the shape of `append_entry` in crates/bench: the
 # commit, its role (`before` for BASE, `after` for HEAD), `nproc`, the
-# kcycles/s median and quartiles and the per-stage means. Its builds and
-# run logs live in a temporary directory, which it removes on exit.
+# run command, the kcycles/s median and quartiles and the per-stage
+# means. These are medians over N runs, not the one profiled run of a
+# `sim_throughput` entry, so their fields carry a `pair_` prefix and the
+# two series are never read as one. Its builds and run logs live in a
+# temporary directory, which it removes on exit.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -116,7 +119,8 @@ append_entry() {
 
 nproc=$(nproc)
 bench=BENCH_sim.json
-echo "canonical scenario: ${scenario[*]} $*"
+args="${scenario[*]}${*:+ $*}"
+echo "canonical scenario: $args"
 echo "nproc: $nproc, $runs alternating runs per side"
 for side in base head; do
     commit=${!side}
@@ -128,12 +132,9 @@ for side in base head; do
     echo "  kcycles/s: $median [q1 $q1, q3 $q3]"
     echo "  mean ns per cycle by stage:"
     stage_means "$work/$side.stages" | awk '{ printf "    %-14s %8s\n", $1, $2 }'
-    # "running 16core-inj0.20 on mesh under POLICY (W + M cycles, ...)..."
-    policy=$(sed -n 's/.* under \([^ ]*\) (.*/\1/p' "$work/$side.run1.err")
-    cycles=$(sed -n 's/^profiled \([0-9]*\) cycles.*/\1/p' "$work/$side.run1")
     mean_ns=$(stage_means "$work/$side.stages" | awk '{ printf "%s\"%s\":%s", (NR > 1 ? "," : ""), $1, $2 }')
     run=$(($(grep -o '"run":' "$bench" 2> /dev/null | wc -l) + 1))
-    append_entry "$bench" "{\"run\":$run,\"commit\":\"$commit\",\"role\":\"$role\",\"nproc\":$nproc,\"samples\":$runs,\"args\":\"${scenario[*]} $*\",\"policy\":\"$policy\",\"cycles\":$cycles,\"kcycles_per_sec\":$median,\"kcycles_per_sec_q1\":$q1,\"kcycles_per_sec_q3\":$q3,\"mean_ns\":{$mean_ns}}"
+    append_entry "$bench" "{\"run\":$run,\"commit\":\"$commit\",\"role\":\"$role\",\"nproc\":$nproc,\"args\":\"$args\",\"pair_kcycles_per_sec_median\":$median,\"pair_kcycles_per_sec_q1\":$q1,\"pair_kcycles_per_sec_q3\":$q3,\"pair_mean_ns\":{$mean_ns}}"
 done
 echo
 echo "appended a before and an after entry to $bench"
